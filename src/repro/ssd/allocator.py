@@ -12,9 +12,16 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
+
+import numpy as np
 
 from repro.flash.geometry import FlashGeometry
+
+#: Slots per array that :meth:`BlockAllocator.allocate_run` yields.  It bounds
+#: the temporary arrays of preconditioning a large device.
+_RUN_CHUNK = 1 << 13
 
 
 class BlockState(enum.Enum):
@@ -53,9 +60,9 @@ class BlockAllocator:
                                 * slots_per_page)
         self.program_unit_slots = geometry.planes_per_die * slots_per_page
 
-        self._free: list[deque[int]] = [deque() for _ in range(self.total_dies)]
-        for block_id in range(self.total_blocks):
-            self._free[self.die_of_block(block_id)].append(block_id)
+        bpd = self.blocks_per_die
+        self._free: list[deque[int]] = [deque(range(die * bpd, (die + 1) * bpd))
+                                        for die in range(self.total_dies)]
         self._state = [BlockState.FREE] * self.total_blocks
         self._open: dict[tuple[int, WriteStream], OpenBlock] = {}
         self._write_cursor = 0
@@ -125,8 +132,8 @@ class BlockAllocator:
         key = (die, stream)
         open_block = self._open.get(key)
         if open_block is None or open_block.next_slot >= self.slots_per_block:
-            if open_block is not None:
-                self._state[open_block.block_id] = BlockState.FULL
+            # A full frontier was marked FULL when it filled.  GC may have
+            # erased it since, so it must not be marked again here.
             open_block = self._open_new_block(die, stream, reserve)
             self._open[key] = open_block
         available = self.slots_per_block - open_block.next_slot
@@ -145,6 +152,125 @@ class BlockAllocator:
         block_id = self._free[die].popleft()
         self._state[block_id] = BlockState.OPEN
         return OpenBlock(block_id=block_id, next_slot=0)
+
+    def allocate_run(self, count: int, stream: WriteStream,
+                     reserve: int) -> Iterator[np.ndarray]:
+        """Allocate ``count`` slots in one pass.
+
+        Returns an iterator over the slots, as consecutive int64 arrays of at
+        most :data:`_RUN_CHUNK` slots; the allocator state is final before
+        this returns.  The slots, their order and the state left behind are
+        those of a loop that calls :meth:`pick_die` and then
+        ``allocate_slots(die, min(remaining, program_unit_slots), ...)`` until
+        ``count`` slots are placed.  Each die grants one program unit per
+        turn: first from its open frontier's remainder, then from its free
+        blocks beyond the reserve, in free-list order.  The dies take turns
+        round-robin from the write cursor, skipping dies with nothing left.
+        A die that runs out never gets space back during the run, so die
+        ``d``'s ``k``-th grant is in round ``k``, and the whole order is
+        (round, distance of ``d`` from the cursor).  Raises ``RuntimeError``
+        before changing anything when ``count`` slots do not fit.
+        """
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        dies = self.total_dies
+        spb = self.slots_per_block
+        minimum = 0 if stream is WriteStream.GC else reserve
+        order = [(self._write_cursor + rank) % dies for rank in range(dies)]
+        # Per die, in turn order: (next frontier slot, slots left in the
+        # frontier, free blocks it may open).
+        heads = []
+        for die in order:
+            fresh = max(0, len(self._free[die]) - minimum)
+            open_block = self._open.get((die, stream))
+            if open_block is None:
+                heads.append((0, 0, fresh))
+            else:
+                heads.append((self.first_slot_of_block(open_block.block_id)
+                              + open_block.next_slot,
+                              spb - open_block.next_slot, fresh))
+        capacity = sum(left + fresh * spb for _, left, fresh in heads)
+        if count > capacity:
+            raise RuntimeError(f"{count} slots requested but only {capacity} fit "
+                               f"for {stream.value} writes")
+        if count == 0:
+            return iter(())
+        taken, last_turn, first, jump_at, jumps = self._lay_out_run(count, order, heads)
+        for turn, granted in enumerate(taken):
+            if granted:
+                self._advance_frontier(order[turn], stream, granted)
+        self._write_cursor = (order[last_turn] + 1) % dies
+        return _expand_run(count, first, jump_at, jumps)
+
+    def _lay_out_run(self, count: int, order: list[int], heads: list[tuple[int, int, int]]):
+        """The grants of :meth:`allocate_run`, as a (round, turn) grid cut at
+        ``count`` slots.
+
+        Returns the slots taken per turn, the turn of the last grant, and the
+        slot sequence in difference form: its first slot, and where each
+        later grant begins with the step from the previous grant's last slot.
+        """
+        dies = self.total_dies
+        spb = self.slots_per_block
+        unit = self.program_unit_slots
+        units_per_block = spb // unit
+        # A die still in the run after R rounds has granted at least
+        # (R - 1) * unit + 1 slots (only its frontier's last grant can be
+        # short), so the count is reached within ceil(count / unit) + 1 rounds.
+        rounds = min(-(-count // unit) + 1,
+                     max(-(-left // unit) + fresh * units_per_block
+                         for _, left, fresh in heads))
+        starts = np.zeros((rounds, dies), dtype=np.int64)
+        lengths = np.zeros((rounds, dies), dtype=np.int64)
+        steps = np.arange(max(rounds, units_per_block), dtype=np.int64) * unit
+        for turn, (next_slot, left, fresh) in enumerate(heads):
+            tail = min(-(-left // unit), rounds)
+            starts[:tail, turn] = next_slot + steps[:tail]
+            lengths[:tail, turn] = np.minimum(unit, left - steps[:tail])
+            blocks = min(fresh, -(-(rounds - tail) // units_per_block))
+            if blocks:
+                firsts = np.fromiter(islice(self._free[order[turn]], blocks),
+                                     dtype=np.int64, count=blocks) * spb
+                grants = (firsts[:, None] + steps[:units_per_block]).ravel()[:rounds - tail]
+                starts[tail:tail + len(grants), turn] = grants
+                lengths[tail:tail + len(grants), turn] = unit
+        flat = lengths.ravel()
+        ends = np.cumsum(flat)
+        cut = int(np.searchsorted(ends, count))
+        flat[cut] -= int(ends[cut]) - count
+        flat[cut + 1:] = 0
+        taken = lengths.sum(axis=0).tolist()
+        granted = flat > 0
+        run_starts = starts.ravel()[granted]
+        run_lengths = flat[granted]
+        # Preconditioning runs on every device build: drop each grid-sized
+        # array as soon as it is used, to keep the peak memory low.
+        del ends, starts, lengths, flat, granted
+        jumps = run_starts[1:] - run_starts[:-1]
+        jumps -= run_lengths[:-1] - 1
+        return taken, cut % dies, int(run_starts[0]), np.cumsum(run_lengths[:-1]), jumps
+
+    def _advance_frontier(self, die: int, stream: WriteStream, taken: int) -> None:
+        """Commit ``taken`` slots granted on ``die`` by :meth:`allocate_run`:
+        fill the open frontier, then open free blocks as ``allocate_slots``
+        would (the caller has checked that they exist)."""
+        key = (die, stream)
+        spb = self.slots_per_block
+        open_block = self._open.get(key)
+        if open_block is not None and open_block.next_slot < spb:
+            used = min(taken, spb - open_block.next_slot)
+            open_block.next_slot += used
+            taken -= used
+            if open_block.next_slot >= spb:
+                self._state[open_block.block_id] = BlockState.FULL
+        if taken:
+            blocks, next_slot = divmod(taken - 1, spb)
+            for _ in range(blocks + 1):
+                block_id = self._free[die].popleft()
+                self._state[block_id] = BlockState.FULL
+            if next_slot + 1 < spb:
+                self._state[block_id] = BlockState.OPEN
+            self._open[key] = OpenBlock(block_id=block_id, next_slot=next_slot + 1)
 
     # -- GC support ------------------------------------------------------------------
     def is_open(self, block_id: int) -> bool:
@@ -165,3 +291,19 @@ class BlockAllocator:
         self._state[block_id] = BlockState.FREE
         self.erase_count[block_id] += 1
         self._free[self.die_of_block(block_id)].append(block_id)
+
+
+def _expand_run(count: int, first: int, jump_at: np.ndarray,
+                jumps: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield a run of ``count`` slots, :data:`_RUN_CHUNK` at a time: a running
+    sum from ``first`` in steps of one, except at the positions ``jump_at``,
+    which step by ``jumps``."""
+    last = first - 1
+    for begin in range(0, count, _RUN_CHUNK):
+        chunk = np.ones(min(_RUN_CHUNK, count - begin), dtype=np.int64)
+        low, high = np.searchsorted(jump_at, (begin, begin + len(chunk)))
+        chunk[jump_at[low:high] - begin] = jumps[low:high]
+        chunk[0] += last
+        np.cumsum(chunk, out=chunk)
+        last = int(chunk[-1])
+        yield chunk

@@ -188,24 +188,21 @@ class Ftl:
         This fills the mapping without consuming simulated time, so read
         experiments can run against a preconditioned device.  It must not be
         called while I/O is in flight.
+
+        The placement is that of host writes issued one program unit at a
+        time in LBN order: the dies take turns round-robin from the write
+        cursor, each filling its open host frontier and then its free blocks
+        beyond the GC host reserve (see
+        :meth:`~repro.ssd.allocator.BlockAllocator.allocate_run`).  Earlier
+        copies of the range are invalidated.  When the range does not fit,
+        it raises ``RuntimeError`` and leaves the device unchanged.
         """
         if start_lbn < 0 or start_lbn + count > self.config.logical_blocks:
             raise ValueError("preload range outside the logical address space")
-        allocator = self.allocator
-        reserve = self.gc_host_reserve
-        remaining = count
         lbn = start_lbn
-        while remaining > 0:
-            die = allocator.pick_die(WriteStream.HOST, reserve)
-            if die is None:
-                raise RuntimeError("preload ran out of flash space")
-            slots = allocator.allocate_slots(
-                die, min(remaining, allocator.program_unit_slots),
-                WriteStream.HOST, reserve)
-            for psn in slots:
-                self.mapping.map(lbn, psn)
-                lbn += 1
-                remaining -= 1
+        for psns in self.allocator.allocate_run(count, WriteStream.HOST, self.gc_host_reserve):
+            self.mapping.map_range(lbn, psns)
+            lbn += len(psns)
 
     # -- introspection ------------------------------------------------------------------
     @property

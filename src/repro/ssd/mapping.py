@@ -91,6 +91,45 @@ class PageMapping:
         self._valid_per_block[psn // self.slots_per_block] += 1
         return previous
 
+    def map_range(self, start_lbn: int, psns: np.ndarray) -> None:
+        """Point ``start_lbn + i`` at ``psns[i]`` for every ``i``: :meth:`map`
+        over a run of logical blocks in one pass.
+
+        Earlier copies of the remapped blocks are invalidated.  The target
+        slots must be distinct and free before the call; the LBN range, the
+        slot range and the occupancy are all checked before anything changes.
+        """
+        count = len(psns)
+        end = start_lbn + count
+        if start_lbn < 0 or end > self.logical_blocks:
+            raise ValueError(f"lbn range [{start_lbn}, {end}) out of range")
+        if count == 0:
+            return
+        self._check_free_targets(psns)
+        spb = self.slots_per_block
+        window = self._l2p[start_lbn:end]
+        previous = window[window != UNMAPPED]
+        self._p2l[previous] = UNMAPPED
+        self._valid_per_block -= np.bincount(previous // spb, minlength=self.num_blocks)
+        self.mapped_blocks += count - len(previous)
+        window[:] = psns
+        self._p2l[psns] = np.arange(start_lbn, end, dtype=np.int64)
+        self._valid_per_block += np.bincount(psns // spb, minlength=self.num_blocks)
+
+    def _check_free_targets(self, psns: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``psns`` are distinct, in-range, free slots."""
+        low, high = int(psns.min()), int(psns.max())
+        if low < 0 or high >= self.total_slots:
+            raise ValueError(f"psn {low if low < 0 else high} out of range")
+        owners = self._p2l[psns]
+        occupied = np.flatnonzero(owners != UNMAPPED)
+        if len(occupied):
+            first = occupied[0]
+            raise ValueError(f"slot {psns[first]} is already occupied by lbn {owners[first]}")
+        ordered = np.sort(psns)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("a slot appears more than once in the run")
+
     def unmap(self, lbn: int) -> int:
         """Remove the mapping of ``lbn`` (TRIM); returns the freed slot."""
         previous = int(self._l2p[lbn])
