@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI benchmark-regression gate: fresh ``BENCH_*.json`` vs committed baselines.
 
-The benchmark suites (``test_bench_kernel.py``, ``test_bench_fleet.py``)
+The benchmark suites (``test_bench_fleet.py``, ``test_bench_macro.py``)
 write their artifacts to the repository root on every run; the blessed
 numbers live under ``benchmarks/baselines/``.  This script compares the
 tracked metrics and **fails (exit 1) when any of them regresses more than
@@ -10,24 +10,19 @@ markdown copy to ``--summary`` (pass ``$GITHUB_STEP_SUMMARY`` in CI).
 
 Tracked metrics are deliberately host-independent:
 
-* kernel fast/legacy *speedup ratios* -- both kernels run interleaved on
-  the same machine, so the ratio survives slow or noisy CI hosts;
 * fleet *coordination counts* (tasks per simulated second, batching task
-  cut) -- fully deterministic.
+  cut) -- fully deterministic;
+* the macro-vs-discrete *error envelope* and the saturated macro speedup.
 
-Raw wall-clock numbers (events/sec, fleet ``speedup_vs_serial``) are
-recorded in the artifacts for the trajectory but not gated: a single-core
-runner cannot reproduce them.
+Raw wall-clock numbers (fleet ``speedup_vs_serial``) are recorded in the
+artifacts for the trajectory but only gated as absolute floors on hosts
+with enough cores.  Kernel speed is guarded end to end by the e2ebench
+``contract`` workload (``python3 e2ebench/run.py --workload contract``).
 
-Baselines are committed per interpreter version (``baselines/py3.11/``,
-``baselines/py3.12/``, ...) because the speedup ratios drift across
-CPython releases; the matching subdirectory is picked automatically, with
-a fallback to the flat layout for repos that predate the split.
-
-Updating a baseline is an explicit act: re-run the benchmark suite on a
-quiet machine and copy the artifact into the matching
-``benchmarks/baselines/py<major>.<minor>/`` directory in the same PR that
-justifies the change.
+Every tracked metric is identical across CPython versions, so one baseline
+set serves every interpreter.  Updating a baseline is an explicit act:
+re-run the benchmark suite on a quiet machine and copy the artifact into
+``benchmarks/baselines/`` in the same PR that justifies the change.
 
 Usage::
 
@@ -49,24 +44,10 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Default location of the blessed artifacts.
 BASELINE_DIR = _REPO_ROOT / "benchmarks" / "baselines"
 
-
-def resolve_baseline_dir(directory: Path,
-                         python_version: Optional[str] = None) -> Path:
-    """Descend into the ``py<major>.<minor>`` subdirectory matching the
-    running interpreter when one exists; otherwise keep the flat layout."""
-    if python_version is None:
-        python_version = f"{sys.version_info[0]}.{sys.version_info[1]}"
-    versioned = directory / f"py{python_version}"
-    return versioned if versioned.is_dir() else directory
-
 #: (artifact file, dotted metric path, direction).  ``higher`` metrics
 #: regress by falling below baseline * (1 - tolerance), ``lower`` metrics
 #: by rising above baseline * (1 + tolerance).
 TRACKED: tuple[tuple[str, str, str], ...] = (
-    ("BENCH_kernel.json", "events_per_sec.immediate.speedup", "higher"),
-    ("BENCH_kernel.json", "events_per_sec.mixed.speedup", "higher"),
-    ("BENCH_kernel.json", "events_per_sec.timer.speedup", "higher"),
-    ("BENCH_kernel.json", "request_roundtrips_per_sec.speedup", "higher"),
     ("BENCH_fleet.json", "coordination.task_cut", "higher"),
     ("BENCH_fleet.json",
      "coordination.variants.batched.tasks_per_sim_second", "lower"),
@@ -228,20 +209,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--current-dir", type=Path, default=_REPO_ROOT)
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed relative regression (default 0.10)")
-    parser.add_argument("--python-version", default=None,
-                        help="pick baselines for this interpreter version "
-                             "(e.g. 3.12; default: the running interpreter)")
     parser.add_argument("--summary", default=None,
                         help="append a markdown delta table to this file "
                              "(use $GITHUB_STEP_SUMMARY in CI)")
     args = parser.parse_args(argv)
 
-    baseline_dir = resolve_baseline_dir(args.baseline_dir,
-                                        args.python_version)
-    rows, regressions = compare(baseline_dir, args.current_dir,
+    rows, regressions = compare(args.baseline_dir, args.current_dir,
                                 args.tolerance)
     print(f"benchmark regression gate: tolerance {args.tolerance:.0%}, "
-          f"baselines from {baseline_dir}")
+          f"baselines from {args.baseline_dir}")
     print(render_table(rows))
     verdict = "PASS" if regressions == 0 else \
         f"FAIL ({regressions} tracked metric(s) regressed or missing)"

@@ -1,20 +1,15 @@
 """Profile the per-I/O hot path of the simulator under cProfile.
 
 Runs a closed-loop FIO job against one of the bundled device models and
-prints the top-N functions by the chosen sort key -- the tool used to find
-and verify the call-count reductions behind the kernel roundtrip speedup
-(see ``benchmarks/test_bench_kernel.py``, metric
-``request_roundtrips_per_sec``).
+prints the top-N functions by the chosen sort key -- the tool for finding
+per-request call counts worth cutting.  Confirm a cut end to end with the
+e2ebench ``contract`` workload (see ``examples/PROFILING.md``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_roundtrip.py
     PYTHONPATH=src python benchmarks/profile_roundtrip.py --device ssd --ios 20000
-    PYTHONPATH=src python benchmarks/profile_roundtrip.py --legacy --sort cumtime
-
-``--legacy`` profiles the ``fast_path=False`` pre-refactor frames (the
-faithful baseline the roundtrip microbenchmark compares against), which is
-how you see exactly which frames the flattened path removed.
+    PYTHONPATH=src python benchmarks/profile_roundtrip.py --sort cumtime
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ def build_device(name: str, sim):
     """Construct one of the profiled device models on ``sim``."""
     if name == "loopback":
         from repro.devices.loopback import LoopbackDevice
-        # Same shape as the roundtrip microbenchmark.
         return LoopbackDevice(sim, capacity_bytes=1 << 28,
                               service_time_us=2.0, service_slots=4)
     if name == "ssd":
@@ -47,8 +41,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--device", choices=("loopback", "ssd", "essd"),
                         default="loopback",
-                        help="device model to drive (default: loopback, the "
-                             "roundtrip-microbenchmark shape)")
+                        help="device model to drive (default: loopback, "
+                             "no device-model physics)")
     parser.add_argument("--ios", type=int, default=12000,
                         help="number of I/Os to issue (default: 12000)")
     parser.add_argument("--queue-depth", type=int, default=8,
@@ -62,15 +56,12 @@ def main(argv=None) -> int:
     parser.add_argument("--sort", choices=("tottime", "cumtime", "ncalls"),
                         default="tottime",
                         help="pstats sort key (default: tottime)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="profile the fast_path=False pre-refactor frames "
-                             "instead of the flattened hot path")
     args = parser.parse_args(argv)
 
     from repro.sim import Simulator
     from repro.workload.fio import FioJob, run_job
 
-    sim = Simulator(fast_path=not args.legacy)
+    sim = Simulator()
     device = build_device(args.device, sim)
     job = FioJob(pattern=args.pattern, io_size=args.io_size,
                  queue_depth=args.queue_depth, io_count=args.ios)
@@ -81,10 +72,9 @@ def main(argv=None) -> int:
     profiler.disable()
 
     duration_s = result.duration_us / 1e6 if result.duration_us > 0 else 0.0
-    path = "legacy (fast_path=False)" if args.legacy else "flattened fast path"
     print(f"# {args.device}: {result.ios_completed} I/Os "
-          f"({args.pattern}, {args.io_size}B, qd={args.queue_depth}) "
-          f"on the {path}; simulated {duration_s:.3f}s")
+          f"({args.pattern}, {args.io_size}B, qd={args.queue_depth}); "
+          f"simulated {duration_s:.3f}s")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
     return 0

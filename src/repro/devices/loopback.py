@@ -2,10 +2,10 @@
 
 :class:`LoopbackDevice` completes every request after a fixed service time,
 optionally serialised through a bounded number of service slots.  It is the
-smallest possible :class:`repro.devices.Device` implementation -- the kernel
-microbenchmark uses it to measure request round-trips/sec through the full
-submission path with no device-model physics in the way, and protocol tests
-use it as a reference implementation.
+smallest possible :class:`repro.devices.Device` implementation: the
+profiling harness (``benchmarks/profile_roundtrip.py``) drives it to see the
+full submission path with no device-model physics in the way, and protocol
+tests use it as a reference implementation.
 """
 
 from __future__ import annotations
@@ -31,27 +31,10 @@ class LoopbackDevice(BlockDevice):
         if service_time_us < 0:
             raise ValueError(f"negative service time: {service_time_us}")
         self.service_time_us = float(service_time_us)
-        self._slots = Resource(sim, service_slots) if service_slots else None
+        self._slots = Resource(sim, service_slots) \
+            if service_slots is not None else None
 
     def _serve(self, request: IORequest):
-        tracer = self.tracer
-        if self._slots is not None:
-            if tracer is not None:
-                tracer.enter(request, "queue")
-            yield self._slots.request()
-        try:
-            if tracer is not None:
-                tracer.enter(request, "service")
-            yield self.sim.timeout(self.service_time_us)
-        finally:
-            if self._slots is not None:
-                self._slots.release()
-        return request
-
-    def _pipeline(self, request: IORequest):
-        # Flattened service pipeline (see BlockDevice._pipeline): one
-        # generator frame for the whole slot -> service -> finish chain,
-        # identical event sequence to _serve + the default pipeline.
         slots = self._slots
         tracer = self.tracer
         if slots is not None:

@@ -43,9 +43,8 @@ class EssdDevice(BlockDevice):
         self._rng = random.Random(profile.seed)
         self._last_read_end: Optional[int] = None
         self._sequential_reads = 0
-        # Per-I/O constants, precomputed once for the flattened ``_pipeline``.
-        # ``_hiccup_lambda`` is the exact value ``_client_overhead`` computes
-        # per draw, so hoisting it changes nothing numerically.
+        # Per-I/O constants, precomputed once so ``_serve`` reads attributes
+        # instead of chasing profile fields per request.
         self._client_base_us = profile.client_overhead_us
         self._hiccup_p = profile.hiccup_probability
         self._hiccup_lambda = (1.0 / profile.hiccup_mean_us
@@ -67,61 +66,29 @@ class EssdDevice(BlockDevice):
 
     # -- request service -----------------------------------------------------------
     def _serve(self, request: IORequest):
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.enter(request, "service")  # virtual-block-service overhead
-        yield self.sim.timeout(self._client_overhead(request))
-        if request.kind is IOKind.FLUSH:
-            # Replicated writes are durable on completion; flush is a no-op
-            # beyond its client-side cost.
-            return request
-        if request.kind is IOKind.TRIM:
-            return request
-        if tracer is not None:
-            tracer.enter(request, "queue")  # QoS admission (volume budgets)
-        yield from self.qos.admit(request.kind, request.size)
-        if tracer is not None:
-            tracer.enter(request, "network")  # cluster fan-out + media
-        sequential = self._note_access(request)
-        subrequests = self.cluster.split(request.offset, request.size)
-        if len(subrequests) == 1:
-            yield from self._dispatch(subrequests[0], request.kind, sequential)
-        else:
-            pending = [self.sim.process(self._dispatch(sub, request.kind, sequential))
-                       for sub in subrequests]
-            yield self.sim.all_of(pending)
-        if request.kind is IOKind.WRITE:
-            self.backend.record_write(request.size)
-        else:
-            self.backend.record_read(request.size)
-        return request
-
-    def _pipeline(self, request: IORequest):
-        """Flattened fast-path request pipeline: one generator frame that
-        inlines :meth:`_serve`, the client-overhead model, and the hot
-        single-chunk dispatch (:meth:`_serve` stays the semantic reference
-        run by ``fast_path=False`` submissions).  Event order and RNG draw
-        order match :meth:`_serve` exactly.
-        """
+        """One generator frame per request: client overhead, QoS admission,
+        then the cluster fan-out -- inline for the common single-chunk
+        request, one :meth:`_dispatch` process per chunk otherwise."""
         sim = self.sim
         tracer = self.tracer
         if tracer is not None:
-            tracer.enter(request, "service")
-        # _client_overhead, inlined: identical arithmetic and draw order.
+            tracer.enter(request, "service")  # virtual-block-service overhead
         overhead = self._client_base_us
         if self._hiccup_p > 0 and self._rng.random() < self._hiccup_p:
             overhead += self._rng.expovariate(self._hiccup_lambda)
         yield sim.timeout(overhead)
         kind = request.kind
         if kind is IOKind.FLUSH or kind is IOKind.TRIM:
+            # Replicated writes are durable on completion; flush (and trim)
+            # cost only the client-side overhead.
             self._finish(request)
             return request
         if tracer is not None:
-            tracer.enter(request, "queue")
+            tracer.enter(request, "queue")  # QoS admission (volume budgets)
         size = request.size
         yield from self.qos.admit(kind, size)
         if tracer is not None:
-            tracer.enter(request, "network")
+            tracer.enter(request, "network")  # cluster fan-out + media
         sequential = self._note_access(request)
         subrequests = self.cluster.split(request.offset, size)
         if len(subrequests) == 1:
@@ -143,20 +110,13 @@ class EssdDevice(BlockDevice):
         return request
 
     def _dispatch(self, sub, kind: IOKind, sequential: bool):
-        yield self.sim.timeout(self.profile.per_subrequest_overhead_us)
+        yield self.sim.timeout(self._per_sub_us)
         if kind is IOKind.WRITE:
             yield from self.cluster.write_subrequest(sub)
         else:
             yield from self.cluster.read_subrequest(sub, sequential)
 
     # -- helpers ---------------------------------------------------------------------
-    def _client_overhead(self, request: IORequest) -> float:
-        overhead = self.profile.client_overhead_us
-        if (self.profile.hiccup_probability > 0
-                and self._rng.random() < self.profile.hiccup_probability):
-            overhead += self._rng.expovariate(1.0 / self.profile.hiccup_mean_us)
-        return overhead
-
     def _note_access(self, request: IORequest) -> bool:
         """Track read sequentiality (enables the node-side readahead path)."""
         if request.kind is not IOKind.READ:

@@ -2,8 +2,10 @@
 
 ``BlockDevice`` implements the full :class:`repro.devices.Device` protocol
 (submission, statistics, tracing, preload) so concrete models only write
-``_serve``.  Workloads and experiments are typed against the protocol, not
-this class -- a device need not inherit from it.
+``_serve``: one generator per request that ends with ``_finish``, run in a
+pooled process by :meth:`BlockDevice.submit`.  Workloads and experiments
+are typed against the protocol, not this class -- a device need not
+inherit from it.
 """
 
 from __future__ import annotations
@@ -40,25 +42,15 @@ class DeviceStats:
     def ios_completed(self) -> int:
         return self.reads_completed + self.writes_completed + self.flushes_completed
 
-    def record(self, request: IORequest) -> None:
-        """Account for a completed request."""
-        if request.kind is IOKind.READ:
-            self.reads_completed += 1
-            self.bytes_read += request.size
-        elif request.kind is IOKind.WRITE:
-            self.writes_completed += 1
-            self.bytes_written += request.size
-        elif request.kind is IOKind.FLUSH:
-            self.flushes_completed += 1
-
 
 class BlockDevice(abc.ABC):
     """A block-addressable storage device attached to a simulator.
 
     Sub-classes implement :meth:`_serve`, a simulation process that performs
-    one request and returns it.  The public entry point is :meth:`submit`,
-    which validates the request, stamps its submit time, and returns the
-    completion event (a :class:`~repro.sim.events.Process`).
+    one request, calls :meth:`_finish` and returns it.  The public entry
+    point is :meth:`submit`, which validates the request, stamps its submit
+    time, and returns the completion event (a pooled
+    :class:`~repro.sim.events.Process`).
     """
 
     def __init__(self, sim: "Simulator", capacity_bytes: int,
@@ -86,24 +78,15 @@ class BlockDevice(abc.ABC):
         """Submit ``request``; returns an event that succeeds with the request
         once the device has completed it.
 
-        On the fast path the request runs through the device's flattened
-        :meth:`_pipeline` in a pooled process; with ``fast_path=False`` it
-        runs the pre-refactor :meth:`_complete` / :meth:`_serve` trampoline,
-        frame for frame -- the faithful baseline the roundtrip
-        microbenchmark compares against.  Both schedule the same events in
-        the same order, so kernel traces stay bit-identical.
+        The request runs through the device's :meth:`_serve` generator in a
+        pooled process (:func:`~repro.sim.events.spawn_process`).
         """
         self.validate(request)
         sim = self.sim
-        if not sim.fast_path:
-            request.submit_time = sim.now
-            if self.tracer is not None:
-                self.tracer.start(request, self.name)
-            return sim.process(self._complete(request))
         request.submit_time = sim._now
         if self.tracer is not None:
             self.tracer.start(request, self.name)
-        return spawn_process(sim, self._pipeline(request))
+        return spawn_process(sim, self._serve(request))
 
     def read(self, offset: int, size: int, **kwargs) -> "Event":
         """Submit a read of ``size`` bytes at ``offset``."""
@@ -149,37 +132,8 @@ class BlockDevice(abc.ABC):
         }
 
     # -- plumbing -----------------------------------------------------------
-    def _complete(self, request: IORequest):
-        """Pre-refactor completion pipeline, frame for frame: the
-        ``_serve`` trampoline plus generic bookkeeping.  This is what
-        ``fast_path=False`` submissions run -- the faithful baseline for
-        the kernel roundtrip microbenchmark."""
-        result = yield from self._serve(request)
-        request.complete_time = self.sim.now
-        self.stats.record(request)
-        if self.tracer is not None:
-            self.tracer.finish(request)
-        self.on_complete(request)
-        return result if result is not None else request
-
-    def _pipeline(self, request: IORequest):
-        """The generator fast-path :meth:`submit` turns into the completion
-        process.
-
-        The default delegates to :meth:`_serve` and finishes the request --
-        correct for any device.  Hot device models override this with a
-        **flattened service pipeline**: a single generator frame that inlines
-        their ``_serve`` logic (precomputed per-device constants, no
-        ``yield from`` trampoline) and ends with ``self._finish(request)``.
-        ``_serve`` stays the semantic reference either way, and the event
-        sequence must match :meth:`_complete` exactly.
-        """
-        result = yield from self._serve(request)
-        self._finish(request)
-        return result if result is not None else request
-
     def _finish(self, request: IORequest) -> None:
-        """Completion bookkeeping shared by every pipeline: stamp the
+        """Completion bookkeeping every :meth:`_serve` ends with: stamp the
         completion time, account statistics, close tracing, run hooks."""
         request.complete_time = self.sim._now
         stats = self.stats
@@ -201,15 +155,20 @@ class BlockDevice(abc.ABC):
     def on_complete(self, request: IORequest) -> None:
         """Hook for sub-classes / instrumentation; default does nothing.
 
-        Override in a *subclass* -- the fast-path :meth:`_finish` dispatches
-        the hook through the class (skipping the no-op default), so a
-        per-instance ``device.on_complete = fn`` assignment is not seen on
-        flattened pipelines.
+        Override in a *subclass* -- :meth:`_finish` dispatches the hook
+        through the class (skipping the no-op default), so a per-instance
+        ``device.on_complete = fn`` assignment is not seen.
         """
 
     @abc.abstractmethod
     def _serve(self, request: IORequest):
-        """Simulation process (generator) that performs one request."""
+        """Simulation process (generator) that performs one request.
+
+        It must end with ``self._finish(request)`` and return the request.
+        Hot device models keep it one generator frame: per-device constants
+        hoisted to construction time and no ``yield from`` trampolines on
+        the common path.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} {self.name!r} "

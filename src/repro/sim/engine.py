@@ -1,51 +1,36 @@
 """The discrete-event simulation loop.
 
-:class:`Simulator` keeps a heap of ``(time, priority, sequence, event)``
-entries and processes them in order.  Simulation time is a float in
-**microseconds** by convention throughout the repository.
+:class:`Simulator` processes events in ``(time, priority, sequence)`` order.
+Simulation time is a float in **microseconds** by convention throughout the
+repository.
 
-Fast path
----------
-Device models spend most of their event budget on *immediately-succeeding*
-events: free ``Resource.request`` grants, zero-delay token-bucket grants,
-relays for already-processed events, and process bootstraps.  With
-``fast_path=True`` (the default) the kernel
+The schedule is a three-level hierarchy:
 
-* keeps those zero-delay, normal-priority events in a FIFO deque instead of
-  the heap (O(1) instead of O(log n)), interleaved with heap entries by
-  global sequence number so the processing order is **bit-identical** to
-  the heap-only kernel;
-* pools :class:`Timeout` and kernel-created grant :class:`Event` objects,
-  recycling them (callback list included) once their callbacks have run,
-  provided every callback was a plain process resumption -- events held by
-  conditions or user code are never recycled (see the pooling discipline
-  note in :mod:`repro.sim.events`);
-* runs :meth:`Simulator.run` as a tight inlined loop instead of a chain of
-  ``step``/``dispatch`` method calls.
-
-Timer wheel
------------
-Delayed events bucket by exact deadline on a **timer wheel**
-(``timer_wheel=True``, the default, effective only on the fast path).  The
-schedule is a three-level hierarchy:
-
-1. zero-delay, normal-priority events -- the FIFO deque above;
-2. near-future deadlines (``delay <= wheel_horizon_us``) -- one wheel slot
-   per *distinct* deadline.  Same-deadline timeouts append to their slot in
-   O(1) (device fleets synchronize on shared service times and epoch
-   grids, so slots run fat); only the first event at a new deadline pays a
-   push onto the small heap of distinct slot times;
-3. far-future deadlines and urgent-priority events cascade to the classic
-   binary heap.
+1. zero-delay, normal-priority events -- a FIFO deque.  Device models spend
+   most of their event budget on such *immediately-succeeding* events: free
+   ``Resource.request`` grants, zero-delay token-bucket grants, relays for
+   already-processed events, and process bootstraps;
+2. near-future deadlines (``delay <= DEFAULT_WHEEL_HORIZON_US``) -- a
+   **timer wheel** with one slot per *distinct* deadline.  Same-deadline
+   timeouts append to their slot in O(1) (device fleets synchronize on
+   shared service times and epoch grids, so slots run fat); only the first
+   event at a new deadline pays a push onto the small heap of distinct slot
+   times.  When the clock reaches a slot, the whole slot moves onto the
+   deque;
+3. far-future deadlines and urgent-priority events -- a binary heap of
+   ``(time, priority, sequence, event)`` entries.
 
 The run loop pops the minimum of the three by ``(time, priority,
-sequence)``: slot entries are appended in sequence order and all carry
-normal priority, so the merged order is **bit-identical** to both the
-heap-only kernel and the pre-wheel fast path (``timer_wheel=False``).
+sequence)``: deque and slot entries are appended in sequence order and all
+carry normal priority, so the merged order is exactly the order one heap
+holding every event would give.
 
-``fast_path=False`` restores the original heap-only, allocation-per-event
-behavior; the kernel microbenchmark (``benchmarks/test_bench_kernel.py``)
-runs both and records the speedup in ``BENCH_kernel.json``.
+The kernel pools :class:`Timeout` and kernel-created grant :class:`Event`
+objects, recycling them (callback list included) once their callbacks have
+run, provided every callback was a plain process resumption -- events held
+by conditions or user code are never recycled (see the pooling discipline
+note in :mod:`repro.sim.events`).  :meth:`Simulator.run` is one inlined loop
+rather than a chain of ``step``/``dispatch`` method calls.
 
 The kernel relies on one invariant user code must keep (it always has):
 callbacks are never appended to an event that is already being processed.
@@ -75,9 +60,9 @@ __all__ = ["EmptySchedule", "Simulator", "PRIORITY_NORMAL", "PRIORITY_URGENT"]
 #: cannot pin an unbounded amount of memory.
 _POOL_LIMIT = 512
 
-#: Default wheel horizon (microseconds).  Deadlines further out than this
-#: skip the wheel and go straight to the heap: far-future timers are rare,
-#: rarely share deadlines, and would only bloat the heap of slot times.
+#: Wheel horizon (microseconds).  Deadlines further out than this skip the
+#: wheel and go straight to the heap: far-future timers are rare, rarely
+#: share deadlines, and would only bloat the heap of slot times.
 DEFAULT_WHEEL_HORIZON_US = 65536.0
 
 _PROCESS_RESUME = Process._resume
@@ -94,17 +79,6 @@ class Simulator:
     ----------
     start_time:
         Initial simulation clock value (microseconds).
-    fast_path:
-        Enable the zero-delay deque, object pooling, and the inlined run
-        loop (see module docstring).  Event ordering is identical either
-        way.
-    timer_wheel:
-        Bucket near-future deadlines on the timer wheel (fast path only).
-        ``False`` restores the pre-wheel fast path, again with identical
-        event ordering.
-    wheel_horizon_us:
-        Deadlines more than this far in the future bypass the wheel and
-        land on the heap directly.
 
     Examples
     --------
@@ -119,9 +93,7 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(self, start_time: float = 0.0, fast_path: bool = True,
-                 timer_wheel: bool = True,
-                 wheel_horizon_us: float = DEFAULT_WHEEL_HORIZON_US):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         #: Zero-delay, normal-priority events at the *current* time, FIFO by
@@ -132,8 +104,6 @@ class Simulator:
         self._immediate: Deque[Event] = deque()
         self._sequence = 0
         self._active_process: Optional[Process] = None
-        self.fast_path = bool(fast_path)
-        self.timer_wheel = bool(timer_wheel) and self.fast_path
         #: Wheel slots: exact deadline -> events at that deadline, appended
         #: in sequence order (so a slot is already internally sorted).  All
         #: slot entries are normal priority and every slot time is strictly
@@ -141,13 +111,12 @@ class Simulator:
         #: the run loop moves the whole slot onto the immediate deque --
         #: the slot *is* a batch of "events at the current time, FIFO by
         #: sequence", so the deque invariant carries over and per-event
-        #: processing rides the deque fast path.
+        #: processing rides the deque.
         self._wheel_buckets: dict[float, list[Event]] = {}
         #: Min-heap of the distinct slot times (one entry per live slot).
         self._wheel_times: list[float] = []
-        #: Scheduling gate: delays in (0, _wheel_gate] go to the wheel.  A
-        #: negative gate (wheel disabled) routes every delay to the heap.
-        self._wheel_gate = float(wheel_horizon_us) if self.timer_wheel else -1.0
+        #: Scheduling gate: delays in (0, _wheel_gate] go to the wheel.
+        self._wheel_gate = DEFAULT_WHEEL_HORIZON_US
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
         self._process_pool: list[Process] = []
@@ -171,7 +140,7 @@ class Simulator:
 
     @property
     def scheduled_events(self) -> int:
-        """Total events ever scheduled (the microbenchmark's event count)."""
+        """Total events ever scheduled."""
         return self._sequence
 
     # -- event factories ----------------------------------------------------
@@ -190,7 +159,7 @@ class Simulator:
             timeout._defused = False
             # _triggered/_ok stay True; the callback list was cleared when
             # the object was pooled.  The scheduling cascade below mirrors
-            # _schedule's fast path (deque -> wheel slot -> heap).
+            # _schedule (deque -> wheel slot -> heap).
             self._sequence = seq = self._sequence + 1
             timeout._seq = seq
             if delay == 0.0:
@@ -245,7 +214,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
         self._sequence = seq = self._sequence + 1
-        if priority == PRIORITY_NORMAL and self.fast_path:
+        if priority == PRIORITY_NORMAL:
             if delay == 0.0:
                 event._seq = seq
                 self._immediate.append(event)
@@ -257,8 +226,7 @@ class Simulator:
                     # A positive delay below the clock's float resolution
                     # rounds to "already due": the deque keeps it in exact
                     # sequence order (a slot keyed at the current time
-                    # would be overtaken by zero-delay events and break
-                    # bit-identity with the heap kernels).
+                    # would be overtaken by later zero-delay events).
                     self._immediate.append(event)
                     return
                 bucket = self._wheel_buckets.get(time)
@@ -344,16 +312,10 @@ class Simulator:
         EmptySchedule
             If no events remain.
         """
-        if not self.fast_path:
-            self._step_legacy()
-            return
         self._dispatch_checked(self._next_event())
 
     def _dispatch_checked(self, event: Event) -> None:
-        """Dispatch with the pooling-safety audit (see :meth:`_run_fast`)."""
-        if not self.fast_path:
-            event._run_callbacks()
-            return
+        """Dispatch with the pooling-safety audit (see :meth:`_run_loop`)."""
         event._processed = True
         callbacks = event.callbacks
         recyclable = True
@@ -390,39 +352,16 @@ class Simulator:
                 raise SimulationError(
                     f"run(until={stop_time}) is in the past (now={self._now})")
 
-        if self.fast_path:
-            return self._run_fast(stop_event, stop_time)
-        return self._run_legacy(stop_event, stop_time)
+        return self._run_loop(stop_event, stop_time)
 
-    def _step_legacy(self) -> None:
-        """The pre-refactor ``step()``: heap pop + callback swap, verbatim."""
-        if not self._queue:
-            raise EmptySchedule()
-        event_time, _priority, _seq, event = heapq.heappop(self._queue)
-        self._now = event_time
-        event._run_callbacks()
-
-    def _run_legacy(self, stop_event: Optional[Event],
-                    stop_time: Optional[float]) -> Any:
-        """The pre-refactor run loop, kept verbatim so ``fast_path=False``
-        is a faithful baseline for the kernel microbenchmark."""
-        while self._queue:
-            if stop_event is not None and stop_event.processed:
-                return stop_event.value
-            if stop_time is not None and self.peek() > stop_time:
-                self._now = stop_time
-                return None
-            self._step_legacy()
-        return self._finish(stop_event, stop_time)
-
-    def _run_fast(self, stop_event: Optional[Event],
+    def _run_loop(self, stop_event: Optional[Event],
                   stop_time: Optional[float]) -> Any:
-        """Inlined fast-path loop: deque-first pop, in-place callback run,
-        object recycling -- identical event order to :meth:`_run_legacy`.
+        """Inlined run loop: deque-first pop, in-place callback run, object
+        recycling -- the same event order as repeated :meth:`step` calls.
 
         Per-event overhead is kept minimal: the stop-event test runs *after*
-        each dispatch (equivalent to the legacy top-of-loop test, since the
-        event only flips to processed inside a dispatch), and the stop-time
+        each dispatch (equivalent to a top-of-loop test, since the event
+        only flips to processed inside a dispatch), and the stop-time
         test runs only when the clock would advance (heap pops) -- immediate
         events never move the clock.  A heap entry can only preempt the
         deque when its time has already been reached, so the common case
@@ -449,7 +388,7 @@ class Simulator:
             # Wheel slot times are strictly in the future while the deque is
             # non-empty (a slot moves wholesale onto the deque the moment
             # the clock reaches it), so the deque branch only ever has to
-            # merge against the heap -- exactly the pre-wheel logic.
+            # merge against the heap.
             if immediate:
                 event = None
                 if queue:
@@ -491,7 +430,7 @@ class Simulator:
                         self._now = stop_time
                         return None
                     # Activate the slot: the clock advances to its time and
-                    # the whole batch continues on the deque fast path.
+                    # the whole batch continues on the deque.
                     heappop(wheel_times)
                     bucket = wheel_buckets.pop(wheel_time)
                     self._now = now = wheel_time

@@ -13,6 +13,7 @@ Three primitives cover everything the device models need:
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
@@ -28,6 +29,13 @@ class Resource:
     __slots__ = ("sim", "capacity", "_users", "_waiters")
 
     def __init__(self, sim: "Simulator", capacity: int = 1):
+        # A fractional slot count would silently round up (the grant test
+        # is ``users < capacity``), so only integers are accepted.
+        try:
+            capacity = operator.index(capacity)
+        except TypeError:
+            raise ValueError(
+                f"capacity must be an integer, got {capacity!r}") from None
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
@@ -52,18 +60,9 @@ class Resource:
         inspect it after resuming -- see the pooling note in
         :mod:`repro.sim.events`.
         """
+        # Pooled event + inline zero-delay grant (this pair of operations
+        # dominates device hot loops).
         sim = self.sim
-        if not sim.fast_path:
-            # Pre-refactor path, frame for frame (the microbenchmark baseline).
-            event = Event(sim)
-            if self._users < self.capacity:
-                self._users += 1
-                event.succeed(self)
-            else:
-                self._waiters.append(event)
-            return event
-        # Fast path: pooled event + inline zero-delay grant (this pair of
-        # operations dominates device hot loops).
         pool = sim._event_pool
         if pool:
             event = pool.pop()
@@ -92,17 +91,14 @@ class Resource:
             raise RuntimeError("release() without a matching request()")
         if self._waiters:
             # Hand the slot directly to the next waiter; _users stays the same.
+            # Inline zero-delay succeed (waiters are always untriggered).
             waiter = self._waiters.popleft()
             sim = self.sim
-            if sim.fast_path:
-                # Inline zero-delay succeed (waiters are always untriggered).
-                waiter._triggered = True
-                waiter._value = self
-                sim._sequence = seq = sim._sequence + 1
-                waiter._seq = seq
-                sim._immediate.append(waiter)
-            else:
-                waiter.succeed(self)
+            waiter._triggered = True
+            waiter._value = self
+            sim._sequence = seq = sim._sequence + 1
+            waiter._seq = seq
+            sim._immediate.append(waiter)
         else:
             self._users -= 1
 
@@ -185,8 +181,7 @@ class TokenBucket:
     inline with a single refill computation -- no wait-queue traffic and no
     wakeup scheduling -- and :meth:`consume_sliced` collapses a fully-covered
     multi-slice transfer into one grant event.  Both produce the same grant
-    times as the generic path; the per-grant event scheduling is unchanged,
-    so fast/legacy/wheel kernels stay bit-identical.
+    times as the generic path.
     """
 
     __slots__ = ("sim", "rate", "capacity", "_tokens", "_last_update",

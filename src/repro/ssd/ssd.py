@@ -43,10 +43,8 @@ class SsdDevice(BlockDevice):
         self._controller = Resource(sim, capacity=config.controller_contexts)
 
         # Per-I/O constants of the host-overhead model, precomputed once so
-        # the flattened ``_pipeline`` reads attributes instead of chasing
-        # config fields per request.  ``_jitter_lambda`` is the exact value
-        # ``_host_overhead`` computes per call (hoisting it changes nothing
-        # numerically); the transfer rate is kept as a divisor because
+        # ``_serve`` reads attributes instead of chasing config fields per
+        # request.  The transfer rate is kept as a divisor because
         # ``size / rate`` and ``size * (1 / rate)`` round differently.
         self._block = config.logical_block_size
         self._base_overhead_us = config.host_overhead_us
@@ -97,6 +95,11 @@ class SsdDevice(BlockDevice):
 
     # -- request service ------------------------------------------------------------
     def _serve(self, request: IORequest):
+        """One generator frame per request: controller context, host
+        overhead (decode + DMA, jitter, hiccups), then the per-kind media
+        path through the write buffer, read cache and FTL."""
+        sim = self.sim
+        rng = self._rng
         tracer = self.tracer
         if tracer is not None:
             tracer.enter(request, "queue")  # waiting for a controller context
@@ -104,38 +107,6 @@ class SsdDevice(BlockDevice):
         if tracer is not None:
             tracer.enter(request, "service")  # command decode + host DMA
         try:
-            yield self.sim.timeout(self._host_overhead(request))
-        finally:
-            self._controller.release()
-        if tracer is not None:
-            tracer.enter(request, "media")  # FTL, write buffer, flash
-        if request.kind is IOKind.READ:
-            yield from self._serve_read(request)
-        elif request.kind is IOKind.WRITE:
-            yield from self._serve_write(request)
-        elif request.kind is IOKind.FLUSH:
-            yield from self._serve_flush()
-        elif request.kind is IOKind.TRIM:
-            self.ftl.trim(self._lbns(request))
-        return request
-
-    def _pipeline(self, request: IORequest):
-        """Flattened fast-path service pipeline: one generator frame that
-        inlines :meth:`_serve`, the host-overhead model, and the per-kind
-        service bodies (:meth:`_serve` stays the semantic reference run by
-        ``fast_path=False`` submissions).  Event order and RNG draw order
-        match :meth:`_serve` exactly.
-        """
-        sim = self.sim
-        rng = self._rng
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.enter(request, "queue")
-        yield self._controller.request()
-        if tracer is not None:
-            tracer.enter(request, "service")
-        try:
-            # _host_overhead, inlined: identical arithmetic and draw order.
             size = request.size
             overhead = (self._base_overhead_us
                         + size / self._transfer_bw
@@ -148,13 +119,12 @@ class SsdDevice(BlockDevice):
         finally:
             self._controller.release()
         if tracer is not None:
-            tracer.enter(request, "media")
+            tracer.enter(request, "media")  # FTL, write buffer, flash
         kind = request.kind
         block = self._block
         if kind is IOKind.READ:
-            # _serve_read, inlined (same lookup order: write buffer shields
-            # the read cache, so cache hits are only recorded on buffer
-            # misses).
+            # The write buffer shields the read cache, so cache hits are
+            # only recorded on buffer misses.
             lbns = range(request.offset // block,
                          (request.offset + request.size) // block)
             write_buffer = self.write_buffer
@@ -170,7 +140,6 @@ class SsdDevice(BlockDevice):
             if misses:
                 yield from self.ftl.read_slots(misses)
         elif kind is IOKind.WRITE:
-            # _serve_write, inlined.
             lbns = range(request.offset // block,
                          (request.offset + request.size) // block)
             read_cache = self.read_cache
@@ -186,7 +155,6 @@ class SsdDevice(BlockDevice):
                         yield write_buffer.wait_for_space()
                     write_buffer.insert(lbn)
         elif kind is IOKind.FLUSH:
-            # _serve_flush, inlined.
             write_buffer = self.write_buffer
             if write_buffer is not None:
                 while not write_buffer.is_empty():
@@ -197,36 +165,7 @@ class SsdDevice(BlockDevice):
         self._finish(request)
         return request
 
-    def _host_overhead(self, request: IORequest) -> float:
-        config = self.config
-        blocks = max(1, request.size // config.logical_block_size)
-        overhead = (config.host_overhead_us
-                    + request.size / config.host_transfer_bytes_per_us
-                    + blocks * config.per_block_overhead_us)
-        overhead += self._rng.expovariate(1.0 / config.jitter_mean_us) \
-            if config.jitter_mean_us > 0 else 0.0
-        if config.hiccup_probability > 0 and self._rng.random() < config.hiccup_probability:
-            overhead += config.hiccup_us
-        return overhead
-
-    def _lbns(self, request: IORequest) -> range:
-        block = self.logical_block_size
-        return range(request.offset // block, request.end_offset // block)
-
-    # -- reads ------------------------------------------------------------------------
-    def _serve_read(self, request: IORequest):
-        lbns = self._lbns(request)
-        misses: list[int] = []
-        for lbn in lbns:
-            if self.write_buffer is not None and self.write_buffer.contains(lbn):
-                continue
-            if self.read_cache is not None and self.read_cache.lookup(lbn):
-                continue
-            misses.append(lbn)
-        self._maybe_prefetch(lbns)
-        if misses:
-            yield from self.ftl.read_slots(misses)
-
+    # -- background work ---------------------------------------------------------------
     def _maybe_prefetch(self, lbns: range) -> None:
         if self.prefetcher is None or self.read_cache is None:
             return
@@ -243,20 +182,6 @@ class SsdDevice(BlockDevice):
         for lbn in lbns:
             self.read_cache.insert(lbn)
 
-    # -- writes ------------------------------------------------------------------------
-    def _serve_write(self, request: IORequest):
-        lbns = self._lbns(request)
-        if self.read_cache is not None:
-            for lbn in lbns:
-                self.read_cache.invalidate(lbn)
-        if self.write_buffer is None:
-            yield from self.ftl.write_slots(list(lbns), WriteStream.HOST)
-            return
-        for lbn in lbns:
-            while not self.write_buffer.has_room_for(lbn):
-                yield self.write_buffer.wait_for_space()
-            self.write_buffer.insert(lbn)
-
     def _flush_worker(self):
         """Background process draining the write buffer to flash."""
         buffer = self.write_buffer
@@ -270,12 +195,6 @@ class SsdDevice(BlockDevice):
                 yield from self.ftl.write_slots(batch, WriteStream.HOST)
             finally:
                 buffer.complete_flush(batch)
-
-    def _serve_flush(self):
-        if self.write_buffer is None:
-            return
-        while not self.write_buffer.is_empty():
-            yield self.write_buffer.wait_for_space()
 
     # -- reporting ------------------------------------------------------------------------
     def describe(self) -> dict:

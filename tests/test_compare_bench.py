@@ -7,19 +7,10 @@ import pytest
 from benchmarks import compare_bench
 
 
-def write_artifacts(directory, kernel_speedups, batched_tasks=40.0,
-                    task_cut=11.0, macro_errs=(0.01, 0.03, 0.04),
-                    macro_speedup=50.0, shm_speedup_2=1.5,
-                    shm_efficiency_4=0.8, scaling_informational=False):
-    immediate, mixed, timer, roundtrip = kernel_speedups
-    (directory / "BENCH_kernel.json").write_text(json.dumps({
-        "events_per_sec": {
-            "immediate": {"speedup": immediate},
-            "mixed": {"speedup": mixed},
-            "timer": {"speedup": timer},
-        },
-        "request_roundtrips_per_sec": {"speedup": roundtrip},
-    }))
+def write_artifacts(directory, batched_tasks=40.0, task_cut=11.0,
+                    macro_errs=(0.01, 0.03, 0.04), macro_speedup=50.0,
+                    shm_speedup_2=1.5, shm_efficiency_4=0.8,
+                    scaling_informational=False):
     (directory / "BENCH_fleet.json").write_text(json.dumps({
         "coordination": {
             "task_cut": task_cut,
@@ -58,39 +49,40 @@ def dirs(tmp_path):
 
 def test_identical_artifacts_pass(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4))
+    write_artifacts(baseline)
+    write_artifacts(current)
     assert compare_bench.main(["--baseline-dir", str(baseline),
                                "--current-dir", str(current)]) == 0
 
 
 def test_within_tolerance_passes_and_improvement_passes(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
-    # 5% slower speedups, slightly fewer tasks: all inside the 10% band.
-    write_artifacts(current, (2.85, 2.47, 2.57, 1.33),
-                    batched_tasks=43.0, task_cut=10.5)
+    write_artifacts(baseline)
+    # A 5% smaller task cut and 7.5% more tasks stay inside the 10% band;
+    # a faster macro speedup is an improvement.
+    write_artifacts(current, batched_tasks=43.0, task_cut=10.45,
+                    macro_speedup=60.0)
     assert compare_bench.main(["--baseline-dir", str(baseline),
                                "--current-dir", str(current)]) == 0
 
 
 def test_higher_is_better_regression_fails(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
-    write_artifacts(current, (3.0, 2.0, 2.7, 1.4))  # mixed -23%
+    write_artifacts(baseline)
+    write_artifacts(current, task_cut=8.47)  # task cut -23%
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 1
     bad = [row for row in rows if row["status"] == "REGRESSED"]
-    assert len(bad) == 1 and "mixed" in bad[0]["metric"]
+    assert len(bad) == 1 and bad[0]["metric"].endswith("task_cut")
     assert compare_bench.main(["--baseline-dir", str(baseline),
                                "--current-dir", str(current)]) == 1
 
 
 def test_lower_is_better_regression_fails(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
+    write_artifacts(baseline)
     # Coordination traffic ballooned 50%: a batching regression.
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4), batched_tasks=60.0)
+    write_artifacts(current, batched_tasks=60.0)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 1
     bad = [row for row in rows if row["status"] == "REGRESSED"]
@@ -99,10 +91,9 @@ def test_lower_is_better_regression_fails(dirs):
 
 def test_macro_error_envelope_widening_fails(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
+    write_artifacts(baseline)
     # The macro approximation drifted: p50 error doubled past the band.
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4),
-                    macro_errs=(0.02, 0.03, 0.04))
+    write_artifacts(current, macro_errs=(0.02, 0.03, 0.04))
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 1
     bad = [row for row in rows if row["status"] == "REGRESSED"]
@@ -111,8 +102,8 @@ def test_macro_error_envelope_widening_fails(dirs):
 
 def test_macro_speedup_collapse_fails(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4), macro_speedup=4.0)
+    write_artifacts(baseline)
+    write_artifacts(current, macro_speedup=4.0)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 1
     bad = [row for row in rows if row["status"] == "REGRESSED"]
@@ -121,7 +112,7 @@ def test_macro_speedup_collapse_fails(dirs):
 
 def test_missing_current_artifact_fails_loudly(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
+    write_artifacts(baseline)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == len(compare_bench.TRACKED) + \
         len(compare_bench.FLOORS)
@@ -130,8 +121,8 @@ def test_missing_current_artifact_fails_loudly(dirs):
 
 def test_zero_baseline_fails_instead_of_passing_vacuously(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4), task_cut=0.0)
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4), task_cut=0.0)
+    write_artifacts(baseline, task_cut=0.0)
+    write_artifacts(current, task_cut=0.0)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 1
     bad = [row for row in rows if row["status"] == "BAD-BASELINE"]
@@ -140,7 +131,7 @@ def test_zero_baseline_fails_instead_of_passing_vacuously(dirs):
 
 def test_missing_baseline_metric_reports_new_and_passes(dirs):
     baseline, current = dirs
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4))
+    write_artifacts(current)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 0
     # Relative gates report "new"; the absolute floors need no baseline
@@ -153,10 +144,10 @@ def test_missing_baseline_metric_reports_new_and_passes(dirs):
 
 def test_scaling_floor_gates_capable_hosts(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
+    write_artifacts(baseline)
     # A multi-core host (informational flag off) that lost its scaling:
     # efficiency 0.4 is below the 0.7 floor.
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4), shm_efficiency_4=0.4)
+    write_artifacts(current, shm_efficiency_4=0.4)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 1
     bad = [row for row in rows if row["status"] == "BELOW-FLOOR"]
@@ -166,10 +157,10 @@ def test_scaling_floor_gates_capable_hosts(dirs):
 
 def test_scaling_floor_is_informational_on_small_hosts(dirs):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
+    write_artifacts(baseline)
     # The same terrible numbers, but the artifact says cpu_count < shards:
     # the floor reports info-only instead of failing the 1-core runner.
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4), shm_efficiency_4=0.1,
+    write_artifacts(current, shm_efficiency_4=0.1,
                     shm_speedup_2=0.3, scaling_informational=True)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 0
@@ -179,8 +170,8 @@ def test_scaling_floor_is_informational_on_small_hosts(dirs):
 
 def test_summary_markdown_is_appended(dirs, tmp_path):
     baseline, current = dirs
-    write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
-    write_artifacts(current, (3.0, 1.9, 2.7, 1.4))
+    write_artifacts(baseline)
+    write_artifacts(current, task_cut=8.47)
     summary = tmp_path / "summary.md"
     assert compare_bench.main(["--baseline-dir", str(baseline),
                                "--current-dir", str(current),
@@ -189,59 +180,12 @@ def test_summary_markdown_is_appended(dirs, tmp_path):
     assert "| metric |" in text and "REGRESSED" in text and "FAIL" in text
 
 
-def test_baseline_dir_resolves_to_interpreter_version(tmp_path):
-    flat = tmp_path / "baselines"
-    flat.mkdir()
-    # No versioned subdirectory: the flat layout is kept.
-    assert compare_bench.resolve_baseline_dir(flat) == flat
-    versioned = flat / "py3.12"
-    versioned.mkdir()
-    assert compare_bench.resolve_baseline_dir(flat, "3.12") == versioned
-    # A version without a committed directory falls back to flat.
-    assert compare_bench.resolve_baseline_dir(flat, "3.99") == flat
-
-
-def test_main_honors_python_version_flag(dirs):
-    baseline, current = dirs
-    versioned = baseline / "py3.12"
-    versioned.mkdir()
-    write_artifacts(versioned, (3.0, 2.6, 2.7, 1.4))
-    write_artifacts(current, (3.0, 2.6, 2.7, 1.4))
-    assert compare_bench.main(["--baseline-dir", str(baseline),
-                               "--current-dir", str(current),
-                               "--python-version", "3.12"]) == 0
-    # Without versioned artifacts for 3.99 the flat (empty) dir gates:
-    # every current metric is "new" and passes.
-    assert compare_bench.main(["--baseline-dir", str(baseline),
-                               "--current-dir", str(current),
-                               "--python-version", "3.99"]) == 0
-
-
-@pytest.mark.parametrize("version", ["3.11", "3.12"])
-def test_committed_baselines_cover_every_tracked_metric(version):
+def test_committed_baselines_cover_every_tracked_metric():
     """The real benchmarks/baselines/ artifacts must expose every tracked
-    metric for every CI matrix interpreter -- otherwise the gate silently
-    loses coverage."""
-    directory = compare_bench.resolve_baseline_dir(
-        compare_bench.BASELINE_DIR, version)
-    assert directory != compare_bench.BASELINE_DIR, \
-        f"missing baselines/py{version}/ directory"
+    metric -- otherwise the gate silently loses coverage."""
     for artifact, metric, _direction in compare_bench.TRACKED:
-        payload = compare_bench.load_artifact(directory, artifact)
+        payload = compare_bench.load_artifact(compare_bench.BASELINE_DIR,
+                                              artifact)
         assert payload is not None, f"missing baseline {artifact}"
         assert compare_bench.lookup(payload, metric) is not None, \
             f"{artifact} baseline lacks {metric}"
-
-
-def test_tracked_kernel_baseline_holds_the_paper_trajectory():
-    """The committed kernel baseline must record the >=2.5x mixed/timer
-    speedups this PR claims; regressing it in a later PR trips the gate."""
-    payload = compare_bench.load_artifact(
-        compare_bench.resolve_baseline_dir(compare_bench.BASELINE_DIR,
-                                           "3.11"),
-        "BENCH_kernel.json")
-    assert payload is not None
-    assert compare_bench.lookup(
-        payload, "events_per_sec.mixed.speedup") >= 2.5
-    assert compare_bench.lookup(
-        payload, "events_per_sec.timer.speedup") >= 2.5

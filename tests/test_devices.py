@@ -104,6 +104,20 @@ def test_loopback_service_slots_serialize_requests():
     assert result.finished_us == pytest.approx(40.0)
 
 
+@pytest.mark.parametrize("slots", [0, 2.5])
+def test_loopback_rejects_slot_counts_that_are_not_positive_integers(slots):
+    """``service_slots=0`` used to mean unlimited slots and ``2.5`` three;
+    ``None`` is the only spelling of unlimited."""
+    with pytest.raises(ValueError):
+        LoopbackDevice(Simulator(), capacity_bytes=4 * MiB, service_slots=slots)
+
+
+def test_ssd_rejects_fractional_controller_contexts():
+    with pytest.raises(ValueError, match="integer"):
+        create_device(Simulator(), "SSD", capacity_bytes=64 * MiB,
+                      controller_contexts=2.5)
+
+
 def test_fio_runs_against_any_protocol_device():
     """run_job is typed against the protocol: a loopback behaves like any
     other device through the whole workload layer."""

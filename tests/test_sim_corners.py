@@ -3,10 +3,14 @@
 These tests lock the exact observable behavior of the scheduler --
 interleaving of same-time events, interrupt-during-wait, composite events
 with already-triggered children, ``run(until=event)`` failure handling --
-so the fast-path kernel (immediate-event deque, object pooling) provably
-preserves the semantics of the original heap-only kernel.  Every test runs
-against both kernels via the ``kernel`` fixture.
+plus golden traces of mixed workloads (resources, stores, token buckets,
+pooled device submissions).  The goldens were recorded when three kernel
+variants (heap-only, deque without the timer wheel, and today's kernel)
+still existed and agreed on every trace; they pin the event order the
+single remaining kernel must keep.
 """
+
+import hashlib
 
 import pytest
 
@@ -14,24 +18,14 @@ from repro.sim import Interrupt, Resource, Simulator
 from repro.sim.events import SimulationError
 
 
-@pytest.fixture(params=["fast", "prewheel", "legacy"])
-def make_sim(request):
-    """Simulator factory for every kernel variant: the timer-wheel fast
-    path (default), the pre-wheel fast path, and the legacy kernel."""
-    def factory():
-        return Simulator(fast_path=(request.param != "legacy"),
-                         timer_wheel=(request.param == "fast"))
-    return factory
-
-
 # ---------------------------------------------------------------------------
 # Same-time interleaving: zero-delay events vs heap events
 # ---------------------------------------------------------------------------
 
-def test_zero_delay_events_interleave_with_heap_events_in_seq_order(make_sim):
+def test_zero_delay_events_interleave_with_heap_events_in_seq_order():
     """Events scheduled earlier for time T run before zero-delay events
     scheduled *at* time T (FIFO by global sequence number)."""
-    sim = make_sim()
+    sim = Simulator()
     order = []
 
     def early(label):
@@ -58,10 +52,10 @@ def test_zero_delay_events_interleave_with_heap_events_in_seq_order(make_sim):
     assert order == ["trigger", "a", "b", "gate"]
 
 
-def test_process_resumed_by_processed_event_keeps_fifo_position(make_sim):
+def test_process_resumed_by_processed_event_keeps_fifo_position():
     """Yielding an already-processed event resumes on the next same-time
     turn, after events that were already scheduled."""
-    sim = make_sim()
+    sim = Simulator()
     order = []
     done = sim.event()
     done.succeed("early")
@@ -81,8 +75,8 @@ def test_process_resumed_by_processed_event_keeps_fifo_position(make_sim):
     assert order == ["sibling", ("late", "early")]
 
 
-def test_immediate_resource_grants_preserve_fifo(make_sim):
-    sim = make_sim()
+def test_immediate_resource_grants_preserve_fifo():
+    sim = Simulator()
     resource = Resource(sim, capacity=1)
     order = []
 
@@ -102,12 +96,12 @@ def test_immediate_resource_grants_preserve_fifo(make_sim):
 # Interrupt during a resource wait
 # ---------------------------------------------------------------------------
 
-def test_interrupt_during_resource_wait_detaches_from_grant(make_sim):
+def test_interrupt_during_resource_wait_detaches_from_grant():
     """An interrupted waiter gets the Interrupt at the current time.  Its
     orphaned grant event still receives the slot on release (the historical
     semantics this suite locks): a third requester must wait for another
     release."""
-    sim = make_sim()
+    sim = Simulator()
     resource = Resource(sim, capacity=1)
     log = []
 
@@ -146,9 +140,9 @@ def test_interrupt_during_resource_wait_detaches_from_grant(make_sim):
     assert resource.users == 1
 
 
-def test_interrupt_during_store_get_keeps_item_for_others(make_sim):
+def test_interrupt_during_store_get_keeps_item_for_others():
     from repro.sim import Store
-    sim = make_sim()
+    sim = Simulator()
     store = Store(sim)
     log = []
 
@@ -180,8 +174,8 @@ def test_interrupt_during_store_get_keeps_item_for_others(make_sim):
 # Conditions with already-triggered / already-processed children
 # ---------------------------------------------------------------------------
 
-def test_all_of_with_already_processed_children_triggers_immediately(make_sim):
-    sim = make_sim()
+def test_all_of_with_already_processed_children_triggers_immediately():
+    sim = Simulator()
     first = sim.timeout(1, value="a")
     second = sim.timeout(2, value="b")
     sim.run()
@@ -198,8 +192,8 @@ def test_all_of_with_already_processed_children_triggers_immediately(make_sim):
     assert seen == [(2.0, ["a", "b"])]
 
 
-def test_any_of_with_one_processed_child_collects_only_processed(make_sim):
-    sim = make_sim()
+def test_any_of_with_one_processed_child_collects_only_processed():
+    sim = Simulator()
     done = sim.timeout(1, value="ready")
     sim.run()
     pending = sim.event()
@@ -216,8 +210,8 @@ def test_any_of_with_one_processed_child_collects_only_processed(make_sim):
     assert not pending.triggered
 
 
-def test_all_of_mixed_processed_and_pending_children(make_sim):
-    sim = make_sim()
+def test_all_of_mixed_processed_and_pending_children():
+    sim = Simulator()
     done = sim.timeout(1, value="first")
     sim.run()
 
@@ -233,8 +227,8 @@ def test_all_of_mixed_processed_and_pending_children(make_sim):
     assert seen == [(11.0, ["first", "second"])]
 
 
-def test_condition_value_supports_mapping_protocol(make_sim):
-    sim = make_sim()
+def test_condition_value_supports_mapping_protocol():
+    sim = Simulator()
     results = []
 
     def proc():
@@ -254,8 +248,8 @@ def test_condition_value_supports_mapping_protocol(make_sim):
 # run(until=event) failure semantics
 # ---------------------------------------------------------------------------
 
-def test_run_until_failed_event_raises_when_unhandled(make_sim):
-    sim = make_sim()
+def test_run_until_failed_event_raises_when_unhandled():
+    sim = Simulator()
     event = sim.event()
 
     def failer():
@@ -267,8 +261,8 @@ def test_run_until_failed_event_raises_when_unhandled(make_sim):
         sim.run(until=event)
 
 
-def test_run_until_failed_event_returns_exception_when_defused(make_sim):
-    sim = make_sim()
+def test_run_until_failed_event_returns_exception_when_defused():
+    sim = Simulator()
     event = sim.event()
 
     def failer():
@@ -282,16 +276,16 @@ def test_run_until_failed_event_returns_exception_when_defused(make_sim):
     assert str(value) == "handled"
 
 
-def test_run_until_event_never_triggered_raises(make_sim):
-    sim = make_sim()
+def test_run_until_event_never_triggered_raises():
+    sim = Simulator()
     event = sim.event()
     sim.process(iter_timeout(sim, 5))
     with pytest.raises(SimulationError, match="ran out of events"):
         sim.run(until=event)
 
 
-def test_run_until_failed_process_propagates_exception(make_sim):
-    sim = make_sim()
+def test_run_until_failed_process_propagates_exception():
+    sim = Simulator()
 
     def bad():
         yield sim.timeout(1)
@@ -310,10 +304,10 @@ def iter_timeout(sim, delay):
 # Pooling discipline: recycled objects never corrupt retained references
 # ---------------------------------------------------------------------------
 
-def test_condition_children_survive_heavy_timeout_churn(make_sim):
+def test_condition_children_survive_heavy_timeout_churn():
     """Timeouts held by a condition must not be recycled while the condition
     is still pending, even under heavy timeout traffic."""
-    sim = make_sim()
+    sim = Simulator()
     seen = []
 
     def churn():
@@ -332,218 +326,216 @@ def test_condition_children_survive_heavy_timeout_churn(make_sim):
     assert seen == [["early", "late"]]
 
 
-#: The three kernel variants that must stay bit-identical: the legacy
-#: heap-only kernel, the pre-wheel fast path, and the timer-wheel fast path.
-KERNEL_VARIANTS = (
-    {"fast_path": False},
-    {"fast_path": True, "timer_wheel": False},
-    {"fast_path": True, "timer_wheel": True},
-)
+def test_mixed_workload_trace_matches_golden():
+    """End-to-end determinism check: a workload mixing resource grants,
+    timeouts, and zero-delay events keeps its recorded trace."""
+    sim = Simulator()
+    resource = Resource(sim, capacity=2)
+    trace = []
+
+    def worker(label, delay):
+        for i in range(5):
+            yield resource.request()
+            trace.append((sim.now, label, i))
+            yield sim.timeout(delay)
+            resource.release()
+            yield sim.timeout(0)
+
+    for label, delay in (("a", 3.0), ("b", 2.0), ("c", 0.0), ("d", 1.5)):
+        sim.process(worker(label, delay))
+    sim.run()
+    assert trace == [
+        (0.0, "a", 0), (0.0, "b", 0), (2.0, "c", 0), (2.0, "d", 0),
+        (3.0, "b", 1), (3.5, "c", 1), (3.5, "a", 1), (5.0, "d", 1),
+        (6.5, "c", 2), (6.5, "b", 2), (6.5, "a", 2), (8.5, "d", 2),
+        (9.5, "c", 3), (9.5, "b", 3), (10.0, "a", 3), (11.5, "c", 4),
+        (11.5, "d", 3), (13.0, "b", 4), (13.0, "a", 4), (15.0, "d", 4)]
 
 
-def test_fast_legacy_and_wheel_kernels_produce_identical_traces():
-    """End-to-end determinism check: a workload mixing resources, stores,
-    conditions, and zero-delay events runs identically on all kernels."""
-    def run_workload(**kernel):
-        sim = Simulator(**kernel)
-        resource = Resource(sim, capacity=2)
-        trace = []
-
-        def worker(label, delay):
-            for i in range(5):
-                yield resource.request()
-                trace.append((sim.now, label, i))
-                yield sim.timeout(delay)
-                resource.release()
-                yield sim.timeout(0)
-
-        for label, delay in (("a", 3.0), ("b", 2.0), ("c", 0.0), ("d", 1.5)):
-            sim.process(worker(label, delay))
-        sim.run()
-        return trace
-
-    legacy, prewheel, wheel = (run_workload(**kernel)
-                               for kernel in KERNEL_VARIANTS)
-    assert legacy == prewheel == wheel
-
-
-def test_kernel_variants_identical_across_horizon_and_time_ties():
-    """Randomized cross-check: delays straddling the wheel horizon (slots
-    vs heap cascade), colliding deadlines, and zero-delay events must order
-    identically on every kernel -- including at exact time ties between a
-    heap entry (far-scheduled) and a wheel slot (near-scheduled) for the
-    same deadline."""
+def test_horizon_and_time_tie_trace_matches_golden():
+    """Randomized workload: delays straddling the wheel horizon (slots vs
+    heap cascade), colliding deadlines, and zero-delay events -- including
+    exact time ties between a heap entry (far-scheduled) and a wheel slot
+    (near-scheduled) for the same deadline.  The horizon is narrowed to
+    50 us through the private gate so the 49.9/50.0/50.1 delays straddle
+    it."""
     import random
 
-    def run_workload(**kernel):
-        sim = Simulator(wheel_horizon_us=50.0, **kernel)
-        out = []
+    sim = Simulator()
+    sim._wheel_gate = 50.0
+    out = []
 
-        def worker(wid):
-            rng = random.Random(wid)
-            for i in range(40):
-                delay = rng.choice(
-                    [0.0, 0.5, 1.0, 1.0, 7.25, 49.9, 50.0, 50.1, 200.0])
-                yield sim.timeout(delay)
-                out.append((sim.now, wid, i))
+    def worker(wid):
+        rng = random.Random(wid)
+        for i in range(40):
+            delay = rng.choice(
+                [0.0, 0.5, 1.0, 1.0, 7.25, 49.9, 50.0, 50.1, 200.0])
+            yield sim.timeout(delay)
+            out.append((sim.now, wid, i))
 
-        for wid in range(16):
-            sim.process(worker(wid))
-        sim.run()
-        return out
-
-    legacy, prewheel, wheel = (run_workload(**kernel)
-                               for kernel in KERNEL_VARIANTS)
-    assert legacy == prewheel == wheel
+    for wid in range(16):
+        sim.process(worker(wid))
+    sim.run()
+    # The trace is 640 entries long, so its golden is the sha256 of its repr.
+    assert len(out) == 16 * 40
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "2f778a1047c433f3992c7073a1b268e59858356bc108e20c5ea15ef9b765f8fd"
 
 
 # ---------------------------------------------------------------------------
-# Fast-path flattening: inline resource grants, batched token buckets, and
-# pooled submission processes must trace bit-identically on every kernel
+# Hot-path flattening: inline resource grants, batched token buckets, and
+# pooled submission processes keep their recorded traces
 # ---------------------------------------------------------------------------
-
-def _run_on_all_kernels(workload):
-    return tuple(workload(Simulator(**kernel)) for kernel in KERNEL_VARIANTS)
-
 
 def test_resource_grants_trace_identically_contended_and_uncontended():
     """The inline uncontended grant (no event allocation, no scheduler
-    bounce) and the queued contended grant must produce the same trace:
+    bounce) and the queued contended grant keep the recorded trace:
     phases of a single worker (always uncontended) alternate with phases
     of four workers fighting over two slots."""
-    def workload(sim):
-        from repro.sim import Resource
-        resource = Resource(sim, capacity=2)
-        trace = []
+    sim = Simulator()
+    resource = Resource(sim, capacity=2)
+    trace = []
 
-        def solo():
-            for i in range(6):
-                yield resource.request()
-                trace.append(("solo", sim.now, i, resource.users,
-                              resource.queue_length))
-                yield sim.timeout(1.0)
-                resource.release()
-                yield sim.timeout(9.0)  # drain: next acquire is uncontended
+    def solo():
+        for i in range(6):
+            yield resource.request()
+            trace.append(("solo", sim.now, i, resource.users,
+                          resource.queue_length))
+            yield sim.timeout(1.0)
+            resource.release()
+            yield sim.timeout(9.0)  # drain: next acquire is uncontended
 
-        def crowd(label):
-            yield sim.timeout(20.0)  # overlap the middle solo phases
-            for i in range(4):
-                yield resource.request()
-                trace.append((label, sim.now, i, resource.users,
-                              resource.queue_length))
-                yield sim.timeout(2.5)
-                resource.release()
+    def crowd(label):
+        yield sim.timeout(20.0)  # overlap the middle solo phases
+        for i in range(4):
+            yield resource.request()
+            trace.append((label, sim.now, i, resource.users,
+                          resource.queue_length))
+            yield sim.timeout(2.5)
+            resource.release()
 
-        sim.process(solo())
-        for label in ("w0", "w1", "w2", "w3"):
-            sim.process(crowd(label))
-        sim.run()
-        return trace
-
-    legacy, prewheel, wheel = _run_on_all_kernels(workload)
-    assert legacy == prewheel == wheel
+    sim.process(solo())
+    for label in ("w0", "w1", "w2", "w3"):
+        sim.process(crowd(label))
+    sim.run()
+    assert trace == [
+        ("solo", 0.0, 0, 1, 0), ("solo", 10.0, 1, 1, 0),
+        ("w0", 20.0, 0, 2, 3), ("w1", 20.0, 0, 2, 3),
+        ("w2", 22.5, 0, 2, 3), ("w3", 22.5, 0, 2, 3),
+        ("solo", 25.0, 2, 2, 3), ("w0", 25.0, 1, 2, 3),
+        ("w1", 26.0, 1, 2, 2), ("w2", 27.5, 1, 2, 2),
+        ("w3", 28.5, 1, 2, 2), ("w0", 30.0, 2, 2, 2),
+        ("w1", 31.0, 2, 2, 2), ("w2", 32.5, 2, 2, 2),
+        ("w3", 33.5, 2, 2, 2), ("w0", 35.0, 3, 2, 3),
+        ("w1", 36.0, 3, 2, 3), ("solo", 37.5, 3, 2, 2),
+        ("w2", 38.5, 3, 2, 0), ("w3", 38.5, 3, 2, 0),
+        ("solo", 47.5, 4, 1, 0), ("solo", 57.5, 5, 1, 0)]
 
 
 def test_token_bucket_batched_grants_trace_identically():
     """`consume_sliced` collapses a fully-covered transfer into one grant
-    and `consume` grants inline when uncontended; both must keep grant
-    times identical to the generic queued path on every kernel.  The
-    workload mixes covered amounts (batched single grant), amounts above
-    capacity (forced multi-slice), and FIFO contention between workers."""
-    def workload(sim):
-        from repro.sim.resources import TokenBucket
-        bucket = TokenBucket(sim, rate=4.0, capacity=64.0)
-        trace = []
+    and `consume` grants inline when uncontended; grant times keep the
+    recorded trace.  The workload mixes covered amounts (batched single
+    grant), amounts above capacity (forced multi-slice), and FIFO
+    contention between workers."""
+    from repro.sim.resources import TokenBucket
 
-        def consumer(label, amounts, start):
-            yield sim.timeout(start)
-            for i, amount in enumerate(amounts):
-                if amount > 16.0:
-                    yield from bucket.consume_sliced(amount)
-                else:
-                    yield bucket.consume(amount)
-                trace.append((label, sim.now, i, round(bucket.tokens, 9)))
+    sim = Simulator()
+    bucket = TokenBucket(sim, rate=4.0, capacity=64.0)
+    trace = []
 
-        # a: uncontended covered grants; b/c: contended, straddling
-        # capacity (sliced) and sub-slice amounts interleaved FIFO.
-        sim.process(consumer("a", [8.0, 8.0, 8.0], 0.0))
-        sim.process(consumer("b", [48.0, 96.0], 5.0))
-        sim.process(consumer("c", [4.0, 4.0, 120.0], 5.0))
-        sim.run()
-        return trace
+    def consumer(label, amounts, start):
+        yield sim.timeout(start)
+        for i, amount in enumerate(amounts):
+            if amount > 16.0:
+                yield from bucket.consume_sliced(amount)
+            else:
+                yield bucket.consume(amount)
+            trace.append((label, sim.now, i, round(bucket.tokens, 9)))
 
-    legacy, prewheel, wheel = _run_on_all_kernels(workload)
-    assert legacy == prewheel == wheel
+    # a: uncontended covered grants; b/c: contended, straddling
+    # capacity (sliced) and sub-slice amounts interleaved FIFO.
+    sim.process(consumer("a", [8.0, 8.0, 8.0], 0.0))
+    sim.process(consumer("b", [48.0, 96.0], 5.0))
+    sim.process(consumer("c", [4.0, 4.0, 120.0], 5.0))
+    sim.run()
+    assert trace == [
+        ("a", 0.0, 0, 56.0), ("a", 0.0, 1, 48.0), ("a", 0.0, 2, 40.0),
+        ("b", 5.0, 0, 8.0), ("c", 5.0, 0, 8.0), ("c", 20.0, 1, 0.0),
+        ("b", 28.0, 1, 0.0), ("c", 58.0, 2, 0.0)]
 
 
 def test_interrupted_resource_waiter_traces_identically():
-    """Interrupting a queued waiter (cancel-while-waiting) must leave the
-    same grant order and timestamps on every kernel, including the slot
-    that passes through the interrupted waiter's orphaned event."""
-    def workload(sim):
-        from repro.sim import Resource
-        resource = Resource(sim, capacity=1)
-        trace = []
+    """Interrupting a queued waiter (cancel-while-waiting) keeps the
+    recorded grant order and timestamps, including the slot that passes
+    through the interrupted waiter's orphaned event."""
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    trace = []
 
-        def holder():
+    def holder():
+        yield resource.request()
+        trace.append(("holder", sim.now))
+        yield sim.timeout(30.0)
+        resource.release()
+
+    def waiter(label):
+        try:
             yield resource.request()
-            trace.append(("holder", sim.now))
-            yield sim.timeout(30.0)
+            trace.append((label, sim.now))
+            yield sim.timeout(5.0)
             resource.release()
+        except Interrupt as interrupt:
+            trace.append((label, "interrupted", sim.now, interrupt.cause))
 
-        def waiter(label):
-            try:
-                yield resource.request()
-                trace.append((label, sim.now))
-                yield sim.timeout(5.0)
-                resource.release()
-            except Interrupt as interrupt:
-                trace.append((label, "interrupted", sim.now, interrupt.cause))
+    def interrupter(target):
+        yield sim.timeout(10.0)
+        target.interrupt("cancelled")
 
-        def interrupter(target):
-            yield sim.timeout(10.0)
-            target.interrupt("cancelled")
-
-        sim.process(holder())
-        target = sim.process(waiter("victim"))
-        sim.process(waiter("survivor"))
-        sim.process(interrupter(target))
-        sim.run()
-        return trace
-
-    legacy, prewheel, wheel = _run_on_all_kernels(workload)
-    assert legacy == prewheel == wheel
+    sim.process(holder())
+    target = sim.process(waiter("victim"))
+    sim.process(waiter("survivor"))
+    sim.process(interrupter(target))
+    sim.run()
+    assert trace == [("holder", 0.0),
+                     ("victim", "interrupted", 10.0, "cancelled")]
 
 
 def test_pooled_device_submissions_trace_identically_with_zero_delay_churn():
-    """Device submissions ride pooled processes on the fast path
-    (``spawn_process``); heavy zero-delay churn around them must not
-    perturb completion order or timestamps on any kernel -- and the
-    flattened pipeline must complete requests identically to the
-    pre-refactor ``_complete`` trampoline."""
-    def workload(sim):
-        from repro.devices.loopback import LoopbackDevice
-        device = LoopbackDevice(sim, capacity_bytes=1 << 20,
-                                service_time_us=2.0, service_slots=2)
-        trace = []
+    """Device submissions ride pooled processes (``spawn_process``); heavy
+    zero-delay churn around them must not perturb the recorded completion
+    order or timestamps."""
+    from repro.devices.loopback import LoopbackDevice
 
-        def churn():
-            for _ in range(64):
-                yield sim.timeout(0)
+    sim = Simulator()
+    device = LoopbackDevice(sim, capacity_bytes=1 << 20,
+                            service_time_us=2.0, service_slots=2)
+    trace = []
 
-        def issuer(label, offset):
-            for i in range(8):
-                request = yield device.read(offset + i * 4096, 4096)
-                trace.append((label, sim.now, i,
-                              request.complete_time - request.submit_time))
-                yield sim.timeout(0)
+    def churn():
+        for _ in range(64):
+            yield sim.timeout(0)
 
-        sim.process(churn())
-        sim.process(issuer("x", 0))
-        sim.process(issuer("y", 1 << 19))
-        sim.process(churn())
-        sim.run()
-        return (trace, device.stats.reads_completed, device.stats.bytes_read)
+    def issuer(label, offset):
+        for i in range(8):
+            request = yield device.read(offset + i * 4096, 4096)
+            trace.append((label, sim.now, i,
+                          request.complete_time - request.submit_time))
+            yield sim.timeout(0)
 
-    legacy, prewheel, wheel = _run_on_all_kernels(workload)
-    assert legacy == prewheel == wheel
+    sim.process(churn())
+    sim.process(issuer("x", 0))
+    sim.process(issuer("y", 1 << 19))
+    sim.process(churn())
+    sim.run()
+    assert trace == [
+        ("x", 2.0, 0, 2.0), ("y", 2.0, 0, 2.0),
+        ("x", 4.0, 1, 2.0), ("y", 4.0, 1, 2.0),
+        ("x", 6.0, 2, 2.0), ("y", 6.0, 2, 2.0),
+        ("x", 8.0, 3, 2.0), ("y", 8.0, 3, 2.0),
+        ("x", 10.0, 4, 2.0), ("y", 10.0, 4, 2.0),
+        ("x", 12.0, 5, 2.0), ("y", 12.0, 5, 2.0),
+        ("x", 14.0, 6, 2.0), ("y", 14.0, 6, 2.0),
+        ("x", 16.0, 7, 2.0), ("y", 16.0, 7, 2.0)]
+    assert (device.stats.reads_completed, device.stats.bytes_read) == \
+        (16, 65536)

@@ -64,6 +64,14 @@ def test_resource_invalid_capacity():
         Resource(sim, capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [2.5, 2.0, "2", None])
+def test_resource_rejects_non_integer_capacity(capacity):
+    """A fractional slot count used to round up silently (2.5 granted three
+    concurrent users); only integers are slot counts."""
+    with pytest.raises(ValueError, match="integer"):
+        Resource(Simulator(), capacity=capacity)
+
+
 def test_resource_queue_length_tracking():
     sim = Simulator()
     resource = Resource(sim, capacity=1)

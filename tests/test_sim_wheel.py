@@ -1,23 +1,20 @@
-"""Timer-wheel edge cases (``Simulator(timer_wheel=True)``, the default).
+"""Timer-wheel edge cases.
 
 The wheel buckets near-future deadlines in exact-deadline slots and moves
 a whole slot onto the immediate deque when the clock reaches it; far-future
 deadlines cascade straight to the heap.  These tests pin the corners of
 that design: timeouts cancelled (interrupted) while they sit on the wheel,
 the slot-vs-heap cascade at the horizon boundary, interleaving with
-zero-delay FIFO events, and the schedule-introspection helpers.
+zero-delay FIFO events, and the schedule-introspection helpers.  Expected
+traces were recorded when the heap-only and pre-wheel kernels still
+existed and agreed with the wheel on every one of them.  Tests that need a
+small horizon narrow the private ``_wheel_gate`` directly.
 """
 
 import pytest
 
 from repro.sim import Interrupt, Simulator
 from repro.sim.engine import DEFAULT_WHEEL_HORIZON_US, EmptySchedule
-
-
-def all_kernels(workload):
-    """Run ``workload`` on every kernel variant, returning the three logs."""
-    return [workload(Simulator(fast_path=fast, timer_wheel=wheel))
-            for fast, wheel in ((False, False), (True, False), (True, True))]
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +47,10 @@ def test_timeout_cancelled_while_on_the_wheel_fires_harmlessly():
         sim.run()
         return log
 
-    legacy, prewheel, wheel = all_kernels(workload)
-    assert legacy == prewheel == wheel
-    assert (4.0, "b", "interrupted:cancel") in wheel
-    assert (14.0, "b", "woke-late") in wheel
     # The uncancelled slot neighbours still fire at the original deadline.
-    assert [entry for entry in wheel if entry[0] == 10.0] == \
-        [(10.0, "a", "woke"), (10.0, "c", "woke")]
+    assert workload(Simulator()) == [
+        (4.0, "b", "interrupted:cancel"), (10.0, "a", "woke"),
+        (10.0, "c", "woke"), (14.0, "b", "woke-late")]
 
 
 def test_cancelled_slot_timeout_does_not_block_run_completion():
@@ -83,7 +77,8 @@ def test_cancelled_slot_timeout_does_not_block_run_completion():
 # ---------------------------------------------------------------------------
 
 def test_delays_beyond_the_horizon_cascade_to_the_heap():
-    sim = Simulator(wheel_horizon_us=100.0)
+    sim = Simulator()
+    sim._wheel_gate = 100.0
     sim.timeout(100.0)   # at the horizon: wheel slot
     sim.timeout(100.0)   # same deadline: same slot, no new slot time
     sim.timeout(100.1)   # beyond: straight to the heap
@@ -115,12 +110,25 @@ def test_wheel_and_heap_entries_at_the_same_deadline_merge_by_sequence():
         sim.run()
         return log
 
-    runs = [workload(Simulator(fast_path=fast, timer_wheel=wheel,
-                               wheel_horizon_us=100.0))
-            for fast, wheel in ((False, False), (True, False), (True, True))]
-    assert runs[0] == runs[1] == runs[2]
-    assert [label for _, label in runs[2]] == \
-        ["far", "near", "far-relay", "near-relay"]
+    sim = Simulator()
+    sim._wheel_gate = 100.0
+    assert workload(sim) == [(200.0, "far"), (200.0, "near"),
+                             (200.0, "far-relay"), (200.0, "near-relay")]
+
+
+def test_far_delay_rounded_onto_an_earlier_slot_deadline_runs_after_it():
+    """At a large clock, a delay just past the horizon can round to the
+    deadline of a wheel slot scheduled before it.  The slot entry has the
+    smaller sequence number, so it runs first."""
+    sim = Simulator(start_time=float(2 ** 40))
+    log = []
+    near = sim.timeout(DEFAULT_WHEEL_HORIZON_US, value="near")
+    far = sim.timeout(DEFAULT_WHEEL_HORIZON_US + 1e-4, value="far")
+    assert sim._queue[0][0] == sim._wheel_times[0]
+    for event in (near, far):
+        event.callbacks.append(lambda ev: log.append(ev.value))
+    sim.run()
+    assert log == ["near", "far"]
 
 
 def test_default_horizon_is_generous_but_finite():
@@ -152,19 +160,19 @@ def test_slot_batch_preserves_fifo_against_zero_delay_events():
         sim.run()
         return log
 
-    legacy, prewheel, wheel = all_kernels(workload)
-    assert legacy == prewheel == wheel
     # All four timeouts share one slot and fire in creation order, then the
     # zero-delay echoes follow in the same order.
-    assert [label for _, label in wheel] == \
-        ["t0", "t1", "t2", "t3", "t0-echo", "t1-echo", "t2-echo", "t3-echo"]
+    assert workload(Simulator()) == [
+        (7.0, "t0"), (7.0, "t1"), (7.0, "t2"), (7.0, "t3"),
+        (7.0, "t0-echo"), (7.0, "t1-echo"), (7.0, "t2-echo"),
+        (7.0, "t3-echo")]
 
 
 def test_sub_resolution_delay_at_large_clock_keeps_sequence_order():
     """A positive delay below the clock's float resolution rounds to
     ``now``; it must still fire before later-scheduled zero-delay events
-    on every kernel (regression: the wheel parked it in a slot keyed at
-    the current time, which the deque fast path overtook)."""
+    (regression: the wheel parked it in a slot keyed at the current time,
+    which the deque overtook)."""
     def workload(sim):
         order = []
 
@@ -180,10 +188,7 @@ def test_sub_resolution_delay_at_large_clock_keeps_sequence_order():
         sim.run()
         return order
 
-    runs = [workload(Simulator(start_time=float(2 ** 40), fast_path=fast,
-                               timer_wheel=wheel))
-            for fast, wheel in ((False, False), (True, False), (True, True))]
-    assert runs[0] == runs[1] == runs[2] == ["tiny", "zero"]
+    assert workload(Simulator(start_time=float(2 ** 40))) == ["tiny", "zero"]
 
 
 def test_run_until_time_stops_between_wheel_slots():
