@@ -68,10 +68,10 @@ TRACKED: tuple[tuple[str, str, str], ...] = (
 #: (the 1-2 core tier-1 runners) instead of failing it.  On a >= 4-core
 #: runner the flag is false and the floor is a real gate.
 FLOORS: tuple[tuple[str, str, float, str], ...] = (
-    ("BENCH_fleet.json", "shards.4.by_transport.shm.scaling_efficiency",
-     0.7, "shards.4.by_transport.shm.scaling_informational"),
-    ("BENCH_fleet.json", "shards.2.by_transport.shm.speedup_vs_serial",
-     1.0, "shards.2.by_transport.shm.scaling_informational"),
+    ("BENCH_fleet.json", "shards.4.scaling_efficiency",
+     0.7, "shards.4.scaling_informational"),
+    ("BENCH_fleet.json", "shards.2.speedup_vs_serial",
+     1.0, "shards.2.scaling_informational"),
 )
 
 

@@ -6,20 +6,17 @@ four tenants, one 2-way replication edge) through the cluster layer at 1,
 
 * ``shards=1`` is the in-process serial reference path;
 * ``shards=2/4`` run each shard in a dedicated worker process behind the
-  conservative epoch barrier, once per process transport (``executor``,
-  the pickle baseline, and ``shm``, the shared-memory rings).
+  conservative epoch barrier (the ``executor`` transport).
 
-The hard gate is **bit-identical fleet metrics across every layout and
-transport** -- the property that makes sharding safe to use at all.
-Wall-clock speedup and scaling efficiency are *recorded* per transport in
-``BENCH_fleet.json`` (each ``shards`` entry names the transport that
-produced its headline numbers and carries every transport's numbers under
-``by_transport``) rather than gated hard: a host with fewer cores than
-shards cannot speed up, so those layouts carry a
+The hard gate is **bit-identical fleet metrics across every layout** --
+the property that makes sharding safe to use at all.  Wall-clock speedup
+and scaling efficiency are *recorded* per shard count in
+``BENCH_fleet.json`` rather than gated hard here: a host with fewer cores
+than shards cannot speed up, so those layouts carry a
 ``scaling_informational`` flag and are exempt from the overhead floor
 (the floor still gates layouts the host can parallelise, and
-``compare_bench.py`` turns the 4-shard ``shm`` efficiency into a real
-floor on multi-core runners).
+``compare_bench.py`` turns the 2-shard speedup and the 4-shard efficiency
+into real floors on hosts with the cores).
 
 A second section measures **multi-epoch batching** on the trace-driven
 ``datacenter-diurnal`` fleet (steady replica traffic over many epochs):
@@ -52,9 +49,6 @@ MIN_SPEEDUP = 0.15
 
 SHARD_COUNTS = (1, 2, 4)
 
-#: Process transports measured at every sharded layout.
-PROCESS_TRANSPORTS = ("executor", "shm")
-
 
 def _strip_runtime(payload: dict) -> dict:
     return {key: value for key, value in payload.items() if key != "runtime"}
@@ -85,8 +79,8 @@ def _coordination_section() -> dict:
     variants = {}
     payloads = {}
     for label, run_ahead in (("per-epoch", 1), ("batched", DEFAULT_RUN_AHEAD)):
-        coordinator = FleetCoordinator(shards=2, processes=False,
-                                       run_ahead=run_ahead)
+        coordinator = FleetCoordinator(config=FleetRunConfig(
+            shards=2, transport="local", run_ahead=run_ahead))
         payload = coordinator.run(topology)
         runtime = payload["runtime"]
         assert runtime["batched"], \
@@ -127,22 +121,17 @@ def test_fleet_shard_scaling_and_artifact():
     topology = FleetTopology.from_json(cell.fleet)
     assert topology.total_devices >= 64
 
-    runs = {}
-    runs[(1, "local")] = _run(topology, 1, "local")
-    for shards in SHARD_COUNTS[1:]:
-        for transport in PROCESS_TRANSPORTS:
-            runs[(shards, transport)] = _run(topology, shards, transport)
+    runs = {shards: _run(topology, shards,
+                         "local" if shards == 1 else "executor")
+            for shards in SHARD_COUNTS}
 
-    # Hard gate: every (layout, transport) pair produces byte-identical
-    # fleet metrics.
-    reference = json.dumps(_strip_runtime(runs[(1, "local")][0]),
-                           sort_keys=True)
-    for (shards, transport), (payload_, _) in runs.items():
+    # Hard gate: every layout produces byte-identical fleet metrics.
+    reference = json.dumps(_strip_runtime(runs[1][0]), sort_keys=True)
+    for shards, (payload_, _) in runs.items():
         assert json.dumps(_strip_runtime(payload_), sort_keys=True) \
-            == reference, \
-            f"shards={shards} over {transport} diverged from serial"
+            == reference, f"shards={shards} diverged from serial"
 
-    serial_wall = runs[(1, "local")][1]
+    serial_wall = runs[1][1]
     cpu_count = os.cpu_count() or 1
     payload = {
         "benchmark": "fleet",
@@ -155,17 +144,16 @@ def test_fleet_shard_scaling_and_artifact():
             "epoch_us": topology.epoch_us,
         },
         "cpu_count": cpu_count,
-        "fleet_ios": runs[(1, "local")][0]["fleet"]["ios_completed"],
-        "replica_writes": runs[(1, "local")][0]["fleet"]["replica_writes"],
-        "shards": {},
+        "fleet_ios": runs[1][0]["fleet"]["ios_completed"],
+        "replica_writes": runs[1][0]["fleet"]["replica_writes"],
     }
 
-    def scaling_entry(shards: int, transport: str) -> dict:
-        run_payload, wall_s = runs[(shards, transport)]
+    def scaling_entry(shards: int) -> dict:
+        run_payload, wall_s = runs[shards]
         runtime = run_payload["runtime"]
         speedup = serial_wall / wall_s if wall_s > 0 else 0.0
         return {
-            "transport": transport,
+            "transport": runtime["transport"],
             "wall_s": round(wall_s, 4),
             "events": runtime["scheduled_events"],
             "events_per_sec": round(runtime["scheduled_events"] / wall_s)
@@ -178,25 +166,12 @@ def test_fleet_shard_scaling_and_artifact():
             # With fewer cores than shards the workers time-slice one CPU,
             # so speedup/efficiency describe the host, not the simulator --
             # consumers of the artifact must treat them as informational.
-            # The flag is per-entry so it stays correct for *every*
-            # transport's numbers, not just the headline one.
             "scaling_informational": cpu_count < shards,
         }
 
-    payload["shards"]["1"] = scaling_entry(1, "local")
-    for shards in SHARD_COUNTS[1:]:
-        # The headline numbers come from the transport auto-resolution
-        # would pick on this host; every measured transport keeps its own
-        # entry (with its own informational flag) under by_transport.
-        auto = FleetRunConfig(shards=shards).resolve_transport()
-        entry = scaling_entry(shards, auto)
-        entry["by_transport"] = {
-            transport: scaling_entry(shards, transport)
-            for transport in PROCESS_TRANSPORTS
-        }
-        payload["shards"][str(shards)] = entry
+    payload["shards"] = {str(shards): scaling_entry(shards)
+                         for shards in SHARD_COUNTS}
     payload["headline_speedup"] = payload["shards"]["4"]["speedup_vs_serial"]
-    payload["headline_transport"] = payload["shards"]["4"]["transport"]
     payload["headline_informational"] = \
         payload["shards"]["4"]["scaling_informational"]
     payload["coordination"] = _coordination_section()
@@ -209,7 +184,6 @@ def test_fleet_shard_scaling_and_artifact():
     # but only gate layouts the host can actually parallelise; oversubscribed
     # layouts (cpu_count < shards) are recorded as informational only.
     for shards in SHARD_COUNTS[1:]:
-        for entry in payload["shards"][str(shards)]["by_transport"].values():
-            if entry["scaling_informational"]:
-                continue
+        entry = payload["shards"][str(shards)]
+        if not entry["scaling_informational"]:
             assert entry["speedup_vs_serial"] >= MIN_SPEEDUP, payload

@@ -119,30 +119,21 @@ Shard transports
 ----------------
 The coordinator never talks to worker processes directly: it posts
 advance grants to a :class:`~repro.cluster.ShardTransport` and waits for
-the responses.  Three implementations ship (``repro.cluster.transport``):
+the responses.  Two implementations ship (``repro.cluster.transport``):
 
 ``local`` (:class:`~repro.cluster.InProcessTransport`)
     Every shard as a plain in-process object.  The serial reference path;
-    what ``shards=1`` or ``processes=False`` resolve to.
+    what ``shards=1`` resolves to.
 
 ``executor`` (:class:`~repro.cluster.ExecutorTransport`)
-    The faithful multi-process baseline: one persistent single-worker
-    ``ProcessPoolExecutor`` per shard, one pickled task round-trip per
-    grant.  Default process transport on 1-core hosts, where there is no
-    parallelism to lose.
+    One persistent single-worker ``ProcessPoolExecutor`` per shard, one
+    pickled task round-trip per grant.  A worker that raises or dies is
+    reported as a ``RuntimeError`` naming the shard and what it was doing
+    (initialising, advancing or collecting).
 
-``shm`` (:class:`~repro.cluster.SharedMemoryTransport`)
-    ``multiprocessing.shared_memory`` rings per coordinator<->shard pair
-    plus a lock-free barrier word per shard: workers spin-then-sleep on
-    their command word (``spin_budget`` hot spins, then escalating
-    sleeps), messages travel as fixed 64-byte struct-encoded slots, and
-    batches that outgrow the ring spill to a pipe side channel --
-    correctness never depends on buffer size.  Default process transport
-    on multi-core hosts.
-
-``transport="auto"`` (the default) picks between them by host shape;
-every choice is bit-identical, so the knob only moves wall clock.
-``BENCH_fleet.json`` records each transport's scaling per shard count.
+``transport="auto"`` (the default) is ``local`` at one shard and
+``executor`` otherwise; both are bit-identical, so the knob only moves
+wall clock.  ``BENCH_fleet.json`` records the scaling per shard count.
 
 FleetRunConfig: every execution knob in one place
 -------------------------------------------------
@@ -153,24 +144,15 @@ knobs into one dataclass accepted uniformly by ``FleetCoordinator``,
 
     from repro.cluster import FleetRunConfig, run_fleet
 
-    config = FleetRunConfig(shards=4, transport="shm", run_ahead=32)
+    config = FleetRunConfig(shards=4, transport="executor", run_ahead=32)
     payload = run_fleet(topology, config)           # or config.merged(...)
 
-Fields: ``shards``, ``run_ahead``, ``epoch_us``, ``transport`` (one of
-``auto | local | executor | shm``), ``spin_budget``, ``processes``
-(deprecated tri-state alias for ``transport``), ``max_epochs``.  None of
-them may change simulation results -- bit-identity across every
-combination is gated by the determinism tests; only ``epoch_us`` is
-physics (it rescales the synchronization grid) and therefore the only
-field that enters the sweep cache key.
-
-The pre-transport spellings -- ``FleetCoordinator(shards=...,
-processes=..., run_ahead=...)``, ``SweepRunner(fleet_shards=...)``,
-``CellSpec.fleet_shards``, and the bare ``--shards`` / ``--run-ahead``
-CLI flags -- survive as thin deprecated aliases that merge into a
-``FleetRunConfig``.  They will be removed two releases after the
-transport layer landed (see ROADMAP "Shard transport"); new code should
-pass a ``FleetRunConfig`` (or a document ``run:`` block).
+Fields: ``shards``, ``run_ahead``, ``transport`` (one of ``auto | local |
+executor``) and ``max_epochs``.  None of them may change simulation
+results -- bit-identity across every combination is gated by the
+determinism tests -- so none of them enters the sweep cache key.  The
+synchronization window is physics and belongs to the topology
+(``epoch_us``; ``fleet --epoch-us`` on the CLI).
 
 Run-ahead windows and coupling components
 -----------------------------------------
@@ -198,7 +180,7 @@ Registered fleet scenarios (see ``python -m repro.experiments list``, tag
 
     python -m repro.experiments fleet fleet-smoke                 # serial
     python -m repro.experiments fleet fleet-smoke --shards 4      # sharded
-    python -m repro.experiments fleet fleet-smoke --shards 4 --transport shm
+    python -m repro.experiments fleet fleet-smoke --shards 4 --transport local
     python -m repro.experiments fleet datacenter-diurnal --quick
     python -m repro.experiments fleet fleet-smoke --shards 4 --out report.json
     python -m repro.experiments fleet fleet-smoke --run-ahead 1   # per-epoch
@@ -221,15 +203,17 @@ The fault-scenario family exercises the schedule machinery end to end::
 ``--shards 1`` *is* the serial path; any ``--shards N``, ``--transport``
 and ``--run-ahead`` combination produces the same fleet metrics (only the
 ``runtime`` section -- wall clock, events/sec, coordination, partition --
-differs).  When a scenario document carries its own ``run:`` block,
-``--transport`` / ``--spin-budget`` override it, while the deprecated
-``--shards`` / ``--run-ahead`` / ``--epoch-us`` aliases *error* on a
-contradiction (path-addressed, exit 2) rather than silently winning --
-edit the document or drop the flag.  Deterministic fleet metrics cache
-under ``$REPRO_SWEEP_CACHE`` (default ``.sweep-cache``) exactly like
-``run`` sweeps: every execution knob except ``epoch_us`` (the one field
-that changes physics) is excluded from the cache key, ``--force``
-re-runs, ``--no-cache`` disables.  ``run <scenario> --shards N`` nests
+differs).  One rule holds on ``run`` and ``fleet`` when a scenario
+document carries its own ``run:`` block: a ``--shards``, ``--run-ahead``
+or ``--transport`` flag that differs from the same field there is an
+error (path-addressed, exit 2) rather than silently losing or winning --
+edit the document or drop the flag; on ``fleet``, ``--serial`` counts as
+``--transport local``.  (``serve`` applies its flags only where a
+submitted document's ``run:`` block is silent.)  Deterministic fleet
+metrics cache under ``$REPRO_SWEEP_CACHE`` (default ``.sweep-cache``)
+exactly like ``run`` sweeps: execution knobs are excluded from the cache
+key, while ``--epoch-us`` (physics) is part of it; ``--force`` re-runs,
+``--no-cache`` disables.  ``run <scenario> --shards N`` nests
 the same sharding inside the sweep pool for scenarios whose cells carry
 fleets.
 
@@ -255,7 +239,7 @@ so the empty block is the default config::
 
     run:
       shards: 4
-      transport: shm      # auto | local | executor | shm
+      transport: executor # auto | local | executor
       run_ahead: 32
 
 (YAML needs the optional ``config`` extra, ``pip install repro[config]``;
@@ -332,7 +316,7 @@ def main() -> None:
           f"{len(topology.tenants)} tenants, {len(topology.edges)} edges")
 
     serial = run_fleet_serial(topology)
-    config = FleetRunConfig(shards=4)  # transport="auto" picks by host
+    config = FleetRunConfig(shards=4)  # transport="auto": executor
     sharded = FleetCoordinator(config=config).run(topology)
 
     for label, result in (("serial", serial), ("4 shards", sharded)):

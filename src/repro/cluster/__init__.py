@@ -12,8 +12,9 @@ Layer 5 of the stack (kernel -> devices -> workloads -> sweeps -> cluster):
   ``shards=1`` is the serial path; every layout is bit-identical.
 * :mod:`repro.cluster.transport` -- how grants and message batches move
   between coordinator and shards (:class:`ShardTransport`): in-process
-  calls, a dedicated executor process per shard, or shared-memory rings;
-  all execution knobs collapse into :class:`FleetRunConfig`.
+  calls or a dedicated executor process per shard; the four execution
+  knobs (shards, run-ahead, transport, epoch bound) live on
+  :class:`FleetRunConfig`.
 * :mod:`repro.cluster.metrics` -- per-tenant / per-group / fleet-wide
   metric merges from the per-shard payloads.
 * :mod:`repro.cluster.macro` -- calibrated mean-field aggregates for
@@ -40,7 +41,6 @@ from repro.cluster.transport import (
     ExecutorTransport,
     FleetRunConfig,
     InProcessTransport,
-    SharedMemoryTransport,
     ShardTransport,
     create_transport,
 )
@@ -80,7 +80,6 @@ __all__ = [
     "ShardTransport",
     "InProcessTransport",
     "ExecutorTransport",
-    "SharedMemoryTransport",
     "create_transport",
     "partition_topology",
     "run_fleet",

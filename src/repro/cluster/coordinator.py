@@ -39,9 +39,9 @@ loop entirely: each shard drains to completion in a single advance.
 
 How grants and responses physically move between coordinator and shards
 is the :class:`~repro.cluster.transport.ShardTransport` contract
-(in-process calls, a dedicated single-worker executor per shard, or
-shared-memory rings -- see :mod:`repro.cluster.transport`); every knob
-lives on :class:`~repro.cluster.transport.FleetRunConfig`.
+(in-process calls, or a dedicated single-worker executor per shard -- see
+:mod:`repro.cluster.transport`); every knob lives on
+:class:`~repro.cluster.transport.FleetRunConfig`.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ from repro.cluster.transport import (
 __all__ = ["partition_topology", "FleetCoordinator", "FleetRunConfig",
            "run_fleet", "run_fleet_serial", "MAX_EPOCHS",
            "DEFAULT_RUN_AHEAD"]
-
-#: Backwards-compatible alias (the key moved next to ReplicaMessage).
-_inbox_order = inbox_order
 
 
 # ---------------------------------------------------------------------------
@@ -170,57 +167,14 @@ def partition_topology(topology: FleetTopology, shards: int) -> list[ShardPlan]:
 # ---------------------------------------------------------------------------
 
 class FleetCoordinator:
-    """Runs a :class:`FleetTopology` over ``shards`` shard simulators.
-
-    All execution knobs live on one
-    :class:`~repro.cluster.transport.FleetRunConfig`; pass it as
-    ``config=``.  The individual keyword arguments below are **deprecated
-    aliases** kept for pre-transport callers -- an explicitly passed
-    kwarg overrides the matching ``config`` field.
-
-    Parameters
-    ----------
-    shards:
-        Number of shard simulators (clamped to the device count).
-    processes:
-        Run each shard in a worker process (default: only when
-        ``shards > 1``).  In-process execution produces byte-identical
-        payloads -- it is the same ShardWorker code -- so tests and the
-        serial path use it directly.
-    epoch_us:
-        Override the topology's conservative synchronization window.
-    run_ahead:
-        Epochs granted per coordinator task to shards in singleton
-        coupling components (see the module docstring).  ``run_ahead=1``
-        restores one-task-per-busy-epoch coordination.
-    transport:
-        Concrete transport name (see
-        :data:`~repro.cluster.transport.TRANSPORTS`); default ``auto``.
-    spin_budget:
-        Hot-spin iterations before shared-memory waiters sleep.
-    config:
-        A :class:`FleetRunConfig` carrying all of the above.
+    """Runs a :class:`FleetTopology` under one
+    :class:`~repro.cluster.transport.FleetRunConfig` (shard count,
+    run-ahead window, transport, epoch bound); the default config is the
+    serial in-process path.
     """
 
-    def __init__(self, shards: Optional[int] = None,
-                 processes: Optional[bool] = None,
-                 epoch_us: Optional[float] = None,
-                 max_epochs: Optional[int] = None,
-                 run_ahead: Optional[int] = None,
-                 transport: Optional[str] = None,
-                 spin_budget: Optional[int] = None,
-                 config: Optional[FleetRunConfig] = None):
-        config = config if config is not None else FleetRunConfig()
-        self.config = config.merged(
-            shards=shards, processes=processes, epoch_us=epoch_us,
-            max_epochs=max_epochs, run_ahead=run_ahead, transport=transport,
-            spin_budget=spin_budget)
-        # Deprecated attribute aliases (read-only views of the config).
-        self.shards = self.config.shards
-        self.processes = self.config.resolve_transport() != "local"
-        self.epoch_us = self.config.epoch_us
-        self.max_epochs = self.config.max_epochs
-        self.run_ahead = self.config.run_ahead
+    def __init__(self, config: Optional[FleetRunConfig] = None):
+        self.config = config if config is not None else FleetRunConfig()
 
     def run(self, topology: FleetTopology) -> dict[str, Any]:
         """Execute the fleet and return the merged metrics payload.
@@ -230,15 +184,12 @@ class FleetCoordinator:
         windows; wall-clock and coordination data live under ``runtime``.
         """
         config = self.config
-        if config.epoch_us is not None:
-            topology = topology.scaled(epoch_us=config.epoch_us)
         plans = partition_topology(topology, config.shards)
         owner = {index: plan.shard_id for plan in plans
                  for index in plan.device_indices}
         started = time.perf_counter()
         transport_kind = config.resolve_transport()
-        transport = create_transport(transport_kind, topology, plans,
-                                     spin_budget=config.spin_budget)
+        transport = create_transport(transport_kind, topology, plans)
         components = coupling_components(topology, owner, len(plans))
         lockstep = [component for component in components
                     if len(component) > 1]
@@ -268,7 +219,7 @@ class FleetCoordinator:
             "transport": transport_kind,
             "epochs": epochs,
             "batched": batched,
-            "run_ahead": self.run_ahead,
+            "run_ahead": config.run_ahead,
             "components": len(components),
             "lockstep_shards": sum(len(component)
                                    for component in lockstep),
@@ -300,9 +251,10 @@ class FleetCoordinator:
         grants before waiting on any, so independent components (and the
         shards inside one component) advance concurrently on process
         transports.  Returns ``(epochs, rounds, tasks)``."""
+        config = self.config
         epoch_us = topology.epoch_us
         overrun = RuntimeError(
-            f"fleet {topology.name!r} exceeded {self.max_epochs} "
+            f"fleet {topology.name!r} exceeded {config.max_epochs} "
             f"epochs (epoch_us={epoch_us}); raise epoch_us or max_epochs")
         singles = sorted(component[0] for component in components
                          if len(component) == 1)
@@ -329,14 +281,14 @@ class FleetCoordinator:
                 start = max(index,
                             math.floor(min(peeks[sid] for sid in active)
                                        / epoch_us))
-                index = start + self.run_ahead
+                index = start + config.run_ahead
                 for sid in active:
                     grants[sid] = (index * epoch_us, [], True)
             for grp in groups:
                 target = grp.next_barrier(peeks, epoch_us)
                 if target is None:
                     continue
-                if grp.rounds > self.max_epochs:
+                if grp.rounds > config.max_epochs:
                     raise overrun
                 for sid, inbox in target.items():
                     grants[sid] = (grp.position * epoch_us,
@@ -367,7 +319,7 @@ class FleetCoordinator:
                         grp.pending[owner[message.target_index]].append(
                             message)
             if active and max(executed[sid] for sid in singles) \
-                    > self.max_epochs:
+                    > config.max_epochs:
                 raise overrun
 
 
@@ -446,4 +398,5 @@ def run_fleet(topology: FleetTopology,
 
 def run_fleet_serial(topology: FleetTopology) -> dict[str, Any]:
     """The serial reference path: the whole fleet in one in-process shard."""
-    return FleetCoordinator(shards=1, processes=False).run(topology)
+    return FleetCoordinator(
+        config=FleetRunConfig(transport="local")).run(topology)

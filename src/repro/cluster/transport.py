@@ -4,48 +4,25 @@ The conservative epoch loop in :mod:`repro.cluster.coordinator` is
 transport-agnostic: it *posts* an advance grant to each shard (a barrier
 time plus a batch of inbound :class:`ReplicaMessage`), *waits* for the
 ``(outbound, peek, ran)`` response, and finally *collects* each shard's
-metrics payload.  :class:`ShardTransport` is that contract; three
+metrics payload.  :class:`ShardTransport` is that contract; two
 implementations ship:
 
 * :class:`InProcessTransport` -- every shard is a plain in-process
   :class:`ShardWorker`.  The serial reference path and the test default.
-* :class:`ExecutorTransport` -- the faithful multi-process baseline: one
-  persistent single-worker ``ProcessPoolExecutor`` per shard, pickled
-  task-per-grant round-trips.  Default process transport on 1-core hosts.
-* :class:`SharedMemoryTransport` -- ``multiprocessing.shared_memory``
-  ring buffers per coordinator<->shard pair plus a lock-free barrier word
-  per shard.  Workers spin-then-sleep on their command word; messages
-  travel as fixed 64-byte struct-encoded slots; batches that outgrow the
-  ring spill to a pipe side channel, so **correctness never depends on
-  buffer size**.  Default process transport on multi-core hosts.
+* :class:`ExecutorTransport` -- the process transport: one persistent
+  single-worker ``ProcessPoolExecutor`` per shard, pickled task-per-grant
+  round-trips.  A worker that raises or dies surfaces as a
+  ``RuntimeError`` naming the shard and what it was doing.
 
-Every knob that used to be scattered across ``FleetCoordinator`` kwargs,
-``SweepRunner(fleet_shards=...)``, and CLI flags collapses into one
-:class:`FleetRunConfig` dataclass (the old kwargs survive as thin
-deprecated aliases -- see the class docstring for the removal horizon).
-
-Safety notes for the shared-memory path:
-
-* **Publish-after-write.**  A ring writer copies every slot byte first and
-  only then advances the ``head`` counter; command/response words follow
-  the same discipline (payload words first, sequence word last).  A reader
-  polling the counter can therefore never observe a torn record.
-* **Crash detection.**  The coordinator's wait loop checks worker
-  liveness and an explicit error word while sleeping; a worker that dies
-  mid-grant (or raises) surfaces as a clean ``RuntimeError`` naming the
-  shard instead of a hang or a half-read batch.
+Every fleet-execution knob lives on one :class:`FleetRunConfig`.
 """
 
 from __future__ import annotations
 
-import os
-import struct
-import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from multiprocessing import Pipe, Process, shared_memory
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.cluster.shard import (
     ReplicaMessage,
@@ -62,14 +39,8 @@ __all__ = [
     "ShardTransport",
     "InProcessTransport",
     "ExecutorTransport",
-    "SharedMemoryTransport",
-    "MessageRing",
     "create_transport",
-    "encode_message",
-    "decode_message",
     "DEFAULT_RUN_AHEAD",
-    "DEFAULT_SPIN_BUDGET",
-    "DEFAULT_RING_SLOTS",
     "MAX_EPOCHS",
     "TRANSPORTS",
 ]
@@ -81,20 +52,9 @@ MAX_EPOCHS = 200_000
 #: shards.
 DEFAULT_RUN_AHEAD = 16
 
-#: Hot-spin iterations before a waiter starts sleeping (shared-memory
-#: transport only).  Spinning wins when the peer answers in microseconds;
-#: the sleep escalation (10us doubling to 1ms) keeps oversubscribed hosts
-#: -- e.g. 4 shards on 1 core -- from burning the core the peer needs.
-DEFAULT_SPIN_BUDGET = 2_000
-
-#: Message slots per ring direction.  Purely a performance knob: batches
-#: larger than the ring spill to the pipe side channel.
-DEFAULT_RING_SLOTS = 1_024
-
 #: Accepted ``FleetRunConfig.transport`` values.  ``auto`` resolves to
-#: ``local`` for in-process runs, else ``shm`` on multi-core hosts and
-#: ``executor`` on 1-core hosts.
-TRANSPORTS = ("auto", "local", "executor", "shm")
+#: ``local`` at one shard and to ``executor`` otherwise.
+TRANSPORTS = ("auto", "local", "executor")
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +71,8 @@ class FleetRunConfig:
     None of these fields may change simulation *results*: bit-identity of
     the metrics payload across every combination is gated by the
     determinism tests.  They only trade coordination cost for parallelism.
-
-    The pre-PR-10 spellings -- ``FleetCoordinator(shards=..., processes=...,
-    run_ahead=...)``, ``SweepRunner(fleet_shards=...)``, and
-    ``CellSpec.fleet_shards`` -- remain as thin deprecated aliases that
-    merge into this dataclass.  They will be removed two releases after
-    the transport layer lands; new code should pass a ``FleetRunConfig``.
+    The synchronization window is physics, so it belongs to the topology
+    (``FleetTopology.epoch_us``), not here.
     """
 
     #: Number of shard simulators (clamped to the device count).
@@ -124,18 +80,8 @@ class FleetRunConfig:
     #: Epochs granted per coordinator task to self-contained shards.
     #: ``run_ahead=1`` restores one-task-per-busy-epoch coordination.
     run_ahead: int = DEFAULT_RUN_AHEAD
-    #: Override the topology's conservative synchronization window (``None``
-    #: keeps the topology's own ``epoch_us``).
-    epoch_us: Optional[float] = None
-    #: One of :data:`TRANSPORTS`.  ``auto`` picks ``local`` for in-process
-    #: runs, else ``shm``/``executor`` by core count.
+    #: One of :data:`TRANSPORTS`.
     transport: str = "auto"
-    #: Hot-spin iterations before shared-memory waiters sleep.
-    spin_budget: int = DEFAULT_SPIN_BUDGET
-    #: Deprecated alias for ``transport``: ``False`` forces ``local``,
-    #: ``True`` forces a process transport.  ``None`` (default) means
-    #: "processes when ``shards > 1``".
-    processes: Optional[bool] = None
     #: Safety bound on executed (non-skipped) epochs per run.
     max_epochs: int = MAX_EPOCHS
 
@@ -144,24 +90,17 @@ class FleetRunConfig:
             raise ValueError("shards must be >= 1")
         if self.run_ahead < 1:
             raise ValueError("run_ahead must be >= 1")
-        if self.epoch_us is not None and not self.epoch_us > 0:
-            raise ValueError("epoch_us must be positive")
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r} "
                 f"(choose from {', '.join(TRANSPORTS)})")
-        if self.spin_budget < 0:
-            raise ValueError("spin_budget must be >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
 
     def merged(self, **overrides: Any) -> "FleetRunConfig":
-        """A copy with every non-``None`` override applied.
-
-        This is the deprecated-alias funnel: ``FleetCoordinator`` kwargs
-        and CLI flags land here, so an explicit kwarg wins over the config
-        it rides along with.
-        """
+        """A copy with every non-``None`` override applied, so an explicit
+        CLI flag or ``run_fleet`` keyword wins over the config it rides
+        along with."""
         changes = {key: value for key, value in overrides.items()
                    if value is not None}
         if not changes:
@@ -171,14 +110,11 @@ class FleetRunConfig:
         return FleetRunConfig(**current)
 
     def resolve_transport(self) -> str:
-        """The concrete transport this config runs on *this* host."""
+        """The concrete transport: ``auto`` is ``local`` at one shard and
+        ``executor`` otherwise."""
         if self.transport != "auto":
             return self.transport
-        processes = (self.shards > 1) if self.processes is None \
-            else self.processes
-        if not processes:
-            return "local"
-        return "shm" if (os.cpu_count() or 1) > 1 else "executor"
+        return "local" if self.shards == 1 else "executor"
 
     # -- pairs form: hashable non-default fields, used by CellSpec --------
 
@@ -207,126 +143,6 @@ class FleetRunConfig:
                       ) -> "FleetRunConfig":
         from repro.config import run_config_from_document
         return run_config_from_document(document, path=path)
-
-
-# ---------------------------------------------------------------------------
-# Compact struct encoding for ReplicaMessage ring slots
-# ---------------------------------------------------------------------------
-
-#: delivery_us f64, then six i64s (target_index, offset, size,
-#: origin_index, origin_seq, delivery_epoch), then the kind byte.
-_RECORD = struct.Struct("<dqqqqqqB")
-
-#: Fixed slot width: the 57-byte record padded to a 64-byte boundary.
-SLOT_SIZE = 64
-
-_KIND_CODES = {"replica": 0, "rebuild": 1, "rebuild-read": 2}
-_KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
-
-
-def encode_message(message: ReplicaMessage) -> bytes:
-    """Pack one message into its fixed-width slot encoding."""
-    return _RECORD.pack(message.delivery_us, message.target_index,
-                        message.offset, message.size, message.origin_index,
-                        message.origin_seq, message.delivery_epoch,
-                        _KIND_CODES[message.kind])
-
-
-def decode_message(buffer: Any, offset: int = 0) -> ReplicaMessage:
-    """Unpack one message from its slot encoding."""
-    (delivery_us, target_index, data_offset, size, origin_index,
-     origin_seq, delivery_epoch, kind) = _RECORD.unpack_from(buffer, offset)
-    return ReplicaMessage(delivery_us, target_index, data_offset, size,
-                          origin_index, origin_seq, delivery_epoch,
-                          _KIND_NAMES[kind])
-
-
-# ---------------------------------------------------------------------------
-# MessageRing: an SPSC ring of fixed-width slots over any writable buffer
-# ---------------------------------------------------------------------------
-
-class MessageRing:
-    """Single-producer single-consumer ring of ``ReplicaMessage`` slots.
-
-    ``head`` and ``tail`` are monotonically increasing *message counters*
-    (not byte offsets) stored as little-endian u64 words at the front of
-    the buffer; slot ``n`` lives at ``(n % slots)``.  The writer copies
-    every record byte **before** bumping ``head`` (publish-after-write),
-    so a reader polling ``head`` can never decode a torn record: a crash
-    mid-copy leaves ``head`` untouched and the partial slot invisible.
-
-    :meth:`push` accepts as many messages as currently fit and reports the
-    count -- the caller spills the remainder to its side channel.  The
-    protocol is strictly request/response per shard, so producer and
-    consumer never race on the same batch.
-    """
-
-    HEADER = 16  # head u64 + tail u64
-
-    def __init__(self, buffer: Any, slots: int, offset: int = 0):
-        if slots < 1:
-            raise ValueError("ring needs at least one slot")
-        self._buf = buffer
-        self._slots = slots
-        self._base = offset
-        self._data = offset + self.HEADER
-
-    @classmethod
-    def size_for(cls, slots: int) -> int:
-        return cls.HEADER + slots * SLOT_SIZE
-
-    @property
-    def slots(self) -> int:
-        return self._slots
-
-    @property
-    def head(self) -> int:
-        return struct.unpack_from("<Q", self._buf, self._base)[0]
-
-    @property
-    def tail(self) -> int:
-        return struct.unpack_from("<Q", self._buf, self._base + 8)[0]
-
-    def __len__(self) -> int:
-        return self.head - self.tail
-
-    def push(self, messages: Sequence[ReplicaMessage]) -> int:
-        """Write as many messages as fit; returns the accepted count.
-
-        The head counter is published only after every accepted slot is
-        fully written.
-        """
-        head = self.head
-        free = self._slots - (head - self.tail)
-        accepted = min(free, len(messages))
-        for index in range(accepted):
-            slot = (head + index) % self._slots
-            message = messages[index]
-            _RECORD.pack_into(
-                self._buf, self._data + slot * SLOT_SIZE,
-                message.delivery_us, message.target_index, message.offset,
-                message.size, message.origin_index, message.origin_seq,
-                message.delivery_epoch, _KIND_CODES[message.kind])
-        if accepted:
-            struct.pack_into("<Q", self._buf, self._base, head + accepted)
-        return accepted
-
-    def drain(self, count: int) -> list[ReplicaMessage]:
-        """Read exactly ``count`` published records, advancing ``tail``."""
-        tail = self.tail
-        available = self.head - tail
-        if count > available:
-            raise RuntimeError(
-                f"ring drain of {count} messages but only {available} "
-                "published (torn or missing write)")
-        out = []
-        for index in range(count):
-            slot = (tail + index) % self._slots
-            out.append(decode_message(self._buf,
-                                      self._data + slot * SLOT_SIZE))
-        if count:
-            struct.pack_into("<Q", self._buf, self._base + 8, tail + count)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +196,6 @@ class ShardTransport:
             self.post(shard_id, until_us, inbox, self_deliver)
         return [self.wait(shard_id) for shard_id in range(len(inboxes))]
 
-    def advance_subset(self, shard_ids: Sequence[int],
-                       until_us: Optional[float], self_deliver: bool = False,
-                       ) -> list[tuple[list[ReplicaMessage], float, int]]:
-        for shard_id in shard_ids:
-            self.post(shard_id, until_us, [], self_deliver)
-        return [self.wait(shard_id) for shard_id in shard_ids]
-
 
 class InProcessTransport(ShardTransport):
     """All shards as in-process objects (the serial / test path)."""
@@ -414,34 +223,60 @@ class InProcessTransport(ShardTransport):
         pass
 
 
+@contextmanager
+def _naming_shard(shard_id: int, doing: str) -> Iterator[None]:
+    """Re-raise a worker exception or a broken pool as a ``RuntimeError``
+    that names the shard and what it was doing, with the cause chained."""
+    try:
+        yield
+    except Exception as error:
+        raise RuntimeError(
+            f"shard {shard_id} worker failed while {doing}: "
+            f"{type(error).__name__}: {error}") from error
+
+
 class ExecutorTransport(ShardTransport):
-    """The pickle/executor baseline: one persistent single-worker
-    ``ProcessPoolExecutor`` per shard, so the worker process keeps the
-    shard's simulator resident between grants (plain shared pools give no
-    task-to-process affinity)."""
+    """One persistent single-worker ``ProcessPoolExecutor`` per shard, so
+    the worker process keeps the shard's simulator resident between grants
+    (plain shared pools give no task-to-process affinity).  A worker that
+    raises, or a pool whose process died, surfaces as a ``RuntimeError``
+    naming the shard; a failed start shuts down every pool first."""
 
     name = "executor"
 
     def __init__(self, topology: FleetTopology, plans: Sequence[ShardPlan]):
         self.pools = [ProcessPoolExecutor(max_workers=1) for _ in plans]
+        self._futures: dict[int, Any] = {}
+        self._events = 0
         payload = topology.canonical()
         init = [pool.submit(_worker_init, payload, plan.to_payload())
                 for pool, plan in zip(self.pools, plans)]
-        for future in init:
-            future.result()
-        self._futures: dict[int, Any] = {}
-        self._events = 0
+        try:
+            for shard_id, future in enumerate(init):
+                with _naming_shard(shard_id, "initialising"):
+                    future.result()
+        except BaseException:
+            self.close()
+            raise
 
     def post(self, shard_id, until_us, inbound, self_deliver=False):
-        self._futures[shard_id] = self.pools[shard_id].submit(
-            _worker_advance, until_us, list(inbound), self_deliver)
+        with _naming_shard(shard_id, "advancing"):
+            self._futures[shard_id] = self.pools[shard_id].submit(
+                _worker_advance, until_us, list(inbound), self_deliver)
 
     def wait(self, shard_id):
-        return self._futures.pop(shard_id).result()
+        with _naming_shard(shard_id, "advancing"):
+            return self._futures.pop(shard_id).result()
 
     def collect_all(self):
-        futures = [pool.submit(_worker_collect) for pool in self.pools]
-        payloads = [future.result() for future in futures]
+        futures = []
+        for shard_id, pool in enumerate(self.pools):
+            with _naming_shard(shard_id, "collecting"):
+                futures.append(pool.submit(_worker_collect))
+        payloads = []
+        for shard_id, future in enumerate(futures):
+            with _naming_shard(shard_id, "collecting"):
+                payloads.append(future.result())
         self._events = sum(payload["scheduled_events"] for payload in payloads)
         return payloads
 
@@ -454,328 +289,20 @@ class ExecutorTransport(ShardTransport):
 
 
 # ---------------------------------------------------------------------------
-# SharedMemoryTransport
-# ---------------------------------------------------------------------------
-
-# Control-block word offsets (all 8-byte aligned; one block per shard).
-_CTRL_COMMAND_SEQ = 0    # u64: coordinator bumps to post a command
-_CTRL_ACK_SEQ = 8        # u64: worker sets == command_seq when done
-_CTRL_OPCODE = 16        # u64: _OP_*
-_CTRL_UNTIL = 24         # f64: barrier time (valid when _FLAG_UNTIL)
-_CTRL_FLAGS = 32         # u64: _FLAG_*
-_CTRL_IN_COUNT = 40      # u64: inbound batch size (ring + spill)
-_CTRL_IN_SPILL = 48      # u64: inbound messages sent via the pipe
-_CTRL_PEEK = 56          # f64: response peek (may be +inf)
-_CTRL_RAN = 64           # u64: response executed-epoch count
-_CTRL_OUT_COUNT = 72     # u64: response outbound size (ring + spill)
-_CTRL_OUT_SPILL = 80     # u64: outbound messages sent via the pipe
-_CTRL_STATE = 88         # u64: _STATE_*
-_CTRL_SIZE = 96
-
-_OP_ADVANCE = 1
-_OP_COLLECT = 2
-_OP_STOP = 3
-
-_FLAG_UNTIL = 1          # until_us is set (else drain-to-completion)
-_FLAG_SELF_DELIVER = 2
-
-_STATE_STARTING = 0
-_STATE_READY = 1
-_STATE_ERROR = 2
-
-#: Sleep escalation for spin-then-sleep waiters: first sleep 10us,
-#: doubling to a 1ms ceiling.
-_SLEEP_FLOOR_S = 1e-5
-_SLEEP_CEIL_S = 1e-3
-
-
-def _u64(buf, offset: int) -> int:
-    return struct.unpack_from("<Q", buf, offset)[0]
-
-
-def _put_u64(buf, offset: int, value: int) -> None:
-    struct.pack_into("<Q", buf, offset, value)
-
-
-def _f64(buf, offset: int) -> float:
-    return struct.unpack_from("<d", buf, offset)[0]
-
-
-def _put_f64(buf, offset: int, value: float) -> None:
-    struct.pack_into("<d", buf, offset, value)
-
-
-def _shm_worker_main(shm_name: str, ring_slots: int, spin_budget: int,
-                     topology_json: str, plan_payload: dict,
-                     conn) -> None:
-    """Entry point of one shared-memory shard worker process."""
-    segment = shared_memory.SharedMemory(name=shm_name)
-    buf = segment.buf
-    inbound = MessageRing(buf, ring_slots, offset=_CTRL_SIZE)
-    outbound = MessageRing(buf, ring_slots,
-                           offset=_CTRL_SIZE + MessageRing.size_for(ring_slots))
-    try:
-        try:
-            worker = ShardWorker(FleetTopology.from_json(topology_json),
-                                 ShardPlan.from_payload(plan_payload))
-        except Exception:
-            conn.send(("error", traceback.format_exc()))
-            _put_u64(buf, _CTRL_STATE, _STATE_ERROR)
-            return
-        _put_u64(buf, _CTRL_STATE, _STATE_READY)
-        last_seq = 0
-        while True:
-            # Spin-then-sleep on the command word.
-            spins = 0
-            delay = _SLEEP_FLOOR_S
-            while _u64(buf, _CTRL_COMMAND_SEQ) == last_seq:
-                spins += 1
-                if spins > spin_budget:
-                    time.sleep(delay)
-                    delay = min(delay * 2, _SLEEP_CEIL_S)
-            seq = _u64(buf, _CTRL_COMMAND_SEQ)
-            opcode = _u64(buf, _CTRL_OPCODE)
-            if opcode == _OP_STOP:
-                _put_u64(buf, _CTRL_ACK_SEQ, seq)
-                return
-            try:
-                if opcode == _OP_COLLECT:
-                    conn.send(("collect", worker.collect()))
-                else:
-                    total = _u64(buf, _CTRL_IN_COUNT)
-                    spill = _u64(buf, _CTRL_IN_SPILL)
-                    batch = inbound.drain(total - spill)
-                    if spill:
-                        tag, spilled = conn.recv()
-                        assert tag == "spill", tag
-                        batch.extend(spilled)
-                    flags = _u64(buf, _CTRL_FLAGS)
-                    until = _f64(buf, _CTRL_UNTIL) if flags & _FLAG_UNTIL \
-                        else None
-                    out, peek, ran = worker.advance(
-                        until, batch, bool(flags & _FLAG_SELF_DELIVER))
-                    pushed = outbound.push(out)
-                    if pushed < len(out):
-                        conn.send(("spill", out[pushed:]))
-                    _put_f64(buf, _CTRL_PEEK, peek)
-                    _put_u64(buf, _CTRL_RAN, ran)
-                    _put_u64(buf, _CTRL_OUT_COUNT, len(out))
-                    _put_u64(buf, _CTRL_OUT_SPILL, len(out) - pushed)
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
-                _put_u64(buf, _CTRL_STATE, _STATE_ERROR)
-                _put_u64(buf, _CTRL_ACK_SEQ, seq)
-                return
-            # Publish-after-write: the response words above land before
-            # the ack the coordinator polls on.
-            _put_u64(buf, _CTRL_ACK_SEQ, seq)
-            last_seq = seq
-    finally:
-        del inbound, outbound, buf
-        segment.close()
-
-
-class _ShmShard:
-    """Coordinator-side handle for one shared-memory shard worker."""
-
-    def __init__(self, shard_id: int, ring_slots: int, topology_json: str,
-                 plan: ShardPlan, spin_budget: int):
-        size = _CTRL_SIZE + 2 * MessageRing.size_for(ring_slots)
-        self.segment = shared_memory.SharedMemory(create=True, size=size)
-        self.segment.buf[:_CTRL_SIZE] = bytes(_CTRL_SIZE)
-        self.shard_id = shard_id
-        self.inbound = MessageRing(self.segment.buf, ring_slots,
-                                   offset=_CTRL_SIZE)
-        self.outbound = MessageRing(
-            self.segment.buf, ring_slots,
-            offset=_CTRL_SIZE + MessageRing.size_for(ring_slots))
-        self.conn, child_conn = Pipe()
-        self.process = Process(
-            target=_shm_worker_main,
-            args=(self.segment.name, ring_slots, spin_budget, topology_json,
-                  plan.to_payload(), child_conn),
-            daemon=True)
-        self.process.start()
-        child_conn.close()
-        self.seq = 0
-        self.spin_budget = spin_budget
-
-    # -- low-level words --------------------------------------------------
-
-    @property
-    def buf(self):
-        return self.segment.buf
-
-    def fail(self, doing: str) -> RuntimeError:
-        """Turn a worker-side failure into a clean coordinator error."""
-        state = _u64(self.buf, _CTRL_STATE)
-        detail = ""
-        if state == _STATE_ERROR:
-            try:
-                while True:
-                    tag, payload = self.conn.recv()
-                    if tag == "error":
-                        detail = f":\n{payload}"
-                        break
-            except (EOFError, OSError):
-                pass
-            return RuntimeError(
-                f"shard {self.shard_id} worker failed while "
-                f"{doing}{detail}")
-        return RuntimeError(
-            f"shard {self.shard_id} worker process died while {doing} "
-            "(exitcode "
-            f"{self.process.exitcode}); partial batches are never "
-            "published, so no torn data was consumed")
-
-    def wait_word(self, offset: int, value: int, doing: str) -> None:
-        """Spin-then-sleep until ``buf[offset] == value``; raise cleanly
-        if the worker errored or died instead of answering."""
-        spins = 0
-        delay = _SLEEP_FLOOR_S
-        while _u64(self.buf, offset) != value:
-            if _u64(self.buf, _CTRL_STATE) == _STATE_ERROR:
-                raise self.fail(doing)
-            spins += 1
-            if spins > self.spin_budget:
-                if not self.process.is_alive():
-                    raise self.fail(doing)
-                time.sleep(delay)
-                delay = min(delay * 2, _SLEEP_CEIL_S)
-
-    def recv(self, expected_tag: str):
-        tag, payload = self.conn.recv()
-        if tag == "error":
-            raise RuntimeError(
-                f"shard {self.shard_id} worker failed:\n{payload}")
-        assert tag == expected_tag, (tag, expected_tag)
-        return payload
-
-    def release(self) -> None:
-        """Drop ring views and the segment mapping (idempotent)."""
-        self.inbound = self.outbound = None
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        try:
-            self.segment.close()
-            self.segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class SharedMemoryTransport(ShardTransport):
-    """Shared-memory ring transport: one segment per shard holding the
-    barrier/control words plus an inbound and an outbound message ring;
-    a duplex pipe per shard carries init errors, metric payloads, and
-    ring-overflow spills.  See the module docstring for the safety
-    discipline."""
-
-    name = "shm"
-
-    def __init__(self, topology: FleetTopology, plans: Sequence[ShardPlan],
-                 spin_budget: int = DEFAULT_SPIN_BUDGET,
-                 ring_slots: int = DEFAULT_RING_SLOTS):
-        topology_json = topology.canonical()
-        self._shards: list[_ShmShard] = []
-        self._events = 0
-        try:
-            for plan in plans:
-                self._shards.append(_ShmShard(
-                    plan.shard_id, ring_slots, topology_json, plan,
-                    spin_budget))
-            for shard in self._shards:
-                shard.wait_word(_CTRL_STATE, _STATE_READY, "initialising")
-        except BaseException:
-            self.close()
-            raise
-
-    def post(self, shard_id, until_us, inbound, self_deliver=False):
-        shard = self._shards[shard_id]
-        inbound = list(inbound)
-        flags = _FLAG_SELF_DELIVER if self_deliver else 0
-        if until_us is not None:
-            flags |= _FLAG_UNTIL
-            _put_f64(shard.buf, _CTRL_UNTIL, until_us)
-        _put_u64(shard.buf, _CTRL_FLAGS, flags)
-        _put_u64(shard.buf, _CTRL_OPCODE, _OP_ADVANCE)
-        pushed = shard.inbound.push(inbound)
-        _put_u64(shard.buf, _CTRL_IN_COUNT, len(inbound))
-        _put_u64(shard.buf, _CTRL_IN_SPILL, len(inbound) - pushed)
-        if pushed < len(inbound):
-            shard.conn.send(("spill", inbound[pushed:]))
-        shard.seq += 1
-        # Publish-after-write: every command word above is in place
-        # before the sequence bump the worker polls on.
-        _put_u64(shard.buf, _CTRL_COMMAND_SEQ, shard.seq)
-
-    def wait(self, shard_id):
-        shard = self._shards[shard_id]
-        shard.wait_word(_CTRL_ACK_SEQ, shard.seq, "advancing")
-        peek = _f64(shard.buf, _CTRL_PEEK)
-        ran = _u64(shard.buf, _CTRL_RAN)
-        total = _u64(shard.buf, _CTRL_OUT_COUNT)
-        spill = _u64(shard.buf, _CTRL_OUT_SPILL)
-        outbound = shard.outbound.drain(total - spill)
-        if spill:
-            outbound.extend(shard.recv("spill"))
-        return outbound, peek, ran
-
-    def collect_all(self):
-        for shard in self._shards:
-            _put_u64(shard.buf, _CTRL_OPCODE, _OP_COLLECT)
-            shard.seq += 1
-            _put_u64(shard.buf, _CTRL_COMMAND_SEQ, shard.seq)
-        payloads = []
-        for shard in self._shards:
-            payload = shard.recv("collect")
-            shard.wait_word(_CTRL_ACK_SEQ, shard.seq, "collecting")
-            payloads.append(payload)
-        self._events = sum(payload["scheduled_events"] for payload in payloads)
-        return payloads
-
-    def scheduled_events(self):
-        return self._events
-
-    def close(self):
-        for shard in self._shards:
-            try:
-                if shard.process.is_alive():
-                    _put_u64(shard.buf, _CTRL_OPCODE, _OP_STOP)
-                    shard.seq += 1
-                    _put_u64(shard.buf, _CTRL_COMMAND_SEQ, shard.seq)
-            except (ValueError, OSError):
-                pass  # segment already gone
-            shard.process.join(timeout=2.0)
-            if shard.process.is_alive():
-                shard.process.terminate()
-                shard.process.join(timeout=2.0)
-            shard.release()
-        self._shards = []
-
-
-# ---------------------------------------------------------------------------
 # Factory
 # ---------------------------------------------------------------------------
 
 def create_transport(kind: str, topology: FleetTopology,
-                     plans: Sequence[ShardPlan],
-                     spin_budget: int = DEFAULT_SPIN_BUDGET,
-                     ring_slots: int = DEFAULT_RING_SLOTS) -> ShardTransport:
+                     plans: Sequence[ShardPlan]) -> ShardTransport:
     """Build a concrete transport; ``kind`` must already be resolved
-    (``local`` / ``executor`` / ``shm`` -- see
+    (``local`` or ``executor`` -- see
     :meth:`FleetRunConfig.resolve_transport`)."""
     if kind == "local":
         return InProcessTransport(topology, plans)
     if kind == "executor":
         return ExecutorTransport(topology, plans)
-    if kind == "shm":
-        return SharedMemoryTransport(topology, plans,
-                                     spin_budget=spin_budget,
-                                     ring_slots=ring_slots)
     raise ValueError(f"unknown transport {kind!r} "
-                     f"(choose from local, executor, shm)")
+                     f"(choose from local, executor)")
 
 
 def coupling_components(topology: FleetTopology,

@@ -460,8 +460,7 @@ def topology_from_document(document: Any, *, path: str = "fleet"):
 # Run-config documents (the ``run:`` block)
 # ---------------------------------------------------------------------------
 
-_RUN_CONFIG_KEYS = ("shards", "run_ahead", "epoch_us", "transport",
-                    "spin_budget", "processes", "max_epochs")
+_RUN_CONFIG_KEYS = ("shards", "run_ahead", "transport", "max_epochs")
 
 
 def run_config_to_document(config) -> dict:
@@ -480,20 +479,10 @@ def run_config_from_document(document: Any, *, path: str = "run"):
     fields: dict[str, Any] = {}
     for key, value in document.items():
         key_path = f"{path}.{key}"
-        if key in ("shards", "run_ahead", "max_epochs"):
-            fields[key] = _as_positive_int(value, key_path)
-        elif key == "epoch_us":
-            if value is not None:
-                value = _as_number(value, key_path, positive=True)
-            fields[key] = value
-        elif key == "transport":
+        if key == "transport":
             fields[key] = _as_str(value, key_path, choices=TRANSPORTS)
-        elif key == "spin_budget":
-            fields[key] = _as_int(value, key_path, minimum=0)
-        elif key == "processes":
-            if value is not None:
-                value = _as_bool(value, key_path)
-            fields[key] = value
+        else:
+            fields[key] = _as_positive_int(value, key_path)
     try:
         return FleetRunConfig(**fields)
     except ValueError as error:
@@ -646,8 +635,7 @@ def cell_from_document(document: Any, *, path: str = "cell"):
         elif key in ("io_size", "queue_depth"):
             fields[key] = _as_positive_int(value, key_path)
         elif key in ("io_count", "total_bytes",
-                     "ssd_capacity_bytes", "essd_capacity_bytes",
-                     "fleet_shards"):
+                     "ssd_capacity_bytes", "essd_capacity_bytes"):
             if value is not None:
                 value = _as_positive_int(value, key_path)
             fields[key] = value

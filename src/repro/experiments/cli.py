@@ -18,10 +18,10 @@ prints a metrics table, and optionally saves the whole sweep to ``--out``;
 (:mod:`repro.cluster`) with the same result caching: every
 ``--shards`` / ``--transport`` / ``--run-ahead`` combination produces
 bit-identical fleet metrics (so none of them enters the cache key).
-Execution knobs merge into one :class:`repro.cluster.FleetRunConfig`:
-``--transport`` / ``--spin-budget`` override a document's ``run:`` block,
-while the deprecated ``--shards`` / ``--run-ahead`` / ``--epoch-us``
-aliases error (path-addressed, exit 2) when they contradict it. ``diff``
+Execution flags fill one :class:`repro.cluster.FleetRunConfig`.  On
+``run`` and ``fleet``, a flag that differs from the same field in a
+document's ``run:`` block is an error (path-addressed, exit 2); on
+``fleet``, ``--serial`` counts as ``--transport local``.  ``diff``
 compares two saved sweeps cell-by-cell.
 """
 
@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.cluster.transport import TRANSPORTS
 from repro.experiments import runner as paper_runner  # noqa: F401  (registers run_all)
 from repro.experiments import table1
 from repro.experiments.common import format_table
@@ -133,45 +134,35 @@ def _resolve_scenario(target: str):
         raise ValueError(error.args[0]) from None
 
 
-#: Deprecated-alias CLI flags that shadow FleetRunConfig fields.  When a
-#: scenario document's ``run:`` block sets the same field to a *different*
-#: value, the run is ambiguous and the CLI refuses it (exit 2) instead of
-#: silently picking a side.
-_FLEET_ALIAS_FLAGS = (("shards", "--shards"),
-                      ("run_ahead", "--run-ahead"),
-                      ("epoch_us", "--epoch-us"))
+def _cli_fleet_flags(args, serial_is_local: bool = False) -> dict:
+    """Explicitly set fleet-execution CLI flags, as ``FleetRunConfig``
+    field -> ``(flag as typed, value)``.
 
-
-def _alias_conflict(cell, args) -> Optional[str]:
-    """Path-addressed message for a CLI-flag / document ``run:`` clash."""
-    document = dict(cell.fleet_run)
-    for field, flag in _FLEET_ALIAS_FLAGS:
-        cli_value = getattr(args, field, None)
-        if cli_value is None or field not in document:
-            continue
-        if document[field] == cli_value:
-            continue
-        return (f"run.{field}: {flag} {cli_value} contradicts the scenario "
-                f"document's run.{field} = {document[field]} (drop the "
-                f"deprecated flag or edit the document)")
-    return None
-
-
-def _cli_fleet_overrides(args, serial_is_local: bool = False) -> dict:
-    """Explicitly-set fleet-execution CLI flags as FleetRunConfig fields.
-
-    ``serial_is_local`` is the ``fleet`` verb's reading of ``--serial``
-    (keep shards in-process); ``run``/``serve`` use ``--serial`` for the
-    sweep pool instead, so they leave fleet transport resolution alone.
+    ``serial_is_local`` is the ``fleet`` verb's reading of ``--serial``:
+    it counts as ``--transport local`` (keep shards in-process).
+    ``run``/``serve`` use ``--serial`` for the sweep pool instead.
     """
-    overrides = {}
-    for field in ("shards", "run_ahead", "transport", "spin_budget"):
+    flags = {}
+    for field in ("shards", "run_ahead", "transport"):
         value = getattr(args, field, None)
         if value is not None:
-            overrides[field] = value
-    if serial_is_local and getattr(args, "serial", False):
-        overrides["processes"] = False
-    return overrides
+            flags[field] = (f"--{field.replace('_', '-')} {value}", value)
+    if serial_is_local and args.serial:
+        flags["transport"] = ("--serial", "local")
+    return flags
+
+
+def _run_block_conflict(cell, flags: dict) -> Optional[str]:
+    """Path-addressed message when a CLI flag differs from the same field
+    of the scenario document's ``run:`` block (the run is ambiguous, so
+    the CLI refuses it instead of silently picking a side)."""
+    document = dict(cell.fleet_run)
+    for field, (flag, value) in flags.items():
+        if field in document and document[field] != value:
+            return (f"run.{field}: {flag} contradicts the scenario "
+                    f"document's run.{field} = {document[field]} (drop the "
+                    f"flag or edit the document)")
+    return None
 
 
 def _cmd_run(args) -> int:
@@ -194,14 +185,15 @@ def _cmd_run(args) -> int:
     if not cells:
         print(f"scenario {spec.name!r} has no cells")
         return 1
+    flags = _cli_fleet_flags(args)
     for cell in cells:
-        conflict = _alias_conflict(cell, args)
+        conflict = _run_block_conflict(cell, flags)
         if conflict:
             print(f"error: {conflict}", file=sys.stderr)
             return 2
     from repro.cluster import FleetRunConfig
 
-    overrides = _cli_fleet_overrides(args)
+    overrides = {field: value for field, (_, value) in flags.items()}
     try:
         fleet_config = FleetRunConfig(**overrides) if overrides else None
     except ValueError as error:
@@ -278,7 +270,8 @@ def _cmd_fleet(args) -> int:
         print(f"error: --serial contradicts --transport {args.transport} "
               f"(drop one)", file=sys.stderr)
         return 2
-    cli_overrides = _cli_fleet_overrides(args, serial_is_local=True)
+    flags = _cli_fleet_flags(args, serial_is_local=True)
+    cli_overrides = {field: value for field, (_, value) in flags.items()}
     reports = []
     fault_changes = {}
     if args.faults is not None:
@@ -307,7 +300,7 @@ def _cmd_fleet(args) -> int:
             name, _, mode = entry.partition("=")
             macro_modes[name] = mode or "macro"
     for cell in fleet_cells:
-        conflict = _alias_conflict(cell, args)
+        conflict = _run_block_conflict(cell, flags)
         if conflict:
             print(f"error: {conflict}", file=sys.stderr)
             return 2
@@ -491,7 +484,8 @@ def _cmd_serve(args) -> int:
     _print_scan_warnings()
     from repro.cluster import FleetRunConfig
 
-    overrides = _cli_fleet_overrides(args)
+    overrides = {field: value
+                 for field, (_, value) in _cli_fleet_flags(args).items()}
     try:
         fleet_config = FleetRunConfig(**overrides) if overrides else None
     except ValueError as error:
@@ -627,10 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="shard count applied to fleet cells "
                                  "(nested inside the sweep pool); errors if "
                                  "a document's run: block disagrees")
-    run_parser.add_argument("--transport", default=None,
-                            choices=["auto", "local", "executor", "shm"],
+    run_parser.add_argument("--transport", default=None, choices=TRANSPORTS,
                             help="shard transport for fleet cells (default "
-                                 "auto: shared memory on multi-core hosts)")
+                                 "auto: local at one shard, else executor); "
+                                 "errors if a document's run: block "
+                                 "disagrees")
     run_parser.add_argument("--cache-dir", default=None,
                             help="result-cache directory (default: "
                                  "$REPRO_SWEEP_CACHE or .sweep-cache)")
@@ -649,23 +644,18 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument("scenario")
     fleet_parser.add_argument("--shards", type=int, default=None,
                               help="shard-simulator count (default 1: the "
-                                   "serial reference path); deprecated "
-                                   "alias for a run: block / FleetRunConfig "
-                                   "-- errors if a document disagrees")
+                                   "serial reference path); errors if a "
+                                   "document's run: block disagrees")
     fleet_parser.add_argument("--serial", action="store_true",
                               help="keep all shards in-process (no worker "
-                                   "processes), whatever --shards says")
-    fleet_parser.add_argument("--transport", default=None,
-                              choices=["auto", "local", "executor", "shm"],
-                              help="shard transport: shm (shared-memory "
-                                   "rings), executor (pickle/executor "
-                                   "baseline), local (in-process), or auto "
-                                   "(default: shm when multi-core worker "
-                                   "processes are in play)")
-    fleet_parser.add_argument("--spin-budget", type=int, default=None,
-                              help="shm transport: hot-spin iterations "
-                                   "before a waiter starts sleeping "
-                                   "(default 2000)")
+                                   "processes), whatever --shards says; "
+                                   "counts as --transport local")
+    fleet_parser.add_argument("--transport", default=None, choices=TRANSPORTS,
+                              help="shard transport: executor (one worker "
+                                   "process per shard), local (in-process), "
+                                   "or auto (default: local at one shard, "
+                                   "else executor); errors if a document's "
+                                   "run: block disagrees")
     fleet_parser.add_argument("--epoch-us", type=float, default=None,
                               help="override the topology's conservative "
                                    "synchronization window")
@@ -686,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument("--run-ahead", type=int, default=None,
                               help="epochs granted per coordinator task for "
                                    "self-contained shards (default 16; 1 "
-                                   "restores per-epoch barriers)")
+                                   "restores per-epoch barriers); errors if "
+                                   "a document's run: block disagrees")
     fleet_parser.add_argument("--cache-dir", default=None,
                               help="result-cache directory (default: "
                                    "$REPRO_SWEEP_CACHE or .sweep-cache)")
@@ -747,10 +738,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--workers", type=int, default=None,
                               help="sweep worker-process count")
     serve_parser.add_argument("--shards", type=int, default=None,
-                              help="shard count applied to fleet cells")
-    serve_parser.add_argument("--transport", default=None,
-                              choices=["auto", "local", "executor", "shm"],
-                              help="shard transport for fleet cells")
+                              help="shard count applied to fleet cells; a "
+                                   "submitted document's run: block wins")
+    serve_parser.add_argument("--transport", default=None, choices=TRANSPORTS,
+                              help="shard transport for fleet cells; a "
+                                   "submitted document's run: block wins")
     serve_parser.set_defaults(func=_cmd_serve)
 
     submit_parser = sub.add_parser(

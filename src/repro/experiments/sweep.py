@@ -175,17 +175,13 @@ class CellSpec:
     #: flips.  Part of the cache key -- a different fault schedule is a
     #: different experiment.
     faults: Optional[str] = None
-    #: Shard count for fleet cells (``SweepRunner(fleet_shards=...)`` /
-    #: ``run --shards``): >1 nests cluster-level sharding inside the sweep
-    #: pool's cell-level parallelism.  Excluded from the cache key --
-    #: sharded runs are bit-identical to serial ones, so any layout may
-    #: serve a cached result.
-    fleet_shards: int = 1
     #: Fleet execution knobs as the sorted non-default pairs of a
     #: :class:`repro.cluster.FleetRunConfig` (``run:`` block in documents,
-    #: ``SweepRunner(fleet_config=...)``).  Supersedes ``fleet_shards``
-    #: (kept as a deprecated alias).  Excluded from the cache key like
-    #: ``fleet_shards``: every transport/layout is bit-identical.
+    #: ``SweepRunner(fleet_config=...)``, ``run --shards``): more than one
+    #: shard nests cluster-level sharding inside the sweep pool's
+    #: cell-level parallelism.  Excluded from the cache key: every
+    #: transport and layout is bit-identical, so any of them may serve a
+    #: cached result.
     fleet_run: tuple = ()
     #: Free-form labels carried through to the result (not part of the job).
     labels: tuple = ()
@@ -216,15 +212,11 @@ class CellSpec:
         return cls(**data)
 
     def run_config(self):
-        """The cell's :class:`repro.cluster.FleetRunConfig`: ``fleet_run``
-        pairs, with the deprecated ``fleet_shards`` alias folded in when
-        the pairs do not set a shard count themselves."""
+        """The cell's :class:`repro.cluster.FleetRunConfig` (its
+        ``fleet_run`` pairs)."""
         from repro.cluster import FleetRunConfig
 
-        config = FleetRunConfig.from_pairs(self.fleet_run)
-        if self.fleet_shards > 1 and "shards" not in dict(self.fleet_run):
-            config = config.merged(shards=self.fleet_shards)
-        return config
+        return FleetRunConfig.from_pairs(self.fleet_run)
 
     def stream_specs(self) -> list[tuple[str, dict[str, Any]]]:
         """The streams as ``(name, overrides-dict)`` pairs (run order)."""
@@ -248,18 +240,12 @@ class CellSpec:
     def cache_key(self) -> str:
         # Labels are cosmetic (display/lookup only); excluding them keeps the
         # cache warm across label renames and lets diff_results align cells
-        # with identical physics.  fleet_shards / fleet_run are execution
-        # details: the cluster layer guarantees bit-identical metrics for
-        # every layout and transport.
+        # with identical physics.  fleet_run is an execution detail: the
+        # cluster layer guarantees bit-identical metrics for every layout
+        # and transport.
         payload = self.to_payload()
         payload.pop("labels")
-        payload.pop("fleet_shards")
-        run_pairs = dict(tuple(pair) for pair in payload.pop("fleet_run"))
-        if "epoch_us" in run_pairs:
-            # The one fleet_run field that is physics, not layout: the
-            # coordinator rescales the topology's synchronization grid, so
-            # a different epoch is a different experiment.
-            payload["epoch_us_override"] = run_pairs["epoch_us"]
+        payload.pop("fleet_run")
         return spec_hash({"version": CACHE_VERSION,
                           "models": model_fingerprint(),
                           "cell": payload})
@@ -406,11 +392,10 @@ def fleet_cell_metrics(payload: Mapping[str, Any]) -> dict[str, Any]:
 def _run_fleet_cell(cell: CellSpec) -> dict[str, Any]:
     """Execute a fleet cell through the cluster layer.
 
-    ``cell.run_config()`` (the ``fleet_run`` pairs, with the deprecated
-    ``fleet_shards`` alias folded in) picks the shard count, transport,
-    and run-ahead window.  The default runs the fleet in one in-process
-    shard -- the sweep pool already parallelises across cells.  Sharded
-    cells nest dedicated worker processes *inside* the pool worker
+    ``cell.run_config()`` (the ``fleet_run`` pairs) picks the shard count,
+    transport, and run-ahead window.  The default runs the fleet in one
+    in-process shard -- the sweep pool already parallelises across cells.
+    Sharded cells nest dedicated worker processes *inside* the pool worker
     (``ProcessPoolExecutor`` workers are non-daemonic, so both levels of
     parallelism nest); results are bit-identical for every layout and
     transport.
@@ -781,47 +766,32 @@ class SweepRunner:
     fleet_config:
         A :class:`repro.cluster.FleetRunConfig` applied to every fleet
         cell (nested inside the sweep pool's cell-level parallelism).
-        Fields a cell's own ``fleet_run`` pairs set win over the runner's.
-        Metrics are bit-identical for every layout and transport, so
-        caching is unaffected.
-    fleet_shards:
-        Deprecated alias for ``fleet_config=FleetRunConfig(shards=N)``.
+        Fields a cell's own ``fleet_run`` pairs set (a document's ``run:``
+        block) win over the runner's.  Metrics are bit-identical for every
+        layout and transport, so caching is unaffected.
     """
 
     def __init__(self, parallel: bool = False, max_workers: Optional[int] = None,
                  cache_dir: Optional[str | Path] = None, force: bool = False,
-                 fleet_shards: int = 1, fleet_config=None):
+                 fleet_config=None):
         self.parallel = parallel
         self.max_workers = max_workers
         self.cache = SweepCache(cache_dir) if cache_dir is not None else None
         self.force = force
-        self.fleet_shards = fleet_shards
         self.fleet_config = fleet_config
-
-    def _fleet_pairs(self) -> tuple:
-        """The runner-level ``fleet_run`` pairs: ``fleet_config`` plus the
-        deprecated ``fleet_shards`` alias (explicit config wins)."""
-        pairs = {} if self.fleet_config is None \
-            else dict(self.fleet_config.to_pairs())
-        if self.fleet_shards > 1:
-            pairs.setdefault("shards", self.fleet_shards)
-        return tuple(sorted(pairs.items()))
 
     def run_cells(self, scenario: str, cells: Sequence[CellSpec]) -> SweepResult:
         """Run (or load from cache) every cell and return the sweep result."""
-        runner_pairs = self._fleet_pairs()
+        runner_pairs = () if self.fleet_config is None \
+            else self.fleet_config.to_pairs()
         if runner_pairs:
             # Per-cell pairs (from a document's run: block) win field by
-            # field over the runner-level config.  The deprecated
-            # fleet_shards field mirrors the merged shard count so
-            # pre-transport callers keep seeing it.
+            # field over the runner-level config.
             def apply_runner_config(cell: CellSpec) -> CellSpec:
                 if cell.fleet is None:
                     return cell
                 merged = {**dict(runner_pairs), **dict(cell.fleet_run)}
-                return replace(
-                    cell, fleet_run=tuple(sorted(merged.items())),
-                    fleet_shards=merged.get("shards", cell.fleet_shards))
+                return replace(cell, fleet_run=tuple(sorted(merged.items())))
 
             cells = [apply_runner_config(cell) for cell in cells]
         result = SweepResult(scenario=scenario)

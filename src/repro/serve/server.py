@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import os
 import socket
 import threading
 from pathlib import Path
@@ -77,10 +76,11 @@ class ExperimentServer:
     :meth:`start`).  ``max_pending`` bounds the *queued* (not yet running)
     jobs; submissions beyond it are rejected with a reason.  ``job_workers``
     is the number of concurrently running jobs.  Runner knobs (``parallel``,
-    ``sweep_workers``, ``cache_dir``, ``fleet_config`` -- with
-    ``fleet_shards`` as its deprecated shard-count alias) mirror the batch
-    CLI's flags; ``cache_dir=None`` resolves ``$REPRO_SWEEP_CACHE`` exactly
-    like ``run``/``fleet`` do.
+    ``sweep_workers``, ``cache_dir``, ``fleet_config``) mirror the batch
+    CLI's flags; as in :class:`~repro.experiments.sweep.SweepRunner`, a
+    submitted document's ``run:`` block wins over ``fleet_config``.
+    ``cache_dir=None`` resolves ``$REPRO_SWEEP_CACHE`` exactly like
+    ``run``/``fleet`` do.
     """
 
     def __init__(self, socket_path: Optional[Union[str, Path]] = None,
@@ -88,8 +88,7 @@ class ExperimentServer:
                  max_pending: int = 8, job_workers: int = 1,
                  cache_dir: Optional[Union[str, Path]] = None,
                  no_cache: bool = False, parallel: bool = False,
-                 sweep_workers: Optional[int] = None, fleet_shards: int = 1,
-                 fleet_config=None):
+                 sweep_workers: Optional[int] = None, fleet_config=None):
         if (socket_path is None) == (port is None):
             raise ValueError("pass exactly one of socket_path / port")
         if max_pending < 0:
@@ -104,7 +103,6 @@ class ExperimentServer:
             "max_workers": sweep_workers,
             "cache_dir": None if no_cache else cache_dir,
             "no_cache": no_cache,
-            "fleet_shards": fleet_shards,
             "fleet_config": fleet_config,
         }
         self._stop = threading.Event()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     FaultPolicy,
-    FleetCoordinator,
+    FleetRunConfig,
     FleetTopology,
     ShardWorker,
     edge,
@@ -16,6 +16,7 @@ from repro.cluster import (
     fleet,
     group,
     partition_topology,
+    run_fleet,
     run_fleet_serial,
     tenant,
 )
@@ -126,14 +127,14 @@ def test_serial_and_sharded_runs_are_bit_identical():
     topology = mini_fleet()
     serial = run_fleet_serial(topology)
     for shards in (2, 3):
-        sharded = FleetCoordinator(shards=shards, processes=False).run(topology)
+        sharded = run_fleet(topology, shards=shards, transport="local")
         assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
             json.dumps(strip_runtime(serial), sort_keys=True)
 
 
 def test_shards_1_is_the_serial_path():
     topology = mini_fleet()
-    one = FleetCoordinator(shards=1, processes=False).run(topology)
+    one = run_fleet(topology, shards=1, transport="local")
     serial = run_fleet_serial(topology)
     assert json.dumps(strip_runtime(one), sort_keys=True) == \
         json.dumps(strip_runtime(serial), sort_keys=True)
@@ -142,7 +143,7 @@ def test_shards_1_is_the_serial_path():
 def test_process_mode_matches_in_process():
     topology = mini_fleet()
     serial = run_fleet_serial(topology)
-    processed = FleetCoordinator(shards=2, processes=True).run(topology)
+    processed = run_fleet(topology, shards=2, transport="executor")
     assert json.dumps(strip_runtime(processed), sort_keys=True) == \
         json.dumps(strip_runtime(serial), sort_keys=True)
     assert processed["runtime"]["mode"] == "processes"
@@ -195,7 +196,7 @@ def test_replication_spanning_many_epochs_delivers_every_write():
     serial = run_fleet_serial(topology)
     assert serial["runtime"]["epochs"] > 10  # genuinely multi-epoch
     assert serial["groups"]["mirror"]["replica_writes"] == 2 * 200
-    sharded = FleetCoordinator(shards=3, processes=False).run(topology)
+    sharded = run_fleet(topology, shards=3, transport="local")
     assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
         json.dumps(strip_runtime(serial), sort_keys=True)
 
@@ -225,7 +226,7 @@ def test_split_replication_target_group_keeps_replica_stats_identical():
         owners = {plan.shard_id for plan in plans
                   if set(plan.device_indices) & mirror}
         assert len(owners) > 1, "topology no longer splits the target group"
-        sharded = FleetCoordinator(shards=shards, processes=False).run(topology)
+        sharded = run_fleet(topology, shards=shards, transport="local")
         assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
             json.dumps(strip_runtime(serial), sort_keys=True)
 
@@ -245,7 +246,7 @@ def test_fleet_without_edges_skips_the_barrier_loop():
         tenants=[tenant("t", "g", pattern="randwrite", io_size=4096,
                         io_count=10)])
     serial = run_fleet_serial(topology)
-    sharded = FleetCoordinator(shards=3, processes=False).run(topology)
+    sharded = run_fleet(topology, shards=3, transport="local")
     assert serial["runtime"]["epochs"] == 0
     assert json.dumps(strip_runtime(serial), sort_keys=True) == \
         json.dumps(strip_runtime(sharded), sort_keys=True)
@@ -264,7 +265,7 @@ def test_trace_tenants_replay_open_loop_and_stay_layout_independent():
                         io_size=16384)],
         seed=9)
     serial = run_fleet_serial(topology)
-    sharded = FleetCoordinator(shards=3, processes=False).run(topology)
+    sharded = run_fleet(topology, shards=3, transport="local")
     assert json.dumps(strip_runtime(serial), sort_keys=True) == \
         json.dumps(strip_runtime(sharded), sort_keys=True)
     arrivals = serial["tenants"]["arrivals"]
@@ -377,21 +378,21 @@ def test_sweep_runner_passes_shards_down_to_fleet_cells(tmp_path):
     spec = _register_mini_scenario()
     cells = spec.cells()[:1]
     serial = SweepRunner().run_cells(spec.name, cells)
-    sharded = SweepRunner(parallel=True, fleet_shards=2,
+    sharded = SweepRunner(parallel=True, fleet_config=FleetRunConfig(shards=2),
                           cache_dir=None).run_cells(spec.name, cells)
     assert serial.outcomes[0].metrics == sharded.outcomes[0].metrics
     # The shard count is an execution detail: same cache key either way.
     assert cells[0].cache_key() == \
         sharded.outcomes[0].cell.cache_key()
-    assert sharded.outcomes[0].cell.fleet_shards == 2
+    assert dict(sharded.outcomes[0].cell.fleet_run)["shards"] == 2
 
 
 def test_coordinator_run_ahead_values_are_bit_identical():
     topology = mini_fleet()
     reference = run_fleet_serial(topology)
     for shards, run_ahead in ((1, 1), (2, 4), (3, 1), (3, 64)):
-        payload = FleetCoordinator(shards=shards, processes=False,
-                                   run_ahead=run_ahead).run(topology)
+        payload = run_fleet(topology, shards=shards, transport="local",
+                            run_ahead=run_ahead)
         assert json.dumps(strip_runtime(payload), sort_keys=True) == \
             json.dumps(strip_runtime(reference), sort_keys=True), \
             (shards, run_ahead)
@@ -401,10 +402,10 @@ def test_batched_coordination_cuts_tasks_per_busy_epoch():
     """Self-contained shards get multi-epoch grants: coordinator rounds
     drop from one per busy epoch to one per run-ahead window."""
     topology = mini_fleet()
-    per_epoch = FleetCoordinator(shards=2, processes=False,
-                                 run_ahead=1).run(topology)
-    batched = FleetCoordinator(shards=2, processes=False,
-                               run_ahead=64).run(topology)
+    per_epoch = run_fleet(topology, shards=2, transport="local",
+                          run_ahead=1)
+    batched = run_fleet(topology, shards=2, transport="local",
+                        run_ahead=64)
     assert per_epoch["runtime"]["batched"]
     assert batched["runtime"]["batched"]
     assert per_epoch["runtime"]["coordinator_rounds"] == \
@@ -508,8 +509,8 @@ def test_random_fault_schedules_stay_layout_independent(
     reference = json.dumps(strip_runtime(run_fleet_serial(topology)),
                            sort_keys=True)
     for shards, run_ahead in ((2, 1), (2, 16), (4, 4)):
-        payload = FleetCoordinator(shards=shards, processes=False,
-                                   run_ahead=run_ahead).run(topology)
+        payload = run_fleet(topology, shards=shards, transport="local",
+                            run_ahead=run_ahead)
         assert json.dumps(strip_runtime(payload), sort_keys=True) == \
             reference, (shards, run_ahead)
 
@@ -529,6 +530,6 @@ def test_faulted_fleet_is_bit_identical_across_shard_counts():
     assert serial["faults"]["rebuild_writes"] > 0
     reference = json.dumps(strip_runtime(serial), sort_keys=True)
     for shards in (2, 3, 4):
-        sharded = FleetCoordinator(shards=shards, processes=False).run(topology)
+        sharded = run_fleet(topology, shards=shards, transport="local")
         assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
             reference, shards

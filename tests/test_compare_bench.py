@@ -9,7 +9,7 @@ from benchmarks import compare_bench
 
 def write_artifacts(directory, batched_tasks=40.0, task_cut=11.0,
                     macro_errs=(0.01, 0.03, 0.04), macro_speedup=50.0,
-                    shm_speedup_2=1.5, shm_efficiency_4=0.8,
+                    speedup_2=1.5, efficiency_4=0.8,
                     scaling_informational=False):
     (directory / "BENCH_fleet.json").write_text(json.dumps({
         "coordination": {
@@ -17,14 +17,14 @@ def write_artifacts(directory, batched_tasks=40.0, task_cut=11.0,
             "variants": {"batched": {"tasks_per_sim_second": batched_tasks}},
         },
         "shards": {
-            "2": {"by_transport": {"shm": {
-                "speedup_vs_serial": shm_speedup_2,
+            "2": {
+                "speedup_vs_serial": speedup_2,
                 "scaling_informational": scaling_informational,
-            }}},
-            "4": {"by_transport": {"shm": {
-                "scaling_efficiency": shm_efficiency_4,
+            },
+            "4": {
+                "scaling_efficiency": efficiency_4,
                 "scaling_informational": scaling_informational,
-            }}},
+            },
         },
     }))
     p50_err, p95_err, throughput_err = macro_errs
@@ -147,12 +147,12 @@ def test_scaling_floor_gates_capable_hosts(dirs):
     write_artifacts(baseline)
     # A multi-core host (informational flag off) that lost its scaling:
     # efficiency 0.4 is below the 0.7 floor.
-    write_artifacts(current, shm_efficiency_4=0.4)
+    write_artifacts(current, efficiency_4=0.4)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 1
     bad = [row for row in rows if row["status"] == "BELOW-FLOOR"]
     assert len(bad) == 1
-    assert bad[0]["metric"].endswith("shm.scaling_efficiency")
+    assert bad[0]["metric"] == "shards.4.scaling_efficiency"
 
 
 def test_scaling_floor_is_informational_on_small_hosts(dirs):
@@ -160,8 +160,8 @@ def test_scaling_floor_is_informational_on_small_hosts(dirs):
     write_artifacts(baseline)
     # The same terrible numbers, but the artifact says cpu_count < shards:
     # the floor reports info-only instead of failing the 1-core runner.
-    write_artifacts(current, shm_efficiency_4=0.1,
-                    shm_speedup_2=0.3, scaling_informational=True)
+    write_artifacts(current, efficiency_4=0.1,
+                    speedup_2=0.3, scaling_informational=True)
     rows, regressions = compare_bench.compare(baseline, current, 0.10)
     assert regressions == 0
     info = [row for row in rows if row["status"] == "info-only"]

@@ -18,6 +18,7 @@ from repro.config import (
     document_kind,
     load_document,
     parse_document_text,
+    run_config_from_document,
     scan_scenario_dirs,
     scenario_for_document,
     scenario_from_document,
@@ -249,6 +250,21 @@ class TestScenarioDocuments:
         with pytest.raises(ConfigError) as excinfo:
             cell_from_document({"pattern": "randread"})
         assert "device" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# Run blocks
+# ---------------------------------------------------------------------------
+
+class TestRunBlock:
+    @pytest.mark.parametrize("key, value", [("processes", True),
+                                            ("spin_budget", 50),
+                                            ("epoch_us", 500.0)])
+    def test_removed_keys_are_unknown(self, key, value):
+        with pytest.raises(ConfigError) as excinfo:
+            run_config_from_document({"shards": 2, key: value})
+        assert excinfo.value.path == f"run.{key}"
+        assert "unknown key" in excinfo.value.message
 
 
 # ---------------------------------------------------------------------------

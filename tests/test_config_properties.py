@@ -124,15 +124,8 @@ def run_configs(draw) -> FleetRunConfig:
     if draw(st.booleans()):
         fields["run_ahead"] = draw(st.integers(min_value=1, max_value=64))
     if draw(st.booleans()):
-        fields["epoch_us"] = draw(st.sampled_from([250.0, 500.0, 1000.0]))
-    if draw(st.booleans()):
         fields["transport"] = draw(st.sampled_from(
-            ["auto", "local", "executor", "shm"]))
-    if draw(st.booleans()):
-        fields["spin_budget"] = draw(st.integers(min_value=0,
-                                                 max_value=10_000))
-    if draw(st.booleans()):
-        fields["processes"] = draw(st.booleans())
+            ["auto", "local", "executor"]))
     if draw(st.booleans()):
         fields["max_epochs"] = draw(st.integers(min_value=1_000,
                                                 max_value=10**6))

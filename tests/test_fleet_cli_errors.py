@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import fleet, group, tenant
 from repro.experiments.cli import main as cli_main
-from repro.experiments.scenarios import register, scenario
+from repro.experiments.scenarios import get_scenario, register, scenario
 from repro.experiments.sweep import SweepResult, SweepRunner, diff_results
 
 MINI_CAPACITY = 1 << 24
@@ -136,6 +136,62 @@ def test_invalid_document_path_is_a_clean_error(verb, tmp_path, capsys):
     assert "error:" in captured.err
     assert "groups[0].count: expected positive int" in captured.err
     assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Execution flags vs a document's run: block (one rule on run and fleet)
+# ---------------------------------------------------------------------------
+
+def run_block_document(tmp_path, **run) -> str:
+    """The fleet-smoke scenario as a document whose ``run:`` block sets
+    ``shards: 2`` plus ``run``."""
+    document = get_scenario("fleet-smoke").to_document()
+    document["run"] = {"shards": 2, **run}
+    path = tmp_path / "fleet-smoke-run.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def assert_run_block_conflict(capsys, argv, needle):
+    assert cli_main([*argv, "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {needle} contradicts the scenario document" \
+        in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_run_transport_flag_contradicting_document_is_an_error(tmp_path,
+                                                               capsys):
+    # On run, --serial only keeps the sweep pool in-process; --transport
+    # still has to agree with the document.
+    path = run_block_document(tmp_path, transport="local")
+    assert_run_block_conflict(
+        capsys, ["run", path, "--serial", "--transport", "executor"],
+        "run.transport: --transport executor")
+
+
+def test_fleet_serial_contradicting_document_transport_is_an_error(
+        tmp_path, capsys):
+    # On fleet, --serial counts as --transport local.
+    path = run_block_document(tmp_path, transport="executor")
+    assert_run_block_conflict(capsys, ["fleet", path, "--serial"],
+                              "run.transport: --serial")
+
+
+def test_fleet_transport_flag_contradicting_document_is_an_error(tmp_path,
+                                                                 capsys):
+    path = run_block_document(tmp_path, transport="local")
+    assert_run_block_conflict(capsys,
+                              ["fleet", path, "--transport", "executor"],
+                              "run.transport: --transport executor")
+
+
+@pytest.mark.parametrize("verb", ["run", "fleet"])
+def test_shards_flag_contradicting_document_is_an_error(verb, tmp_path,
+                                                        capsys):
+    path = run_block_document(tmp_path)
+    assert_run_block_conflict(capsys, [verb, path, "--shards", "3"],
+                              "run.shards: --shards 3")
 
 
 # ---------------------------------------------------------------------------

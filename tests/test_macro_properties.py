@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
-    FleetCoordinator,
     fleet,
     group,
+    run_fleet,
     run_fleet_serial,
     tenant,
 )
@@ -107,4 +107,4 @@ def test_macro_runs_are_deterministic_and_layout_independent(
 
     serial = canonical(run_fleet_serial(topology))
     assert serial == canonical(run_fleet_serial(topology))
-    assert serial == canonical(FleetCoordinator(shards=shards).run(topology))
+    assert serial == canonical(run_fleet(topology, shards=shards))

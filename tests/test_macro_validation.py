@@ -19,12 +19,12 @@ import pytest
 
 from repro.cluster import (
     FaultPolicy,
-    FleetCoordinator,
     FleetTopology,
     edge,
     fault,
     fleet,
     group,
+    run_fleet,
     run_fleet_serial,
     tenant,
 )
@@ -202,7 +202,7 @@ def mixed_mode_fleet(**changes) -> FleetTopology:
 def test_mixed_macro_fleet_is_bit_identical_across_layouts(shards):
     topology = mixed_mode_fleet()
     serial = run_fleet_serial(topology)
-    sharded = FleetCoordinator(shards=shards).run(topology)
+    sharded = run_fleet(topology, shards=shards)
     assert canonical(serial) == canonical(sharded)
     # Replica byte conservation across the aggregate boundary: dst receives
     # exactly replication_factor x the macro source's writes.
@@ -212,7 +212,7 @@ def test_mixed_macro_fleet_is_bit_identical_across_layouts(shards):
 
 def test_macro_group_is_never_split_across_shards():
     topology = mixed_mode_fleet()
-    payload = FleetCoordinator(shards=4).run(topology)
+    payload = run_fleet(topology, shards=4)
     partition = payload["runtime"]["partition"]
     for indices in (topology.group_indices("src"),
                     topology.group_indices("back")):
@@ -249,7 +249,7 @@ def faulted_macro_fleet() -> FleetTopology:
 def test_faulted_macro_fleet_sheds_rebuilds_and_stays_deterministic():
     topology = faulted_macro_fleet()
     serial = run_fleet_serial(topology)
-    sharded = FleetCoordinator(shards=2).run(topology)
+    sharded = run_fleet(topology, shards=2)
     assert canonical(serial) == canonical(sharded)
 
     faults = serial["faults"]

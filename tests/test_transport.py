@@ -2,28 +2,26 @@
 
 Three layers of coverage:
 
-* The ``MessageRing`` wire format in isolation: wraparound, overflow
-  spill accounting, torn/missing-write detection, and a hypothesis
-  property that any interleaving of batched sends drains in the exact
-  send order regardless of ring size.
-* ``SharedMemoryTransport`` process machinery: forced overflow spills
-  (one-slot rings), crashed-worker detection, and clean teardown.
-* The cross-transport contract: serial, executor, and shared-memory
+* ``FleetRunConfig``: validation, overrides, ``auto`` resolution and the
+  pairs form.
+* ``ExecutorTransport`` process machinery: a dead or failing worker is
+  reported by shard name, and teardown leaves no worker process behind.
+* The cross-transport contract: serial, in-process sharded and executor
   runs of the same topology -- including faults, spares, and macro
   groups -- must produce bit-identical metrics payloads.
 """
 
+import dataclasses
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import (
-    FleetCoordinator,
+    ExecutorTransport,
     FleetRunConfig,
-    SharedMemoryTransport,
     edge,
     fault,
     fleet,
@@ -33,14 +31,8 @@ from repro.cluster import (
     run_fleet_serial,
     tenant,
 )
-from repro.cluster.shard import ReplicaMessage
-from repro.cluster.transport import (
-    MessageRing,
-    coupling_components,
-    create_transport,
-    decode_message,
-    encode_message,
-)
+from repro.cluster.shard import ShardPlan
+from repro.cluster.transport import TRANSPORTS, coupling_components
 
 MINI_CAPACITY = 1 << 24
 
@@ -110,106 +102,13 @@ def strip_runtime(payload: dict) -> dict:
     return {key: value for key, value in payload.items() if key != "runtime"}
 
 
-def message(seq: int, kind: str = "replica") -> ReplicaMessage:
-    return ReplicaMessage(
-        delivery_us=200.0 * (seq // 3 + 1), target_index=seq % 7,
-        offset=seq * 4096, size=4096, origin_index=seq % 3, origin_seq=seq,
-        delivery_epoch=seq // 3 + 1, kind=kind)
-
-
-# ---------------------------------------------------------------------------
-# Slot encoding
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("kind", ["replica", "rebuild", "rebuild-read"])
-def test_encode_decode_roundtrip(kind):
-    original = message(41, kind=kind)
-    assert decode_message(bytearray(encode_message(original))) == original
-
-
-def test_encode_rejects_unknown_kind():
-    with pytest.raises(KeyError):
-        encode_message(message(0)._replace(kind="gossip"))
-
-
-# ---------------------------------------------------------------------------
-# MessageRing
-# ---------------------------------------------------------------------------
-
-def make_ring(slots: int) -> MessageRing:
-    return MessageRing(bytearray(MessageRing.size_for(slots)), slots)
-
-
-def test_ring_fifo_across_wraparound():
-    ring = make_ring(4)
-    sent = []
-    received = []
-    seq = 0
-    # 4-slot ring, 3-message batches: the write pointer wraps every other
-    # batch, exercising every slot alignment.
-    for _ in range(10):
-        batch = [message(seq + i) for i in range(3)]
-        seq += 3
-        assert ring.push(batch) == 3
-        sent.extend(batch)
-        received.extend(ring.drain(3))
-    assert received == sent
-    # head/tail are monotonic message counters, not wrapped offsets.
-    assert ring.head == ring.tail == 30
-
-
-def test_ring_overflow_reports_accepted_count():
-    ring = make_ring(4)
-    batch = [message(i) for i in range(7)]
-    accepted = ring.push(batch)
-    assert accepted == 4
-    assert len(ring) == 4
-    assert ring.drain(4) == batch[:4]
-    # The spilled remainder re-enters on the next push, in order.
-    assert ring.push(batch[accepted:]) == 3
-    assert ring.drain(3) == batch[4:]
-
-
-def test_ring_full_accepts_nothing():
-    ring = make_ring(2)
-    assert ring.push([message(0), message(1)]) == 2
-    assert ring.push([message(2)]) == 0
-    assert len(ring) == 2
-
-
-def test_ring_drain_beyond_published_raises():
-    ring = make_ring(4)
-    ring.push([message(0)])
-    with pytest.raises(RuntimeError, match="only 1 published"):
-        ring.drain(2)
-    # The failed drain consumed nothing.
-    assert ring.drain(1) == [message(0)]
-
-
-def test_ring_needs_a_slot():
-    with pytest.raises(ValueError):
-        make_ring(0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    batch_sizes=st.lists(st.integers(min_value=0, max_value=9), min_size=1,
-                         max_size=12),
-    slots=st.integers(min_value=1, max_value=8),
-)
-def test_ring_plus_spill_preserves_send_order(batch_sizes, slots):
-    """The transport discipline -- push what fits, spill the rest, reader
-    drains the ring part then appends the spill -- must hand every batch
-    to the reader in exact send order for *any* ring size."""
-    ring = make_ring(slots)
-    seq = 0
-    for size in batch_sizes:
-        batch = [message(seq + i) for i in range(size)]
-        seq += size
-        pushed = ring.push(batch)
-        spill = batch[pushed:]
-        received = ring.drain(len(batch) - len(spill)) + spill
-        assert received == batch
+def assert_all_exit(processes, timeout_s: float = 10.0) -> None:
+    """Every process in ``processes`` exits within ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while any(process.is_alive() for process in processes) \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(process.is_alive() for process in processes)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +116,11 @@ def test_ring_plus_spill_preserves_send_order(batch_sizes, slots):
 # ---------------------------------------------------------------------------
 
 def test_run_config_validation():
-    for bad in (dict(shards=0), dict(run_ahead=0), dict(epoch_us=0.0),
-                dict(transport="carrier-pigeon"), dict(spin_budget=-1),
-                dict(max_epochs=0)):
+    assert [f.name for f in dataclasses.fields(FleetRunConfig)] == \
+        ["shards", "run_ahead", "transport", "max_epochs"]
+    assert TRANSPORTS == ("auto", "local", "executor")
+    for bad in (dict(shards=0), dict(run_ahead=0),
+                dict(transport="carrier-pigeon"), dict(max_epochs=0)):
         with pytest.raises(ValueError):
             FleetRunConfig(**bad)
 
@@ -227,19 +128,24 @@ def test_run_config_validation():
 def test_run_config_merged_skips_none():
     config = FleetRunConfig(shards=4, run_ahead=8)
     assert config.merged(shards=None, transport=None) is config
-    merged = config.merged(transport="shm", run_ahead=2)
-    assert (merged.shards, merged.run_ahead, merged.transport) == (4, 2, "shm")
+    merged = config.merged(transport="executor", run_ahead=2)
+    assert (merged.shards, merged.run_ahead, merged.transport) == \
+        (4, 2, "executor")
 
 
-def test_run_config_transport_resolution():
-    assert FleetRunConfig(shards=1).resolve_transport() == "local"
-    assert FleetRunConfig(shards=4, processes=False) \
+def test_run_config_transport_resolution(monkeypatch):
+    # auto depends on the shard count only, never on the host's cores.
+    for cpu_count in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda count=cpu_count: count)
+        assert FleetRunConfig(shards=1).resolve_transport() == "local"
+        for shards in (2, 3, 8):
+            assert FleetRunConfig(shards=shards).resolve_transport() == \
+                "executor"
+    # An explicit transport always wins.
+    assert FleetRunConfig(shards=4, transport="local") \
         .resolve_transport() == "local"
-    # An explicit transport always wins over the processes alias.
-    assert FleetRunConfig(shards=4, processes=False, transport="shm") \
-        .resolve_transport() == "shm"
-    resolved = FleetRunConfig(shards=4).resolve_transport()
-    assert resolved == ("shm" if (os.cpu_count() or 1) > 1 else "executor")
+    assert FleetRunConfig(shards=1, transport="executor") \
+        .resolve_transport() == "executor"
 
 
 def test_run_config_pairs_roundtrip():
@@ -249,16 +155,6 @@ def test_run_config_pairs_roundtrip():
                            "run_ahead": 4}
     assert FleetRunConfig.from_pairs(pairs) == config
     assert FleetRunConfig().to_pairs() == ()
-
-
-def test_coordinator_kwargs_are_aliases_for_config():
-    via_kwargs = FleetCoordinator(shards=2, processes=False, run_ahead=4)
-    via_config = FleetCoordinator(
-        config=FleetRunConfig(shards=2, processes=False, run_ahead=4))
-    assert via_kwargs.config == via_config.config
-    # Kwargs override the config they ride along with.
-    assert FleetCoordinator(config=FleetRunConfig(shards=2),
-                            shards=5).config.shards == 5
 
 
 # ---------------------------------------------------------------------------
@@ -302,34 +198,26 @@ def test_fault_spare_pair_is_coupled():
 # Cross-transport bit-identity (the non-negotiable contract)
 # ---------------------------------------------------------------------------
 
-#: Process transports spin-wait; on oversubscribed CI hosts a tiny spin
-#: budget keeps workers sleeping instead of stealing the peer's core.
-_TEST_SPIN = 50
-
-
-@pytest.mark.parametrize("transport", ["local", "executor", "shm"])
+@pytest.mark.parametrize("transport", ["local", "executor"])
 @pytest.mark.parametrize("shards", [2, 3])
 def test_transports_are_bit_identical_to_serial(transport, shards):
     reference = strip_runtime(run_fleet_serial(mini_fleet()))
-    payload = run_fleet(mini_fleet(), shards=shards, transport=transport,
-                        spin_budget=_TEST_SPIN)
+    payload = run_fleet(mini_fleet(), shards=shards, transport=transport)
     assert payload["runtime"]["transport"] == transport
     assert strip_runtime(payload) == reference
 
 
-@pytest.mark.parametrize("transport", ["executor", "shm"])
+@pytest.mark.parametrize("transport", ["executor"])
 def test_faulted_fleet_identical_across_transports(transport):
     reference = strip_runtime(run_fleet_serial(faulted_fleet()))
-    payload = run_fleet(faulted_fleet(), shards=2, transport=transport,
-                        spin_budget=_TEST_SPIN)
+    payload = run_fleet(faulted_fleet(), shards=2, transport=transport)
     assert strip_runtime(payload) == reference
 
 
 def test_macro_fleet_identical_across_transports():
     reference = strip_runtime(run_fleet_serial(macro_fleet()))
-    for transport in ("local", "shm"):
-        payload = run_fleet(macro_fleet(), shards=2, transport=transport,
-                            spin_budget=_TEST_SPIN)
+    for transport in ("local", "executor"):
+        payload = run_fleet(macro_fleet(), shards=2, transport=transport)
         assert strip_runtime(payload) == reference
 
 
@@ -348,59 +236,53 @@ def test_mixed_gear_run_ahead_is_bit_identical(run_ahead):
 
 
 # ---------------------------------------------------------------------------
-# SharedMemoryTransport machinery
+# ExecutorTransport machinery
 # ---------------------------------------------------------------------------
 
-def test_shm_overflow_spills_to_side_channel(monkeypatch):
-    """One-slot rings force every multi-message batch through the pipe
-    side channel; the run must still be bit-identical to serial."""
-    import repro.cluster.coordinator as coordinator_module
-
-    def tiny_rings(kind, topology, plans, spin_budget):
-        return create_transport(kind, topology, plans,
-                                spin_budget=spin_budget, ring_slots=1)
-
-    monkeypatch.setattr(coordinator_module, "create_transport", tiny_rings)
-    reference = strip_runtime(run_fleet_serial(mini_fleet()))
-    payload = run_fleet(mini_fleet(), shards=2, transport="shm",
-                        spin_budget=_TEST_SPIN)
-    assert strip_runtime(payload) == reference
-
-
-def test_shm_crashed_worker_raises_cleanly():
+def test_executor_crashed_worker_raises_cleanly():
     topology = mini_fleet()
     plans = partition_topology(topology, 2)
-    transport = SharedMemoryTransport(topology, plans,
-                                      spin_budget=_TEST_SPIN)
+    transport = ExecutorTransport(topology, plans)
     try:
-        victim = transport._shards[0].process
+        victim = next(iter(transport.pools[0]._processes.values()))
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=5.0)
-        transport.post(0, topology.epoch_us, [])
-        with pytest.raises(RuntimeError, match="died.*no torn data"):
+        # The pool may notice the death at submit time or only when the
+        # grant's future resolves; either way the error names the shard.
+        with pytest.raises(RuntimeError,
+                           match="shard 0 worker failed while advancing"
+                           ) as excinfo:
+            transport.post(0, topology.epoch_us, [])
             transport.wait(0)
+        assert excinfo.value.__cause__ is not None
     finally:
         transport.close()
 
 
-def test_shm_worker_init_error_raises_cleanly():
+def test_executor_worker_init_error_raises_cleanly():
     topology = mini_fleet()
     plans = partition_topology(topology, 2)
     bad = plans[1].to_payload()
     bad["device_indices"] = [10 ** 9]
-    from repro.cluster.shard import ShardPlan
+    before = set(multiprocessing.active_children())
 
-    with pytest.raises(RuntimeError, match="shard 1 worker failed"):
-        SharedMemoryTransport(
-            topology, [plans[0], ShardPlan.from_payload(bad)],
-            spin_budget=_TEST_SPIN)
+    with pytest.raises(RuntimeError,
+                       match="shard 1 worker failed while initialising"
+                       ) as excinfo:
+        ExecutorTransport(topology, [plans[0], ShardPlan.from_payload(bad)])
+    assert isinstance(excinfo.value.__cause__, IndexError)
+    # Every pool was shut down before the error surfaced: no worker
+    # process of either shard outlives it.
+    assert_all_exit(set(multiprocessing.active_children()) - before)
 
 
-def test_shm_close_is_idempotent():
+def test_executor_close_is_idempotent():
     topology = mini_fleet()
     plans = partition_topology(topology, 2)
-    transport = SharedMemoryTransport(topology, plans,
-                                      spin_budget=_TEST_SPIN)
+    transport = ExecutorTransport(topology, plans)
+    workers = [process for pool in transport.pools
+               for process in pool._processes.values()]
+    assert len(workers) == 2
     transport.close()
     transport.close()
-    assert transport._shards == []
+    assert_all_exit(workers)
