@@ -329,6 +329,33 @@ class Simulator:
         if recyclable and callbacks.__len__() == 0:
             self._maybe_recycle(event)
 
+    def _succeed_now(self, event: Event, value: Any = None) -> None:
+        """Succeed ``event`` and dispatch it on the spot, unscheduled.
+
+        Called from inside the dispatch of an event ``E``, this keeps the
+        event order exactly as if ``E`` had instead been a block of
+        zero-delay wakeups scheduled back to back (so consecutive sequence
+        numbers, run back to back) and ``event`` one of them, provided:
+
+        * ``E`` dispatches the block's events here in block order, and
+          every wakeup of the block it leaves out would have been a
+          no-op -- it schedules nothing, draws no random number and
+          touches no statistic;
+        * no urgent-priority event is scheduled at the current instant
+          meanwhile (the only kind that could have run between two
+          wakeups of the block).
+
+        Everything the on-the-spot dispatches schedule then takes the same
+        relative order as before; only :attr:`scheduled_events` is
+        smaller, since this dispatch takes no sequence number.
+        """
+        if event._triggered:
+            raise SimulationError(f"{event!r} has already been triggered")
+        event._triggered = True
+        event._ok = True
+        event._value = value
+        self._dispatch_checked(event)
+
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 

@@ -152,13 +152,13 @@ class SsdDevice(BlockDevice):
             else:
                 for lbn in lbns:
                     while not write_buffer.has_room_for(lbn):
-                        yield write_buffer.wait_for_space()
+                        yield write_buffer.wait_for_space(lbn)
                     write_buffer.insert(lbn)
         elif kind is IOKind.FLUSH:
             write_buffer = self.write_buffer
             if write_buffer is not None:
                 while not write_buffer.is_empty():
-                    yield write_buffer.wait_for_space()
+                    yield write_buffer.wait_for_space(None)
         elif kind is IOKind.TRIM:
             self.ftl.trim(range(request.offset // block,
                                 (request.offset + request.size) // block))

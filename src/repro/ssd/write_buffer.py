@@ -6,12 +6,44 @@ logical blocks to flash.  This is the mechanism behind the paper's
 Observation 1 asymmetry: buffered writes are an order of magnitude faster
 than random reads on the local SSD, so the relative ESSD penalty is much
 larger for writes.
+
+Space handoff
+-------------
+A writer that finds no room parks on :meth:`WriteBuffer.wait_for_space`
+with the block it needs; a FLUSH parks with ``None``, "until empty".
+:meth:`WriteBuffer.complete_flush` hands the parked list to one zero-delay
+event.  When that event runs, it walks the list in FIFO order and resumes
+on the spot (``Simulator._succeed_now``) each waiter whose retry would now
+succeed -- ``has_room_for(lbn)``, or ``is_empty()`` for a FLUSH.  Every
+other waiter stays parked and keeps its order.
+
+This gives bit for bit the results of waking *every* parked writer at each
+flush completion and letting each re-check and re-park:
+
+* the wake-all gives its wakeups consecutive sequence numbers at one
+  simulated instant, so they run back to back;
+* a waiter that finds no room only re-checks and re-parks: it schedules
+  nothing, draws no random number and touches no statistic, and creating
+  its new ``Event`` does not advance the kernel's sequence counter;
+* so dropping those no-op resumes leaves the relative order of every
+  other event unchanged.  Only ``Simulator.scheduled_events`` falls, and
+  that count lives only in a run's ``runtime`` section, which no digest
+  or cache key reads;
+* the parked list ends in the wake-all's order: waiters that parked
+  between the flush completion and the walk come first, then the
+  re-parked ones in their old order.
+
+The walk runs as the scheduled event, never inside ``complete_flush``: the
+flusher that completes goes straight on to ``take_batch`` in the same step,
+and the wake-all's retries ran only after that.  A walk inside
+``complete_flush`` would insert blocks before that ``take_batch``, changing
+the batch and the order of overwrite hits.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Event, Simulator
@@ -28,10 +60,14 @@ class WriteBuffer:
         #: Dirty blocks in FIFO order; value is unused (ordered-set semantics).
         self._dirty: OrderedDict[int, None] = OrderedDict()
         #: Blocks currently being programmed by a flusher (still readable).
+        #: A block two flushers program at once is held here once, so the
+        #: occupancy is always counted from the containers, never kept in a
+        #: separate counter that would drift from them.
         self._in_flight: set[int] = set()
-        self._space_waiters: list["Event"] = []
+        #: Parked writers in FIFO order, each with the block it needs
+        #: (``None``: until the buffer is empty).
+        self._space_waiters: list[tuple["Event", Optional[int]]] = []
         self._data_waiters: list["Event"] = []
-        self.total_absorbed = 0
         self.overwrite_hits = 0
 
     # -- state -------------------------------------------------------------------
@@ -43,10 +79,6 @@ class WriteBuffer:
     def free_slots(self) -> int:
         return self.capacity_slots - self.used_slots
 
-    @property
-    def dirty_slots(self) -> int:
-        return len(self._dirty)
-
     def contains(self, lbn: int) -> bool:
         """Whether a read of ``lbn`` can be served from the buffer."""
         return lbn in self._dirty or lbn in self._in_flight
@@ -57,24 +89,27 @@ class WriteBuffer:
     # -- host side -----------------------------------------------------------------
     def has_room_for(self, lbn: int) -> bool:
         """Whether inserting ``lbn`` needs no new space (overwrite) or fits."""
-        return lbn in self._dirty or self.free_slots > 0
+        dirty = self._dirty
+        return lbn in dirty or len(dirty) + len(self._in_flight) < self.capacity_slots
 
     def insert(self, lbn: int) -> None:
         """Mark ``lbn`` dirty.  Caller must have checked :meth:`has_room_for`."""
-        self.total_absorbed += 1
-        if lbn in self._dirty:
+        dirty = self._dirty
+        if lbn in dirty:
             self.overwrite_hits += 1
-            self._dirty.move_to_end(lbn)
+            dirty.move_to_end(lbn)
             return
-        if self.free_slots <= 0:
+        if len(dirty) + len(self._in_flight) >= self.capacity_slots:
             raise RuntimeError("write buffer overflow - caller must wait for space")
-        self._dirty[lbn] = None
+        dirty[lbn] = None
         self._notify_one(self._data_waiters)
 
-    def wait_for_space(self) -> "Event":
-        """Event that fires the next time flushing frees buffer space."""
+    def wait_for_space(self, lbn: Optional[int]) -> "Event":
+        """Park until a flush completion's handoff finds that inserting
+        ``lbn`` now succeeds -- or, for ``None`` (a FLUSH), that the buffer
+        is empty.  Call it only when that does not hold yet."""
         event = self.sim.event()
-        self._space_waiters.append(event)
+        self._space_waiters.append((event, lbn))
         return event
 
     def wait_for_data(self) -> "Event":
@@ -96,25 +131,36 @@ class WriteBuffer:
         return batch
 
     def complete_flush(self, lbns: list[int]) -> None:
-        """Drop flushed blocks from the buffer and wake space waiters."""
+        """Drop flushed blocks from the buffer and schedule the handoff of
+        the freed space to the writers parked now (see the module
+        docstring)."""
         for lbn in lbns:
             self._in_flight.discard(lbn)
-        self._notify(self._space_waiters)
-
-    def requeue(self, lbns: list[int]) -> None:
-        """Return an in-flight batch to the dirty set (flush aborted)."""
-        for lbn in lbns:
-            if lbn in self._in_flight:
-                self._in_flight.discard(lbn)
-                self._dirty[lbn] = None
-        self._notify(self._data_waiters)
+        parked = self._space_waiters
+        if parked:
+            self._space_waiters = []
+            handoff = self.sim.event()
+            handoff.callbacks.append(self._hand_off)
+            handoff.succeed(parked)
 
     # -- internals -----------------------------------------------------------------
-    def _notify(self, waiters: list["Event"]) -> None:
-        pending, waiters[:] = waiters[:], []
-        for event in pending:
-            if not event.triggered:
-                event.succeed(None)
+    def _hand_off(self, handoff: "Event") -> None:
+        """Resume, in FIFO order, the waiters whose retry now succeeds;
+        re-park the rest behind the writers that parked since."""
+        dirty = self._dirty
+        in_flight = self._in_flight
+        capacity = self.capacity_slots
+        succeed_now = self.sim._succeed_now
+        for waiter in handoff.value:
+            event, lbn = waiter
+            if lbn is None:
+                ready = not dirty and not in_flight
+            else:
+                ready = lbn in dirty or len(dirty) + len(in_flight) < capacity
+            if ready:
+                succeed_now(event)
+            else:
+                self._space_waiters.append(waiter)
 
     def _notify_one(self, waiters: list["Event"]) -> None:
         while waiters:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import UNWRITTEN_CONTRACT, CheckerConfig, ContractChecker
+from repro.core import UNWRITTEN_CONTRACT, ContractChecker
 from repro.core.contract import ObservationEvidence
-from repro.host.io import KiB, MiB
+from repro.host.io import KiB
 from repro.implications import (
     GcAdaptationAdvisor,
     IoReductionEvaluator,
@@ -21,6 +21,14 @@ from repro.implications.reduction import (
     ReductionTechnique,
 )
 from repro.workload import synthesize_bursty_trace, synthesize_uniform_trace
+
+from test_golden_digests import (
+    CONTRACT_KEY,
+    INTERPRETER,
+    contract_digest,
+    load_golden,
+    quick_checker_config,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -60,32 +68,39 @@ def test_observation_evidence_truthiness():
 
 @pytest.fixture(scope="module")
 def quick_checker():
-    config = CheckerConfig(
-        ssd_capacity_bytes=96 * MiB,
-        essd_capacity_bytes=192 * MiB,
-        latency_ios=120,
-        gc_write_capacity_factor=1.5,
-        throughput_window_us=60_000.0,
-    )
-    return ContractChecker(config=config)
+    return ContractChecker(config=quick_checker_config())
 
 
-def test_checker_observation_1_latency_gap(quick_checker):
-    evidence = quick_checker.check_observation_1()
+@pytest.fixture(scope="module")
+def quick_report(quick_checker):
+    """One full run (all four observations) shared by the checks below."""
+    return quick_checker.run()
+
+
+def test_checker_evidence_matches_golden_digest(quick_report):
+    recorded = load_golden().get(INTERPRETER)
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for {INTERPRETER}: float "
+                    "sum() differs across interpreter versions")
+    assert contract_digest(quick_report) == recorded[CONTRACT_KEY][0]
+
+
+def test_checker_observation_1_latency_gap(quick_report):
+    evidence = quick_report.evidence_for(1)
     assert evidence.holds
     assert evidence.metrics["small_4k_qd1"] > 10
     assert evidence.metrics["scaled_256k_qd1"] < evidence.metrics["small_4k_qd1"]
 
 
-def test_checker_observation_3_write_pattern(quick_checker):
-    evidence = quick_checker.check_observation_3()
+def test_checker_observation_3_write_pattern(quick_report):
+    evidence = quick_report.evidence_for(3)
     assert evidence.holds
     assert evidence.metrics["essd_gain"] > 1.15
     assert evidence.metrics["ssd_gain"] < 1.15
 
 
-def test_checker_observation_4_determinism(quick_checker):
-    evidence = quick_checker.check_observation_4()
+def test_checker_observation_4_determinism(quick_report):
+    evidence = quick_report.evidence_for(4)
     assert evidence.holds
     assert evidence.metrics["essd_cv"] < evidence.metrics["ssd_cv"]
 

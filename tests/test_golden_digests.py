@@ -5,6 +5,11 @@ and compares ``spec_hash`` of every cell's metrics with the value recorded
 in ``golden_digests.json``.  A change that keeps these digests keeps every
 simulated result, bit for bit.
 
+Beside the scenarios, the file records the contract checker's full
+evidence (all four observations) at the small ``quick_checker_config``
+under ``CONTRACT_KEY``; ``tests/test_contract_and_implications.py``
+compares against it from its one module-scoped checker run.
+
 The recorded sets are keyed by interpreter (``py3.11``, ...).  From 3.12 on,
 ``sum()`` over floats is compensated (``sum([0.1] * 10)`` is ``1.0`` on 3.12
 and ``0.9999999999999999`` on 3.11), so metrics that sum floats may differ
@@ -28,6 +33,8 @@ import pytest
 
 GOLDEN_PATH = Path(__file__).resolve().with_name("golden_digests.json")
 INTERPRETER = f"py{sys.version_info[0]}.{sys.version_info[1]}"
+#: Entry of the contract checker's evidence digest (not a scenario name).
+CONTRACT_KEY = "contract:quick_checker"
 
 
 def load_golden() -> dict[str, dict[str, list[str]]]:
@@ -44,8 +51,38 @@ def scenario_digests(name: str) -> list[str]:
             for cell in quick_cells(get_scenario(name).cells())]
 
 
+def quick_checker_config():
+    """A small :class:`CheckerConfig` whose full run takes a few seconds."""
+    from repro.core import CheckerConfig
+    from repro.host.io import MiB
+
+    return CheckerConfig(
+        ssd_capacity_bytes=96 * MiB,
+        essd_capacity_bytes=192 * MiB,
+        latency_ios=120,
+        gc_write_capacity_factor=1.5,
+        throughput_window_us=60_000.0,
+    )
+
+
+def contract_digest(report) -> str:
+    """``spec_hash`` of a :class:`ContractReport`: every observation's
+    verdict plus its evidence metrics."""
+    from repro.determinism import spec_hash
+
+    return spec_hash({
+        "essd": report.essd_name,
+        "ssd": report.ssd_name,
+        "evidence": [{"observation": item.observation.number,
+                      "holds": item.holds,
+                      "metrics": item.metrics}
+                     for item in report.evidence],
+    })
+
+
 _GOLDEN = load_golden()
-_NAMES = sorted({name for recorded in _GOLDEN.values() for name in recorded})
+_NAMES = sorted({name for recorded in _GOLDEN.values() for name in recorded}
+                - {CONTRACT_KEY})
 
 
 @pytest.mark.parametrize("name", _NAMES)
@@ -62,19 +99,23 @@ def test_scenario_quick_cells_match_golden_digests(name, monkeypatch):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
-                        help=f"record every built-in scenario's digests "
-                             f"under {INTERPRETER} in {GOLDEN_PATH.name}")
+                        help=f"record every built-in scenario's digests and "
+                             f"the checker's under {INTERPRETER} in "
+                             f"{GOLDEN_PATH.name}")
     args = parser.parse_args(argv)
     if not args.write:
         print(json.dumps(load_golden(), indent=2, sort_keys=True))
         return 0
     os.environ.pop("REPRO_SCENARIO_PATH", None)
     import repro.experiments  # noqa: F401 - registers the built-in scenarios
+    from repro.core import ContractChecker
     from repro.experiments.scenarios import all_scenarios
 
     golden = load_golden()
     golden[INTERPRETER] = {spec.name: scenario_digests(spec.name)
                            for spec in all_scenarios()}
+    report = ContractChecker(config=quick_checker_config()).run()
+    golden[INTERPRETER][CONTRACT_KEY] = [contract_digest(report)]
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -1,6 +1,7 @@
 """Tests for the SSD's FTL building blocks: mapping, allocator, buffer, prefetcher."""
 
 import random
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.flash.geometry import FlashGeometry
 from repro.host.io import MiB
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.ssd import allocator as allocator_module
 from repro.ssd.allocator import BlockAllocator, BlockState, WriteStream
 from repro.ssd.config import samsung_970pro_profile
@@ -475,7 +476,7 @@ def test_write_buffer_overflow_raises_and_waiters_fire():
     woken = []
 
     def waiter():
-        yield buffer.wait_for_space()
+        yield buffer.wait_for_space(1)
         woken.append(sim.now)
 
     sim.process(waiter())
@@ -486,14 +487,201 @@ def test_write_buffer_overflow_raises_and_waiters_fire():
     assert woken == [0.0]
 
 
-def test_write_buffer_requeue_returns_blocks_to_dirty():
+def test_write_buffer_counts_a_double_flight_block_once():
+    # A known model quirk, pinned so that a fix shows up as a deliberate,
+    # digest-moving change: a block rewritten while a flusher programs it
+    # can be taken by a second flusher, and the in-flight set holds it once.
     sim = Simulator()
     buffer = WriteBuffer(sim, capacity_slots=4)
-    buffer.insert(1)
-    batch = buffer.take_batch(4)
-    buffer.requeue(batch)
-    assert buffer.dirty_slots == 1
-    assert buffer.take_batch(4) == [1]
+    buffer.insert(7)
+    batch_a = buffer.take_batch(4)  # flusher A programs block 7
+    buffer.insert(7)
+    batch_b = buffer.take_batch(4)  # flusher B programs it again
+    assert batch_a == batch_b == [7]
+    assert buffer.used_slots == 1
+    buffer.complete_flush(batch_a)
+    assert not buffer.contains(7)  # B's program is still pending
+
+
+class WakeAllWriteBuffer(WriteBuffer):
+    """Reference: the wake-all buffer the FIFO handoff replaced, verbatim.
+
+    Every flush completion wakes every parked writer; each re-checks its
+    room in the caller's loop and re-parks if there is none.
+    """
+
+    def wait_for_space(self, lbn=None):
+        """Event that fires the next time flushing frees buffer space."""
+        event = self.sim.event()
+        self._space_waiters.append(event)
+        return event
+
+    def complete_flush(self, lbns: list[int]) -> None:
+        """Drop flushed blocks from the buffer and wake space waiters."""
+        for lbn in lbns:
+            self._in_flight.discard(lbn)
+        self._notify(self._space_waiters)
+
+    def _notify(self, waiters) -> None:
+        pending, waiters[:] = waiters[:], []
+        for event in pending:
+            if not event.triggered:
+                event.succeed(None)
+
+
+class BufferRun(NamedTuple):
+    at_cut: tuple  # (log, dirty order, in-flight set, overwrite hits, parked writers)
+    at_end: tuple
+    events: int  # Simulator.scheduled_events
+    reparks: int  # wakeups that found no room and parked again
+
+
+def drive_write_buffer(buffer_cls, capacity, writers, flushers, cut_us) -> BufferRun:
+    """Run writers through ``SsdDevice._serve``'s room loops and flushers
+    through ``SsdDevice._flush_worker``'s loop on one ``buffer_cls``.
+
+    ``writers`` holds one request list per writer: ``(delay, lbns)`` with
+    ``lbns=None`` for a FLUSH.  ``flushers`` holds ``(unit, delays)``: the
+    batch size and the program times it cycles through.
+    """
+    sim = Simulator()
+    buffer = buffer_cls(sim, capacity)
+    log = []
+    owner = {}  # wait event -> writer index
+    reparks = 0
+
+    def park(index, lbn):
+        event = buffer.wait_for_space(lbn)
+        owner[event] = index
+        return event
+
+    def writer(index, requests):
+        nonlocal reparks
+        for delay, lbns in requests:
+            yield sim.timeout(delay)
+            if lbns is None:
+                while not buffer.is_empty():
+                    yield park(index, None)
+                    reparks += not buffer.is_empty()
+            else:
+                for lbn in lbns:
+                    while not buffer.has_room_for(lbn):
+                        yield park(index, lbn)
+                        reparks += not buffer.has_room_for(lbn)
+                    buffer.insert(lbn)
+                    log.append(("insert", index, lbn, sim.now))
+            log.append(("done", index, sim.now))
+
+    def flusher(index, unit, delays):
+        programs = 0
+        while True:
+            batch = buffer.take_batch(unit)
+            if not batch:
+                yield buffer.wait_for_data()
+                continue
+            log.append(("batch", index, batch, sim.now))
+            try:
+                yield sim.timeout(delays[programs % len(delays)])
+                programs += 1
+            finally:
+                log.append(("complete", index, len(buffer._space_waiters)))
+                buffer.complete_flush(batch)
+
+    def state():
+        # The reference parks bare events, the handoff (event, lbn) pairs.
+        parked = [waiter if isinstance(waiter, Event) else waiter[0]
+                  for waiter in buffer._space_waiters]
+        return (list(log), list(buffer._dirty), set(buffer._in_flight),
+                buffer.overwrite_hits, [owner[event] for event in parked])
+
+    for index, (unit, delays) in enumerate(flushers):
+        sim.process(flusher(index, unit, delays))
+    for index, requests in enumerate(writers):
+        sim.process(writer(index, requests))
+    sim.run(until=cut_us)
+    at_cut = state()
+    sim.run()
+    return BufferRun(at_cut, state(), sim.scheduled_events, reparks)
+
+
+_block_runs = st.builds(lambda start, length: list(range(start, start + length)),
+                        st.integers(0, 11), st.integers(1, 6))
+_requests = st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0]),
+                               st.none() | _block_runs), min_size=1, max_size=4)
+_flushers = st.lists(st.tuples(st.integers(1, 4),
+                               st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                                        min_size=1, max_size=3)),
+                     min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 16), writers=st.lists(_requests, min_size=1, max_size=8),
+       flushers=_flushers, cut_us=st.integers(0, 12))
+def test_write_buffer_handoff_matches_the_wake_all(capacity, writers, flushers, cut_us):
+    reference = drive_write_buffer(WakeAllWriteBuffer, capacity, writers, flushers, cut_us)
+    handoff = drive_write_buffer(WriteBuffer, capacity, writers, flushers, cut_us)
+    # Same inserts, batches, completion times, dirty order, in-flight set
+    # and parked order -- at the cut and at the end.
+    assert handoff.at_cut == reference.at_cut
+    assert handoff.at_end == reference.at_end
+    # Only writers that can proceed are woken ...
+    assert handoff.reparks == 0
+    # ... and a completion that finds k writers parked schedules one event
+    # instead of k: never more events, and fewer as soon as any completion
+    # finds two or more parked.  (A lone parked writer costs one event
+    # either way, whether it proceeds or re-parks.)
+    log = reference.at_end[0]
+    parked = [entry[2] for entry in log if entry[0] == "complete" and entry[2]]
+    assert reference.events - handoff.events == sum(parked) - len(parked)
+    assert handoff.events <= reference.events
+    if max(parked, default=0) > 1:
+        assert handoff.events < reference.events
+
+
+def park_writers(sim, buffer, lbns, resumed):
+    """One process per block running ``SsdDevice._serve``'s room loop;
+    ``resumed`` collects the block of every writer woken from a wait."""
+    def writer(lbn):
+        while not buffer.has_room_for(lbn):
+            yield buffer.wait_for_space(lbn)
+            resumed.append(lbn)
+        buffer.insert(lbn)
+
+    for lbn in lbns:
+        sim.process(writer(lbn))
+    sim.run()
+
+
+def test_flush_completion_wakes_only_the_head_writer():
+    sim = Simulator()
+    buffer = WriteBuffer(sim, capacity_slots=1)
+    buffer.insert(0)
+    batch = buffer.take_batch(1)
+    resumed = []
+    park_writers(sim, buffer, [1, 2, 3, 4], resumed)
+    before = sim.scheduled_events
+    buffer.complete_flush(batch)  # frees the one slot
+    assert sim.scheduled_events == before + 1  # one handoff event, not four
+    sim.run()
+    assert resumed == [1]
+    assert list(buffer._dirty) == [1]
+    assert [lbn for _, lbn in buffer._space_waiters] == [2, 3, 4]
+
+
+def test_overwrite_hit_proceeds_from_behind_blocked_writers():
+    sim = Simulator()
+    buffer = WriteBuffer(sim, capacity_slots=2)
+    buffer.insert(0)
+    batch = buffer.take_batch(1)
+    buffer.insert(1)  # full: block 1 dirty, block 0 in flight
+    resumed = []
+    park_writers(sim, buffer, [5, 6, 2], resumed)
+    buffer.complete_flush(batch)
+    buffer.insert(2)  # the freed slot goes to block 2 at the same instant
+    sim.run()
+    assert resumed == [2]  # an overwrite hit; writers 5 and 6 stay asleep
+    assert buffer.overwrite_hits == 1
+    assert [lbn for _, lbn in buffer._space_waiters] == [5, 6]
 
 
 # ---------------------------------------------------------------------------
