@@ -49,7 +49,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from typing import Any, Optional
+from bisect import bisect_right
+from typing import Any, Callable, Optional
 
 from repro.cluster.metrics import merge_shard_payloads
 from repro.cluster.shard import ReplicaMessage, ShardPlan, inbox_order
@@ -65,6 +66,10 @@ from repro.cluster.transport import (
 __all__ = ["partition_topology", "FleetCoordinator", "FleetRunConfig",
            "run_fleet", "run_fleet_serial", "MAX_EPOCHS",
            "DEFAULT_RUN_AHEAD"]
+
+#: One run of a slice: ``(start, stop, atomic)`` global indices, where an
+#: atomic run is a whole macro group that no split may cut.
+_Segment = tuple[int, int, bool]
 
 
 # ---------------------------------------------------------------------------
@@ -111,55 +116,100 @@ def partition_topology(topology: FleetTopology, shards: int) -> list[ShardPlan]:
     # Largest clusters first; ties resolved by declaration order.
     order = sorted(clusters, key=lambda root: (-sizes[root], position[root]))
 
-    assignments: list[list[int]] = [[] for _ in range(shards)]
+    # Each slice is a list of segments in placement order: one per group
+    # (or piece of a split discrete group), so the bookkeeping grows with
+    # the number of groups, never with their counts.
+    slices: list[list[_Segment]] = [[] for _ in range(shards)]
+    loads = [0] * shards
     for root in order:
-        target = min(range(shards), key=lambda sid: (len(assignments[sid]), sid))
+        target = min(range(shards), key=lambda sid: (loads[sid], sid))
         for name in clusters[root]:
-            assignments[target].extend(topology.group_indices(name))
+            span = topology.group_indices(name)
+            slices[target].append((span.start, span.stop,
+                                   topology.group(name).mode == "macro"))
+            loads[target] += len(span)
 
     # Fill empty shards (more shards than clusters) by halving the heaviest
     # slice at device granularity -- this may break an edge across shards,
     # which the message-passing loop handles.  A macro group, however, is
     # one indivisible aggregate: splits shift to the nearest atom boundary,
     # and a slice that is one single macro atom simply cannot donate.
-    macro_atom: dict[int, int] = {}
-    for macro_group in topology.macro_groups():
-        indices = topology.group_indices(macro_group.name)
-        for index in indices:
-            macro_atom[index] = indices[0]
-
-    def _valid_split(devices: list[int], keep: int) -> bool:
-        if keep < 1 or keep >= len(devices):
-            return False
-        left, right = devices[keep - 1], devices[keep]
-        return macro_atom.get(left, -1) != macro_atom.get(right, -2)
-
-    while any(not plan for plan in assignments):
-        empty = next(sid for sid in range(shards) if not assignments[sid])
+    while not all(slices):
+        empty = loads.index(0)
         split = None
-        for donor in sorted(range(shards),
-                            key=lambda sid: (-len(assignments[sid]), sid)):
-            devices = assignments[donor]
-            if len(devices) < 2:
+        for donor in sorted(range(shards), key=lambda sid: (-loads[sid], sid)):
+            if loads[donor] < 2:
                 break  # heaviest slice already minimal: nothing can donate
-            half = len(devices) // 2
-            for offset in range(half + 1):
-                for keep in (half - offset, half + offset):
-                    if _valid_split(devices, keep):
-                        split = (donor, keep)
-                        break
-                if split:
-                    break
-            if split:
+            keep = _split_point(slices[donor], loads[donor])
+            if keep is not None:
+                split = (donor, keep)
                 break
         if split is None:
             break
         donor, keep = split
-        assignments[empty] = assignments[donor][keep:]
-        assignments[donor] = assignments[donor][:keep]
+        slices[donor], slices[empty] = _cut(slices[donor], keep)
+        loads[empty] = loads[donor] - keep
+        loads[donor] = keep
 
-    return [ShardPlan(shard_id=sid, device_indices=tuple(sorted(indices)))
-            for sid, indices in enumerate(assignments)]
+    plans = []
+    for sid, segments in enumerate(slices):
+        spans: list[tuple[int, int]] = []
+        for start, stop, _ in sorted(segments):
+            if spans and spans[-1][1] == start:
+                spans[-1] = (spans[-1][0], stop)
+            else:
+                spans.append((start, stop))
+        plans.append(ShardPlan(shard_id=sid, spans=tuple(spans)))
+    return plans
+
+
+def _split_point(segments: list[_Segment], total: int) -> Optional[int]:
+    """Where to cut a slice of ``total >= 2`` devices: the valid position
+    nearest its middle (the lower one on a tie), or ``None`` when the slice
+    is one macro atom.  A cut is valid anywhere but strictly inside a
+    macro (atomic) segment, so only the segment holding the middle can
+    move it."""
+    half = total // 2
+    position = 0
+    for start, stop, atomic in segments:
+        end = position + (stop - start)
+        if atomic and position < half < end:
+            valid = [cut for cut in (position, end) if 0 < cut < total]
+            return min(valid, key=lambda cut: (abs(cut - half), cut),
+                       default=None)
+        position = end
+    return half
+
+
+def _cut(segments: list[_Segment],
+         keep: int) -> tuple[list[_Segment], list[_Segment]]:
+    """Split a slice after its first ``keep`` devices (placement order)."""
+    head: list[_Segment] = []
+    tail: list[_Segment] = []
+    position = 0
+    for start, stop, atomic in segments:
+        middle = start + max(0, min(stop - start, keep - position))
+        if middle > start:
+            head.append((start, middle, atomic))
+        if stop > middle:
+            tail.append((middle, stop, atomic))
+        position += stop - start
+    return head, tail
+
+
+def span_owner(plans: list[ShardPlan]) -> Callable[[int], int]:
+    """``index -> shard id`` over the plans' spans: a bisect over the span
+    starts, so the lookup costs O(log spans) and holds nothing per device."""
+    spans = sorted((start, stop, plan.shard_id)
+                   for plan in plans for start, stop in plan.spans)
+    starts = [start for start, _, _ in spans]
+
+    def owner(index: int) -> int:
+        position = bisect_right(starts, index) - 1
+        if position < 0 or index >= spans[position][1]:
+            raise KeyError(index)
+        return spans[position][2]
+    return owner
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +235,10 @@ class FleetCoordinator:
         """
         config = self.config
         plans = partition_topology(topology, config.shards)
-        owner = {index: plan.shard_id for plan in plans
-                 for index in plan.device_indices}
         started = time.perf_counter()
         transport_kind = config.resolve_transport()
         transport = create_transport(transport_kind, topology, plans)
-        components = coupling_components(topology, owner, len(plans))
+        components = coupling_components(topology, plans)
         lockstep = [component for component in components
                     if len(component) > 1]
         batched = bool(topology.edges or topology.faults) and not lockstep
@@ -205,7 +253,7 @@ class FleetCoordinator:
                 tasks = len(plans)
             else:
                 epochs, rounds, tasks = self._run_components(
-                    topology, plans, owner, transport, components)
+                    topology, plans, transport, components)
             payloads = transport.collect_all()
             events = transport.scheduled_events()
         finally:
@@ -229,11 +277,12 @@ class FleetCoordinator:
             "scheduled_events": events,
             "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
             "cpu_count": os.cpu_count(),
-            "partition": [list(plan.device_indices) for plan in plans],
+            "partition": [[list(span) for span in plan.spans]
+                          for plan in plans],
         }
         return result
 
-    def _run_components(self, topology: FleetTopology, plans, owner,
+    def _run_components(self, topology: FleetTopology, plans,
                         transport, components) -> tuple[int, int, int]:
         """Drive every coupling component through its own gear in a
         single coordinator loop.
@@ -262,6 +311,7 @@ class FleetCoordinator:
         groups = [_LockstepGroup(component) for component in components
                   if len(component) > 1]
         group_of = {sid: grp for grp in groups for sid in grp.members}
+        owner = span_owner(plans)
         peeks = [0.0] * len(plans)
         executed = [0] * len(plans)
         #: Shared run-ahead cursor across the singleton shards (kept
@@ -316,7 +366,7 @@ class FleetCoordinator:
                     for message in outbound:
                         # Affinity + coupling guarantee the target stays
                         # inside this component.
-                        grp.pending[owner[message.target_index]].append(
+                        grp.pending[owner(message.target_index)].append(
                             message)
             if active and max(executed[sid] for sid in singles) \
                     > config.max_epochs:

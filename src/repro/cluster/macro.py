@@ -486,11 +486,12 @@ class _TraceTenant:
 class _Route:
     """One replication edge leaving the macro group (pre-resolved)."""
 
-    __slots__ = ("target_indices", "factor", "carry", "cursor")
+    __slots__ = ("target_indices", "factor", "to_macro", "carry", "cursor")
 
-    def __init__(self, target_indices: tuple, factor: int):
+    def __init__(self, target_indices: range, factor: int, to_macro: bool):
         self.target_indices = target_indices
         self.factor = factor
+        self.to_macro = to_macro  # one aggregate message per window
         self.carry = 0.0          # fractional bytes awaiting emission
         self.cursor = 0           # rotating write offset (bytes)
 
@@ -515,8 +516,8 @@ class MacroGroup:
         self.count = group.count
         self.capacity_bytes = capacity_bytes
         self.epoch_us = topology.epoch_us
-        self.indices = tuple(topology.group_indices(group.name))
-        self.first_index = self.indices[0]
+        self.indices = topology.group_indices(group.name)
+        self.first_index = self.indices.start
         self.epoch = 0
         policy = topology.fault_policy
         self._policy = policy
@@ -541,8 +542,9 @@ class MacroGroup:
             self.tenants.append(run)
 
         self.routes = [
-            _Route(tuple(topology.group_indices(edge.target)),
-                   edge.policy().replication_factor)
+            _Route(topology.group_indices(edge.target),
+                   edge.policy().replication_factor,
+                   topology.group(edge.target).mode == "macro")
             for edge in topology.edges_from(group.name)
         ]
 
@@ -624,10 +626,6 @@ class MacroGroup:
                 candidates.append(flip + 1)
                 break
         return min(candidates) if candidates else None
-
-    def next_activity_us(self) -> float:
-        epoch = self.next_activity_epoch()
-        return math.inf if epoch is None else epoch * self.epoch_us
 
     # -- advancing ---------------------------------------------------------
     def advance_to(self, target_epoch: int, emit: EmitFn) -> None:
@@ -760,12 +758,9 @@ class MacroGroup:
         targets receive one message per device (its even share), sizes
         rounded to 4 KiB with the remainder carried to the next window.
         """
-        macro_names = {g.name for g in self.topology.groups
-                       if g.mode == "macro"}
-        for route, edge in zip(self.routes,
-                               self.topology.edges_from(self.group.name)):
+        for route in self.routes:
             route.carry += write_bytes * route.factor
-            if self.topology.group(edge.target).name in macro_names:
+            if route.to_macro:
                 size = int(route.carry) - int(route.carry) % 4096
                 if size >= 4096:
                     route.carry -= size
@@ -792,21 +787,20 @@ class MacroGroup:
         rebuilt = int(rebuilt) - int(rebuilt) % 4096
         chunks = 0
         if rebuilt > 0:
+            # A spare group is never the failed group itself, so only a
+            # spare-less rebuild stays internal: it re-writes onto this
+            # group's surviving peers and joins its own backlog.
+            target = None
             if event.spare is not None:
                 spare_indices = self.topology.group_indices(event.spare)
-                targets = [spare_indices[local % len(spare_indices)]]
-            else:
-                # Surviving peers of the macro group itself: the traffic is
-                # internal, so it joins this group's own backlog.
-                targets = [self.first_index]
+                target = spare_indices[local % len(spare_indices)]
             chunk = min(policy.rebuild_chunk_bytes, rebuilt)
             chunks = math.ceil(rebuilt / chunk)
             for j in range(chunks):
                 size = min(chunk, rebuilt - j * chunk)
                 size += (-size) % 4096
                 delivery = down_epoch + 1 + j // policy.rebuild_chunks_per_epoch
-                target = targets[j % len(targets)]
-                if target in self.indices:
+                if target is None:
                     bucket = self._pending.setdefault(delivery + 1, {})
                     entry = bucket.setdefault("rebuild", [0, 0])
                     entry[0] += 1

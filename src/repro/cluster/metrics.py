@@ -190,7 +190,6 @@ def merge_shard_payloads(topology: FleetTopology,
                          shard_payloads: Sequence[Mapping[str, Any]],
                          ) -> dict[str, Any]:
     """Merge per-shard measurement payloads into the fleet report."""
-    table = topology.device_table()
     faulted = bool(topology.faults)
 
     # tenant -> {global index -> device payload}, merged across shards.
@@ -221,7 +220,7 @@ def merge_shard_payloads(topology: FleetTopology,
             payload = per_tenant[tenant_name][index]
             aggregate.add(index, payload)
             fleet.add(index, payload)
-            group_name = table[index][0]
+            group_name = topology.locate(index)[0].name
             groups.setdefault(group_name, _Aggregate()).add(index, payload)
             if faulted:
                 split.add(payload)
@@ -243,10 +242,10 @@ def merge_shard_payloads(topology: FleetTopology,
     # would pool the same samples differently and break the bit-identical
     # serial-vs-sharded invariant.  Rebuild-storm traffic pools the same
     # way under its own keys.
-    replicas = _pool_by_group(table, shard_payloads, "replicas")
-    rebuilds = _pool_by_group(table, shard_payloads, "rebuilds") \
+    replicas = _pool_by_group(topology, shard_payloads, "replicas")
+    rebuilds = _pool_by_group(topology, shard_payloads, "rebuilds") \
         if faulted else {}
-    rebuild_reads = _pool_by_group(table, shard_payloads, "rebuild_reads") \
+    rebuild_reads = _pool_by_group(topology, shard_payloads, "rebuild_reads") \
         if faulted else {}
     shed_by_group: dict[str, dict[str, int]] = {}
     if faulted:
@@ -257,7 +256,7 @@ def merge_shard_payloads(topology: FleetTopology,
         for index in sorted(per_device_shed):
             stats = per_device_shed[index]
             bucket = shed_by_group.setdefault(
-                table[index][0], {"ios": 0, "bytes": 0})
+                topology.locate(index)[0].name, {"ios": 0, "bytes": 0})
             bucket["ios"] += stats["ios"]
             bucket["bytes"] += stats["bytes"]
 
@@ -362,7 +361,8 @@ def merge_shard_payloads(topology: FleetTopology,
     return result
 
 
-def _pool_by_group(table: list, shard_payloads: Sequence[Mapping[str, Any]],
+def _pool_by_group(topology: FleetTopology,
+                   shard_payloads: Sequence[Mapping[str, Any]],
                    key: str) -> dict[str, dict[str, Any]]:
     """Pool per-device count/bytes/latency stats per group, in
     global-index order (the layout-independent pooling order)."""
@@ -374,7 +374,8 @@ def _pool_by_group(table: list, shard_payloads: Sequence[Mapping[str, Any]],
     for index in sorted(per_device):
         stats = per_device[index]
         bucket = pooled.setdefault(
-            table[index][0], {"count": 0, "bytes": 0, "latency": []})
+            topology.locate(index)[0].name,
+            {"count": 0, "bytes": 0, "latency": []})
         bucket["count"] += stats["count"]
         bucket["bytes"] += stats["bytes"]
         bucket["latency"].extend(stats["latency"])

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.cluster.faults import (
     FaultEvent,
@@ -93,19 +93,32 @@ def inbox_order(message: ReplicaMessage) -> tuple:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """The device slice (global indices) one shard owns."""
+    """The device slice one shard owns: ascending ``(start, stop)`` spans
+    of global indices, so a plan's size grows with the number of groups it
+    holds, never with their device counts.  Spans are non-empty and
+    separated (touching spans are merged), so every plan has one form."""
 
     shard_id: int
-    device_indices: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        previous_stop = None
+        for start, stop in self.spans:
+            if start >= stop or (previous_stop is not None
+                                 and start <= previous_stop):
+                raise ValueError(
+                    f"shard {self.shard_id} span ({start}, {stop}) is empty "
+                    "or not separated from the span before it")
+            previous_stop = stop
 
     def to_payload(self) -> dict[str, Any]:
         return {"shard_id": self.shard_id,
-                "device_indices": list(self.device_indices)}
+                "spans": [list(span) for span in self.spans]}
 
     @classmethod
     def from_payload(cls, payload) -> "ShardPlan":
         return cls(shard_id=payload["shard_id"],
-                   device_indices=tuple(payload["device_indices"]))
+                   spans=tuple(tuple(span) for span in payload["spans"]))
 
 
 def _default_capacity(device_name: str) -> int:
@@ -137,30 +150,11 @@ class ShardWorker:
         self.topology = topology
         self.plan = plan
         self.sim = Simulator()
-        table = topology.device_table()
-        #: Macro (mean-field) groups resident on this shard, by name and by
-        #: every global index they cover.  A macro group is a zero-device
-        #: aggregate: it owns its index range for partitioning/routing but
-        #: schedules no simulator events (see :mod:`repro.cluster.macro`).
-        self._macro: dict[str, Any] = {}
-        self._macro_index: dict[int, Any] = {}
-        macro_indices: set[int] = set()
-        owned = set(plan.device_indices)
-        for macro_group in topology.macro_groups():
-            indices = topology.group_indices(macro_group.name)
-            if not owned.intersection(indices):
-                continue
-            if not owned.issuperset(indices):
-                raise ValueError(
-                    f"macro group {macro_group.name!r} split across shards: "
-                    "partition_topology must keep macro groups atomic")
-            from repro.cluster.macro import MacroGroup
-            aggregate = MacroGroup(topology, macro_group,
-                                   _group_capacity(macro_group))
-            self._macro[macro_group.name] = aggregate
-            for index in indices:
-                self._macro_index[index] = aggregate
-            macro_indices.update(indices)
+        #: Macro (mean-field) groups resident on this shard, in global-index
+        #: order.  A macro group is a zero-device aggregate: it owns its
+        #: index range for partitioning/routing but schedules no simulator
+        #: events (see :mod:`repro.cluster.macro`).
+        self._macro: list[Any] = []
         #: global index -> device instance (construction in index order keeps
         #: the shard deterministic).
         self.devices: dict[int, Any] = {}
@@ -195,34 +189,44 @@ class ShardWorker:
         self._fault_proxies: dict[int, FaultInjector] = {}
         self._fault_windows: list[dict[str, Any]] = []
 
-        affected: set[int] = set()
-        for event in topology.faults:
-            affected.update(self._fault_indices(event))
+        fault_spans = [self._fault_span(event) for event in topology.faults]
         wrap_all = topology.fault_policy.max_inflight is not None
 
-        for index in sorted(plan.device_indices):
-            if index in macro_indices:
+        for group, first, stop in self._owned_pieces():
+            if group.mode == "macro":
+                if first != 0 or stop != group.count:
+                    raise ValueError(
+                        f"macro group {group.name!r} split across shards: "
+                        "partition_topology must keep macro groups atomic")
+                from repro.cluster.macro import MacroGroup
+                self._macro.append(
+                    MacroGroup(topology, group, _group_capacity(group)))
                 continue
-            group_name, local_index = table[index]
-            group = topology.group(group_name)
-            device = create_device(self.sim, group.device,
-                                   capacity_bytes=_group_capacity(group),
-                                   name=f"{group_name}[{local_index}]",
-                                   **dict(group.device_params))
-            if group.preload:
-                device.preload()
-            if topology.faults and (index in affected or wrap_all):
-                device = FaultInjector(self.sim, device,
-                                       topology.fault_policy)
-                self._fault_proxies[index] = device
-            self.devices[index] = device
-            self._placement[index] = (group_name, local_index)
+            offset = topology.group_indices(group.name).start
+            for local_index in range(first, stop):
+                index = offset + local_index
+                device = create_device(self.sim, group.device,
+                                       capacity_bytes=_group_capacity(group),
+                                       name=f"{group.name}[{local_index}]",
+                                       **dict(group.device_params))
+                if group.preload:
+                    device.preload()
+                if topology.faults and (wrap_all or any(
+                        index in span for span in fault_spans)):
+                    device = FaultInjector(self.sim, device,
+                                           topology.fault_policy)
+                    self._fault_proxies[index] = device
+                self.devices[index] = device
+                self._placement[index] = (group.name, local_index)
 
+        # A macro group models its own faults and runs its own tenants, so
+        # both loops visit owned discrete devices only (ascending order).
         for order, event in enumerate(topology.faults):
             down = fault_epoch(event.at_us, topology.epoch_us)
             back = repair_epoch(event, topology.epoch_us)
-            for index in self._fault_indices(event):
-                if index not in self.devices:
+            span = fault_spans[order]
+            for index in self.devices:
+                if index not in span:
                     continue
                 self._flips.append(_FaultFlip(down, order, index,
                                               "offline", event))
@@ -232,14 +236,39 @@ class ShardWorker:
         self._flips.sort(key=lambda flip: (flip.epoch, flip.order, flip.index))
 
         for tenant in topology.tenants:
-            for index in topology.group_indices(tenant.group):
-                if index in self.devices:
+            span = topology.group_indices(tenant.group)
+            for index in self.devices:
+                if index in span:
                     self._bind_tenant(tenant, index)
 
-    def _fault_indices(self, event: FaultEvent) -> list[int]:
+    def _owned_pieces(self) -> Iterator[tuple[DeviceGroup, int, int]]:
+        """The plan's spans cut at group boundaries, in ascending index
+        order, as ``(group, first local index, stop local index)``."""
+        total = self.topology.total_devices
+        for start, stop in self.plan.spans:
+            if start < 0 or stop > total:
+                raise IndexError(
+                    f"shard {self.plan.shard_id} span ({start}, {stop}) lies "
+                    f"outside the fleet's {total} devices")
+            index = start
+            while index < stop:
+                group, local_index = self.topology.locate(index)
+                last = min(group.count, local_index + stop - index)
+                yield group, local_index, last
+                index += last - local_index
+
+    def _fault_span(self, event: FaultEvent) -> range:
         """Global indices the event takes offline (layout-independent)."""
         indices = self.topology.group_indices(event.group)
-        return indices if event.device is None else [indices[event.device]]
+        return indices if event.device is None else \
+            indices[event.device:event.device + 1]
+
+    def _macro_at(self, index: int):
+        """The resident macro group whose index range holds ``index``."""
+        for aggregate in self._macro:
+            if index in aggregate.indices:
+                return aggregate
+        return None
 
     def _macro_emit(self, origin_index: int):
         """Emission callback a macro group uses to send replica/rebuild
@@ -260,9 +289,7 @@ class ShardWorker:
     def _advance_macro(self, target_epoch: Optional[int]) -> None:
         """Step every resident macro group to ``target_epoch`` (``None`` =
         drain to quiescence), in group-declaration order."""
-        for name in sorted(self._macro,
-                           key=lambda n: self._macro[n].first_index):
-            aggregate = self._macro[name]
+        for aggregate in self._macro:
             emit = self._macro_emit(aggregate.first_index)
             if target_epoch is None:
                 aggregate.drain(emit)
@@ -375,11 +402,10 @@ class ShardWorker:
         serving a write applied *at* the barrier.
         """
         for message in messages:
-            aggregate = self._macro_index.get(message.target_index)
-            if aggregate is not None:
-                aggregate.absorb(message)
-            else:
+            if message.target_index in self.devices:
                 self.sim.process(self._apply(message))
+            else:
+                self._macro_at(message.target_index).absorb(message)
 
     def _apply(self, message: ReplicaMessage):
         delay = message.delivery_us - self.sim.now
@@ -472,7 +498,7 @@ class ShardWorker:
                 # a future barrier).
                 targets.append(max(self._position + 1,
                                    math.floor(peek / epoch_us) + 1))
-            for aggregate in self._macro.values():
+            for aggregate in self._macro:
                 # A macro group's next busy window bounds the jump the same
                 # way a pending simulator event does: stepping straight to
                 # it keeps every macro emission deliverable at the barrier
@@ -505,7 +531,7 @@ class ShardWorker:
         coordinator-bound list (self-delivery mode)."""
         for message in self._outbound:
             if message.target_index in self.devices or \
-                    message.target_index in self._macro_index:
+                    self._macro_at(message.target_index) is not None:
                 self._held.append(message)
             else:
                 foreign.append(message)
@@ -538,7 +564,7 @@ class ShardWorker:
         if self._flip_index < len(self._flips):
             peek = min(peek, self._flips[self._flip_index].epoch
                        * self.topology.epoch_us)
-        for aggregate in self._macro.values():
+        for aggregate in self._macro:
             nxt = aggregate.next_activity_epoch()
             if nxt is not None:
                 peek = min(peek, (nxt - 1) * self.topology.epoch_us)
@@ -625,6 +651,10 @@ class ShardWorker:
         if rebuilt <= 0:
             return 0, 0, flip.epoch
         offline = self._offline_at_epoch(flip.epoch)
+
+        def survives(index: int) -> bool:
+            return not any(index in span for span in offline)
+
         local_index = self._placement[origin][1]
         if event.spare is not None:
             spare_indices = topology.group_indices(event.spare)
@@ -633,7 +663,7 @@ class ShardWorker:
         else:
             targets = [index
                        for index in topology.group_indices(event.group)
-                       if index != origin and index not in offline]
+                       if index != origin and survives(index)]
             target_group = topology.group(event.group)
         if not targets:
             return 0, 0, flip.epoch
@@ -644,7 +674,7 @@ class ShardWorker:
             indices = topology.group_indices(edge.target)
             for replica in range(edge.policy().replication_factor):
                 source = indices[(local_index + replica) % len(indices)]
-                if source not in offline and source not in sources:
+                if survives(source) and source not in sources:
                     sources.append(source)
         capacity = _group_capacity(target_group)
         half = (capacity // 2) - (capacity // 2) % 4096
@@ -676,18 +706,18 @@ class ShardWorker:
             last_epoch = delivery_epoch
         return chunks, emitted, last_epoch
 
-    def _offline_at_epoch(self, epoch: int) -> set[int]:
-        """Global indices offline at barrier ``epoch`` per the *declared*
-        schedule -- computed from the topology alone so survivor selection
-        is identical in every shard layout.  Devices failing at the same
-        barrier conservatively see each other as offline."""
+    def _offline_at_epoch(self, epoch: int) -> list[range]:
+        """Global index spans offline at barrier ``epoch`` per the
+        *declared* schedule -- computed from the topology alone so survivor
+        selection is identical in every shard layout.  Devices failing at
+        the same barrier conservatively see each other as offline."""
         epoch_us = self.topology.epoch_us
-        offline: set[int] = set()
+        offline: list[range] = []
         for event in self.topology.faults:
             down = fault_epoch(event.at_us, epoch_us)
             back = repair_epoch(event, epoch_us)
             if down <= epoch and (back is None or back > epoch):
-                offline.update(self._fault_indices(event))
+                offline.append(self._fault_span(event))
         return offline
 
     # -- collection --------------------------------------------------------
@@ -709,9 +739,7 @@ class ShardWorker:
         # global index: one aggregate per-tenant payload (carrying its own
         # ``devices`` count and ``approximate: True``) plus pooled
         # replica/rebuild/shed stats.
-        for name in sorted(self._macro,
-                           key=lambda n: self._macro[n].first_index):
-            aggregate = self._macro[name]
+        for aggregate in self._macro:
             anchor = str(aggregate.first_index)
             for tenant_name, payload in aggregate.collect_tenants().items():
                 tenants.setdefault(tenant_name, {})[anchor] = payload

@@ -30,7 +30,9 @@ sweep cache hashes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.cluster.faults import FaultEvent, FaultPolicy
@@ -248,25 +250,39 @@ class FleetTopology:
                 return group
         raise KeyError(name)
 
-    def device_table(self) -> list[tuple[str, int]]:
-        """Global device enumeration: ``[(group_name, local_index), ...]``.
-
-        The position in this list is the device's **global index** -- the
-        identity every layer (sharding, replication routing, metric merges)
-        keys on.  It depends only on the declaration order of the groups,
-        never on the shard layout.
-        """
-        table = []
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        """Global index of each group's first device, in declaration order."""
+        starts, offset = [], 0
         for group in self.groups:
-            for local_index in range(group.count):
-                table.append((group.name, local_index))
-        return table
+            starts.append(offset)
+            offset += group.count
+        return tuple(starts)
 
-    def group_indices(self, name: str) -> list[int]:
-        """Global indices of every device in group ``name`` (local order)."""
-        table = self.device_table()
-        return [index for index, (group_name, _) in enumerate(table)
-                if group_name == name]
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {group.name: position
+                for position, group in enumerate(self.groups)}
+
+    def group_indices(self, name: str) -> range:
+        """Global indices of every device in group ``name`` (local order).
+
+        Devices are numbered group by group in declaration order, so a
+        group is always one contiguous range.  The **global index** is the
+        identity every layer (sharding, replication routing, metric
+        merges) keys on; it never depends on the shard layout.
+        """
+        position = self._positions[name]
+        start = self._starts[position]
+        return range(start, start + self.groups[position].count)
+
+    def locate(self, index: int) -> tuple[DeviceGroup, int]:
+        """``(group, local index)`` of global device ``index``."""
+        if not 0 <= index < self.total_devices:
+            raise IndexError(f"device index {index} out of range for fleet "
+                             f"{self.name!r} of {self.total_devices}")
+        position = bisect_right(self._starts, index) - 1
+        return self.groups[position], index - self._starts[position]
 
     def edges_from(self, group_name: str) -> list[ReplicationEdge]:
         return [edge for edge in self.edges if edge.source == group_name]

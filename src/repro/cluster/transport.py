@@ -306,14 +306,13 @@ def create_transport(kind: str, topology: FleetTopology,
 
 
 def coupling_components(topology: FleetTopology,
-                        owner: dict[int, int],
-                        shards: int) -> list[list[int]]:
+                        plans: Sequence[ShardPlan]) -> list[list[int]]:
     """Partition shard ids into coupling components: shards joined by a
     cross-shard replication edge (or a fault group/spare pair) may
     exchange messages and must lockstep together; a singleton component
     can never see cross-shard traffic and keeps its batched ``run_ahead``
     windows.  Union-find over shard ids, deterministic order."""
-    parent = list(range(shards))
+    parent = list(range(len(plans)))
 
     def find(sid: int) -> int:
         while parent[sid] != sid:
@@ -321,26 +320,23 @@ def coupling_components(topology: FleetTopology,
             sid = parent[sid]
         return sid
 
-    def union(members: set[int]) -> None:
-        roots = sorted(find(sid) for sid in members)
+    def union(*group_names: Optional[str]) -> None:
+        """Couple every shard whose spans intersect one of the groups."""
+        ranges = [topology.group_indices(name) for name in group_names
+                  if name is not None]
+        roots = sorted({find(plan.shard_id) for plan in plans
+                        for start, stop in plan.spans
+                        if any(start < span.stop and span.start < stop
+                               for span in ranges)})
         for root in roots[1:]:
             parent[root] = roots[0]
 
     for edge in topology.edges:
-        touched = {owner[index]
-                   for index in topology.group_indices(edge.source)}
-        touched.update(owner[index]
-                       for index in topology.group_indices(edge.target))
-        union(touched)
+        union(edge.source, edge.target)
     for fault in topology.faults:
-        touched = {owner[index]
-                   for index in topology.group_indices(fault.group)}
-        if fault.spare is not None:
-            touched.update(owner[index]
-                           for index in topology.group_indices(fault.spare))
-        union(touched)
+        union(fault.group, fault.spare)
 
     components: dict[int, list[int]] = {}
-    for sid in range(shards):
+    for sid in range(len(plans)):
         components.setdefault(find(sid), []).append(sid)
     return [components[root] for root in sorted(components)]

@@ -9,16 +9,8 @@ implication they implement.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Any
-
-
-class ContractClauseKind(enum.Enum):
-    """Whether a clause is an observation (measured) or an implication (advice)."""
-
-    OBSERVATION = "observation"
-    IMPLICATION = "implication"
 
 
 @dataclass(frozen=True)

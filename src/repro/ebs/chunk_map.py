@@ -100,7 +100,3 @@ class ChunkMap:
             position += take
             remaining -= take
         return subrequests
-
-    def chunks_touched(self, offset: int, size: int) -> int:
-        """Number of distinct chunks a request spans."""
-        return len(self.split(offset, size))

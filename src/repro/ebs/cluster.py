@@ -59,13 +59,6 @@ class StorageCluster:
         """Chunk-align a host request."""
         return self.chunk_map.split(offset, size)
 
-    def nodes_for_chunk(self, chunk_index: int) -> tuple[int, ...]:
-        return self.chunk_map.placement_group(chunk_index)
-
-    def node_utilization(self) -> list[float]:
-        """Per-node busy-time (us) snapshot, for load-balance diagnostics."""
-        return [node.stats.busy_time_us for node in self.nodes]
-
     # -- chunk-level service -------------------------------------------------------
     def write_subrequest(self, sub: SubRequest):
         """Generator: replicate one chunk-level write and wait for the quorum."""

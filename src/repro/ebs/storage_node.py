@@ -63,10 +63,6 @@ class StorageNode:
         """Requests waiting for a service slot on this node."""
         return self._slots.queue_length
 
-    @property
-    def in_service(self) -> int:
-        return self._slots.users
-
     def write(self, num_bytes: int):
         """Generator: service one replica write of ``num_bytes``.
 

@@ -62,10 +62,6 @@ class FlashGeometry:
     def pages_per_die(self) -> int:
         return self.blocks_per_die * self.pages_per_block
 
-    @property
-    def total_pages(self) -> int:
-        return self.total_dies * self.pages_per_die
-
     # -- address helpers ----------------------------------------------------
     def die_index(self, channel: int, die: int) -> int:
         """Flat die index from (channel, die-within-channel)."""
@@ -100,7 +96,3 @@ class FlashAddress:
     def __post_init__(self) -> None:
         if self.die < 0 or self.block < 0 or self.page < 0:
             raise ValueError(f"negative component in {self}")
-
-    def block_address(self) -> "FlashAddress":
-        """The address of page 0 in the same block (block identity)."""
-        return FlashAddress(self.die, self.block, 0)

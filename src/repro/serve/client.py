@@ -42,8 +42,12 @@ class ServeClient:
             return self
         if self.socket_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(self.socket_path)
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(self.socket_path)
+            except BaseException:
+                sock.close()
+                raise
         else:
             sock = socket.create_connection((self.host, self.port),
                                             timeout=self.timeout)

@@ -103,7 +103,6 @@ class Simulator:
         #: this deque before advancing the clock).
         self._immediate: Deque[Event] = deque()
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         #: Wheel slots: exact deadline -> events at that deadline, appended
         #: in sequence order (so a slot is already internally sorted).  All
         #: slot entries are normal priority and every slot time is strictly
@@ -126,11 +125,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in microseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     @property
     def pending_events(self) -> int:

@@ -254,7 +254,6 @@ class Process(Event):
         self._waiting_on = None
         if self._triggered:
             return
-        sim._active_process = self
         try:
             if event._ok:
                 target = self.generator.send(event._value)
@@ -273,8 +272,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate through the event
             self.fail(exc)
             return
-        finally:
-            sim._active_process = None
         # Inline of _wait_on's hot branch (pending event): one frame less.
         if isinstance(target, Event) and not target._processed:
             self._waiting_on = target
@@ -285,7 +282,6 @@ class Process(Event):
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         if self._triggered:
             return
-        self.sim._active_process = self
         try:
             if throw is not None:
                 target = self.generator.throw(throw)
@@ -297,8 +293,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate through the event
             self.fail(exc)
             return
-        finally:
-            self.sim._active_process = None
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
@@ -372,10 +366,6 @@ class ConditionValue(dict):
     """
 
     __slots__ = ()
-
-    def todict(self) -> dict["Event", Any]:
-        """A plain-``dict`` copy of the results."""
-        return dict(self)
 
 
 class _Condition(Event):

@@ -95,10 +95,6 @@ class BlockAllocator:
     def total_free_blocks(self) -> int:
         return sum(len(queue) for queue in self._free)
 
-    def dies_below(self, watermark: int) -> list[int]:
-        """Dies whose free-block count is below ``watermark``."""
-        return [die for die, queue in enumerate(self._free) if len(queue) < watermark]
-
     # -- allocation ----------------------------------------------------------------
     def can_allocate(self, die: int, stream: WriteStream, reserve: int) -> bool:
         """Whether ``die`` can accept a program for ``stream`` without dipping
@@ -273,9 +269,6 @@ class BlockAllocator:
             self._open[key] = OpenBlock(block_id=block_id, next_slot=next_slot + 1)
 
     # -- GC support ------------------------------------------------------------------
-    def is_open(self, block_id: int) -> bool:
-        return self._state[block_id] is BlockState.OPEN
-
     def gc_candidates(self, die: int) -> list[int]:
         """Blocks on ``die`` that are FULL (eligible GC victims)."""
         start = die * self.blocks_per_die

@@ -205,11 +205,6 @@ class Ftl:
             lbn += len(psns)
 
     # -- introspection ------------------------------------------------------------------
-    @property
-    def free_block_fraction(self) -> float:
-        """Fraction of all blocks currently free (a GC pressure indicator)."""
-        return self.allocator.total_free_blocks() / self.allocator.total_blocks
-
     def occupancy(self) -> float:
         """Fraction of the logical space that is mapped."""
         return self.mapping.utilization

@@ -58,16 +58,6 @@ class GarbageCollector:
             if wakeup is not None and not wakeup.triggered:
                 wakeup.succeed(None)
 
-    @property
-    def is_active(self) -> bool:
-        """Whether any per-die worker is currently relocating or erasing."""
-        return any(self._active)
-
-    @property
-    def active_workers(self) -> int:
-        """Number of dies currently performing garbage collection."""
-        return sum(self._active)
-
     def pressure(self) -> int:
         """Smallest per-die free-block count (lower = more pressure)."""
         return self.ftl.allocator.min_free_blocks()

@@ -54,6 +54,12 @@ def strip_runtime(payload: dict) -> dict:
     return {key: value for key, value in payload.items() if key != "runtime"}
 
 
+def owned(plan: ShardPlan) -> list[int]:
+    """Every global index a plan's spans cover, ascending."""
+    return [index for start, stop in plan.spans
+            for index in range(start, stop)]
+
+
 # ---------------------------------------------------------------------------
 # Topology
 # ---------------------------------------------------------------------------
@@ -64,8 +70,13 @@ def test_topology_payload_roundtrip_and_canonical():
     assert clone == topology
     assert clone.canonical() == topology.canonical()
     assert topology.total_devices == 10
-    assert topology.group_indices("db") == [4, 5, 6]
-    assert topology.device_table()[0] == ("web", 0)
+    assert list(topology.group_indices("db")) == [4, 5, 6]
+    assert topology.locate(0) == (topology.group("web"), 0)
+    assert topology.locate(6) == (topology.group("db"), 2)
+    assert topology.locate(9) == (topology.group("mirror"), 2)
+    for outside in (-1, 10):
+        with pytest.raises(IndexError):
+            topology.locate(outside)
 
 
 def test_topology_validation():
@@ -93,10 +104,10 @@ def test_partition_covers_every_device_exactly_once():
     topology = mini_fleet()
     for shards in (1, 2, 3, 4, 7, 100):
         plans = partition_topology(topology, shards)
-        indices = [i for plan in plans for i in plan.device_indices]
+        indices = [i for plan in plans for i in owned(plan)]
         assert sorted(indices) == list(range(topology.total_devices))
         assert len(plans) == min(shards, topology.total_devices)
-        assert all(plan.device_indices for plan in plans)
+        assert all(plan.spans for plan in plans)
 
 
 def test_partition_keeps_replication_edges_intra_shard_when_possible():
@@ -107,9 +118,9 @@ def test_partition_keeps_replication_edges_intra_shard_when_possible():
     db = set(topology.group_indices("db"))
     mirror = set(topology.group_indices("mirror"))
     for plan in plans:
-        owned = set(plan.device_indices)
-        if owned & db:
-            assert db | mirror <= owned
+        indices = set(owned(plan))
+        if indices & db:
+            assert db | mirror <= indices
 
 
 def test_partition_is_deterministic():
@@ -224,7 +235,7 @@ def test_split_replication_target_group_keeps_replica_stats_identical():
         plans = partition_topology(topology, shards)
         mirror = set(topology.group_indices("mirror"))
         owners = {plan.shard_id for plan in plans
-                  if set(plan.device_indices) & mirror}
+                  if set(owned(plan)) & mirror}
         assert len(owners) > 1, "topology no longer splits the target group"
         sharded = run_fleet(topology, shards=shards, transport="local")
         assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
@@ -430,8 +441,13 @@ def test_registered_fleet_scenarios_are_well_formed():
 
 
 def test_shard_plan_payload_roundtrip():
-    plan = ShardPlan(shard_id=2, device_indices=(1, 4, 5))
+    plan = ShardPlan(shard_id=2, spans=((1, 2), (4, 6)))
+    assert plan.to_payload() == {"shard_id": 2, "spans": [[1, 2], [4, 6]]}
     assert ShardPlan.from_payload(plan.to_payload()) == plan
+    for spans in (((3, 3),), ((4, 6), (1, 2)), ((1, 4), (3, 6)),
+                  ((1, 4), (4, 6))):
+        with pytest.raises(ValueError):  # empty, unsorted, overlapping, unmerged
+            ShardPlan(shard_id=0, spans=spans)
 
 
 # ---------------------------------------------------------------------------

@@ -216,9 +216,9 @@ def test_macro_group_is_never_split_across_shards():
     partition = payload["runtime"]["partition"]
     for indices in (topology.group_indices("src"),
                     topology.group_indices("back")):
-        owners = {next(sid for sid, owned in enumerate(partition)
-                       if index in owned)
-                  for index in indices}
+        owners = {sid for sid, spans in enumerate(partition)
+                  for start, stop in spans
+                  if start < indices.stop and indices.start < stop}
         assert len(owners) == 1, f"macro atom split across shards {owners}"
 
 

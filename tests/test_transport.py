@@ -31,6 +31,7 @@ from repro.cluster import (
     run_fleet_serial,
     tenant,
 )
+from repro.cluster.coordinator import span_owner
 from repro.cluster.shard import ShardPlan
 from repro.cluster.transport import TRANSPORTS, coupling_components
 
@@ -164,19 +165,18 @@ def test_run_config_pairs_roundtrip():
 def test_components_are_singletons_without_edges_or_faults():
     topology = mini_fleet().scaled(edges=())
     plans = partition_topology(topology, 3)
-    owner = {i: p.shard_id for p in plans for i in p.device_indices}
-    components = coupling_components(topology, owner, len(plans))
+    components = coupling_components(topology, plans)
     assert components == [[0], [1], [2]]
 
 
 def test_edge_couples_its_shards_only():
     topology = mini_fleet()
     plans = partition_topology(topology, 3)
-    owner = {i: p.shard_id for p in plans for i in p.device_indices}
-    components = coupling_components(topology, owner, len(plans))
-    db_shards = {owner[i] for i in topology.group_indices("db")}
-    mirror_shards = {owner[i] for i in topology.group_indices("mirror")}
-    web_shards = {owner[i] for i in topology.group_indices("web")}
+    owner = span_owner(plans)
+    components = coupling_components(topology, plans)
+    db_shards = {owner(i) for i in topology.group_indices("db")}
+    mirror_shards = {owner(i) for i in topology.group_indices("mirror")}
+    web_shards = {owner(i) for i in topology.group_indices("web")}
     coupled = db_shards | mirror_shards
     assert sorted(coupled) in components
     for sid in web_shards - coupled:
@@ -186,10 +186,10 @@ def test_edge_couples_its_shards_only():
 def test_fault_spare_pair_is_coupled():
     topology = faulted_fleet()
     plans = partition_topology(topology, len(topology.groups))
-    owner = {i: p.shard_id for p in plans for i in p.device_indices}
-    components = coupling_components(topology, owner, len(plans))
-    touched = {owner[i] for i in topology.group_indices("db")}
-    touched |= {owner[i] for i in topology.group_indices("spare")}
+    owner = span_owner(plans)
+    components = coupling_components(topology, plans)
+    touched = {owner(i) for i in topology.group_indices("db")}
+    touched |= {owner(i) for i in topology.group_indices("spare")}
     component = next(c for c in components if touched <= set(c))
     assert len(component) >= len(touched)
 
@@ -260,20 +260,23 @@ def test_executor_crashed_worker_raises_cleanly():
 
 
 def test_executor_worker_init_error_raises_cleanly():
+    """A plan span past the end of the fleet, or one with a negative
+    start, fails the worker's start with an IndexError naming the span."""
     topology = mini_fleet()
     plans = partition_topology(topology, 2)
-    bad = plans[1].to_payload()
-    bad["device_indices"] = [10 ** 9]
-    before = set(multiprocessing.active_children())
+    for span in ((10 ** 9, 10 ** 9 + 1), (-1, 0)):
+        bad = ShardPlan(shard_id=1, spans=(span,))
+        before = set(multiprocessing.active_children())
 
-    with pytest.raises(RuntimeError,
-                       match="shard 1 worker failed while initialising"
-                       ) as excinfo:
-        ExecutorTransport(topology, [plans[0], ShardPlan.from_payload(bad)])
-    assert isinstance(excinfo.value.__cause__, IndexError)
-    # Every pool was shut down before the error surfaced: no worker
-    # process of either shard outlives it.
-    assert_all_exit(set(multiprocessing.active_children()) - before)
+        with pytest.raises(RuntimeError,
+                           match="shard 1 worker failed while initialising"
+                           ) as excinfo:
+            ExecutorTransport(topology, [plans[0], bad])
+        assert isinstance(excinfo.value.__cause__, IndexError)
+        assert str(span) in str(excinfo.value)
+        # Every pool was shut down before the error surfaced: no worker
+        # process of either shard outlives it.
+        assert_all_exit(set(multiprocessing.active_children()) - before)
 
 
 def test_executor_close_is_idempotent():
