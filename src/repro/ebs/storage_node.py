@@ -27,7 +27,6 @@ class StorageNodeStats:
     writes: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    busy_time_us: float = 0.0
 
 
 class StorageNode:
@@ -70,7 +69,6 @@ class StorageNode:
         node's bandwidth budget (append-log record granularity).
         """
         sim = self.sim
-        start = sim.now
         charge = max(num_bytes, self._min_charge)
         yield self._slots.request()
         try:
@@ -81,7 +79,6 @@ class StorageNode:
         stats = self.stats
         stats.writes += 1
         stats.bytes_written += num_bytes
-        stats.busy_time_us += sim.now - start
 
     def read(self, num_bytes: int, sequential: bool = False):
         """Generator: service one read of ``num_bytes``.
@@ -90,7 +87,6 @@ class StorageNode:
         recognises a sequential stream (server-side readahead).
         """
         sim = self.sim
-        start = sim.now
         if sequential:
             # Server-side readahead: the data is already staged in the node's
             # memory, so only the (cheaper) sequential software path is paid.
@@ -107,4 +103,3 @@ class StorageNode:
         stats = self.stats
         stats.reads += 1
         stats.bytes_read += num_bytes
-        stats.busy_time_us += sim.now - start

@@ -11,7 +11,7 @@ all dies on that channel.  The FTL (:mod:`repro.ssd.ftl`) calls the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.flash.geometry import FlashGeometry
@@ -32,17 +32,13 @@ class FlashOp(enum.Enum):
 
 @dataclass
 class FlashArrayStats:
-    """Operation counters and busy-time accounting for a flash array."""
+    """Operation counters for a flash array."""
 
     reads: int = 0
     programs: int = 0
     erases: int = 0
     bytes_read: int = 0
     bytes_programmed: int = 0
-    die_busy_us: dict = field(default_factory=dict)
-
-    def add_busy(self, die: int, duration: float) -> None:
-        self.die_busy_us[die] = self.die_busy_us.get(die, 0.0) + duration
 
 
 class FlashArray:
@@ -79,7 +75,6 @@ class FlashArray:
         timing = self.timing
         die_res = self._die_resource(die)
         chan_res = self._channel_resource(die)
-        start = self.sim.now
         yield die_res.request()
         try:
             yield self.sim.timeout(timing.command_overhead_us + timing.read_us)
@@ -92,7 +87,6 @@ class FlashArray:
             die_res.release()
         self.stats.reads += 1
         self.stats.bytes_read += num_bytes
-        self.stats.add_busy(die, self.sim.now - start)
 
     def program_page(self, die: int, num_bytes: int, planes: int = 1):
         """Generator: program ``num_bytes`` into ``die``.
@@ -106,7 +100,6 @@ class FlashArray:
         timing = self.timing
         die_res = self._die_resource(die)
         chan_res = self._channel_resource(die)
-        start = self.sim.now
         yield die_res.request()
         try:
             yield chan_res.request()
@@ -120,19 +113,16 @@ class FlashArray:
             die_res.release()
         self.stats.programs += 1
         self.stats.bytes_programmed += num_bytes
-        self.stats.add_busy(die, self.sim.now - start)
 
     def erase_block(self, die: int):
         """Generator: erase one block of ``die``."""
         die_res = self._die_resource(die)
-        start = self.sim.now
         yield die_res.request()
         try:
             yield self.sim.timeout(self.timing.command_overhead_us + self.timing.erase_us)
         finally:
             die_res.release()
         self.stats.erases += 1
-        self.stats.add_busy(die, self.sim.now - start)
 
     # -- theoretical limits (used by tests and calibration) -----------------
     def peak_read_bandwidth(self) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -37,6 +37,10 @@ class WriteStream(enum.Enum):
 
     HOST = "host"
     GC = "gc"
+
+    # Members are singletons: hash by identity in C.  ``Enum.__hash__`` is a
+    # Python-level call on every ``(die, stream)`` frontier lookup.
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -77,9 +81,6 @@ class BlockAllocator:
     def first_slot_of_block(self, block_id: int) -> int:
         return block_id * self.slots_per_block
 
-    def block_of_slot(self, psn: int) -> int:
-        return psn // self.slots_per_block
-
     def state_of(self, block_id: int) -> BlockState:
         return self._state[block_id]
 
@@ -106,13 +107,24 @@ class BlockAllocator:
         return len(self._free[die]) > minimum
 
     def pick_die(self, stream: WriteStream, reserve: int) -> Optional[int]:
-        """Round-robin die selection among dies that can accept a program."""
-        for step in range(self.total_dies):
-            die = (self._write_cursor + step) % self.total_dies
-            if self.can_allocate(die, stream, reserve):
-                self._write_cursor = (die + 1) % self.total_dies
-                return die
-        return None
+        """Round-robin die selection among dies that can accept a program
+        (:meth:`can_allocate`), starting at the write cursor."""
+        dies = self.total_dies
+        cursor = self._write_cursor
+        spb = self.slots_per_block
+        minimum = 0 if stream is WriteStream.GC else reserve
+        open_blocks = self._open
+        free = self._free
+        for die in chain(range(cursor, dies), range(cursor)):
+            if len(free[die]) > minimum:
+                break
+            open_block = open_blocks.get((die, stream))
+            if open_block is not None and open_block.next_slot < spb:
+                break
+        else:
+            return None
+        self._write_cursor = die + 1 if die + 1 < dies else 0
+        return die
 
     def allocate_slots(self, die: int, count: int, stream: WriteStream,
                        reserve: int) -> list[int]:
@@ -132,11 +144,12 @@ class BlockAllocator:
             # erased it since, so it must not be marked again here.
             open_block = self._open_new_block(die, stream, reserve)
             self._open[key] = open_block
-        available = self.slots_per_block - open_block.next_slot
-        granted = min(count, available)
-        base = self.first_slot_of_block(open_block.block_id) + open_block.next_slot
-        open_block.next_slot += granted
-        if open_block.next_slot >= self.slots_per_block:
+        spb = self.slots_per_block
+        next_slot = open_block.next_slot
+        granted = min(count, spb - next_slot)
+        base = open_block.block_id * spb + next_slot
+        open_block.next_slot = next_slot = next_slot + granted
+        if next_slot >= spb:
             self._state[open_block.block_id] = BlockState.FULL
         return list(range(base, base + granted))
 

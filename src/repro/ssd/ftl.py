@@ -96,6 +96,10 @@ class Ftl:
         relocation -- are not written).
         """
         allocator = self.allocator
+        map_run = self.mapping.map_run
+        program_page = self.flash.program_page
+        program_bytes = self.config.program_unit_bytes
+        planes = self.config.geometry.planes_per_die
         reserve = self.gc_host_reserve
         unit = allocator.program_unit_slots
         written = 0
@@ -115,24 +119,17 @@ class Ftl:
                 self.gc.kick()
                 yield self._wait_for_space()
                 die = allocator.pick_die(stream, reserve)
-            batch = pending[index:index + unit]
-            slots = allocator.allocate_slots(die, len(batch), stream, reserve)
-            batch = batch[:len(slots)]
-            placed = 0
-            for lbn, psn in zip(batch, slots):
-                if validate is not None and not validate(lbn):
-                    continue
-                self.mapping.map(lbn, psn)
-                placed += 1
+            slots = allocator.allocate_slots(die, min(unit, len(pending) - index),
+                                             stream, reserve)
+            end = index + len(slots)
+            placed = map_run(pending[index:end], slots[0], validate)
             if allocator.free_blocks(die) < self.gc_low_watermark:
                 self.gc.kick(die)
             # The program transfers the full multi-plane unit regardless of
             # how many slots were actually placed (padding).
-            yield from self.flash.program_page(
-                die, self.config.program_unit_bytes,
-                planes=self.config.geometry.planes_per_die)
+            yield from program_page(die, program_bytes, planes=planes)
             written += placed
-            index += len(slots)
+            index = end
         if stream is WriteStream.HOST:
             self.stats.host_slots_written += written
         else:
@@ -147,16 +144,19 @@ class Ftl:
         die/channel contention).  Unmapped blocks cost nothing (the device
         returns zeroes).  Returns the number of flash page reads issued.
         """
+        lookup = self.mapping.lookup
+        die_of_block = self.allocator.die_of_block
+        slots_per_block = self.allocator.slots_per_block
+        slots_per_page = self.slots_per_page
         groups: dict[tuple[int, int], int] = {}
         unmapped = 0
         for lbn in lbns:
-            psn = self.mapping.lookup(lbn)
+            psn = lookup(lbn)
             if psn == UNMAPPED:
                 unmapped += 1
                 continue
-            die = self.allocator.die_of_block(self.allocator.block_of_slot(psn))
-            page = psn // self.slots_per_page
-            groups[(die, page)] = groups.get((die, page), 0) + 1
+            key = (die_of_block(psn // slots_per_block), psn // slots_per_page)
+            groups[key] = groups.get(key, 0) + 1
         self.stats.unmapped_reads += unmapped
         if not groups:
             return 0

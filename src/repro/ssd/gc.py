@@ -11,7 +11,7 @@ produces the local SSD's throughput collapse in Figure 3 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.ssd.allocator import WriteStream
@@ -28,11 +28,6 @@ class GcStats:
     blocks_erased: int = 0
     slots_relocated: int = 0
     pages_read: int = 0
-    #: Simulation time (us) spent inside GC passes, summed over all per-die
-    #: workers (can exceed wall-clock simulation time).
-    busy_time_us: float = 0.0
-    #: (time_us, total_free_blocks) samples taken at each invocation.
-    pressure_samples: list = field(default_factory=list)
 
 
 class GarbageCollector:
@@ -45,7 +40,6 @@ class GarbageCollector:
         self.stats = GcStats()
         self._dies = ftl.allocator.total_dies
         self._wakeups: list = [None] * self._dies
-        self._active = [False] * self._dies
         for die in range(self._dies):
             self.sim.process(self._run(die))
 
@@ -57,10 +51,6 @@ class GarbageCollector:
             wakeup = self._wakeups[index]
             if wakeup is not None and not wakeup.triggered:
                 wakeup.succeed(None)
-
-    def pressure(self) -> int:
-        """Smallest per-die free-block count (lower = more pressure)."""
-        return self.ftl.allocator.min_free_blocks()
 
     # -- per-die worker -----------------------------------------------------------
     def _run(self, die: int):
@@ -77,13 +67,7 @@ class GarbageCollector:
                 victim = self._select_victim(die)
                 if victim is None:
                     break
-                started = self.sim.now
-                self._active[die] = True
-                try:
-                    yield from self._collect(die, victim)
-                finally:
-                    self._active[die] = False
-                self.stats.busy_time_us += self.sim.now - started
+                yield from self._collect(die, victim)
                 progressed = True
             if not progressed:
                 # Nothing reclaimable on this die right now (all candidates
@@ -116,22 +100,21 @@ class GarbageCollector:
         allocator = ftl.allocator
         mapping = ftl.mapping
         self.stats.invocations += 1
-        self.stats.pressure_samples.append((self.sim.now, allocator.total_free_blocks()))
 
         valid_lbns = mapping.valid_lbns_in_block(block_id)
         if valid_lbns:
             # Read every flash page that still holds valid data.
-            base_slot = allocator.first_slot_of_block(block_id)
-            pages = sorted({(mapping.lookup(lbn) - base_slot) // ftl.slots_per_page
-                            for lbn in valid_lbns
-                            if allocator.block_of_slot(mapping.lookup(lbn)) == block_id})
+            slot_lo = allocator.first_slot_of_block(block_id)
+            slot_hi = slot_lo + allocator.slots_per_block
+            slots_per_page = ftl.slots_per_page
+            pages = sorted({(slot - slot_lo) // slots_per_page
+                            for slot in map(mapping.lookup, valid_lbns)
+                            if slot_lo <= slot < slot_hi})
             for _page in pages:
                 yield from ftl.flash.read_page(die, ftl.config.geometry.page_size)
                 self.stats.pages_read += 1
             # Relocate through the GC frontier.  Blocks overwritten by the
             # host in the meantime are skipped by the validity filter.
-            slot_lo = base_slot
-            slot_hi = base_slot + allocator.slots_per_block
 
             def still_in_victim(lbn: int) -> bool:
                 slot = mapping.lookup(lbn)

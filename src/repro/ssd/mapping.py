@@ -8,6 +8,8 @@ slot in a victim block.
 
 from __future__ import annotations
 
+from typing import Callable, Optional, Sequence
+
 import numpy as np
 
 #: Sentinel for "unmapped" entries in the L2P / P2S tables.
@@ -31,30 +33,36 @@ class PageMapping:
         self._l2p = np.full(logical_blocks, UNMAPPED, dtype=np.int64)
         self._p2l = np.full(total_slots, UNMAPPED, dtype=np.int64)
         self._valid_per_block = np.zeros(self.num_blocks, dtype=np.int64)
+        # The per-block methods read and write the same memory through
+        # memoryviews: an element costs ~50 ns that way against ~270 ns for
+        # ``int(array[i])``.  The bulk paths keep numpy.
+        self._l2p_view = memoryview(self._l2p)
+        self._p2l_view = memoryview(self._p2l)
+        self._valid_view = memoryview(self._valid_per_block)
         self.mapped_blocks = 0
 
     # -- queries --------------------------------------------------------------
     def lookup(self, lbn: int) -> int:
         """Physical slot of ``lbn``, or :data:`UNMAPPED`."""
-        return int(self._l2p[lbn])
+        return self._l2p_view[lbn]
 
     def reverse_lookup(self, psn: int) -> int:
         """Logical block stored in slot ``psn``, or :data:`UNMAPPED`."""
-        return int(self._p2l[psn])
+        return self._p2l_view[psn]
 
     def is_mapped(self, lbn: int) -> bool:
-        return self._l2p[lbn] != UNMAPPED
+        return self._l2p_view[lbn] != UNMAPPED
 
     def valid_slots_in_block(self, block_id: int) -> int:
         """Number of valid slots in the given flash block."""
-        return int(self._valid_per_block[block_id])
+        return self._valid_view[block_id]
 
     def valid_lbns_in_block(self, block_id: int) -> list[int]:
         """Logical blocks whose current copy lives in ``block_id``."""
         start = block_id * self.slots_per_block
         end = start + self.slots_per_block
         segment = self._p2l[start:end]
-        return [int(lbn) for lbn in segment[segment != UNMAPPED]]
+        return segment[segment != UNMAPPED].tolist()
 
     def valid_block_counts(self) -> np.ndarray:
         """Read-only view of the per-block valid-slot counters."""
@@ -65,9 +73,6 @@ class PageMapping:
         """Fraction of logical blocks currently mapped."""
         return self.mapped_blocks / self.logical_blocks
 
-    def block_of_slot(self, psn: int) -> int:
-        return psn // self.slots_per_block
-
     # -- updates --------------------------------------------------------------
     def map(self, lbn: int, psn: int) -> int:
         """Point ``lbn`` at ``psn``; returns the previous slot (or UNMAPPED).
@@ -75,21 +80,51 @@ class PageMapping:
         The previous slot, if any, is invalidated (its block's valid counter
         is decremented and its reverse mapping cleared).
         """
-        if not 0 <= lbn < self.logical_blocks:
-            raise ValueError(f"lbn {lbn} out of range")
-        if not 0 <= psn < self.total_slots:
-            raise ValueError(f"psn {psn} out of range")
-        if self._p2l[psn] != UNMAPPED:
-            raise ValueError(f"slot {psn} is already occupied by lbn {self._p2l[psn]}")
-        previous = int(self._l2p[lbn])
-        if previous != UNMAPPED:
-            self._invalidate_slot(previous)
-        else:
-            self.mapped_blocks += 1
-        self._l2p[lbn] = psn
-        self._p2l[psn] = lbn
-        self._valid_per_block[psn // self.slots_per_block] += 1
+        previous = self._l2p_view[lbn] if 0 <= lbn < self.logical_blocks else UNMAPPED
+        self.map_run((lbn,), psn)
         return previous
+
+    def map_run(self, lbns: Sequence[int], first_psn: int,
+                validate: Optional[Callable[[int], bool]] = None) -> int:
+        """Point ``lbns[i]`` at slot ``first_psn + i``: :meth:`map` over a
+        program unit in one call.  Returns the number of blocks mapped.
+
+        A block that ``validate`` rejects is skipped and leaves its slot
+        unused.  Each block is checked as it comes -- LBN in range, slot in
+        range, slot free -- so a bad block raises ``ValueError`` with the
+        blocks before it already mapped.
+        """
+        logical = self.logical_blocks
+        total = self.total_slots
+        spb = self.slots_per_block
+        l2p = self._l2p_view
+        p2l = self._p2l_view
+        valid = self._valid_view
+        placed = 0
+        psn = first_psn - 1
+        for lbn in lbns:
+            psn += 1
+            if validate is not None and not validate(lbn):
+                continue
+            if not 0 <= lbn < logical:
+                raise ValueError(f"lbn {lbn} out of range")
+            if not 0 <= psn < total:
+                raise ValueError(f"psn {psn} out of range")
+            owner = p2l[psn]
+            if owner != UNMAPPED:
+                raise ValueError(f"slot {psn} is already occupied by lbn {owner}")
+            previous = l2p[lbn]
+            if previous != UNMAPPED:
+                # _invalidate_slot, inlined: this loop is the write path.
+                p2l[previous] = UNMAPPED
+                valid[previous // spb] -= 1
+            else:
+                self.mapped_blocks += 1
+            l2p[lbn] = psn
+            p2l[psn] = lbn
+            valid[psn // spb] += 1
+            placed += 1
+        return placed
 
     def map_range(self, start_lbn: int, psns: np.ndarray) -> None:
         """Point ``start_lbn + i`` at ``psns[i]`` for every ``i``: :meth:`map`
@@ -132,19 +167,20 @@ class PageMapping:
 
     def unmap(self, lbn: int) -> int:
         """Remove the mapping of ``lbn`` (TRIM); returns the freed slot."""
-        previous = int(self._l2p[lbn])
+        previous = self._l2p_view[lbn]
         if previous == UNMAPPED:
             return UNMAPPED
         self._invalidate_slot(previous)
-        self._l2p[lbn] = UNMAPPED
+        self._l2p_view[lbn] = UNMAPPED
         self.mapped_blocks -= 1
         return previous
 
     def _invalidate_slot(self, psn: int) -> None:
         block_id = psn // self.slots_per_block
-        self._p2l[psn] = UNMAPPED
-        self._valid_per_block[block_id] -= 1
-        if self._valid_per_block[block_id] < 0:  # pragma: no cover - invariant guard
+        self._p2l_view[psn] = UNMAPPED
+        valid = self._valid_view
+        valid[block_id] -= 1
+        if valid[block_id] < 0:  # pragma: no cover - invariant guard
             raise AssertionError(f"negative valid count for block {block_id}")
 
     def clear_block(self, block_id: int) -> None:

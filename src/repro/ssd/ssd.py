@@ -150,10 +150,12 @@ class SsdDevice(BlockDevice):
             if write_buffer is None:
                 yield from self.ftl.write_slots(list(lbns), WriteStream.HOST)
             else:
-                for lbn in lbns:
-                    while not write_buffer.has_room_for(lbn):
-                        yield write_buffer.wait_for_space(lbn)
-                    write_buffer.insert(lbn)
+                lbn, end = lbns.start, lbns.stop
+                while True:
+                    lbn = write_buffer.insert_run(lbn, end)
+                    if lbn == end:
+                        break
+                    yield write_buffer.wait_for_space(lbn)
         elif kind is IOKind.FLUSH:
             write_buffer = self.write_buffer
             if write_buffer is not None:

@@ -38,11 +38,23 @@ flusher that completes goes straight on to ``take_batch`` in the same step,
 and the wake-all's retries ran only after that.  A walk inside
 ``complete_flush`` would insert blocks before that ``take_batch``, changing
 the batch and the order of overwrite hits.
+
+Nothing frees space during the walk: a resumed writer only inserts, and a
+flush completion is an event of its own.  So once the buffer is full, it
+stays full until the walk ends; from there only an overwrite hit (a block
+already dirty) can proceed, and a FLUSH cannot.  The walk then tests the
+remaining waiters for a hit only and re-parks each run of the others with
+one ``extend``, in order.
+
+A write inserts its blocks with one :meth:`WriteBuffer.insert_run` call up
+to the first block with no room, and parks there.  Nothing yields between
+inserts that fit, so this is the per-block loop's event order exactly.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,7 +79,7 @@ class WriteBuffer:
         #: Parked writers in FIFO order, each with the block it needs
         #: (``None``: until the buffer is empty).
         self._space_waiters: list[tuple["Event", Optional[int]]] = []
-        self._data_waiters: list["Event"] = []
+        self._data_waiters: deque["Event"] = deque()
         self.overwrite_hits = 0
 
     # -- state -------------------------------------------------------------------
@@ -94,15 +106,33 @@ class WriteBuffer:
 
     def insert(self, lbn: int) -> None:
         """Mark ``lbn`` dirty.  Caller must have checked :meth:`has_room_for`."""
-        dirty = self._dirty
-        if lbn in dirty:
-            self.overwrite_hits += 1
-            dirty.move_to_end(lbn)
-            return
-        if len(dirty) + len(self._in_flight) >= self.capacity_slots:
+        if self.insert_run(lbn, lbn + 1) == lbn:
             raise RuntimeError("write buffer overflow - caller must wait for space")
-        dirty[lbn] = None
-        self._notify_one(self._data_waiters)
+
+    def insert_run(self, lbn: int, end: int) -> int:
+        """Mark ``lbn``, ``lbn + 1``, ... dirty up to ``end`` (exclusive),
+        stopping at the first block with no room; returns that block, or
+        ``end`` when all fit.
+
+        An overwrite moves the block to the back of the flush order and
+        counts a hit.  Each new block wakes one flusher waiting for data.
+        """
+        dirty = self._dirty
+        in_flight = self._in_flight
+        capacity = self.capacity_slots
+        data_waiters = self._data_waiters
+        while lbn < end:
+            if lbn in dirty:
+                self.overwrite_hits += 1
+                dirty.move_to_end(lbn)
+            elif len(dirty) + len(in_flight) < capacity:
+                dirty[lbn] = None
+                if data_waiters:
+                    self._notify_one(data_waiters)
+            else:
+                break
+            lbn += 1
+        return lbn
 
     def wait_for_space(self, lbn: Optional[int]) -> "Event":
         """Park until a flush completion's handoff finds that inserting
@@ -123,19 +153,18 @@ class WriteBuffer:
         """Move up to ``max_slots`` dirty blocks to the in-flight set."""
         if max_slots <= 0:
             raise ValueError("max_slots must be positive")
-        batch: list[int] = []
-        while self._dirty and len(batch) < max_slots:
-            lbn, _ = self._dirty.popitem(last=False)
-            self._in_flight.add(lbn)
-            batch.append(lbn)
+        dirty = self._dirty
+        batch = list(islice(dirty, max_slots))
+        for lbn in batch:
+            del dirty[lbn]
+        self._in_flight.update(batch)
         return batch
 
     def complete_flush(self, lbns: list[int]) -> None:
         """Drop flushed blocks from the buffer and schedule the handoff of
         the freed space to the writers parked now (see the module
         docstring)."""
-        for lbn in lbns:
-            self._in_flight.discard(lbn)
+        self._in_flight.difference_update(lbns)
         parked = self._space_waiters
         if parked:
             self._space_waiters = []
@@ -151,20 +180,31 @@ class WriteBuffer:
         in_flight = self._in_flight
         capacity = self.capacity_slots
         succeed_now = self.sim._succeed_now
-        for waiter in handoff.value:
-            event, lbn = waiter
-            if lbn is None:
-                ready = not dirty and not in_flight
-            else:
-                ready = lbn in dirty or len(dirty) + len(in_flight) < capacity
-            if ready:
-                succeed_now(event)
+        waiters = handoff.value
+        count = len(waiters)
+        index = 0
+        # While there is room, every writer proceeds, and a FLUSH does if
+        # the buffer is empty.
+        while index < count and len(dirty) + len(in_flight) < capacity:
+            waiter = waiters[index]
+            index += 1
+            if waiter[1] is not None or (not dirty and not in_flight):
+                succeed_now(waiter[0])
             else:
                 self._space_waiters.append(waiter)
+        # Full for the rest of the walk: only an overwrite hit proceeds.
+        # (``None in dirty`` is false, so a FLUSH stays parked.)
+        start = index
+        for index in range(index, count):
+            if waiters[index][1] in dirty:
+                self._space_waiters.extend(waiters[start:index])
+                succeed_now(waiters[index][0])
+                start = index + 1
+        self._space_waiters.extend(waiters[start:])
 
-    def _notify_one(self, waiters: list["Event"]) -> None:
+    def _notify_one(self, waiters: deque["Event"]) -> None:
         while waiters:
-            event = waiters.pop(0)
+            event = waiters.popleft()
             if not event.triggered:
                 event.succeed(None)
                 return

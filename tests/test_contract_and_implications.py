@@ -23,11 +23,13 @@ from repro.implications.reduction import (
 from repro.workload import synthesize_bursty_trace, synthesize_uniform_trace
 
 from test_golden_digests import (
+    CONTRACT_EVENTS_KEY,
     CONTRACT_KEY,
     INTERPRETER,
     contract_digest,
     load_golden,
     quick_checker_config,
+    run_quick_checker,
 )
 
 
@@ -72,17 +74,33 @@ def quick_checker():
 
 
 @pytest.fixture(scope="module")
-def quick_report(quick_checker):
-    """One full run (all four observations) shared by the checks below."""
-    return quick_checker.run()
+def quick_run():
+    """One full run (all four observations) shared by the checks below, with
+    the number of events it scheduled."""
+    return run_quick_checker()
 
 
-def test_checker_evidence_matches_golden_digest(quick_report):
+@pytest.fixture(scope="module")
+def quick_report(quick_run):
+    return quick_run[0]
+
+
+def recorded_golden():
     recorded = load_golden().get(INTERPRETER)
     if recorded is None:
         pytest.skip(f"no golden digests recorded for {INTERPRETER}: float "
                     "sum() differs across interpreter versions")
-    assert contract_digest(quick_report) == recorded[CONTRACT_KEY][0]
+    return recorded
+
+
+def test_checker_evidence_matches_golden_digest(quick_report):
+    assert contract_digest(quick_report) == recorded_golden()[CONTRACT_KEY][0]
+
+
+def test_checker_schedules_the_golden_event_count(quick_run):
+    """Same results *and* the same events: a cut that is exact by
+    construction schedules exactly what the code before it did."""
+    assert quick_run[1] == recorded_golden()[CONTRACT_EVENTS_KEY][0]
 
 
 def test_checker_observation_1_latency_gap(quick_report):

@@ -7,8 +7,11 @@ simulated result, bit for bit.
 
 Beside the scenarios, the file records the contract checker's full
 evidence (all four observations) at the small ``quick_checker_config``
-under ``CONTRACT_KEY``; ``tests/test_contract_and_implications.py``
-compares against it from its one module-scoped checker run.
+under ``CONTRACT_KEY``, and under ``CONTRACT_EVENTS_KEY`` the total
+``Simulator.scheduled_events`` of that run.  The count pins the event
+order's shape: a change that keeps every result but schedules one event
+more or less shows here.  ``tests/test_contract_and_implications.py``
+compares both from its one module-scoped checker run.
 
 The recorded sets are keyed by interpreter (``py3.11``, ...).  From 3.12 on,
 ``sum()`` over floats is compensated (``sum([0.1] * 10)`` is ``1.0`` on 3.12
@@ -27,7 +30,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -35,9 +40,11 @@ GOLDEN_PATH = Path(__file__).resolve().with_name("golden_digests.json")
 INTERPRETER = f"py{sys.version_info[0]}.{sys.version_info[1]}"
 #: Entry of the contract checker's evidence digest (not a scenario name).
 CONTRACT_KEY = "contract:quick_checker"
+#: Entry of the events the checker's full run schedules (not a scenario name).
+CONTRACT_EVENTS_KEY = "contract:quick_checker:scheduled_events"
 
 
-def load_golden() -> dict[str, dict[str, list[str]]]:
+def load_golden() -> dict[str, dict[str, list]]:
     return json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.is_file() else {}
 
 
@@ -65,6 +72,32 @@ def quick_checker_config():
     )
 
 
+@contextmanager
+def checker_simulators():
+    """Collect, in the yielded list, every ``Simulator`` the contract
+    checker builds inside the block."""
+    import repro.core.checker as checker
+
+    built = []
+
+    class Collected(checker.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with mock.patch.object(checker, "Simulator", Collected):
+        yield built
+
+
+def run_quick_checker():
+    """The quick checker's full report and the events its run scheduled."""
+    from repro.core import ContractChecker
+
+    with checker_simulators() as simulators:
+        report = ContractChecker(config=quick_checker_config()).run()
+    return report, sum(sim.scheduled_events for sim in simulators)
+
+
 def contract_digest(report) -> str:
     """``spec_hash`` of a :class:`ContractReport`: every observation's
     verdict plus its evidence metrics."""
@@ -82,7 +115,7 @@ def contract_digest(report) -> str:
 
 _GOLDEN = load_golden()
 _NAMES = sorted({name for recorded in _GOLDEN.values() for name in recorded}
-                - {CONTRACT_KEY})
+                - {CONTRACT_KEY, CONTRACT_EVENTS_KEY})
 
 
 @pytest.mark.parametrize("name", _NAMES)
@@ -99,23 +132,23 @@ def test_scenario_quick_cells_match_golden_digests(name, monkeypatch):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
-                        help=f"record every built-in scenario's digests and "
-                             f"the checker's under {INTERPRETER} in "
-                             f"{GOLDEN_PATH.name}")
+                        help=f"record every built-in scenario's digests, "
+                             f"the checker's and its event count under "
+                             f"{INTERPRETER} in {GOLDEN_PATH.name}")
     args = parser.parse_args(argv)
     if not args.write:
         print(json.dumps(load_golden(), indent=2, sort_keys=True))
         return 0
     os.environ.pop("REPRO_SCENARIO_PATH", None)
     import repro.experiments  # noqa: F401 - registers the built-in scenarios
-    from repro.core import ContractChecker
     from repro.experiments.scenarios import all_scenarios
 
     golden = load_golden()
     golden[INTERPRETER] = {spec.name: scenario_digests(spec.name)
                            for spec in all_scenarios()}
-    report = ContractChecker(config=quick_checker_config()).run()
+    report, events = run_quick_checker()
     golden[INTERPRETER][CONTRACT_KEY] = [contract_digest(report)]
+    golden[INTERPRETER][CONTRACT_EVENTS_KEY] = [events]
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -134,6 +134,79 @@ def test_map_range_matches_map_and_invalidates_old_copies():
     assert bulk.mapped_blocks == 7
 
 
+def reference_map(mapping, lbn, psn):
+    """``PageMapping.map`` before ``map_run``, kept verbatim (numpy scalar
+    access), with ``_invalidate_slot`` inlined."""
+    if not 0 <= lbn < mapping.logical_blocks:
+        raise ValueError(f"lbn {lbn} out of range")
+    if not 0 <= psn < mapping.total_slots:
+        raise ValueError(f"psn {psn} out of range")
+    if mapping._p2l[psn] != UNMAPPED:
+        raise ValueError(f"slot {psn} is already occupied by lbn {mapping._p2l[psn]}")
+    previous = int(mapping._l2p[lbn])
+    if previous != UNMAPPED:
+        block_id = previous // mapping.slots_per_block
+        mapping._p2l[previous] = UNMAPPED
+        mapping._valid_per_block[block_id] -= 1
+    else:
+        mapping.mapped_blocks += 1
+    mapping._l2p[lbn] = psn
+    mapping._p2l[psn] = lbn
+    mapping._valid_per_block[psn // mapping.slots_per_block] += 1
+    return previous
+
+
+def reference_map_run(mapping, batch, slots, validate):
+    """``Ftl.write_slots``'s per-block mapping loop before ``map_run``, kept
+    verbatim (``self.mapping.map`` is :func:`reference_map`)."""
+    placed = 0
+    for lbn, psn in zip(batch, slots):
+        if validate is not None and not validate(lbn):
+            continue
+        reference_map(mapping, lbn, psn)
+        placed += 1
+    return placed
+
+
+def outcome(call, *args):
+    """``call(*args)``'s return value, or its exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 31)), max_size=24),
+       lbns=st.lists(st.integers(-2, 17), unique=True, min_size=1, max_size=10),
+       first_psn=st.integers(-4, 31),
+       rejected=st.sets(st.integers(-2, 17)),
+       checked=st.booleans())
+def test_map_run_matches_the_per_block_loop(prior, lbns, first_psn, rejected, checked):
+    """Property: over random prior mappings, ``map_run`` leaves the tables,
+    counters and return value the per-block loop leaves, including blocks
+    ``validate`` rejects, and raises the same error after the same partial
+    update for an out-of-range LBN or slot or an occupied slot.  The tables
+    are small, so runs often cross both ends and hit occupied slots."""
+    reference, bulk = (make_mapping(logical=16, slots=32, per_block=8) for _ in range(2))
+    for lbn, psn in prior:
+        assert outcome(bulk.map, lbn, psn) == outcome(reference_map, reference, lbn, psn)
+    assert_mapping_state(bulk, mapping_state(reference))
+    seen = {"reference": [], "bulk": []}
+
+    def validator(name):
+        def validate(lbn):
+            seen[name].append(lbn)
+            return lbn not in rejected
+        return validate if checked else None
+
+    slots = range(first_psn, first_psn + len(lbns))
+    expected = outcome(reference_map_run, reference, lbns, slots, validator("reference"))
+    assert outcome(bulk.map_run, lbns, first_psn, validator("bulk")) == expected
+    assert seen["bulk"] == seen["reference"]
+    assert_mapping_state(bulk, mapping_state(reference))
+
+
 def test_mapping_valid_lbns_in_block():
     mapping = make_mapping()
     for lbn, psn in [(0, 0), (1, 1), (2, 17)]:
@@ -504,17 +577,45 @@ def test_write_buffer_counts_a_double_flight_block_once():
 
 
 class WakeAllWriteBuffer(WriteBuffer):
-    """Reference: the wake-all buffer the FIFO handoff replaced, verbatim.
+    """Reference: the wake-all, per-block buffer that the FIFO handoff and
+    the run inserts replaced, verbatim.
 
     Every flush completion wakes every parked writer; each re-checks its
     room in the caller's loop and re-parks if there is none.
     """
+
+    def __init__(self, sim, capacity_slots):
+        super().__init__(sim, capacity_slots)
+        self._data_waiters = []
+
+    def insert(self, lbn: int) -> None:
+        """Mark ``lbn`` dirty.  Caller must have checked :meth:`has_room_for`."""
+        dirty = self._dirty
+        if lbn in dirty:
+            self.overwrite_hits += 1
+            dirty.move_to_end(lbn)
+            return
+        if len(dirty) + len(self._in_flight) >= self.capacity_slots:
+            raise RuntimeError("write buffer overflow - caller must wait for space")
+        dirty[lbn] = None
+        self._notify_one(self._data_waiters)
 
     def wait_for_space(self, lbn=None):
         """Event that fires the next time flushing frees buffer space."""
         event = self.sim.event()
         self._space_waiters.append(event)
         return event
+
+    def take_batch(self, max_slots: int) -> list[int]:
+        """Move up to ``max_slots`` dirty blocks to the in-flight set."""
+        if max_slots <= 0:
+            raise ValueError("max_slots must be positive")
+        batch: list[int] = []
+        while self._dirty and len(batch) < max_slots:
+            lbn, _ = self._dirty.popitem(last=False)
+            self._in_flight.add(lbn)
+            batch.append(lbn)
+        return batch
 
     def complete_flush(self, lbns: list[int]) -> None:
         """Drop flushed blocks from the buffer and wake space waiters."""
@@ -528,6 +629,67 @@ class WakeAllWriteBuffer(WriteBuffer):
             if not event.triggered:
                 event.succeed(None)
 
+    def _notify_one(self, waiters) -> None:
+        while waiters:
+            event = waiters.pop(0)
+            if not event.triggered:
+                event.succeed(None)
+                return
+
+
+def reference_write(write_buffer, lbns):
+    """``SsdDevice._serve``'s write loop before ``insert_run``, kept verbatim."""
+    for lbn in lbns:
+        while not write_buffer.has_room_for(lbn):
+            yield write_buffer.wait_for_space(lbn)
+        write_buffer.insert(lbn)
+
+
+_lbn = st.integers(0, 23)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 12), dirty=st.lists(_lbn, unique=True, max_size=12),
+       in_flight=st.sets(_lbn, max_size=12), waiters=st.lists(st.booleans(), max_size=4),
+       start=_lbn, length=st.integers(0, 12))
+def test_insert_run_matches_the_per_block_loop(capacity, dirty, in_flight, waiters,
+                                               start, length):
+    """Property: from a random dirty order, in-flight set and parked data
+    waiters (some already triggered), one ``insert_run`` call stops at the
+    block where the per-block loop first parks, and leaves the same dirty
+    order and overwrite hits, with the same data waiters woken in the same
+    order."""
+    dirty = dirty[:capacity]
+    in_flight = set(sorted(in_flight)[:capacity - len(dirty)])
+    lbns = range(start, start + length)
+
+    def build(buffer_cls):
+        sim = Simulator()
+        buffer = buffer_cls(sim, capacity)
+        buffer._dirty.update(dict.fromkeys(dirty))
+        buffer._in_flight.update(in_flight)
+        woken = []
+        for index, triggered in enumerate(waiters):
+            event = buffer.wait_for_data()
+            event.callbacks.append(lambda _event, index=index: woken.append(index))
+            if triggered:
+                event.succeed("elsewhere")
+        return sim, buffer, woken
+
+    def state(sim, buffer, woken):
+        sim.run()
+        return list(buffer._dirty), buffer._in_flight, buffer.overwrite_hits, woken
+
+    reference_run = build(WakeAllWriteBuffer)
+    reference = reference_run[1]
+    parked_at = []
+    reference.wait_for_space = lambda lbn: parked_at.append(lbn) or reference.sim.event()
+    if next(reference_write(reference, lbns), None) is None:
+        parked_at.append(lbns.stop)
+    run = build(WriteBuffer)
+    assert run[1].insert_run(lbns.start, lbns.stop) == parked_at[0]
+    assert state(*run) == state(*reference_run)
+
 
 class BufferRun(NamedTuple):
     at_cut: tuple  # (log, dirty order, in-flight set, overwrite hits, parked writers)
@@ -540,9 +702,12 @@ def drive_write_buffer(buffer_cls, capacity, writers, flushers, cut_us) -> Buffe
     """Run writers through ``SsdDevice._serve``'s room loops and flushers
     through ``SsdDevice._flush_worker``'s loop on one ``buffer_cls``.
 
-    ``writers`` holds one request list per writer: ``(delay, lbns)`` with
-    ``lbns=None`` for a FLUSH.  ``flushers`` holds ``(unit, delays)``: the
-    batch size and the program times it cycles through.
+    On :class:`WakeAllWriteBuffer` a write runs the per-block loop of
+    :func:`reference_write`, on any other buffer ``SsdDevice._serve``'s
+    ``insert_run`` loop.  ``writers`` holds one request list per writer:
+    ``(delay, lbns)`` with ``lbns=None`` for a FLUSH.  ``flushers`` holds
+    ``(unit, delays)``: the batch size and the program times it cycles
+    through.
     """
     sim = Simulator()
     buffer = buffer_cls(sim, capacity)
@@ -563,13 +728,26 @@ def drive_write_buffer(buffer_cls, capacity, writers, flushers, cut_us) -> Buffe
                 while not buffer.is_empty():
                     yield park(index, None)
                     reparks += not buffer.is_empty()
-            else:
+            elif buffer_cls is WakeAllWriteBuffer:
                 for lbn in lbns:
                     while not buffer.has_room_for(lbn):
                         yield park(index, lbn)
                         reparks += not buffer.has_room_for(lbn)
                     buffer.insert(lbn)
                     log.append(("insert", index, lbn, sim.now))
+            else:
+                lbn, end = lbns.start, lbns.stop
+                woken_at = None
+                while True:
+                    inserted = buffer.insert_run(lbn, end)
+                    reparks += inserted == woken_at
+                    for block in range(lbn, inserted):
+                        log.append(("insert", index, block, sim.now))
+                    lbn = inserted
+                    if lbn == end:
+                        break
+                    woken_at = lbn
+                    yield park(index, lbn)
             log.append(("done", index, sim.now))
 
     def flusher(index, unit, delays):
@@ -604,7 +782,7 @@ def drive_write_buffer(buffer_cls, capacity, writers, flushers, cut_us) -> Buffe
     return BufferRun(at_cut, state(), sim.scheduled_events, reparks)
 
 
-_block_runs = st.builds(lambda start, length: list(range(start, start + length)),
+_block_runs = st.builds(lambda start, length: range(start, start + length),
                         st.integers(0, 11), st.integers(1, 6))
 _requests = st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0]),
                                st.none() | _block_runs), min_size=1, max_size=4)
@@ -639,13 +817,12 @@ def test_write_buffer_handoff_matches_the_wake_all(capacity, writers, flushers, 
 
 
 def park_writers(sim, buffer, lbns, resumed):
-    """One process per block running ``SsdDevice._serve``'s room loop;
+    """One process per block running ``SsdDevice._serve``'s write loop;
     ``resumed`` collects the block of every writer woken from a wait."""
     def writer(lbn):
-        while not buffer.has_room_for(lbn):
+        while buffer.insert_run(lbn, lbn + 1) == lbn:
             yield buffer.wait_for_space(lbn)
             resumed.append(lbn)
-        buffer.insert(lbn)
 
     for lbn in lbns:
         sim.process(writer(lbn))
