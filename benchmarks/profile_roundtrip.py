@@ -5,8 +5,11 @@ prints the top-N functions by the chosen sort key -- the tool for finding
 per-request call counts worth cutting.  ``--sample`` replaces cProfile with
 a statistical profile: a thread reads the main thread's top frame every
 millisecond, and the tool prints each function's and each package's share
-of the samples.  Confirm a cut end to end with the e2ebench ``contract``
-workload (see ``examples/PROFILING.md``).
+of the samples.  Either way, it then prints what the cyclic garbage
+collector did during the run (collections per generation, objects found,
+seconds collecting): a per-I/O reference cycle shows up there, not as any
+function's self time.  Confirm a cut end to end with the e2ebench
+``contract`` workload (see ``examples/PROFILING.md``).
 
 Usage::
 
@@ -20,10 +23,12 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import os
 import pstats
 import sys
 import threading
+import time
 from collections import Counter
 from typing import Optional
 
@@ -88,6 +93,39 @@ class FrameSampler:
         for (filename, line, name), samples in self.counts.most_common(top):
             print(f"{samples / total:7.1%}  {short_path(filename)}:{line}({name})",
                   file=stream)
+
+
+class CollectorStats:
+    """What the cyclic garbage collector did while the block ran, read from
+    ``gc.callbacks``: collections per generation, the unreachable objects
+    they found, and the seconds they took."""
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.found = 0
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __enter__(self) -> "CollectorStats":
+        gc.callbacks.append(self._observe)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._observe)
+
+    def _observe(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        self.seconds += time.perf_counter() - self._started
+        self.collections[info["generation"]] += 1
+        self.found += info["collected"] + info["uncollectable"]
+
+    def report(self, stream=sys.stdout) -> None:
+        print(f"# cyclic GC during the run: "
+              f"{'/'.join(map(str, self.collections))} collections "
+              f"(generation 0/1/2) found {self.found} unreachable objects "
+              f"in {self.seconds:.3f} s", file=stream)
 
 
 def repro_parts(filename: str) -> Optional[list[str]]:
@@ -166,13 +204,14 @@ def main(argv=None) -> int:
                  queue_depth=args.queue_depth, io_count=args.ios)
 
     if args.sample:
-        with FrameSampler() as sampler:
+        with CollectorStats() as collector, FrameSampler() as sampler:
             result = run_job(sim, device, job)
     else:
         profiler = cProfile.Profile()
-        profiler.enable()
-        result = run_job(sim, device, job)
-        profiler.disable()
+        with CollectorStats() as collector:
+            profiler.enable()
+            result = run_job(sim, device, job)
+            profiler.disable()
 
     duration_s = result.duration_us / 1e6 if result.duration_us > 0 else 0.0
     print(f"# {args.device}: {result.ios_completed} I/Os "
@@ -183,6 +222,7 @@ def main(argv=None) -> int:
     else:
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.sort_stats(args.sort).print_stats(args.top)
+    collector.report()
     return 0
 
 

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 from repro.determinism import canonical_json
 from repro.host.io import IORequest, KiB
+from repro.sim.events import spawn_process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
@@ -237,13 +238,15 @@ class FaultInjector:
 
     # -- submission path ----------------------------------------------------
     def submit(self, request: IORequest):
+        # Like ``device.submit``, the returned event is yielded inline by
+        # its one caller, so the wrapping processes come from the pool.
         cap = self.policy.max_inflight
         if self.offline or (cap is not None and self._inflight >= cap):
-            return self.sim.process(self._shed(request))
+            return spawn_process(self.sim, self._shed(request))
         if cap is None:
             return self.inner.submit(request)
         self._inflight += 1
-        return self.sim.process(self._tracked(request))
+        return spawn_process(self.sim, self._tracked(request))
 
     def read(self, offset: int, size: int, **kwargs):
         return self.submit(IORequest.read(offset, size, **kwargs))
@@ -264,8 +267,11 @@ class FaultInjector:
         return request
 
     def _tracked(self, request: IORequest):
-        result = yield self.inner.submit(request)
-        self._inflight -= 1
+        # A request the inner device rejects still leaves flight.
+        try:
+            result = yield self.inner.submit(request)
+        finally:
+            self._inflight -= 1
         return result
 
 

@@ -9,6 +9,7 @@ harness in :mod:`repro.experiments` reuses the same machinery at paper scale.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -18,7 +19,7 @@ from repro.host.io import GiB, KiB, MiB
 from repro.metrics.stats import coefficient_of_variation, latency_gap, throughput_gain
 from repro.sim import Simulator
 from repro.ssd import SsdConfig, SsdDevice, samsung_970pro_profile
-from repro.workload.fio import FioJob, run_job
+from repro.workload.fio import FioJob, JobResult, run_job
 
 
 @dataclass
@@ -89,29 +90,39 @@ class ContractChecker:
     def _fresh_ssd(self, sim: Simulator) -> SsdDevice:
         return SsdDevice(sim, self.ssd_config)
 
-    def _measure_latency(self, device_factory: Callable[[Simulator], object],
-                         pattern: str, io_size: int, queue_depth: int,
-                         preload: bool = False) -> float:
+    def _run(self, device_factory: Callable[[Simulator], object], job: FioJob,
+             preload: bool = False) -> JobResult:
+        """Run ``job`` on a fresh device in its own simulation, then free
+        that simulation.
+
+        A finished simulation is a reference cycle (an SSD's flush and GC
+        workers stay parked on events the device holds), so only the cyclic
+        collector frees it.  Collecting here keeps one device alive per
+        checker at a time instead of however many the collector lets pile
+        up.
+        """
         sim = Simulator()
         device = device_factory(sim)
         if preload:
             device.preload()
+        result = run_job(sim, device, job)
+        del sim, device
+        gc.collect()
+        return result
+
+    def _measure_latency(self, device_factory: Callable[[Simulator], object],
+                         pattern: str, io_size: int, queue_depth: int) -> float:
         job = FioJob(name="lat", pattern=pattern, io_size=io_size,
                      queue_depth=queue_depth, io_count=self.config.latency_ios)
-        result = run_job(sim, device, job)
-        return result.latency.mean()
+        return self._run(device_factory, job).latency.mean()
 
     def _measure_throughput(self, device_factory: Callable[[Simulator], object],
                             pattern: str, io_size: int, queue_depth: int,
                             write_ratio: Optional[float] = None) -> float:
-        sim = Simulator()
-        device = device_factory(sim)
-        device.preload()
         job = FioJob(name="tp", pattern=pattern, io_size=io_size,
                      queue_depth=queue_depth, write_ratio=write_ratio,
                      runtime_us=self.config.throughput_window_us)
-        result = run_job(sim, device, job)
-        return result.throughput_gbps
+        return self._run(device_factory, job, preload=True).throughput_gbps
 
     # -- observation checks -----------------------------------------------------------
     def check_observation_1(self) -> ObservationEvidence:
@@ -139,13 +150,10 @@ class ContractChecker:
         for name, factory, capacity in (
                 ("ssd", self._fresh_ssd, self.ssd_config.capacity_bytes),
                 ("essd", self._fresh_essd, self.essd_profile.capacity_bytes)):
-            sim = Simulator()
-            device = factory(sim)
             job = FioJob(name="gc", pattern="randwrite", io_size=128 * KiB,
                          queue_depth=32,
                          total_bytes=int(self.config.gc_write_capacity_factor * capacity))
-            result = run_job(sim, device, job)
-            series = result.timeline.binned(bin_us=50_000.0)
+            series = self._run(factory, job).timeline.binned(bin_us=50_000.0)
             if not series:
                 metrics[f"{name}_cliff_factor"] = None
                 continue

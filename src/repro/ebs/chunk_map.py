@@ -10,14 +10,13 @@ the group to spread load).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 #: Knuth's multiplicative hash constant, used for deterministic placement.
 _HASH_MULTIPLIER = 2654435761
 
 
-@dataclass(frozen=True)
-class SubRequest:
+class SubRequest(NamedTuple):
     """A chunk-aligned piece of a host request."""
 
     chunk_index: int
@@ -40,6 +39,9 @@ class ChunkMap:
         self.replication_factor = replication_factor
         self.seed = seed
         self.num_chunks = -(-capacity_bytes // chunk_size)
+        #: Placement group per chunk, computed on first use (one pointer per
+        #: chunk; a dict would cost more than twice that per entry).
+        self._groups: list[Optional[tuple[int, ...]]] = [None] * self.num_chunks
 
     # -- placement -------------------------------------------------------------
     def chunk_of(self, offset: int) -> int:
@@ -52,6 +54,12 @@ class ChunkMap:
         """The ordered node ids storing replicas of ``chunk_index``."""
         if not 0 <= chunk_index < self.num_chunks:
             raise ValueError(f"chunk {chunk_index} out of range")
+        group = self._groups[chunk_index]
+        if group is None:
+            group = self._groups[chunk_index] = self._place(chunk_index)
+        return group
+
+    def _place(self, chunk_index: int) -> tuple[int, ...]:
         start = ((chunk_index + self.seed) * _HASH_MULTIPLIER) % self.num_nodes
         # The walk from ``start`` visits nodes at a fixed stride.  A stride
         # sharing a factor with ``num_nodes`` only ever reaches the coset

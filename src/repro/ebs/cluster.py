@@ -17,6 +17,7 @@ from repro.ebs.config import EssdProfile
 from repro.ebs.network import DatacenterNetwork
 from repro.ebs.replication import ReplicationPolicy
 from repro.ebs.storage_node import StorageNode
+from repro.sim.events import spawn_process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
@@ -62,25 +63,28 @@ class StorageCluster:
     # -- chunk-level service -------------------------------------------------------
     def write_subrequest(self, sub: SubRequest):
         """Generator: replicate one chunk-level write and wait for the quorum."""
+        sim = self.sim
+        nodes = self.nodes
+        size = sub.size
         group = self.chunk_map.placement_group(sub.chunk_index)
         # Request message to the storage cluster carries the payload.
-        yield self.sim.timeout(self.network.transfer_delay(sub.size))
-        replica_events = [self.sim.process(self.nodes[node_id].write(sub.size))
-                          for node_id in group]
-        self.stats.replica_writes += len(replica_events)
+        yield sim.timeout(self.network.transfer_delay(size))
+        self.stats.replica_writes += len(group)
         if self.replication.waits_for_all:
-            yield self.sim.all_of(replica_events)
+            yield sim.join([spawn_process(sim, nodes[node_id].write(size))
+                            for node_id in group])
         else:
             # Wait until the quorum count of replicas has acknowledged.
             completed = 0
             needed = self.replication.acknowledgements_needed()
-            pending = list(replica_events)
+            pending = [sim.process(nodes[node_id].write(size))
+                       for node_id in group]
             while completed < needed and pending:
-                finished = yield self.sim.any_of(pending)
+                finished = yield sim.any_of(pending)
                 completed += len(finished)
                 pending = [event for event in pending if not event.processed]
         # Acknowledgement back to the VM (metadata-sized).
-        yield self.sim.timeout(self.network.transfer_delay(256))
+        yield sim.timeout(self.network.transfer_delay(256))
         self.stats.subrequest_writes += 1
 
     def read_subrequest(self, sub: SubRequest, sequential: bool = False):

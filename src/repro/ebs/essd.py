@@ -23,6 +23,7 @@ from repro.ebs.config import EssdProfile, aws_io2_profile
 from repro.ebs.qos import QosManager
 from repro.host.device import BlockDevice
 from repro.host.io import IOKind, IORequest
+from repro.sim.events import spawn_process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
@@ -99,9 +100,8 @@ class EssdDevice(BlockDevice):
             else:
                 yield from self.cluster.read_subrequest(subrequests[0], sequential)
         else:
-            pending = [sim.process(self._dispatch(sub, kind, sequential))
-                       for sub in subrequests]
-            yield sim.all_of(pending)
+            yield sim.join([spawn_process(sim, self._dispatch(sub, kind, sequential))
+                            for sub in subrequests])
         if kind is IOKind.WRITE:
             self.backend.record_write(size)
         else:

@@ -101,7 +101,12 @@ class QosManager:
         tokens = max(1, math.ceil(size / self._iops_acc))
         yield self._iops_bucket.consume(tokens)
         if size > 0:
-            yield from self._byte_bucket.consume_sliced(size)
+            byte_bucket = self._byte_bucket
+            if size <= byte_bucket.capacity:
+                # One slice: exactly the one call consume_sliced would make.
+                yield byte_bucket.consume(size)
+            else:
+                yield from byte_bucket.consume_sliced(size)
         stats = self.stats
         if kind is IOKind.WRITE and self._write_limit_bucket is not None:
             stats.flow_limited_requests += 1

@@ -70,9 +70,14 @@ class StorageNode:
         """
         sim = self.sim
         charge = max(num_bytes, self._min_charge)
+        bandwidth = self._bandwidth
         yield self._slots.request()
         try:
-            yield from self._bandwidth.consume_sliced(charge)
+            if 0 < charge <= bandwidth.capacity:
+                # One slice: exactly the one call consume_sliced would make.
+                yield bandwidth.consume(charge)
+            else:
+                yield from bandwidth.consume_sliced(charge)
             yield sim.timeout(self._write_latency_us)
         finally:
             self._slots.release()
@@ -94,9 +99,13 @@ class StorageNode:
         else:
             processing = self._read_latency_us
         streaming = num_bytes / self._media_read_bw
+        bandwidth = self._bandwidth
         yield self._slots.request()
         try:
-            yield from self._bandwidth.consume_sliced(num_bytes)
+            if 0 < num_bytes <= bandwidth.capacity:
+                yield bandwidth.consume(num_bytes)
+            else:
+                yield from bandwidth.consume_sliced(num_bytes)
             yield sim.timeout(processing + streaming)
         finally:
             self._slots.release()

@@ -48,22 +48,25 @@ class FlashArray:
         self.sim = sim
         self.geometry = geometry
         self.timing = timing
-        self._dies = [Resource(sim, capacity=1) for _ in range(geometry.total_dies)]
-        self._channels = [Resource(sim, capacity=1) for _ in range(geometry.channels)]
+        channels = [Resource(sim, capacity=1) for _ in range(geometry.channels)]
+        #: ``(die resource, channel resource)`` per flat die index.
+        self._die_pairs = [(Resource(sim, capacity=1),
+                            channels[geometry.channel_of_die(die)])
+                           for die in range(geometry.total_dies)]
+        self._num_dies = len(self._die_pairs)
+        self._max_planes = geometry.planes_per_die
         self.stats = FlashArrayStats()
 
     # -- helpers ------------------------------------------------------------
-    def _die_resource(self, die: int) -> Resource:
-        if not 0 <= die < self.geometry.total_dies:
+    def _pair(self, die: int) -> tuple[Resource, Resource]:
+        if not 0 <= die < self._num_dies:
             raise ValueError(f"die {die} out of range")
-        return self._dies[die]
-
-    def _channel_resource(self, die: int) -> Resource:
-        return self._channels[self.geometry.channel_of_die(die)]
+        return self._die_pairs[die]
 
     def die_queue_length(self, die: int) -> int:
         """Commands waiting for the given die (used by the GC scheduler)."""
-        return self._die_resource(die).queue_length + self._die_resource(die).users
+        die_res = self._pair(die)[0]
+        return die_res.queue_length + die_res.users
 
     # -- operations ---------------------------------------------------------
     def read_page(self, die: int, num_bytes: int):
@@ -72,21 +75,24 @@ class FlashArray:
         The array read (tR) occupies only the die; the data transfer occupies
         both the die and its channel.
         """
+        if not 0 <= die < self._num_dies:
+            raise ValueError(f"die {die} out of range")
+        die_res, chan_res = self._die_pairs[die]
+        sim = self.sim
         timing = self.timing
-        die_res = self._die_resource(die)
-        chan_res = self._channel_resource(die)
         yield die_res.request()
         try:
-            yield self.sim.timeout(timing.command_overhead_us + timing.read_us)
+            yield sim.timeout(timing.command_overhead_us + timing.read_us)
             yield chan_res.request()
             try:
-                yield self.sim.timeout(timing.transfer_us(num_bytes))
+                yield sim.timeout(num_bytes / timing.channel_bytes_per_us)
             finally:
                 chan_res.release()
         finally:
             die_res.release()
-        self.stats.reads += 1
-        self.stats.bytes_read += num_bytes
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += num_bytes
 
     def program_page(self, die: int, num_bytes: int, planes: int = 1):
         """Generator: program ``num_bytes`` into ``die``.
@@ -95,28 +101,31 @@ class FlashArray:
         planes' data but a single tPROG is paid, which is how the write path
         reaches the device's sequential-write bandwidth.
         """
-        if planes < 1 or planes > self.geometry.planes_per_die:
-            raise ValueError(f"planes must be in [1, {self.geometry.planes_per_die}]")
+        if planes < 1 or planes > self._max_planes:
+            raise ValueError(f"planes must be in [1, {self._max_planes}]")
+        if not 0 <= die < self._num_dies:
+            raise ValueError(f"die {die} out of range")
+        die_res, chan_res = self._die_pairs[die]
+        sim = self.sim
         timing = self.timing
-        die_res = self._die_resource(die)
-        chan_res = self._channel_resource(die)
         yield die_res.request()
         try:
             yield chan_res.request()
             try:
-                yield self.sim.timeout(
-                    timing.command_overhead_us + timing.transfer_us(num_bytes))
+                yield sim.timeout(
+                    timing.command_overhead_us + num_bytes / timing.channel_bytes_per_us)
             finally:
                 chan_res.release()
-            yield self.sim.timeout(timing.program_us)
+            yield sim.timeout(timing.program_us)
         finally:
             die_res.release()
-        self.stats.programs += 1
-        self.stats.bytes_programmed += num_bytes
+        stats = self.stats
+        stats.programs += 1
+        stats.bytes_programmed += num_bytes
 
     def erase_block(self, die: int):
         """Generator: erase one block of ``die``."""
-        die_res = self._die_resource(die)
+        die_res = self._pair(die)[0]
         yield die_res.request()
         try:
             yield self.sim.timeout(self.timing.command_overhead_us + self.timing.erase_us)

@@ -11,7 +11,8 @@ The kernel provides:
 * :class:`~repro.sim.engine.Simulator` -- the event loop.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.Process`, :class:`~repro.sim.events.AllOf`,
-  :class:`~repro.sim.events.AnyOf` -- the things a process can ``yield``.
+  :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.Join` -- the
+  things a process can ``yield``.
 * :class:`~repro.sim.resources.Resource` -- a counted resource with a FIFO
   wait queue (e.g. a flash die, a network link slot).
 * :class:`~repro.sim.resources.Store` -- a FIFO buffer of items with optional
@@ -27,6 +28,7 @@ from repro.sim.events import (
     ConditionValue,
     Event,
     Interrupt,
+    Join,
     Process,
     Timeout,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "AnyOf",
     "ConditionValue",
     "Interrupt",
+    "Join",
     "Resource",
     "Store",
     "TokenBucket",

@@ -26,11 +26,12 @@ carry normal priority, so the merged order is exactly the order one heap
 holding every event would give.
 
 The kernel pools :class:`Timeout` and kernel-created grant :class:`Event`
-objects, recycling them (callback list included) once their callbacks have
-run, provided every callback was a plain process resumption -- events held
-by conditions or user code are never recycled (see the pooling discipline
-note in :mod:`repro.sim.events`).  :meth:`Simulator.run` is one inlined loop
-rather than a chain of ``step``/``dispatch`` method calls.
+objects, and :class:`Process` objects made by ``spawn_process``, recycling
+them (callback list included) once their callbacks have run, provided every
+callback was a plain process resumption or a :class:`Join` count-down --
+events held by conditions or user code are never recycled (see the pooling
+discipline note in :mod:`repro.sim.events`).  :meth:`Simulator.run` is one
+inlined loop rather than a chain of ``step``/``dispatch`` method calls.
 
 The kernel relies on one invariant user code must keep (it always has):
 callbacks are never appended to an event that is already being processed.
@@ -49,6 +50,7 @@ from repro.sim.events import (
     AllOf,
     AnyOf,
     Event,
+    Join,
     Process,
     SimulationError,
     Timeout,
@@ -66,6 +68,7 @@ _POOL_LIMIT = 512
 DEFAULT_WHEEL_HORIZON_US = 65536.0
 
 _PROCESS_RESUME = Process._resume
+_JOIN_COUNT_DOWN = Join._count_down
 
 
 class EmptySchedule(Exception):
@@ -187,6 +190,12 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that triggers when any of ``events`` has succeeded."""
         return AnyOf(self, events)
+
+    def join(self, events: Iterable[Event]) -> Join:
+        """Event that succeeds with ``None`` once all of ``events`` have
+        succeeded (:class:`AllOf` without the value mapping; the kernel may
+        recycle each joined event once the join has observed it)."""
+        return Join(self, events)
 
     def _fresh_event(self) -> Event:
         """A kernel-owned (recyclable) event for grants/bootstraps/relays."""
@@ -314,7 +323,9 @@ class Simulator:
         callbacks = event.callbacks
         recyclable = True
         for callback in callbacks:
-            if type(callback) is not MethodType or callback.__func__ is not _PROCESS_RESUME:
+            if type(callback) is not MethodType or (
+                    callback.__func__ is not _PROCESS_RESUME
+                    and callback.__func__ is not _JOIN_COUNT_DOWN):
                 recyclable = False
             callback(event)
         callbacks.clear()
@@ -401,6 +412,7 @@ class Simulator:
         process_cls = Process
         method_type = MethodType
         resume = _PROCESS_RESUME
+        count_down = _JOIN_COUNT_DOWN
         if stop_event is not None and stop_event._processed:
             return stop_event._value
         now = self._now  # local clock mirror; every write updates both
@@ -474,14 +486,16 @@ class Simulator:
             event._processed = True
             callbacks = event.callbacks
             if len(callbacks) == 1:
-                # The overwhelmingly common case: one process resumption.
+                # The overwhelmingly common case: one process resumption
+                # (or one join count-down).
                 callback = callbacks[0]
                 callback(event)
                 callbacks.clear()
                 if not event._ok and not event._defused:
                     raise event._value
-                if not callbacks and type(callback) is method_type \
-                        and callback.__func__ is resume:
+                if not callbacks and type(callback) is method_type and (
+                        callback.__func__ is resume
+                        or callback.__func__ is count_down):
                     cls = event.__class__
                     if cls is timeout_cls:
                         if event._ok and len(timeout_pool) < _POOL_LIMIT:
@@ -497,7 +511,9 @@ class Simulator:
             elif callbacks:
                 recyclable = True
                 for callback in callbacks:
-                    if type(callback) is not method_type or callback.__func__ is not resume:
+                    if type(callback) is not method_type or (
+                            callback.__func__ is not resume
+                            and callback.__func__ is not count_down):
                         recyclable = False
                     callback(event)
                 callbacks.clear()

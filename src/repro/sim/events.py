@@ -21,14 +21,21 @@ common pattern -- is always safe, as is passing such events to
 ``AllOf``/``AnyOf`` (condition-held events are never recycled).
 
 :class:`Process` objects themselves are pooled too, but only the ones
-created through :func:`spawn_process` (every ``device.submit``): those
-are marked pool-eligible at birth and recycled once their completion
-has been consumed by the submitting worker.  Processes created with
+created through :func:`spawn_process` (every ``device.submit`` and every
+per-I/O fan-out child): those are marked pool-eligible at birth and
+recycled once their completion has been consumed, either by the one
+process that yielded them or by a :class:`Join`.  Processes created with
 ``sim.process(...)`` are never recycled -- user code may hold them, join
 them in conditions, or interrupt them long after completion.  The same
 inspect-after-resume rule applies to submission events: read the request
 object (which the completion event returns), not the event, once the
 worker has moved on.
+
+A :class:`Join` (``sim.join(events)``) is the value-free fan-in for such
+children: it counts them down without keeping a reference to any of them,
+so the kernel may recycle each child the moment the join has observed it.
+:class:`AllOf` keeps its events (callers read its value mapping), so the
+events it holds are never recycled.  A failed event is never recycled.
 """
 
 from __future__ import annotations
@@ -320,10 +327,11 @@ class Process(Event):
 def spawn_process(sim: "Simulator", generator: Generator[Event, Any, Any]) -> Process:
     """Pooled :class:`Process` factory for the submission hot path.
 
-    The kernel recycles completed submission processes whose only waiters
-    were inline ``yield``\\ s (the same discipline as pooled grant/timeout
-    events -- see the module docstring); this factory reuses them, skipping
-    the per-submission object allocation.
+    The kernel recycles completed submission processes whose only waiter
+    was an inline ``yield`` or a :class:`Join` (the same discipline as
+    pooled grant/timeout events -- see the module docstring); this factory
+    reuses them, skipping the per-submission object allocation.  It
+    schedules the bootstrap exactly as ``Process(sim, generator)`` does.
     """
     pool = sim._process_pool
     if pool:
@@ -416,15 +424,15 @@ class AllOf(_Condition):
     def _observe(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
             return
+        # Every unprocessed event was subscribed once per listing, so the
+        # count reaches zero exactly when the last of them is processed.
         self._pending -= 1
-        if self._pending <= 0:
-            remaining = [e for e in self.events if not e.processed]
-            if not remaining:
-                self.succeed(self._collect_values())
+        if self._pending == 0:
+            self.succeed(self._collect_values())
 
 
 class AnyOf(_Condition):
@@ -449,3 +457,49 @@ class AnyOf(_Condition):
             self.fail(event.value)
             return
         self.succeed(self._collect_values())
+
+
+class Join(Event):
+    """Succeeds with ``None`` once every given event has succeeded.
+
+    The value-free :class:`AllOf`: it schedules its success (or its
+    failure, with the first failing event's exception, which it defuses)
+    at exactly the point an :class:`AllOf` over the same events would, but
+    it keeps no reference to the events and builds no value mapping.  Its
+    count-down is a callback the kernel knows, so a pool-eligible event
+    whose only consumer was the join is recycled once observed (see the
+    module docstring).  Events already processed when the join is built
+    do not count; an event that completes after the join has failed is
+    ignored.
+    """
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        super().__init__(sim)
+        events = list(events)
+        for event in events:
+            if not isinstance(event, Event):
+                raise TypeError(f"join requires events, got {event!r}")
+        # One bound method shared by every child subscription, held only by
+        # the children's callback lists: no reference cycle through the join.
+        count_down = self._count_down
+        pending = 0
+        for event in events:
+            if not event._processed:
+                pending += 1
+                event.callbacks.append(count_down)
+        self._pending = pending
+        if pending == 0:
+            self.succeed()
+
+    def _count_down(self, event: Event) -> None:
+        if self._triggered:
+            return
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        self._pending -= 1
+        if self._pending == 0:
+            self.succeed()

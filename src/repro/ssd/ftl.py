@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.flash.chip import FlashArray
+from repro.sim.events import spawn_process
 from repro.ssd.allocator import BlockAllocator, WriteStream
 from repro.ssd.config import SsdConfig
 from repro.ssd.gc import GarbageCollector
@@ -57,6 +58,9 @@ class Ftl:
                                    self.allocator.slots_per_block)
         self.stats = FtlStats()
         self._space_waiters: list = []
+        # Per-program-unit constants of the write path.
+        self._program_bytes = config.program_unit_bytes
+        self._program_planes = config.geometry.planes_per_die
         # Effective GC watermarks: clamp the configured values to what the
         # actual spare-space budget per die can sustain, so that GC can
         # always reach its high watermark and stop (no idle churn).
@@ -98,8 +102,8 @@ class Ftl:
         allocator = self.allocator
         map_run = self.mapping.map_run
         program_page = self.flash.program_page
-        program_bytes = self.config.program_unit_bytes
-        planes = self.config.geometry.planes_per_die
+        program_bytes = self._program_bytes
+        planes = self._program_planes
         reserve = self.gc_host_reserve
         unit = allocator.program_unit_slots
         written = 0
@@ -160,13 +164,12 @@ class Ftl:
         self.stats.unmapped_reads += unmapped
         if not groups:
             return 0
+        sim = self.sim
+        read_page = self.flash.read_page
         page_size = self.config.geometry.page_size
         block_size = self.config.logical_block_size
-        reads = []
-        for (die, _page), count in groups.items():
-            nbytes = min(page_size, count * block_size)
-            reads.append(self.sim.process(self.flash.read_page(die, nbytes)))
-        yield self.sim.all_of(reads)
+        yield sim.join([spawn_process(sim, read_page(die, min(page_size, count * block_size)))
+                        for (die, _page), count in groups.items()])
         if for_prefetch:
             self.stats.prefetch_flash_reads += len(groups)
         else:

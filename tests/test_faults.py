@@ -198,6 +198,30 @@ def test_injector_admission_cap_sheds_overload():
     assert len(results) - len(shed) >= 2  # the in-flight window was served
 
 
+def test_injector_admission_cap_survives_a_rejected_request():
+    """A request the inner device rejects leaves flight too, so it does not
+    lower the cap for good."""
+    sim = Simulator()
+    proxy = FaultInjector(sim, _loop_device(sim), FaultPolicy(max_inflight=2))
+    rejected = []
+    results = []
+
+    def proc():
+        try:
+            yield proxy.write(MINI_CAPACITY, 4096)  # past the end
+        except ValueError as exc:
+            rejected.append(exc)
+        pair = [proxy.write(0, 4096), proxy.write(4096, 4096)]
+        for event in pair:
+            results.append((yield event))
+
+    sim.process(proc())
+    sim.run()
+    assert len(rejected) == 1
+    assert [request.shed for request in results] == [False, False]
+    assert proxy.shed_ios == 0 and proxy._inflight == 0
+
+
 def test_schedule_cell_faults_flips_at_exact_times():
     sim = Simulator()
     device = _loop_device(sim)

@@ -10,12 +10,15 @@ still existed and agreed on every trace; they pin the event order the
 single remaining kernel must keep.
 """
 
+import gc
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Interrupt, Resource, Simulator
-from repro.sim.events import SimulationError
+from repro.sim.events import SimulationError, spawn_process
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +329,54 @@ def test_condition_children_survive_heavy_timeout_churn():
     assert seen == [["early", "late"]]
 
 
+def _child(sim, delay, fail=False):
+    yield sim.timeout(delay)
+    if fail:
+        raise ValueError("child failed")
+
+
+def _pooled(sim, process):
+    return any(pooled is process for pooled in sim._process_pool)
+
+
+@pytest.mark.parametrize("drive", ["run", "run_all"])
+def test_join_recycles_only_pooled_children_it_alone_observed(drive):
+    """A joined ``spawn_process`` child returns to the pool (through the
+    inlined run loop and through ``step``); a ``sim.process`` child, an
+    ``AllOf``-held child and a failed child never do."""
+    sim = Simulator()
+    pooled = spawn_process(sim, _child(sim, 1))
+    plain = sim.process(_child(sim, 1))
+    held = spawn_process(sim, _child(sim, 2))
+    failed = spawn_process(sim, _child(sim, 3, fail=True))
+    caught = []
+
+    def parent():
+        yield sim.join([pooled, plain])
+        yield sim.all_of([held])
+        try:
+            yield sim.join([failed])
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    sim.process(parent())
+    getattr(sim, drive)()
+    assert caught == ["child failed"]
+    assert _pooled(sim, pooled)
+    assert not _pooled(sim, plain)
+    assert not _pooled(sim, held)
+    assert not _pooled(sim, failed)
+
+
+def test_join_keeps_no_reference_to_its_events():
+    sim = Simulator()
+    child = spawn_process(sim, _child(sim, 1))
+    join = sim.join([child])
+    assert gc.get_referents(join).count(child) == 0
+    sim.run()
+    assert join.processed and join.value is None
+
+
 def test_mixed_workload_trace_matches_golden():
     """End-to-end determinism check: a workload mixing resource grants,
     timeouts, and zero-delay events keeps its recorded trace."""
@@ -539,3 +590,67 @@ def test_pooled_device_submissions_trace_identically_with_zero_delay_churn():
         ("x", 16.0, 7, 2.0), ("y", 16.0, 7, 2.0)]
     assert (device.stats.reads_completed, device.stats.bytes_read) == \
         (16, 65536)
+
+
+# ---------------------------------------------------------------------------
+# Pooled fan-out behind join keeps the event order of sim.process + all_of
+# ---------------------------------------------------------------------------
+
+def _reference_fan_out(sim, children):
+    """The fan-out every per-I/O site used before ``join`` (verbatim shape
+    of ``Ftl.read_slots``): fresh processes joined by ``all_of``."""
+    reads = []
+    for child in children:
+        reads.append(sim.process(child))
+    yield sim.all_of(reads)
+
+
+def _pooled_fan_out(sim, children):
+    """The fan-out the sites use now."""
+    yield sim.join([spawn_process(sim, child) for child in children])
+
+
+def _fan_out_trace(fan_out, parents, slots):
+    """Run ``parents`` -- (start delay, child delays) each -- whose children
+    contend for one shared ``Resource``; return the resumption trace and
+    the events scheduled."""
+    sim = Simulator()
+    shared = Resource(sim, capacity=slots)
+    trace = []
+
+    def child(tag, delay):
+        yield shared.request()
+        try:
+            yield sim.timeout(delay)
+        finally:
+            shared.release()
+        trace.append(("child", tag, sim.now))
+        return tag
+
+    def parent(index, start, delays):
+        yield sim.timeout(start)
+        yield from fan_out(sim, [child((index, k), delay)
+                                 for k, delay in enumerate(delays)])
+        trace.append(("parent", index, sim.now))
+        yield sim.timeout(0)
+        trace.append(("after", index, sim.now))
+
+    for index, (start, delays) in enumerate(parents):
+        sim.process(parent(index, start, delays))
+    sim.run()
+    return trace, sim.scheduled_events
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(parents=st.lists(st.tuples(_DELAYS, st.lists(_DELAYS, max_size=5)),
+                        min_size=1, max_size=6),
+       slots=st.integers(min_value=1, max_value=3))
+def test_pooled_join_fan_out_traces_like_process_all_of(parents, slots):
+    """Random fan-outs (child counts, same-time ties, contention on a
+    shared resource) resume every parent and child at the same time and in
+    the same order, and schedule the same number of events, either way."""
+    assert _fan_out_trace(_pooled_fan_out, parents, slots) == \
+        _fan_out_trace(_reference_fan_out, parents, slots)

@@ -200,6 +200,72 @@ def test_all_of_empty_triggers_immediately():
     assert done == [0.0]
 
 
+def test_join_of_nothing_succeeds_at_once():
+    sim = Simulator()
+    done = []
+
+    def proc():
+        value = yield sim.join([])
+        done.append((sim.now, value))
+
+    sim.process(proc())
+    sim.run()
+    assert done == [(0.0, None)]
+
+
+def test_join_counts_only_unprocessed_events():
+    sim = Simulator()
+    early = sim.event()
+    early.succeed("early")
+    done = []
+
+    def proc():
+        yield sim.timeout(1)
+        # ``early`` is processed by now: only the timeout is waited for.
+        value = yield sim.join([early, sim.timeout(4)])
+        done.append((sim.now, value))
+        value = yield sim.join([early])
+        done.append((sim.now, value))
+
+    sim.process(proc())
+    sim.run()
+    assert done == [(5.0, None), (5.0, None)]
+
+
+def test_join_fails_with_a_failing_child_and_ignores_later_ones():
+    sim = Simulator()
+    caught = []
+
+    def bad():
+        yield sim.timeout(2)
+        raise ValueError("boom")
+
+    def good():
+        yield sim.timeout(5)
+        return "late"
+
+    def proc():
+        failing = sim.process(bad())
+        late = sim.process(good())
+        join = sim.join([failing, late])
+        try:
+            yield join
+        except ValueError as exc:
+            caught.append((sim.now, str(exc), failing._defused))
+        yield late
+        caught.append((sim.now, join.ok, str(join.value)))
+
+    sim.process(proc())
+    sim.run()  # the failure was defused by the join, so nothing re-raises
+    assert caught == [(2.0, "boom", True), (5.0, False, "boom")]
+
+
+def test_join_rejects_non_events():
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        sim.join([sim.timeout(1), 5])
+
+
 def test_run_until_time_stops_early():
     sim = Simulator()
     seen = []
