@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.cluster.faults import FaultEvent, fault_epoch, repair_epoch
 from repro.cluster.topology import DeviceGroup, FleetTopology
-from repro.determinism import derive_seed, spec_hash
+from repro.determinism import derive_seed, spec_hash, write_atomic
 
 __all__ = [
     "MacroCalibration",
@@ -309,10 +309,7 @@ def calibrate_workload(group: DeviceGroup, capacity_bytes: int,
     )
     _CAL_MEMO[key] = cal
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(cal.to_payload(), sort_keys=True))
-        tmp.replace(cache_path)
+        write_atomic(cache_path, json.dumps(cal.to_payload(), sort_keys=True))
     return cal
 
 

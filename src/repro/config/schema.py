@@ -25,6 +25,7 @@ same sweep-cache key.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping, Optional, Sequence
 
 __all__ = [
@@ -123,6 +124,8 @@ def _as_number(value: Any, path: str, positive: bool = False,
                minimum: Optional[float] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected number, got {_type_name(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"expected finite number, got {value}")
     if positive and value <= 0:
         raise ConfigError(path, "expected positive number")
     if minimum is not None and value < minimum:

@@ -14,16 +14,22 @@ derives child seeds through :func:`derive_seed` so that
 These helpers used to live in :mod:`repro.experiments.sweep`; they moved
 here so the cluster layer (which sits *below* the experiments layer) can
 use the same derivation without an upward import.  The sweep module
-re-exports them, so existing call sites are unaffected.
+re-exports them, so existing call sites are unaffected.  For the same
+reason both result caches -- the sweep cache and the macro calibration
+cache -- publish their entries through :func:`write_atomic`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import tempfile
+from pathlib import Path
 from typing import Any, Mapping
 
-__all__ = ["canonical_json", "spec_hash", "derive_seed"]
+__all__ = ["canonical_json", "spec_hash", "derive_seed", "write_atomic"]
 
 
 def canonical_json(payload: Any) -> str:
@@ -40,3 +46,26 @@ def derive_seed(base_seed: int, params: Mapping[str, Any]) -> int:
     """Deterministic, collision-free child seed from a base seed + identity."""
     digest = spec_hash({"seed": base_seed, "params": dict(params)})
     return int(digest[:12], 16)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Publish ``text`` as the file ``path``, atomically.
+
+    The text goes to a private temp file in the same directory, which
+    ``os.replace`` then renames over ``path``.  Concurrent writers of one
+    path (sweep-pool workers, several serve jobs, a serve job racing a
+    batch CLI) each rename a complete file of their own, so a reader never
+    sees a torn entry and no writer loses its temp file to another.  A
+    write that fails removes its temp file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent,
+                                    prefix=f".{path.stem}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise

@@ -70,19 +70,11 @@ class StorageCluster:
         # Request message to the storage cluster carries the payload.
         yield sim.timeout(self.network.transfer_delay(size))
         self.stats.replica_writes += len(group)
-        if self.replication.waits_for_all:
-            yield sim.join([spawn_process(sim, nodes[node_id].write(size))
-                            for node_id in group])
-        else:
-            # Wait until the quorum count of replicas has acknowledged.
-            completed = 0
-            needed = self.replication.acknowledgements_needed()
-            pending = [sim.process(nodes[node_id].write(size))
-                       for node_id in group]
-            while completed < needed and pending:
-                finished = yield sim.any_of(pending)
-                completed += len(finished)
-                pending = [event for event in pending if not event.processed]
+        # Wait until the quorum count of replicas has acknowledged; the
+        # rest finish in the background.
+        yield sim.join([spawn_process(sim, nodes[node_id].write(size))
+                        for node_id in group],
+                       self.replication.acknowledgements_needed())
         # Acknowledgement back to the VM (metadata-sized).
         yield sim.timeout(self.network.transfer_delay(256))
         self.stats.subrequest_writes += 1

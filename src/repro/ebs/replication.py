@@ -23,11 +23,6 @@ class ReplicationPolicy:
         if not 1 <= self.write_quorum <= self.replication_factor:
             raise ValueError("write_quorum must be between 1 and replication_factor")
 
-    @property
-    def waits_for_all(self) -> bool:
-        """Whether a write must wait for every replica."""
-        return self.write_quorum == self.replication_factor
-
     def acknowledgements_needed(self) -> int:
         return self.write_quorum
 

@@ -30,13 +30,11 @@ registered in :mod:`repro.experiments.scenarios`.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import hashlib
 import itertools
 import json
 import math
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
@@ -47,6 +45,7 @@ from typing import Any, Mapping, Optional, Sequence
 # helpers now live in repro.determinism so lower layers (cluster) share
 # exactly one derivation scheme.
 from repro.determinism import canonical_json, derive_seed, spec_hash  # noqa: F401
+from repro.determinism import write_atomic
 
 #: Manual override for cache invalidation.  Rarely needed now: cache keys
 #: also include a fingerprint of the device-model source files (see
@@ -129,7 +128,7 @@ class CellSpec:
     All fields are JSON-serialisable so the spec itself is the cache key.
     """
 
-    device: str                      # DeviceKind value ("SSD", "ESSD-1", ...)
+    device: str                      # registered name ("SSD", "LOOP", ...)
     pattern: str = "randread"
     io_size: int = 4096
     queue_depth: int = 1
@@ -300,7 +299,7 @@ def _run_stream_cell(cell: CellSpec) -> dict[str, Any]:
     proxies = []
     devices: dict[str, Any] = {}
     streams = []
-    # A traced single-job cell is just a one-stream cell.
+    # A faulted single-job cell is just a one-stream cell.
     stream_specs = cell.stream_specs() or [("job", {})]
     for index, (name, overrides) in enumerate(stream_specs):
         device_name = overrides.pop("device", cell.device)
@@ -471,7 +470,7 @@ def run_cell(cell: CellSpec) -> dict[str, Any]:
     are local so that importing :mod:`repro.experiments.sweep` does not pull
     the whole device stack into processes that only expand grids.
     """
-    from repro.experiments.common import DeviceKind, ExperimentScale, measure_cell
+    from repro.experiments.common import ExperimentScale, measure_cell
     from repro.workload.fio import FioJob
 
     if cell.fleet is not None:
@@ -483,7 +482,6 @@ def run_cell(cell: CellSpec) -> dict[str, Any]:
         # knows how to wrap devices in FaultInjector proxies.
         return _run_stream_cell(cell)
 
-    kind = DeviceKind(cell.device)
     scale = ExperimentScale(ssd_capacity_bytes=cell.ssd_capacity_bytes,
                             essd_capacity_bytes=cell.essd_capacity_bytes)
     job = FioJob(
@@ -500,7 +498,7 @@ def run_cell(cell: CellSpec) -> dict[str, Any]:
         pattern_params=cell.pattern_params,
         seed=cell.seed,
     )
-    result, device = measure_cell(kind, job, scale, preload=cell.preload,
+    result, device = measure_cell(cell.device, job, scale, preload=cell.preload,
                                   return_device=True, trace=cell.trace,
                                   device_params=dict(cell.device_params))
     summary = result.latency.summary()
@@ -569,28 +567,13 @@ class SweepCache:
 
     def store(self, scenario: str, cell: CellSpec, metrics: Mapping[str, Any]) -> Path:
         path = self.path_for(scenario, cell)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CACHE_VERSION,
             "scenario": scenario,
             "cell": cell.to_payload(),
             "metrics": dict(metrics),
         }
-        # Atomic publish: a private temp file in the same directory, then
-        # os.replace.  Concurrent writers of the same cell (several serve
-        # jobs, a serve job racing a batch CLI) each rename a complete file,
-        # so a reader can never observe a torn JSON -- and a crash mid-write
-        # leaves only a stray *.tmp, never a corrupt cache entry.
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=f".{path.stem}-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(canonical_json(payload))
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        write_atomic(path, canonical_json(payload))
         return path
 
 

@@ -1,4 +1,4 @@
-"""Host-side I/O stack: block-device abstraction, requests, and queues.
+"""Host-side I/O stack: block-device abstraction and requests.
 
 Both device models (:class:`repro.ssd.SsdDevice` and
 :class:`repro.ebs.EssdDevice`) implement the :class:`BlockDevice` interface
@@ -8,12 +8,10 @@ once against the abstraction.
 
 from repro.host.device import BlockDevice, DeviceStats
 from repro.host.io import IOKind, IORequest
-from repro.host.queue import SubmissionQueue
 
 __all__ = [
     "BlockDevice",
     "DeviceStats",
     "IOKind",
     "IORequest",
-    "SubmissionQueue",
 ]

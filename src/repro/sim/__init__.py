@@ -8,31 +8,22 @@ same unit.
 
 The kernel provides:
 
-* :class:`~repro.sim.engine.Simulator` -- the event loop.
+* :class:`~repro.sim.engine.Simulator` -- the event loop, over a two-level
+  schedule: a FIFO deque for the current instant and a timer wheel of
+  exact-deadline slots for every later one.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.Process`, :class:`~repro.sim.events.AllOf`,
-  :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.Join` -- the
-  things a process can ``yield``.
+  :class:`~repro.sim.events.Process`, :class:`~repro.sim.events.Join` --
+  the things a process can ``yield``; ``sim.join(events, count)`` is the
+  one fan-in.
 * :class:`~repro.sim.resources.Resource` -- a counted resource with a FIFO
   wait queue (e.g. a flash die, a network link slot).
-* :class:`~repro.sim.resources.Store` -- a FIFO buffer of items with optional
-  capacity (e.g. a submission queue).
 * :class:`~repro.sim.resources.TokenBucket` -- a rate limiter used to model
   provider-side throughput and IOPS budgets.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Join,
-    Process,
-    Timeout,
-)
-from repro.sim.resources import Resource, Store, TokenBucket
+from repro.sim.events import Event, Interrupt, Join, Process, Timeout
+from repro.sim.resources import Resource, TokenBucket
 from repro.sim.trace import Tracer
 
 __all__ = [
@@ -40,13 +31,9 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
-    "AnyOf",
-    "ConditionValue",
     "Interrupt",
     "Join",
     "Resource",
-    "Store",
     "TokenBucket",
     "Tracer",
 ]

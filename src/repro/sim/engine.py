@@ -1,37 +1,38 @@
 """The discrete-event simulation loop.
 
-:class:`Simulator` processes events in ``(time, priority, sequence)`` order.
+:class:`Simulator` processes events in ``(time, sequence)`` order.
 Simulation time is a float in **microseconds** by convention throughout the
 repository.
 
-The schedule is a three-level hierarchy:
+The schedule has two levels:
 
-1. zero-delay, normal-priority events -- a FIFO deque.  Device models spend
+1. events due at the current instant -- a FIFO deque.  Device models spend
    most of their event budget on such *immediately-succeeding* events: free
    ``Resource.request`` grants, zero-delay token-bucket grants, relays for
-   already-processed events, and process bootstraps;
-2. near-future deadlines (``delay <= DEFAULT_WHEEL_HORIZON_US``) -- a
-   **timer wheel** with one slot per *distinct* deadline.  Same-deadline
-   timeouts append to their slot in O(1) (device fleets synchronize on
-   shared service times and epoch grids, so slots run fat); only the first
-   event at a new deadline pays a push onto the small heap of distinct slot
-   times.  When the clock reaches a slot, the whole slot moves onto the
-   deque;
-3. far-future deadlines and urgent-priority events -- a binary heap of
-   ``(time, priority, sequence, event)`` entries.
+   already-processed events, and process bootstraps.  A positive delay
+   below the clock's float resolution lands here too: it is already due;
+2. every later deadline -- a **timer wheel** with one slot per *distinct*
+   deadline.  Same-deadline events append to their slot in O(1) (device
+   fleets synchronize on shared service times and epoch grids, so slots
+   run fat); only the first event at a new deadline pays a push onto the
+   small heap of distinct slot times.
 
-The run loop pops the minimum of the three by ``(time, priority,
-sequence)``: deque and slot entries are appended in sequence order and all
-carry normal priority, so the merged order is exactly the order one heap
-holding every event would give.
+The run loop pops from the deque while it holds anything, and otherwise
+advances the clock to the earliest slot and moves that whole slot onto the
+deque.  A slot holds exactly the events due at its deadline, appended in
+sequence order, and becomes current only once the deque is empty, so the
+events run in exactly the order one heap keyed ``(time, sequence)`` would
+give.
 
 The kernel pools :class:`Timeout` and kernel-created grant :class:`Event`
 objects, and :class:`Process` objects made by ``spawn_process``, recycling
-them (callback list included) once their callbacks have run, provided every
-callback was a plain process resumption or a :class:`Join` count-down --
-events held by conditions or user code are never recycled (see the pooling
-discipline note in :mod:`repro.sim.events`).  :meth:`Simulator.run` is one
-inlined loop rather than a chain of ``step``/``dispatch`` method calls.
+them (callback list included) once their callbacks have run, provided
+there was at least one and every one was a plain process resumption or a
+:class:`Join` count-down -- events nobody waited on, or that user callbacks
+saw, are never recycled (see the pooling discipline note in
+:mod:`repro.sim.events`).  :meth:`Simulator.run` is one inlined loop; only
+its one-callback dispatch is inlined, and every other dispatch goes
+through :meth:`Simulator._dispatch_checked`.
 
 The kernel relies on one invariant user code must keep (it always has):
 callbacks are never appended to an event that is already being processed.
@@ -45,10 +46,6 @@ from types import MethodType
 from typing import Any, Deque, Generator, Iterable, Optional
 
 from repro.sim.events import (
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    AllOf,
-    AnyOf,
     Event,
     Join,
     Process,
@@ -56,16 +53,11 @@ from repro.sim.events import (
     Timeout,
 )
 
-__all__ = ["EmptySchedule", "Simulator", "PRIORITY_NORMAL", "PRIORITY_URGENT"]
+__all__ = ["EmptySchedule", "Simulator"]
 
 #: Upper bound on each object pool (events / timeouts) so a burst of traffic
 #: cannot pin an unbounded amount of memory.
 _POOL_LIMIT = 512
-
-#: Wheel horizon (microseconds).  Deadlines further out than this skip the
-#: wheel and go straight to the heap: far-future timers are rare, rarely
-#: share deadlines, and would only bloat the heap of slot times.
-DEFAULT_WHEEL_HORIZON_US = 65536.0
 
 _PROCESS_RESUME = Process._resume
 _JOIN_COUNT_DOWN = Join._count_down
@@ -98,27 +90,21 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
-        #: Zero-delay, normal-priority events at the *current* time, FIFO by
-        #: sequence number (stored on the event as ``_seq`` to avoid a tuple
-        #: per entry).  Invariant: while non-empty, every entry was scheduled
-        #: at ``self._now`` (time never regresses and the run loop drains
-        #: this deque before advancing the clock).
+        #: Events due at the *current* time, FIFO by sequence number (stored
+        #: on the event as ``_seq`` to avoid a tuple per entry).  Invariant:
+        #: every entry is due at ``self._now`` (time never regresses and the
+        #: run loop drains this deque before advancing the clock).
         self._immediate: Deque[Event] = deque()
         self._sequence = 0
         #: Wheel slots: exact deadline -> events at that deadline, appended
-        #: in sequence order (so a slot is already internally sorted).  All
-        #: slot entries are normal priority and every slot time is strictly
-        #: in the future: the moment the clock reaches the minimum slot,
-        #: the run loop moves the whole slot onto the immediate deque --
-        #: the slot *is* a batch of "events at the current time, FIFO by
-        #: sequence", so the deque invariant carries over and per-event
-        #: processing rides the deque.
+        #: in sequence order (so a slot is already internally sorted).  Every
+        #: slot time is strictly in the future: the moment the clock reaches
+        #: the minimum slot, the run loop moves the whole slot onto the
+        #: deque -- the slot *is* a batch of "events at the current time,
+        #: FIFO by sequence", so the deque invariant carries over.
         self._wheel_buckets: dict[float, list[Event]] = {}
         #: Min-heap of the distinct slot times (one entry per live slot).
         self._wheel_times: list[float] = []
-        #: Scheduling gate: delays in (0, _wheel_gate] go to the wheel.
-        self._wheel_gate = DEFAULT_WHEEL_HORIZON_US
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
         self._process_pool: list[Process] = []
@@ -132,7 +118,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still sitting in the schedule."""
-        return len(self._queue) + len(self._immediate) + \
+        return len(self._immediate) + \
             sum(len(bucket) for bucket in self._wheel_buckets.values())
 
     @property
@@ -155,27 +141,20 @@ class Simulator:
             timeout._processed = False
             timeout._defused = False
             # _triggered/_ok stay True; the callback list was cleared when
-            # the object was pooled.  The scheduling cascade below mirrors
-            # _schedule (deque -> wheel slot -> heap).
+            # the object was pooled.  The placement below is _schedule's.
             self._sequence = seq = self._sequence + 1
             timeout._seq = seq
-            if delay == 0.0:
+            now = self._now
+            time = now + delay
+            if time <= now:
                 self._immediate.append(timeout)
-            elif delay <= self._wheel_gate:
-                time = self._now + delay
-                if time <= self._now:
-                    # Sub-resolution delay: already due (see _schedule).
-                    self._immediate.append(timeout)
-                else:
-                    bucket = self._wheel_buckets.get(time)
-                    if bucket is None:
-                        self._wheel_buckets[time] = [timeout]
-                        heapq.heappush(self._wheel_times, time)
-                    else:
-                        bucket.append(timeout)
             else:
-                heapq.heappush(self._queue, (self._now + delay, PRIORITY_NORMAL,
-                                             seq, timeout))
+                bucket = self._wheel_buckets.get(time)
+                if bucket is None:
+                    self._wheel_buckets[time] = [timeout]
+                    heapq.heappush(self._wheel_times, time)
+                else:
+                    bucket.append(timeout)
             return timeout
         return Timeout(self, delay, value)
 
@@ -183,19 +162,12 @@ class Simulator:
         """Start ``generator`` as a simulation process."""
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that triggers when all of ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` has succeeded."""
-        return AnyOf(self, events)
-
-    def join(self, events: Iterable[Event]) -> Join:
-        """Event that succeeds with ``None`` once all of ``events`` have
-        succeeded (:class:`AllOf` without the value mapping; the kernel may
-        recycle each joined event once the join has observed it)."""
-        return Join(self, events)
+    def join(self, events: Iterable[Event], count: Optional[int] = None) -> Join:
+        """Event that succeeds with ``None`` once ``count`` of the
+        still-pending ``events`` have succeeded (all of them by default),
+        or fails with the first failure.  The kernel may recycle each
+        joined event once the join has observed it."""
+        return Join(self, events, count)
 
     def _fresh_event(self) -> Event:
         """A kernel-owned (recyclable) event for grants/bootstraps/relays."""
@@ -213,99 +185,45 @@ class Simulator:
         return event
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"cannot schedule an event at delay={delay}")
         self._sequence = seq = self._sequence + 1
-        if priority == PRIORITY_NORMAL:
-            if delay == 0.0:
-                event._seq = seq
-                self._immediate.append(event)
-                return
-            if delay <= self._wheel_gate:
-                event._seq = seq
-                time = self._now + delay
-                if time <= self._now:
-                    # A positive delay below the clock's float resolution
-                    # rounds to "already due": the deque keeps it in exact
-                    # sequence order (a slot keyed at the current time
-                    # would be overtaken by later zero-delay events).
-                    self._immediate.append(event)
-                    return
-                bucket = self._wheel_buckets.get(time)
-                if bucket is None:
-                    self._wheel_buckets[time] = [event]
-                    heapq.heappush(self._wheel_times, time)
-                else:
-                    bucket.append(event)
-                return
-        heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
+        event._seq = seq
+        now = self._now
+        time = now + delay
+        if time <= now:
+            # Zero delay, or a positive delay below the clock's float
+            # resolution: already due.  The deque keeps it in exact
+            # sequence order (a slot keyed at the current time would be
+            # overtaken by later zero-delay events).
+            self._immediate.append(event)
+            return
+        bucket = self._wheel_buckets.get(time)
+        if bucket is None:
+            self._wheel_buckets[time] = [event]
+            heapq.heappush(self._wheel_times, time)
+        else:
+            bucket.append(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         if self._immediate:
             return self._now
-        next_time = float("inf")
         if self._wheel_times:
-            next_time = self._wheel_times[0]
-        if self._queue and self._queue[0][0] < next_time:
-            next_time = self._queue[0][0]
-        return next_time
-
-    def _activate_wheel_slot(self) -> None:
-        """Advance the clock to the minimum wheel slot and move the whole
-        slot onto the immediate deque: the slot is exactly a batch of
-        events at the new current time, FIFO by sequence number, so the
-        deque invariant carries over verbatim."""
-        wheel_time = heapq.heappop(self._wheel_times)
-        self._immediate.extend(self._wheel_buckets.pop(wheel_time))
-        self._now = wheel_time
+            return self._wheel_times[0]
+        return float("inf")
 
     def _next_event(self) -> Event:
-        """Pop the next event in (time, priority, sequence) order."""
+        """Pop the next event in (time, sequence) order."""
         immediate = self._immediate
-        queue = self._queue
-        if not immediate and self._wheel_times:
-            # The minimum wheel slot becomes current unless a heap entry
-            # precedes its head by (time, priority, sequence).  At an exact
-            # time tie the slot is parked on the deque either way (losing
-            # slots must not stay behind a dispatch that may append
-            # zero-delay events with larger sequence numbers); the deque
-            # branch below then re-merges against the heap.
-            wheel_time = self._wheel_times[0]
-            if not queue or queue[0][0] >= wheel_time:
-                self._activate_wheel_slot()
-        if immediate:
-            if queue:
-                entry = queue[0]
-                # The 3-tuple on the right is always decisive before the
-                # comparison could reach entry[3] (sequence numbers are
-                # unique), so the event object is never compared.
-                if entry < (self._now, PRIORITY_NORMAL, immediate[0]._seq):
-                    heapq.heappop(queue)
-                    self._now = entry[0]
-                    return entry[3]
-            return immediate.popleft()
-        if not queue:
-            raise EmptySchedule()
-        event_time, _priority, _seq, event = heapq.heappop(queue)
-        self._now = event_time
-        return event
-
-    def _maybe_recycle(self, event: Event) -> None:
-        cls = event.__class__
-        if cls is Timeout:
-            if event._ok and len(self._timeout_pool) < _POOL_LIMIT:
-                self._timeout_pool.append(event)
-        elif event._pool_ok and event._ok:
-            if cls is Event:
-                if len(self._event_pool) < _POOL_LIMIT:
-                    self._event_pool.append(event)
-            elif cls is Process:
-                if len(self._process_pool) < _POOL_LIMIT:
-                    event.generator = None
-                    event._waiting_on = None
-                    self._process_pool.append(event)
+        if not immediate:
+            if not self._wheel_times:
+                raise EmptySchedule()
+            time = heapq.heappop(self._wheel_times)
+            immediate.extend(self._wheel_buckets.pop(time))
+            self._now = time
+        return immediate.popleft()
 
     def step(self) -> None:
         """Process the single next event.
@@ -318,10 +236,14 @@ class Simulator:
         self._dispatch_checked(self._next_event())
 
     def _dispatch_checked(self, event: Event) -> None:
-        """Dispatch with the pooling-safety audit (see :meth:`_run_loop`)."""
+        """Run ``event``'s callbacks, re-raise an unhandled failure, and pool
+        the event if its only consumers were process resumptions or join
+        count-downs.  An event with no callbacks is never pooled: nobody
+        waited on it, so user code may still hold it.  :meth:`_run_loop`
+        inlines the one-callback case of this rule."""
         event._processed = True
         callbacks = event.callbacks
-        recyclable = True
+        recyclable = bool(callbacks)
         for callback in callbacks:
             if type(callback) is not MethodType or (
                     callback.__func__ is not _PROCESS_RESUME
@@ -331,8 +253,21 @@ class Simulator:
         callbacks.clear()
         if not event._ok and not event._defused:
             raise event._value
-        if recyclable and callbacks.__len__() == 0:
-            self._maybe_recycle(event)
+        if not recyclable or not event._ok:  # failed events are never pooled
+            return
+        cls = event.__class__
+        if cls is Timeout:
+            if len(self._timeout_pool) < _POOL_LIMIT:
+                self._timeout_pool.append(event)
+        elif event._pool_ok:
+            if cls is Event:
+                if len(self._event_pool) < _POOL_LIMIT:
+                    self._event_pool.append(event)
+            elif cls is Process:
+                if len(self._process_pool) < _POOL_LIMIT:
+                    event.generator = None
+                    event._waiting_on = None
+                    self._process_pool.append(event)
 
     def _succeed_now(self, event: Event, value: Any = None) -> None:
         """Succeed ``event`` and dispatch it on the spot, unscheduled.
@@ -340,15 +275,11 @@ class Simulator:
         Called from inside the dispatch of an event ``E``, this keeps the
         event order exactly as if ``E`` had instead been a block of
         zero-delay wakeups scheduled back to back (so consecutive sequence
-        numbers, run back to back) and ``event`` one of them, provided:
-
-        * ``E`` dispatches the block's events here in block order, and
-          every wakeup of the block it leaves out would have been a
-          no-op -- it schedules nothing, draws no random number and
-          touches no statistic;
-        * no urgent-priority event is scheduled at the current instant
-          meanwhile (the only kind that could have run between two
-          wakeups of the block).
+        numbers, run back to back) and ``event`` one of them, provided
+        ``E`` dispatches the block's events here in block order, and every
+        wakeup of the block it leaves out would have been a no-op -- it
+        schedules nothing, draws no random number and touches no
+        statistic.
 
         Everything the on-the-spot dispatches schedule then takes the same
         relative order as before; only :attr:`scheduled_events` is
@@ -393,13 +324,10 @@ class Simulator:
 
         Per-event overhead is kept minimal: the stop-event test runs *after*
         each dispatch (equivalent to a top-of-loop test, since the event
-        only flips to processed inside a dispatch), and the stop-time
-        test runs only when the clock would advance (heap pops) -- immediate
-        events never move the clock.  A heap entry can only preempt the
-        deque when its time has already been reached, so the common case
-        costs one float comparison.
+        only flips to processed inside a dispatch), and the stop-time test
+        runs only when the clock would advance (slot activations) --
+        events on the deque never move the clock.
         """
-        queue = self._queue
         immediate = self._immediate
         wheel_times = self._wheel_times
         wheel_buckets = self._wheel_buckets
@@ -407,6 +335,7 @@ class Simulator:
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         process_pool = self._process_pool
+        dispatch_checked = self._dispatch_checked
         event_cls = Event
         timeout_cls = Timeout
         process_cls = Process
@@ -415,85 +344,37 @@ class Simulator:
         count_down = _JOIN_COUNT_DOWN
         if stop_event is not None and stop_event._processed:
             return stop_event._value
-        now = self._now  # local clock mirror; every write updates both
         while True:
-            # -- pop next (deque vs wheel vs heap by (time, prio, seq)) ----
-            # Wheel slot times are strictly in the future while the deque is
-            # non-empty (a slot moves wholesale onto the deque the moment
-            # the clock reaches it), so the deque branch only ever has to
-            # merge against the heap.
             if immediate:
-                event = None
-                if queue:
-                    entry = queue[0]
-                    # Invariant: self._now <= stop_time whenever stop_time is
-                    # set, so a same-time heap entry needs no stop check.
-                    if entry[0] <= now and \
-                            entry < (now, PRIORITY_NORMAL, immediate[0]._seq):
-                        heappop(queue)
-                        event = entry[3]
-                if event is None:
-                    event = immediate.popleft()
+                event = immediate.popleft()
             elif wheel_times:
+                # Activate the earliest slot: the clock advances to its
+                # time and the whole batch continues on the deque.
                 wheel_time = wheel_times[0]
-                entry = None
-                if queue:
-                    entry = queue[0]
-                    if entry[0] > wheel_time or (
-                            entry[0] == wheel_time and (
-                                wheel_time, PRIORITY_NORMAL,
-                                wheel_buckets[wheel_time][0]._seq) < entry):
-                        entry = None
-                if entry is not None:
-                    if stop_time is not None and entry[0] > stop_time:
-                        self._now = stop_time
-                        return None
-                    heappop(queue)
-                    if entry[0] == wheel_time:
-                        # The slot shares the heap entry's time: park it on
-                        # the deque *before* dispatching, so zero-delay
-                        # events scheduled by the dispatch (larger seq)
-                        # cannot overtake the slot's entries.
-                        heappop(wheel_times)
-                        immediate.extend(wheel_buckets.pop(wheel_time))
-                    self._now = now = entry[0]
-                    event = entry[3]
-                else:
-                    if stop_time is not None and wheel_time > stop_time:
-                        self._now = stop_time
-                        return None
-                    # Activate the slot: the clock advances to its time and
-                    # the whole batch continues on the deque.
-                    heappop(wheel_times)
-                    bucket = wheel_buckets.pop(wheel_time)
-                    self._now = now = wheel_time
-                    if len(bucket) == 1:
-                        event = bucket[0]
-                    else:
-                        immediate.extend(bucket)
-                        event = immediate.popleft()
-            elif queue:
-                entry = queue[0]
-                if stop_time is not None and entry[0] > stop_time:
+                if stop_time is not None and wheel_time > stop_time:
                     self._now = stop_time
                     return None
-                heappop(queue)
-                self._now = now = entry[0]
-                event = entry[3]
+                heappop(wheel_times)
+                bucket = wheel_buckets.pop(wheel_time)
+                self._now = wheel_time
+                if len(bucket) == 1:
+                    event = bucket[0]
+                else:
+                    immediate.extend(bucket)
+                    event = immediate.popleft()
             else:
                 break
-            # -- dispatch (inline _dispatch_checked) -----------------------
-            event._processed = True
             callbacks = event.callbacks
             if len(callbacks) == 1:
                 # The overwhelmingly common case: one process resumption
-                # (or one join count-down).
+                # (or one join count-down).  Inline of _dispatch_checked.
+                event._processed = True
                 callback = callbacks[0]
                 callback(event)
                 callbacks.clear()
                 if not event._ok and not event._defused:
                     raise event._value
-                if not callbacks and type(callback) is method_type and (
+                if type(callback) is method_type and (
                         callback.__func__ is resume
                         or callback.__func__ is count_down):
                     cls = event.__class__
@@ -508,32 +389,8 @@ class Simulator:
                             event.generator = None
                             event._waiting_on = None
                             process_pool.append(event)
-            elif callbacks:
-                recyclable = True
-                for callback in callbacks:
-                    if type(callback) is not method_type or (
-                            callback.__func__ is not resume
-                            and callback.__func__ is not count_down):
-                        recyclable = False
-                    callback(event)
-                callbacks.clear()
-                if not event._ok and not event._defused:
-                    raise event._value
-                if recyclable and not callbacks:
-                    cls = event.__class__
-                    if cls is timeout_cls:
-                        if event._ok and len(timeout_pool) < _POOL_LIMIT:
-                            timeout_pool.append(event)
-                    elif cls is event_cls and event._pool_ok and event._ok:
-                        if len(event_pool) < _POOL_LIMIT:
-                            event_pool.append(event)
-                    elif cls is process_cls and event._pool_ok and event._ok:
-                        if len(process_pool) < _POOL_LIMIT:
-                            event.generator = None
-                            event._waiting_on = None
-                            process_pool.append(event)
-            elif not event._ok and not event._defused:
-                raise event._value
+            else:
+                dispatch_checked(event)
             if stop_event is not None and stop_event._processed:
                 return stop_event._value
         return self._finish(stop_event, stop_time)
@@ -556,7 +413,7 @@ class Simulator:
         ``max_events`` acts as a safety valve against runaway simulations.
         """
         processed = 0
-        while self._queue or self._immediate or self._wheel_times:
+        while self._immediate or self._wheel_times:
             if max_events is not None and processed >= max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
             self.step()

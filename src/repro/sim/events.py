@@ -3,22 +3,25 @@
 An :class:`Event` is a one-shot occurrence that processes can wait on.  An
 event starts *untriggered*; calling :meth:`Event.succeed` (or
 :meth:`Event.fail`) schedules it with the simulator (see
-:mod:`repro.sim.engine` for the deque / timer-wheel / heap schedule), and
-once the simulator pops it the event becomes *processed* and all registered
-callbacks run.  A :class:`Process` wraps a Python generator: the generator
-yields events, and the process resumes each time the yielded event is
-processed.
+:mod:`repro.sim.engine` for the two-level deque / timer-wheel schedule),
+and once the simulator pops it the event becomes *processed* and all
+registered callbacks run.  A :class:`Process` wraps a Python generator: the
+generator yields events, and the process resumes each time the yielded
+event is processed.
 
 Object pooling
 --------------
 The kernel recycles kernel-created :class:`Timeout` and grant
 :class:`Event` objects whose only consumers were the processes that yielded
-them.  The discipline this imposes on user code: an event obtained from
-``sim.timeout(...)`` or ``resource.request()`` must
-not be inspected (``.value``, ``.processed``) after the process that yielded
-it has resumed past a *different* event.  Yielding inline -- by far the
-common pattern -- is always safe, as is passing such events to
-``AllOf``/``AnyOf`` (condition-held events are never recycled).
+them or a :class:`Join` that counted them.  The discipline this imposes on
+user code: an event obtained from ``sim.timeout(...)`` or
+``resource.request()`` must not be inspected (``.value``, ``.processed``)
+after the process that yielded it has resumed past a *different* event, or
+after the join it was given to has counted it.  Yielding inline -- by far
+the common pattern -- is always safe.  An event nobody waited on is never
+recycled, so one held without being yielded keeps its value, whether
+``run`` or ``step`` drives the simulator.  A failed event is never
+recycled.
 
 :class:`Process` objects themselves are pooled too, but only the ones
 created through :func:`spawn_process` (every ``device.submit`` and every
@@ -26,16 +29,16 @@ per-I/O fan-out child): those are marked pool-eligible at birth and
 recycled once their completion has been consumed, either by the one
 process that yielded them or by a :class:`Join`.  Processes created with
 ``sim.process(...)`` are never recycled -- user code may hold them, join
-them in conditions, or interrupt them long after completion.  The same
+them, or interrupt them long after completion.  The same
 inspect-after-resume rule applies to submission events: read the request
 object (which the completion event returns), not the event, once the
 worker has moved on.
 
-A :class:`Join` (``sim.join(events)``) is the value-free fan-in for such
-children: it counts them down without keeping a reference to any of them,
-so the kernel may recycle each child the moment the join has observed it.
-:class:`AllOf` keeps its events (callers read its value mapping), so the
-events it holds are never recycled.  A failed event is never recycled.
+A :class:`Join` (``sim.join(events, count=None)``) is the kernel's one
+fan-in: it counts its events down without keeping a reference to any of
+them, so the kernel may recycle each one the moment the join has observed
+it.  It succeeds with ``None``: a caller that needs a child's result reads
+it from the objects the child worked on, not from the event.
 """
 
 from __future__ import annotations
@@ -45,12 +48,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
-
-#: Priority used for ordinary events (re-exported by repro.sim.engine).
-PRIORITY_NORMAL = 1
-#: Priority used for "urgent" bookkeeping events processed before normal ones.
-PRIORITY_URGENT = 0
-
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (double trigger, etc.)."""
@@ -161,8 +158,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(sim)
         self.delay = delay
         self._triggered = True
@@ -364,123 +361,34 @@ def spawn_process(sim: "Simulator", generator: Generator[Event, Any, Any]) -> Pr
     return process
 
 
-class ConditionValue(dict):
-    """The result mapping (event -> value) an :class:`AllOf`/:class:`AnyOf`
-    succeeds with.
-
-    A plain ``dict`` subclass: values are snapshotted when the condition
-    triggers (so later recycling of constituent events cannot corrupt them)
-    while keeping the familiar mapping protocol for callers.
-    """
-
-    __slots__ = ()
-
-
-class _Condition(Event):
-    """Base class for :class:`AllOf` / :class:`AnyOf` composite events."""
-
-    __slots__ = ("events", "_pending")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        for event in self.events:
-            if not isinstance(event, Event):
-                raise TypeError(f"condition requires events, got {event!r}")
-        # One bound-method object is shared by every child subscription, so a
-        # wide fan-in does not allocate a callback per child.
-        observe = self._observe
-        pending = 0
-        for event in self.events:
-            if not event._processed:
-                pending += 1
-                event.callbacks.append(observe)
-        self._pending = pending
-        self._check_initial()
-
-    def _check_initial(self) -> None:
-        raise NotImplementedError
-
-    def _observe(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect_values(self) -> ConditionValue:
-        values = ConditionValue()
-        for event in self.events:
-            if event._processed and event._ok:
-                values[event] = event._value
-        return values
-
-
-class AllOf(_Condition):
-    """Triggers when *all* constituent events have triggered successfully."""
-
-    __slots__ = ()
-
-    def _check_initial(self) -> None:
-        if not self._triggered and self._pending == 0:
-            self.succeed(self._collect_values())
-
-    def _observe(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        # Every unprocessed event was subscribed once per listing, so the
-        # count reaches zero exactly when the last of them is processed.
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._collect_values())
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as *any* constituent event triggers successfully."""
-
-    __slots__ = ()
-
-    def _check_initial(self) -> None:
-        if not self._triggered:
-            for event in self.events:
-                if event.processed and event.ok:
-                    self.succeed(self._collect_values())
-                    return
-            if not self.events:
-                self.succeed({})
-
-    def _observe(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-            return
-        self.succeed(self._collect_values())
-
-
 class Join(Event):
-    """Succeeds with ``None`` once every given event has succeeded.
+    """Succeeds with ``None`` once ``count`` of the given events have
+    succeeded -- the kernel's one fan-in.
 
-    The value-free :class:`AllOf`: it schedules its success (or its
-    failure, with the first failing event's exception, which it defuses)
-    at exactly the point an :class:`AllOf` over the same events would, but
-    it keeps no reference to the events and builds no value mapping.  Its
+    Only events still pending when the join is built count: ``count``
+    defaults to all of them and is capped at their number, so a join of
+    nothing pending succeeds at once.  The join fails on the first failing
+    event, with its exception (which it defuses).  It ignores an event that
+    completes after it has triggered, so such an event's failure surfaces
+    as unhandled.  Each pending event counts once, so events that complete
+    at the same instant are all counted.
+    The join keeps no reference to its events and builds no value.  Its
     count-down is a callback the kernel knows, so a pool-eligible event
     whose only consumer was the join is recycled once observed (see the
-    module docstring).  Events already processed when the join is built
-    do not count; an event that completes after the join has failed is
-    ignored.
+    module docstring).
     """
 
     __slots__ = ("_pending",)
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+    def __init__(self, sim: "Simulator", events: Iterable[Event],
+                 count: Optional[int] = None):
         super().__init__(sim)
         events = list(events)
         for event in events:
             if not isinstance(event, Event):
                 raise TypeError(f"join requires events, got {event!r}")
+        if count is not None and count < 0:
+            raise ValueError(f"join count must be >= 0, got {count}")
         # One bound method shared by every child subscription, held only by
         # the children's callback lists: no reference cycle through the join.
         count_down = self._count_down
@@ -489,6 +397,8 @@ class Join(Event):
             if not event._processed:
                 pending += 1
                 event.callbacks.append(count_down)
+        if count is not None and count < pending:
+            pending = count
         self._pending = pending
         if pending == 0:
             self.succeed()

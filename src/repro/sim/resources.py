@@ -1,11 +1,9 @@
 """Shared resources for simulation processes.
 
-Three primitives cover everything the device models need:
+Two primitives cover everything the device models need:
 
 * :class:`Resource` -- a counted resource with FIFO queuing (flash dies,
   per-node service slots, NVMe submission slots, ...).
-* :class:`Store` -- a FIFO buffer of items with optional capacity
-  (request queues, write-buffer entries, ...).
 * :class:`TokenBucket` -- a classic token-bucket rate limiter (provider-side
   throughput and IOPS budgets, network links).
 """
@@ -15,9 +13,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.sim.events import PRIORITY_NORMAL, Event  # noqa: F401 (re-export)
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -101,69 +99,6 @@ class Resource:
             sim._immediate.append(waiter)
         else:
             self._users -= 1
-
-    def acquire(self):
-        """Generator helper: ``yield from resource.acquire()`` acquires a slot."""
-        yield self.request()
-
-
-class Store:
-    """A FIFO store of items.
-
-    ``put`` blocks (returns a pending event) when the store is full,
-    ``get`` blocks when it is empty.
-    """
-
-    __slots__ = ("sim", "capacity", "_items", "_getters", "_putters")
-
-    def __init__(self, sim: "Simulator", capacity: float = math.inf):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """A snapshot of the items currently buffered (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Return an event that succeeds once ``item`` has been accepted."""
-        event = Event(self.sim)
-        if self._getters:
-            # Hand the item straight to a waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed(None)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed(None)
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        """Return an event that succeeds with the next item."""
-        event = Event(self.sim)
-        if self._items:
-            item = self._items.popleft()
-            event.succeed(item)
-            self._admit_waiting_putter()
-        else:
-            self._getters.append(event)
-        return event
-
-    def _admit_waiting_putter(self) -> None:
-        if self._putters and len(self._items) < self.capacity:
-            put_event, item = self._putters.popleft()
-            self._items.append(item)
-            put_event.succeed(None)
 
 
 class TokenBucket:

@@ -256,8 +256,7 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
         sim.process(watchdog())
 
     if run:
-        completion = sim.all_of(workers)
-        sim.run(until=completion)
+        sim.run(until=sim.join(workers))
         result.finished_us = max(result.finished_us, sim.now)
     return result
 

@@ -246,6 +246,25 @@ class TestScenarioDocuments:
             cell_from_document({"device": "LOOP", "io_size": "big"})
         assert excinfo.value.path == "cell.io_size"
 
+    @pytest.mark.parametrize("key", ["think_time_us", "runtime_us",
+                                     "write_ratio", "series_bin_us"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_cell_document_rejects_non_finite_numbers(self, key, value):
+        """JSON and YAML both parse NaN and infinities, and NaN passes every
+        ``<``/``<=`` bound check: a NaN think time used to be skipped and a
+        NaN runtime stopped a cell after one I/O."""
+        with pytest.raises(ConfigError) as excinfo:
+            cell_from_document({"device": "LOOP", key: value})
+        assert excinfo.value.path == f"cell.{key}"
+
+    def test_fleet_document_rejects_a_nan_epoch(self):
+        document = topology_to_document(demo_topology())
+        document["epoch_us"] = float("nan")
+        with pytest.raises(ConfigError) as excinfo:
+            topology_from_document(document)
+        assert excinfo.value.path == "fleet.epoch_us"
+
     def test_cell_document_requires_device(self):
         with pytest.raises(ConfigError) as excinfo:
             cell_from_document({"pattern": "randread"})

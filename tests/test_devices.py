@@ -11,7 +11,6 @@ from repro.devices import (
 )
 from repro.devices.registry import UnknownDeviceError
 from repro.ebs import EssdDevice
-from repro.host import SubmissionQueue
 from repro.host.io import MiB
 from repro.sim import Simulator
 from repro.ssd import SsdDevice
@@ -127,20 +126,3 @@ def test_fio_runs_against_any_protocol_device():
                                          io_count=16, queue_depth=2))
     assert result.ios_completed == 16
     assert result.latency.summary().mean_us == pytest.approx(10.0)
-
-
-def test_submission_queue_accepts_protocol_device():
-    sim = Simulator()
-    device = create_device(sim, "LOOP", capacity_bytes=8 * MiB)
-    queue = SubmissionQueue(sim, device, depth=2)
-    done = []
-
-    def proc():
-        from repro.host.io import IORequest
-        completed = yield sim.process(queue.submit(IORequest.read(0, 4096)))
-        done.append(completed.latency)
-
-    sim.process(proc())
-    sim.run()
-    assert done == [10.0]
-    assert queue.completed == 1

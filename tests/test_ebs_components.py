@@ -1,11 +1,14 @@
 """Tests for the EBS building blocks: chunk map, QoS, replication, backend, network."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ebs.backend import ElasticBackend
 from repro.ebs.chunk_map import ChunkMap
+from repro.ebs.cluster import StorageCluster
 from repro.ebs.config import QosProfile, aws_io2_profile
 from repro.ebs.network import DatacenterNetwork, NetworkProfile
 from repro.ebs.qos import QosManager
@@ -156,13 +159,54 @@ def test_qos_flow_limit_throttles_only_writes():
 
 def test_replication_policy_validation_and_describe():
     policy = ReplicationPolicy(3, 2)
-    assert not policy.waits_for_all
     assert policy.acknowledgements_needed() == 2
     assert "3-way" in policy.describe()
     with pytest.raises(ValueError):
         ReplicationPolicy(2, 3)
     with pytest.raises(ValueError):
         ReplicationPolicy(0, 0)
+
+
+def _quorum_write_us(service_us, quorum=2):
+    """Simulated time one chunk write takes when its replicas take
+    ``service_us`` each (in placement order) and the network takes none."""
+    sim = Simulator()
+    profile = replace(aws_io2_profile(64 * MiB), write_quorum=quorum)
+    cluster = StorageCluster(sim, profile)
+    cluster.network.transfer_delay = lambda payload_bytes: 0.0
+    sub = cluster.split(0, 4 * KiB)[0]
+    group = cluster.chunk_map.placement_group(sub.chunk_index)
+    for node_id, service in zip(group, service_us, strict=True):
+        def write(num_bytes, service=service):
+            yield sim.timeout(service)
+        cluster.nodes[node_id].write = write
+    acknowledged = []
+
+    def writer():
+        yield from cluster.write_subrequest(sub)
+        acknowledged.append(sim.now)
+
+    sim.process(writer())
+    sim.run()
+    assert sim.now == max(service_us)  # the slow replica still finishes
+    return acknowledged[0]
+
+
+@pytest.mark.parametrize("service_us, expected", [
+    ((10.0, 10.0, 50.0), 10.0),   # two replicas tie at the quorum
+    ((10.0, 10.0, 10.0), 10.0),   # all three tie
+    ((10.0, 20.0, 50.0), 20.0),
+    ((50.0, 10.0, 10.0), 10.0),
+])
+def test_quorum_write_counts_replicas_that_finish_in_the_same_instant(
+        service_us, expected):
+    """A 3-way write with quorum 2 is acknowledged once the second
+    replica finishes, even when it finishes together with the first."""
+    assert _quorum_write_us(service_us) == expected
+
+
+def test_full_quorum_write_waits_for_every_replica():
+    assert _quorum_write_us((10.0, 10.0, 50.0), quorum=3) == 50.0
 
 
 def test_network_latency_scales_with_payload():

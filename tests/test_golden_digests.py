@@ -13,6 +13,10 @@ order's shape: a change that keeps every result but schedules one event
 more or less shows here.  ``tests/test_contract_and_implications.py``
 compares both from its one module-scoped checker run.
 
+Under ``FLEET_EVENTS_KEY`` it records ``runtime.scheduled_events`` of each
+quick ``failover-storm`` cell run at two in-process shards: the fleet path
+through lockstep rounds, fault barriers and fire-and-forget processes.
+
 The recorded sets are keyed by interpreter (``py3.11``, ...).  From 3.12 on,
 ``sum()`` over floats is compensated (``sum([0.1] * 10)`` is ``1.0`` on 3.12
 and ``0.9999999999999999`` on 3.11), so metrics that sum floats may differ
@@ -42,6 +46,8 @@ INTERPRETER = f"py{sys.version_info[0]}.{sys.version_info[1]}"
 CONTRACT_KEY = "contract:quick_checker"
 #: Entry of the events the checker's full run schedules (not a scenario name).
 CONTRACT_EVENTS_KEY = "contract:quick_checker:scheduled_events"
+#: Entry of the events each quick failover-storm cell schedules at two shards.
+FLEET_EVENTS_KEY = "failover-storm:shards=2:scheduled_events"
 
 
 def load_golden() -> dict[str, dict[str, list]]:
@@ -56,6 +62,24 @@ def scenario_digests(name: str) -> list[str]:
 
     return [spec_hash(run_cell(cell))
             for cell in quick_cells(get_scenario(name).cells())]
+
+
+def fleet_scheduled_events(name: str = "failover-storm",
+                           shards: int = 2) -> list[int]:
+    """``runtime.scheduled_events`` of each quick cell of fleet scenario
+    ``name`` run at ``shards`` in-process shards, in cell order."""
+    from repro.cluster import FleetCoordinator, FleetRunConfig, FleetTopology
+    from repro.experiments.scenarios import get_scenario
+    from repro.experiments.sweep import quick_cells
+
+    config = FleetRunConfig(shards=shards, transport="local")
+    counts = []
+    for cell in quick_cells(get_scenario(name).cells()):
+        assert cell.faults is None  # the faults ride the topology
+        payload = FleetCoordinator(config=config).run(
+            FleetTopology.from_json(cell.fleet))
+        counts.append(payload["runtime"]["scheduled_events"])
+    return counts
 
 
 def quick_checker_config():
@@ -115,7 +139,7 @@ def contract_digest(report) -> str:
 
 _GOLDEN = load_golden()
 _NAMES = sorted({name for recorded in _GOLDEN.values() for name in recorded}
-                - {CONTRACT_KEY, CONTRACT_EVENTS_KEY})
+                - {CONTRACT_KEY, CONTRACT_EVENTS_KEY, FLEET_EVENTS_KEY})
 
 
 @pytest.mark.parametrize("name", _NAMES)
@@ -129,11 +153,22 @@ def test_scenario_quick_cells_match_golden_digests(name, monkeypatch):
     assert scenario_digests(name) == recorded[name]
 
 
+def test_failover_storm_schedules_the_golden_event_counts():
+    """The fleet twin of the checker's event count: lockstep rounds, fault
+    barriers and fire-and-forget processes schedule what they did."""
+    recorded = _GOLDEN.get(INTERPRETER)
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for {INTERPRETER}: float "
+                    "sum() differs across interpreter versions")
+    assert fleet_scheduled_events() == recorded[FLEET_EVENTS_KEY]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
                         help=f"record every built-in scenario's digests, "
-                             f"the checker's and its event count under "
+                             f"the checker's, its event count and the "
+                             f"failover-storm event counts under "
                              f"{INTERPRETER} in {GOLDEN_PATH.name}")
     args = parser.parse_args(argv)
     if not args.write:
@@ -149,6 +184,7 @@ def main(argv=None) -> int:
     report, events = run_quick_checker()
     golden[INTERPRETER][CONTRACT_KEY] = [contract_digest(report)]
     golden[INTERPRETER][CONTRACT_EVENTS_KEY] = [events]
+    golden[INTERPRETER][FLEET_EVENTS_KEY] = fleet_scheduled_events()
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.flash import FlashArray, FlashGeometry, FlashTiming
 from repro.host.io import IOKind, IORequest, KiB
-from repro.host.queue import SubmissionQueue
 from repro.sim import Simulator
 from repro.ssd import SsdDevice, samsung_970pro_profile
 from repro.host.io import MiB
@@ -84,32 +83,6 @@ def test_device_stats_accumulate():
     assert device.stats.flushes_completed == 1
     assert device.stats.bytes_written == 8192
     assert device.stats.bytes_read == 4096
-
-
-def test_submission_queue_bounds_outstanding_requests():
-    sim = Simulator()
-    device = SsdDevice(sim, samsung_970pro_profile(128 * MiB))
-    queue = SubmissionQueue(sim, device, depth=2)
-    peaks = []
-
-    def submitter(i):
-        request = IORequest.read(i * 4096, 4096)
-        peaks.append(queue.outstanding)
-        yield sim.process(queue.submit(request))
-
-    device.preload()
-    for i in range(8):
-        sim.process(submitter(i))
-    sim.run()
-    assert queue.completed == 8
-    assert max(peaks) <= 2
-
-
-def test_submission_queue_invalid_depth():
-    sim = Simulator()
-    device = SsdDevice(sim, samsung_970pro_profile(128 * MiB))
-    with pytest.raises(ValueError):
-        SubmissionQueue(sim, device, depth=0)
 
 
 # ---------------------------------------------------------------------------

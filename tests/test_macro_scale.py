@@ -9,6 +9,7 @@ were fixed before measuring; the run at the larger size must also report
 exactly ten times the I/Os, because macro totals are exact.
 """
 
+import gc
 import time
 import tracemalloc
 from dataclasses import replace
@@ -39,7 +40,12 @@ def scaled(topology: FleetTopology, factor: int) -> FleetTopology:
 
 
 def peak_bytes(topology: FleetTopology) -> int:
-    """tracemalloc peak of one serial build-and-run."""
+    """tracemalloc peak of one serial build-and-run, from a freshly
+    collected heap.  A full collection also empties the interpreter's free
+    lists, and the allocations that refill them are traced, so without it
+    the peak depends on when the last one ran: the faulted fleet below
+    peaked at about 57 KB with warm free lists and 87 KB with empty ones."""
+    gc.collect()
     tracemalloc.start()
     try:
         run_fleet_serial(topology)

@@ -1,24 +1,102 @@
 """Corner-case semantics of the simulation kernel.
 
 These tests lock the exact observable behavior of the scheduler --
-interleaving of same-time events, interrupt-during-wait, composite events
-with already-triggered children, ``run(until=event)`` failure handling --
-plus golden traces of mixed workloads (resources, stores, token buckets,
-pooled device submissions).  The goldens were recorded when three kernel
-variants (heap-only, deque without the timer wheel, and today's kernel)
-still existed and agreed on every trace; they pin the event order the
-single remaining kernel must keep.
+interleaving of same-time events, interrupt-during-wait, joins with
+already-processed children, ``run(until=event)`` failure handling -- plus
+golden traces of mixed workloads (resources, token buckets, pooled device
+submissions).  The goldens were recorded when three kernel variants
+(heap-only, deque without the timer wheel, and the wheel kernel with a
+far-deadline heap) still existed and agreed on every trace; they pin the
+event order the single remaining kernel must keep.
 """
 
 import gc
 import hashlib
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Resource, Simulator
+from repro.sim import Event, Interrupt, Resource, Simulator
 from repro.sim.events import SimulationError, spawn_process
+
+
+# ---------------------------------------------------------------------------
+# Reference: the value-mapping AllOf the kernel shipped before ``join`` was
+# its only fan-in, kept verbatim.  Its callback is not one the kernel knows,
+# so events it holds are never recycled.
+# ---------------------------------------------------------------------------
+
+class ConditionValue(dict):
+    """The result mapping (event -> value) an :class:`AllOf`/:class:`AnyOf`
+    succeeds with.
+
+    A plain ``dict`` subclass: values are snapshotted when the condition
+    triggers (so later recycling of constituent events cannot corrupt them)
+    while keeping the familiar mapping protocol for callers.
+    """
+
+    __slots__ = ()
+
+
+class _Condition(Event):
+    """Base class for :class:`AllOf` / :class:`AnyOf` composite events."""
+
+    __slots__ = ("events", "_pending")
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        super().__init__(sim)
+        self.events = list(events)
+        for event in self.events:
+            if not isinstance(event, Event):
+                raise TypeError(f"condition requires events, got {event!r}")
+        # One bound-method object is shared by every child subscription, so a
+        # wide fan-in does not allocate a callback per child.
+        observe = self._observe
+        pending = 0
+        for event in self.events:
+            if not event._processed:
+                pending += 1
+                event.callbacks.append(observe)
+        self._pending = pending
+        self._check_initial()
+
+    def _check_initial(self) -> None:
+        raise NotImplementedError
+
+    def _observe(self, event: Event) -> None:
+        raise NotImplementedError
+
+    def _collect_values(self) -> ConditionValue:
+        values = ConditionValue()
+        for event in self.events:
+            if event._processed and event._ok:
+                values[event] = event._value
+        return values
+
+
+class AllOf(_Condition):
+    """Triggers when *all* constituent events have triggered successfully."""
+
+    __slots__ = ()
+
+    def _check_initial(self) -> None:
+        if not self._triggered and self._pending == 0:
+            self.succeed(self._collect_values())
+
+    def _observe(self, event: Event) -> None:
+        if self._triggered:
+            return
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        # Every unprocessed event was subscribed once per listing, so the
+        # count reaches zero exactly when the last of them is processed.
+        self._pending -= 1
+        if self._pending == 0:
+            self.succeed(self._collect_values())
 
 
 # ---------------------------------------------------------------------------
@@ -143,41 +221,13 @@ def test_interrupt_during_resource_wait_detaches_from_grant():
     assert resource.users == 1
 
 
-def test_interrupt_during_store_get_keeps_item_for_others():
-    from repro.sim import Store
-    sim = Simulator()
-    store = Store(sim)
-    log = []
-
-    def consumer(label):
-        item = yield store.get()
-        log.append((label, item))
-
-    def impatient():
-        try:
-            yield store.get()
-        except Interrupt:
-            log.append("gave up")
-
-    def producer():
-        yield sim.timeout(5)
-        target.interrupt()
-        yield store.put("x")
-
-    target = sim.process(impatient())
-    sim.process(producer())
-    sim.process(consumer("late"))
-    sim.run()
-    assert "gave up" in log
-    # Historical semantics: the orphaned getter still swallows the first put.
-    assert ("late", "x") not in log
-
-
 # ---------------------------------------------------------------------------
-# Conditions with already-triggered / already-processed children
+# Joins with already-processed children
 # ---------------------------------------------------------------------------
 
 def test_all_of_with_already_processed_children_triggers_immediately():
+    """A join over children that are all processed already succeeds at
+    once, whatever its count."""
     sim = Simulator()
     first = sim.timeout(1, value="a")
     second = sim.timeout(2, value="b")
@@ -187,15 +237,19 @@ def test_all_of_with_already_processed_children_triggers_immediately():
     seen = []
 
     def proc():
-        values = yield sim.all_of([first, second])
-        seen.append((sim.now, sorted(values.values())))
+        for count in (None, 1):
+            value = yield sim.join([first, second], count)
+            seen.append((sim.now, value))
 
     sim.process(proc())
     sim.run()
-    assert seen == [(2.0, ["a", "b"])]
+    assert seen == [(2.0, None), (2.0, None)]
 
 
-def test_any_of_with_one_processed_child_collects_only_processed():
+def test_join_count_ignores_already_processed_children():
+    """A processed child does not count toward ``count``: a
+    ``join(count=1)`` over it and a pending event waits for the pending
+    one."""
     sim = Simulator()
     done = sim.timeout(1, value="ready")
     sim.run()
@@ -204,16 +258,22 @@ def test_any_of_with_one_processed_child_collects_only_processed():
     seen = []
 
     def proc():
-        values = yield sim.any_of([pending, done])
-        seen.append(list(values.values()))
+        value = yield sim.join([pending, done], count=1)
+        seen.append((sim.now, value))
+
+    def trigger():
+        yield sim.timeout(4)
+        pending.succeed("late")
 
     sim.process(proc())
+    sim.process(trigger())
     sim.run()
-    assert seen == [["ready"]]
-    assert not pending.triggered
+    assert seen == [(5.0, None)]
 
 
 def test_all_of_mixed_processed_and_pending_children():
+    """A join over a processed child and a pending one waits for the
+    pending one only."""
     sim = Simulator()
     done = sim.timeout(1, value="first")
     sim.run()
@@ -222,29 +282,12 @@ def test_all_of_mixed_processed_and_pending_children():
 
     def proc():
         late = sim.timeout(10, value="second")
-        values = yield sim.all_of([done, late])
-        seen.append((sim.now, sorted(values.values())))
+        value = yield sim.join([done, late])
+        seen.append((sim.now, value))
 
     sim.process(proc())
     sim.run()
-    assert seen == [(11.0, ["first", "second"])]
-
-
-def test_condition_value_supports_mapping_protocol():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        a = sim.timeout(1, value="a")
-        b = sim.timeout(2, value="b")
-        values = yield sim.all_of([a, b])
-        results.append((values[a], values[b], len(values), dict(values)))
-
-    sim.process(proc())
-    sim.run()
-    a_value, b_value, length, as_dict = results[0]
-    assert (a_value, b_value, length) == ("a", "b", 2)
-    assert sorted(as_dict.values()) == ["a", "b"]
+    assert seen == [(11.0, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,28 +350,6 @@ def iter_timeout(sim, delay):
 # Pooling discipline: recycled objects never corrupt retained references
 # ---------------------------------------------------------------------------
 
-def test_condition_children_survive_heavy_timeout_churn():
-    """Timeouts held by a condition must not be recycled while the condition
-    is still pending, even under heavy timeout traffic."""
-    sim = Simulator()
-    seen = []
-
-    def churn():
-        for _ in range(200):
-            yield sim.timeout(0.25)
-
-    def proc():
-        early = sim.timeout(1, value="early")
-        late = sim.timeout(40, value="late")
-        values = yield sim.all_of([early, late])
-        seen.append(sorted(values.values()))
-
-    sim.process(churn())
-    sim.process(proc())
-    sim.run()
-    assert seen == [["early", "late"]]
-
-
 def _child(sim, delay, fail=False):
     yield sim.timeout(delay)
     if fail:
@@ -353,7 +374,7 @@ def test_join_recycles_only_pooled_children_it_alone_observed(drive):
 
     def parent():
         yield sim.join([pooled, plain])
-        yield sim.all_of([held])
+        yield AllOf(sim, [held])
         try:
             yield sim.join([failed])
         except ValueError as exc:
@@ -366,6 +387,20 @@ def test_join_recycles_only_pooled_children_it_alone_observed(drive):
     assert not _pooled(sim, plain)
     assert not _pooled(sim, held)
     assert not _pooled(sim, failed)
+
+
+@pytest.mark.parametrize("drive", ["run", "run_all"])
+def test_unyielded_timeout_keeps_its_value_however_the_sim_is_driven(drive):
+    """A timeout nobody waited on is never pooled, so a reference held
+    without yielding it keeps its value.  ``step`` (which ``run_all``
+    drives) used to pool it, and the next timeout then reused the
+    object."""
+    sim = Simulator()
+    held = sim.timeout(5, value="a")
+    getattr(sim, drive)()
+    later = sim.timeout(1, value="b")
+    assert later is not held
+    assert (held.value, held.processed) == ("a", True)
 
 
 def test_join_keeps_no_reference_to_its_events():
@@ -404,16 +439,14 @@ def test_mixed_workload_trace_matches_golden():
 
 
 def test_horizon_and_time_tie_trace_matches_golden():
-    """Randomized workload: delays straddling the wheel horizon (slots vs
-    heap cascade), colliding deadlines, and zero-delay events -- including
-    exact time ties between a heap entry (far-scheduled) and a wheel slot
-    (near-scheduled) for the same deadline.  The horizon is narrowed to
-    50 us through the private gate so the 49.9/50.0/50.1 delays straddle
-    it."""
+    """Randomized workload: colliding deadlines and zero-delay events,
+    including exact time ties between a far-scheduled and a near-scheduled
+    timeout for the same deadline.  The trace was recorded with a 50 us
+    wheel horizon, so the 49.9/50.0/50.1 delays straddled a wheel-vs-heap
+    boundary that no longer exists."""
     import random
 
     sim = Simulator()
-    sim._wheel_gate = 50.0
     out = []
 
     def worker(wid):
@@ -593,16 +626,16 @@ def test_pooled_device_submissions_trace_identically_with_zero_delay_churn():
 
 
 # ---------------------------------------------------------------------------
-# Pooled fan-out behind join keeps the event order of sim.process + all_of
+# Pooled fan-out behind join keeps the event order of sim.process + AllOf
 # ---------------------------------------------------------------------------
 
 def _reference_fan_out(sim, children):
     """The fan-out every per-I/O site used before ``join`` (verbatim shape
-    of ``Ftl.read_slots``): fresh processes joined by ``all_of``."""
+    of ``Ftl.read_slots``): fresh processes joined by ``AllOf``."""
     reads = []
     for child in children:
         reads.append(sim.process(child))
-    yield sim.all_of(reads)
+    yield AllOf(sim, reads)
 
 
 def _pooled_fan_out(sim, children):

@@ -32,6 +32,25 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_nan_delays_rejected():
+    """``delay < 0`` is false for NaN, so a NaN delay needs its own check:
+    accepted, it would set the clock to NaN."""
+    sim = Simulator()
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        sim.timeout(nan)
+    sim.process(iter_timeout(sim, 1))
+    sim.run()
+    assert sim._timeout_pool  # the next timeout would be a pooled one
+    with pytest.raises(ValueError):
+        sim.timeout(nan)
+    with pytest.raises(SimulationError):
+        sim.event().succeed(delay=nan)
+    assert sim.pending_events == 0
+    sim.run()
+    assert sim.now == 1.0
+
+
 def test_timeout_carries_value():
     sim = Simulator()
     results = []
@@ -159,27 +178,26 @@ def test_yielding_non_event_is_an_error():
 
 
 def test_all_of_waits_for_every_event():
+    """By default a join waits for all of its events."""
     sim = Simulator()
-    times = []
+    seen = []
 
     def proc():
-        first = sim.timeout(5, value="a")
-        second = sim.timeout(9, value="b")
-        values = yield sim.all_of([first, second])
-        times.append(sim.now)
-        assert set(values.values()) == {"a", "b"}
+        value = yield sim.join([sim.timeout(5), sim.timeout(9)])
+        seen.append((sim.now, value))
 
     sim.process(proc())
     sim.run()
-    assert times == [9.0]
+    assert seen == [(9.0, None)]
 
 
 def test_any_of_fires_on_first_event():
+    """``join(count=1)`` succeeds on the first of its events."""
     sim = Simulator()
     times = []
 
     def proc():
-        yield sim.any_of([sim.timeout(5), sim.timeout(9)])
+        yield sim.join([sim.timeout(5), sim.timeout(9)], count=1)
         times.append(sim.now)
 
     sim.process(proc())
@@ -188,16 +206,19 @@ def test_any_of_fires_on_first_event():
 
 
 def test_all_of_empty_triggers_immediately():
+    """A join of nothing succeeds at once, whatever count it asks for
+    (the count is capped at the number of pending events)."""
     sim = Simulator()
     done = []
 
     def proc():
-        yield sim.all_of([])
-        done.append(sim.now)
+        for count in (None, 0, 1, 3):
+            yield sim.join([], count)
+            done.append(sim.now)
 
     sim.process(proc())
     sim.run()
-    assert done == [0.0]
+    assert done == [0.0] * 4
 
 
 def test_join_of_nothing_succeeds_at_once():
@@ -264,6 +285,12 @@ def test_join_rejects_non_events():
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.join([sim.timeout(1), 5])
+
+
+def test_join_rejects_a_negative_count():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.join([sim.timeout(1)], count=-1)
 
 
 def test_run_until_time_stops_early():

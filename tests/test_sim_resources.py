@@ -1,4 +1,4 @@
-"""Tests for Resource, Store, and TokenBucket, including property-based checks."""
+"""Tests for Resource and TokenBucket, including property-based checks."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store, TokenBucket
+from repro.sim import Resource, Simulator, TokenBucket
 
 
 # ---------------------------------------------------------------------------
@@ -92,89 +92,6 @@ def test_resource_queue_length_tracking():
     sim.process(waiter())
     sim.run()
     assert lengths == [2]
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-def test_store_fifo_delivery():
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def producer():
-        for item in range(5):
-            yield store.put(item)
-
-    def consumer():
-        for _ in range(5):
-            item = yield store.get()
-            received.append(item)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert received == [0, 1, 2, 3, 4]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    times = []
-
-    def consumer():
-        item = yield store.get()
-        times.append((sim.now, item))
-
-    def producer():
-        yield sim.timeout(25)
-        yield store.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert times == [(25.0, "late")]
-
-
-def test_store_capacity_blocks_producer():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    progress = []
-
-    def producer():
-        yield store.put("a")
-        progress.append(("a", sim.now))
-        yield store.put("b")
-        progress.append(("b", sim.now))
-
-    def consumer():
-        yield sim.timeout(40)
-        yield store.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert progress[0] == ("a", 0.0)
-    assert progress[1][1] == 40.0
-
-
-def test_store_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
-
-
-def test_store_items_snapshot():
-    sim = Simulator()
-    store = Store(sim)
-    def producer():
-        yield store.put(1)
-        yield store.put(2)
-    sim.process(producer())
-    sim.run()
-    assert store.items == (1, 2)
-    assert len(store) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Timer-wheel edge cases.
 
-The wheel buckets near-future deadlines in exact-deadline slots and moves
-a whole slot onto the immediate deque when the clock reaches it; far-future
-deadlines cascade straight to the heap.  These tests pin the corners of
-that design: timeouts cancelled (interrupted) while they sit on the wheel,
-the slot-vs-heap cascade at the horizon boundary, interleaving with
-zero-delay FIFO events, and the schedule-introspection helpers.  Expected
-traces were recorded when the heap-only and pre-wheel kernels still
-existed and agreed with the wheel on every one of them.  Tests that need a
-small horizon narrow the private ``_wheel_gate`` directly.
+The kernel has two schedules: a FIFO deque for the current instant and a
+timer wheel that buckets every later deadline in an exact-deadline slot,
+moving a whole slot onto the deque when the clock reaches it.  These tests
+pin the corners of that design: timeouts cancelled (interrupted) while
+they sit on the wheel, deadlines reached from delays scheduled at
+different times, interleaving with zero-delay FIFO events, the
+schedule-introspection helpers, and -- as a property -- the event order of
+one heap keyed ``(time, sequence)``.  Expected traces were recorded when
+the heap-only and pre-wheel kernels still existed and agreed with the
+wheel on every one of them.
 """
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Interrupt, Simulator
-from repro.sim.engine import DEFAULT_WHEEL_HORIZON_US, EmptySchedule
+from repro.sim.engine import EmptySchedule
 
 
 # ---------------------------------------------------------------------------
@@ -73,26 +78,14 @@ def test_cancelled_slot_timeout_does_not_block_run_completion():
 
 
 # ---------------------------------------------------------------------------
-# Horizon boundary: wheel slots vs heap cascade
+# One deadline reached from delays scheduled at different times
 # ---------------------------------------------------------------------------
 
-def test_delays_beyond_the_horizon_cascade_to_the_heap():
-    sim = Simulator()
-    sim._wheel_gate = 100.0
-    sim.timeout(100.0)   # at the horizon: wheel slot
-    sim.timeout(100.0)   # same deadline: same slot, no new slot time
-    sim.timeout(100.1)   # beyond: straight to the heap
-    assert len(sim._wheel_times) == 1
-    assert len(sim._wheel_buckets[100.0]) == 2
-    assert len(sim._queue) == 1
-    assert sim.pending_events == 3
-    assert sim.peek() == 100.0
-
-
 def test_wheel_and_heap_entries_at_the_same_deadline_merge_by_sequence():
-    """The same absolute deadline can be reached from the heap (scheduled
-    when it was beyond the horizon) and from a wheel slot (scheduled
-    closer in); processing must follow scheduling order exactly."""
+    """The same absolute deadline can be reached from a far delay
+    scheduled early and a near one scheduled later (the trace was recorded
+    when the far one sat on a separate heap); processing must follow
+    scheduling order exactly."""
     def workload(sim):
         log = []
 
@@ -103,39 +96,31 @@ def test_wheel_and_heap_entries_at_the_same_deadline_merge_by_sequence():
             yield sim.timeout(0)
             log.append((sim.now, label + "-relay"))
 
-        # Both reach t=200: "far" schedules 200 out at t=0 (heap), "near"
-        # schedules 50 out at t=150 (wheel slot).
+        # Both reach t=200: "far" schedules 200 out at t=0, "near"
+        # schedules 50 out at t=150.
         sim.process(waiter("far", 0.0, 200.0))
         sim.process(waiter("near", 150.0, 50.0))
         sim.run()
         return log
 
-    sim = Simulator()
-    sim._wheel_gate = 100.0
-    assert workload(sim) == [(200.0, "far"), (200.0, "near"),
-                             (200.0, "far-relay"), (200.0, "near-relay")]
+    assert workload(Simulator()) == [
+        (200.0, "far"), (200.0, "near"),
+        (200.0, "far-relay"), (200.0, "near-relay")]
 
 
 def test_far_delay_rounded_onto_an_earlier_slot_deadline_runs_after_it():
-    """At a large clock, a delay just past the horizon can round to the
-    deadline of a wheel slot scheduled before it.  The slot entry has the
-    smaller sequence number, so it runs first."""
+    """At a large clock, a longer delay can round to the deadline of a
+    shorter one scheduled before it.  The earlier timeout has the smaller
+    sequence number, so it runs first."""
     sim = Simulator(start_time=float(2 ** 40))
     log = []
-    near = sim.timeout(DEFAULT_WHEEL_HORIZON_US, value="near")
-    far = sim.timeout(DEFAULT_WHEEL_HORIZON_US + 1e-4, value="far")
-    assert sim._queue[0][0] == sim._wheel_times[0]
+    near = sim.timeout(65536.0, value="near")
+    far = sim.timeout(65536.0 + 1e-4, value="far")
+    assert sim._wheel_times == [2 ** 40 + 65536.0]  # one shared deadline
     for event in (near, far):
         event.callbacks.append(lambda ev: log.append(ev.value))
     sim.run()
     assert log == ["near", "far"]
-
-
-def test_default_horizon_is_generous_but_finite():
-    sim = Simulator()
-    sim.timeout(DEFAULT_WHEEL_HORIZON_US)
-    sim.timeout(DEFAULT_WHEEL_HORIZON_US * 2)
-    assert len(sim._wheel_times) == 1 and len(sim._queue) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +226,71 @@ def test_step_through_wheel_slots_matches_run():
 
     assert workload(Simulator(), step=True) == \
         workload(Simulator(), step=False)
+
+
+# ---------------------------------------------------------------------------
+# Property: the deque + wheel order is the order of one heap
+# ---------------------------------------------------------------------------
+
+def _heap_reference(start_time, plans):
+    """Resumption log of ``plans`` (one list of delays per process) under
+    one heap keyed ``(now + delay, sequence)``, taking sequence numbers
+    where the kernel does: one per process bootstrap, one per yielded
+    timeout, one per process completion.  Returns the log and the count of
+    sequence numbers taken."""
+    heap = []
+    sequence = 0
+
+    def schedule(time, pid, step):
+        nonlocal sequence
+        sequence += 1
+        heapq.heappush(heap, (time, sequence, pid, step))
+
+    for pid in range(len(plans)):
+        schedule(start_time, pid, 0)
+    log = []
+    while heap:
+        now, _seq, pid, step = heapq.heappop(heap)
+        if step is None:  # a completion: nobody waits on it
+            continue
+        if step > 0:
+            log.append((now, pid, step - 1))
+        delays = plans[pid]
+        if step < len(delays):
+            schedule(now + delays[step], pid, step + 1)
+        else:
+            schedule(now, pid, None)
+    return log, sequence
+
+
+def _kernel_log(start_time, plans, drive):
+    sim = Simulator(start_time=start_time)
+    log = []
+
+    def proc(pid, delays):
+        for index, delay in enumerate(delays):
+            yield sim.timeout(delay)
+            log.append((sim.now, pid, index))
+
+    for pid, delays in enumerate(plans):
+        sim.process(proc(pid, delays))
+    getattr(sim, drive)()
+    return log, sim.scheduled_events
+
+
+_PROPERTY_DELAYS = st.sampled_from(
+    [0.0, 1e-9, 0.5, 1.0, 7.25, 49.9, 50.0, 65536.0, 65536.0001, 1e5, 1e6])
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans=st.lists(st.lists(_PROPERTY_DELAYS, max_size=12),
+                      min_size=1, max_size=8),
+       start_time=st.sampled_from([0.0, float(2 ** 40)]))
+def test_schedule_order_matches_a_single_heap(plans, start_time):
+    """Zero, sub-resolution, near, far and colliding deadlines, at a small
+    and a large clock: the kernel resumes every process at the same time
+    and in the same order as one heap holding every event, whether
+    ``run`` or ``step`` (through ``run_all``) drives it."""
+    expected = _heap_reference(start_time, plans)
+    assert _kernel_log(start_time, plans, "run") == expected
+    assert _kernel_log(start_time, plans, "run_all") == expected

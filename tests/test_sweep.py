@@ -239,6 +239,17 @@ def test_trace_family_cell_replays_open_loop():
     assert dict(quick.pattern_params)["duration_us"] == 5_000.0
 
 
+@pytest.mark.parametrize("trace", [False, True])
+def test_single_job_cell_runs_on_any_registered_device(trace):
+    """A single-job cell builds its device by registered name, as stream
+    cells and documents do; it used to convert the name to the enum of the
+    paper's three devices and reject ``LOOP``."""
+    metrics = run_cell(CellSpec(device="LOOP", io_count=10, trace=trace))
+    assert metrics["ios_completed"] == 10
+    assert metrics["mean_us"] == pytest.approx(10.0)
+    assert ("trace" in metrics) == trace
+
+
 def test_trace_csv_roundtrip_through_the_family_entry_point(tmp_path):
     from repro.workload.trace import Trace, synthesize_trace
 
