@@ -156,22 +156,27 @@ synchronization window is physics and belongs to the topology
 
 Run-ahead windows and coupling components
 -----------------------------------------
-The coordinator synchronizes shards on the ``epoch_us`` barrier, but it
-only needs a barrier *per epoch* inside a **coupling component**: the
-union-find closure of shards joined by a cross-shard replication edge or
-a fault group/spare pair.  The device-affinity partitioner keeps edge
-clusters together whenever the shard count allows; each multi-shard
-component locksteps its members per epoch while every singleton
-component self-delivers its own replica traffic and receives a
-**run-ahead window** of ``run_ahead`` epochs (default 16) per task
-instead of one -- both gears run concurrently in the same coordinator
-loop (``runtime["components"]`` / ``runtime["lockstep_shards"]`` report
-the split).  On long trace-driven fleets this cuts coordination tasks
-per simulated second by roughly the window size (see
-``BENCH_fleet.json``'s ``coordination`` section); metrics stay
-bit-identical for every ``run_ahead`` value, ``run_ahead=1`` restores the
-per-epoch barrier, and ``runtime["coordinator_rounds"]`` /
-``runtime["coordination_tasks"]`` report what a run actually spent.
+Every shard runs one loop: it steps its simulator from ``epoch_us``
+barrier to barrier up to the barrier the coordinator granted, and at each
+barrier it injects the replica messages due there -- its own and those
+other shards sent it -- in one layout-independent order.  The coordinator
+has one grant rule: a **window** of shards moves its cursor ``width``
+epochs past their earliest pending barrier and grants it to every member
+with work.  A window only needs to be one epoch wide inside a **coupling
+component**: the union-find closure of shards joined by a cross-shard
+replication edge or a fault group/spare pair.  The device-affinity
+partitioner keeps edge clusters together whenever the shard count
+allows; each multi-shard component gets its own one-epoch window, while
+all singleton components share one **run-ahead window** of ``run_ahead``
+epochs (default 16) per task.  Both run concurrently in the same
+coordinator loop (``runtime["components"]`` /
+``runtime["lockstep_shards"]`` report the split).  On long trace-driven
+fleets this cuts coordination tasks per simulated second by roughly the
+window size (see ``BENCH_fleet.json``'s ``coordination`` section);
+metrics stay bit-identical for every ``run_ahead`` value,
+``run_ahead=1`` gives every shard a one-epoch window, and
+``runtime["coordinator_rounds"]`` / ``runtime["coordination_tasks"]``
+report what a run actually spent.
 
 CLI
 ---

@@ -10,32 +10,28 @@ Execution (:class:`FleetCoordinator`) is a conservative time-window loop
 over **coupling components** (:func:`~repro.cluster.transport.coupling_components`):
 shard pairs joined by a cross-shard replication edge (or a fault
 group/spare pair) may exchange messages and must synchronize; shards no
-split edge touches can never see cross-shard traffic.  Each component
-picks its own gear:
+split edge touches can never see cross-shard traffic.  Every shard runs
+the same loop (:meth:`~repro.cluster.shard.ShardWorker.advance`): it
+steps barrier to barrier up to its grant and injects each message,
+its own or another shard's, at the message's delivery barrier.  The
+coordinator has one grant rule: a **window** of shards moves its cursor
+``width`` epochs past their earliest pending barrier and grants that
+cursor to every member with work.
 
-* **Batched run-ahead** -- a singleton component (every edge/fault that
-  touches the shard is intra-shard -- the common case: device-affinity
-  placement glues edge clusters together) is granted a window of
-  ``run_ahead`` epochs per task.  The shard steps barrier-to-barrier
-  internally, self-delivering its own replica messages (see
-  :meth:`~repro.cluster.shard.ShardWorker.advance`), and the coordinator
-  only rendezvouses once per window: coordination drops from one task per
-  shard per busy epoch to one per shard per ``run_ahead`` window.
-* **Lockstep** -- shards inside a multi-shard component advance to the
-  same barrier per task; emitted messages are routed to the shard owning
-  the target device and handed over exactly at their ``delivery_epoch``
-  barrier, sorted by the layout-independent key
-  ``(delivery_us, origin_index, origin_seq)``.  Other components advance
-  concurrently in the same coordinator round -- a split edge only
-  lockstops the shards it actually couples.
+* All singleton components share one window ``run_ahead`` epochs wide
+  (default 16): one task per shard per window instead of one per busy
+  epoch.
+* Each multi-shard component gets its own window one epoch wide.  Every
+  event in a window from barrier ``c`` to ``c+1`` runs at or after
+  ``c * epoch_us``, so every message it emits is due at ``c+1`` or later;
+  the coordinator hands each one to the shard owning its target in that
+  shard's next grant, before the shard does that barrier's work.  A split
+  edge only slows the shards it actually couples.
 
-In both gears a message is injected when its shard's clock sits exactly on
-the delivery barrier.  Because seeds, replica delivery times, and
-injection order all derive from logical identities (never from the shard
-layout, the granted windows, or the transport), ``shards=1`` is
-bit-identical to any ``shards=N`` run -- and ``shards=1`` in-process *is*
-the serial path.  Topologies without replication edges skip the barrier
-loop entirely: each shard drains to completion in a single advance.
+Because seeds, replica delivery times, and injection order all derive
+from logical identities (never from the shard layout, the granted
+windows, or the transport), ``shards=1`` is bit-identical to any
+``shards=N`` run -- and ``shards=1`` in-process *is* the serial path.
 
 How grants and responses physically move between coordinator and shards
 is the :class:`~repro.cluster.transport.ShardTransport` contract
@@ -53,7 +49,7 @@ from bisect import bisect_right
 from typing import Any, Callable, Optional
 
 from repro.cluster.metrics import merge_shard_payloads
-from repro.cluster.shard import ReplicaMessage, ShardPlan, inbox_order
+from repro.cluster.shard import ReplicaMessage, ShardPlan
 from repro.cluster.topology import FleetTopology
 from repro.cluster.transport import (
     DEFAULT_RUN_AHEAD,
@@ -239,26 +235,16 @@ class FleetCoordinator:
         transport_kind = config.resolve_transport()
         transport = create_transport(transport_kind, topology, plans)
         components = coupling_components(topology, plans)
-        lockstep = [component for component in components
-                    if len(component) > 1]
-        batched = bool(topology.edges or topology.faults) and not lockstep
-        epochs = 0
-        rounds = 0
-        tasks = 0
+        coupled = [component for component in components
+                   if len(component) > 1]
         try:
-            if not topology.edges and not topology.faults:
-                # No cross-device dependencies: each shard drains in one go.
-                transport.advance_all(None, [[] for _ in plans])
-                rounds = 1
-                tasks = len(plans)
-            else:
-                epochs, rounds, tasks = self._run_components(
-                    topology, plans, transport, components)
+            epochs, rounds, tasks = self._run_windows(
+                topology, plans, transport, components)
             payloads = transport.collect_all()
-            events = transport.scheduled_events()
         finally:
             transport.close()
         wall_s = time.perf_counter() - started
+        events = sum(payload["scheduled_events"] for payload in payloads)
         result = merge_shard_payloads(topology, payloads)
         result["runtime"] = {
             "shards": len(plans),
@@ -266,11 +252,10 @@ class FleetCoordinator:
             else "processes",
             "transport": transport_kind,
             "epochs": epochs,
-            "batched": batched,
+            "batched": not coupled,
             "run_ahead": config.run_ahead,
             "components": len(components),
-            "lockstep_shards": sum(len(component)
-                                   for component in lockstep),
+            "lockstep_shards": sum(len(component) for component in coupled),
             "coordinator_rounds": rounds,
             "coordination_tasks": tasks,
             "wall_s": wall_s,
@@ -282,159 +267,89 @@ class FleetCoordinator:
         }
         return result
 
-    def _run_components(self, topology: FleetTopology, plans,
-                        transport, components) -> tuple[int, int, int]:
-        """Drive every coupling component through its own gear in a
-        single coordinator loop.
+    def _run_windows(self, topology: FleetTopology, plans,
+                     transport, components) -> tuple[int, int, int]:
+        """Grant every window's members their next barrier, round by round,
+        until no shard has work left.
 
-        Singleton components get batched ``run_ahead`` windows
-        (self-delivering their intra-shard traffic and skipping idle
-        epochs internally; a shard reporting ``peek == inf`` is drained
-        for good -- nothing can revive it without cross-shard traffic).
-        Multi-shard components run the conservative epoch-barrier
-        lockstep among *their members only*: collected messages wait at
-        the coordinator until the barrier matching their
-        ``delivery_epoch``; each member then receives them with its clock
-        sitting exactly on that barrier, sorted by the
-        layout-independent ``inbox_order`` key.  Every round posts all
-        grants before waiting on any, so independent components (and the
-        shards inside one component) advance concurrently on process
-        transports.  Returns ``(epochs, rounds, tasks)``."""
+        Each round, every window grants its cursor to its members with a
+        pending event or waiting messages, and posts all grants before
+        waiting on any, so independent windows (and the shards inside one
+        window) advance concurrently on process transports.  Each returned
+        message joins the next grant of the shard owning its target.
+        Returns ``(epochs, rounds, tasks)``, where ``epochs`` is the most
+        epochs any shard ran."""
         config = self.config
         epoch_us = topology.epoch_us
-        overrun = RuntimeError(
-            f"fleet {topology.name!r} exceeded {config.max_epochs} "
-            f"epochs (epoch_us={epoch_us}); raise epoch_us or max_epochs")
-        singles = sorted(component[0] for component in components
-                         if len(component) == 1)
-        single_set = set(singles)
-        groups = [_LockstepGroup(component) for component in components
-                  if len(component) > 1]
-        group_of = {sid: grp for grp in groups for sid in grp.members}
+        singles = [component[0] for component in components
+                   if len(component) == 1]
+        windows = [_Window(singles, config.run_ahead)]
+        windows.extend(_Window(component, 1) for component in components
+                       if len(component) > 1)
         owner = span_owner(plans)
         peeks = [0.0] * len(plans)
+        inboxes: list[list[ReplicaMessage]] = [[] for _ in plans]
         executed = [0] * len(plans)
-        #: Shared run-ahead cursor across the singleton shards (kept
-        #: global, not per-shard, so coordination-task counts match the
-        #: pre-transport batched gear exactly).
-        index = 0
         rounds = 0
         tasks = 0
         while True:
-            #: sid -> (until_us, sorted inbox, self_deliver)
-            grants: dict[int, tuple] = {}
-            active = [sid for sid in singles if peeks[sid] != math.inf]
-            if active:
-                # Idle skip across windows: start the next grant at the
-                # epoch holding the earliest pending event among the
-                # self-contained shards.
-                start = max(index,
-                            math.floor(min(peeks[sid] for sid in active)
-                                       / epoch_us))
-                index = start + config.run_ahead
-                for sid in active:
-                    grants[sid] = (index * epoch_us, [], True)
-            for grp in groups:
-                target = grp.next_barrier(peeks, epoch_us)
-                if target is None:
-                    continue
-                if grp.rounds > config.max_epochs:
-                    raise overrun
-                for sid, inbox in target.items():
-                    grants[sid] = (grp.position * epoch_us,
-                                   sorted(inbox, key=inbox_order), False)
+            grants = {sid: window.cursor for window in windows
+                      for sid in window.grant(peeks, inboxes, epoch_us)}
             if not grants:
-                return (max([executed[sid] for sid in singles]
-                            + [grp.rounds for grp in groups],
-                            default=0), rounds, tasks)
+                return max(executed), rounds, tasks
             rounds += 1
             tasks += len(grants)
             for sid in sorted(grants):
-                until_us, inbox, self_deliver = grants[sid]
-                transport.post(sid, until_us, inbox, self_deliver)
+                transport.post(sid, grants[sid], inboxes[sid])
+                inboxes[sid] = []
             for sid in sorted(grants):
-                outbound, peek, ran = transport.wait(sid)
-                peeks[sid] = peek
+                outbound, peeks[sid], ran = transport.wait(sid)
                 executed[sid] += ran
-                if sid in single_set:
-                    if outbound:  # pragma: no cover - singleton guarantee
-                        raise RuntimeError(
-                            f"self-contained shard {sid} emitted a "
-                            "cross-shard replica message")
-                else:
-                    grp = group_of[sid]
-                    for message in outbound:
-                        # Affinity + coupling guarantee the target stays
-                        # inside this component.
-                        grp.pending[owner(message.target_index)].append(
-                            message)
-            if active and max(executed[sid] for sid in singles) \
-                    > config.max_epochs:
-                raise overrun
+                if outbound and sid in singles:  # pragma: no cover
+                    # Coupling components guarantee that a singleton
+                    # never emits a message for another shard.
+                    raise RuntimeError(
+                        f"self-contained shard {sid} emitted a "
+                        "cross-shard replica message")
+                for message in outbound:
+                    # Affinity + coupling guarantee the target stays
+                    # inside this shard's component.
+                    inboxes[owner(message.target_index)].append(message)
+            if max(executed) > config.max_epochs:
+                raise RuntimeError(
+                    f"fleet {topology.name!r} exceeded {config.max_epochs} "
+                    f"epochs (epoch_us={epoch_us}); raise epoch_us or "
+                    "max_epochs")
 
 
-class _LockstepGroup:
-    """Barrier state for one multi-shard coupling component."""
+class _Window:
+    """Shards that advance under one grant cursor, ``width`` epochs at a
+    time."""
 
-    def __init__(self, members: list[int]):
-        self.members = list(members)
-        self.pending: dict[int, list[ReplicaMessage]] = \
-            {sid: [] for sid in self.members}
-        #: Barrier position as an *integer* epoch index.  The barrier
-        #: time is always computed as ``position * epoch_us`` -- the
-        #: exact same float-multiplication grid the replication hook
-        #: quantizes delivery times onto.  Accumulating
-        #: ``barrier += epoch_us`` instead would drift off that grid for
-        #: epochs not exactly representable in binary, leaving a
-        #: collected message's delivery in the past.
-        self.position = 0
-        self.rounds = 0
-        self.done = False
+    def __init__(self, members: list[int], width: int):
+        self.members = members
+        self.width = width
+        #: The granted barrier as an *integer* epoch index: a shard
+        #: computes the barrier time as ``cursor * epoch_us``, the same
+        #: float product the replication hook quantizes deliveries onto.
+        self.cursor = 0
 
-    def next_barrier(self, peeks: list[float], epoch_us: float,
-                     ) -> Optional[dict[int, list[ReplicaMessage]]]:
-        """Advance the component's barrier and return the per-member
-        handoff (messages due exactly at the *previous* barrier, where
-        every member clock now sits), or ``None`` once the component is
-        fully drained."""
-        if self.done:
-            return None
-        handoff: dict[int, list[ReplicaMessage]] = \
-            {sid: [] for sid in self.members}
-        future = math.inf
-        due = False
-        for sid in self.members:
-            keep = []
-            for message in self.pending[sid]:
-                if message.delivery_epoch == self.position:
-                    handoff[sid].append(message)
-                    due = True
-                else:
-                    keep.append(message)
-                    if message.delivery_epoch < future:
-                        future = message.delivery_epoch
-            self.pending[sid] = keep
-        targets = []
-        if due:
-            # Deliveries inject at the current barrier; their writes
-            # start here, so the next window spans one epoch.
-            targets.append(self.position + 1)
-        if future != math.inf:
-            targets.append(int(future))
-        min_peek = min(peeks[sid] for sid in self.members)
-        if min_peek != math.inf:
-            # Skip whole idle epochs: jump straight to the barrier just
-            # past the earliest pending event.  The advance window still
-            # spans at most one epoch of *activity*, so every emitted
-            # message remains deliverable at a future barrier.
-            targets.append(max(self.position + 1,
-                               math.floor(min_peek / epoch_us) + 1))
-        if not targets:
-            self.done = True
-            return None
-        self.position = min(targets)
-        self.rounds += 1
-        return handoff
+    def grant(self, peeks: list[float], inboxes: list[list[ReplicaMessage]],
+              epoch_us: float) -> list[int]:
+        """Move the cursor ``width`` epochs past the members' earliest
+        pending barrier and return the members to grant it to: those with
+        a pending event or waiting messages (none once all are idle)."""
+        active = [sid for sid in self.members
+                  if peeks[sid] != math.inf or inboxes[sid]]
+        if not active:
+            return []
+        earliest = min(
+            [math.floor(peeks[sid] / epoch_us) for sid in active
+             if peeks[sid] != math.inf]
+            + [message.delivery_epoch for sid in active
+               for message in inboxes[sid]])
+        self.cursor = max(self.cursor, earliest) + self.width
+        return active
 
 
 def run_fleet(topology: FleetTopology,

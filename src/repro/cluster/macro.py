@@ -86,7 +86,7 @@ TIMELINE_CAP = 512
 CALIBRATION_VERSION = 1
 #: Environment variable naming the on-disk calibration cache directory.
 MACRO_CACHE_ENV = "REPRO_MACRO_CACHE"
-#: Safety bound on macro windows stepped in one drain.
+#: Safety bound on macro windows stepped in one ``advance_to`` call.
 MAX_MACRO_EPOCHS = 10_000_000
 
 #: Utilisation ceiling for the contention coupling (keeps the slowdown
@@ -640,19 +640,6 @@ class MacroGroup:
                     f"macro group {self.group.name!r} exceeded "
                     f"{MAX_MACRO_EPOCHS} windows")
         self.epoch = max(self.epoch, target_epoch)
-
-    def drain(self, emit: EmitFn) -> None:
-        """Run to quiescence (the no-edges/no-faults fast path)."""
-        guard = 0
-        while True:
-            nxt = self.next_activity_epoch()
-            if nxt is None:
-                return
-            self.advance_to(nxt, emit)
-            guard += 1
-            if guard > MAX_MACRO_EPOCHS:  # pragma: no cover - safety bound
-                raise RuntimeError(
-                    f"macro group {self.group.name!r} failed to drain")
 
     def _step_window(self, window: int, emit: EmitFn) -> None:
         """Advance the whole group across window ``(window-1, window]``."""

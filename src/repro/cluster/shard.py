@@ -6,10 +6,10 @@ A :class:`ShardWorker` instantiates the devices named by its
 from the tenant/device identity so the shard layout cannot change any RNG
 stream), and then advances in **bounded time epochs**:
 
-* :meth:`ShardWorker.advance` first injects the inbound replica messages
-  handed over by the coordinator (each exactly at its delivery barrier),
-  then runs its simulator up to the epoch barrier, and returns the replica
-  messages its own tenants emitted during the window.
+* :meth:`ShardWorker.advance` takes a grant -- a barrier index and the
+  replica messages other shards sent it -- and steps its simulator from
+  epoch barrier to epoch barrier up to that index, skipping idle epochs.
+  It returns the messages its devices emitted for other shards.
 * Replica deliveries are quantized to the *next* ``epoch_us`` boundary
   after the originating write completes (``delivery_epoch`` carries the
   boundary as an exact integer index), so a message emitted inside epoch
@@ -17,13 +17,14 @@ stream), and then advances in **bounded time epochs**:
   where the coordinator collects it -- the conservative-synchronization
   invariant that lets shards run an epoch in parallel without ever sending
   a message into another shard's past.
-* Every message is *injected* exactly when its shard's clock sits on the
-  delivery barrier, sorted by the layout-independent
-  :func:`inbox_order` key.  Injection timing therefore never depends on
-  which windows the coordinator happened to grant, which is what lets a
-  **self-delivering** shard (``advance(..., self_deliver=True)``) consume
-  its own intra-shard replica traffic across a multi-epoch run-ahead
-  window and still stay bit-identical to the coordinator-mediated path.
+* Every message, from this shard or another, is held until the shard's
+  clock sits on its delivery barrier and then *injected* sorted by the
+  layout-independent :func:`inbox_order` key, after that barrier's fault
+  flips.  A grant stops as soon as the shard steps onto the granted
+  barrier and leaves that barrier's work to the next grant, whose batch
+  may hold other shards' messages due there.  Injection order therefore
+  never depends on the shard layout or on the windows the coordinator
+  granted.
 
 The module-level ``_worker_*`` functions are the process-pool entry points:
 the coordinator gives each shard a dedicated single-worker
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from repro.cluster.faults import (
     FaultEvent,
@@ -63,15 +64,15 @@ class ReplicaMessage(NamedTuple):
     ``(origin_index, origin_seq)`` is a layout-independent identity: the
     per-origin-device emission counter advances identically no matter which
     shard the device lands on, so sorting inbound messages by
-    ``(delivery_us, origin_index, origin_seq)`` yields the same submission
-    order in every layout -- the key to bit-identical sharded runs.
+    ``(delivery_epoch, origin_index, origin_seq)`` yields the same
+    submission order in every layout -- the key to bit-identical sharded
+    runs.
 
     ``delivery_epoch`` is the delivery barrier as an exact integer epoch
-    index (``delivery_us == delivery_epoch * epoch_us``): barrier
+    index (the barrier time is ``delivery_epoch * epoch_us``): barrier
     comparisons stay integral instead of trusting float equality.
     """
 
-    delivery_us: float
     target_index: int
     offset: int
     size: int
@@ -88,7 +89,7 @@ class ReplicaMessage(NamedTuple):
 def inbox_order(message: ReplicaMessage) -> tuple:
     """Injection order for same-barrier messages: the documented
     layout-independent identity key (see :class:`ReplicaMessage`)."""
-    return (message.delivery_us, message.origin_index, message.origin_seq)
+    return (message.delivery_epoch, message.origin_index, message.origin_seq)
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,13 @@ class ShardWorker:
         self._placement: dict[int, tuple[str, int]] = {}
         self._outbound: list[ReplicaMessage] = []
         self._origin_seq: dict[int, int] = {}
-        #: Intra-shard replica messages waiting for their delivery barrier
-        #: (self-delivery mode); persists across advance() calls.
+        #: Replica messages for this shard's devices, its own and other
+        #: shards', waiting for their delivery barrier; persists across
+        #: advance() calls.
         self._held: list[ReplicaMessage] = []
-        #: The epoch barrier index this shard's clock sits on (self-delivery
-        #: mode runs the simulator barrier-to-barrier, so ``sim.now ==
-        #: _position * epoch_us`` between windows).
+        #: The epoch barrier index this shard's clock sits on (the shard
+        #: runs its simulator barrier to barrier, so ``sim.now ==
+        #: _position * epoch_us`` between grants).
         self._position = 0
         #: target device global index (as str) -> inbound replica stats.
         #: Keyed per *device*, not per group: a split target group would
@@ -274,27 +276,23 @@ class ShardWorker:
         """Emission callback a macro group uses to send replica/rebuild
         messages: the same per-origin sequence counter and barrier framing
         the discrete replication hook uses."""
-        epoch_us = self.topology.epoch_us
 
         def emit(target: int, offset: int, size: int, kind: str,
                  delivery_epoch: int) -> None:
             seq = self._origin_seq.get(origin_index, 0)
             self._origin_seq[origin_index] = seq + 1
             self._outbound.append(ReplicaMessage(
-                delivery_us=delivery_epoch * epoch_us, target_index=target,
-                offset=offset, size=size, origin_index=origin_index,
-                origin_seq=seq, delivery_epoch=delivery_epoch, kind=kind))
+                target_index=target, offset=offset, size=size,
+                origin_index=origin_index, origin_seq=seq,
+                delivery_epoch=delivery_epoch, kind=kind))
         return emit
 
-    def _advance_macro(self, target_epoch: Optional[int]) -> None:
-        """Step every resident macro group to ``target_epoch`` (``None`` =
-        drain to quiescence), in group-declaration order."""
+    def _advance_macro(self, target_epoch: int) -> None:
+        """Step every resident macro group to ``target_epoch``, in
+        group-declaration order."""
         for aggregate in self._macro:
-            emit = self._macro_emit(aggregate.first_index)
-            if target_epoch is None:
-                aggregate.drain(emit)
-            else:
-                aggregate.advance_to(target_epoch, emit)
+            aggregate.advance_to(target_epoch,
+                                 self._macro_emit(aggregate.first_index))
 
     # -- workload binding --------------------------------------------------
     def _bind_tenant(self, tenant: Tenant, index: int) -> None:
@@ -374,9 +372,7 @@ class ShardWorker:
         def hook(request, _now):
             if request.kind is not IOKind.WRITE or request.shed:
                 return  # shed writes never landed, so they never mirror
-            now = self.sim.now
-            epoch = math.floor(now / epoch_us) + 1
-            delivery = epoch * epoch_us
+            epoch = math.floor(self.sim.now / epoch_us) + 1
             for indices, factor in routes:
                 for replica in range(factor):
                     target = indices[(local_index + replica) % len(indices)]
@@ -386,15 +382,16 @@ class ShardWorker:
                     # every barrier, and a reference captured at bind time
                     # would go stale.
                     self._outbound.append(ReplicaMessage(
-                        delivery_us=delivery, target_index=target,
-                        offset=request.offset, size=request.size,
-                        origin_index=origin_index, origin_seq=seq,
-                        delivery_epoch=epoch))
+                        target_index=target, offset=request.offset,
+                        size=request.size, origin_index=origin_index,
+                        origin_seq=seq, delivery_epoch=epoch))
         return hook
 
     # -- epoch stepping ----------------------------------------------------
     def deliver(self, messages: list[ReplicaMessage]) -> None:
-        """Schedule inbound replica writes (pre-sorted by the coordinator).
+        """Schedule replica writes due at the barrier the clock sits on,
+        in the order given (:meth:`advance` sorts them by
+        :func:`inbox_order`).
 
         Messages targeting a macro-group index never touch the simulator:
         the aggregate absorbs them into the window after their delivery
@@ -408,7 +405,7 @@ class ShardWorker:
                 self._macro_at(message.target_index).absorb(message)
 
     def _apply(self, message: ReplicaMessage):
-        delay = message.delivery_us - self.sim.now
+        delay = message.delivery_epoch * self.topology.epoch_us - self.sim.now
         yield self.sim.timeout(delay)
         device = self.devices[message.target_index]
         offset = message.offset % max(device.logical_block_size,
@@ -429,50 +426,34 @@ class ShardWorker:
         stats["bytes"] += request.size
         stats["latency"].append(float(request.latency))
 
-    def advance(self, until_us: Optional[float],
-                inbound: Optional[list[ReplicaMessage]] = None,
-                self_deliver: bool = False,
+    def advance(self, until_epoch: int,
+                inbound: Sequence[ReplicaMessage] = (),
                 ) -> tuple[list[ReplicaMessage], float, int]:
-        """Deliver ``inbound``, run up to ``until_us``; return
-        ``(outbound, peek, epochs)``.
+        """Hold ``inbound``, step barrier to barrier up to barrier index
+        ``until_epoch``; return ``(outbound, peek, epochs)``.
 
-        ``until_us=None`` drains the schedule completely (the no-edges fast
-        path).  ``peek`` is the time of the next still-pending event or
+        At each barrier the shard applies the fault flips due there,
+        routes what they emit, and injects the held messages due there,
+        sorted by :func:`inbox_order`; then it runs its simulator to the
+        next barrier with work, skipping idle epochs.  Once it steps onto
+        ``until_epoch`` it returns: that barrier's flips and injections
+        wait for the next grant, whose batch may hold other shards'
+        messages due at the same barrier.
+
+        ``outbound`` holds the emitted messages for other shards' devices;
+        messages for this shard's own devices stay held.  ``peek`` is the
+        time of the next pending event, fault barrier, macro window or
         held delivery (``inf`` when the shard is idle) -- the coordinator
-        uses the fleet minimum to skip over empty epochs.
-
-        With ``self_deliver=True`` the shard advances **barrier to
-        barrier** inside the granted window, injecting its own intra-shard
-        replica messages exactly at their delivery barriers (sorted by
-        :func:`inbox_order`) and skipping idle epochs, so a self-contained
-        shard needs one coordinator task per run-ahead window instead of
-        one per busy epoch.  Messages for foreign devices are returned
-        (the coordinator only grants run-ahead windows to shards that can
-        never emit one).  ``epochs`` counts the barrier windows executed.
+        uses it to skip empty epochs.  ``epochs`` counts the barriers the
+        shard stepped onto.
         """
-        if self._flips:
-            # Flips whose barrier the clock already sits on (e.g. the very
-            # first advance with a fault at t=0, or a lockstep barrier that
-            # ended the previous window) apply *before* this barrier's
-            # deliveries -- the same flip-then-deliver order the
-            # self-delivering loop uses, so both gears agree.
-            self._apply_due_faults()
-        if inbound:
-            self.deliver(inbound)
-        if not self_deliver:
-            self._run_to(until_us)
-            if self._macro:
-                target = None if until_us is None else \
-                    int(round(until_us / self.topology.epoch_us))
-                self._advance_macro(target)
-            outbound = list(self._outbound)
-            self._outbound.clear()
-            return outbound, self._peek(), (0 if until_us is None else 1)
-
+        self._held.extend(inbound)
         epoch_us = self.topology.epoch_us
         executed = 0
         foreign: list[ReplicaMessage] = []
-        while True:
+        # The granted barrier's own work waits for the next grant: its
+        # batch may hold other shards' messages due at that barrier.
+        while self._position < until_epoch:
             if self._flips and self._apply_due_faults():
                 # A failure flip emits its rebuild storm synchronously;
                 # route the chunks before computing this barrier's
@@ -510,25 +491,19 @@ class ShardWorker:
                 # Stop exactly on the next fault barrier: flips apply with
                 # the clock sitting on it, never mid-window.
                 targets.append(self._flips[self._flip_index].epoch)
-            if not targets:
-                break
-            next_index = min(targets)
-            barrier = next_index * epoch_us
-            if until_us is not None and barrier > until_us:
-                break  # run-ahead window exhausted; resume next task
-            self.sim.run(until=barrier)
+            next_index = min(targets, default=math.inf)
+            if next_index > until_epoch:
+                break  # idle, or no work before the granted barrier
+            self.sim.run(until=next_index * epoch_us)
             self._position = next_index
             executed += 1
             self._advance_macro(next_index)
             self._route_outbound(foreign)
-        peek = self._peek()
-        for message in self._held:
-            peek = min(peek, message.delivery_us)
-        return foreign, peek, executed
+        return foreign, self._peek(), executed
 
     def _route_outbound(self, foreign: list[ReplicaMessage]) -> None:
-        """Move emitted messages to the intra-shard hold queue or the
-        coordinator-bound list (self-delivery mode)."""
+        """Move emitted messages to the hold queue (own devices) or the
+        coordinator-bound list (other shards' devices)."""
         for message in self._outbound:
             if message.target_index in self.devices or \
                     self._macro_at(message.target_index) is not None:
@@ -537,37 +512,23 @@ class ShardWorker:
                 foreign.append(message)
         self._outbound.clear()
 
-    def _run_to(self, until_us: Optional[float]) -> None:
-        """``sim.run`` segmented at fault barriers (lockstep/drain path).
-
-        A granted window may span a fault barrier (the coordinator windows
-        over the fleet-wide minimum); stopping at each pending barrier and
-        applying the flips there reproduces exactly the event ordering the
-        self-delivering path produces: events at the barrier first, then
-        the flips, then everything beyond.
-        """
-        epoch_us = self.topology.epoch_us
-        while self._flip_index < len(self._flips):
-            barrier = self._flips[self._flip_index].epoch * epoch_us
-            if until_us is not None and barrier > until_us:
-                break
-            self.sim.run(until=barrier)
-            self._apply_due_faults()
-        self.sim.run(until=until_us)
-
     def _peek(self) -> float:
-        """Next pending event time, folding in pending fault barriers (a
-        fault must wake an otherwise idle fleet) and the start of every
-        resident macro group's next busy window (its work happens inside
-        that window, so the coordinator must not grant a window past it)."""
+        """Next pending event time, folding in held deliveries, pending
+        fault barriers (a fault must wake an otherwise idle fleet) and the
+        start of every resident macro group's next busy window (its work
+        happens inside that window, so the coordinator must not grant a
+        window past it)."""
+        epoch_us = self.topology.epoch_us
         peek = self.sim.peek()
+        if self._held:
+            peek = min(peek, min(message.delivery_epoch
+                                 for message in self._held) * epoch_us)
         if self._flip_index < len(self._flips):
-            peek = min(peek, self._flips[self._flip_index].epoch
-                       * self.topology.epoch_us)
+            peek = min(peek, self._flips[self._flip_index].epoch * epoch_us)
         for aggregate in self._macro:
             nxt = aggregate.next_activity_epoch()
             if nxt is not None:
-                peek = min(peek, (nxt - 1) * self.topology.epoch_us)
+                peek = min(peek, (nxt - 1) * epoch_us)
         return peek
 
     # -- fault application -------------------------------------------------
@@ -680,7 +641,6 @@ class ShardWorker:
         half = (capacity // 2) - (capacity // 2) % 4096
         chunk = min(policy.rebuild_chunk_bytes, max(4096, half))
         chunks = math.ceil(rebuilt / chunk)
-        epoch_us = topology.epoch_us
         emitted = 0
         last_epoch = flip.epoch
 
@@ -689,9 +649,9 @@ class ShardWorker:
             seq = self._origin_seq.get(origin, 0)
             self._origin_seq[origin] = seq + 1
             self._outbound.append(ReplicaMessage(
-                delivery_us=delivery_epoch * epoch_us, target_index=target,
-                offset=offset, size=size, origin_index=origin,
-                origin_seq=seq, delivery_epoch=delivery_epoch, kind=kind))
+                target_index=target, offset=offset, size=size,
+                origin_index=origin, origin_seq=seq,
+                delivery_epoch=delivery_epoch, kind=kind))
 
         for j in range(chunks):
             size = min(chunk, rebuilt - j * chunk)
@@ -813,12 +773,10 @@ def _worker_init(topology_json: str, plan_payload: dict) -> int:
     return _WORKER.plan.shard_id
 
 
-def _worker_advance(until_us: Optional[float],
-                    inbound: list[ReplicaMessage],
-                    self_deliver: bool = False,
+def _worker_advance(until_epoch: int, inbound: list[ReplicaMessage],
                     ) -> tuple[list[ReplicaMessage], float, int]:
     assert _WORKER is not None, "shard worker not initialised"
-    return _WORKER.advance(until_us, inbound, self_deliver)
+    return _WORKER.advance(until_epoch, inbound)
 
 
 def _worker_collect() -> dict[str, Any]:

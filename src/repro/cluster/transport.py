@@ -2,10 +2,10 @@
 
 The conservative epoch loop in :mod:`repro.cluster.coordinator` is
 transport-agnostic: it *posts* an advance grant to each shard (a barrier
-time plus a batch of inbound :class:`ReplicaMessage`), *waits* for the
-``(outbound, peek, ran)`` response, and finally *collects* each shard's
-metrics payload.  :class:`ShardTransport` is that contract; two
-implementations ship:
+index plus the :class:`ReplicaMessage` batch other shards sent it),
+*waits* for the ``(outbound, peek, ran)`` response, and finally
+*collects* each shard's metrics payload.  :class:`ShardTransport` is that
+contract; two implementations ship:
 
 * :class:`InProcessTransport` -- every shard is a plain in-process
   :class:`ShardWorker`.  The serial reference path and the test default.
@@ -45,7 +45,7 @@ __all__ = [
     "TRANSPORTS",
 ]
 
-#: Safety bound on executed (non-skipped) epochs per run.
+#: Safety bound on the epochs (barriers stepped onto) any shard runs.
 MAX_EPOCHS = 200_000
 
 #: Default run-ahead window (epochs granted per task) for self-contained
@@ -82,7 +82,7 @@ class FleetRunConfig:
     run_ahead: int = DEFAULT_RUN_AHEAD
     #: One of :data:`TRANSPORTS`.
     transport: str = "auto"
-    #: Safety bound on executed (non-skipped) epochs per run.
+    #: Safety bound on the epochs (barriers stepped onto) any shard runs.
     max_epochs: int = MAX_EPOCHS
 
     def __post_init__(self) -> None:
@@ -153,24 +153,19 @@ class ShardTransport:
     """How the coordinator talks to its shards.
 
     The coordinator *posts* one advance grant per shard per round --
-    ``(until_us, inbound batch, self_deliver)`` -- then *waits* for each
+    ``(until_epoch, inbound batch)`` -- then *waits* for each
     ``(outbound, peek, ran)`` response; posting everything before waiting
     is what lets process transports run shards concurrently.  At the end
     of a run :meth:`collect_all` publishes every shard's metrics payload
     and :meth:`close` tears the transport down (idempotent; always called,
     even on error paths).
-
-    Implementations must preserve batch order exactly: the coordinator's
-    bit-identity proof sorts inbound batches *before* posting and assumes
-    the shard sees that order.
     """
 
     #: Short name recorded in ``runtime["transport"]`` and bench entries.
     name = "abstract"
 
-    def post(self, shard_id: int, until_us: Optional[float],
-             inbound: Sequence[ReplicaMessage],
-             self_deliver: bool = False) -> None:
+    def post(self, shard_id: int, until_epoch: int,
+             inbound: Sequence[ReplicaMessage]) -> None:
         raise NotImplementedError
 
     def wait(self, shard_id: int,
@@ -180,21 +175,8 @@ class ShardTransport:
     def collect_all(self) -> list[dict[str, Any]]:
         raise NotImplementedError
 
-    def scheduled_events(self) -> int:
-        raise NotImplementedError
-
     def close(self) -> None:
         raise NotImplementedError
-
-    # -- convenience wrappers (the barrier-free fast path uses these) -----
-
-    def advance_all(self, until_us: Optional[float],
-                    inboxes: Sequence[list[ReplicaMessage]],
-                    self_deliver: bool = False,
-                    ) -> list[tuple[list[ReplicaMessage], float, int]]:
-        for shard_id, inbox in enumerate(inboxes):
-            self.post(shard_id, until_us, inbox, self_deliver)
-        return [self.wait(shard_id) for shard_id in range(len(inboxes))]
 
 
 class InProcessTransport(ShardTransport):
@@ -206,18 +188,15 @@ class InProcessTransport(ShardTransport):
         self.workers = [ShardWorker(topology, plan) for plan in plans]
         self._results: dict[int, tuple] = {}
 
-    def post(self, shard_id, until_us, inbound, self_deliver=False):
+    def post(self, shard_id, until_epoch, inbound):
         self._results[shard_id] = self.workers[shard_id].advance(
-            until_us, list(inbound) if inbound else None, self_deliver)
+            until_epoch, inbound)
 
     def wait(self, shard_id):
         return self._results.pop(shard_id)
 
     def collect_all(self):
         return [worker.collect() for worker in self.workers]
-
-    def scheduled_events(self):
-        return sum(worker.sim.scheduled_events for worker in self.workers)
 
     def close(self):
         pass
@@ -247,7 +226,6 @@ class ExecutorTransport(ShardTransport):
     def __init__(self, topology: FleetTopology, plans: Sequence[ShardPlan]):
         self.pools = [ProcessPoolExecutor(max_workers=1) for _ in plans]
         self._futures: dict[int, Any] = {}
-        self._events = 0
         payload = topology.canonical()
         init = [pool.submit(_worker_init, payload, plan.to_payload())
                 for pool, plan in zip(self.pools, plans)]
@@ -259,10 +237,13 @@ class ExecutorTransport(ShardTransport):
             self.close()
             raise
 
-    def post(self, shard_id, until_us, inbound, self_deliver=False):
+    def post(self, shard_id, until_epoch, inbound):
+        # The pool pickles the arguments on its own thread after submit
+        # returns: send a copy, so a caller reusing its list cannot change
+        # the batch in flight.
         with _naming_shard(shard_id, "advancing"):
             self._futures[shard_id] = self.pools[shard_id].submit(
-                _worker_advance, until_us, list(inbound), self_deliver)
+                _worker_advance, until_epoch, list(inbound))
 
     def wait(self, shard_id):
         with _naming_shard(shard_id, "advancing"):
@@ -277,11 +258,7 @@ class ExecutorTransport(ShardTransport):
         for shard_id, future in enumerate(futures):
             with _naming_shard(shard_id, "collecting"):
                 payloads.append(future.result())
-        self._events = sum(payload["scheduled_events"] for payload in payloads)
         return payloads
-
-    def scheduled_events(self):
-        return self._events
 
     def close(self):
         for pool in self.pools:
@@ -309,9 +286,10 @@ def coupling_components(topology: FleetTopology,
                         plans: Sequence[ShardPlan]) -> list[list[int]]:
     """Partition shard ids into coupling components: shards joined by a
     cross-shard replication edge (or a fault group/spare pair) may
-    exchange messages and must lockstep together; a singleton component
-    can never see cross-shard traffic and keeps its batched ``run_ahead``
-    windows.  Union-find over shard ids, deterministic order."""
+    exchange messages and must advance one epoch window at a time
+    together; a singleton component can never see cross-shard traffic and
+    shares the ``run_ahead`` window.  Union-find over shard ids,
+    deterministic order."""
     parent = list(range(len(plans)))
 
     def find(sid: int) -> int:

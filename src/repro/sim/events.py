@@ -117,11 +117,9 @@ class Event:
         """Trigger the event successfully with ``value`` after ``delay``."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
-        self._triggered = True
-        self._ok = True
-        self._value = value
         # Zero-delay success is the kernel's hottest operation (resource
-        # grants, token grants, relays); schedule it inline.
+        # grants, token grants, relays); schedule it inline.  Scheduling
+        # comes first so a rejected delay leaves the event untouched.
         sim = self.sim
         if delay == 0.0:
             sim._sequence = seq = sim._sequence + 1
@@ -129,6 +127,9 @@ class Event:
             sim._immediate.append(self)
         else:
             sim._schedule(self, delay)
+        self._triggered = True
+        self._ok = True
+        self._value = value
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -137,10 +138,10 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.sim._schedule(self, delay)  # first: a rejected delay changes nothing
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay)
         return self
 
     def defuse(self) -> None:

@@ -251,14 +251,13 @@ def test_misspelled_fleet_axis_is_rejected_not_silently_ignored():
                  grid={"fleet.web.coutn": (8,)}).cells()
 
 
-def test_fleet_without_edges_skips_the_barrier_loop():
+def test_fleet_without_edges_is_layout_independent():
     topology = fleet(
         "edgeless", groups=[group("g", "LOOP", 3, capacity_bytes=MINI_CAPACITY)],
         tenants=[tenant("t", "g", pattern="randwrite", io_size=4096,
                         io_count=10)])
     serial = run_fleet_serial(topology)
     sharded = run_fleet(topology, shards=3, transport="local")
-    assert serial["runtime"]["epochs"] == 0
     assert json.dumps(strip_runtime(serial), sort_keys=True) == \
         json.dumps(strip_runtime(sharded), sort_keys=True)
 
@@ -426,6 +425,21 @@ def test_batched_coordination_cuts_tasks_per_busy_epoch():
     assert batched["runtime"]["epochs"] == per_epoch["runtime"]["epochs"]
     assert json.dumps(strip_runtime(batched), sort_keys=True) == \
         json.dumps(strip_runtime(per_epoch), sort_keys=True)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_max_epochs_bounds_the_epochs_any_shard_runs(shards):
+    """mini_fleet runs 2 epochs: serially, and at 3 shards as one coupled
+    pair plus a singleton.  A bound of 1 stops the run with an error that
+    names the fleet and the bound; a bound of 2 lets it finish."""
+    with pytest.raises(RuntimeError,
+                       match=r"'mini-under-test' exceeded 1 epochs.*max_epochs"):
+        run_fleet(mini_fleet(), shards=shards, transport="local",
+                  max_epochs=1)
+    finished = run_fleet(mini_fleet(), shards=shards, transport="local",
+                         max_epochs=2)
+    assert finished["runtime"]["epochs"] == 2
+    assert finished["runtime"]["lockstep_shards"] == (2 if shards == 3 else 0)
 
 
 def test_registered_fleet_scenarios_are_well_formed():

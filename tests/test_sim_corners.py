@@ -322,6 +322,36 @@ def test_run_until_failed_event_returns_exception_when_defused():
     assert str(value) == "handled"
 
 
+@pytest.mark.parametrize("bad_delay", [-1.0, float("nan")])
+@pytest.mark.parametrize("outcome", ["succeed", "fail"])
+def test_rejected_delay_leaves_the_event_untouched(outcome, bad_delay):
+    """A delay ``_schedule`` rejects must not mark the event triggered: a
+    retry with a valid delay schedules it and runs its callbacks then."""
+    sim = Simulator()
+    event = sim.event()
+    seen = []
+    event.callbacks.append(lambda ev: seen.append((sim.now, ev.ok, ev.value)))
+
+    def trigger(delay):
+        if outcome == "succeed":
+            return event.succeed("x", delay=delay)
+        event.defuse()
+        return event.fail(ValueError("late"), delay=delay)
+
+    with pytest.raises(SimulationError, match="cannot schedule"):
+        trigger(bad_delay)
+    assert not event.triggered
+    assert trigger(1.0) is event
+    assert event.triggered
+    sim.run()
+    assert [(now, ok) for now, ok, _ in seen] == \
+        [(1.0, outcome == "succeed")]
+    if outcome == "succeed":
+        assert seen[0][2] == "x"
+    else:
+        assert isinstance(seen[0][2], ValueError)
+
+
 def test_run_until_event_never_triggered_raises():
     sim = Simulator()
     event = sim.event()

@@ -8,7 +8,8 @@ Three layers of coverage:
   reported by shard name, and teardown leaves no worker process behind.
 * The cross-transport contract: serial, in-process sharded and executor
   runs of the same topology -- including faults, spares, and macro
-  groups -- must produce bit-identical metrics payloads.
+  groups, and every registered fleet scenario -- must produce
+  bit-identical metrics payloads.
 """
 
 import dataclasses
@@ -223,9 +224,10 @@ def test_macro_fleet_identical_across_transports():
 
 @pytest.mark.parametrize("run_ahead", [1, 4, 64])
 def test_mixed_gear_run_ahead_is_bit_identical(run_ahead):
-    """mini_fleet at 3 shards splits into one lockstep pair (db+mirror,
-    coupled by the replication edge) and singleton web shards that keep
-    batched run-ahead windows -- both gears in one run."""
+    """mini_fleet at 3 shards splits into one coupled pair (db+mirror,
+    joined by the replication edge) advancing one epoch per grant and
+    singleton web shards sharing the run-ahead window -- both window
+    widths in one run."""
     reference = strip_runtime(run_fleet_serial(mini_fleet()))
     payload = run_fleet(mini_fleet(), shards=3, transport="local",
                         run_ahead=run_ahead)
@@ -233,6 +235,34 @@ def test_mixed_gear_run_ahead_is_bit_identical(run_ahead):
     assert runtime["components"] == 2
     assert runtime["lockstep_shards"] == 2
     assert strip_runtime(payload) == reference
+
+
+def test_registered_fleets_are_layout_independent():
+    """Every registered fleet scenario's quick cells give the serial
+    payload at 2, 3 and 4 in-process shards.  These fleets couple shards
+    through split replication edges and fault spares, so a shard that
+    injected its own messages at a barrier before the other shards'
+    messages for that barrier arrived would show here."""
+    from repro.cluster import FleetTopology
+    from repro.experiments.scenarios import all_scenarios
+    from repro.experiments.sweep import quick_cells
+
+    checked = 0
+    for spec in all_scenarios():
+        if "fleet" not in spec.tags:
+            continue
+        for index, cell in enumerate(quick_cells(spec.cells())):
+            if cell.fleet is None:  # a multi-stream cell, not a topology
+                continue
+            topology = FleetTopology.from_json(cell.fleet)
+            reference = strip_runtime(run_fleet_serial(topology))
+            for shards in (2, 3, 4):
+                payload = run_fleet(topology, shards=shards,
+                                    transport="local")
+                assert strip_runtime(payload) == reference, \
+                    (spec.name, index, shards)
+            checked += 1
+    assert checked >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +282,7 @@ def test_executor_crashed_worker_raises_cleanly():
         with pytest.raises(RuntimeError,
                            match="shard 0 worker failed while advancing"
                            ) as excinfo:
-            transport.post(0, topology.epoch_us, [])
+            transport.post(0, 1, [])
             transport.wait(0)
         assert excinfo.value.__cause__ is not None
     finally:
