@@ -42,7 +42,6 @@ is the :class:`~repro.cluster.transport.ShardTransport` contract
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from bisect import bisect_right
@@ -287,14 +286,14 @@ class FleetCoordinator:
         windows.extend(_Window(component, 1) for component in components
                        if len(component) > 1)
         owner = span_owner(plans)
-        peeks = [0.0] * len(plans)
+        earliest: list[Optional[int]] = [0] * len(plans)
         inboxes: list[list[ReplicaMessage]] = [[] for _ in plans]
         executed = [0] * len(plans)
         rounds = 0
         tasks = 0
         while True:
             grants = {sid: window.cursor for window in windows
-                      for sid in window.grant(peeks, inboxes, epoch_us)}
+                      for sid in window.grant(earliest, inboxes)}
             if not grants:
                 return max(executed), rounds, tasks
             rounds += 1
@@ -303,7 +302,7 @@ class FleetCoordinator:
                 transport.post(sid, grants[sid], inboxes[sid])
                 inboxes[sid] = []
             for sid in sorted(grants):
-                outbound, peeks[sid], ran = transport.wait(sid)
+                outbound, earliest[sid], ran = transport.wait(sid)
                 executed[sid] += ran
                 if outbound and sid in singles:  # pragma: no cover
                     # Coupling components guarantee that a singleton
@@ -334,21 +333,20 @@ class _Window:
         #: float product the replication hook quantizes deliveries onto.
         self.cursor = 0
 
-    def grant(self, peeks: list[float], inboxes: list[list[ReplicaMessage]],
-              epoch_us: float) -> list[int]:
+    def grant(self, earliest: list[Optional[int]],
+              inboxes: list[list[ReplicaMessage]]) -> list[int]:
         """Move the cursor ``width`` epochs past the members' earliest
         pending barrier and return the members to grant it to: those with
-        a pending event or waiting messages (none once all are idle)."""
+        pending work or waiting messages (none once all are idle)."""
         active = [sid for sid in self.members
-                  if peeks[sid] != math.inf or inboxes[sid]]
+                  if earliest[sid] is not None or inboxes[sid]]
         if not active:
             return []
-        earliest = min(
-            [math.floor(peeks[sid] / epoch_us) for sid in active
-             if peeks[sid] != math.inf]
+        first = min(
+            [earliest[sid] for sid in active if earliest[sid] is not None]
             + [message.delivery_epoch for sid in active
                for message in inboxes[sid]])
-        self.cursor = max(self.cursor, earliest) + self.width
+        self.cursor = max(self.cursor, first) + self.width
         return active
 
 

@@ -28,7 +28,9 @@ Three failure semantics are provided:
 :class:`FaultInjector` wraps any object satisfying the
 :class:`repro.devices.Device` protocol, so failures compose with every
 device family (SSD, ESSD, loopback) and with single-device sweep cells as
-well as fleets.
+well as fleets.  The fleet's schedule rules -- :func:`offline_spans`,
+:func:`rebuild_chunks` and :func:`fault_window` -- are shared by discrete
+shards and macro groups, so both modes read one schedule the same way.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.host.io import IORequest, KiB
 from repro.sim.events import spawn_process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.topology import FleetTopology
     from repro.sim import Simulator
 
 __all__ = [
@@ -51,7 +54,10 @@ __all__ = [
     "FaultInjector",
     "fault",
     "fault_epoch",
+    "fault_window",
+    "offline_spans",
     "parse_fault_spec",
+    "rebuild_chunks",
     "schedule_cell_faults",
 ]
 
@@ -181,6 +187,66 @@ def repair_epoch(event: FaultEvent, epoch_us: float) -> Optional[int]:
     down = fault_epoch(event.at_us, epoch_us)
     back = fault_epoch(event.at_us + event.repair_after_us, epoch_us)
     return max(down + 1, back)
+
+
+# ---------------------------------------------------------------------------
+# Fleet schedule rules (shared by discrete shards and macro groups)
+# ---------------------------------------------------------------------------
+
+def offline_spans(topology: "FleetTopology", epoch: int) -> list[range]:
+    """Global index spans down at barrier ``epoch`` under ``topology``'s
+    *declared* schedule -- computed from the topology alone, so every shard
+    layout and both group modes see the same answer.  Devices failing at
+    the same barrier conservatively see each other as offline."""
+    epoch_us = topology.epoch_us
+    spans: list[range] = []
+    for event in topology.faults:
+        down = fault_epoch(event.at_us, epoch_us)
+        back = repair_epoch(event, epoch_us)
+        if down <= epoch and (back is None or back > epoch):
+            spans.append(topology.fault_span(event))
+    return spans
+
+
+def rebuild_chunks(rebuilt: int, chunk: int, policy: FaultPolicy,
+                   down_epoch: int) -> list[tuple[int, int, int]]:
+    """The paced storm re-replicating ``rebuilt`` bytes: ``(offset, size,
+    delivery_epoch)`` per ``chunk``-byte chunk (the last padded up to 4 KiB),
+    ``policy.rebuild_chunks_per_epoch`` per barrier from ``down_epoch + 1``.
+    """
+    chunks = []
+    for j in range(math.ceil(rebuilt / chunk)):
+        size = min(chunk, rebuilt - j * chunk)
+        size += (-size) % 4096
+        chunks.append((j * chunk, size,
+                       down_epoch + 1 + j // policy.rebuild_chunks_per_epoch))
+    return chunks
+
+
+def fault_window(event: FaultEvent, epoch_us: float, group: str, device: int,
+                 index: int, down_epoch: int,
+                 chunks: list[tuple[int, int, int]]) -> dict[str, Any]:
+    """The degraded-window record of one device going offline.  It ends at
+    the later of the repair and the storm's end (chunks delivered at barrier
+    ``e`` land within ``(e, e+1]``), whichever exists; ``end_us=None`` means
+    degraded until the end of the run."""
+    back = repair_epoch(event, epoch_us)
+    repair_us = back * epoch_us if back is not None else None
+    ends = [] if repair_us is None else [repair_us]
+    if chunks:
+        ends.append((chunks[-1][2] + 1) * epoch_us)
+    return {
+        "kind": event.kind,
+        "group": group,
+        "device": device,
+        "index": index,
+        "start_us": down_epoch * epoch_us,
+        "end_us": max(ends, default=None),
+        "repair_us": repair_us,
+        "spare": event.spare,
+        "rebuild_chunks": len(chunks),
+        "rebuild_bytes": sum(size for _, size, _ in chunks),
+    }
 
 
 # ---------------------------------------------------------------------------

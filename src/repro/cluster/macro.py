@@ -34,7 +34,8 @@ deliveries and fault flips in the discrete path):
   slows the tenants down (closed-loop coupling);
 * faults flip an *offline device count* at their barriers: offline
   devices shed at the policy's ``shed_penalty_us`` pace, failures emit
-  paced rebuild traffic onto the spare or the surviving peers.
+  paced rebuild traffic onto the spare or the surviving peers, under the
+  discrete path's own schedule rules (:mod:`repro.cluster.faults`).
 
 Every metric a macro group reports is flagged ``approximate: True`` --
 the validation harness (``tests/test_macro_validation.py``,
@@ -54,7 +55,14 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from repro.cluster.faults import FaultEvent, fault_epoch, repair_epoch
+from repro.cluster.faults import (
+    FaultEvent,
+    fault_epoch,
+    fault_window,
+    offline_spans,
+    rebuild_chunks,
+    repair_epoch,
+)
 from repro.cluster.topology import DeviceGroup, FleetTopology
 from repro.determinism import derive_seed, spec_hash, write_atomic
 
@@ -493,8 +501,10 @@ class _Route:
         self.cursor = 0           # rotating write offset (bytes)
 
 
-#: Emission callback: (target_index, offset, size, kind, delivery_epoch).
-EmitFn = Callable[[int, int, int, str, int], None]
+#: The shard's emitter: ``(origin_index, target_index, offset, size, kind,
+#: delivery_epoch)``.  A macro group emits as its first global index, so
+#: its messages share one per-origin sequence counter.
+EmitFn = Callable[[int, int, int, int, str, int], None]
 
 
 class MacroGroup:
@@ -576,31 +586,32 @@ class MacroGroup:
     # -- fault schedule helpers -------------------------------------------
     def _offline_count(self, epoch: int) -> int:
         """Devices of this group offline at barrier ``epoch`` (declared
-        schedule only -- layout-independent by construction)."""
+        schedule only -- layout-independent by construction).  A span is
+        either the whole group or one device, so this never walks the
+        group's devices."""
         offline: set[int] = set()
-        for event in self.topology.faults:
-            if event.group != self.group.name:
-                continue
-            down = fault_epoch(event.at_us, self.epoch_us)
-            back = repair_epoch(event, self.epoch_us)
-            if down <= epoch and (back is None or back > epoch):
-                if event.device is None:
-                    return self.count
-                offline.add(event.device)
+        for span in offline_spans(self.topology, epoch):
+            if span == self.indices:
+                return self.count
+            if span.start in self.indices:
+                offline.add(span.start)
         return len(offline)
 
     # -- inflow ------------------------------------------------------------
     def absorb(self, message) -> None:
         """Fold an inbound :class:`ReplicaMessage` into the next window."""
-        window = message.delivery_epoch + 1
-        bucket = self._pending.setdefault(window, {})
-        entry = bucket.setdefault(message.kind, [0, 0])
+        self._pend(message.delivery_epoch + 1, message.kind, message.size)
+
+    def _pend(self, window: int, kind: str, size: int) -> None:
+        """Queue one inbound message of ``kind`` for ``window`` and count
+        it in the inflow stats ``collect_inflow`` reports."""
+        entry = self._pending.setdefault(window, {}).setdefault(kind, [0, 0])
         entry[0] += 1
-        entry[1] += message.size
+        entry[1] += size
         stats = self._inflow_stats.setdefault(
-            message.kind, {"count": 0, "bytes": 0, "latency": []})
+            kind, {"count": 0, "bytes": 0, "latency": []})
         stats["count"] += 1
-        stats["bytes"] += message.size
+        stats["bytes"] += size
 
     # -- activity scan -----------------------------------------------------
     def next_activity_epoch(self) -> Optional[int]:
@@ -748,8 +759,8 @@ class MacroGroup:
                 size = int(route.carry) - int(route.carry) % 4096
                 if size >= 4096:
                     route.carry -= size
-                    emit(route.target_indices[0], route.cursor, size,
-                         "replica", window)
+                    emit(self.first_index, route.target_indices[0],
+                         route.cursor, size, "replica", window)
                     route.cursor += size
                 continue
             share = route.carry / len(route.target_indices)
@@ -757,7 +768,8 @@ class MacroGroup:
             if size < 4096:
                 continue
             for target in route.target_indices:
-                emit(target, route.cursor, size, "replica", window)
+                emit(self.first_index, target, route.cursor, size,
+                     "replica", window)
             route.carry -= size * len(route.target_indices)
             route.cursor += size
 
@@ -769,8 +781,11 @@ class MacroGroup:
             if self.count else 0.0
         rebuilt = min(written_per_device, float(self.capacity_bytes))
         rebuilt = int(rebuilt) - int(rebuilt) % 4096
-        chunks = 0
+        chunks = []
         if rebuilt > 0:
+            chunks = rebuild_chunks(
+                rebuilt, min(policy.rebuild_chunk_bytes, rebuilt), policy,
+                down_epoch)
             # A spare group is never the failed group itself, so only a
             # spare-less rebuild stays internal: it re-writes onto this
             # group's surviving peers and joins its own backlog.
@@ -778,43 +793,16 @@ class MacroGroup:
             if event.spare is not None:
                 spare_indices = self.topology.group_indices(event.spare)
                 target = spare_indices[local % len(spare_indices)]
-            chunk = min(policy.rebuild_chunk_bytes, rebuilt)
-            chunks = math.ceil(rebuilt / chunk)
-            for j in range(chunks):
-                size = min(chunk, rebuilt - j * chunk)
-                size += (-size) % 4096
-                delivery = down_epoch + 1 + j // policy.rebuild_chunks_per_epoch
+            for offset, size, delivery in chunks:
                 if target is None:
-                    bucket = self._pending.setdefault(delivery + 1, {})
-                    entry = bucket.setdefault("rebuild", [0, 0])
-                    entry[0] += 1
-                    entry[1] += size
-                    stats = self._inflow_stats.setdefault(
-                        "rebuild", {"count": 0, "bytes": 0, "latency": []})
-                    stats["count"] += 1
-                    stats["bytes"] += size
+                    self._pend(delivery + 1, "rebuild", size)
                 else:
-                    emit(target, j * chunk, size, "rebuild", delivery)
-        back = repair_epoch(event, self.epoch_us)
-        repair_us = back * self.epoch_us if back is not None else None
-        end = repair_us
-        if chunks:
-            last = down_epoch + 1 + (chunks - 1) // policy.rebuild_chunks_per_epoch
-            storm_end = (last + 1) * self.epoch_us
-            end = storm_end if end is None else max(end, storm_end)
-        self._fault_windows.append({
-            "kind": event.kind,
-            "group": self.group.name,
-            "device": local,
-            "index": self.indices[local],
-            "start_us": down_epoch * self.epoch_us,
-            "end_us": end,
-            "repair_us": repair_us,
-            "spare": event.spare,
-            "rebuild_chunks": chunks,
-            "rebuild_bytes": rebuilt if chunks else 0,
-            "approximate": True,
-        })
+                    emit(self.first_index, target, offset, size, "rebuild",
+                         delivery)
+        window = fault_window(event, self.epoch_us, self.group.name, local,
+                              self.indices[local], down_epoch, chunks)
+        window["approximate"] = True
+        self._fault_windows.append(window)
 
     # -- collection --------------------------------------------------------
     def collect_tenants(self) -> dict[str, dict[str, Any]]:

@@ -9,7 +9,8 @@ stream), and then advances in **bounded time epochs**:
 * :meth:`ShardWorker.advance` takes a grant -- a barrier index and the
   replica messages other shards sent it -- and steps its simulator from
   epoch barrier to epoch barrier up to that index, skipping idle epochs.
-  It returns the messages its devices emitted for other shards.
+  It returns the messages its devices emitted for other shards and the
+  index of its earliest pending barrier.
 * Replica deliveries are quantized to the *next* ``epoch_us`` boundary
   after the originating write completes (``delivery_epoch`` carries the
   boundary as an exact integer index), so a message emitted inside epoch
@@ -43,6 +44,9 @@ from repro.cluster.faults import (
     FaultEvent,
     FaultInjector,
     fault_epoch,
+    fault_window,
+    offline_spans,
+    rebuild_chunks,
     repair_epoch,
 )
 from repro.cluster.topology import (
@@ -80,9 +84,10 @@ class ReplicaMessage(NamedTuple):
     origin_seq: int
     delivery_epoch: int
     #: ``"replica"`` for tenant-write mirroring, ``"rebuild"`` for the
-    #: re-replication storm after a device failure.  Rebuild messages ride
-    #: the exact same barrier machinery (and the same per-origin sequence
-    #: counter), so faulted runs inherit the layout-independence proof.
+    #: re-replication storm after a device failure and ``"rebuild-read"``
+    #: for the storm's source reads.  Rebuild messages ride the exact same
+    #: barrier machinery (and the same per-origin sequence counter), so
+    #: faulted runs inherit the layout-independence proof.
     kind: str = "replica"
 
 
@@ -171,19 +176,14 @@ class ShardWorker:
         #: runs its simulator barrier to barrier, so ``sim.now ==
         #: _position * epoch_us`` between grants).
         self._position = 0
-        #: target device global index (as str) -> inbound replica stats.
-        #: Keyed per *device*, not per group: a split target group would
-        #: otherwise pool samples in shard order and break the bit-identical
-        #: merge (the fleet merge re-pools in global-index order).
-        self._replica_stats: dict[str, dict[str, Any]] = {}
-        #: Same shape as ``_replica_stats`` but for rebuild-storm writes.
-        self._rebuild_stats: dict[str, dict[str, Any]] = {}
-        #: ... and for the rebuild's source reads on surviving replicas.
-        self._rebuild_read_stats: dict[str, dict[str, Any]] = {}
-        #: (tenant name, global index, result, byte accumulator,
-        #:  completion-time record used for during-rebuild classification)
-        self._runs: list[tuple[str, int, Any, Optional[dict],
-                               Optional[list]]] = []
+        #: Inbound traffic ledger: message kind -> target device global
+        #: index (as str) -> ``{"count", "bytes", "latency"}``.  Keyed per
+        #: *device*, not per group: a split target group would otherwise
+        #: pool samples in shard order and break the bit-identical merge
+        #: (the fleet merge re-pools in global-index order).
+        self._inflow: dict[str, dict[str, dict[str, Any]]] = {}
+        #: (tenant name, global index, JobResult or ReplayResult)
+        self._runs: list[tuple[str, int, Any]] = []
         #: Fault flips for *owned* devices, sorted by barrier then
         #: declaration order; ``_flip_index`` is the applied prefix.
         self._flips: list[_FaultFlip] = []
@@ -191,7 +191,7 @@ class ShardWorker:
         self._fault_proxies: dict[int, FaultInjector] = {}
         self._fault_windows: list[dict[str, Any]] = []
 
-        fault_spans = [self._fault_span(event) for event in topology.faults]
+        fault_spans = [topology.fault_span(event) for event in topology.faults]
         wrap_all = topology.fault_policy.max_inflight is not None
 
         for group, first, stop in self._owned_pieces():
@@ -259,12 +259,6 @@ class ShardWorker:
                 yield group, local_index, last
                 index += last - local_index
 
-    def _fault_span(self, event: FaultEvent) -> range:
-        """Global indices the event takes offline (layout-independent)."""
-        indices = self.topology.group_indices(event.group)
-        return indices if event.device is None else \
-            indices[event.device:event.device + 1]
-
     def _macro_at(self, index: int):
         """The resident macro group whose index range holds ``index``."""
         for aggregate in self._macro:
@@ -272,27 +266,23 @@ class ShardWorker:
                 return aggregate
         return None
 
-    def _macro_emit(self, origin_index: int):
-        """Emission callback a macro group uses to send replica/rebuild
-        messages: the same per-origin sequence counter and barrier framing
-        the discrete replication hook uses."""
-
-        def emit(target: int, offset: int, size: int, kind: str,
-                 delivery_epoch: int) -> None:
-            seq = self._origin_seq.get(origin_index, 0)
-            self._origin_seq[origin_index] = seq + 1
-            self._outbound.append(ReplicaMessage(
-                target_index=target, offset=offset, size=size,
-                origin_index=origin_index, origin_seq=seq,
-                delivery_epoch=delivery_epoch, kind=kind))
-        return emit
+    def _emit(self, origin: int, target: int, offset: int, size: int,
+              kind: str, delivery_epoch: int) -> None:
+        """Send one message: the only place that takes an origin's next
+        sequence number.  The replication hook, the rebuild storm and the
+        macro groups all emit here, so every origin has one counter."""
+        seq = self._origin_seq.get(origin, 0)
+        self._origin_seq[origin] = seq + 1
+        self._outbound.append(ReplicaMessage(
+            target_index=target, offset=offset, size=size,
+            origin_index=origin, origin_seq=seq,
+            delivery_epoch=delivery_epoch, kind=kind))
 
     def _advance_macro(self, target_epoch: int) -> None:
         """Step every resident macro group to ``target_epoch``, in
         group-declaration order."""
         for aggregate in self._macro:
-            aggregate.advance_to(target_epoch,
-                                 self._macro_emit(aggregate.first_index))
+            aggregate.advance_to(target_epoch, self._emit)
 
     # -- workload binding --------------------------------------------------
     def _bind_tenant(self, tenant: Tenant, index: int) -> None:
@@ -307,56 +297,19 @@ class ShardWorker:
                                        "group": group_name,
                                        "device": local_index})
         replicate = self._replication_hook(group_name, local_index, index)
-        #: With faults active every post-ramp completion time is recorded,
-        #: aligned 1:1 with the result's latency samples, so the merge can
-        #: split tail latency into during-rebuild vs steady windows.
-        record: Optional[list] = [] if self.topology.faults else None
-
         if tenant.is_trace:
             family = fields.pop("trace")
             fields.setdefault("region_bytes", device.capacity_bytes)
             trace = synthesize_trace(family, seed=seed,
                                      name=f"{tenant.name}@{device.name}",
                                      **fields)
-            accumulator = {"bytes_read": 0, "bytes_written": 0}
-
-            def hook(request, now, _acc=accumulator, _rep=replicate,
-                     _rec=record):
-                if request.kind is IOKind.READ:
-                    _acc["bytes_read"] += request.size
-                else:
-                    _acc["bytes_written"] += request.size
-                if _rep is not None:
-                    _rep(request, now)
-                if _rec is not None:
-                    _rec.append(now)
-
             result = replay_trace(self.sim, device, trace, run=False,
-                                  on_complete=hook)
-            self._runs.append((tenant.name, index, result, accumulator,
-                               record))
+                                  on_complete=replicate)
         else:
             job = FioJob(name=tenant.name, seed=seed, **fields)
-            if record is None:
-                hook = replicate
-            else:
-                # run_job fires on_complete before its ramp check, so
-                # skipping the first ramp_ios completions keeps the record
-                # aligned with the recorded latency samples.
-                state = {"ramp": job.ramp_ios}
-
-                def hook(request, now, _rep=replicate, _state=state,
-                         _rec=record):
-                    if _rep is not None:
-                        _rep(request, now)
-                    if _state["ramp"] > 0:
-                        _state["ramp"] -= 1
-                    else:
-                        _rec.append(now)
-
             result = run_job(self.sim, device, job, run=False,
-                             on_complete=hook)
-            self._runs.append((tenant.name, index, result, None, record))
+                             on_complete=replicate)
+        self._runs.append((tenant.name, index, result))
 
     def _replication_hook(self, group_name: str, local_index: int,
                           origin_index: int):
@@ -368,23 +321,17 @@ class ShardWorker:
         if not routes:
             return None
         epoch_us = self.topology.epoch_us
+        emit = self._emit
 
-        def hook(request, _now):
+        def hook(request, now):
             if request.kind is not IOKind.WRITE or request.shed:
                 return  # shed writes never landed, so they never mirror
-            epoch = math.floor(self.sim.now / epoch_us) + 1
+            epoch = math.floor(now / epoch_us) + 1
             for indices, factor in routes:
                 for replica in range(factor):
-                    target = indices[(local_index + replica) % len(indices)]
-                    seq = self._origin_seq.get(origin_index, 0)
-                    self._origin_seq[origin_index] = seq + 1
-                    # Append through self: advance() drains this buffer at
-                    # every barrier, and a reference captured at bind time
-                    # would go stale.
-                    self._outbound.append(ReplicaMessage(
-                        target_index=target, offset=request.offset,
-                        size=request.size, origin_index=origin_index,
-                        origin_seq=seq, delivery_epoch=epoch))
+                    emit(origin_index,
+                         indices[(local_index + replica) % len(indices)],
+                         request.offset, request.size, "replica", epoch)
         return hook
 
     # -- epoch stepping ----------------------------------------------------
@@ -414,13 +361,7 @@ class ShardWorker:
         kind = IOKind.READ if message.kind == "rebuild-read" else IOKind.WRITE
         request = yield device.submit(IORequest(
             kind, offset, message.size, tag=message.kind))
-        if message.kind == "rebuild":
-            bucket = self._rebuild_stats
-        elif message.kind == "rebuild-read":
-            bucket = self._rebuild_read_stats
-        else:
-            bucket = self._replica_stats
-        stats = bucket.setdefault(
+        stats = self._inflow.setdefault(message.kind, {}).setdefault(
             str(message.target_index), {"count": 0, "bytes": 0, "latency": []})
         stats["count"] += 1
         stats["bytes"] += request.size
@@ -428,9 +369,9 @@ class ShardWorker:
 
     def advance(self, until_epoch: int,
                 inbound: Sequence[ReplicaMessage] = (),
-                ) -> tuple[list[ReplicaMessage], float, int]:
+                ) -> tuple[list[ReplicaMessage], Optional[int], int]:
         """Hold ``inbound``, step barrier to barrier up to barrier index
-        ``until_epoch``; return ``(outbound, peek, epochs)``.
+        ``until_epoch``; return ``(outbound, earliest, epochs)``.
 
         At each barrier the shard applies the fault flips due there,
         routes what they emit, and injects the held messages due there,
@@ -441,11 +382,11 @@ class ShardWorker:
         messages due at the same barrier.
 
         ``outbound`` holds the emitted messages for other shards' devices;
-        messages for this shard's own devices stay held.  ``peek`` is the
-        time of the next pending event, fault barrier, macro window or
-        held delivery (``inf`` when the shard is idle) -- the coordinator
-        uses it to skip empty epochs.  ``epochs`` counts the barriers the
-        shard stepped onto.
+        messages for this shard's own devices stay held.  ``earliest`` is
+        the integer index of the earliest barrier with pending work
+        (:meth:`_earliest`; ``None`` when the shard is idle) -- the
+        coordinator uses it to skip empty epochs.  ``epochs`` counts the
+        barriers the shard stepped onto.
         """
         self._held.extend(inbound)
         epoch_us = self.topology.epoch_us
@@ -466,9 +407,9 @@ class ShardWorker:
                               if message.delivery_epoch != self._position]
                 due.sort(key=inbox_order)
                 self.deliver(due)
+            # Delivered messages need no target of their own: the peek and
+            # the macro windows below cover their processes and backlogs.
             targets = []
-            if due:
-                targets.append(self._position + 1)
             if self._held:
                 targets.append(min(message.delivery_epoch
                                    for message in self._held))
@@ -499,7 +440,7 @@ class ShardWorker:
             executed += 1
             self._advance_macro(next_index)
             self._route_outbound(foreign)
-        return foreign, self._peek(), executed
+        return foreign, self._earliest(), executed
 
     def _route_outbound(self, foreign: list[ReplicaMessage]) -> None:
         """Move emitted messages to the hold queue (own devices) or the
@@ -512,28 +453,29 @@ class ShardWorker:
                 foreign.append(message)
         self._outbound.clear()
 
-    def _peek(self) -> float:
-        """Next pending event time, folding in held deliveries, pending
-        fault barriers (a fault must wake an otherwise idle fleet) and the
-        start of every resident macro group's next busy window (its work
-        happens inside that window, so the coordinator must not grant a
-        window past it)."""
-        epoch_us = self.topology.epoch_us
+    def _earliest(self) -> Optional[int]:
+        """The earliest barrier index with pending work, or ``None`` when
+        idle: the epoch of the next simulator event, held deliveries, the
+        next fault barrier (a fault must wake an otherwise idle fleet) and
+        the barrier opening every resident macro group's next busy window
+        (its work happens inside that window, so the coordinator must not
+        grant a window past it)."""
+        candidates = [message.delivery_epoch for message in self._held]
         peek = self.sim.peek()
-        if self._held:
-            peek = min(peek, min(message.delivery_epoch
-                                 for message in self._held) * epoch_us)
+        if peek != math.inf:
+            candidates.append(math.floor(peek / self.topology.epoch_us))
         if self._flip_index < len(self._flips):
-            peek = min(peek, self._flips[self._flip_index].epoch * epoch_us)
+            candidates.append(self._flips[self._flip_index].epoch)
         for aggregate in self._macro:
             nxt = aggregate.next_activity_epoch()
             if nxt is not None:
-                peek = min(peek, (nxt - 1) * epoch_us)
-        return peek
+                candidates.append(nxt - 1)
+        return min(candidates, default=None)
 
     # -- fault application -------------------------------------------------
     def _apply_due_faults(self) -> bool:
-        """Apply every scheduled flip whose barrier time has been reached.
+        """Apply every scheduled flip whose barrier has been reached (the
+        clock sits on ``_position * epoch_us`` between steps).
 
         Flips are synchronous state changes, never simulator events: event
         identity (heap sequence numbers) depends on the shard layout, so
@@ -541,10 +483,9 @@ class ShardWorker:
         and break the bit-identical guarantee.
         """
         applied = False
-        epoch_us = self.topology.epoch_us
         while self._flip_index < len(self._flips):
             flip = self._flips[self._flip_index]
-            if flip.epoch * epoch_us > self.sim.now:
+            if flip.epoch > self._position:
                 break
             self._flip_index += 1
             applied = True
@@ -553,40 +494,15 @@ class ShardWorker:
                 proxy.offline = False
                 continue
             proxy.offline = True
-            self._record_failure(flip)
+            chunks = self._emit_rebuild(flip) \
+                if flip.event.kind == "fail" else []
+            group_name, local_index = self._placement[flip.index]
+            self._fault_windows.append(fault_window(
+                flip.event, self.topology.epoch_us, group_name, local_index,
+                flip.index, flip.epoch, chunks))
         return applied
 
-    def _record_failure(self, flip: _FaultFlip) -> None:
-        """Emit the rebuild storm (``kind="fail"``) and log the window."""
-        topology = self.topology
-        epoch_us = topology.epoch_us
-        event = flip.event
-        chunks = emitted = 0
-        end: Optional[float] = None
-        if event.kind == "fail":
-            chunks, emitted, last_epoch = self._emit_rebuild(flip)
-            if chunks:
-                # Chunks delivered at epoch e land within (e, e+1].
-                end = (last_epoch + 1) * epoch_us
-        back = repair_epoch(event, epoch_us)
-        repair_us = back * epoch_us if back is not None else None
-        if repair_us is not None:
-            end = repair_us if end is None else max(end, repair_us)
-        group_name, local_index = self._placement[flip.index]
-        self._fault_windows.append({
-            "kind": event.kind,
-            "group": group_name,
-            "device": local_index,
-            "index": flip.index,
-            "start_us": flip.epoch * epoch_us,
-            "end_us": end,  # None = degraded until the end of the run
-            "repair_us": repair_us,
-            "spare": event.spare,
-            "rebuild_chunks": chunks,
-            "rebuild_bytes": emitted,
-        })
-
-    def _emit_rebuild(self, flip: _FaultFlip) -> tuple[int, int, int]:
+    def _emit_rebuild(self, flip: _FaultFlip) -> list[tuple[int, int, int]]:
         """Queue the re-replication storm for a failed device.
 
         The data to rebuild is what the device had absorbed (host-visible
@@ -597,21 +513,18 @@ class ShardWorker:
         (the targets of the failed group's replication edges, using the
         same local-index mapping the mirroring hook uses) -- a
         re-replication storm loads both ends of the copy.  Chunks ride the
-        ordinary :class:`ReplicaMessage` barrier machinery starting one
-        epoch after the failure, so rebuild traffic contends with
-        foreground tenants through the normal device submission path.
-
-        Returns ``(chunks, bytes, last delivery epoch)``.
+        ordinary :class:`ReplicaMessage` barrier machinery, so rebuild
+        traffic contends with foreground tenants through the normal device
+        submission path.  Returns the chunks.
         """
         topology = self.topology
-        policy = topology.fault_policy
         event = flip.event
         origin = flip.index
         device = self.devices[origin]
         rebuilt = min(device.stats.bytes_written, device.capacity_bytes)
         if rebuilt <= 0:
-            return 0, 0, flip.epoch
-        offline = self._offline_at_epoch(flip.epoch)
+            return []
+        offline = offline_spans(topology, flip.epoch)
 
         def survives(index: int) -> bool:
             return not any(index in span for span in offline)
@@ -627,7 +540,7 @@ class ShardWorker:
                        if index != origin and survives(index)]
             target_group = topology.group(event.group)
         if not targets:
-            return 0, 0, flip.epoch
+            return []
         # Surviving holders of the lost data: the replica devices the
         # mirroring hook would have written (edge targets, same mapping).
         sources = []
@@ -637,58 +550,30 @@ class ShardWorker:
                 source = indices[(local_index + replica) % len(indices)]
                 if survives(source) and source not in sources:
                     sources.append(source)
+        # A chunk never exceeds half the target device.
         capacity = _group_capacity(target_group)
         half = (capacity // 2) - (capacity // 2) % 4096
-        chunk = min(policy.rebuild_chunk_bytes, max(4096, half))
-        chunks = math.ceil(rebuilt / chunk)
-        emitted = 0
-        last_epoch = flip.epoch
-
-        def emit(target: int, kind: str, offset: int, size: int,
-                 delivery_epoch: int) -> None:
-            seq = self._origin_seq.get(origin, 0)
-            self._origin_seq[origin] = seq + 1
-            self._outbound.append(ReplicaMessage(
-                target_index=target, offset=offset, size=size,
-                origin_index=origin, origin_seq=seq,
-                delivery_epoch=delivery_epoch, kind=kind))
-
-        for j in range(chunks):
-            size = min(chunk, rebuilt - j * chunk)
-            size += (-size) % 4096
-            delivery_epoch = flip.epoch + 1 + j // policy.rebuild_chunks_per_epoch
+        policy = topology.fault_policy
+        chunks = rebuild_chunks(
+            rebuilt, min(policy.rebuild_chunk_bytes, max(4096, half)),
+            policy, flip.epoch)
+        for j, (offset, size, delivery_epoch) in enumerate(chunks):
             if sources:
-                emit(sources[j % len(sources)], "rebuild-read",
-                     j * chunk, size, delivery_epoch)
-            emit(targets[j % len(targets)], "rebuild",
-                 j * chunk, size, delivery_epoch)
-            emitted += size
-            last_epoch = delivery_epoch
-        return chunks, emitted, last_epoch
-
-    def _offline_at_epoch(self, epoch: int) -> list[range]:
-        """Global index spans offline at barrier ``epoch`` per the
-        *declared* schedule -- computed from the topology alone so survivor
-        selection is identical in every shard layout.  Devices failing at
-        the same barrier conservatively see each other as offline."""
-        epoch_us = self.topology.epoch_us
-        offline: list[range] = []
-        for event in self.topology.faults:
-            down = fault_epoch(event.at_us, epoch_us)
-            back = repair_epoch(event, epoch_us)
-            if down <= epoch and (back is None or back > epoch):
-                offline.append(self._fault_span(event))
-        return offline
+                self._emit(origin, sources[j % len(sources)], offset, size,
+                           "rebuild-read", delivery_epoch)
+            self._emit(origin, targets[j % len(targets)], offset, size,
+                       "rebuild", delivery_epoch)
+        return chunks
 
     # -- collection --------------------------------------------------------
     def collect(self) -> dict[str, Any]:
         """Serialize the shard's measurements (JSON/pickle-safe payload)."""
+        faulted = bool(self.topology.faults)
         tenants: dict[str, dict[str, Any]] = {}
-        for tenant_name, index, result, accumulator, record in self._runs:
+        for tenant_name, index, result in self._runs:
             tenants.setdefault(tenant_name, {})[str(index)] = \
-                _result_payload(result, accumulator, record)
-        replica_stats = dict(self._replica_stats)
-        rebuild_stats = dict(self._rebuild_stats)
+                _result_payload(result, faulted)
+        inflow = {kind: dict(stats) for kind, stats in self._inflow.items()}
         fault_windows = list(self._fault_windows)
         shed: dict[str, dict[str, int]] = {
             str(index): {"ios": proxy.shed_ios, "bytes": proxy.shed_bytes}
@@ -697,15 +582,14 @@ class ShardWorker:
         }
         # A macro group reports through the exact same schema at its first
         # global index: one aggregate per-tenant payload (carrying its own
-        # ``devices`` count and ``approximate: True``) plus pooled
-        # replica/rebuild/shed stats.
+        # ``devices`` count and ``approximate: True``), pooled inflow stats
+        # filed under their own message kind, and shed stats.
         for aggregate in self._macro:
             anchor = str(aggregate.first_index)
             for tenant_name, payload in aggregate.collect_tenants().items():
                 tenants.setdefault(tenant_name, {})[anchor] = payload
             for kind, stats in aggregate.collect_inflow().items():
-                bucket = rebuild_stats if kind == "rebuild" else replica_stats
-                bucket[anchor] = stats
+                inflow.setdefault(kind, {})[anchor] = stats
             fault_windows.extend(aggregate.collect_fault_windows())
             macro_shed = aggregate.collect_shed()
             if macro_shed["ios"]:
@@ -714,47 +598,39 @@ class ShardWorker:
             "shard_id": self.plan.shard_id,
             "scheduled_events": self.sim.scheduled_events,
             "tenants": tenants,
-            "replicas": replica_stats,
+            "replicas": inflow.get("replica", {}),
         }
-        if self.topology.faults:
-            payload["rebuilds"] = rebuild_stats
-            payload["rebuild_reads"] = self._rebuild_read_stats
+        if faulted:
+            payload["rebuilds"] = inflow.get("rebuild", {})
+            payload["rebuild_reads"] = inflow.get("rebuild-read", {})
             payload["fault_windows"] = fault_windows
             payload["shed"] = shed
         return payload
 
 
-def _result_payload(result, accumulator: Optional[dict],
-                    record: Optional[list] = None) -> dict[str, Any]:
+def _result_payload(result, faulted: bool) -> dict[str, Any]:
     """Uniform per-(tenant, device) payload for Job- and Replay-results."""
     events = result.timeline.events()
-    if accumulator is None:  # JobResult
-        started = result.started_us
-        finished = result.finished_us
-        if finished <= started:
-            # Defensive: a job that recorded nothing keeps duration 0; never
-            # fall back to sim.now, which depends on the shard layout.
-            finished = events[-1][0] if events else started
-        bytes_read = result.bytes_read
-        bytes_written = result.bytes_written
-        ios = result.ios_completed
-    else:  # ReplayResult (open loop starts at time 0)
-        started = 0.0
-        finished = events[-1][0] if events else 0.0
-        bytes_read = accumulator["bytes_read"]
-        bytes_written = accumulator["bytes_written"]
-        ios = result.ios_completed
+    started = result.started_us
+    finished = result.finished_us
+    if finished <= started:
+        # Defensive: a run that recorded nothing keeps duration 0; never
+        # fall back to sim.now, which depends on the shard layout.
+        finished = events[-1][0] if events else started
     payload = {
-        "ios_completed": ios,
-        "bytes_read": bytes_read,
-        "bytes_written": bytes_written,
+        "ios_completed": result.ios_completed,
+        "bytes_read": result.bytes_read,
+        "bytes_written": result.bytes_written,
         "started_us": started,
         "finished_us": finished,
         "latency": result.latency.samples.tolist(),
         "timeline": [[time_us, num_bytes] for time_us, num_bytes in events],
     }
-    if record is not None:
-        payload["completion_times"] = record
+    if faulted:
+        # The timeline holds one entry per recorded (post-ramp) completion,
+        # aligned 1:1 with the latency samples, so its times let the merge
+        # split tail latency into during-rebuild vs steady windows.
+        payload["completion_times"] = [time_us for time_us, _ in events]
     return payload
 
 
@@ -774,7 +650,7 @@ def _worker_init(topology_json: str, plan_payload: dict) -> int:
 
 
 def _worker_advance(until_epoch: int, inbound: list[ReplicaMessage],
-                    ) -> tuple[list[ReplicaMessage], float, int]:
+                    ) -> tuple[list[ReplicaMessage], Optional[int], int]:
     assert _WORKER is not None, "shard worker not initialised"
     return _WORKER.advance(until_epoch, inbound)
 

@@ -284,6 +284,12 @@ class FleetTopology:
         position = bisect_right(self._starts, index) - 1
         return self.groups[position], index - self._starts[position]
 
+    def fault_span(self, event: FaultEvent) -> range:
+        """Global indices ``event`` takes offline (layout-independent)."""
+        indices = self.group_indices(event.group)
+        return indices if event.device is None else \
+            indices[event.device:event.device + 1]
+
     def edges_from(self, group_name: str) -> list[ReplicationEdge]:
         return [edge for edge in self.edges if edge.source == group_name]
 

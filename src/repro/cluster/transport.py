@@ -3,7 +3,8 @@
 The conservative epoch loop in :mod:`repro.cluster.coordinator` is
 transport-agnostic: it *posts* an advance grant to each shard (a barrier
 index plus the :class:`ReplicaMessage` batch other shards sent it),
-*waits* for the ``(outbound, peek, ran)`` response, and finally
+*waits* for the ``(outbound, earliest, ran)`` response (``earliest`` is
+the shard's earliest pending barrier index, ``None`` when idle), and finally
 *collects* each shard's metrics payload.  :class:`ShardTransport` is that
 contract; two implementations ship:
 
@@ -154,7 +155,7 @@ class ShardTransport:
 
     The coordinator *posts* one advance grant per shard per round --
     ``(until_epoch, inbound batch)`` -- then *waits* for each
-    ``(outbound, peek, ran)`` response; posting everything before waiting
+    ``(outbound, earliest, ran)`` response; posting everything before waiting
     is what lets process transports run shards concurrently.  At the end
     of a run :meth:`collect_all` publishes every shard's metrics payload
     and :meth:`close` tears the transport down (idempotent; always called,
@@ -169,7 +170,7 @@ class ShardTransport:
         raise NotImplementedError
 
     def wait(self, shard_id: int,
-             ) -> tuple[list[ReplicaMessage], float, int]:
+             ) -> tuple[list[ReplicaMessage], Optional[int], int]:
         raise NotImplementedError
 
     def collect_all(self) -> list[dict[str, Any]]:

@@ -708,9 +708,10 @@ def _macro_100k_topology():
             tenant("ingest", "bulk", pattern="write", io_size=256 * KiB,
                    queue_depth=8, io_count=300),
         ],
-        # No edges or faults: the coordinator's fast path drains each macro
-        # group in one shot, which is what makes 100k devices run in
-        # seconds.  fleet --macro on fleet-smoke covers the edged case.
+        # No edges or faults: each macro group steps one window per busy
+        # epoch at a cost independent of its device count, which is what
+        # makes 100k devices run in seconds.  fleet --macro on fleet-smoke
+        # covers the edged case.
         epoch_us=1000.0,
         seed=241,
     )

@@ -415,7 +415,7 @@ def _run_trace_cell(cell: CellSpec) -> dict[str, Any]:
     """Execute a ``trace-<family>`` cell: open-loop replay of a synthetic
     arrival process (bursty/diurnal/uniform) against the cell's device."""
     from repro.experiments.common import ExperimentScale, build_device
-    from repro.sim import Simulator
+    from repro.sim import Simulator, Tracer
     from repro.workload.trace import replay_trace, synthesize_trace
 
     family = cell.pattern[len("trace-"):]
@@ -426,6 +426,9 @@ def _run_trace_cell(cell: CellSpec) -> dict[str, Any]:
                           device_params=dict(cell.device_params))
     if cell.preload:
         device.preload()
+    tracer = Tracer(sim) if cell.trace else None
+    if tracer is not None:
+        device.set_tracer(tracer)
     if cell.faults is not None:
         from repro.cluster.faults import parse_fault_spec, schedule_cell_faults
 
@@ -460,6 +463,8 @@ def _run_trace_cell(cell: CellSpec) -> dict[str, Any]:
     if cell.faults is not None:
         metrics["shed_ios"] = device.shed_ios
         metrics["shed_bytes"] = device.shed_bytes
+    if tracer is not None:
+        metrics["trace"] = tracer.to_payload()
     return metrics
 
 

@@ -254,7 +254,11 @@ class ReplayResult:
     trace_name: str
     device_name: str
     ios_completed: int = 0
-    bytes_transferred: int = 0
+    bytes_read: int = 0
+    bytes_written: int = 0
+    #: Simulated time the replay started, and of its last completion.
+    started_us: float = 0.0
+    finished_us: float = 0.0
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     timeline: ThroughputTimeline = field(default_factory=ThroughputTimeline)
     #: Requests still outstanding when the replay window closed.
@@ -283,7 +287,8 @@ def replay_trace(sim: "Simulator", device: BlockDevice, trace: Trace,
     ``on_complete(request, now_us)`` fires per completed request (the fleet
     layer's replication hook).
     """
-    result = ReplayResult(trace_name=trace.name, device_name=device.name)
+    result = ReplayResult(trace_name=trace.name, device_name=device.name,
+                          started_us=sim.now)
     outstanding = {"count": 0}
 
     def issue(event: TraceEvent):
@@ -300,7 +305,11 @@ def replay_trace(sim: "Simulator", device: BlockDevice, trace: Trace,
         if on_complete is not None:
             on_complete(request, sim.now)
         result.ios_completed += 1
-        result.bytes_transferred += request.size
+        if request.kind is IOKind.READ:
+            result.bytes_read += request.size
+        else:
+            result.bytes_written += request.size
+        result.finished_us = sim.now
         result.latency.record(request.latency)
         result.timeline.record(sim.now, request.size)
 

@@ -301,6 +301,47 @@ def test_faulted_macro_fleet_sheds_rebuilds_and_stays_deterministic():
     assert serial["groups"]["store"]["shed_ios"] > 0
 
 
+#: Per-group inbound traffic counts: a macro group absorbs every message
+#: sent to it, so these are exact in both group modes.
+INFLOW_KEYS = ("replica_writes", "replica_bytes", "rebuild_writes",
+               "rebuild_bytes", "rebuild_reads", "rebuild_read_bytes")
+
+
+def inflow_counts(payload: dict) -> dict:
+    return {name: {key: group.get(key) for key in INFLOW_KEYS}
+            for name, group in payload["groups"].items()}
+
+
+def test_inflow_counts_do_not_depend_on_a_sink_groups_mode():
+    """Switching a group that only receives traffic (no out-edge, no fault
+    of its own) to macro leaves every group's inflow counts as they are in
+    the all-discrete run, for each message kind: replica writes, rebuild
+    writes and the rebuild's source reads."""
+    from repro.experiments.scenarios import all_scenarios
+    from repro.experiments.sweep import quick_cells
+
+    flips = 0
+    for spec in all_scenarios():
+        if "fleet" not in spec.tags:
+            continue
+        for index, cell in enumerate(quick_cells(spec.cells())):
+            if cell.fleet is None:  # a multi-stream cell, not a topology
+                continue
+            topology = FleetTopology.from_json(cell.fleet)
+            if topology.has_macro:
+                continue
+            faulted = {event.group for event in topology.faults}
+            reference = inflow_counts(run_fleet_serial(topology))
+            for sink in topology.groups:
+                if topology.edges_from(sink.name) or sink.name in faulted:
+                    continue
+                payload = run_fleet_serial(topology.with_macro(sink.name))
+                assert inflow_counts(payload) == reference, \
+                    (spec.name, index, sink.name)
+                flips += 1
+    assert flips >= 19
+
+
 # ---------------------------------------------------------------------------
 # CLI override
 # ---------------------------------------------------------------------------

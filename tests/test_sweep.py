@@ -1,6 +1,7 @@
 """Tests for the scenario-sweep subsystem (grid, hashing, cache, runner, CLI)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -225,11 +226,12 @@ def test_replication_scenario_registered_and_sweeps_the_axis():
     assert factors == {1, 2, 3}
 
 
-def test_trace_family_cell_replays_open_loop():
+@pytest.mark.parametrize("trace", [False, True])
+def test_trace_family_cell_replays_open_loop(trace):
     cell = CellSpec(device="LOOP", pattern="trace-uniform", io_size=8192,
                     pattern_params=(("duration_us", 5_000.0),
                                     ("load_gbps", 0.5)),
-                    preload=False, seed=3)
+                    preload=False, seed=3, trace=trace)
     metrics = run_cell(cell)
     assert metrics["ios_completed"] > 0
     assert metrics["unfinished"] == 0
@@ -237,6 +239,14 @@ def test_trace_family_cell_replays_open_loop():
     assert run_cell(cell) == metrics  # deterministic
     quick = quick_cells([cell])[0]
     assert dict(quick.pattern_params)["duration_us"] == 5_000.0
+    if trace:
+        # A traced replay reports its request-path breakdown, and tracing
+        # changes nothing else.
+        breakdown = metrics.pop("trace")
+        assert breakdown["completed_requests"] == metrics["ios_completed"]
+        assert metrics == run_cell(replace(cell, trace=False))
+    else:
+        assert "trace" not in metrics
 
 
 @pytest.mark.parametrize("trace", [False, True])

@@ -212,6 +212,10 @@ def test_replay_trace_completes_all_requests():
     assert result.ios_completed == len(trace)
     assert result.unfinished == 0
     assert result.mean_latency_us > 0
+    assert result.bytes_read + result.bytes_written == trace.total_bytes
+    assert result.bytes_written == trace.write_bytes()
+    assert result.started_us == 0.0
+    assert result.finished_us == result.timeline.events()[-1][0]
 
 
 # ---------------------------------------------------------------------------
