@@ -372,19 +372,19 @@ def canonical_fault_spec(events: Iterable[FaultEvent],
     })
 
 
-def schedule_cell_faults(sim: "Simulator", devices: Iterable[Any],
+def schedule_cell_faults(sim: "Simulator", device: Any,
                          events: Iterable[FaultEvent],
-                         policy: FaultPolicy) -> list[FaultInjector]:
-    """Wrap single-cell devices in :class:`FaultInjector` proxies and
+                         policy: FaultPolicy) -> FaultInjector:
+    """Wrap a sweep cell's device in a :class:`FaultInjector` proxy and
     schedule the offline/online flips at their exact requested times.
 
-    Single-device sweep cells run on one simulator, so there is no epoch
-    grid to quantize onto -- flips are ordinary timed processes.  Fleet
-    runs never use this path (the shard runner applies flips at barriers).
+    A device cell runs on one simulator, so there is no epoch grid to
+    quantize onto -- flips are ordinary timed processes.  Fleet runs never
+    use this path (the shard runner applies flips at barriers).
     """
-    proxies = [FaultInjector(sim, device, policy) for device in devices]
+    proxy = FaultInjector(sim, device, policy)
 
-    def flip(proxy: FaultInjector, event: FaultEvent):
+    def flip(event: FaultEvent):
         if event.at_us > 0:
             yield sim.timeout(event.at_us)
         proxy.offline = True
@@ -393,6 +393,5 @@ def schedule_cell_faults(sim: "Simulator", devices: Iterable[Any],
             proxy.offline = False
 
     for event in events:
-        for proxy in proxies:
-            sim.process(flip(proxy, event))
-    return proxies
+        sim.process(flip(event))
+    return proxy

@@ -557,7 +557,7 @@ class MacroGroup:
 
         # Fault schedule projected onto this group, at barrier granularity.
         self._flip_epochs: list[int] = []
-        self._fail_triggers: list[tuple[int, int, FaultEvent]] = []
+        self._down_triggers: list[tuple[int, int, FaultEvent]] = []
         for event in topology.faults:
             if event.group != group.name:
                 continue
@@ -566,11 +566,10 @@ class MacroGroup:
             self._flip_epochs.append(down)
             if back is not None:
                 self._flip_epochs.append(back)
-            if event.kind == "fail":
-                local = 0 if event.device is None else event.device
-                self._fail_triggers.append((down, local, event))
+            local = 0 if event.device is None else event.device
+            self._down_triggers.append((down, local, event))
         self._flip_epochs.sort()
-        self._fail_triggers.sort(key=lambda item: (item[0], item[1]))
+        self._down_triggers.sort(key=lambda item: (item[0], item[1]))
         self._triggered = 0
 
         #: Replica/rebuild inflow waiting for a window: epoch -> per-kind
@@ -659,10 +658,18 @@ class MacroGroup:
         offline = min(self.count, self._offline_count(window - 1))
         online = self.count - offline
 
-        # Rebuild storms triggered at barriers inside the skipped gap.
-        while self._triggered < len(self._fail_triggers) and \
-                self._fail_triggers[self._triggered][0] <= window - 1:
-            self._emit_rebuild(*self._fail_triggers[self._triggered], emit)
+        # Devices gone down at barriers inside the skipped gap: each opens
+        # a degraded window, and a failure also starts its rebuild storm.
+        while self._triggered < len(self._down_triggers) and \
+                self._down_triggers[self._triggered][0] <= window - 1:
+            down_epoch, local, event = self._down_triggers[self._triggered]
+            chunks = self._emit_rebuild(down_epoch, local, event, emit) \
+                if event.kind == "fail" else []
+            record = fault_window(event, self.epoch_us, self.group.name,
+                                  local, self.indices[local], down_epoch,
+                                  chunks)
+            record["approximate"] = True
+            self._fault_windows.append(record)
             self._triggered += 1
 
         # Replica/rebuild inflow joining this window.
@@ -774,8 +781,9 @@ class MacroGroup:
             route.cursor += size
 
     def _emit_rebuild(self, down_epoch: int, local: int, event: FaultEvent,
-                      emit: EmitFn) -> None:
-        """Paced re-replication of a failed macro device's absorbed bytes."""
+                      emit: EmitFn) -> list[tuple[int, int, int]]:
+        """Paced re-replication of a failed macro device's absorbed bytes.
+        Returns the chunks."""
         policy = self._policy
         written_per_device = self._written_bytes / self.count \
             if self.count else 0.0
@@ -799,10 +807,7 @@ class MacroGroup:
                 else:
                     emit(self.first_index, target, offset, size, "rebuild",
                          delivery)
-        window = fault_window(event, self.epoch_us, self.group.name, local,
-                              self.indices[local], down_epoch, chunks)
-        window["approximate"] = True
-        self._fault_windows.append(window)
+        return chunks
 
     # -- collection --------------------------------------------------------
     def collect_tenants(self) -> dict[str, dict[str, Any]]:

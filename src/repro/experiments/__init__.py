@@ -9,7 +9,7 @@ independent cells, execute across worker processes, and cache results as
 JSON.  ``python -m repro.experiments`` lists, runs, and diffs scenarios.
 """
 
-from repro.experiments.common import DeviceKind, ExperimentScale, build_device, measure_cell
+from repro.experiments.common import DeviceKind, ExperimentScale, build_device
 from repro.experiments.scenarios import (
     ScenarioSpec,
     all_scenarios,
@@ -37,7 +37,6 @@ __all__ = [
     "DeviceKind",
     "ExperimentScale",
     "build_device",
-    "measure_cell",
     "ScenarioSpec",
     "scenario",
     "register",

@@ -1,10 +1,11 @@
 """Shared infrastructure for the paper-reproduction experiments.
 
-Every experiment builds its devices through :class:`ExperimentScale`, which
-fixes the (scaled) capacities and keeps the paper's 1:2 SSD:ESSD capacity
-ratio, and measures workloads with :func:`measure_cell` -- one FIO-style job
-with a bounded I/O count, so experiment cost stays predictable regardless of
-how fast a configuration happens to be.
+Every experiment builds its devices with :func:`build_device` at an
+:class:`ExperimentScale`, which fixes the (scaled) capacities and keeps the
+paper's 1:2 SSD:ESSD capacity ratio.  The workloads themselves run as sweep
+cells (:func:`repro.experiments.sweep.run_cell`) with bounded I/O counts, so
+experiment cost stays predictable regardless of how fast a configuration
+happens to be.
 
 Device construction goes through the :mod:`repro.devices` registry;
 :class:`DeviceKind` remains as the typed enumeration of the paper's Table I
@@ -20,7 +21,6 @@ from typing import Optional
 from repro.devices import create_device
 from repro.host.io import GiB, MiB
 from repro.sim import Simulator
-from repro.workload.fio import FioJob, JobResult, run_job  # noqa: F401 (re-export)
 
 
 class DeviceKind(enum.Enum):
@@ -75,30 +75,6 @@ def build_device(sim: Simulator, kind: "DeviceKind | str",
     return create_device(sim, device_name,
                          capacity_bytes=scale.capacity_of(device_name),
                          name=name, **(device_params or {}))
-
-
-def measure_cell(kind: "DeviceKind | str", job: FioJob,
-                 scale: Optional[ExperimentScale] = None,
-                 preload: bool = True, return_device: bool = False,
-                 trace: bool = False,
-                 device_params: Optional[dict] = None):
-    """Run one (device, job) cell on a fresh simulator and return its result.
-
-    With ``return_device=True`` the ``(result, device)`` pair is returned so
-    callers can read device statistics (write amplification, flow-limit
-    state) after the run.  With ``trace=True`` a request-path
-    :class:`~repro.sim.trace.Tracer` is attached to the device (reachable as
-    ``device.tracer`` afterwards).
-    """
-    sim = Simulator()
-    device = build_device(sim, kind, scale, device_params=device_params)
-    if trace:
-        from repro.sim import Tracer
-        device.set_tracer(Tracer(sim))
-    if preload:
-        device.preload()
-    result = run_job(sim, device, job)
-    return (result, device) if return_device else result
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

@@ -41,7 +41,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.experiments.sweep import CellSpec, derive_seed, expand_grid
+from repro.determinism import derive_seed
+from repro.experiments.sweep import CellSpec, expand_grid
 from repro.host.io import KiB, MiB
 
 #: CellSpec field names a grid axis may target directly.

@@ -7,11 +7,13 @@ into measurements:
    and yields the cartesian product as a deterministic list of dicts (axes
    sorted by name, values in the given order).
 2. **Cell execution** -- every grid point becomes one :class:`CellSpec`
-   (device x job parameters).  :func:`run_cell` builds a fresh simulator and
-   device, runs the FIO-style job, and returns a plain-``dict`` metrics
-   payload (latency summary, throughput, optional throughput-over-time
-   series).  Cells are fully independent, so they can run in worker
-   processes.
+   (device x job parameters).  :func:`run_cell` builds a fresh simulator
+   and, for a device cell, the devices it names (fault-injected when the
+   cell has ``faults``), runs its workload -- one FIO-style job, concurrent
+   streams, or an open-loop trace replay -- and returns a plain-``dict``
+   metrics payload (latency summary, throughput, plus each workload kind's
+   own metrics).  Fleet cells run through the cluster layer instead.
+   Cells are fully independent, so they can run in worker processes.
 3. **Caching** -- results are cached as one JSON file per cell under
    ``<cache_dir>/<scenario>/<hash>.json``.  The hash is a SHA-256 over the
    canonical JSON of the cell spec plus :data:`CACHE_VERSION`; bump the
@@ -41,11 +43,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
-# Re-exported for backwards compatibility: the canonical-hash / seed
-# helpers now live in repro.determinism so lower layers (cluster) share
-# exactly one derivation scheme.
-from repro.determinism import canonical_json, derive_seed, spec_hash  # noqa: F401
-from repro.determinism import write_atomic
+from repro.determinism import canonical_json, derive_seed, spec_hash, write_atomic
 
 #: Manual override for cache invalidation.  Rarely needed now: cache keys
 #: also include a fingerprint of the device-model source files (see
@@ -53,11 +51,6 @@ from repro.determinism import write_atomic
 #: Version 3: per-stream seeds are hash-derived (no additive collisions),
 #: which changes multi-stream cell results.
 CACHE_VERSION = 3
-
-#: Default cache directory (overridable per-runner or via the environment).
-#: Snapshotted at import time; prefer :func:`default_cache_dir` so late
-#: changes to ``$REPRO_SWEEP_CACHE`` are honored consistently.
-DEFAULT_CACHE_DIR = os.environ.get("REPRO_SWEEP_CACHE", ".sweep-cache")
 
 
 def default_cache_dir() -> str:
@@ -169,10 +162,11 @@ class CellSpec:
     #: (``{"events": [...], "policy": {...}}``, see
     #: :func:`repro.cluster.faults.parse_fault_spec`).  Fleet cells merge it
     #: into the topology (overriding any schedule the fleet JSON carries);
-    #: device cells wrap their devices in
-    #: :class:`~repro.cluster.faults.FaultInjector` proxies with exact-time
-    #: flips.  Part of the cache key -- a different fault schedule is a
-    #: different experiment.
+    #: device cells wrap each device in a
+    #: :class:`~repro.cluster.faults.FaultInjector` proxy with exact-time
+    #: flips and report their workload kind's metrics plus ``shed_ios`` and
+    #: ``shed_bytes``.  Part of the cache key -- a different fault schedule
+    #: is a different experiment.
     faults: Optional[str] = None
     #: Fleet execution knobs as the sorted non-default pairs of a
     #: :class:`repro.cluster.FleetRunConfig` (``run:`` block in documents,
@@ -256,17 +250,11 @@ _JOB_FIELDS = ("pattern", "io_size", "queue_depth", "write_ratio", "io_count",
                "pattern_params", "seed")
 
 
-def _job_from_cell(cell: CellSpec, name: str, overrides: Mapping[str, Any],
-                   index: int):
-    """Build one stream's FioJob: cell fields as defaults, overrides on top."""
+def _job_from_cell(cell: CellSpec, name: str, overrides: Mapping[str, Any]):
+    """Build one FioJob: cell fields as defaults, overrides on top."""
     from repro.workload.fio import FioJob
 
     fields = {field_name: getattr(cell, field_name) for field_name in _JOB_FIELDS}
-    # Unless a stream pins its own seed, derive one per stream so concurrent
-    # streams never share an RNG sequence.  Hash-derived (not additive):
-    # ``seed + k*index`` schemes collide across cells whose base seeds
-    # differ by a multiple of k.
-    fields["seed"] = derive_seed(cell.seed, {"stream": name, "index": index})
     for key, value in overrides.items():
         if key == "pattern_params":
             value = tuple(tuple(pair) for pair in value)
@@ -274,98 +262,26 @@ def _job_from_cell(cell: CellSpec, name: str, overrides: Mapping[str, Any],
     return FioJob(name=name, **fields)
 
 
-def _run_stream_cell(cell: CellSpec) -> dict[str, Any]:
-    """Execute a multi-stream cell: all streams share one simulation.
-
-    Faulted single-device cells also route here (a faulted single-job cell
-    is just a one-stream cell): every device is wrapped in a
-    :class:`~repro.cluster.faults.FaultInjector` proxy and the schedule's
-    offline/online flips run at their exact requested times.
-    """
-    from repro.devices import create_device
-    from repro.experiments.common import ExperimentScale
-    from repro.metrics.latency import LatencyRecorder
-    from repro.sim import Simulator, Tracer
-    from repro.workload.fio import run_streams
-
-    sim = Simulator()
-    scale = ExperimentScale(ssd_capacity_bytes=cell.ssd_capacity_bytes,
-                            essd_capacity_bytes=cell.essd_capacity_bytes)
-    tracer = Tracer(sim) if cell.trace else None
-    fault_events = fault_policy = None
-    if cell.faults is not None:
-        from repro.cluster.faults import parse_fault_spec
-        fault_events, fault_policy = parse_fault_spec(cell.faults)
-    proxies = []
-    devices: dict[str, Any] = {}
-    streams = []
-    # A faulted single-job cell is just a one-stream cell.
-    stream_specs = cell.stream_specs() or [("job", {})]
-    for index, (name, overrides) in enumerate(stream_specs):
-        device_name = overrides.pop("device", cell.device)
-        device = devices.get(device_name)
-        if device is None:
-            device = create_device(sim, device_name,
-                                   capacity_bytes=scale.capacity_of(device_name),
-                                   **dict(cell.device_params))
-            if cell.preload:
-                device.preload()
-            if tracer is not None:
-                device.set_tracer(tracer)
-            if fault_events is not None:
-                from repro.cluster.faults import schedule_cell_faults
-                device = schedule_cell_faults(sim, [device], fault_events,
-                                              fault_policy)[0]
-                proxies.append(device)
-            devices[device_name] = device
-        streams.append((device, _job_from_cell(cell, name, overrides, index),
-                        device_name))
-    results = run_streams(sim, [(device, job) for device, job, _ in streams])
-
-    started = min(result.started_us for result in results)
-    finished = max(result.finished_us for result in results)
-    duration = finished - started
-    combined = LatencyRecorder()
-    for result in results:
-        combined = combined.merge(result.latency)
-    summary = combined.summary()
-    total_read = sum(result.bytes_read for result in results)
-    total_written = sum(result.bytes_written for result in results)
-    total_ios = sum(result.ios_completed for result in results)
-    metrics: dict[str, Any] = {
-        "ios_completed": total_ios,
-        "bytes_read": total_read,
-        "bytes_written": total_written,
-        "duration_us": duration,
-        "throughput_gbps": (total_read + total_written) / duration / 1000.0
-        if duration > 0 else 0.0,
-        "iops": total_ios / duration * 1e6 if duration > 0 else 0.0,
+def _headline(ios: int, bytes_read: int, bytes_written: int,
+              duration_us: float, latency) -> dict[str, Any]:
+    """The metrics every device cell reports: totals, rates over
+    ``duration_us`` and the latency summary of ``latency`` (a
+    :class:`~repro.metrics.latency.LatencyRecorder`)."""
+    summary = latency.summary()
+    return {
+        "ios_completed": ios,
+        "bytes_read": bytes_read,
+        "bytes_written": bytes_written,
+        "duration_us": duration_us,
+        "throughput_gbps": (bytes_read + bytes_written) / duration_us / 1000.0
+        if duration_us > 0 else 0.0,
+        "iops": ios / duration_us * 1e6 if duration_us > 0 else 0.0,
         "mean_us": summary.mean_us,
         "p50_us": summary.p50_us,
         "p99_us": summary.p99_us,
         "p999_us": summary.p999_us,
         "max_us": summary.max_us,
-        "streams": {},
     }
-    for (_device, job, device_name), result in zip(streams, results):
-        stream_summary = result.latency.summary()
-        metrics["streams"][job.name] = {
-            "device": device_name,
-            "pattern": job.pattern,
-            "queue_depth": job.queue_depth,
-            "ios_completed": result.ios_completed,
-            "throughput_gbps": result.throughput_gbps,
-            "iops": result.iops,
-            "mean_us": stream_summary.mean_us,
-            "p99_us": stream_summary.p99_us,
-            "p999_us": stream_summary.p999_us,
-        }
-    if proxies:
-        metrics["shed_ios"] = sum(proxy.shed_ios for proxy in proxies)
-        metrics["shed_bytes"] = sum(proxy.shed_bytes for proxy in proxies)
-    if tracer is not None:
-        metrics["trace"] = tracer.to_payload()
-    return metrics
 
 
 def fleet_cell_metrics(payload: Mapping[str, Any]) -> dict[str, Any]:
@@ -411,137 +327,147 @@ def _run_fleet_cell(cell: CellSpec) -> dict[str, Any]:
     return fleet_cell_metrics(payload)
 
 
-def _run_trace_cell(cell: CellSpec) -> dict[str, Any]:
-    """Execute a ``trace-<family>`` cell: open-loop replay of a synthetic
-    arrival process (bursty/diurnal/uniform) against the cell's device."""
-    from repro.experiments.common import ExperimentScale, build_device
-    from repro.sim import Simulator, Tracer
-    from repro.workload.trace import replay_trace, synthesize_trace
-
-    family = cell.pattern[len("trace-"):]
-    sim = Simulator()
-    scale = ExperimentScale(ssd_capacity_bytes=cell.ssd_capacity_bytes,
-                            essd_capacity_bytes=cell.essd_capacity_bytes)
-    device = build_device(sim, cell.device, scale,
-                          device_params=dict(cell.device_params))
-    if cell.preload:
-        device.preload()
-    tracer = Tracer(sim) if cell.trace else None
-    if tracer is not None:
-        device.set_tracer(tracer)
-    if cell.faults is not None:
-        from repro.cluster.faults import parse_fault_spec, schedule_cell_faults
-
-        events, policy = parse_fault_spec(cell.faults)
-        device = schedule_cell_faults(sim, [device], events, policy)[0]
-    params = dict(cell.pattern_params)
-    params.setdefault("duration_us", cell.runtime_us or 100_000.0)
-    params.setdefault("io_size", cell.io_size)
-    if cell.write_ratio is not None:
-        params.setdefault("write_ratio", cell.write_ratio)
-    params.setdefault("region_bytes", device.capacity_bytes)
-    trace = synthesize_trace(family, seed=cell.seed, **params)
-    result = replay_trace(sim, device, trace)
-    summary = result.latency.summary()
-    duration = result.timeline.duration_us
-    metrics = {
-        "ios_completed": result.ios_completed,
-        "bytes_read": trace.read_bytes(),
-        "bytes_written": trace.write_bytes(),
-        "duration_us": duration,
-        "throughput_gbps": result.timeline.average_gbps(),
-        "iops": result.ios_completed / duration * 1e6 if duration > 0 else 0.0,
-        "mean_us": summary.mean_us,
-        "p50_us": summary.p50_us,
-        "p99_us": summary.p99_us,
-        "p999_us": summary.p999_us,
-        "max_us": summary.max_us,
-        "unfinished": result.unfinished,
-        "offered_mean_gbps": trace.mean_load_gbps(),
-        "offered_peak_gbps": trace.peak_load_gbps(),
-    }
-    if cell.faults is not None:
-        metrics["shed_ios"] = device.shed_ios
-        metrics["shed_bytes"] = device.shed_bytes
-    if tracer is not None:
-        metrics["trace"] = tracer.to_payload()
-    return metrics
-
-
 def run_cell(cell: CellSpec) -> dict[str, Any]:
     """Execute one cell on a fresh simulator and return its metrics dict.
+
+    Fleet cells run through the cluster layer.  Every other cell is a
+    device cell: each device it names is built once (at the cell's scale,
+    preloaded, traced, and wrapped in a
+    :class:`~repro.cluster.faults.FaultInjector` when the cell has
+    ``faults``), then one workload runs on them -- an open-loop replay for
+    a ``trace-<family>`` pattern, else the cell's concurrent ``streams``,
+    else one FIO job.
 
     Top-level (picklable) so it can run inside a worker process.  The imports
     are local so that importing :mod:`repro.experiments.sweep` does not pull
     the whole device stack into processes that only expand grids.
     """
-    from repro.experiments.common import ExperimentScale, measure_cell
-    from repro.workload.fio import FioJob
+    from repro.experiments.common import ExperimentScale, build_device
+    from repro.metrics.latency import LatencyRecorder
+    from repro.sim import Simulator, Tracer
+    from repro.workload.fio import run_job, run_streams
 
     if cell.fleet is not None:
         return _run_fleet_cell(cell)
-    if cell.pattern.startswith("trace-"):
-        return _run_trace_cell(cell)
-    if cell.streams or cell.faults is not None:
-        # Faulted single-job cells route through the stream runner, which
-        # knows how to wrap devices in FaultInjector proxies.
-        return _run_stream_cell(cell)
 
+    sim = Simulator()
     scale = ExperimentScale(ssd_capacity_bytes=cell.ssd_capacity_bytes,
                             essd_capacity_bytes=cell.essd_capacity_bytes)
-    job = FioJob(
-        name=f"sweep-{cell.device}-{cell.pattern}",
-        pattern=cell.pattern,
-        io_size=cell.io_size,
-        queue_depth=cell.queue_depth,
-        write_ratio=cell.write_ratio,
-        io_count=cell.io_count,
-        total_bytes=cell.total_bytes,
-        runtime_us=cell.runtime_us,
-        ramp_ios=cell.ramp_ios,
-        think_time_us=cell.think_time_us,
-        pattern_params=cell.pattern_params,
-        seed=cell.seed,
-    )
-    result, device = measure_cell(cell.device, job, scale, preload=cell.preload,
-                                  return_device=True, trace=cell.trace,
-                                  device_params=dict(cell.device_params))
-    summary = result.latency.summary()
-    metrics: dict[str, Any] = {
-        "ios_completed": result.ios_completed,
-        "bytes_read": result.bytes_read,
-        "bytes_written": result.bytes_written,
-        "duration_us": result.duration_us,
-        "throughput_gbps": result.throughput_gbps,
-        "read_throughput_gbps": result.read_throughput_gbps,
-        "write_throughput_gbps": result.write_throughput_gbps,
-        "iops": result.iops,
-        "mean_us": summary.mean_us,
-        "p50_us": summary.p50_us,
-        "p99_us": summary.p99_us,
-        "p999_us": summary.p999_us,
-        "max_us": summary.max_us,
-    }
-    if cell.series_bin_us is not None:
-        # The requested width is an upper bound: the bin also shrinks so the
-        # run spans >= 24 bins, otherwise short (test-scale) runs could not
-        # locate throughput transitions like the GC cliff.
-        bin_us = cell.series_bin_us
-        if bin_us == "auto":
-            bin_us = max(1000.0, result.duration_us / 24)
-        else:
-            bin_us = max(1000.0, min(float(bin_us), result.duration_us / 24))
-        samples = result.timeline.binned(float(bin_us))
-        metrics["series"] = [
-            [sample.bytes_completed, sample.gigabytes_per_second]
-            for sample in samples
-        ]
-        metrics["series_bin_us"] = float(bin_us)
-    for attr in ("write_amplification", "flow_limited"):
-        if hasattr(device, attr):
-            metrics[attr] = getattr(device, attr)
-    if device.tracer is not None:
-        metrics["trace"] = device.tracer.to_payload()
+    tracer = Tracer(sim) if cell.trace else None
+    faults = None
+    if cell.faults is not None:
+        from repro.cluster.faults import parse_fault_spec, schedule_cell_faults
+
+        faults = parse_fault_spec(cell.faults)
+    models: dict[str, Any] = {}   # device name -> the device model itself
+    devices: dict[str, Any] = {}  # device name -> what the workload submits to
+
+    def device_for(name: str):
+        if name not in devices:
+            model = build_device(sim, name, scale,
+                                 device_params=dict(cell.device_params))
+            if cell.preload:
+                model.preload()
+            if tracer is not None:
+                model.set_tracer(tracer)
+            models[name] = model
+            devices[name] = model if faults is None \
+                else schedule_cell_faults(sim, model, *faults)
+        return devices[name]
+
+    if cell.pattern.startswith("trace-"):
+        from repro.workload.trace import replay_trace, synthesize_trace
+
+        device = device_for(cell.device)
+        params = dict(cell.pattern_params)
+        params.setdefault("duration_us", cell.runtime_us or 100_000.0)
+        params.setdefault("io_size", cell.io_size)
+        if cell.write_ratio is not None:
+            params.setdefault("write_ratio", cell.write_ratio)
+        params.setdefault("region_bytes", device.capacity_bytes)
+        trace = synthesize_trace(cell.pattern[len("trace-"):], seed=cell.seed,
+                                 **params)
+        replay = replay_trace(sim, device, trace)
+        # Trace cells measure over the completion span.
+        metrics = _headline(replay.ios_completed, trace.read_bytes(),
+                            trace.write_bytes(), replay.timeline.duration_us,
+                            replay.latency)
+        metrics["throughput_gbps"] = replay.timeline.average_gbps()
+        metrics["unfinished"] = replay.unfinished
+        metrics["offered_mean_gbps"] = trace.mean_load_gbps()
+        metrics["offered_peak_gbps"] = trace.peak_load_gbps()
+    elif cell.streams:
+        streams = []
+        for index, (name, overrides) in enumerate(cell.stream_specs()):
+            device_name = overrides.pop("device", cell.device)
+            # Unless a stream pins its own seed, derive one per stream so
+            # concurrent streams never share an RNG sequence.  Hash-derived
+            # (not additive): ``seed + k*index`` schemes collide across
+            # cells whose base seeds differ by a multiple of k.
+            seed = derive_seed(cell.seed, {"stream": name, "index": index})
+            streams.append((device_name, _job_from_cell(
+                cell, name, {"seed": seed, **overrides})))
+        results = run_streams(sim, [(device_for(device_name), job)
+                                    for device_name, job in streams])
+        latency = LatencyRecorder()
+        for result in results:
+            latency = latency.merge(result.latency)
+        metrics = _headline(
+            sum(result.ios_completed for result in results),
+            sum(result.bytes_read for result in results),
+            sum(result.bytes_written for result in results),
+            max(result.finished_us for result in results)
+            - min(result.started_us for result in results),
+            latency)
+        metrics["streams"] = {}
+        for (device_name, job), result in zip(streams, results):
+            summary = result.latency.summary()
+            metrics["streams"][job.name] = {
+                "device": device_name,
+                "pattern": job.pattern,
+                "queue_depth": job.queue_depth,
+                "ios_completed": result.ios_completed,
+                "throughput_gbps": result.throughput_gbps,
+                "iops": result.iops,
+                "mean_us": summary.mean_us,
+                "p99_us": summary.p99_us,
+                "p999_us": summary.p999_us,
+            }
+    else:
+        # run_job returns at the workers' join, where the device statistics
+        # below describe the job's own I/O.
+        result = run_job(sim, device_for(cell.device), _job_from_cell(
+            cell, f"sweep-{cell.device}-{cell.pattern}", {}))
+        metrics = _headline(result.ios_completed, result.bytes_read,
+                            result.bytes_written, result.duration_us,
+                            result.latency)
+        metrics["read_throughput_gbps"] = result.read_throughput_gbps
+        metrics["write_throughput_gbps"] = result.write_throughput_gbps
+        if cell.series_bin_us is not None:
+            # The requested width is an upper bound: the bin also shrinks so
+            # the run spans >= 24 bins, otherwise short (test-scale) runs
+            # could not locate throughput transitions like the GC cliff.
+            bin_us = cell.series_bin_us
+            if bin_us == "auto":
+                bin_us = max(1000.0, result.duration_us / 24)
+            else:
+                bin_us = max(1000.0, min(float(bin_us), result.duration_us / 24))
+            metrics["series"] = [
+                [sample.bytes_completed, sample.gigabytes_per_second]
+                for sample in result.timeline.binned(float(bin_us))
+            ]
+            metrics["series_bin_us"] = float(bin_us)
+        # The FaultInjector proxy does not forward model statistics.
+        model = models[cell.device]
+        for attr in ("write_amplification", "flow_limited"):
+            if hasattr(model, attr):
+                metrics[attr] = getattr(model, attr)
+    if faults is not None:
+        metrics["shed_ios"] = sum(proxy.shed_ios for proxy in devices.values())
+        metrics["shed_bytes"] = sum(proxy.shed_bytes
+                                    for proxy in devices.values())
+    if tracer is not None:
+        metrics["trace"] = tracer.to_payload()
     return metrics
 
 

@@ -7,7 +7,7 @@ runner with a configurable queue depth (:func:`run_job`), and open-loop trace
 replay for burst-sensitive experiments (Implication 4).
 """
 
-from repro.workload.fio import FioJob, JobResult, run_job, run_jobs, run_streams
+from repro.workload.fio import FioJob, JobResult, run_job, run_streams
 from repro.workload.patterns import (
     AccessPattern,
     MixedPattern,
@@ -29,7 +29,6 @@ __all__ = [
     "FioJob",
     "JobResult",
     "run_job",
-    "run_jobs",
     "run_streams",
     "AccessPattern",
     "RandomPattern",

@@ -276,7 +276,3 @@ def run_streams(sim: "Simulator",
             result.finished_us = sim.now
     return results
 
-
-def run_jobs(sim: "Simulator", device: "Device", jobs: list[FioJob]) -> list[JobResult]:
-    """Run several jobs concurrently against one device and wait for all."""
-    return run_streams(sim, [(device, job) for job in jobs])

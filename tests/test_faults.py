@@ -225,8 +225,8 @@ def test_injector_admission_cap_survives_a_rejected_request():
 def test_schedule_cell_faults_flips_at_exact_times():
     sim = Simulator()
     device = _loop_device(sim)
-    [proxy] = schedule_cell_faults(
-        sim, [device],
+    proxy = schedule_cell_faults(
+        sim, device,
         [fault("fail", "cell", at_us=50.0, repair_after_us=100.0)],
         FaultPolicy(shed_penalty_us=5.0))
     results = []

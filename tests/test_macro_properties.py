@@ -24,7 +24,7 @@ from repro.cluster import (
     tenant,
 )
 from repro.cluster.macro import calibrate_workload
-from repro.experiments.sweep import derive_seed
+from repro.determinism import derive_seed
 
 MINI_CAPACITY = 1 << 24
 

@@ -342,6 +342,44 @@ def test_inflow_counts_do_not_depend_on_a_sink_groups_mode():
     assert flips >= 19
 
 
+#: The fields of a degraded window that the fault schedule fixes.  Its end
+#: and rebuild volume also depend on what the group absorbed, which a macro
+#: group only approximates.
+WINDOW_KEYS = ("kind", "group", "device", "index", "start_us", "repair_us",
+               "spare")
+
+
+def fault_windows(payload: dict) -> list:
+    return [tuple(window[key] for key in WINDOW_KEYS)
+            for window in payload["faults"]["events"]]
+
+
+def test_fault_windows_do_not_depend_on_a_faulted_groups_mode():
+    """Switching a faulted group to macro keeps every degraded window of
+    the all-discrete run, for both fault kinds: a drained macro device
+    records its window just as a failed one does."""
+    from repro.experiments.scenarios import all_scenarios
+    from repro.experiments.sweep import quick_cells
+
+    flips = 0
+    for spec in all_scenarios():
+        if "fleet" not in spec.tags:
+            continue
+        for index, cell in enumerate(quick_cells(spec.cells())):
+            if cell.fleet is None:  # a multi-stream cell, not a topology
+                continue
+            topology = FleetTopology.from_json(cell.fleet)
+            if topology.has_macro or not topology.faults:
+                continue
+            reference = fault_windows(run_fleet_serial(topology))
+            for name in sorted({event.group for event in topology.faults}):
+                payload = run_fleet_serial(topology.with_macro(name))
+                assert fault_windows(payload) == reference, \
+                    (spec.name, index, name)
+                flips += 1
+    assert flips >= 10
+
+
 # ---------------------------------------------------------------------------
 # CLI override
 # ---------------------------------------------------------------------------

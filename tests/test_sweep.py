@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +261,51 @@ def test_single_job_cell_runs_on_any_registered_device(trace):
     assert ("trace" in metrics) == trace
 
 
+#: One small device cell of each workload kind.
+DEVICE_CELL_KINDS = {
+    "ssd-job-series": CellSpec(device="SSD", pattern="randread", io_count=40,
+                               series_bin_us="auto",
+                               ssd_capacity_bytes=64 * MiB),
+    "essd-job": CellSpec(device="ESSD-2", pattern="randwrite",
+                         io_size=64 * KiB, io_count=30, preload=False,
+                         essd_capacity_bytes=96 * MiB),
+    "ssd-streams": CellSpec(
+        device="SSD", io_count=20, ssd_capacity_bytes=64 * MiB,
+        streams=(("reader", (("pattern", "randread"),)),
+                 ("writer", (("pattern", "randwrite"), ("queue_depth", 4))))),
+    "loop-trace": CellSpec(device="LOOP", pattern="trace-uniform",
+                           io_size=8192,
+                           pattern_params=(("duration_us", 5_000.0),
+                                           ("load_gbps", 0.5)),
+                           preload=False, seed=3),
+}
+
+
+def _drain_spec(at_us: float, repair_after_us=None) -> str:
+    from repro.cluster import FaultPolicy, fault
+    from repro.cluster.faults import canonical_fault_spec
+
+    return canonical_fault_spec(
+        [fault("drain", "cell", at_us=at_us, repair_after_us=repair_after_us)],
+        FaultPolicy())
+
+
+@pytest.mark.parametrize("kind", sorted(DEVICE_CELL_KINDS))
+def test_faulted_device_cell_reports_its_kinds_metrics_plus_shed_counts(kind):
+    """A fault schedule adds ``shed_ios``/``shed_bytes`` to a device cell of
+    every workload kind and, until it fires, changes no other metric (a
+    faulted single job keeps its series, per-direction throughputs, device
+    statistics and seed); once it fires the cell sheds I/Os."""
+    cell = DEVICE_CELL_KINDS[kind]
+    metrics = run_cell(cell)
+    never = run_cell(replace(cell, faults=_drain_spec(1e12)))
+    assert never.pop("shed_ios") == 0 and never.pop("shed_bytes") == 0
+    assert never == metrics
+    outage = run_cell(replace(cell, faults=_drain_spec(
+        0.0, repair_after_us=200.0)))
+    assert outage["shed_ios"] > 0
+
+
 def test_trace_csv_roundtrip_through_the_family_entry_point(tmp_path):
     from repro.workload.trace import Trace, synthesize_trace
 
@@ -447,8 +493,10 @@ def test_cli_run_parallel_with_cache_and_diff(tmp_path, capsys):
                      "--cache-dir", cache, "--out", out_b]) == 0
     second = capsys.readouterr().out
     assert f"{len(TINY_SWEEP.cells())} cached" in second
-    metrics_a = [entry["metrics"] for entry in json.loads(open(out_a).read())["cells"]]
-    metrics_b = [entry["metrics"] for entry in json.loads(open(out_b).read())["cells"]]
+    metrics_a = [entry["metrics"]
+                 for entry in json.loads(Path(out_a).read_text())["cells"]]
+    metrics_b = [entry["metrics"]
+                 for entry in json.loads(Path(out_b).read_text())["cells"]]
     assert metrics_a == metrics_b
     assert cli_main(["diff", out_a, out_b]) == 0
     assert "0 cells changed" in capsys.readouterr().out

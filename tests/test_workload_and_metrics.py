@@ -33,7 +33,7 @@ from repro.workload import (
     synthesize_diurnal_trace,
     synthesize_uniform_trace,
 )
-from repro.workload.fio import run_jobs
+from repro.workload.fio import run_streams
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_run_jobs_concurrent_mix():
     device.preload()
     jobs = [FioJob(name="r", pattern="randread", io_size=4 * KiB, queue_depth=2, io_count=50),
             FioJob(name="w", pattern="randwrite", io_size=4 * KiB, queue_depth=2, io_count=50)]
-    results = run_jobs(sim, device, jobs)
+    results = run_streams(sim, [(device, job) for job in jobs])
     assert results[0].bytes_read == 50 * 4 * KiB
     assert results[1].bytes_written == 50 * 4 * KiB
 
