@@ -104,10 +104,10 @@ What carries over exactly, what is approximate:
   ``tests/test_macro_validation.py`` enforces the declared tolerance
   bands per family.
 
-Calibration runs cache in-process and, when ``$REPRO_MACRO_CACHE`` is
-set, on disk -- keyed by the model fingerprint like the sweep cache, so
-editing any model source invalidates them.  Any topology can be re-run
-with groups flipped to macro (or back) from the CLI::
+Each calibration runs once per process (an in-process memo); the sweep
+cache holds whole fleet cells, so a cached cell never calibrates.  Any
+topology can be re-run with groups flipped to macro (or back) from the
+CLI::
 
     python -m repro.experiments fleet fleet-smoke --macro web,cache
     python -m repro.experiments fleet fleet-smoke --macro db=discrete

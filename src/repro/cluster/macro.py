@@ -14,10 +14,10 @@ workload shape) pair, :func:`calibrate_workload` runs the real discrete
 exact queue depth (I/O count capped), plus a queue-depth-1 probe -- and
 records the observed completion rate, the latency quantile sketch, and an
 effective parallelism ``c_eff = rate * s1`` (the M/G/k-style service
-knob).  Calibrations are cached like sweep results: an in-process memo
-plus an optional on-disk JSON cache (``$REPRO_MACRO_CACHE``) keyed on the
-workload signature and the model fingerprint, so any device-model edit
-invalidates them automatically.
+knob).  An in-process memo keyed on the probe's inputs (device, params,
+capacity, preload, workload and seed) computes each calibration once per
+process; a fleet cell's whole result is cached by the sweep cache, so a
+cached cell never calibrates at all.
 
 Runtime semantics (all **epoch-barrier quantized**, exactly like replica
 deliveries and fault flips in the discrete path):
@@ -46,11 +46,8 @@ fleets.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
@@ -64,7 +61,7 @@ from repro.cluster.faults import (
     repair_epoch,
 )
 from repro.cluster.topology import DeviceGroup, FleetTopology
-from repro.determinism import derive_seed, spec_hash, write_atomic
+from repro.determinism import derive_seed, spec_hash
 
 __all__ = [
     "MacroCalibration",
@@ -90,10 +87,6 @@ LATENCY_SAMPLE_CAP = 512
 REPLICA_SAMPLE_CAP = 256
 #: Cap on timeline entries per payload (byte totals stay exact).
 TIMELINE_CAP = 512
-#: Bump to invalidate every cached calibration.
-CALIBRATION_VERSION = 1
-#: Environment variable naming the on-disk calibration cache directory.
-MACRO_CACHE_ENV = "REPRO_MACRO_CACHE"
 #: Safety bound on macro windows stepped in one ``advance_to`` call.
 MAX_MACRO_EPOCHS = 10_000_000
 
@@ -104,10 +97,9 @@ _RHO_CAP = 0.8
 
 @dataclass(frozen=True)
 class MacroCalibration:
-    """What one discrete calibration run measured (JSON round-trippable)."""
+    """What one discrete calibration run measured."""
 
     io_size: int
-    queue_depth: int
     #: Recorded (post-ramp) I/Os and the read share of them.
     ios_recorded: int
     read_ios: int
@@ -115,7 +107,6 @@ class MacroCalibration:
     #: queue depth (ramp time included in the denominator, exactly like
     #: the discrete job's duration).
     rate_per_us: float
-    mean_us: float
     #: Queue-depth-1 mean response (the service-time floor).
     s1_us: float
     #: Effective parallelism ``rate * s1`` clamped to [1, queue_depth]:
@@ -126,7 +117,6 @@ class MacroCalibration:
     quantiles: tuple
     #: Latency quantiles of the queue-depth-1 probe (open-loop base).
     base_quantiles: tuple
-    duration_us: float
 
     @property
     def read_fraction(self) -> float:
@@ -152,31 +142,9 @@ class MacroCalibration:
         grid = np.linspace(0.0, 100.0, len(table))
         return np.interp(probs, grid, table) * scale
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "io_size": self.io_size,
-            "queue_depth": self.queue_depth,
-            "ios_recorded": self.ios_recorded,
-            "read_ios": self.read_ios,
-            "rate_per_us": self.rate_per_us,
-            "mean_us": self.mean_us,
-            "s1_us": self.s1_us,
-            "c_eff": self.c_eff,
-            "quantiles": list(self.quantiles),
-            "base_quantiles": list(self.base_quantiles),
-            "duration_us": self.duration_us,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "MacroCalibration":
-        data = dict(payload)
-        data["quantiles"] = tuple(data["quantiles"])
-        data["base_quantiles"] = tuple(data["base_quantiles"])
-        return cls(**data)
-
 
 # ---------------------------------------------------------------------------
-# Calibration (cached like the sweep cache)
+# Calibration (memoized in-process)
 # ---------------------------------------------------------------------------
 
 _CAL_MEMO: dict[str, MacroCalibration] = {}
@@ -187,19 +155,14 @@ def clear_calibration_memo() -> None:
     _CAL_MEMO.clear()
 
 
-def _calibration_key(group: DeviceGroup, capacity_bytes: int,
-                     workload: Mapping[str, Any], seed: int) -> str:
-    # Local import: sweep imports cluster lazily, so the reverse edge must
-    # be lazy too (the fingerprint hashes cluster/ source, including this
-    # file -- any macro-model edit invalidates cached calibrations).
-    from repro.experiments.sweep import model_fingerprint
-
+def _calibration_key(group: DeviceGroup, workload: Mapping[str, Any],
+                     seed: int) -> str:
+    # The probe's inputs only: the memo lives for one process, and the
+    # model source cannot change inside one.
     return spec_hash({
-        "version": CALIBRATION_VERSION,
-        "models": model_fingerprint(),
         "device": group.device,
         "device_params": [list(pair) for pair in group.device_params],
-        "capacity_bytes": capacity_bytes,
+        "capacity_bytes": group.device_capacity,
         "preload": group.preload,
         "workload": dict(workload),
         "seed": seed,
@@ -244,68 +207,46 @@ def _proxy_job_fields(workload: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _run_probe(group: DeviceGroup, capacity_bytes: int,
-               job_fields: Mapping[str, Any], seed: int):
-    from repro.devices import create_device
+def _run_probe(group: DeviceGroup, job_fields: Mapping[str, Any], seed: int):
     from repro.sim import Simulator
     from repro.workload.fio import FioJob, run_job
 
     sim = Simulator()
-    device = create_device(sim, group.device, capacity_bytes=capacity_bytes,
-                           name=f"macro-cal-{group.device}",
-                           **dict(group.device_params))
-    if group.preload:
-        device.preload()
-    job = FioJob(name="macro-cal", seed=seed, **job_fields)
-    return run_job(sim, device, job)
+    device = group.build(sim, f"macro-cal-{group.device}")
+    return run_job(sim, device, FioJob(name="macro-cal", seed=seed,
+                                       **job_fields))
 
 
-def calibrate_workload(group: DeviceGroup, capacity_bytes: int,
-                       workload: Mapping[str, Any], seed: int,
-                       ) -> MacroCalibration:
+def calibrate_workload(group: DeviceGroup, workload: Mapping[str, Any],
+                       seed: int) -> MacroCalibration:
     """Measure the discrete device once and return the macro parameters.
 
     The calibration seed derives from logical identities only (never the
     shard layout), so every shard -- and every layout -- computes the
-    identical calibration; the memo/disk cache is purely an optimisation.
+    identical calibration; the memo is purely an optimisation.
     """
-    key = _calibration_key(group, capacity_bytes, workload, seed)
+    key = _calibration_key(group, workload, seed)
     cached = _CAL_MEMO.get(key)
     if cached is not None:
         return cached
-    cache_dir = os.environ.get(MACRO_CACHE_ENV)
-    cache_path = Path(cache_dir) / f"{key}.json" if cache_dir else None
-    if cache_path is not None and cache_path.is_file():
-        try:
-            cal = MacroCalibration.from_payload(
-                json.loads(cache_path.read_text()))
-            _CAL_MEMO[key] = cal
-            return cal
-        except (json.JSONDecodeError, KeyError, TypeError):
-            pass  # unreadable cache entry: recalibrate and overwrite
 
     fields = _proxy_job_fields(workload)
-    result = _run_probe(group, capacity_bytes, fields, seed)
-    probe = _run_probe(group, capacity_bytes,
-                       {**fields, "queue_depth": 1,
-                        "io_count": min(CAL_QD1_IOS,
-                                        int(fields["io_count"]))},
-                       seed)
+    qd1_fields = {**fields, "queue_depth": 1,
+                  "io_count": min(CAL_QD1_IOS, int(fields["io_count"]))}
+    result = _run_probe(group, fields, seed)
+    probe = _run_probe(group, qd1_fields, seed)
     samples = result.latency.samples
     base_samples = probe.latency.samples
-    duration = max(result.duration_us, 1e-9)
-    rate = result.ios_completed / duration
+    rate = result.ios_completed / max(result.duration_us, 1e-9)
     s1 = float(base_samples.mean()) if len(base_samples) else 1.0
     depth = int(fields.get("queue_depth", 1))
     c_eff = min(float(depth), max(1.0, rate * s1))
     grid = np.linspace(0.0, 100.0, CAL_QUANTILES)
     cal = MacroCalibration(
         io_size=int(fields.get("io_size", 4096)),
-        queue_depth=depth,
         ios_recorded=result.ios_completed,
         read_ios=result.bytes_read // int(fields.get("io_size", 4096)),
         rate_per_us=rate,
-        mean_us=float(samples.mean()) if len(samples) else 0.0,
         s1_us=max(s1, 1e-9),
         c_eff=c_eff,
         quantiles=tuple(float(q) for q in np.percentile(samples, grid))
@@ -313,11 +254,8 @@ def calibrate_workload(group: DeviceGroup, capacity_bytes: int,
         base_quantiles=tuple(float(q)
                              for q in np.percentile(base_samples, grid))
         if len(base_samples) else (0.0,) * CAL_QUANTILES,
-        duration_us=duration,
     )
     _CAL_MEMO[key] = cal
-    if cache_path is not None:
-        write_atomic(cache_path, json.dumps(cal.to_payload(), sort_keys=True))
     return cal
 
 
@@ -516,12 +454,10 @@ class MacroGroup:
     ``count``.
     """
 
-    def __init__(self, topology: FleetTopology, group: DeviceGroup,
-                 capacity_bytes: int):
+    def __init__(self, topology: FleetTopology, group: DeviceGroup):
         self.topology = topology
         self.group = group
         self.count = group.count
-        self.capacity_bytes = capacity_bytes
         self.epoch_us = topology.epoch_us
         self.indices = topology.group_indices(group.name)
         self.first_index = self.indices.start
@@ -538,7 +474,7 @@ class MacroGroup:
             seed = derive_seed(fields.pop("seed", base_seed),
                                {"tenant": tenant.name, "group": group.name,
                                 "device": 0})
-            cal = calibrate_workload(group, capacity_bytes, fields, seed)
+            cal = calibrate_workload(group, fields, seed)
             if "trace" in fields:
                 run = _TraceTenant(tenant.name, cal, group.count, fields,
                                    self.epoch_us, seed,
@@ -721,9 +657,8 @@ class MacroGroup:
         """Byte bandwidth for a tenant-less macro group (pure replica
         sink): calibrate a generic sequential-write probe once."""
         cal = calibrate_workload(
-            self.group, self.capacity_bytes,
-            {"pattern": "write", "io_size": 64 * 1024, "queue_depth": 8,
-             "io_count": 512},
+            self.group, {"pattern": "write", "io_size": 64 * 1024,
+                         "queue_depth": 8, "io_count": 512},
             derive_seed(self.topology.seed,
                         {"group": self.group.name, "probe": "sink"}))
         return cal.bytes_per_us
@@ -787,7 +722,7 @@ class MacroGroup:
         policy = self._policy
         written_per_device = self._written_bytes / self.count \
             if self.count else 0.0
-        rebuilt = min(written_per_device, float(self.capacity_bytes))
+        rebuilt = min(written_per_device, float(self.group.device_capacity))
         rebuilt = int(rebuilt) - int(rebuilt) % 4096
         chunks = []
         if rebuilt > 0:

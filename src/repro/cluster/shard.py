@@ -49,13 +49,7 @@ from repro.cluster.faults import (
     rebuild_chunks,
     repair_epoch,
 )
-from repro.cluster.topology import (
-    DEFAULT_FLEET_ESSD_CAPACITY,
-    DEFAULT_FLEET_SSD_CAPACITY,
-    DeviceGroup,
-    FleetTopology,
-    Tenant,
-)
+from repro.cluster.topology import DeviceGroup, FleetTopology, Tenant
 from repro.determinism import derive_seed
 from repro.host.io import IOKind, IORequest
 
@@ -127,15 +121,6 @@ class ShardPlan:
                    spans=tuple(tuple(span) for span in payload["spans"]))
 
 
-def _default_capacity(device_name: str) -> int:
-    return DEFAULT_FLEET_SSD_CAPACITY if device_name == "SSD" \
-        else DEFAULT_FLEET_ESSD_CAPACITY
-
-
-def _group_capacity(group: DeviceGroup) -> int:
-    return group.capacity_bytes or _default_capacity(group.device)
-
-
 class _FaultFlip(NamedTuple):
     """One scheduled device-state flip, pinned to an epoch barrier."""
 
@@ -150,7 +135,6 @@ class ShardWorker:
     """Owns one :class:`~repro.sim.Simulator` plus its fleet slice."""
 
     def __init__(self, topology: FleetTopology, plan: ShardPlan):
-        from repro.devices import create_device
         from repro.sim import Simulator
 
         self.topology = topology
@@ -201,18 +185,12 @@ class ShardWorker:
                         f"macro group {group.name!r} split across shards: "
                         "partition_topology must keep macro groups atomic")
                 from repro.cluster.macro import MacroGroup
-                self._macro.append(
-                    MacroGroup(topology, group, _group_capacity(group)))
+                self._macro.append(MacroGroup(topology, group))
                 continue
             offset = topology.group_indices(group.name).start
             for local_index in range(first, stop):
                 index = offset + local_index
-                device = create_device(self.sim, group.device,
-                                       capacity_bytes=_group_capacity(group),
-                                       name=f"{group.name}[{local_index}]",
-                                       **dict(group.device_params))
-                if group.preload:
-                    device.preload()
+                device = group.build(self.sim, f"{group.name}[{local_index}]")
                 if topology.faults and (wrap_all or any(
                         index in span for span in fault_spans)):
                     device = FaultInjector(self.sim, device,
@@ -551,7 +529,7 @@ class ShardWorker:
                 if survives(source) and source not in sources:
                     sources.append(source)
         # A chunk never exceeds half the target device.
-        capacity = _group_capacity(target_group)
+        capacity = target_group.device_capacity
         half = (capacity // 2) - (capacity // 2) % 4096
         policy = topology.fault_policy
         chunks = rebuild_chunks(

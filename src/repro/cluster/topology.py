@@ -87,6 +87,28 @@ class DeviceGroup:
             raise ValueError(f"group {self.name!r} has unknown mode "
                              f"{self.mode!r} (expected one of {GROUP_MODES})")
 
+    @property
+    def device_capacity(self) -> int:
+        """Per-device capacity: ``capacity_bytes``, else the fleet default
+        for the device family."""
+        if self.capacity_bytes:
+            return self.capacity_bytes
+        return DEFAULT_FLEET_SSD_CAPACITY if self.device == "SSD" \
+            else DEFAULT_FLEET_ESSD_CAPACITY
+
+    def build(self, sim, name: str):
+        """One device of this group on ``sim``, preloaded when the group
+        says so -- the recipe every discrete device and every macro
+        calibration probe shares."""
+        from repro.devices import create_device
+
+        device = create_device(sim, self.device,
+                               capacity_bytes=self.device_capacity,
+                               name=name, **dict(self.device_params))
+        if self.preload:
+            device.preload()
+        return device
+
     def to_payload(self) -> dict[str, Any]:
         return {
             "name": self.name,

@@ -21,6 +21,13 @@ from repro.sim import Simulator
 from repro.ssd import SsdConfig, SsdDevice, samsung_970pro_profile
 from repro.workload.fio import FioJob, JobResult, run_job
 
+#: Latency-gap factor that counts as "much higher" for Observation 1.
+SMALL_IO_GAP_THRESHOLD = 10.0
+#: Minimum random/sequential gain that confirms Observation 3.
+GAIN_THRESHOLD = 1.15
+#: Maximum coefficient of variation that counts as "deterministic" (Obs. 4).
+DETERMINISM_CV_THRESHOLD = 0.10
+
 
 @dataclass
 class CheckerConfig:
@@ -35,12 +42,6 @@ class CheckerConfig:
     gc_write_capacity_factor: float = 1.6
     #: Simulated time per throughput measurement (us) for Observations 3-4.
     throughput_window_us: float = 150_000.0
-    #: Latency-gap factor that counts as "much higher" for Observation 1.
-    small_io_gap_threshold: float = 10.0
-    #: Minimum random/sequential gain that confirms Observation 3.
-    gain_threshold: float = 1.15
-    #: Maximum coefficient of variation that counts as "deterministic" (Obs. 4).
-    determinism_cv_threshold: float = 0.10
 
 
 @dataclass
@@ -136,7 +137,7 @@ class ContractChecker:
             essd = self._measure_latency(self._fresh_essd, "randwrite", io_size, qd)
             ssd = self._measure_latency(self._fresh_ssd, "randwrite", io_size, qd)
             gaps[label] = latency_gap(essd, ssd)
-        holds = (gaps["small_4k_qd1"] >= self.config.small_io_gap_threshold
+        holds = (gaps["small_4k_qd1"] >= SMALL_IO_GAP_THRESHOLD
                  and gaps["scaled_256k_qd1"] < gaps["small_4k_qd1"]
                  and gaps["scaled_4k_qd16"] < gaps["small_4k_qd1"])
         summary = (f"4KiB/QD1 gap {gaps['small_4k_qd1']:.1f}x, shrinking to "
@@ -186,7 +187,7 @@ class ContractChecker:
         ssd_seq = self._measure_throughput(self._fresh_ssd, "write", io_size, qd)
         essd_gain = throughput_gain(essd_rand, essd_seq)
         ssd_gain = throughput_gain(ssd_rand, ssd_seq)
-        holds = essd_gain >= self.config.gain_threshold and ssd_gain < self.config.gain_threshold
+        holds = essd_gain >= GAIN_THRESHOLD and ssd_gain < GAIN_THRESHOLD
         summary = (f"ESSD random/sequential write gain {essd_gain:.2f}x "
                    f"(SSD: {ssd_gain:.2f}x) at {io_size // KiB}KiB QD{qd}")
         metrics = {
@@ -210,7 +211,7 @@ class ContractChecker:
         ssd_cv = coefficient_of_variation(ssd_tp)
         budget = self.essd_profile.max_throughput_gbps
         near_budget = all(tp <= budget * 1.05 for tp in essd_tp)
-        holds = essd_cv <= self.config.determinism_cv_threshold \
+        holds = essd_cv <= DETERMINISM_CV_THRESHOLD \
             and ssd_cv > essd_cv and near_budget
         summary = (f"ESSD throughput CV {essd_cv:.3f} (within budget "
                    f"{budget:.2f} GB/s); SSD CV {ssd_cv:.3f}")

@@ -127,3 +127,13 @@ def test_figure5_essd_throughput_flat_and_within_budget():
     assert result.determinism_cv(DeviceKind.SSD) > result.determinism_cv(DeviceKind.ESSD1)
     assert len(result.series(DeviceKind.ESSD1)) == 3
     assert "Figure 5" in result.render()
+
+
+def test_report_quick_renders_table1_and_figures_2_to_5(capsys):
+    from repro.experiments.cli import main as cli_main
+
+    assert cli_main(["report", "--quick"]) == 0
+    out = capsys.readouterr().out
+    for heading in ("## Table I", "## Figure 2", "## Figure 3",
+                    "## Figure 4", "## Figure 5"):
+        assert heading in out, heading

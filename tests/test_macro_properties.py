@@ -84,7 +84,7 @@ def test_macro_response_is_monotone_in_queue_depth(workload, depths):
     topology = macro_fleet(workload, seed=17)
     tenant_spec = topology.tenants[0]
     calibration = calibrate_workload(
-        topology.groups[0], MINI_CAPACITY, dict(tenant_spec.workload),
+        topology.groups[0], dict(tenant_spec.workload),
         seed=derive_seed(topology.seed, {"tenant": tenant_spec.name,
                                          "group": "grp", "device": 0}))
     responses = [calibration.response_us(depth) for depth in sorted(depths)]

@@ -14,8 +14,6 @@ replication edges and fault schedules.
 """
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
@@ -30,11 +28,7 @@ from repro.cluster import (
     run_fleet_serial,
     tenant,
 )
-from repro.cluster.macro import (
-    MacroCalibration,
-    calibrate_workload,
-    clear_calibration_memo,
-)
+from repro.cluster.macro import clear_calibration_memo
 from repro.experiments.cli import main as cli_main
 from repro.experiments.scenarios import register, scenario
 
@@ -158,52 +152,6 @@ def test_macro_calibration_is_memoized_within_a_process():
     first = run_fleet_serial(topology.with_macro("grp"))
     second = run_fleet_serial(topology.with_macro("grp"))
     assert canonical(first) == canonical(second)
-
-
-def test_macro_disk_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_MACRO_CACHE", str(tmp_path))
-    clear_calibration_memo()
-    topology = one_group_fleet(FAMILIES["randwrite"]["workload"])
-    first = run_fleet_serial(topology.with_macro("grp"))
-    assert list(tmp_path.glob("*.json")), "calibration cache file not written"
-    # A cold memo served from disk must reproduce the run bit-identically.
-    clear_calibration_memo()
-    second = run_fleet_serial(topology.with_macro("grp"))
-    assert canonical(first) == canonical(second)
-    clear_calibration_memo()
-
-
-def test_macro_disk_cache_survives_interleaved_writers(tmp_path, monkeypatch):
-    """Two writers of one calibration entry (two sweep-pool workers
-    calibrating the same tenant, or two serve jobs): the second writes and
-    renames a complete entry between the first writer's write and its
-    rename.  With a shared temp path the first rename found its file gone
-    (FileNotFoundError); each writer now renames a temp file of its own."""
-    monkeypatch.setenv("REPRO_MACRO_CACHE", str(tmp_path))
-    topology = one_group_fleet(dict(pattern="randread", io_size=4096,
-                                    queue_depth=2, io_count=20),
-                               device="LOOP")
-    args = (topology.groups[0], MINI_CAPACITY,
-            dict(topology.tenants[0].workload), 5)
-    real_replace = os.replace
-    interleaved = []
-
-    def replace_after_a_second_writer(source, target):
-        if not interleaved:
-            interleaved.append(target)
-            clear_calibration_memo()
-            calibrate_workload(*args)  # the second writer, start to end
-        real_replace(source, target)
-
-    monkeypatch.setattr(os, "replace", replace_after_a_second_writer)
-    clear_calibration_memo()
-    first = calibrate_workload(*args)
-    monkeypatch.undo()
-    clear_calibration_memo()
-    entries = sorted(path.name for path in tmp_path.iterdir())
-    assert len(interleaved) == 1 and entries == [Path(interleaved[0]).name]
-    assert MacroCalibration.from_payload(
-        json.loads((tmp_path / entries[0]).read_text())) == first
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for multi-stream sweep cells (noisy neighbor, mixed fleet),
 cache fingerprinting, and the persistent worker pool."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +190,46 @@ def test_model_edit_invalidates_cache_entries(tmp_path, monkeypatch):
     # A model-source change moves the key -> the old entry is unreachable.
     monkeypatch.setattr(sweep_module, "model_fingerprint", lambda: "0" * 16)
     assert cache.load("s", cell) is None
+
+
+def _imported_names(node: ast.AST, package: str) -> list[str]:
+    """The modules an import statement may load, relative imports resolved
+    against ``package``: ``from a import b`` reads as ``a`` and then
+    ``a.b`` (``b`` may be a submodule)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = node.module or ""
+    if node.level:
+        parts = package.split(".")
+        anchor = ".".join(parts[:len(parts) - node.level + 1])
+        base = f"{anchor}.{base}" if base else anchor
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_model_packages_never_import_the_orchestration_layers():
+    """The fingerprint hashes only ``_MODEL_PACKAGES``, so no result may
+    depend on code outside them: no module there imports the experiment
+    or serve layers.  ``repro.config`` stays allowed -- it only converts
+    documents."""
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    forbidden = ("repro.experiments", "repro.serve")
+    offenders = []
+    for package in sweep_module._MODEL_PACKAGES:
+        for source in sorted((root / package).rglob("*.py")):
+            relative = source.relative_to(root)
+            dotted = ".".join(("repro", *relative.parent.parts))
+            for node in ast.walk(ast.parse(source.read_text())):
+                hits = [name for name in _imported_names(node, dotted)
+                        if any(name == layer or name.startswith(f"{layer}.")
+                               for layer in forbidden)]
+                if hits:
+                    offenders.append(
+                        f"{relative.as_posix()}:{node.lineno} {hits[0]}")
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

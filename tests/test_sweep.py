@@ -450,6 +450,37 @@ def test_cache_concurrent_stores_never_tear(tmp_path):
     assert "value" in cache.load("tiny", cell)
 
 
+def test_cache_store_survives_a_second_writer_inside_its_rename(
+        tmp_path, monkeypatch):
+    """Two writers of one cell (two sweep-pool workers, or two serve
+    jobs): the second writes and renames a complete entry between the
+    first writer's write and its rename.  With a shared temp path the
+    first rename found its file gone (FileNotFoundError); each writer
+    renames a temp file of its own, so the first value lands last and no
+    temp file is left behind."""
+    import os
+
+    cache = SweepCache(tmp_path)
+    cell = TINY_SWEEP.cells()[0]
+    real_replace = os.replace
+    interleaved = []
+
+    def replace_after_a_second_writer(source, target):
+        if not interleaved:
+            interleaved.append(target)
+            # The second writer, start to end.
+            cache.store("tiny", cell, {"value": 2.0})
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", replace_after_a_second_writer)
+    path = cache.store("tiny", cell, {"value": 1.0})
+    monkeypatch.undo()
+    assert interleaved == [path]
+    assert cache.load("tiny", cell) == {"value": 1.0}
+    assert sorted(entry.name for entry in path.parent.iterdir()) \
+        == [path.name]
+
+
 def test_sweep_result_save_load_find_and_diff(tmp_path):
     cells = TINY_SWEEP.cells()[:3]
     result = SweepRunner().run_cells("tiny", cells)
