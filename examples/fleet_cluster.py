@@ -12,8 +12,9 @@ conservative epoch barrier.  Results are bit-identical at any shard count.
 Topology schema
 ---------------
 A :class:`~repro.cluster.FleetTopology` is built from three elements (or
-loaded from JSON via ``FleetTopology.from_json``; see ``to_payload()`` for
-the exact wire format):
+loaded from a validated YAML/JSON document; ``FleetTopology.canonical()``
+is the canonical JSON of that document and ``FleetTopology.from_json``
+reads it back, see ``examples/fleet_config.yaml`` for the schema):
 
 ``group(name, device, count, capacity_bytes=None, device_params=None,
 preload=True, mode="discrete")``

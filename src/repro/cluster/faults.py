@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.determinism import canonical_json
 from repro.host.io import IORequest, KiB
@@ -86,6 +86,12 @@ class FaultEvent:
     spare: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Times are floats whatever number they were given as, so a
+        # topology's canonical document reads back to the same JSON.
+        object.__setattr__(self, "at_us", float(self.at_us))
+        if self.repair_after_us is not None:
+            object.__setattr__(self, "repair_after_us",
+                               float(self.repair_after_us))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(expected one of {_KINDS})")
@@ -97,27 +103,6 @@ class FaultEvent:
             raise ValueError(f"negative device index: {self.device}")
         if self.spare is not None and self.kind != "fail":
             raise ValueError("spare promotion only applies to kind='fail'")
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "group": self.group,
-            "at_us": self.at_us,
-            "device": self.device,
-            "repair_after_us": self.repair_after_us,
-            "spare": self.spare,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "FaultEvent":
-        return cls(
-            kind=payload["kind"],
-            group=payload["group"],
-            at_us=float(payload["at_us"]),
-            device=payload.get("device"),
-            repair_after_us=payload.get("repair_after_us"),
-            spare=payload.get("spare"),
-        )
 
 
 @dataclass(frozen=True)
@@ -144,6 +129,7 @@ class FaultPolicy:
     max_inflight: Optional[int] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shed_penalty_us", float(self.shed_penalty_us))
         if self.rebuild_chunk_bytes < 4096 or self.rebuild_chunk_bytes % 4096:
             raise ValueError("rebuild_chunk_bytes must be a positive "
                              "multiple of 4096")
@@ -153,23 +139,6 @@ class FaultPolicy:
             raise ValueError("shed_penalty_us must be non-negative")
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1 when given")
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "rebuild_chunk_bytes": self.rebuild_chunk_bytes,
-            "rebuild_chunks_per_epoch": self.rebuild_chunks_per_epoch,
-            "shed_penalty_us": self.shed_penalty_us,
-            "max_inflight": self.max_inflight,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Optional[Mapping[str, Any]]) -> "FaultPolicy":
-        if not payload:
-            return cls()
-        return cls(**dict(payload))
-
-    def scaled(self, **changes) -> "FaultPolicy":
-        return replace(self, **changes)
 
 
 def fault_epoch(at_us: float, epoch_us: float) -> int:
@@ -346,30 +315,28 @@ class FaultInjector:
 # ---------------------------------------------------------------------------
 
 def parse_fault_spec(spec: Any) -> tuple[tuple[FaultEvent, ...], FaultPolicy]:
-    """Parse a fault schedule from JSON text or an already-decoded object.
+    """Parse a fault schedule from JSON text or an already-decoded document.
 
-    Accepts either a bare list of fault-event payloads or
-    ``{"events": [...], "policy": {...}}``.
+    Accepts either a bare list of fault events or ``{"events": [...],
+    "policy": {...}}``, read by :func:`repro.config.fault_spec_from_document`
+    exactly like a topology document's ``faults`` and ``fault_policy``: an
+    unknown or mistyped key raises a :class:`repro.config.ConfigError` (a
+    ``ValueError``) naming its path, e.g. ``faults[0].devcie``.
     """
+    from repro.config import fault_spec_from_document
+
     if isinstance(spec, str):
         spec = json.loads(spec)
-    if isinstance(spec, Mapping):
-        events = spec.get("events", ())
-        policy = FaultPolicy.from_payload(spec.get("policy"))
-    else:
-        events = spec
-        policy = FaultPolicy()
-    return tuple(FaultEvent.from_payload(entry) for entry in events), policy
+    return fault_spec_from_document(spec)
 
 
 def canonical_fault_spec(events: Iterable[FaultEvent],
                          policy: FaultPolicy) -> str:
-    """Canonical JSON for a fault schedule (what ``CellSpec.faults`` stores
-    and the sweep cache hashes)."""
-    return canonical_json({
-        "events": [event.to_payload() for event in events],
-        "policy": policy.to_payload(),
-    })
+    """Canonical JSON of a fault schedule's document form (what
+    ``CellSpec.faults`` stores and the sweep cache hashes)."""
+    from repro.config import fault_spec_to_document
+
+    return canonical_json(fault_spec_to_document(events, policy))
 
 
 def schedule_cell_faults(sim: "Simulator", device: Any,

@@ -337,8 +337,7 @@ class ShardWorker:
                                       device.capacity_bytes - message.size)
         offset -= offset % device.logical_block_size
         kind = IOKind.READ if message.kind == "rebuild-read" else IOKind.WRITE
-        request = yield device.submit(IORequest(
-            kind, offset, message.size, tag=message.kind))
+        request = yield device.submit(IORequest(kind, offset, message.size))
         stats = self._inflow.setdefault(message.kind, {}).setdefault(
             str(message.target_index), {"count": 0, "bytes": 0, "latency": []})
         stats["count"] += 1

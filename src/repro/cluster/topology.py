@@ -21,10 +21,11 @@ A :class:`FleetTopology` describes a cluster-scale simulation the way a
   conservative synchronization window the shard runner uses -- so replica
   timing (and therefore every metric) is independent of the shard layout.
 
-The whole description round-trips through a JSON payload
-(:meth:`FleetTopology.to_payload` / :meth:`FleetTopology.from_payload`);
-its canonical form is what a ``CellSpec.fleet`` field stores and what the
-sweep cache hashes.
+A topology's one serial form is its validated document
+(:mod:`repro.config`): :meth:`FleetTopology.canonical` is the canonical
+JSON of that document -- what a ``CellSpec.fleet`` field stores and what
+the sweep cache hashes -- and :meth:`FleetTopology.from_json` reads it back
+through the same validation as a hand-written document.
 """
 
 from __future__ import annotations
@@ -109,25 +110,6 @@ class DeviceGroup:
             device.preload()
         return device
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "device": self.device,
-            "count": self.count,
-            "capacity_bytes": self.capacity_bytes,
-            "device_params": [list(pair) for pair in self.device_params],
-            "preload": self.preload,
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "DeviceGroup":
-        data = dict(payload)
-        data["device_params"] = tuple(
-            tuple(pair) for pair in data.get("device_params", ()))
-        data.setdefault("mode", "discrete")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class Tenant:
@@ -152,15 +134,6 @@ class Tenant:
     @property
     def is_trace(self) -> bool:
         return "trace" in dict(self.workload)
-
-    def to_payload(self) -> dict[str, Any]:
-        return {"name": self.name, "group": self.group,
-                "workload": self.workload_dict()}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "Tenant":
-        return cls(name=payload["name"], group=payload["group"],
-                   workload=_pairs(payload.get("workload")))
 
 
 @dataclass(frozen=True)
@@ -189,14 +162,6 @@ class ReplicationEdge:
             raise ValueError(f"edge {self.source!r} -> {self.target!r} "
                              "may not target its own group")
 
-    def to_payload(self) -> dict[str, Any]:
-        return {"source": self.source, "target": self.target,
-                "replication_factor": self.replication_factor}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ReplicationEdge":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
 class FleetTopology:
@@ -219,6 +184,8 @@ class FleetTopology:
     seed: int = 17
 
     def __post_init__(self) -> None:
+        # A float whatever number it was given as, like the fault times.
+        object.__setattr__(self, "epoch_us", float(self.epoch_us))
         names = [group.name for group in self.groups]
         if not names:
             raise ValueError("a fleet needs at least one device group")
@@ -346,50 +313,20 @@ class FleetTopology:
         return self.with_modes({name: "macro" for name in group_names})
 
     # -- serialization -----------------------------------------------------
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "groups": [group.to_payload() for group in self.groups],
-            "tenants": [tenant.to_payload() for tenant in self.tenants],
-            "edges": [edge.to_payload() for edge in self.edges],
-            "faults": [fault.to_payload() for fault in self.faults],
-            "fault_policy": self.fault_policy.to_payload(),
-            "epoch_us": self.epoch_us,
-            "seed": self.seed,
-        }
-
     def canonical(self) -> str:
-        """Canonical JSON form (what ``CellSpec.fleet`` stores and hashes)."""
-        return canonical_json(self.to_payload())
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "FleetTopology":
-        return cls(
-            name=payload["name"],
-            groups=tuple(DeviceGroup.from_payload(entry)
-                         for entry in payload["groups"]),
-            tenants=tuple(Tenant.from_payload(entry)
-                          for entry in payload.get("tenants", ())),
-            edges=tuple(ReplicationEdge.from_payload(entry)
-                        for entry in payload.get("edges", ())),
-            faults=tuple(FaultEvent.from_payload(entry)
-                         for entry in payload.get("faults", ())),
-            fault_policy=FaultPolicy.from_payload(payload.get("fault_policy")),
-            epoch_us=payload.get("epoch_us", DEFAULT_EPOCH_US),
-            seed=payload.get("seed", 17),
-        )
+        """Canonical JSON of the document form (what ``CellSpec.fleet``
+        stores and the sweep cache hashes)."""
+        return canonical_json(self.to_document(kind=None))
 
     @classmethod
     def from_json(cls, text: str) -> "FleetTopology":
-        return cls.from_payload(json.loads(text))
+        """Read :meth:`canonical` (or any document as JSON) back."""
+        return cls.from_document(json.loads(text))
 
     def to_document(self, kind: Optional[str] = "fleet") -> dict[str, Any]:
-        """The human-editable YAML/JSON document form (defaults omitted).
-
-        Unlike :meth:`to_payload` -- the exhaustive canonical wire form --
-        a document is meant to be written by hand: mappings instead of
-        sorted pairs, defaults left out.  ``topology -> document ->
-        topology`` is lossless; see :mod:`repro.config`.
+        """The YAML/JSON document form: mappings instead of sorted pairs,
+        fields equal to their defaults left out.  ``topology -> document
+        -> topology`` is lossless; see :mod:`repro.config`.
         """
         from repro.config import topology_to_document
 
@@ -409,13 +346,15 @@ class FleetTopology:
 
 
 # ---------------------------------------------------------------------------
-# Convenience builders (plain dicts in, normalised tuples out)
+# Convenience builders (plain dicts in, normalised tuples out; every default
+# is the dataclass field's own)
 # ---------------------------------------------------------------------------
 
 def group(name: str, device: str, count: int,
           capacity_bytes: Optional[int] = None,
           device_params: Optional[Mapping[str, Any]] = None,
-          preload: bool = True, mode: str = "discrete") -> DeviceGroup:
+          preload: bool = DeviceGroup.preload,
+          mode: str = DeviceGroup.mode) -> DeviceGroup:
     return DeviceGroup(name=name, device=device, count=count,
                        capacity_bytes=capacity_bytes,
                        device_params=_pairs(device_params), preload=preload,
@@ -426,7 +365,9 @@ def tenant(name: str, group_name: str, **workload) -> Tenant:
     return Tenant(name=name, group=group_name, workload=_pairs(workload))
 
 
-def edge(source: str, target: str, replication_factor: int = 1) -> ReplicationEdge:
+def edge(source: str, target: str,
+         replication_factor: int = ReplicationEdge.replication_factor,
+         ) -> ReplicationEdge:
     return ReplicationEdge(source=source, target=target,
                            replication_factor=replication_factor)
 
@@ -445,7 +386,8 @@ def fleet(name: str, groups: Sequence[DeviceGroup],
           edges: Sequence[ReplicationEdge] = (),
           faults: Sequence[FaultEvent] = (),
           fault_policy: Optional[FaultPolicy] = None,
-          epoch_us: float = DEFAULT_EPOCH_US, seed: int = 17) -> FleetTopology:
+          epoch_us: float = FleetTopology.epoch_us,
+          seed: int = FleetTopology.seed) -> FleetTopology:
     return FleetTopology(name=name, groups=tuple(groups),
                          tenants=tuple(tenants), edges=tuple(edges),
                          faults=tuple(faults),

@@ -39,6 +39,8 @@ from repro.config.schema import (
     cell_from_document,
     cell_to_document,
     document_kind,
+    fault_spec_from_document,
+    fault_spec_to_document,
     run_config_from_document,
     run_config_to_document,
     scenario_for_document,
@@ -54,6 +56,8 @@ __all__ = [
     "cell_from_document",
     "cell_to_document",
     "document_kind",
+    "fault_spec_from_document",
+    "fault_spec_to_document",
     "load_document",
     "parse_document_text",
     "run_config_from_document",

@@ -19,20 +19,29 @@ The converters are lossless: ``topology -> document -> topology`` (and the
 scenario / cell equivalents) is an identity, which is what lets a fleet
 defined only in YAML produce metrics bit-identical to its Python-built
 twin -- both sides collapse to the same canonical JSON and therefore the
-same sweep-cache key.
+same sweep-cache key.  The document is the only serial form of a fleet and
+of a fault schedule: :meth:`FleetTopology.canonical
+<repro.cluster.FleetTopology.canonical>` and
+:func:`~repro.cluster.faults.canonical_fault_spec` write the canonical JSON
+of a document, and their readers go through the validating converters here.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import math
-from typing import Any, Mapping, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Collection, Mapping, Optional, Sequence
 
 __all__ = [
     "ConfigError",
     "cell_from_document",
     "cell_to_document",
     "document_kind",
+    "fault_spec_from_document",
+    "fault_spec_to_document",
     "run_config_from_document",
     "run_config_to_document",
     "scenario_for_document",
@@ -141,7 +150,7 @@ def _as_scalar(value: Any, path: str) -> Any:
 
 
 def _check_keys(mapping: Mapping[str, Any], path: str,
-                allowed: Sequence[str], required: Sequence[str] = ()) -> None:
+                allowed: Collection[str], required: Sequence[str] = ()) -> None:
     for key in mapping:
         if not isinstance(key, str):
             raise ConfigError(path, f"expected str keys, got {_type_name(key)}")
@@ -199,47 +208,135 @@ def _check_device_params(params: Mapping[str, Any], device: str,
 
 
 # ---------------------------------------------------------------------------
-# Topology documents
+# Dataclass documents (topologies and fault specs)
 # ---------------------------------------------------------------------------
+#
+# A writer leaves out every field equal to its dataclass default, and a
+# reader leaves every absent key to that default, so the defaults live only
+# on the ``repro.cluster`` dataclasses (whose source the sweep cache's model
+# fingerprint hashes) and never in this module.
 
-#: Meta keys tolerated on a *standalone* fleet document: they feed the
-#: wrapper scenario built by :func:`scenario_for_document` (``run`` maps
-#: to a :class:`~repro.cluster.FleetRunConfig`), not the topology itself.
-_TOPOLOGY_META_KEYS = ("kind", "description", "tags", "run")
+def _non_default_fields(obj) -> dict[str, Any]:
+    """The dataclass fields of ``obj`` that differ from their defaults."""
+    return {field.name: getattr(obj, field.name)
+            for field in dataclasses.fields(obj)
+            if field.default is dataclasses.MISSING
+            or getattr(obj, field.name) != field.default}
 
-_GROUP_KEYS = ("name", "device", "count", "capacity_bytes", "device_params",
-               "preload", "mode")
-_TENANT_KEYS = ("name", "group", "workload")
-_EDGE_KEYS = ("source", "target", "replication_factor")
-_FAULT_KEYS = ("kind", "group", "at_us", "device", "repair_after_us", "spare")
-_PROFILE_KEYS = ("device", "params")
+
+def _optional(reader: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """``reader`` for a field whose value may also be ``null``."""
+    def read(value: Any, path: str) -> Any:
+        return None if value is None else reader(value, path)
+    return read
+
+
+def _read_fields(value: Any, path: str,
+                 readers: Mapping[str, Callable[[Any, str], Any]],
+                 required: Sequence[str] = ()) -> dict[str, Any]:
+    """Validate a mapping key by key, each key with its own reader; keys
+    without a reader are rejected and absent keys stay absent."""
+    mapping = _as_mapping(value, path)
+    _check_keys(mapping, path, readers, required=required)
+    return {key: readers[key](entry, f"{path}.{key}")
+            for key, entry in mapping.items()}
+
+
+def _read_list(value: Any, path: str,
+               read: Callable[[Any, str], Any]) -> tuple:
+    return tuple(read(entry, f"{path}[{index}]")
+                 for index, entry in enumerate(_as_list(value, path)))
+
+
+def _construct(cls, fields: dict[str, Any], path: str):
+    """``cls(**fields)``, with the dataclass's own invariant errors
+    re-raised as a :class:`ConfigError` at ``path``."""
+    try:
+        return cls(**fields)
+    except ValueError as error:
+        raise ConfigError(path, str(error)) from None
+
+
+_FAULT_EVENT_READERS = {
+    "kind": _as_str,
+    "group": _as_str,
+    "at_us": partial(_as_number, minimum=0.0),
+    "device": _optional(partial(_as_int, minimum=0)),
+    "repair_after_us": _optional(partial(_as_number, positive=True)),
+    "spare": _optional(_as_str),
+}
+
+_FAULT_POLICY_READERS = {
+    "rebuild_chunk_bytes": _as_positive_int,
+    "rebuild_chunks_per_epoch": _as_positive_int,
+    "shed_penalty_us": partial(_as_number, minimum=0.0),
+    "max_inflight": _optional(_as_positive_int),
+}
+
+
+def _fault_event_from_document(value: Any, path: str):
+    from repro.cluster.faults import FaultEvent
+
+    return _construct(FaultEvent, _read_fields(
+        value, path, _FAULT_EVENT_READERS,
+        required=("kind", "group", "at_us")), path)
+
+
+def _fault_policy_from_document(value: Any, path: str):
+    from repro.cluster.faults import FaultPolicy
+
+    return _construct(FaultPolicy,
+                      _read_fields(value, path, _FAULT_POLICY_READERS), path)
+
+
+def fault_spec_to_document(events, policy) -> dict:
+    """The document form of a fault schedule: ``{"events": [...]}`` plus
+    ``"policy"`` when the :class:`~repro.cluster.FaultPolicy` is not the
+    default one.  Its canonical JSON is what ``CellSpec.faults`` stores."""
+    document: dict[str, Any] = {
+        "events": [_non_default_fields(event) for event in events]}
+    policy_document = _non_default_fields(policy)
+    if policy_document:
+        document["policy"] = policy_document
+    return document
+
+
+def fault_spec_from_document(value: Any, *, path: str = "faults") -> tuple:
+    """``(events, policy)`` from a fault-spec document: a bare list of
+    fault events, or ``{"events": [...], "policy": {...}}``.  Events and
+    policy read exactly like a topology document's ``faults`` and
+    ``fault_policy``."""
+    from repro.cluster.faults import FaultPolicy
+
+    if isinstance(value, Mapping):
+        spec = _read_fields(value, path, {
+            "events": partial(_read_list, read=_fault_event_from_document),
+            "policy": _fault_policy_from_document})
+    else:
+        spec = {"events": _read_list(value, path, _fault_event_from_document)}
+    return spec.get("events", ()), spec.get("policy", FaultPolicy())
+
+
+#: Keys only a *standalone* fleet document carries: they feed the wrapper
+#: scenario built by :func:`scenario_for_document` (``run`` maps to a
+#: :class:`~repro.cluster.FleetRunConfig`), never the topology itself.
+_WRAPPER_KEYS = ("description", "tags", "run")
 
 
 def topology_to_document(topology, *, kind: Optional[str] = "fleet") -> dict:
     """The document form of a :class:`~repro.cluster.FleetTopology`.
 
     Defaults are omitted for readability; :func:`topology_from_document`
-    reapplies them, so the round trip is exact.
+    reapplies them, so the round trip is exact.  With ``kind=None`` its
+    canonical JSON is :meth:`FleetTopology.canonical`.
     """
-    from repro.cluster.faults import FaultPolicy
-    from repro.cluster.topology import DEFAULT_EPOCH_US
-
-    document: dict[str, Any] = {}
-    if kind is not None:
-        document["kind"] = kind
-    document["name"] = topology.name
+    document: dict[str, Any] = {} if kind is None else {"kind": kind}
+    document.update(_non_default_fields(topology))
     groups = []
     for group in topology.groups:
-        entry: dict[str, Any] = {"name": group.name, "device": group.device,
-                                 "count": group.count}
-        if group.capacity_bytes is not None:
-            entry["capacity_bytes"] = group.capacity_bytes
+        entry = _non_default_fields(group)
         if group.device_params:
             entry["device_params"] = dict(group.device_params)
-        if not group.preload:
-            entry["preload"] = False
-        if group.mode != "discrete":
-            entry["mode"] = group.mode
         groups.append(entry)
     document["groups"] = groups
     if topology.tenants:
@@ -247,19 +344,12 @@ def topology_to_document(topology, *, kind: Optional[str] = "fleet") -> dict:
             {"name": tenant.name, "group": tenant.group,
              "workload": _workload_to_document(tenant.workload_dict())}
             for tenant in topology.tenants]
-    if topology.edges:
-        document["edges"] = [edge.to_payload() for edge in topology.edges]
-    if topology.faults:
-        document["faults"] = [
-            {key: value for key, value in event.to_payload().items()
-             if value is not None}
-            for event in topology.faults]
-    if topology.fault_policy != FaultPolicy():
-        document["fault_policy"] = topology.fault_policy.to_payload()
-    if topology.epoch_us != DEFAULT_EPOCH_US:
-        document["epoch_us"] = topology.epoch_us
-    if topology.seed != 17:
-        document["seed"] = topology.seed
+    for key in ("edges", "faults"):
+        if key in document:
+            document[key] = [_non_default_fields(entry)
+                             for entry in document[key]]
+    if "fault_policy" in document:
+        document["fault_policy"] = _non_default_fields(topology.fault_policy)
     return document
 
 
@@ -271,17 +361,55 @@ def _workload_to_document(workload: Mapping[str, Any]) -> dict:
     return document
 
 
-def _workload_from_document(value: Any, path: str) -> dict[str, Any]:
+def _workload_keys(workload: Mapping[str, Any], path: str) -> list[str]:
+    """The keys a tenant workload may set: the synthesis knobs of its trace
+    family for a trace tenant, else the FioJob fields.  The shard supplies
+    ``name`` itself."""
+    from repro.workload.fio import FioJob
+    from repro.workload.trace import TRACE_FAMILIES
+
+    if "trace" not in workload:
+        return [field.name for field in dataclasses.fields(FioJob)
+                if field.name != "name"]
+    family = _as_str(workload["trace"], f"{path}.trace",
+                     choices=sorted(TRACE_FAMILIES))
+    knobs = inspect.signature(TRACE_FAMILIES[family]).parameters
+    return ["trace", *(knob for knob in knobs if knob != "name")]
+
+
+def _workload_from_document(value: Any, path: str) -> tuple:
     workload = _as_mapping(value, path)
+    _check_keys(workload, path, _workload_keys(workload, path))
     normalised: dict[str, Any] = {}
     for key, entry in workload.items():
-        key = _as_str(key, path)
         if key == "pattern_params":
             normalised[key] = _sorted_pairs(
                 _scalar_mapping(entry, f"{path}.{key}"))
         else:
             normalised[key] = _as_scalar(entry, f"{path}.{key}")
-    return normalised
+    return _sorted_pairs(normalised)
+
+
+_TENANT_READERS = {"name": _as_str, "group": _as_str,
+                   "workload": _workload_from_document}
+
+_EDGE_READERS = {"source": _as_str, "target": _as_str,
+                 "replication_factor": _as_positive_int}
+
+
+def _tenant_from_document(value: Any, path: str):
+    from repro.cluster.topology import Tenant
+
+    return _construct(Tenant, _read_fields(
+        value, path, _TENANT_READERS,
+        required=("name", "group", "workload")), path)
+
+
+def _edge_from_document(value: Any, path: str):
+    from repro.cluster.topology import ReplicationEdge
+
+    return _construct(ReplicationEdge, _read_fields(
+        value, path, _EDGE_READERS, required=("source", "target")), path)
 
 
 def _expand_profiles(document: Mapping[str, Any], path: str) -> dict[str, dict]:
@@ -299,164 +427,67 @@ def _expand_profiles(document: Mapping[str, Any], path: str) -> dict[str, dict]:
     for name, entry in section.items():
         name = _as_str(name, f"{path}.profiles")
         profile_path = f"{path}.profiles.{name}"
-        entry = _as_mapping(entry, profile_path)
-        _check_keys(entry, profile_path, _PROFILE_KEYS, required=("device",))
-        device = _check_device(entry["device"], f"{profile_path}.device")
-        params = _scalar_mapping(entry.get("params", {}),
-                                 f"{profile_path}.params")
-        _check_device_params(params, device, f"{profile_path}.params")
-        profiles[name] = {"device": device, "params": params}
+        profile = _read_fields(entry, profile_path,
+                               {"device": _check_device,
+                                "params": _scalar_mapping},
+                               required=("device",))
+        params = profile.get("params", {})
+        _check_device_params(params, profile["device"], f"{profile_path}.params")
+        profiles[name] = {"device": profile["device"], "params": params}
     return profiles
 
 
 def topology_from_document(document: Any, *, path: str = "fleet"):
-    """Build a validated :class:`~repro.cluster.FleetTopology` from a document."""
-    from repro.cluster.faults import FaultEvent, FaultPolicy
-    from repro.cluster.topology import (
-        DEFAULT_EPOCH_US,
-        FleetTopology,
-        GROUP_MODES,
-        DeviceGroup,
-        ReplicationEdge,
-        Tenant,
-    )
+    """Build a validated :class:`~repro.cluster.FleetTopology` from a document.
+
+    Besides the topology's fields a document may carry ``kind`` and
+    ``profiles``; the wrapper keys of a standalone fleet document
+    (``description``, ``tags``, ``run``) are read by
+    :func:`scenario_for_document` and rejected here.
+    """
+    from repro.cluster.topology import GROUP_MODES, DeviceGroup, FleetTopology
 
     document = _as_mapping(document, path)
-    _check_keys(document, path,
-                [*_TOPOLOGY_META_KEYS, "name", "groups", "tenants", "edges",
-                 "faults", "fault_policy", "epoch_us", "seed", "profiles"],
-                required=("name", "groups"))
-    if "kind" in document:
-        _as_str(document["kind"], f"{path}.kind", choices=("fleet", "topology"))
-    name = _as_str(document["name"], f"{path}.name")
     profiles = _expand_profiles(document, path)
+    group_readers = {
+        "name": _as_str,
+        "device": partial(_check_device, extra=tuple(profiles)),
+        "count": _as_positive_int,
+        "capacity_bytes": _optional(_as_positive_int),
+        "device_params": _scalar_mapping,
+        "preload": _as_bool,
+        "mode": partial(_as_str, choices=GROUP_MODES),
+    }
 
-    groups = []
-    entries = _as_list(document["groups"], f"{path}.groups")
-    if not entries:
-        raise ConfigError(f"{path}.groups", "expected at least one group")
-    for index, entry in enumerate(entries):
-        group_path = f"{path}.groups[{index}]"
-        entry = _as_mapping(entry, group_path)
-        _check_keys(entry, group_path, _GROUP_KEYS,
-                    required=("name", "device", "count"))
-        device = _check_device(entry["device"], f"{group_path}.device",
-                               extra=tuple(profiles))
-        params = _scalar_mapping(entry.get("device_params", {}),
+    def read_group(value: Any, group_path: str):
+        fields = _read_fields(value, group_path, group_readers,
+                              required=("name", "device", "count"))
+        preset = profiles.get(fields["device"])
+        if preset is not None:
+            fields["device"] = preset["device"]
+            fields["device_params"] = {**preset["params"],
+                                       **fields.get("device_params", {})}
+        if "device_params" in fields:
+            _check_device_params(fields["device_params"], fields["device"],
                                  f"{group_path}.device_params")
-        if device in profiles:
-            preset = profiles[device]
-            device = preset["device"]
-            params = {**preset["params"], **params}
-        _check_device_params(params, device, f"{group_path}.device_params")
-        capacity = entry.get("capacity_bytes")
-        if capacity is not None:
-            capacity = _as_positive_int(capacity, f"{group_path}.capacity_bytes")
-        fields = {
-            "name": _as_str(entry["name"], f"{group_path}.name"),
-            "device": device,
-            "count": _as_positive_int(entry["count"], f"{group_path}.count"),
-            "capacity_bytes": capacity,
-            "device_params": _sorted_pairs(params),
-            "preload": _as_bool(entry.get("preload", True),
-                                f"{group_path}.preload"),
-            "mode": _as_str(entry.get("mode", "discrete"),
-                            f"{group_path}.mode", choices=GROUP_MODES),
-        }
-        try:
-            groups.append(DeviceGroup(**fields))
-        except ValueError as error:
-            raise ConfigError(group_path, str(error)) from None
+            fields["device_params"] = _sorted_pairs(fields["device_params"])
+        return _construct(DeviceGroup, fields, group_path)
 
-    tenants = []
-    for index, entry in enumerate(_as_list(document.get("tenants", []),
-                                           f"{path}.tenants")):
-        tenant_path = f"{path}.tenants[{index}]"
-        entry = _as_mapping(entry, tenant_path)
-        _check_keys(entry, tenant_path, _TENANT_KEYS,
-                    required=("name", "group", "workload"))
-        tenants.append(Tenant(
-            name=_as_str(entry["name"], f"{tenant_path}.name"),
-            group=_as_str(entry["group"], f"{tenant_path}.group"),
-            workload=_sorted_pairs(_workload_from_document(
-                entry["workload"], f"{tenant_path}.workload")),
-        ))
-
-    edges = []
-    for index, entry in enumerate(_as_list(document.get("edges", []),
-                                           f"{path}.edges")):
-        edge_path = f"{path}.edges[{index}]"
-        entry = _as_mapping(entry, edge_path)
-        _check_keys(entry, edge_path, _EDGE_KEYS, required=("source", "target"))
-        try:
-            edges.append(ReplicationEdge(
-                source=_as_str(entry["source"], f"{edge_path}.source"),
-                target=_as_str(entry["target"], f"{edge_path}.target"),
-                replication_factor=_as_positive_int(
-                    entry.get("replication_factor", 1),
-                    f"{edge_path}.replication_factor"),
-            ))
-        except ConfigError:
-            raise
-        except ValueError as error:
-            raise ConfigError(edge_path, str(error)) from None
-
-    faults = []
-    for index, entry in enumerate(_as_list(document.get("faults", []),
-                                           f"{path}.faults")):
-        fault_path = f"{path}.faults[{index}]"
-        entry = _as_mapping(entry, fault_path)
-        _check_keys(entry, fault_path, _FAULT_KEYS,
-                    required=("kind", "group", "at_us"))
-        device = entry.get("device")
-        if device is not None:
-            device = _as_int(device, f"{fault_path}.device", minimum=0)
-        repair = entry.get("repair_after_us")
-        if repair is not None:
-            repair = _as_number(repair, f"{fault_path}.repair_after_us",
-                                positive=True)
-        spare = entry.get("spare")
-        if spare is not None:
-            spare = _as_str(spare, f"{fault_path}.spare")
-        fields = {
-            "kind": _as_str(entry["kind"], f"{fault_path}.kind"),
-            "group": _as_str(entry["group"], f"{fault_path}.group"),
-            "at_us": _as_number(entry["at_us"], f"{fault_path}.at_us",
-                                minimum=0.0),
-            "device": device,
-            "repair_after_us": repair,
-            "spare": spare,
-        }
-        try:
-            faults.append(FaultEvent(**fields))
-        except ValueError as error:
-            raise ConfigError(fault_path, str(error)) from None
-
-    policy_doc = document.get("fault_policy")
-    if policy_doc is None:
-        policy = FaultPolicy()
-    else:
-        import dataclasses
-
-        policy_path = f"{path}.fault_policy"
-        policy_doc = _as_mapping(policy_doc, policy_path)
-        known = [field.name for field in dataclasses.fields(FaultPolicy)]
-        _check_keys(policy_doc, policy_path, known)
-        try:
-            policy = FaultPolicy(**policy_doc)
-        except (TypeError, ValueError) as error:
-            raise ConfigError(policy_path, str(error)) from None
-
-    epoch_us = _as_number(document.get("epoch_us", DEFAULT_EPOCH_US),
-                          f"{path}.epoch_us", positive=True)
-    seed = _as_int(document.get("seed", 17), f"{path}.seed")
-    try:
-        return FleetTopology(name=name, groups=tuple(groups),
-                             tenants=tuple(tenants), edges=tuple(edges),
-                             faults=tuple(faults), fault_policy=policy,
-                             epoch_us=epoch_us, seed=seed)
-    except ValueError as error:
-        raise ConfigError(path, str(error)) from None
+    fields = _read_fields(document, path, {
+        "kind": partial(_as_str, choices=("fleet", "topology")),
+        "profiles": _as_mapping,  # read above by _expand_profiles
+        "name": _as_str,
+        "groups": partial(_read_list, read=read_group),
+        "tenants": partial(_read_list, read=_tenant_from_document),
+        "edges": partial(_read_list, read=_edge_from_document),
+        "faults": partial(_read_list, read=_fault_event_from_document),
+        "fault_policy": _fault_policy_from_document,
+        "epoch_us": partial(_as_number, positive=True),
+        "seed": _as_int,
+    }, required=("name", "groups"))
+    fields.pop("kind", None)
+    fields.pop("profiles", None)
+    return _construct(FleetTopology, fields, path)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +528,6 @@ def run_config_from_document(document: Any, *, path: str = "run"):
 # ---------------------------------------------------------------------------
 
 def _cell_fields() -> dict:
-    import dataclasses
-
     from repro.experiments.sweep import CellSpec
 
     return {field.name: field for field in dataclasses.fields(CellSpec)}
@@ -547,42 +576,8 @@ def _streams_to_document(streams: tuple) -> dict:
     return document
 
 
-def _faults_to_document(canonical: str) -> dict:
-    from repro.cluster.faults import FaultPolicy
-
-    spec = json.loads(canonical)
-    document: dict[str, Any] = {
-        "events": [{key: value for key, value in event.items()
-                    if value is not None}
-                   for event in spec.get("events", [])]}
-    policy = spec.get("policy")
-    if policy and policy != FaultPolicy().to_payload():
-        document["policy"] = policy
-    return document
-
-
-def _faults_from_document(value: Any, path: str) -> str:
-    from repro.cluster.faults import canonical_fault_spec, parse_fault_spec
-
-    if isinstance(value, Mapping):
-        _check_keys(value, path, ("events", "policy"))
-    elif not isinstance(value, (list, tuple)):
-        raise ConfigError(path, f"expected mapping or list, "
-                                f"got {_type_name(value)}")
-    try:
-        events, policy = parse_fault_spec(
-            dict(value) if isinstance(value, Mapping) else list(value))
-    except (ValueError, TypeError, KeyError) as error:
-        raise ConfigError(path, f"bad fault spec: {error}") from None
-    return canonical_fault_spec(events, policy)
-
-
 def cell_to_document(cell, *, kind: Optional[str] = "cell") -> dict:
     """The document form of a :class:`~repro.experiments.sweep.CellSpec`."""
-    import dataclasses
-
-    from repro.cluster import FleetTopology
-
     document: dict[str, Any] = {}
     if kind is not None:
         document["kind"] = kind
@@ -594,11 +589,9 @@ def cell_to_document(cell, *, kind: Optional[str] = "cell") -> dict:
             document[field.name] = dict(value)
         elif field.name == "streams":
             document[field.name] = _streams_to_document(value)
-        elif field.name == "fleet":
-            document[field.name] = topology_to_document(
-                FleetTopology.from_json(value), kind=None)
-        elif field.name == "faults":
-            document[field.name] = _faults_to_document(value)
+        elif field.name in ("fleet", "faults"):
+            # Both store the canonical JSON of their document form.
+            document[field.name] = json.loads(value)
         elif field.name == "fleet_run":
             document[field.name] = dict(value)
         else:
@@ -631,7 +624,10 @@ def cell_from_document(document: Any, *, path: str = "cell"):
         elif key == "fleet":
             fields[key] = topology_from_document(value, path=key_path).canonical()
         elif key == "faults":
-            fields[key] = _faults_from_document(value, key_path)
+            from repro.cluster.faults import canonical_fault_spec
+
+            fields[key] = canonical_fault_spec(
+                *fault_spec_from_document(value, path=key_path))
         elif key == "fleet_run":
             fields[key] = run_config_from_document(
                 value, path=key_path).to_pairs()
@@ -714,8 +710,6 @@ def scenario_to_document(spec) -> dict:
     Scenarios defined with a ``cell_builder`` (the paper figures) have no
     declarative form and raise :class:`ConfigError`.
     """
-    from repro.cluster import FleetTopology
-
     if spec.cell_builder is not None:
         raise ConfigError(
             "scenario", f"scenario {spec.name!r} is defined with a "
@@ -737,8 +731,7 @@ def scenario_to_document(spec) -> dict:
     if spec.streams:
         document["streams"] = _streams_to_document(spec.streams)
     if spec.fleet is not None:
-        document["fleet"] = topology_to_document(
-            FleetTopology.from_json(spec.fleet), kind=None)
+        document["fleet"] = json.loads(spec.fleet)
     if spec.fleet_run:
         document["run"] = dict(spec.fleet_run)
     if spec.seed != 17:
@@ -866,16 +859,19 @@ def scenario_for_document(document: Any, *, path: str = "document"):
     if kind == "cell":
         raise ConfigError(path, "a cell document is not runnable as a "
                                 "scenario (wrap it in kind: scenario)")
+    document = _as_mapping(document, path)
+    wrapper = {key: document.pop(key) for key in _WRAPPER_KEYS
+               if key in document}
     topology = topology_from_document(document, path=path)
-    description = document.get("description") or \
+    description = wrapper.get("description") or \
         f"user fleet {topology.name!r} (config document)"
     description = _as_str(description, f"{path}.description")
-    run = document.get("run")
+    run = wrapper.get("run")
     if run is not None:
         run = run_config_from_document(run, path=f"{path}.run")
     tags = [_as_str(entry, f"{path}.tags[{index}]")
             for index, entry in enumerate(
-                _as_list(document.get("tags", []), f"{path}.tags"))]
+                _as_list(wrapper.get("tags", []), f"{path}.tags"))]
     if "fleet" not in tags:
         tags.append("fleet")
     if "config" not in tags:

@@ -11,12 +11,9 @@ derives child seeds through :func:`derive_seed` so that
   shard assignment), which is what makes serial and parallel/sharded runs
   bit-identical.
 
-These helpers used to live in :mod:`repro.experiments.sweep`; they moved
-here so the cluster layer (which sits *below* the experiments layer) can
-use the same derivation without an upward import.  The sweep module
-re-exports them, so existing call sites are unaffected.  For the same
-reason both result caches -- the sweep cache and the macro calibration
-cache -- publish their entries through :func:`write_atomic`.
+They live here, below both the experiments and the cluster layer, so
+every layer uses the same derivation without an upward import.  The sweep
+cache publishes its entries through :func:`write_atomic`.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.cluster.transport import TRANSPORTS
-from repro.experiments import runner as paper_runner  # noqa: F401  (registers run_all)
 from repro.experiments import table1
 from repro.experiments.common import format_table
 from repro.experiments.scenarios import (
@@ -140,7 +139,7 @@ def _cli_fleet_flags(args, serial_is_local: bool = False) -> dict:
 
     ``serial_is_local`` is the ``fleet`` verb's reading of ``--serial``:
     it counts as ``--transport local`` (keep shards in-process).
-    ``run``/``serve`` use ``--serial`` for the sweep pool instead.
+    ``run`` uses ``--serial`` for the sweep pool instead.
     """
     flags = {}
     for field in ("shards", "run_ahead", "transport"):
@@ -287,7 +286,7 @@ def _cmd_fleet(args) -> int:
                 return 2
         try:
             events, policy = parse_fault_spec(text)
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as error:
+        except ValueError as error:
             print(f"error: bad --faults spec: {error}", file=sys.stderr)
             return 2
         fault_changes = {"faults": events, "fault_policy": policy}
@@ -495,7 +494,6 @@ def _cmd_serve(args) -> int:
         socket_path=args.socket, host=args.host, port=args.port,
         max_pending=args.max_pending, job_workers=args.job_workers,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
-        parallel=not args.serial, sweep_workers=args.workers,
         fleet_config=fleet_config)
     try:
         server.start()
@@ -732,11 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "$REPRO_SWEEP_CACHE or .sweep-cache)")
     serve_parser.add_argument("--no-cache", action="store_true",
                               help="disable the result cache entirely")
-    serve_parser.add_argument("--serial", action="store_true",
-                              help="run cells in-process instead of worker "
-                                   "processes")
-    serve_parser.add_argument("--workers", type=int, default=None,
-                              help="sweep worker-process count")
     serve_parser.add_argument("--shards", type=int, default=None,
                               help="shard count applied to fleet cells; a "
                                    "submitted document's run: block wins")

@@ -117,12 +117,12 @@ def figure2_cells(scale: Optional[ExperimentScale] = None,
                   ios_per_cell: int = 250,
                   devices: Sequence[DeviceKind] = (DeviceKind.SSD, DeviceKind.ESSD1,
                                                    DeviceKind.ESSD2),
-                  patterns: Sequence[str] = PATTERNS) -> list[CellSpec]:
+                  ) -> list[CellSpec]:
     """The Figure 2 grid as independent sweep cells."""
     scale = scale or ExperimentScale.default()
     cells = []
     for device in devices:
-        for pattern in patterns:
+        for pattern in PATTERNS:
             for io_size in io_sizes:
                 for queue_depth in queue_depths:
                     cells.append(CellSpec(
@@ -147,7 +147,6 @@ def run_figure2(scale: Optional[ExperimentScale] = None,
                 ios_per_cell: int = 250,
                 devices: Sequence[DeviceKind] = (DeviceKind.SSD, DeviceKind.ESSD1,
                                                  DeviceKind.ESSD2),
-                patterns: Sequence[str] = PATTERNS,
                 runner: Optional[SweepRunner] = None) -> Figure2Result:
     """Measure the Figure 2 latency grid through the sweep runner.
 
@@ -158,7 +157,7 @@ def run_figure2(scale: Optional[ExperimentScale] = None,
     processes and/or cache results.
     """
     cells = figure2_cells(scale, io_sizes, queue_depths, ios_per_cell,
-                          devices, patterns)
+                          devices)
     sweep = (runner or SweepRunner()).run_cells("figure2", cells)
     result = Figure2Result(io_sizes=tuple(io_sizes), queue_depths=tuple(queue_depths))
     for outcome in sweep.outcomes:

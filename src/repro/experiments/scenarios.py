@@ -39,11 +39,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.determinism import derive_seed
 from repro.experiments.sweep import CellSpec, expand_grid
 from repro.host.io import KiB, MiB
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster import FleetTopology
 
 #: CellSpec field names a grid axis may target directly.
 _CELL_FIELDS = {f.name for f in dataclasses.fields(CellSpec)}
@@ -76,10 +79,10 @@ class ScenarioSpec:
     grid: tuple[tuple[str, tuple], ...] = ()
     #: Concurrent streams per cell: tuple of (name, overrides) pairs.
     streams: tuple[tuple[str, tuple], ...] = ()
-    #: A fleet scenario: the canonical JSON of a
-    #: :class:`repro.cluster.FleetTopology` payload.  Grid axes named
-    #: ``fleet.<field>`` override a topology top-level field, and
-    #: ``fleet.<group-or-tenant>.<field>`` a group field / tenant workload
+    #: A fleet scenario: :meth:`repro.cluster.FleetTopology.canonical`,
+    #: the canonical JSON of the topology's document.  Grid axes named
+    #: ``fleet.<key>`` edit a top-level key of that document, and
+    #: ``fleet.<group-or-tenant>.<key>`` a group key / tenant workload
     #: knob -- that is how a sweep explores fleet *shape* axes.
     fleet: Optional[str] = None
     #: Fleet execution knobs as the sorted non-default pairs of a
@@ -138,13 +141,16 @@ class ScenarioSpec:
                 if device_params:
                     fields["device_params"] = tuple(sorted(device_params.items()))
                 if self.fleet is not None:
-                    payload = json.loads(self.fleet)
+                    from repro.cluster import FleetTopology
+
+                    document = json.loads(self.fleet)
                     for axis, value in fleet_overrides.items():
-                        _apply_fleet_axis(payload, axis, value)
-                    # Round-trip through FleetTopology so an invalid
-                    # override (bad group field, broken invariant) fails at
+                        _apply_fleet_axis(document, axis, value)
+                    # Read back through the validating reader so an invalid
+                    # override (unknown key, broken invariant) fails at
                     # expansion time, not inside a worker process.
-                    fields["fleet"] = _canonical_fleet(payload)
+                    fields["fleet"] = FleetTopology.from_document(
+                        document).canonical()
                     if self.fleet_run:
                         fields.setdefault("fleet_run", self.fleet_run)
                 if stream_overrides:
@@ -186,74 +192,42 @@ class ScenarioSpec:
         return scenario_from_document(document, path=path)
 
 
-def _apply_fleet_axis(payload: dict, axis: str, value: Any) -> None:
-    """Apply a ``fleet.*`` grid axis onto a topology payload (in place).
+def _apply_fleet_axis(document: dict, axis: str, value: Any) -> None:
+    """Apply a ``fleet.*`` grid axis onto a topology document (in place).
 
-    ``fleet.<field>`` sets a topology top-level field (``epoch_us``,
-    ``seed``, ...); ``fleet.<name>.<field>`` sets a device-group field
-    (``count``, ``capacity_bytes``, ...) or, when ``<name>`` is a tenant, a
-    workload knob.  Groups win name collisions.  Two deeper forms serve the
-    fault scenarios: ``fleet.fault_policy.<field>`` sets a
-    :class:`~repro.cluster.FaultPolicy` knob (rebuild pacing / admission
-    control), and ``fleet.<group>.device_params.<field>`` a device-profile
-    override such as the SSD's over-provisioning ratio.
+    ``fleet.<key>`` sets a top-level key (``epoch_us``, ``seed``, ...);
+    ``fleet.<name>.<key>`` sets a key of the device group ``<name>`` or, when
+    ``<name>`` is a tenant, a workload knob.  Groups win name collisions.
+    Any other path walks the document's mappings, so
+    ``fleet.fault_policy.<key>`` sets a :class:`~repro.cluster.FaultPolicy`
+    knob and ``fleet.<group>.device_params.<key>`` a device-profile override
+    such as the SSD's over-provisioning ratio.  Beyond refusing the two
+    document-only keys, the axis code checks no key itself: the edited
+    document goes back through :func:`repro.config.topology_from_document`,
+    so a misspelled axis fails there with its document path
+    (``fleet.groups[0].cont: unknown key``).
     """
-    import repro.cluster as cluster
+    from repro.config import ConfigError
 
-    path = axis.split(".")[1:]
-    if len(path) == 1:
-        known = {f.name for f in dataclasses.fields(cluster.FleetTopology)}
-        if path[0] not in known:
-            # An unknown top-level key would be silently dropped by
-            # FleetTopology.from_payload -- a no-op axis, not an error.
-            raise ValueError(f"fleet axis {axis!r} is not a FleetTopology "
-                             f"field (known: {sorted(known)})")
-        payload[path[0]] = value
-        return
-    if len(path) == 2:
-        head, leaf = path
-        for group in payload.get("groups", ()):
-            if group.get("name") == head:
-                group[leaf] = value
-                return
-        for tenant in payload.get("tenants", ()):
-            if tenant.get("name") == head:
-                tenant.setdefault("workload", {})[leaf] = value
-                return
-        if head == "fault_policy":
-            known = {f.name for f in dataclasses.fields(cluster.FaultPolicy)}
-            if leaf not in known:
-                raise ValueError(f"fleet axis {axis!r} is not a FaultPolicy "
-                                 f"field (known: {sorted(known)})")
-            policy = dict(payload.get("fault_policy") or {})
-            policy[leaf] = value
-            payload["fault_policy"] = policy
-            return
-    if len(path) == 3 and path[1] == "device_params":
-        head, _, leaf = path
-        for group in payload.get("groups", ()):
-            if group.get("name") == head:
-                params = dict(tuple(pair)
-                              for pair in group.get("device_params", ()))
-                params[leaf] = value
-                group["device_params"] = [list(pair)
-                                          for pair in sorted(params.items())]
-                return
-    raise ValueError(f"fleet axis {axis!r} matches no topology element")
-
-
-def _canonical_fleet(fleet: Any) -> Optional[str]:
-    """Normalise a topology argument (object / payload / JSON) to canonical
-    JSON, round-tripping through :class:`FleetTopology` so it validates."""
-    if fleet is None:
-        return None
-    from repro.cluster import FleetTopology
-
-    if isinstance(fleet, FleetTopology):
-        return fleet.canonical()
-    if isinstance(fleet, str):
-        return FleetTopology.from_json(fleet).canonical()
-    return FleetTopology.from_payload(fleet).canonical()
+    keys = axis.split(".")[1:]
+    named = {tenant["name"]: tenant["workload"]
+             for tenant in document.get("tenants", ())}
+    named.update((group["name"], group) for group in document["groups"])
+    node = document
+    if len(keys) > 1 and keys[0] in named:
+        node = named[keys.pop(0)]
+    elif keys[0] in ("kind", "profiles"):
+        # The reader accepts both, but neither is a topology field (profiles
+        # are expanded into device_params on load), so such an axis would
+        # change nothing.
+        raise ConfigError(f"fleet.{keys[0]}", "not a topology field, so "
+                                              "not a grid axis")
+    *parents, leaf = keys
+    for key in parents:
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
+    node[leaf] = value
 
 
 def _canonical_run(run: Any) -> tuple:
@@ -274,7 +248,7 @@ def scenario(name: str, description: str, devices: Sequence[str],
              base: Optional[Mapping[str, Any]] = None,
              grid: Optional[Mapping[str, Sequence[Any]]] = None,
              streams: Optional[Mapping[str, Mapping[str, Any]]] = None,
-             fleet: Any = None,
+             fleet: Optional["FleetTopology"] = None,
              run: Any = None,
              seed: int = 17, seed_mode: str = "fixed",
              tags: Sequence[str] = (),
@@ -292,7 +266,7 @@ def scenario(name: str, description: str, devices: Sequence[str],
         streams=tuple(sorted(
             (stream_name, tuple(sorted(overrides.items())))
             for stream_name, overrides in (streams or {}).items())),
-        fleet=_canonical_fleet(fleet),
+        fleet=None if fleet is None else fleet.canonical(),
         fleet_run=_canonical_run(run),
         seed=seed,
         seed_mode=seed_mode,

@@ -153,14 +153,14 @@ class CellSpec:
     #: ``replication_factor`` / ``chunk_size`` for the EBS cluster), as a
     #: sorted tuple of (field, value) pairs.
     device_params: tuple = ()
-    #: A fleet-simulation cell: the canonical JSON of a
-    #: :class:`repro.cluster.FleetTopology` payload.  When set, the cell is
+    #: A fleet-simulation cell: the canonical JSON of a topology document
+    #: (:meth:`repro.cluster.FleetTopology.canonical`).  When set, the cell is
     #: executed through the cluster layer and the fleet/device/job fields
     #: above are ignored except for bookkeeping.
     fleet: Optional[str] = None
-    #: Fault schedule for this cell: canonical JSON of a fault spec
-    #: (``{"events": [...], "policy": {...}}``, see
-    #: :func:`repro.cluster.faults.parse_fault_spec`).  Fleet cells merge it
+    #: Fault schedule for this cell: canonical JSON of a fault-spec
+    #: document (``{"events": [...]}`` plus a non-default ``"policy"``, see
+    #: :func:`repro.cluster.faults.canonical_fault_spec`).  Fleet cells merge it
     #: into the topology (overriding any schedule the fleet JSON carries);
     #: device cells wrap each device in a
     #: :class:`~repro.cluster.faults.FaultInjector` proxy with exact-time
@@ -755,9 +755,9 @@ def quick_cells(cells: Sequence[CellSpec], io_count: int = 60) -> list[CellSpec]
     QUICK_TRACE_DURATION_US = 100_000.0
 
     def shrink_fleet(fleet_json: str) -> str:
-        payload = json.loads(fleet_json)
-        for tenant in payload.get("tenants", ()):
-            workload = tenant.get("workload", {})
+        document = json.loads(fleet_json)
+        for tenant in document.get("tenants", ()):
+            workload = tenant["workload"]
             if workload.get("io_count") is not None:
                 workload["io_count"] = min(workload["io_count"], io_count)
             if workload.get("duration_us") is not None:
@@ -771,7 +771,8 @@ def quick_cells(cells: Sequence[CellSpec], io_count: int = 60) -> list[CellSpec]
                     workload["total_bytes"],
                     max(tenant_io_size * io_count,
                         workload["total_bytes"] // 8))
-        return canonical_json(payload)
+        return canonical_json(document)
+
     def shrink_streams(cell: CellSpec) -> tuple:
         shrunk_streams = []
         for name, overrides in cell.streams:

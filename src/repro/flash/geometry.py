@@ -58,10 +58,6 @@ class FlashGeometry:
         """Raw flash capacity in bytes, including over-provisioned space."""
         return self.total_dies * self.die_size
 
-    @property
-    def pages_per_die(self) -> int:
-        return self.blocks_per_die * self.pages_per_block
-
     # -- address helpers ----------------------------------------------------
     def die_index(self, channel: int, die: int) -> int:
         """Flat die index from (channel, die-within-channel)."""

@@ -11,7 +11,7 @@ inherit from it.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.host.io import IOKind, IORequest
@@ -35,8 +35,6 @@ class DeviceStats:
     bytes_read: int = 0
     bytes_written: int = 0
     flushes_completed: int = 0
-    errors: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def ios_completed(self) -> int:
@@ -134,7 +132,7 @@ class BlockDevice(abc.ABC):
     # -- plumbing -----------------------------------------------------------
     def _finish(self, request: IORequest) -> None:
         """Completion bookkeeping every :meth:`_serve` ends with: stamp the
-        completion time, account statistics, close tracing, run hooks."""
+        completion time, account statistics and close tracing."""
         request.complete_time = self.sim._now
         stats = self.stats
         kind = request.kind
@@ -148,17 +146,6 @@ class BlockDevice(abc.ABC):
             stats.flushes_completed += 1
         if self.tracer is not None:
             self.tracer.finish(request)
-        cls = type(self)
-        if cls.on_complete is not BlockDevice.on_complete:
-            self.on_complete(request)
-
-    def on_complete(self, request: IORequest) -> None:
-        """Hook for sub-classes / instrumentation; default does nothing.
-
-        Override in a *subclass* -- :meth:`_finish` dispatches the hook
-        through the class (skipping the no-op default), so a per-instance
-        ``device.on_complete = fn`` assignment is not seen.
-        """
 
     @abc.abstractmethod
     def _serve(self, request: IORequest):

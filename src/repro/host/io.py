@@ -46,13 +46,13 @@ class IORequest:
     """
 
     __slots__ = ("kind", "offset", "size", "request_id", "submit_time",
-                 "complete_time", "tag", "shed")
+                 "complete_time", "shed")
 
     def __init__(self, kind: IOKind, offset: int, size: int,
                  request_id: Optional[int] = None,
                  submit_time: Optional[float] = None,
                  complete_time: Optional[float] = None,
-                 tag: Any = None, shed: bool = False):
+                 shed: bool = False):
         if offset < 0:
             raise ValueError(f"negative offset: {offset}")
         if size < 0:
@@ -65,8 +65,6 @@ class IORequest:
         self.request_id = _next_request_id() if request_id is None else request_id
         self.submit_time = submit_time
         self.complete_time = complete_time
-        #: Free-form annotation (e.g. the workload stream that issued it).
-        self.tag = tag
         #: Set by :class:`repro.cluster.faults.FaultInjector` when the request
         #: was shed (refused fast) instead of served -- downstream hooks such
         #: as replication mirroring skip shed writes.
@@ -76,8 +74,7 @@ class IORequest:
         return (f"IORequest(kind={self.kind!r}, offset={self.offset}, "
                 f"size={self.size}, request_id={self.request_id}, "
                 f"submit_time={self.submit_time}, "
-                f"complete_time={self.complete_time}, tag={self.tag!r}, "
-                f"shed={self.shed})")
+                f"complete_time={self.complete_time}, shed={self.shed})")
 
     @property
     def end_offset(self) -> int:

@@ -8,7 +8,7 @@ comparisons are available to tests and advisors as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -26,19 +26,6 @@ class LatencySummary:
     min_us: float
     max_us: float
     stddev_us: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_us": self.mean_us,
-            "p50_us": self.p50_us,
-            "p90_us": self.p90_us,
-            "p99_us": self.p99_us,
-            "p999_us": self.p999_us,
-            "min_us": self.min_us,
-            "max_us": self.max_us,
-            "stddev_us": self.stddev_us,
-        }
 
     @staticmethod
     def empty() -> "LatencySummary":
@@ -107,11 +94,10 @@ class LatencyRecorder:
             stddev_us=float(arr.std()),
         )
 
-    def histogram(self, bins: int = 20,
-                  range_us: Optional[tuple[float, float]] = None) -> tuple[np.ndarray, np.ndarray]:
+    def histogram(self, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
         """Histogram of the samples (counts, bin edges)."""
         arr = np.asarray(self._samples, dtype=np.float64)
-        return np.histogram(arr, bins=bins, range=range_us)
+        return np.histogram(arr, bins=bins)
 
     def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
         """Return a new recorder containing both populations."""

@@ -75,10 +75,11 @@ class ExperimentServer:
     (``port=0`` binds an ephemeral port, read back from :attr:`port` after
     :meth:`start`).  ``max_pending`` bounds the *queued* (not yet running)
     jobs; submissions beyond it are rejected with a reason.  ``job_workers``
-    is the number of concurrently running jobs.  Runner knobs (``parallel``,
-    ``sweep_workers``, ``cache_dir``, ``fleet_config``) mirror the batch
-    CLI's flags; as in :class:`~repro.experiments.sweep.SweepRunner`, a
-    submitted document's ``run:`` block wins over ``fleet_config``.
+    is the number of concurrently running jobs.  Runner knobs
+    (``cache_dir``, ``fleet_config``) mirror the batch CLI's flags; as in
+    :class:`~repro.experiments.sweep.SweepRunner`, a submitted document's
+    ``run:`` block wins over ``fleet_config``.  Cells run one at a time in
+    the job thread, so serve never starts the sweep pool.
     ``cache_dir=None`` resolves ``$REPRO_SWEEP_CACHE`` exactly like
     ``run``/``fleet`` do.
     """
@@ -87,8 +88,7 @@ class ExperimentServer:
                  host: str = "127.0.0.1", port: Optional[int] = None,
                  max_pending: int = 8, job_workers: int = 1,
                  cache_dir: Optional[Union[str, Path]] = None,
-                 no_cache: bool = False, parallel: bool = False,
-                 sweep_workers: Optional[int] = None, fleet_config=None):
+                 no_cache: bool = False, fleet_config=None):
         if (socket_path is None) == (port is None):
             raise ValueError("pass exactly one of socket_path / port")
         if max_pending < 0:
@@ -99,8 +99,6 @@ class ExperimentServer:
         self.max_pending = max_pending
         self.job_workers = job_workers
         self._runner_kwargs = {
-            "parallel": parallel,
-            "max_workers": sweep_workers,
             "cache_dir": None if no_cache else cache_dir,
             "no_cache": no_cache,
             "fleet_config": fleet_config,

@@ -185,7 +185,6 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
     # remaining budget, so ``total_bytes`` transfers floor(total / io_size)
     # I/Os -- folded with ``io_count`` into one issue ceiling.
     io_size = job.io_size
-    tag = job.name
     issue_limit: Optional[int] = job.io_count
     if job.total_bytes is not None:
         byte_limit = job.total_bytes // io_size
@@ -227,7 +226,7 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
                         break
             state.issued += 1
             kind, offset = pattern_next()
-            request = yield submit(IORequest(kind, offset, io_size, tag=tag))
+            request = yield submit(IORequest(kind, offset, io_size))
             if on_complete is not None:
                 on_complete(request, sim.now)
             if state.ramp_remaining > 0:

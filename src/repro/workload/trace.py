@@ -274,13 +274,13 @@ class ReplayResult:
 
 
 def replay_trace(sim: "Simulator", device: BlockDevice, trace: Trace,
-                 scale_region: bool = True, run: bool = True,
+                 run: bool = True,
                  on_complete: Optional[Callable[..., None]] = None,
                  ) -> ReplayResult:
     """Replay ``trace`` open-loop (requests are issued at their timestamps).
 
-    Offsets are wrapped into the device's address space when ``scale_region``
-    is set, so traces synthesized for a different capacity still apply.
+    Offsets are wrapped into the device's address space, so traces
+    synthesized for a different capacity still apply.
     With ``run=False`` the replay is only scheduled (several replays can then
     share one simulation) and the caller advances the simulator itself; note
     that ``unfinished`` is only meaningful once the simulation has drained.
@@ -292,11 +292,9 @@ def replay_trace(sim: "Simulator", device: BlockDevice, trace: Trace,
     outstanding = {"count": 0}
 
     def issue(event: TraceEvent):
-        offset = event.offset
-        if scale_region:
-            offset = (offset % max(device.logical_block_size,
-                                   device.capacity_bytes - event.size))
-            offset -= offset % device.logical_block_size
+        offset = event.offset % max(device.logical_block_size,
+                                    device.capacity_bytes - event.size)
+        offset -= offset % device.logical_block_size
         submit = device.read(offset, event.size) if event.kind is IOKind.READ \
             else device.write(offset, event.size)
         outstanding["count"] += 1

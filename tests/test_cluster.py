@@ -251,6 +251,24 @@ def test_misspelled_fleet_axis_is_rejected_not_silently_ignored():
                  grid={"fleet.web.coutn": (8,)}).cells()
 
 
+@pytest.mark.parametrize("axis, value, path", [
+    ("fleet.run", 2, "fleet.run: unknown key"),
+    ("fleet.description", "d", "fleet.description: unknown key"),
+    ("fleet.tags", "t", "fleet.tags: unknown key"),
+    ("fleet.web.nope", 1, "fleet.groups[0].nope: unknown key"),
+    ("fleet.frontend.io_cont", 1,
+     "fleet.tenants[0].workload.io_cont: unknown key"),
+    ("fleet.kind", "fleet", "fleet.kind: not a topology field"),
+    ("fleet.profiles.p.device", "LOOP", "fleet.profiles: not a topology"),
+])
+def test_fleet_axis_outside_the_topology_is_rejected(axis, value, path):
+    spec = scenario("x", "d", devices=("fleet",), fleet=mini_fleet(),
+                    grid={axis: (value,)})
+    with pytest.raises(ValueError) as excinfo:
+        spec.cells()
+    assert str(excinfo.value).startswith(path)
+
+
 def test_fleet_without_edges_is_layout_independent():
     topology = fleet(
         "edgeless", groups=[group("g", "LOOP", 3, capacity_bytes=MINI_CAPACITY)],

@@ -10,7 +10,15 @@ import json
 
 import pytest
 
-from repro.cluster import FleetTopology, edge, fault, fleet, group, tenant
+from repro.cluster import (
+    FaultPolicy,
+    FleetTopology,
+    edge,
+    fault,
+    fleet,
+    group,
+    tenant,
+)
 from repro.config import (
     ConfigError,
     cell_from_document,
@@ -78,6 +86,48 @@ class TestTopologyDocuments:
         assert "tenants" not in doc
         assert "mode" not in doc["groups"][0]
 
+    def test_canonical_form_is_the_document(self):
+        topology = demo_topology()
+        assert json.loads(topology.canonical()) == \
+            topology_to_document(topology, kind=None)
+        assert FleetTopology.from_json(topology.canonical()) == topology
+
+    def test_canonical_form_reads_back_to_itself(self):
+        # Times given as ints are stored as floats, as the reader reads
+        # them, so the stored string is a fixed point of the round trip.
+        topology = fleet("ints", groups=[group("g", "LOOP", 2)],
+                         faults=[fault("fail", "g", 1500,
+                                       repair_after_us=7)],
+                         fault_policy=FaultPolicy(shed_penalty_us=50),
+                         epoch_us=500)
+        text = topology.canonical()
+        assert FleetTopology.from_json(text).canonical() == text
+
+    def test_from_json_validates_like_a_document(self):
+        text = json.dumps({"name": "f", "groups": [
+            {"name": "g", "device": "LOOP", "count": 1, "cont": 2}]})
+        with pytest.raises(ConfigError) as excinfo:
+            FleetTopology.from_json(text)
+        assert excinfo.value.path == "fleet.groups[0].cont"
+
+    def test_only_non_default_fields_are_written(self):
+        doc = topology_to_document(fleet(
+            "partial", groups=[group("a", "LOOP", 1), group("b", "LOOP", 2)],
+            edges=[edge("a", "b")],
+            fault_policy=FaultPolicy(shed_penalty_us=150.0)))
+        assert doc["edges"] == [{"source": "a", "target": "b"}]
+        assert doc["fault_policy"] == {"shed_penalty_us": 150.0}
+
+    def test_standalone_wrapper_keys_are_not_topology_keys(self):
+        for key, value in (("description", "d"), ("tags", ["t"]),
+                           ("run", {"shards": 2})):
+            doc = topology_to_document(demo_topology())
+            doc[key] = value
+            assert scenario_for_document(doc).name == "demo"
+            with pytest.raises(ConfigError) as excinfo:
+                topology_from_document(doc)
+            assert excinfo.value.path == f"fleet.{key}"
+
     def test_method_delegation(self):
         topology = demo_topology()
         doc = topology.to_document()
@@ -139,6 +189,21 @@ class TestTopologyDocuments:
         with pytest.raises(ConfigError) as excinfo:
             topology_from_document(doc)
         assert excinfo.value.path == "fleet.faults[0]"
+
+    @pytest.mark.parametrize("workload, key", [
+        ({"pattern": "randread", "io_cont": 5}, "io_cont"),
+        ({"trace": "bursty", "duration_us": 1e3, "mean_load_gbsp": 1.0},
+         "mean_load_gbsp"),
+        ({"trace": "tidal", "duration_us": 1e3}, "trace"),
+    ])
+    def test_tenant_workload_keys_are_checked(self, workload, key):
+        doc = {"name": "f",
+               "groups": [{"name": "g", "device": "LOOP", "count": 1}],
+               "tenants": [{"name": "t", "group": "g",
+                            "workload": workload}]}
+        with pytest.raises(ConfigError) as excinfo:
+            topology_from_document(doc)
+        assert excinfo.value.path == f"fleet.tenants[0].workload.{key}"
 
     def test_profiles_expand_into_device_params(self):
         doc = {"name": "f",
@@ -402,6 +467,17 @@ class TestValidateVerb:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.yaml")]) == 2
         assert "cannot read file" in capsys.readouterr().err
+
+    def test_cell_document_rejects_a_misspelled_fault_key(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps({
+            "kind": "cell", "device": "LOOP", "io_count": 5,
+            "faults": [{"kind": "fail", "group": "cell", "at_us": 10.0,
+                        "devcie": 0}]}))
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}.faults[0].devcie: unknown key" in \
+            capsys.readouterr().err
 
     def test_cell_document_validates(self, tmp_path, capsys):
         path = tmp_path / "cell.json"

@@ -117,9 +117,9 @@ def test_fault_spec_roundtrip_and_parse_forms():
     parsed_events, parsed_policy = parse_fault_spec(spec)
     assert parsed_events == events
     assert parsed_policy == policy
-    # A bare list of event payloads gets the default policy.
+    # A bare list of event documents gets the default policy.
     bare_events, bare_policy = parse_fault_spec(
-        json.dumps([event.to_payload() for event in events]))
+        json.dumps(json.loads(spec)["events"]))
     assert bare_events == events
     assert bare_policy == FaultPolicy()
     # The topology embeds both and round-trips them.
@@ -128,6 +128,25 @@ def test_fault_spec_roundtrip_and_parse_forms():
     assert clone.faults == events
     assert clone.fault_policy == policy
     assert clone.canonical() == topology.canonical()
+
+
+def test_fault_spec_rejects_unknown_keys_with_their_path():
+    # Read leniently, "devcie" left device=None: every device of the group.
+    with pytest.raises(ValueError, match=r"^faults\[0\]\.devcie: unknown key"):
+        parse_fault_spec('[{"kind": "fail", "group": "store", '
+                         '"at_us": 1500, "devcie": 0}]')
+    with pytest.raises(ValueError, match=r"^faults\.policy\.rebuild_chunks:"):
+        parse_fault_spec({"events": [], "policy": {"rebuild_chunks": 2}})
+    with pytest.raises(ValueError, match=r"^faults\.evnets: unknown key"):
+        parse_fault_spec({"evnets": []})
+
+
+def test_canonical_fault_spec_is_the_spec_document():
+    events = (fault("drain", "web", at_us=200.0),)
+    assert json.loads(canonical_fault_spec(events, FaultPolicy())) == {
+        "events": [{"kind": "drain", "group": "web", "at_us": 200.0}]}
+    spec = canonical_fault_spec(events, FaultPolicy(max_inflight=4))
+    assert json.loads(spec)["policy"] == {"max_inflight": 4}
 
 
 def test_fault_and_repair_epochs_quantize_up_and_stay_ordered():
@@ -371,7 +390,7 @@ def test_fault_policy_and_device_param_fleet_axes():
          for cell in cells})
     assert paces == [1, 4]
     db_group = json.loads(cells[0].fleet)["groups"][1]
-    assert ["service_time_us", 5.0] in db_group["device_params"]
+    assert db_group["device_params"]["service_time_us"] == 5.0
     # Unknown policy fields fail at expansion time, not in a worker.
     with pytest.raises(ValueError):
         scenario("x", "d", devices=("fleet",), fleet=faulty_fleet([]),

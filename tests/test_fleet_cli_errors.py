@@ -1,5 +1,6 @@
-"""Error paths of the ``fleet`` CLI verb, and approximate-flag plumbing
-through sweep results and ``diff_results``.
+"""Error paths of the ``fleet`` CLI verb and of fleet documents on every
+verb, and approximate-flag plumbing through sweep results and
+``diff_results``.
 
 Every malformed input must fail with exit code 2 and a single ``error:``
 line on stderr -- never a traceback.  The diff half covers the macro
@@ -91,6 +92,15 @@ def test_faults_wrong_spec_shape_is_a_clean_error(error_scenario, capsys):
                      "bad --faults spec")
 
 
+def test_faults_misspelled_key_is_a_clean_error(error_scenario, capsys):
+    # Read leniently, the misspelled "device" left device=None: a failure
+    # of every device in the group instead of one.
+    spec = json.dumps([{"kind": "fail", "group": "web", "at_us": 100.0,
+                        "devcie": 0}])
+    assert_cli_error(capsys, ["--faults", spec],
+                     "faults[0].devcie: unknown key")
+
+
 # ---------------------------------------------------------------------------
 # --macro error paths
 # ---------------------------------------------------------------------------
@@ -136,6 +146,42 @@ def test_invalid_document_path_is_a_clean_error(verb, tmp_path, capsys):
     assert "error:" in captured.err
     assert "groups[0].count: expected positive int" in captured.err
     assert "Traceback" not in captured.err
+
+
+def typo_axis_document(tmp_path):
+    """A scenario document whose grid axis misspells the group key
+    ``count`` as ``cont``, alone in its own directory."""
+    directory = tmp_path / "documents"
+    directory.mkdir()
+    path = directory / "typo-axis.json"
+    path.write_text(json.dumps({
+        "kind": "scenario", "name": "typo-axis-under-test",
+        "fleet": error_fleet().to_document(kind=None),
+        "grid": {"fleet.web.cont": [1, 2]}}))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["run", "--no-cache"]])
+def test_misspelled_fleet_axis_is_a_clean_error(argv, tmp_path, capsys):
+    path = typo_axis_document(tmp_path)
+    assert cli_main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:")
+    assert "fleet.groups[0].cont: unknown key" in line
+
+
+def test_list_survives_a_misspelled_fleet_axis(tmp_path, monkeypatch,
+                                               capsys):
+    from repro.experiments import scenarios
+
+    monkeypatch.setattr(scenarios, "_REGISTRY", dict(scenarios._REGISTRY))
+    monkeypatch.setenv("REPRO_SCENARIO_PATH",
+                       str(typo_axis_document(tmp_path).parent))
+    assert cli_main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert "typo-axis-under-test" in out
+    assert "fleet-smoke" in out
 
 
 # ---------------------------------------------------------------------------

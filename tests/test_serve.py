@@ -30,8 +30,6 @@ from repro.config import scenario_for_document, topology_to_document
 from repro.experiments.scenarios import register, scenario
 from repro.experiments.sweep import (
     CellOutcome,
-    CellSpec,
-    SweepCache,
     SweepResult,
     SweepRunner,
     diff_results,
@@ -103,6 +101,19 @@ def test_invalid_document_rejected_with_path(server):
         response = client.submit(document=doc)
     assert not response["ok"]
     assert "groups[0].count: expected positive int" in response["reason"]
+
+
+def test_misspelled_fleet_axis_rejected_with_path(server):
+    # The axis edits the topology document, so the one topology reader
+    # rejects it; the connection thread stays alive to answer.
+    document = {"kind": "scenario", "name": "typo-axis",
+                "fleet": fleet_document("typo-axis"),
+                "grid": {"fleet.grp.cont": [1, 2]}}
+    with client_for(server) as client:
+        response = client.submit(document=document)
+        assert response["event"] == "rejected"
+        assert "fleet.groups[0].cont: unknown key" in response["reason"]
+        assert client.ping()["ok"]
 
 
 def test_tcp_transport(tmp_path):

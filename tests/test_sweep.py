@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner as _paper_runner  # noqa: F401 (registers figures)
 from repro.experiments.cli import main as cli_main
 from repro.experiments.scenarios import (
     all_scenarios,
