@@ -8,7 +8,12 @@ document shape *before* constructing objects, so a malformed file fails
 with the exact path of the offending value::
 
     fleet.groups[2].count: expected positive int
-    scenario.streams.victim.queue_deth: not a stream override field (...)
+    scenario.streams.victim.queue_deth: unknown key (expected: ...)
+
+Every mapping reads through :func:`_read_fields` and a table of one reader
+per key, and a job field (``io_size``, ...) reads with the same reader
+wherever a document declares a job (:data:`_JOB_READERS`).  Scenario cells
+read back through :func:`cell_from_document`, which types grid values too.
 
 Cross-field invariants (a tenant naming an unknown group, a replication
 factor exceeding the target group) are enforced by the dataclasses
@@ -57,13 +62,14 @@ class ConfigError(ValueError):
 
     ``str(error)`` reads ``<path>: <message>`` -- e.g.
     ``fleet.groups[2].count: expected positive int`` -- so CLI verbs can
-    print it verbatim.
+    print it verbatim.  A document read at the empty root path (a scenario
+    cell, see :func:`cell_from_document`) names its keys bare.
     """
 
     def __init__(self, path: str, message: str):
         self.path = path
         self.message = message
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +103,14 @@ def _as_list(value: Any, path: str) -> list:
     return list(value)
 
 
-def _as_str(value: Any, path: str, choices: Optional[Sequence[str]] = None) -> str:
+def _as_text(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(path, f"expected str, got {_type_name(value)}")
-    if not value:
+    return value
+
+
+def _as_str(value: Any, path: str, choices: Optional[Sequence[str]] = None) -> str:
+    if not _as_text(value, path):
         raise ConfigError(path, "expected non-empty str")
     if choices is not None and value not in choices:
         raise ConfigError(path, f"expected one of {', '.join(choices)}; "
@@ -131,6 +141,8 @@ def _as_positive_int(value: Any, path: str) -> int:
 
 def _as_number(value: Any, path: str, positive: bool = False,
                minimum: Optional[float] = None) -> float:
+    """A finite number, returned as given: an int stays an int, so a stored
+    value reads back to the same canonical JSON."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected number, got {_type_name(value)}")
     if isinstance(value, float) and not math.isfinite(value):
@@ -139,7 +151,7 @@ def _as_number(value: Any, path: str, positive: bool = False,
         raise ConfigError(path, "expected positive number")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"expected number >= {minimum}")
-    return float(value)
+    return value
 
 
 def _as_scalar(value: Any, path: str) -> Any:
@@ -149,13 +161,18 @@ def _as_scalar(value: Any, path: str) -> Any:
     return value
 
 
+def _join(path: str, key: Any) -> str:
+    """The path of ``key`` inside ``path`` (the root path may be empty)."""
+    return f"{path}.{key}" if path else str(key)
+
+
 def _check_keys(mapping: Mapping[str, Any], path: str,
                 allowed: Collection[str], required: Sequence[str] = ()) -> None:
     for key in mapping:
         if not isinstance(key, str):
             raise ConfigError(path, f"expected str keys, got {_type_name(key)}")
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}",
+            raise ConfigError(_join(path, key),
                               f"unknown key (expected: {', '.join(sorted(allowed))})")
     for key in required:
         if key not in mapping:
@@ -171,6 +188,53 @@ def _scalar_mapping(value: Any, path: str) -> dict[str, Any]:
 
 def _sorted_pairs(mapping: Mapping[str, Any]) -> tuple:
     return tuple(sorted(mapping.items()))
+
+
+def _scalar_pairs(value: Any, path: str) -> tuple:
+    """A str -> scalar mapping in the sorted-pairs form dataclasses store."""
+    return _sorted_pairs(_scalar_mapping(value, path))
+
+
+def _optional(reader: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """``reader`` for a field whose value may also be ``null``."""
+    def read(value: Any, path: str) -> Any:
+        return None if value is None else reader(value, path)
+    return read
+
+
+def _read_fields(value: Any, path: str,
+                 readers: Mapping[str, Callable[..., Any]],
+                 required: Sequence[str] = ()) -> dict[str, Any]:
+    """Validate a mapping key by key, each key with its own reader (called
+    as ``reader(value, path=...)``); keys without a reader are rejected and
+    absent keys stay absent."""
+    mapping = _as_mapping(value, path)
+    _check_keys(mapping, path, readers, required=required)
+    return {key: readers[key](entry, path=_join(path, key))
+            for key, entry in mapping.items()}
+
+
+def _read_list(value: Any, path: str,
+               read: Callable[[Any, str], Any]) -> tuple:
+    return tuple(read(entry, f"{path}[{index}]")
+                 for index, entry in enumerate(_as_list(value, path)))
+
+
+def _read_nonempty_list(value: Any, path: str,
+                        read: Callable[[Any, str], Any]) -> tuple:
+    values = _read_list(value, path, read)
+    if not values:
+        raise ConfigError(path, "expected at least one value")
+    return values
+
+
+def _construct(cls, fields: dict[str, Any], path: str):
+    """``cls(**fields)``, with the dataclass's own invariant errors
+    re-raised as a :class:`ConfigError` at ``path``."""
+    try:
+        return cls(**fields)
+    except ValueError as error:
+        raise ConfigError(path, str(error)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +272,66 @@ def _check_device_params(params: Mapping[str, Any], device: str,
 
 
 # ---------------------------------------------------------------------------
+# Job fields
+# ---------------------------------------------------------------------------
+
+def _as_pattern(value: Any, path: str) -> str:
+    """A pattern name that runs: one :func:`~repro.workload.make_pattern`
+    builds (``bursty-`` prefixes included), or ``trace-<family>`` for a
+    trace family's open-loop replay."""
+    from repro.workload.patterns import PATTERN_NAMES, known_pattern
+    from repro.workload.trace import TRACE_FAMILIES
+
+    name = _as_str(value, path)
+    if name.startswith("trace-"):
+        if name[len("trace-"):] in TRACE_FAMILIES:
+            return name
+    elif known_pattern(name):
+        return name
+    raise ConfigError(path, f"unknown pattern {name!r} (expected: "
+                            f"{', '.join(PATTERN_NAMES)}, each also as "
+                            f"bursty-<name>; or trace-<family> for "
+                            f"{', '.join(sorted(TRACE_FAMILIES))})")
+
+
+#: One reader per :class:`~repro.workload.fio.FioJob` field (``name`` aside:
+#: whoever runs a job names it).  A key naming a job field reads with this
+#: reader wherever it appears: a cell, a scenario ``base``, a stream
+#: override, or a FIO or trace tenant's workload.
+_JOB_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "pattern": _as_pattern,
+    "io_size": _as_positive_int,
+    "queue_depth": _as_positive_int,
+    "write_ratio": _optional(partial(_as_number, minimum=0.0)),
+    "io_count": _optional(_as_positive_int),
+    "total_bytes": _optional(_as_positive_int),
+    "runtime_us": _optional(partial(_as_number, positive=True)),
+    "region_bytes": _optional(_as_positive_int),
+    "region_offset": partial(_as_int, minimum=0),
+    "ramp_ios": partial(_as_int, minimum=0),
+    "think_time_us": partial(_as_number, minimum=0.0),
+    "pattern_params": _scalar_pairs,
+    "seed": _as_int,
+}
+
+
+def _field_to_document(key: str, value: Any) -> Any:
+    """The document form of a stored job or cell field: mappings for
+    sorted pairs and stream overrides, and the documents behind the
+    canonical JSON that ``fleet`` and ``faults`` store.  Always a fresh
+    object, so the caller may edit it."""
+    if key in ("pattern_params", "device_params", "fleet_run", "labels"):
+        return dict(value)
+    if key == "streams":
+        return {name: {field: _field_to_document(field, entry)
+                       for field, entry in dict(overrides).items()}
+                for name, overrides in dict(value).items()}
+    if key in ("fleet", "faults"):
+        return json.loads(value)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Dataclass documents (topologies and fault specs)
 # ---------------------------------------------------------------------------
 #
@@ -222,39 +346,6 @@ def _non_default_fields(obj) -> dict[str, Any]:
             for field in dataclasses.fields(obj)
             if field.default is dataclasses.MISSING
             or getattr(obj, field.name) != field.default}
-
-
-def _optional(reader: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
-    """``reader`` for a field whose value may also be ``null``."""
-    def read(value: Any, path: str) -> Any:
-        return None if value is None else reader(value, path)
-    return read
-
-
-def _read_fields(value: Any, path: str,
-                 readers: Mapping[str, Callable[[Any, str], Any]],
-                 required: Sequence[str] = ()) -> dict[str, Any]:
-    """Validate a mapping key by key, each key with its own reader; keys
-    without a reader are rejected and absent keys stay absent."""
-    mapping = _as_mapping(value, path)
-    _check_keys(mapping, path, readers, required=required)
-    return {key: readers[key](entry, f"{path}.{key}")
-            for key, entry in mapping.items()}
-
-
-def _read_list(value: Any, path: str,
-               read: Callable[[Any, str], Any]) -> tuple:
-    return tuple(read(entry, f"{path}[{index}]")
-                 for index, entry in enumerate(_as_list(value, path)))
-
-
-def _construct(cls, fields: dict[str, Any], path: str):
-    """``cls(**fields)``, with the dataclass's own invariant errors
-    re-raised as a :class:`ConfigError` at ``path``."""
-    try:
-        return cls(**fields)
-    except ValueError as error:
-        raise ConfigError(path, str(error)) from None
 
 
 _FAULT_EVENT_READERS = {
@@ -317,12 +408,6 @@ def fault_spec_from_document(value: Any, *, path: str = "faults") -> tuple:
     return spec.get("events", ()), spec.get("policy", FaultPolicy())
 
 
-#: Keys only a *standalone* fleet document carries: they feed the wrapper
-#: scenario built by :func:`scenario_for_document` (``run`` maps to a
-#: :class:`~repro.cluster.FleetRunConfig`), never the topology itself.
-_WRAPPER_KEYS = ("description", "tags", "run")
-
-
 def topology_to_document(topology, *, kind: Optional[str] = "fleet") -> dict:
     """The document form of a :class:`~repro.cluster.FleetTopology`.
 
@@ -342,7 +427,8 @@ def topology_to_document(topology, *, kind: Optional[str] = "fleet") -> dict:
     if topology.tenants:
         document["tenants"] = [
             {"name": tenant.name, "group": tenant.group,
-             "workload": _workload_to_document(tenant.workload_dict())}
+             "workload": {key: _field_to_document(key, value)
+                          for key, value in tenant.workload}}
             for tenant in topology.tenants]
     for key in ("edges", "faults"):
         if key in document:
@@ -353,41 +439,26 @@ def topology_to_document(topology, *, kind: Optional[str] = "fleet") -> dict:
     return document
 
 
-def _workload_to_document(workload: Mapping[str, Any]) -> dict:
-    document = dict(workload)
-    params = document.get("pattern_params")
-    if isinstance(params, (tuple, list)):
-        document["pattern_params"] = dict(tuple(pair) for pair in params)
-    return document
-
-
-def _workload_keys(workload: Mapping[str, Any], path: str) -> list[str]:
-    """The keys a tenant workload may set: the synthesis knobs of its trace
-    family for a trace tenant, else the FioJob fields.  The shard supplies
-    ``name`` itself."""
-    from repro.workload.fio import FioJob
+def _workload_readers(workload: Mapping[str, Any], path: str) -> dict:
+    """The readers of a tenant workload: the FioJob fields' for a FIO
+    tenant; for a trace tenant, its family's synthesis knobs, each a number
+    unless it names a job field (the shard supplies ``name`` itself)."""
     from repro.workload.trace import TRACE_FAMILIES
 
     if "trace" not in workload:
-        return [field.name for field in dataclasses.fields(FioJob)
-                if field.name != "name"]
+        return _JOB_READERS
     family = _as_str(workload["trace"], f"{path}.trace",
                      choices=sorted(TRACE_FAMILIES))
     knobs = inspect.signature(TRACE_FAMILIES[family]).parameters
-    return ["trace", *(knob for knob in knobs if knob != "name")]
+    return {"trace": _as_str,
+            **{knob: _JOB_READERS.get(knob, _as_number)
+               for knob in knobs if knob != "name"}}
 
 
 def _workload_from_document(value: Any, path: str) -> tuple:
     workload = _as_mapping(value, path)
-    _check_keys(workload, path, _workload_keys(workload, path))
-    normalised: dict[str, Any] = {}
-    for key, entry in workload.items():
-        if key == "pattern_params":
-            normalised[key] = _sorted_pairs(
-                _scalar_mapping(entry, f"{path}.{key}"))
-        else:
-            normalised[key] = _as_scalar(entry, f"{path}.{key}")
-    return _sorted_pairs(normalised)
+    return _sorted_pairs(_read_fields(workload, path,
+                                      _workload_readers(workload, path)))
 
 
 _TENANT_READERS = {"name": _as_str, "group": _as_str,
@@ -494,7 +565,16 @@ def topology_from_document(document: Any, *, path: str = "fleet"):
 # Run-config documents (the ``run:`` block)
 # ---------------------------------------------------------------------------
 
-_RUN_CONFIG_KEYS = ("shards", "run_ahead", "transport", "max_epochs")
+def _as_transport(value: Any, path: str) -> str:
+    from repro.cluster.transport import TRANSPORTS
+
+    return _as_str(value, path, choices=TRANSPORTS)
+
+
+_RUN_CONFIG_READERS = {"shards": _as_positive_int,
+                       "run_ahead": _as_positive_int,
+                       "transport": _as_transport,
+                       "max_epochs": _as_positive_int}
 
 
 def run_config_to_document(config) -> dict:
@@ -506,74 +586,69 @@ def run_config_to_document(config) -> dict:
 def run_config_from_document(document: Any, *, path: str = "run"):
     """Build a validated :class:`~repro.cluster.FleetRunConfig` from the
     ``run:`` block of a fleet/scenario/cell document."""
-    from repro.cluster.transport import TRANSPORTS, FleetRunConfig
+    from repro.cluster.transport import FleetRunConfig
 
-    document = _as_mapping(document, path)
-    _check_keys(document, path, _RUN_CONFIG_KEYS)
-    fields: dict[str, Any] = {}
-    for key, value in document.items():
-        key_path = f"{path}.{key}"
-        if key == "transport":
-            fields[key] = _as_str(value, key_path, choices=TRANSPORTS)
-        else:
-            fields[key] = _as_positive_int(value, key_path)
-    try:
-        return FleetRunConfig(**fields)
-    except ValueError as error:
-        raise ConfigError(path, str(error)) from None
+    return _construct(FleetRunConfig,
+                      _read_fields(document, path, _RUN_CONFIG_READERS), path)
 
 
 # ---------------------------------------------------------------------------
 # Cell documents
 # ---------------------------------------------------------------------------
 
-def _cell_fields() -> dict:
-    from repro.experiments.sweep import CellSpec
-
-    return {field.name: field for field in dataclasses.fields(CellSpec)}
-
-
-#: Stream overrides may set any FioJob field plus the target device.
-def _stream_override_fields() -> tuple[str, ...]:
-    from repro.experiments.sweep import _JOB_FIELDS
-
-    return (*_JOB_FIELDS, "device")
+def _as_series_bin(value: Any, path: str) -> Any:
+    if value is None or value == "auto":
+        return value
+    return _as_number(value, path, positive=True)
 
 
-def _streams_from_document(value: Any, path: str) -> tuple:
-    streams = _as_mapping(value, path)
-    allowed = _stream_override_fields()
-    normalised = []
-    for name, overrides in streams.items():
-        name = _as_str(name, path)
-        stream_path = f"{path}.{name}"
-        overrides = _as_mapping(overrides, stream_path)
-        fields: dict[str, Any] = {}
-        for key, entry in overrides.items():
-            key = _as_str(key, stream_path)
-            if key not in allowed:
-                raise ConfigError(
-                    f"{stream_path}.{key}",
-                    f"not a stream override field "
-                    f"(known: {', '.join(sorted(allowed))})")
-            if key == "pattern_params":
-                fields[key] = _sorted_pairs(
-                    _scalar_mapping(entry, f"{stream_path}.{key}"))
-            else:
-                fields[key] = _as_scalar(entry, f"{stream_path}.{key}")
-        normalised.append((name, _sorted_pairs(fields)))
-    return tuple(sorted(normalised))
+def _read_streams(value: Any, path: str) -> tuple:
+    """Stream overrides in the form cells store: sorted ``(name, pairs)``."""
+    return tuple(sorted(
+        (_as_str(name, path), _sorted_pairs(
+            _read_fields(overrides, f"{path}.{name}", _STREAM_READERS)))
+        for name, overrides in _as_mapping(value, path).items()))
 
 
-def _streams_to_document(streams: tuple) -> dict:
-    document = {}
-    for name, overrides in streams:
-        fields = dict(overrides)
-        params = fields.get("pattern_params")
-        if isinstance(params, (tuple, list)):
-            fields["pattern_params"] = dict(tuple(pair) for pair in params)
-        document[name] = fields
-    return document
+def _read_fleet(value: Any, path: str) -> str:
+    return topology_from_document(value, path=path).canonical()
+
+
+def _read_faults(value: Any, path: str) -> str:
+    from repro.cluster.faults import canonical_fault_spec
+
+    return canonical_fault_spec(*fault_spec_from_document(value, path=path))
+
+
+def _read_fleet_run(value: Any, path: str) -> tuple:
+    return run_config_from_document(value, path=path).to_pairs()
+
+
+#: A stream override: any job field its cell carries (every FioJob field
+#: but the region, since a cell's jobs span their devices), plus the device
+#: the stream runs on.
+_STREAM_READERS = {
+    **{key: reader for key, reader in _JOB_READERS.items()
+       if key not in ("region_bytes", "region_offset")},
+    "device": _as_str,
+}
+
+#: One reader per :class:`~repro.experiments.sweep.CellSpec` field, each
+#: returning the form the cell stores.
+_CELL_READERS = {
+    **_STREAM_READERS,
+    "preload": _as_bool,
+    "ssd_capacity_bytes": _optional(_as_positive_int),
+    "essd_capacity_bytes": _optional(_as_positive_int),
+    "series_bin_us": _as_series_bin,
+    "streams": _read_streams,
+    "trace": _as_bool,
+    "device_params": _scalar_pairs,
+    "fleet": _read_fleet,
+    "faults": _read_faults,
+    "fleet_run": _read_fleet_run,
+    "labels": _scalar_pairs,
+}
 
 
 def cell_to_document(cell, *, kind: Optional[str] = "cell") -> dict:
@@ -583,91 +658,54 @@ def cell_to_document(cell, *, kind: Optional[str] = "cell") -> dict:
         document["kind"] = kind
     for field in dataclasses.fields(type(cell)):
         value = getattr(cell, field.name)
-        if field.name != "device" and value == field.default:
-            continue
-        if field.name in ("pattern_params", "device_params", "labels"):
-            document[field.name] = dict(value)
-        elif field.name == "streams":
-            document[field.name] = _streams_to_document(value)
-        elif field.name in ("fleet", "faults"):
-            # Both store the canonical JSON of their document form.
-            document[field.name] = json.loads(value)
-        elif field.name == "fleet_run":
-            document[field.name] = dict(value)
-        else:
-            document[field.name] = value
+        if field.name == "device" or value != field.default:
+            document[field.name] = _field_to_document(field.name, value)
     return document
 
 
+def _check_cell_devices(fields: Mapping[str, Any], path: str) -> None:
+    """Check the devices a cell builds, as a topology checks its groups'.
+
+    Those are every stream's pinned ``device`` and the cell's own device
+    when its single job (or trace replay) or some unpinned stream runs on
+    it; ``device_params`` must fit each of them.  So a cell whose streams
+    all pin a device may carry any label as its device (``mixed-fleet``
+    calls its cells ``fleet``), and a fleet cell builds none of these.
+    """
+    if "fleet" in fields:
+        return
+    pins = {name: dict(overrides).get("device")
+            for name, overrides in fields.get("streams", ())}
+    built = {_join(path, f"streams.{name}.device"): pin
+             for name, pin in pins.items() if pin is not None}
+    if not pins or None in pins.values() \
+            or fields.get("pattern", "").startswith("trace-"):
+        built[_join(path, "device")] = fields["device"]
+    params = dict(fields.get("device_params", ()))
+    for device_path, device in built.items():
+        _check_device(device, device_path)
+        _check_device_params(params, device, _join(path, "device_params"))
+
+
 def cell_from_document(document: Any, *, path: str = "cell"):
-    """Build a validated :class:`~repro.experiments.sweep.CellSpec`."""
+    """Build a validated :class:`~repro.experiments.sweep.CellSpec`.
+
+    Every key reads with its :data:`_CELL_READERS` entry, then the devices
+    the cell builds are checked.  ``ScenarioSpec.cells`` reads its cells at
+    the empty root path, so their errors name keys bare
+    (``queue_depth: expected positive int``,
+    ``fleet.groups[0].cont: unknown key``).
+    """
     from repro.experiments.sweep import CellSpec
 
-    document = _as_mapping(document, path)
-    fields_by_name = _cell_fields()
-    _check_keys(document, path, ["kind", *fields_by_name])
-    if "kind" in document:
-        _as_str(document["kind"], f"{path}.kind", choices=("cell",))
-        document.pop("kind")
-    if "device" not in document and "fleet" not in document:
-        raise ConfigError(path, "missing required key 'device'")
-
-    fields: dict[str, Any] = {}
-    for key, value in document.items():
-        key_path = f"{path}.{key}"
-        if key in ("pattern_params", "device_params"):
-            fields[key] = _sorted_pairs(_scalar_mapping(value, key_path))
-        elif key == "labels":
-            fields[key] = _sorted_pairs(_scalar_mapping(value, key_path))
-        elif key == "streams":
-            fields[key] = _streams_from_document(value, key_path)
-        elif key == "fleet":
-            fields[key] = topology_from_document(value, path=key_path).canonical()
-        elif key == "faults":
-            from repro.cluster.faults import canonical_fault_spec
-
-            fields[key] = canonical_fault_spec(
-                *fault_spec_from_document(value, path=key_path))
-        elif key == "fleet_run":
-            fields[key] = run_config_from_document(
-                value, path=key_path).to_pairs()
-        elif key in ("io_size", "queue_depth"):
-            fields[key] = _as_positive_int(value, key_path)
-        elif key in ("io_count", "total_bytes",
-                     "ssd_capacity_bytes", "essd_capacity_bytes"):
-            if value is not None:
-                value = _as_positive_int(value, key_path)
-            fields[key] = value
-        elif key == "write_ratio":
-            if value is not None:
-                value = _as_number(value, key_path, minimum=0.0)
-            fields[key] = value
-        elif key == "runtime_us":
-            if value is not None:
-                value = _as_number(value, key_path, positive=True)
-            fields[key] = value
-        elif key == "ramp_ios":
-            fields[key] = _as_int(value, key_path, minimum=0)
-        elif key == "think_time_us":
-            fields[key] = _as_number(value, key_path, minimum=0.0)
-        elif key == "seed":
-            fields[key] = _as_int(value, key_path)
-        elif key in ("preload", "trace"):
-            fields[key] = _as_bool(value, key_path)
-        elif key == "series_bin_us":
-            if value is not None and value != "auto":
-                value = _as_number(value, key_path, positive=True)
-            fields[key] = value
-        elif key == "pattern":
-            fields[key] = _as_str(value, key_path)
-        elif key == "device":
-            fields[key] = _as_str(value, key_path)
-        else:  # pragma: no cover - _check_keys rejects unknown keys
-            fields[key] = value
+    fields = _read_fields(document, path, {
+        "kind": partial(_as_str, choices=("cell",)), **_CELL_READERS})
+    fields.pop("kind", None)
     if "fleet" in fields:
         fields.setdefault("device", "fleet")
-    else:
-        _check_device(fields["device"], f"{path}.device")
+    elif "device" not in fields:
+        raise ConfigError(path, "missing required key 'device'")
+    _check_cell_devices(fields, path)
     return CellSpec(**fields)
 
 
@@ -675,33 +713,41 @@ def cell_from_document(document: Any, *, path: str = "cell"):
 # Scenario documents
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = ("kind", "name", "description", "devices", "base", "grid",
-                  "streams", "fleet", "run", "seed", "seed_mode", "tags")
+#: What a scenario's ``base`` may set: every cell field but those the
+#: expansion itself fills in.
+_BASE_READERS = {key: reader for key, reader in _CELL_READERS.items()
+                 if key not in ("labels", "streams", "fleet", "fleet_run")}
 
 
-def _base_fields() -> tuple[str, ...]:
-    """Keys a scenario ``base`` mapping may set: every cell field that is
-    not reserved for the expansion machinery, plus the two params
-    mappings."""
-    reserved = ("labels", "streams", "fleet", "fleet_run")
-    return tuple(name for name in _cell_fields() if name not in reserved)
+def _read_grid(value: Any, path: str) -> dict[str, tuple]:
+    """Each axis's non-empty list of scalars; ``ScenarioSpec.cells`` types
+    the values with the cell readers."""
+    return {_as_str(axis, path): _read_nonempty_list(values, f"{path}.{axis}",
+                                                     _as_scalar)
+            for axis, values in _as_mapping(value, path).items()}
 
 
-def _base_from_document(value: Any, path: str) -> dict[str, Any]:
-    base = _as_mapping(value, path)
-    allowed = _base_fields()
-    fields: dict[str, Any] = {}
-    for key, entry in base.items():
-        key = _as_str(key, path)
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}",
-                              f"not a cell field "
-                              f"(known: {', '.join(sorted(allowed))})")
-        if key in ("pattern_params", "device_params"):
-            fields[key] = _sorted_pairs(_scalar_mapping(entry, f"{path}.{key}"))
-        else:
-            fields[key] = _as_scalar(entry, f"{path}.{key}")
-    return fields
+#: The keys a standalone fleet document shares with a scenario document:
+#: :func:`scenario_for_document` reads them for the scenario it wraps the
+#: fleet in, and the topology reader rejects them.
+_WRAPPER_READERS = {
+    "description": _optional(_as_text),
+    "tags": partial(_read_list, read=_as_str),
+    "run": run_config_from_document,
+}
+
+_SCENARIO_READERS = {
+    "kind": partial(_as_str, choices=("scenario",)),
+    "name": _as_str,
+    "devices": partial(_read_nonempty_list, read=_as_str),
+    "base": partial(_read_fields, readers=_BASE_READERS),
+    "grid": _read_grid,
+    "streams": _read_streams,
+    "fleet": topology_from_document,
+    "seed": _as_int,
+    "seed_mode": partial(_as_str, choices=("fixed", "derived")),
+    **_WRAPPER_READERS,
+}
 
 
 def scenario_to_document(spec) -> dict:
@@ -721,15 +767,12 @@ def scenario_to_document(spec) -> dict:
         "devices": list(spec.devices),
     }
     if spec.base:
-        base = dict(spec.base)
-        for key in ("pattern_params", "device_params"):
-            if isinstance(base.get(key), (tuple, list)):
-                base[key] = dict(tuple(pair) for pair in base[key])
-        document["base"] = base
+        document["base"] = {key: _field_to_document(key, value)
+                            for key, value in spec.base}
     if spec.grid:
         document["grid"] = {axis: list(values) for axis, values in spec.grid}
     if spec.streams:
-        document["streams"] = _streams_to_document(spec.streams)
+        document["streams"] = _field_to_document("streams", spec.streams)
     if spec.fleet is not None:
         document["fleet"] = json.loads(spec.fleet)
     if spec.fleet_run:
@@ -744,76 +787,28 @@ def scenario_to_document(spec) -> dict:
 
 
 def scenario_from_document(document: Any, *, path: str = "scenario"):
-    """Build a validated :class:`~repro.experiments.scenarios.ScenarioSpec`."""
+    """Build a validated :class:`~repro.experiments.scenarios.ScenarioSpec`.
+
+    Grid values and the devices the cells build are checked when the
+    scenario expands (:meth:`ScenarioSpec.cells
+    <repro.experiments.scenarios.ScenarioSpec.cells>`).
+    """
     from repro.experiments.scenarios import scenario
 
-    document = _as_mapping(document, path)
-    _check_keys(document, path, _SCENARIO_KEYS, required=("name",))
-    if "kind" in document:
-        _as_str(document["kind"], f"{path}.kind", choices=("scenario",))
-    name = _as_str(document["name"], f"{path}.name")
-    description = document.get("description", "")
-    if description:
-        description = _as_str(description, f"{path}.description")
-
-    fleet = document.get("fleet")
-    if fleet is not None:
-        fleet = topology_from_document(fleet, path=f"{path}.fleet")
-
-    run = document.get("run")
-    if run is not None:
-        if fleet is None:
-            raise ConfigError(f"{path}.run",
-                              "a run block requires a fleet topology")
-        run = run_config_from_document(run, path=f"{path}.run")
-
-    if "devices" in document:
-        devices = [_as_str(entry, f"{path}.devices[{index}]")
-                   for index, entry in enumerate(
-                       _as_list(document["devices"], f"{path}.devices"))]
-        if not devices:
-            raise ConfigError(f"{path}.devices",
-                              "expected at least one device")
-        if fleet is None:
-            for index, device in enumerate(devices):
-                _check_device(device, f"{path}.devices[{index}]")
-    elif fleet is not None:
-        devices = ["fleet"]
-    else:
-        raise ConfigError(path, "missing required key 'devices' "
-                                "(or an inline 'fleet' topology)")
-
-    base = _base_from_document(document.get("base", {}), f"{path}.base")
-
-    grid: dict[str, Sequence[Any]] = {}
-    for axis, values in _as_mapping(document.get("grid", {}),
-                                    f"{path}.grid").items():
-        axis = _as_str(axis, f"{path}.grid")
-        axis_path = f"{path}.grid.{axis}"
-        values = _as_list(values, axis_path)
-        if not values:
-            raise ConfigError(axis_path, "expected at least one value")
-        grid[axis] = [_as_scalar(value, f"{axis_path}[{index}]")
-                      for index, value in enumerate(values)]
-
-    streams = _streams_from_document(document.get("streams", {}),
-                                     f"{path}.streams")
-
-    seed = _as_int(document.get("seed", 17), f"{path}.seed")
-    seed_mode = _as_str(document.get("seed_mode", "fixed"),
-                        f"{path}.seed_mode", choices=("fixed", "derived"))
-    tags = [_as_str(entry, f"{path}.tags[{index}]")
-            for index, entry in enumerate(
-                _as_list(document.get("tags", []), f"{path}.tags"))]
-
-    try:
-        return scenario(
-            name=name, description=description, devices=devices, base=base,
-            grid=grid,
-            streams={stream: dict(overrides) for stream, overrides in streams},
-            fleet=fleet, run=run, seed=seed, seed_mode=seed_mode, tags=tags)
-    except ValueError as error:
-        raise ConfigError(path, str(error)) from None
+    fields = _read_fields(document, path, _SCENARIO_READERS,
+                          required=("name",))
+    fields.pop("kind", None)
+    if "run" in fields and "fleet" not in fields:
+        raise ConfigError(f"{path}.run", "a run block requires a fleet topology")
+    if "devices" not in fields:
+        if "fleet" not in fields:
+            raise ConfigError(path, "missing required key 'devices' "
+                                    "(or an inline 'fleet' topology)")
+        fields["devices"] = ("fleet",)
+    fields["description"] = fields.get("description") or ""
+    fields["streams"] = {name: dict(overrides)
+                         for name, overrides in fields.get("streams", ())}
+    return _construct(scenario, fields, path)
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +842,10 @@ def scenario_for_document(document: Any, *, path: str = "document"):
     """A runnable :class:`ScenarioSpec` for a scenario *or* fleet document.
 
     A bare fleet document registers as a single-cell fleet scenario named
-    after the topology (its optional top-level ``description`` and ``tags``
-    feed the wrapper), so user fleets appear beside the built-ins in
-    ``list`` / ``run`` / ``fleet`` with no scenario boilerplate.
+    after the topology (its optional top-level ``description``, ``tags``
+    and ``run`` feed the wrapper), so user fleets appear beside the
+    built-ins in ``list`` / ``run`` / ``fleet`` with no scenario
+    boilerplate.
     """
     from repro.experiments.scenarios import scenario
 
@@ -860,21 +856,13 @@ def scenario_for_document(document: Any, *, path: str = "document"):
         raise ConfigError(path, "a cell document is not runnable as a "
                                 "scenario (wrap it in kind: scenario)")
     document = _as_mapping(document, path)
-    wrapper = {key: document.pop(key) for key in _WRAPPER_KEYS
-               if key in document}
+    wrapper = _read_fields({key: document.pop(key) for key in _WRAPPER_READERS
+                            if key in document}, path, _WRAPPER_READERS)
     topology = topology_from_document(document, path=path)
-    description = wrapper.get("description") or \
-        f"user fleet {topology.name!r} (config document)"
-    description = _as_str(description, f"{path}.description")
-    run = wrapper.get("run")
-    if run is not None:
-        run = run_config_from_document(run, path=f"{path}.run")
-    tags = [_as_str(entry, f"{path}.tags[{index}]")
-            for index, entry in enumerate(
-                _as_list(wrapper.get("tags", []), f"{path}.tags"))]
-    if "fleet" not in tags:
-        tags.append("fleet")
-    if "config" not in tags:
-        tags.append("config")
-    return scenario(name=topology.name, description=description,
-                    devices=("fleet",), fleet=topology, run=run, tags=tags)
+    tags = list(wrapper.get("tags", ()))
+    tags += [tag for tag in ("fleet", "config") if tag not in tags]
+    return scenario(name=topology.name,
+                    description=wrapper.get("description")
+                    or f"user fleet {topology.name!r} (config document)",
+                    devices=("fleet",), fleet=topology,
+                    run=wrapper.get("run"), tags=tags)

@@ -452,17 +452,22 @@ def _cmd_validate(args) -> int:
             if kind == "cell":
                 cell = cell_from_document(document, path=file)
                 print(f"{file}: OK (cell, device {cell.device!r})")
-            else:
-                spec = scenario_for_document(document, path=file)
-                print(f"{file}: OK ({kind} {spec.name!r}, "
-                      f"{len(spec.cells())} cells)")
+                continue
+            spec = scenario_for_document(document, path=file)
         except ConfigError as error:
+            # Document paths start with the file name.
             print(f"error: {error}", file=sys.stderr)
             failures += 1
+            continue
+        try:
+            cell_count = len(spec.cells())
         except ValueError as error:
-            # cells() expansion (bad grid axis, broken fleet invariant)
+            # A cell's own path does not: a grid value, a device a cell
+            # builds, a fleet axis.
             print(f"error: {file}: {error}", file=sys.stderr)
             failures += 1
+            continue
+        print(f"{file}: OK ({kind} {spec.name!r}, {cell_count} cells)")
     return 2 if failures else 0
 
 

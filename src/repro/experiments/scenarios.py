@@ -37,7 +37,6 @@ JSON of the cell spec and the cache version.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
@@ -104,73 +103,43 @@ class ScenarioSpec:
         return expand_grid({axis: values for axis, values in self.grid})
 
     def cells(self) -> list[CellSpec]:
-        """Expand the scenario into independent cell specs."""
+        """Expand the scenario into independent cell specs.
+
+        Each device x grid point becomes a cell document -- the scenario
+        document's ``base``, ``streams``, ``fleet`` and ``run``, then the
+        point's axes (:func:`_apply_axis`) -- read back through
+        :func:`repro.config.cell_from_document`.  So grid values are typed
+        by the cell readers, and a bad one fails here, named by its key in
+        the cell document (``queue_depth: expected positive int``).
+        """
         if self.cell_builder is not None:
             return self.cell_builder()
+        from repro.config import cell_from_document
+
         cells = []
-        base = dict(self.base)
         for device in self.devices:
             for point in self.grid_points():
-                fields = dict(base)
-                pattern_params = dict(fields.pop("pattern_params", ()))
-                device_params = dict(fields.pop("device_params", ()))
-                fleet_overrides: dict[str, Any] = {}
-                stream_overrides = {name: dict(overrides)
-                                    for name, overrides in self.streams}
-                for axis, value in point.items():
-                    if axis.startswith("fleet."):
-                        if self.fleet is None:
-                            raise ValueError(
-                                f"grid axis {axis!r} needs a fleet topology "
-                                f"(scenario(..., fleet=...))")
-                        fleet_overrides[axis] = value
-                    elif "." in axis:
-                        stream_name, _, stream_field = axis.partition(".")
-                        if stream_name not in stream_overrides:
-                            raise ValueError(
-                                f"grid axis {axis!r} targets unknown stream "
-                                f"{stream_name!r} (streams: "
-                                f"{sorted(stream_overrides)})")
-                        stream_overrides[stream_name][stream_field] = value
-                    elif axis in _DEVICE_PARAM_AXES:
-                        device_params[axis] = value
-                    elif axis in _CELL_FIELDS:
-                        fields[axis] = value
-                    else:
-                        pattern_params[axis] = value
-                if device_params:
-                    fields["device_params"] = tuple(sorted(device_params.items()))
-                if self.fleet is not None:
-                    from repro.cluster import FleetTopology
-
-                    document = json.loads(self.fleet)
-                    for axis, value in fleet_overrides.items():
-                        _apply_fleet_axis(document, axis, value)
-                    # Read back through the validating reader so an invalid
-                    # override (unknown key, broken invariant) fails at
-                    # expansion time, not inside a worker process.
-                    fields["fleet"] = FleetTopology.from_document(
-                        document).canonical()
-                    if self.fleet_run:
-                        fields.setdefault("fleet_run", self.fleet_run)
-                if stream_overrides:
-                    fields["streams"] = tuple(sorted(
-                        (name, tuple(sorted(overrides.items())))
-                        for name, overrides in stream_overrides.items()))
                 labels = {"device": device, **point}
                 seed = self.seed if self.seed_mode == "fixed" \
                     else derive_seed(self.seed, labels)
-                # setdefault keeps a base/grid entry named "device" or "seed"
-                # authoritative (a grid axis may sweep seeds, for example).
-                fields.setdefault("device", device)
-                fields.setdefault("seed", seed)
-                fields.setdefault("ssd_capacity_bytes", DEFAULT_SSD_CAPACITY)
-                fields.setdefault("essd_capacity_bytes", DEFAULT_ESSD_CAPACITY)
-                cells.append(CellSpec(
-                    pattern_params=tuple(sorted(pattern_params.items())),
-                    labels=tuple(sorted(labels.items())),
-                    **fields,
-                ))
+                # The axes edit the document in place, so each cell gets a
+                # fresh one.  The base comes after the defaults, so a base
+                # entry named "device" or "seed" stays authoritative (and a
+                # grid axis after it: one may sweep seeds, for example).
+                scenario_document = self.to_document()
+                document = {"device": device, "seed": seed,
+                            "ssd_capacity_bytes": DEFAULT_SSD_CAPACITY,
+                            "essd_capacity_bytes": DEFAULT_ESSD_CAPACITY,
+                            **scenario_document.get("base", {}),
+                            "labels": labels}
+                for key in ("streams", "fleet"):
+                    if key in scenario_document:
+                        document[key] = scenario_document[key]
+                if "fleet" in document and "run" in scenario_document:
+                    document["fleet_run"] = scenario_document["run"]
+                for axis, value in point.items():
+                    _apply_axis(document, axis, value)
+                cells.append(cell_from_document(document, path=""))
         return cells
 
     def to_document(self) -> dict[str, Any]:
@@ -190,6 +159,35 @@ class ScenarioSpec:
         from repro.config import scenario_from_document
 
         return scenario_from_document(document, path=path)
+
+
+def _apply_axis(document: dict, axis: str, value: Any) -> None:
+    """Write one grid axis into a cell document (in place).
+
+    ``fleet.*`` edits the fleet topology (:func:`_apply_fleet_axis`),
+    ``<stream>.<field>`` sets that stream's override, a device-profile knob
+    (:data:`_DEVICE_PARAM_AXES`) sets ``device_params``, a
+    :class:`CellSpec` field sets the field, and any other axis is a pattern
+    knob in ``pattern_params``.
+    """
+    if axis.startswith("fleet."):
+        if "fleet" not in document:
+            raise ValueError(f"grid axis {axis!r} needs a fleet topology "
+                             f"(scenario(..., fleet=...))")
+        _apply_fleet_axis(document["fleet"], axis, value)
+    elif "." in axis:
+        stream, _, key = axis.partition(".")
+        streams = document.get("streams", {})
+        if stream not in streams:
+            raise ValueError(f"grid axis {axis!r} targets unknown stream "
+                             f"{stream!r} (streams: {sorted(streams)})")
+        streams[stream][key] = value
+    elif axis in _DEVICE_PARAM_AXES:
+        document.setdefault("device_params", {})[axis] = value
+    elif axis in _CELL_FIELDS:
+        document[axis] = value
+    else:
+        document.setdefault("pattern_params", {})[axis] = value
 
 
 def _apply_fleet_axis(document: dict, axis: str, value: Any) -> None:

@@ -743,14 +743,25 @@ class SweepRunner:
         return list(shared_pool(workers).map(run_cell, cells))
 
 
+def _quick_stop(io_count: Optional[int], total_bytes: Optional[int],
+                io_size: int, quick_count: int) -> dict[str, int]:
+    """The quick form of a job's stop condition: ``io_count`` capped at
+    ``quick_count``, or else ``total_bytes`` cut to an eighth of its volume,
+    floored at ``quick_count`` I/Os."""
+    if io_count is not None:
+        return {"io_count": min(io_count, quick_count)}
+    if total_bytes is not None:
+        return {"total_bytes": min(total_bytes, max(io_size * quick_count,
+                                                    total_bytes // 8))}
+    return {}
+
+
 def quick_cells(cells: Sequence[CellSpec], io_count: int = 60) -> list[CellSpec]:
     """Shrink every cell's I/O budget (used by ``--quick`` CLI runs).
 
-    Count-bounded cells are capped at ``io_count`` I/Os; byte-bounded cells
-    (sustained floods) are cut to an eighth of their volume, floored so at
-    least ``io_count`` I/Os still run.  Stream overrides shrink the same
-    way.  Trace-replay cells cap the synthesized duration, and fleet cells
-    shrink every tenant workload inside the topology.
+    Every job -- a cell's, a stream override's and a fleet tenant's -- keeps
+    its stop condition in quick form (:func:`_quick_stop`).  Trace-replay
+    cells and trace tenants cap the synthesized duration instead.
     """
     QUICK_TRACE_DURATION_US = 100_000.0
 
@@ -758,34 +769,22 @@ def quick_cells(cells: Sequence[CellSpec], io_count: int = 60) -> list[CellSpec]
         document = json.loads(fleet_json)
         for tenant in document.get("tenants", ()):
             workload = tenant["workload"]
-            if workload.get("io_count") is not None:
-                workload["io_count"] = min(workload["io_count"], io_count)
             if workload.get("duration_us") is not None:
                 workload["duration_us"] = min(workload["duration_us"],
                                               QUICK_TRACE_DURATION_US)
-            if workload.get("total_bytes") is not None:
-                # Byte-bounded tenant floods shrink like device cells: an
-                # eighth of the volume, floored at io_count I/Os.
-                tenant_io_size = workload.get("io_size", 4096)
-                workload["total_bytes"] = min(
-                    workload["total_bytes"],
-                    max(tenant_io_size * io_count,
-                        workload["total_bytes"] // 8))
+            workload.update(_quick_stop(
+                workload.get("io_count"), workload.get("total_bytes"),
+                workload.get("io_size", 4096), io_count))
         return canonical_json(document)
 
     def shrink_streams(cell: CellSpec) -> tuple:
         shrunk_streams = []
         for name, overrides in cell.streams:
             fields = dict(overrides)
-            if fields.get("io_count") is not None:
-                fields["io_count"] = min(fields["io_count"], io_count)
-            elif fields.get("total_bytes") is not None:
-                # A stream without its own io_size inherits the cell's.
-                stream_io_size = fields.get("io_size", cell.io_size)
-                fields["total_bytes"] = min(
-                    fields["total_bytes"],
-                    max(stream_io_size * io_count,
-                        fields["total_bytes"] // 8))
+            # A stream without its own io_size inherits the cell's.
+            fields.update(_quick_stop(
+                fields.get("io_count"), fields.get("total_bytes"),
+                fields.get("io_size", cell.io_size), io_count))
             shrunk_streams.append((name, tuple(sorted(fields.items()))))
         return tuple(shrunk_streams)
 
@@ -799,11 +798,9 @@ def quick_cells(cells: Sequence[CellSpec], io_count: int = 60) -> list[CellSpec]
             duration = params.get("duration_us", cell.runtime_us or 100_000.0)
             params["duration_us"] = min(duration, QUICK_TRACE_DURATION_US)
             changes["pattern_params"] = tuple(sorted(params.items()))
-        elif cell.io_count is not None:
-            changes["io_count"] = min(cell.io_count, io_count)
-        elif cell.total_bytes is not None:
-            quick_bytes = max(cell.io_size * io_count, cell.total_bytes // 8)
-            changes["total_bytes"] = min(cell.total_bytes, quick_bytes)
+        else:
+            changes.update(_quick_stop(cell.io_count, cell.total_bytes,
+                                       cell.io_size, io_count))
         if cell.streams:
             changes["streams"] = shrink_streams(cell)
         shrunk.append(replace(cell, **changes) if changes else cell)

@@ -255,13 +255,23 @@ class MixedPattern(AccessPattern):
         return kind, self.base.next_offset()
 
 
-#: (read name, write name, mixed name) -> base pattern class, for make_pattern.
+#: Base pattern class -> its (read, write, mixed) names: the one table of
+#: FIO-style pattern names, read by :func:`make_pattern` and by the config
+#: layer's pattern check (:func:`known_pattern`).
 _FAMILIES = {
-    "read": ("read", "write", "seqrw"),
-    "rand": ("randread", "randwrite", "randrw"),
-    "zipf": ("zipfread", "zipfwrite", "zipfrw"),
-    "hotcold": ("hotcoldread", "hotcoldwrite", "hotcoldrw"),
+    SequentialPattern: ("read", "write", "seqrw"),
+    RandomPattern: ("randread", "randwrite", "randrw"),
+    ZipfianPattern: ("zipfread", "zipfwrite", "zipfrw"),
+    HotColdPattern: ("hotcoldread", "hotcoldwrite", "hotcoldrw"),
 }
+
+#: Every pattern name without the optional ``bursty-`` prefix.
+PATTERN_NAMES = tuple(name for names in _FAMILIES.values() for name in names)
+
+
+def known_pattern(name: str) -> bool:
+    """Whether :func:`make_pattern` builds a pattern named ``name``."""
+    return name.lower().removeprefix("bursty-") in PATTERN_NAMES
 
 
 def make_pattern(name: str, region_bytes: int, io_size: int,
@@ -287,24 +297,22 @@ def make_pattern(name: str, region_bytes: int, io_size: int,
                             region_offset=region_offset, **params)
         return BurstyPattern(base, **burst_params)
 
-    def build(kind: IOKind) -> AccessPattern:
-        if name in ("read", "write", "seqrw"):
-            return SequentialPattern(region_bytes, io_size, kind, region_offset,
-                                     **params)
-        if name in ("randread", "randwrite", "randrw"):
-            return RandomPattern(region_bytes, io_size, kind, region_offset, seed)
-        if name in ("zipfread", "zipfwrite", "zipfrw"):
-            return ZipfianPattern(region_bytes, io_size, kind, region_offset, seed,
-                                  **params)
-        if name in ("hotcoldread", "hotcoldwrite", "hotcoldrw"):
-            return HotColdPattern(region_bytes, io_size, kind, region_offset, seed,
-                                  **params)
+    family = next((cls for cls, names in _FAMILIES.items() if name in names),
+                  None)
+    if family is None:
         raise ValueError(f"unknown pattern name: {name!r}")
 
-    mixed_names = {family[2] for family in _FAMILIES.values()}
-    if name in mixed_names:
+    def build(kind: IOKind) -> AccessPattern:
+        if family is SequentialPattern:  # unseeded
+            return SequentialPattern(region_bytes, io_size, kind, region_offset,
+                                     **params)
+        if family is RandomPattern:  # takes no knobs
+            return RandomPattern(region_bytes, io_size, kind, region_offset, seed)
+        return family(region_bytes, io_size, kind, region_offset, seed, **params)
+
+    _, write_name, mixed_name = _FAMILIES[family]
+    if name == mixed_name:
         if write_ratio is None:
             raise ValueError(f"{name} requires a write_ratio")
         return MixedPattern(build(IOKind.READ), write_ratio, seed=seed + 1)
-    kind = IOKind.WRITE if name.endswith("write") else IOKind.READ
-    return build(kind)
+    return build(IOKind.WRITE if name == write_name else IOKind.READ)

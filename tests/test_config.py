@@ -36,7 +36,9 @@ from repro.config import (
     yaml_available,
 )
 from repro.experiments.cli import main
+from repro.determinism import canonical_json
 from repro.experiments.scenarios import (
+    all_scenarios,
     get_scenario,
     load_user_scenarios,
     scenario,
@@ -195,6 +197,13 @@ class TestTopologyDocuments:
         ({"trace": "bursty", "duration_us": 1e3, "mean_load_gbsp": 1.0},
          "mean_load_gbsp"),
         ({"trace": "tidal", "duration_us": 1e3}, "trace"),
+        ({"pattern": "randread", "io_count": 5, "io_size": "big"}, "io_size"),
+        ({"pattern": "randread", "io_count": 5, "queue_depth": 0},
+         "queue_depth"),
+        ({"pattern": "randwirte", "io_count": 5}, "pattern"),
+        ({"trace": "bursty", "duration_us": 1e3, "io_size": "big"},
+         "io_size"),
+        ({"trace": "bursty", "duration_us": float("nan")}, "duration_us"),
     ])
     def test_tenant_workload_keys_are_checked(self, workload, key):
         doc = {"name": "f",
@@ -232,8 +241,23 @@ class TestTopologyDocuments:
 
 class TestScenarioDocuments:
     def test_builtin_round_trip(self):
-        spec = get_scenario("latency-grid")
-        assert scenario_from_document(scenario_to_document(spec)) == spec
+        """Every registered declarative scenario reads back from its own
+        document and expands to the same cells; ``mixed-fleet``, whose
+        streams all pin a device, names its cells ``fleet``."""
+        specs = [spec for spec in all_scenarios() if spec.cell_builder is None]
+        assert "mixed-fleet" in [spec.name for spec in specs]
+        for spec in specs:
+            rebuilt = scenario_from_document(scenario_to_document(spec))
+            assert rebuilt == spec, spec.name
+            assert [canonical_json(cell.to_payload())
+                    for cell in rebuilt.cells()] == \
+                [canonical_json(cell.to_payload()) for cell in spec.cells()], \
+                spec.name
+
+    def test_mixed_fleet_cells_read_back_from_their_documents(self):
+        for cell in get_scenario("mixed-fleet").cells():
+            assert cell.device == "fleet"
+            assert cell_from_document(cell_to_document(cell)) == cell
 
     def test_fleet_scenario_round_trip_preserves_cells(self):
         spec = get_scenario("fleet-smoke")
@@ -334,6 +358,101 @@ class TestScenarioDocuments:
         with pytest.raises(ConfigError) as excinfo:
             cell_from_document({"pattern": "randread"})
         assert "device" in str(excinfo.value)
+
+    @pytest.mark.parametrize("section, value, path", [
+        ("base", {"io_size": "big"}, "scenario.base.io_size"),
+        ("base", {"think_time_us": float("nan")},
+         "scenario.base.think_time_us"),
+        ("base", {"pattern": "randwirte"}, "scenario.base.pattern"),
+        ("streams", {"a": {"queue_depth": "deep"}},
+         "scenario.streams.a.queue_depth"),
+    ])
+    def test_scenario_job_fields_read_like_cell_fields(self, section, value,
+                                                       path):
+        doc = {"kind": "scenario", "name": "s", "devices": ["LOOP"],
+               "base": {"io_count": 5}}
+        doc[section] = {**doc.get(section, {}), **value}
+        with pytest.raises(ConfigError) as excinfo:
+            scenario_from_document(doc)
+        assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("changes, path", [
+        ({"grid": {"queue_depth": [1, "two"]}}, "queue_depth"),
+        ({"grid": {"think_time_us": [float("inf")]}}, "think_time_us"),
+        ({"streams": {"a": {"device": "SDD"}}}, "streams.a.device"),
+        ({"devices": ["SDD"]}, "device"),
+        ({"devices": ["SSD"], "base": {"io_count": 5,
+                                       "device_params": {"bogus": 1}}},
+         "device_params.bogus"),
+        ({"devices": ["SSD"], "grid": {"replication_factor": [2]}},
+         "device_params.replication_factor"),
+    ])
+    def test_scenario_cells_read_through_the_cell_reader(self, changes, path):
+        """A scenario reads, but its cells do not: grid values and the
+        devices a cell builds are checked as each cell document reads back,
+        at the cell's root path."""
+        spec = scenario_from_document({
+            "kind": "scenario", "name": "s", "devices": ["LOOP"],
+            "base": {"io_count": 5}, **changes})
+        with pytest.raises(ConfigError) as excinfo:
+            spec.cells()
+        assert excinfo.value.path == path
+
+    def test_scenario_cells_keep_the_values_they_are_given(self):
+        """No reader turns an int into a float: a cell's canonical JSON (its
+        cache key) is the value as written."""
+        spec = scenario_from_document({
+            "kind": "scenario", "name": "s", "devices": ["LOOP"],
+            "base": {"io_count": 5, "think_time_us": 2},
+            "grid": {"write_ratio": [1], "runtime_us": [50]}})
+        [cell] = spec.cells()
+        values = (cell.think_time_us, cell.write_ratio, cell.runtime_us)
+        assert values == (2, 1, 50)
+        assert all(type(value) is int for value in values)
+
+    def test_cells_whose_streams_all_pin_a_device_may_carry_a_label(self):
+        streams = {"a": {"device": "LOOP"}, "b": {"device": "LOOP"}}
+        cell = cell_from_document({"device": "fleet", "io_count": 5,
+                                   "streams": streams})
+        assert cell.device == "fleet"
+        del streams["b"]["device"]
+        with pytest.raises(ConfigError) as excinfo:
+            cell_from_document({"device": "fleet", "io_count": 5,
+                                "streams": streams})
+        assert excinfo.value.path == "cell.device"
+
+    @pytest.mark.parametrize("device, params, path", [
+        ("SSD", {"bogus": 1}, "cell.device_params.bogus"),
+        ("ESSD-1", {"op_ratio": 0.2}, "cell.device_params.op_ratio"),
+    ])
+    def test_cell_device_params_are_checked(self, device, params, path):
+        with pytest.raises(ConfigError) as excinfo:
+            cell_from_document({"device": device, "io_count": 5,
+                                "device_params": params})
+        assert excinfo.value.path == path
+
+    def test_stream_pins_get_their_device_params_checked(self):
+        with pytest.raises(ConfigError) as excinfo:
+            cell_from_document({"device": "fleet", "io_count": 5,
+                                "device_params": {"op_ratio": 0.2},
+                                "streams": {"a": {"device": "ESSD-2"}}})
+        assert excinfo.value.path == "cell.device_params.op_ratio"
+
+    @pytest.mark.parametrize("pattern", ["randwirte", "trace-nope", "trace-",
+                                         "bursty-bursty-randread"])
+    def test_unknown_pattern_is_rejected(self, pattern):
+        with pytest.raises(ConfigError) as excinfo:
+            cell_from_document({"device": "LOOP", "io_count": 5,
+                                "pattern": pattern})
+        assert excinfo.value.path == "cell.pattern"
+
+    @pytest.mark.parametrize("pattern", ["randwrite", "seqrw", "hotcoldrw",
+                                         "bursty-zipfread", "RandRead",
+                                         "trace-bursty", "trace-diurnal"])
+    def test_every_pattern_that_runs_is_accepted(self, pattern):
+        cell = cell_from_document({"device": "LOOP", "io_count": 5,
+                                   "pattern": pattern})
+        assert cell.pattern == pattern
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,103 @@ def test_list_survives_a_misspelled_fleet_axis(tmp_path, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# Job fields: typed wherever a document declares a job, on every verb
+# ---------------------------------------------------------------------------
+
+def job_scenario(name, base=None, **keys):
+    return {"kind": "scenario", "name": name,
+            "devices": keys.pop("devices", ["LOOP"]),
+            "base": {"pattern": "randread", "io_count": 5, **(base or {})},
+            **keys}
+
+
+#: ``(document, the error's field path and message, whether the scenario
+#: reads and only its cells fail)``.  Each passed ``validate`` and died in
+#: ``run`` with a traceback (or, for the NaN think time, ran as if it
+#: were 0) before job fields were typed everywhere.
+BAD_JOB_DOCUMENTS = {
+    "base-io-size": (job_scenario("base-io-size", {"io_size": "big"}),
+                     "base.io_size: expected positive int", False),
+    "base-think-nan": (job_scenario("base-think-nan",
+                                    {"think_time_us": float("nan")}),
+                       "base.think_time_us: expected finite number", False),
+    "grid-queue-depth": (job_scenario("grid-queue-depth",
+                                      grid={"queue_depth": [1, "two"]}),
+                         "queue_depth: expected positive int", True),
+    "stream-queue-depth": (job_scenario(
+        "stream-queue-depth", streams={"a": {"queue_depth": "deep"}}),
+        "streams.a.queue_depth: expected positive int", False),
+    "stream-device": (job_scenario("stream-device",
+                                   streams={"a": {"device": "SDD"}}),
+                      "streams.a.device: unknown device 'SDD'", True),
+    "tenant-io-size": ({"kind": "fleet", "name": "tenant-io-size",
+                        "groups": [{"name": "g", "device": "LOOP",
+                                    "count": 1,
+                                    "capacity_bytes": MINI_CAPACITY}],
+                        "tenants": [{"name": "t", "group": "g", "workload": {
+                            "pattern": "randread", "io_count": 5,
+                            "io_size": "big"}}]},
+                       "tenants[0].workload.io_size: expected positive int",
+                       False),
+    "ssd-device-params": (job_scenario("ssd-device-params",
+                                       {"device_params": {"bogus": 1}},
+                                       devices=["SSD"]),
+                          "device_params.bogus: not a profile field of 'SSD'",
+                          True),
+    "pattern-typo": (job_scenario("pattern-typo", {"pattern": "randwirte"}),
+                     "base.pattern: unknown pattern 'randwirte'", False),
+    "trace-typo": (job_scenario("trace-typo", {"pattern": "trace-nope"}),
+                   "base.pattern: unknown pattern 'trace-nope'", False),
+}
+
+
+def write_job_document(tmp_path, case):
+    """The case's document alone in its own directory, as YAML (which,
+    unlike JSON, has a NaN literal)."""
+    yaml = pytest.importorskip("yaml")
+    directory = tmp_path / "documents"
+    directory.mkdir()
+    path = directory / f"{case}.yaml"
+    path.write_text(yaml.safe_dump(BAD_JOB_DOCUMENTS[case][0]))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JOB_DOCUMENTS))
+@pytest.mark.parametrize("argv", [["validate"],
+                                  ["run", "--serial", "--no-cache"]])
+def test_mistyped_job_field_is_one_clean_error(case, argv, tmp_path, capsys):
+    path = write_job_document(tmp_path, case)
+    assert cli_main([argv[0], str(path), *argv[1:]]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    assert BAD_JOB_DOCUMENTS[case][1] in line
+    if argv[0] == "validate":
+        assert str(path) in line
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JOB_DOCUMENTS))
+def test_list_shows_a_mistyped_job_field(case, tmp_path, monkeypatch,
+                                         capsys):
+    """A scenario whose cells cannot expand lists with ``?`` cells; one
+    that cannot be read is skipped with a warning naming the field."""
+    from repro.experiments import scenarios
+
+    monkeypatch.setattr(scenarios, "_REGISTRY", dict(scenarios._REGISTRY))
+    path = write_job_document(tmp_path, case)
+    monkeypatch.setenv("REPRO_SCENARIO_PATH", str(path.parent))
+    assert cli_main(["list"]) == 0
+    captured = capsys.readouterr()
+    if BAD_JOB_DOCUMENTS[case][2]:
+        [row] = [line for line in captured.out.splitlines()
+                 if line.startswith(f"{case} ")]
+        assert row.split()[1] == "?"
+    else:
+        assert case not in captured.out
+        assert f"skipped scenario document {path}" in captured.err
+        assert BAD_JOB_DOCUMENTS[case][1] in captured.err
+
+
+# ---------------------------------------------------------------------------
 # Execution flags vs a document's run: block (one rule on run and fleet)
 # ---------------------------------------------------------------------------
 

@@ -116,6 +116,47 @@ def test_misspelled_fleet_axis_rejected_with_path(server):
         assert client.ping()["ok"]
 
 
+def loop_scenario(name: str, **keys) -> dict:
+    return {"kind": "scenario", "name": name, "devices": ["LOOP"],
+            "base": {"pattern": "randread", "io_count": 5}, **keys}
+
+
+@pytest.mark.parametrize("document, reason", [
+    (loop_scenario("s", base={"io_count": 5, "io_size": "big"}),
+     "document.base.io_size: expected positive int"),
+    (loop_scenario("s", base={"io_count": 5, "think_time_us": float("nan")}),
+     "document.base.think_time_us: expected finite number"),
+    (loop_scenario("s", grid={"queue_depth": [1, "two"]}),
+     "queue_depth: expected positive int"),
+    (loop_scenario("s", streams={"a": {"queue_depth": "deep"}}),
+     "document.streams.a.queue_depth: expected positive int"),
+    (loop_scenario("s", streams={"a": {"device": "SDD"}}),
+     "streams.a.device: unknown device 'SDD'"),
+    (loop_scenario("s", devices=["SSD"],
+                   base={"io_count": 5, "device_params": {"bogus": 1}}),
+     "device_params.bogus: not a profile field of 'SSD'"),
+    (loop_scenario("s", base={"io_count": 5, "pattern": "randwirte"}),
+     "document.base.pattern: unknown pattern 'randwirte'"),
+    (loop_scenario("s", base={"io_count": 5, "pattern": "trace-nope"}),
+     "document.base.pattern: unknown pattern 'trace-nope'"),
+])
+def test_mistyped_job_field_rejected_with_path(server, document, reason):
+    with client_for(server) as client:
+        response = client.submit(document=document)
+    assert response["event"] == "rejected"
+    assert reason in response["reason"]
+
+
+def test_mistyped_tenant_workload_rejected_with_path(server):
+    document = fleet_document("typed-tenant")
+    document["tenants"][0]["workload"]["io_size"] = "big"
+    with client_for(server) as client:
+        response = client.submit(document=document)
+    assert response["event"] == "rejected"
+    assert "document.tenants[0].workload.io_size: expected positive int" \
+        in response["reason"]
+
+
 def test_tcp_transport(tmp_path):
     with ExperimentServer(port=0, cache_dir=tmp_path / "cache",
                           job_workers=1) as server:
