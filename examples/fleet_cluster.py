@@ -151,9 +151,14 @@ knobs into one dataclass accepted uniformly by ``FleetCoordinator``,
 Fields: ``shards``, ``run_ahead``, ``transport`` (one of ``auto | local |
 executor``) and ``max_epochs``.  None of them may change simulation
 results -- bit-identity across every combination is gated by the
-determinism tests -- so none of them enters the sweep cache key.  The
-synchronization window is physics and belongs to the topology
-(``epoch_us``; ``fleet --epoch-us`` on the CLI).
+determinism tests -- so none of them enters the sweep cache key, and no
+sweep cell carries them.  A scenario keeps its document's ``run:`` block
+as ``ScenarioSpec.run``; the runner holds the config its fleet cells run
+under (``SweepRunner(fleet_config=...)``).  ``run`` and ``fleet`` build
+that config from the block with their flags on top (a flag contradicting
+the block is an error), and ``serve`` from its own flags with each
+submission's block on top.  The synchronization window is physics and
+belongs to the topology (``epoch_us``; ``fleet --epoch-us`` on the CLI).
 
 Run-ahead windows and coupling components
 -----------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.cluster.shard import (
@@ -67,7 +67,8 @@ class FleetRunConfig:
     """Execution knobs for one fleet run, accepted uniformly by
     ``FleetCoordinator``, ``run_fleet``, ``SweepRunner``, the ``fleet`` /
     ``run`` / ``serve`` verbs, and ``kind: fleet`` config documents (as a
-    ``run:`` block).
+    ``run:`` block, which a scenario keeps as ``ScenarioSpec.run``; no sweep
+    cell carries it).
 
     None of these fields may change simulation *results*: bit-identity of
     the metrics payload across every combination is gated by the
@@ -104,11 +105,7 @@ class FleetRunConfig:
         along with."""
         changes = {key: value for key, value in overrides.items()
                    if value is not None}
-        if not changes:
-            return self
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(changes)
-        return FleetRunConfig(**current)
+        return replace(self, **changes) if changes else self
 
     def resolve_transport(self) -> str:
         """The concrete transport: ``auto`` is ``local`` at one shard and
@@ -116,20 +113,6 @@ class FleetRunConfig:
         if self.transport != "auto":
             return self.transport
         return "local" if self.shards == 1 else "executor"
-
-    # -- pairs form: hashable non-default fields, used by CellSpec --------
-
-    def to_pairs(self) -> tuple[tuple[str, Any], ...]:
-        """Sorted ``(field, value)`` pairs for every non-default field --
-        the hashable spelling stored on ``CellSpec.fleet_run``."""
-        defaults = FleetRunConfig()
-        return tuple(sorted(
-            (f.name, getattr(self, f.name)) for f in fields(self)
-            if getattr(self, f.name) != getattr(defaults, f.name)))
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[str, Any]]) -> "FleetRunConfig":
-        return cls(**dict(pairs))
 
     # -- document form: the ``run:`` block of ``kind: fleet`` documents ---
 

@@ -275,29 +275,51 @@ def _check_device_params(params: Mapping[str, Any], device: str,
 # Job fields
 # ---------------------------------------------------------------------------
 
-def _as_pattern(value: Any, path: str) -> str:
+def _as_pattern(value: Any, path: str, trace: bool = False) -> str:
     """A pattern name that runs: one :func:`~repro.workload.make_pattern`
-    builds (``bursty-`` prefixes included), or ``trace-<family>`` for a
-    trace family's open-loop replay."""
+    builds (``bursty-`` prefixes included), the pattern of every FIO job.
+    With ``trace``, also ``trace-<family>``, a trace family's open-loop
+    replay, which only a cell's own pattern runs."""
     from repro.workload.patterns import PATTERN_NAMES, known_pattern
     from repro.workload.trace import TRACE_FAMILIES
 
     name = _as_str(value, path)
     if name.startswith("trace-"):
+        if not trace:
+            raise ConfigError(path, f"unknown pattern {name!r}: only a "
+                                    f"cell's own pattern replays a trace (a "
+                                    f"fleet tenant sets trace: <family>)")
         if name[len("trace-"):] in TRACE_FAMILIES:
             return name
     elif known_pattern(name):
         return name
-    raise ConfigError(path, f"unknown pattern {name!r} (expected: "
-                            f"{', '.join(PATTERN_NAMES)}, each also as "
-                            f"bursty-<name>; or trace-<family> for "
-                            f"{', '.join(sorted(TRACE_FAMILIES))})")
+    expected = f"{', '.join(PATTERN_NAMES)}, each also as bursty-<name>"
+    if trace:
+        expected += (f"; or trace-<family> for "
+                     f"{', '.join(sorted(TRACE_FAMILIES))}")
+    raise ConfigError(path, f"unknown pattern {name!r} (expected: {expected})")
+
+
+def _check_write_ratio(pattern: str, write_ratio: Optional[float],
+                       path: str) -> None:
+    """A job whose pattern is mixed draws each I/O's kind with its write
+    ratio, so it needs one in [0, 1] (``path`` is the job's).  Any other
+    FIO pattern ignores the ratio, and a trace replay reads one above 1 as
+    all writes, so the ``write_ratio`` reader alone checks only ``>= 0``."""
+    from repro.workload.patterns import mixed_pattern
+
+    if mixed_pattern(pattern) and (write_ratio is None or write_ratio > 1):
+        got = "" if write_ratio is None else f", got {write_ratio}"
+        raise ConfigError(_join(path, "write_ratio"),
+                          f"expected a number in [0, 1] for the mixed "
+                          f"pattern {pattern!r}{got}")
 
 
 #: One reader per :class:`~repro.workload.fio.FioJob` field (``name`` aside:
 #: whoever runs a job names it).  A key naming a job field reads with this
 #: reader wherever it appears: a cell, a scenario ``base``, a stream
-#: override, or a FIO or trace tenant's workload.
+#: override, or a FIO or trace tenant's workload.  Only a cell's own
+#: ``pattern`` reads differently, since only a cell replays a trace.
 _JOB_READERS: dict[str, Callable[[Any, str], Any]] = {
     "pattern": _as_pattern,
     "io_size": _as_positive_int,
@@ -307,7 +329,6 @@ _JOB_READERS: dict[str, Callable[[Any, str], Any]] = {
     "total_bytes": _optional(_as_positive_int),
     "runtime_us": _optional(partial(_as_number, positive=True)),
     "region_bytes": _optional(_as_positive_int),
-    "region_offset": partial(_as_int, minimum=0),
     "ramp_ios": partial(_as_int, minimum=0),
     "think_time_us": partial(_as_number, minimum=0.0),
     "pattern_params": _scalar_pairs,
@@ -320,7 +341,7 @@ def _field_to_document(key: str, value: Any) -> Any:
     sorted pairs and stream overrides, and the documents behind the
     canonical JSON that ``fleet`` and ``faults`` store.  Always a fresh
     object, so the caller may edit it."""
-    if key in ("pattern_params", "device_params", "fleet_run", "labels"):
+    if key in ("pattern_params", "device_params", "labels"):
         return dict(value)
     if key == "streams":
         return {name: {field: _field_to_document(field, entry)
@@ -456,9 +477,14 @@ def _workload_readers(workload: Mapping[str, Any], path: str) -> dict:
 
 
 def _workload_from_document(value: Any, path: str) -> tuple:
+    from repro.workload.fio import FioJob
+
     workload = _as_mapping(value, path)
-    return _sorted_pairs(_read_fields(workload, path,
-                                      _workload_readers(workload, path)))
+    fields = _read_fields(workload, path, _workload_readers(workload, path))
+    if "trace" not in fields:
+        _check_write_ratio(fields.get("pattern", FioJob.pattern),
+                           fields.get("write_ratio"), path)
+    return _sorted_pairs(fields)
 
 
 _TENANT_READERS = {"name": _as_str, "group": _as_str,
@@ -580,7 +606,7 @@ _RUN_CONFIG_READERS = {"shards": _as_positive_int,
 def run_config_to_document(config) -> dict:
     """The document form of a :class:`~repro.cluster.FleetRunConfig`:
     non-default fields only, so the round trip is exact."""
-    return dict(config.to_pairs())
+    return _non_default_fields(config)
 
 
 def run_config_from_document(document: Any, *, path: str = "run"):
@@ -620,16 +646,12 @@ def _read_faults(value: Any, path: str) -> str:
     return canonical_fault_spec(*fault_spec_from_document(value, path=path))
 
 
-def _read_fleet_run(value: Any, path: str) -> tuple:
-    return run_config_from_document(value, path=path).to_pairs()
-
-
 #: A stream override: any job field its cell carries (every FioJob field
 #: but the region, since a cell's jobs span their devices), plus the device
 #: the stream runs on.
 _STREAM_READERS = {
     **{key: reader for key, reader in _JOB_READERS.items()
-       if key not in ("region_bytes", "region_offset")},
+       if key != "region_bytes"},
     "device": _as_str,
 }
 
@@ -637,6 +659,7 @@ _STREAM_READERS = {
 #: returning the form the cell stores.
 _CELL_READERS = {
     **_STREAM_READERS,
+    "pattern": partial(_as_pattern, trace=True),
     "preload": _as_bool,
     "ssd_capacity_bytes": _optional(_as_positive_int),
     "essd_capacity_bytes": _optional(_as_positive_int),
@@ -646,7 +669,6 @@ _CELL_READERS = {
     "device_params": _scalar_pairs,
     "fleet": _read_fleet,
     "faults": _read_faults,
-    "fleet_run": _read_fleet_run,
     "labels": _scalar_pairs,
 }
 
@@ -663,36 +685,52 @@ def cell_to_document(cell, *, kind: Optional[str] = "cell") -> dict:
     return document
 
 
-def _check_cell_devices(fields: Mapping[str, Any], path: str) -> None:
-    """Check the devices a cell builds, as a topology checks its groups'.
+def _check_cell(cell, path: str) -> None:
+    """Check what a cell runs, as a topology checks its groups and tenants.
 
-    Those are every stream's pinned ``device`` and the cell's own device
-    when its single job (or trace replay) or some unpinned stream runs on
-    it; ``device_params`` must fit each of them.  So a cell whose streams
-    all pin a device may carry any label as its device (``mixed-fleet``
-    calls its cells ``fleet``), and a fleet cell builds none of these.
+    A fleet cell runs its topology, which its reader checked.  Any other
+    cell runs one workload: a trace replay for a ``trace-<family>``
+    pattern, which runs no streams, so a cell may not have both; else its
+    streams, each with the job fields it inherits; else its own job.  Each
+    job with a mixed pattern needs a write ratio in [0, 1].
+
+    The devices a cell builds are every stream's pinned ``device`` and the
+    cell's own device when its single job, its trace replay or some
+    unpinned stream runs on it; ``device_params`` must fit each of them.
+    So a cell whose streams all pin a device may carry any label as its
+    device (``mixed-fleet`` calls its cells ``fleet``).
     """
-    if "fleet" in fields:
+    if cell.fleet is not None:
         return
-    pins = {name: dict(overrides).get("device")
-            for name, overrides in fields.get("streams", ())}
+    streams = cell.stream_specs()
+    pins = {name: overrides.get("device") for name, overrides in streams}
     built = {_join(path, f"streams.{name}.device"): pin
              for name, pin in pins.items() if pin is not None}
-    if not pins or None in pins.values() \
-            or fields.get("pattern", "").startswith("trace-"):
-        built[_join(path, "device")] = fields["device"]
-    params = dict(fields.get("device_params", ()))
+    if not pins or None in pins.values():
+        built[_join(path, "device")] = cell.device
+    params = dict(cell.device_params)
     for device_path, device in built.items():
         _check_device(device, device_path)
         _check_device_params(params, device, _join(path, "device_params"))
+    if cell.pattern.startswith("trace-"):
+        if streams:
+            raise ConfigError(_join(path, "streams"),
+                              f"pattern {cell.pattern!r} replays a trace, "
+                              f"which runs no streams")
+    elif not streams:
+        _check_write_ratio(cell.pattern, cell.write_ratio, path)
+    for name, overrides in streams:
+        _check_write_ratio(overrides.get("pattern", cell.pattern),
+                           overrides.get("write_ratio", cell.write_ratio),
+                           _join(path, f"streams.{name}"))
 
 
 def cell_from_document(document: Any, *, path: str = "cell"):
     """Build a validated :class:`~repro.experiments.sweep.CellSpec`.
 
-    Every key reads with its :data:`_CELL_READERS` entry, then the devices
-    the cell builds are checked.  ``ScenarioSpec.cells`` reads its cells at
-    the empty root path, so their errors name keys bare
+    Every key reads with its :data:`_CELL_READERS` entry, then what the
+    cell runs is checked (:func:`_check_cell`).  ``ScenarioSpec.cells``
+    reads its cells at the empty root path, so their errors name keys bare
     (``queue_depth: expected positive int``,
     ``fleet.groups[0].cont: unknown key``).
     """
@@ -705,8 +743,9 @@ def cell_from_document(document: Any, *, path: str = "cell"):
         fields.setdefault("device", "fleet")
     elif "device" not in fields:
         raise ConfigError(path, "missing required key 'device'")
-    _check_cell_devices(fields, path)
-    return CellSpec(**fields)
+    cell = CellSpec(**fields)
+    _check_cell(cell, path)
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +755,7 @@ def cell_from_document(document: Any, *, path: str = "cell"):
 #: What a scenario's ``base`` may set: every cell field but those the
 #: expansion itself fills in.
 _BASE_READERS = {key: reader for key, reader in _CELL_READERS.items()
-                 if key not in ("labels", "streams", "fleet", "fleet_run")}
+                 if key not in ("labels", "streams", "fleet")}
 
 
 def _read_grid(value: Any, path: str) -> dict[str, tuple]:
@@ -775,8 +814,9 @@ def scenario_to_document(spec) -> dict:
         document["streams"] = _field_to_document("streams", spec.streams)
     if spec.fleet is not None:
         document["fleet"] = json.loads(spec.fleet)
-    if spec.fleet_run:
-        document["run"] = dict(spec.fleet_run)
+    run = run_config_to_document(spec.run)
+    if run:
+        document["run"] = run
     if spec.seed != 17:
         document["seed"] = spec.seed
     if spec.seed_mode != "fixed":

@@ -18,11 +18,12 @@ prints a metrics table, and optionally saves the whole sweep to ``--out``;
 (:mod:`repro.cluster`) with the same result caching: every
 ``--shards`` / ``--transport`` / ``--run-ahead`` combination produces
 bit-identical fleet metrics (so none of them enters the cache key).
-Execution flags fill one :class:`repro.cluster.FleetRunConfig`.  On
-``run`` and ``fleet``, a flag that differs from the same field in a
-document's ``run:`` block is an error (path-addressed, exit 2); on
-``fleet``, ``--serial`` counts as ``--transport local``.  ``diff``
-compares two saved sweeps cell-by-cell.
+On ``run`` and ``fleet``, the execution flags apply on top of the
+scenario's ``run:`` block, once per scenario, giving the one
+:class:`repro.cluster.FleetRunConfig` its fleet cells run under; a flag
+that differs from a field the block sets is an error (path-addressed,
+exit 2), and on ``fleet``, ``--serial`` counts as ``--transport local``.
+``diff`` compares two saved sweeps cell-by-cell.
 """
 
 from __future__ import annotations
@@ -151,17 +152,22 @@ def _cli_fleet_flags(args, serial_is_local: bool = False) -> dict:
     return flags
 
 
-def _run_block_conflict(cell, flags: dict) -> Optional[str]:
-    """Path-addressed message when a CLI flag differs from the same field
-    of the scenario document's ``run:`` block (the run is ambiguous, so
-    the CLI refuses it instead of silently picking a side)."""
-    document = dict(cell.fleet_run)
+def _run_config(spec, flags: dict):
+    """The scenario's ``run:`` block with the CLI flags applied on top: the
+    one :class:`repro.cluster.FleetRunConfig` its fleet cells run under.
+
+    Raises ``ValueError`` with the one-line CLI error when a flag differs
+    from a field the block sets (the run is ambiguous, so the CLI refuses
+    it instead of silently picking a side) or a flag value is invalid.
+    """
+    block = spec.run.to_document()
     for field, (flag, value) in flags.items():
-        if field in document and document[field] != value:
-            return (f"run.{field}: {flag} contradicts the scenario "
-                    f"document's run.{field} = {document[field]} (drop the "
-                    f"flag or edit the document)")
-    return None
+        if field in block and block[field] != value:
+            raise ValueError(f"run.{field}: {flag} contradicts the scenario "
+                             f"document's run.{field} = {block[field]} (drop "
+                             f"the flag or edit the document)")
+    return spec.run.merged(**{field: value
+                              for field, (_, value) in flags.items()})
 
 
 def _cmd_run(args) -> int:
@@ -184,17 +190,8 @@ def _cmd_run(args) -> int:
     if not cells:
         print(f"scenario {spec.name!r} has no cells")
         return 1
-    flags = _cli_fleet_flags(args)
-    for cell in cells:
-        conflict = _run_block_conflict(cell, flags)
-        if conflict:
-            print(f"error: {conflict}", file=sys.stderr)
-            return 2
-    from repro.cluster import FleetRunConfig
-
-    overrides = {field: value for field, (_, value) in flags.items()}
     try:
-        fleet_config = FleetRunConfig(**overrides) if overrides else None
+        fleet_config = _run_config(spec, _cli_fleet_flags(args))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -269,8 +266,12 @@ def _cmd_fleet(args) -> int:
         print(f"error: --serial contradicts --transport {args.transport} "
               f"(drop one)", file=sys.stderr)
         return 2
-    flags = _cli_fleet_flags(args, serial_is_local=True)
-    cli_overrides = {field: value for field, (_, value) in flags.items()}
+    try:
+        coordinator = FleetCoordinator(config=_run_config(
+            spec, _cli_fleet_flags(args, serial_is_local=True)))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     reports = []
     fault_changes = {}
     if args.faults is not None:
@@ -299,16 +300,6 @@ def _cmd_fleet(args) -> int:
             name, _, mode = entry.partition("=")
             macro_modes[name] = mode or "macro"
     for cell in fleet_cells:
-        conflict = _run_block_conflict(cell, flags)
-        if conflict:
-            print(f"error: {conflict}", file=sys.stderr)
-            return 2
-        try:
-            run_config = cell.run_config().merged(**cli_overrides)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        coordinator = FleetCoordinator(config=run_config)
         if args.epoch_us is not None or fault_changes or macro_modes:
             # Fold the overrides into the cell so the cache key sees them (a
             # different synchronization window, fault schedule, or group

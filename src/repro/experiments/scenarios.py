@@ -40,6 +40,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
+from repro.cluster.transport import FleetRunConfig
 from repro.determinism import derive_seed
 from repro.experiments.sweep import CellSpec, expand_grid
 from repro.host.io import KiB, MiB
@@ -84,10 +85,12 @@ class ScenarioSpec:
     #: ``fleet.<group-or-tenant>.<key>`` a group key / tenant workload
     #: knob -- that is how a sweep explores fleet *shape* axes.
     fleet: Optional[str] = None
-    #: Fleet execution knobs as the sorted non-default pairs of a
-    #: :class:`repro.cluster.FleetRunConfig` (the document ``run:`` block).
-    #: Execution only -- never part of a cell's cache key.
-    fleet_run: tuple[tuple[str, Any], ...] = ()
+    #: How the fleet cells execute (the document ``run:`` block).  It stays
+    #: on the scenario, never on a cell: the entry point that runs the
+    #: scenario folds it into the runner's config once
+    #: (``SweepRunner(fleet_config=...)``), and no execution knob changes a
+    #: result or a cache key.
+    run: FleetRunConfig = FleetRunConfig()
     seed: int = 17
     #: "fixed" uses ``seed`` for every cell (paper-figure behaviour);
     #: "derived" derives a per-cell seed from the grid point, so no two cells
@@ -106,11 +109,13 @@ class ScenarioSpec:
         """Expand the scenario into independent cell specs.
 
         Each device x grid point becomes a cell document -- the scenario
-        document's ``base``, ``streams``, ``fleet`` and ``run``, then the
-        point's axes (:func:`_apply_axis`) -- read back through
+        document's ``base``, ``streams`` and ``fleet``, then the point's
+        axes (:func:`_apply_axis`) -- read back through
         :func:`repro.config.cell_from_document`.  So grid values are typed
         by the cell readers, and a bad one fails here, named by its key in
-        the cell document (``queue_depth: expected positive int``).
+        the cell document (``queue_depth: expected positive int``).  The
+        ``run`` block is not copied: it is an execution knob, which the
+        scenario keeps for its runner.
         """
         if self.cell_builder is not None:
             return self.cell_builder()
@@ -135,8 +140,6 @@ class ScenarioSpec:
                 for key in ("streams", "fleet"):
                     if key in scenario_document:
                         document[key] = scenario_document[key]
-                if "fleet" in document and "run" in scenario_document:
-                    document["fleet_run"] = scenario_document["run"]
                 for axis, value in point.items():
                     _apply_axis(document, axis, value)
                 cells.append(cell_from_document(document, path=""))
@@ -228,26 +231,12 @@ def _apply_fleet_axis(document: dict, axis: str, value: Any) -> None:
     node[leaf] = value
 
 
-def _canonical_run(run: Any) -> tuple:
-    """Normalise a run-config argument (``FleetRunConfig`` / mapping /
-    pairs / ``None``) to the sorted non-default pairs stored on the spec."""
-    if run is None:
-        return ()
-    from repro.cluster import FleetRunConfig
-
-    if isinstance(run, FleetRunConfig):
-        return run.to_pairs()
-    if isinstance(run, Mapping):
-        return FleetRunConfig(**dict(run)).to_pairs()
-    return FleetRunConfig.from_pairs(run).to_pairs()
-
-
 def scenario(name: str, description: str, devices: Sequence[str],
              base: Optional[Mapping[str, Any]] = None,
              grid: Optional[Mapping[str, Sequence[Any]]] = None,
              streams: Optional[Mapping[str, Mapping[str, Any]]] = None,
              fleet: Optional["FleetTopology"] = None,
-             run: Any = None,
+             run: Optional[FleetRunConfig] = None,
              seed: int = 17, seed_mode: str = "fixed",
              tags: Sequence[str] = (),
              cell_builder: Optional[Callable[[], list[CellSpec]]] = None,
@@ -265,7 +254,7 @@ def scenario(name: str, description: str, devices: Sequence[str],
             (stream_name, tuple(sorted(overrides.items())))
             for stream_name, overrides in (streams or {}).items())),
         fleet=None if fleet is None else fleet.canonical(),
-        fleet_run=_canonical_run(run),
+        run=FleetRunConfig() if run is None else run,
         seed=seed,
         seed_mode=seed_mode,
         tags=tuple(tags),

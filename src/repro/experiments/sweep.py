@@ -119,6 +119,9 @@ class CellSpec:
     """One independent simulation: a device plus a complete job description.
 
     All fields are JSON-serialisable so the spec itself is the cache key.
+    How a fleet cell executes (shard count, transport, run-ahead window) is
+    not part of the cell: no execution knob changes a result, so the
+    runner holds them (``SweepRunner(fleet_config=...)``).
     """
 
     device: str                      # registered name ("SSD", "LOOP", ...)
@@ -168,14 +171,6 @@ class CellSpec:
     #: ``shed_bytes``.  Part of the cache key -- a different fault schedule
     #: is a different experiment.
     faults: Optional[str] = None
-    #: Fleet execution knobs as the sorted non-default pairs of a
-    #: :class:`repro.cluster.FleetRunConfig` (``run:`` block in documents,
-    #: ``SweepRunner(fleet_config=...)``, ``run --shards``): more than one
-    #: shard nests cluster-level sharding inside the sweep pool's
-    #: cell-level parallelism.  Excluded from the cache key: every
-    #: transport and layout is bit-identical, so any of them may serve a
-    #: cached result.
-    fleet_run: tuple = ()
     #: Free-form labels carried through to the result (not part of the job).
     labels: tuple = ()
 
@@ -188,7 +183,6 @@ class CellSpec:
             [name, [list(pair) for pair in overrides]]
             for name, overrides in self.streams
         ]
-        payload["fleet_run"] = [list(pair) for pair in self.fleet_run]
         return payload
 
     @classmethod
@@ -200,16 +194,7 @@ class CellSpec:
         data["streams"] = tuple(
             (name, tuple(tuple(pair) for pair in overrides))
             for name, overrides in data.get("streams", ()))
-        data["fleet_run"] = tuple(tuple(pair)
-                                  for pair in data.get("fleet_run", ()))
         return cls(**data)
-
-    def run_config(self):
-        """The cell's :class:`repro.cluster.FleetRunConfig` (its
-        ``fleet_run`` pairs)."""
-        from repro.cluster import FleetRunConfig
-
-        return FleetRunConfig.from_pairs(self.fleet_run)
 
     def stream_specs(self) -> list[tuple[str, dict[str, Any]]]:
         """The streams as ``(name, overrides-dict)`` pairs (run order)."""
@@ -233,12 +218,9 @@ class CellSpec:
     def cache_key(self) -> str:
         # Labels are cosmetic (display/lookup only); excluding them keeps the
         # cache warm across label renames and lets diff_results align cells
-        # with identical physics.  fleet_run is an execution detail: the
-        # cluster layer guarantees bit-identical metrics for every layout
-        # and transport.
+        # with identical physics.
         payload = self.to_payload()
         payload.pop("labels")
-        payload.pop("fleet_run")
         return spec_hash({"version": CACHE_VERSION,
                           "models": model_fingerprint(),
                           "cell": payload})
@@ -304,16 +286,16 @@ def fleet_cell_metrics(payload: Mapping[str, Any]) -> dict[str, Any]:
     return metrics
 
 
-def _run_fleet_cell(cell: CellSpec) -> dict[str, Any]:
+def _run_fleet_cell(cell: CellSpec, config=None) -> dict[str, Any]:
     """Execute a fleet cell through the cluster layer.
 
-    ``cell.run_config()`` (the ``fleet_run`` pairs) picks the shard count,
-    transport, and run-ahead window.  The default runs the fleet in one
-    in-process shard -- the sweep pool already parallelises across cells.
-    Sharded cells nest dedicated worker processes *inside* the pool worker
-    (``ProcessPoolExecutor`` workers are non-daemonic, so both levels of
-    parallelism nest); results are bit-identical for every layout and
-    transport.
+    ``config``, the runner's :class:`repro.cluster.FleetRunConfig`, picks
+    the shard count, transport, and run-ahead window.  The default (None)
+    runs the fleet in one in-process shard -- the sweep pool already
+    parallelises across cells.  Sharded cells nest dedicated worker
+    processes *inside* the pool worker (``ProcessPoolExecutor`` workers are
+    non-daemonic, so both levels of parallelism nest); results are
+    bit-identical for every layout and transport.
     """
     from repro.cluster import FleetCoordinator, FleetTopology
 
@@ -323,14 +305,15 @@ def _run_fleet_cell(cell: CellSpec) -> dict[str, Any]:
 
         events, policy = parse_fault_spec(cell.faults)
         topology = topology.scaled(faults=events, fault_policy=policy)
-    payload = FleetCoordinator(config=cell.run_config()).run(topology)
+    payload = FleetCoordinator(config=config).run(topology)
     return fleet_cell_metrics(payload)
 
 
-def run_cell(cell: CellSpec) -> dict[str, Any]:
+def run_cell(cell: CellSpec, fleet_config=None) -> dict[str, Any]:
     """Execute one cell on a fresh simulator and return its metrics dict.
 
-    Fleet cells run through the cluster layer.  Every other cell is a
+    Fleet cells run through the cluster layer under ``fleet_config``
+    (:func:`_run_fleet_cell`).  Every other cell is a
     device cell: each device it names is built once (at the cell's scale,
     preloaded, traced, and wrapped in a
     :class:`~repro.cluster.faults.FaultInjector` when the cell has
@@ -348,7 +331,7 @@ def run_cell(cell: CellSpec) -> dict[str, Any]:
     from repro.workload.fio import run_job, run_streams
 
     if cell.fleet is not None:
-        return _run_fleet_cell(cell)
+        return _run_fleet_cell(cell, fleet_config)
 
     sim = Simulator()
     scale = ExperimentScale(ssd_capacity_bytes=cell.ssd_capacity_bytes,
@@ -678,10 +661,12 @@ class SweepRunner:
     force:
         Ignore cached results and re-run every cell.
     fleet_config:
-        A :class:`repro.cluster.FleetRunConfig` applied to every fleet
-        cell (nested inside the sweep pool's cell-level parallelism).
-        Fields a cell's own ``fleet_run`` pairs set (a document's ``run:``
-        block) win over the runner's.  Metrics are bit-identical for every
+        The :class:`repro.cluster.FleetRunConfig` every fleet cell runs
+        under (nested inside the sweep pool's cell-level parallelism);
+        ``None`` is the default config.  Whoever builds the runner decides
+        it once per scenario: ``run`` and ``fleet`` apply their flags over
+        the scenario's ``run:`` block, and ``serve`` applies a submission's
+        block over its own flags.  Metrics are bit-identical for every
         layout and transport, so caching is unaffected.
     """
 
@@ -696,18 +681,6 @@ class SweepRunner:
 
     def run_cells(self, scenario: str, cells: Sequence[CellSpec]) -> SweepResult:
         """Run (or load from cache) every cell and return the sweep result."""
-        runner_pairs = () if self.fleet_config is None \
-            else self.fleet_config.to_pairs()
-        if runner_pairs:
-            # Per-cell pairs (from a document's run: block) win field by
-            # field over the runner-level config.
-            def apply_runner_config(cell: CellSpec) -> CellSpec:
-                if cell.fleet is None:
-                    return cell
-                merged = {**dict(runner_pairs), **dict(cell.fleet_run)}
-                return replace(cell, fleet_run=tuple(sorted(merged.items())))
-
-            cells = [apply_runner_config(cell) for cell in cells]
         result = SweepResult(scenario=scenario)
         outcomes: list[Optional[CellOutcome]] = [None] * len(cells)
         pending: list[tuple[int, CellSpec]] = []
@@ -736,11 +709,12 @@ class SweepRunner:
     # -- internals ---------------------------------------------------------
     def _execute(self, cells: Sequence[CellSpec]) -> list[dict[str, Any]]:
         if not self.parallel or len(cells) <= 1:
-            return [run_cell(cell) for cell in cells]
+            return [run_cell(cell, self.fleet_config) for cell in cells]
         workers = self.max_workers or os.cpu_count() or 2
         workers = max(1, min(workers, len(cells)))
         # The pool persists across run() calls (and runners); see shared_pool.
-        return list(shared_pool(workers).map(run_cell, cells))
+        return list(shared_pool(workers).map(
+            run_cell, cells, [self.fleet_config] * len(cells)))
 
 
 def _quick_stop(io_count: Optional[int], total_bytes: Optional[int],

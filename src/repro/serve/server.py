@@ -12,7 +12,7 @@ deadline.
 Execution model
 ---------------
 A job is one scenario submission expanded to cells at admission time.
-Workers run cells one at a time through a per-server
+Workers run cells one at a time through a per-job
 :class:`~repro.experiments.sweep.SweepRunner` configured exactly like the
 batch CLI (same cache directory resolution, same cell execution path), so
 a served job and its ``run``/``fleet`` twin read and write the *same*
@@ -39,12 +39,15 @@ _POLL_S = 0.2
 
 
 class ServeJob:
-    """One accepted submission: cells, state, and the buffered event log."""
+    """One accepted submission: cells, the scenario's ``run:`` block (a
+    :class:`~repro.cluster.FleetRunConfig`), state, and the buffered event
+    log."""
 
-    def __init__(self, job_id: str, scenario: str, cells: list):
+    def __init__(self, job_id: str, scenario: str, cells: list, run):
         self.id = job_id
         self.scenario = scenario
         self.cells = cells
+        self.run = run
         self.state = "pending"
         self.error: Optional[str] = None
         self.events: list[dict[str, Any]] = []
@@ -76,10 +79,11 @@ class ExperimentServer:
     :meth:`start`).  ``max_pending`` bounds the *queued* (not yet running)
     jobs; submissions beyond it are rejected with a reason.  ``job_workers``
     is the number of concurrently running jobs.  Runner knobs
-    (``cache_dir``, ``fleet_config``) mirror the batch CLI's flags; as in
-    :class:`~repro.experiments.sweep.SweepRunner`, a submitted document's
-    ``run:`` block wins over ``fleet_config``.  Cells run one at a time in
-    the job thread, so serve never starts the sweep pool.
+    (``cache_dir``, ``fleet_config``) mirror the batch CLI's flags.  Each
+    job gets its own runner, whose fleet config is ``fleet_config`` with
+    every field the submitted scenario's ``run:`` block sets applied on
+    top, so the block wins field by field.  Cells run one at a time in the
+    job thread, so serve never starts the sweep pool.
     ``cache_dir=None`` resolves ``$REPRO_SWEEP_CACHE`` exactly like
     ``run``/``fleet`` do.
     """
@@ -184,13 +188,16 @@ class ExperimentServer:
             self._seq += 1
             return self._seq
 
-    def _runner(self):
+    def _runner(self, job: ServeJob):
+        from repro.cluster import FleetRunConfig
         from repro.experiments.sweep import SweepRunner, default_cache_dir
 
         kwargs = dict(self._runner_kwargs)
         no_cache = kwargs.pop("no_cache")
         if kwargs["cache_dir"] is None and not no_cache:
             kwargs["cache_dir"] = default_cache_dir()
+        config = kwargs["fleet_config"] or FleetRunConfig()
+        kwargs["fleet_config"] = config.merged(**job.run.to_document())
         return SweepRunner(**kwargs)
 
     # -- internals: network ------------------------------------------------
@@ -328,7 +335,8 @@ class ExperimentServer:
                               f"--max-pending {self.max_pending}; retry later"})
                 return True
             self._job_counter += 1
-            job = ServeJob(f"job-{self._job_counter}", spec.name, cells)
+            job = ServeJob(f"job-{self._job_counter}", spec.name, cells,
+                           spec.run)
             self._jobs[job.id] = job
             self._queue.append(job.id)
             self._queue_cond.notify()
@@ -372,7 +380,7 @@ class ExperimentServer:
             self._run_job(job)
 
     def _run_job(self, job: ServeJob) -> None:
-        runner = self._runner()
+        runner = self._runner(job)
         job.state = "running"
         job.publish({"event": "started", "job": job.id,
                      "seq": self._next_seq(), "scenario": job.scenario,

@@ -49,7 +49,6 @@ class FioJob:
     #: Restrict the job to the first ``region_bytes`` of the device
     #: (``None`` = whole device).
     region_bytes: Optional[int] = None
-    region_offset: int = 0
     #: Warm-up I/Os whose latency is not recorded.
     ramp_ios: int = 0
     #: Think time inserted between consecutive I/Os of one worker (us).
@@ -142,10 +141,9 @@ class JobResult:
 
 def _build_pattern(job: FioJob, device: "Device") -> AccessPattern:
     region = job.region_bytes if job.region_bytes is not None \
-        else device.capacity_bytes - job.region_offset
+        else device.capacity_bytes
     return make_pattern(job.pattern, region, job.io_size,
                         write_ratio=job.write_ratio, seed=job.seed,
-                        region_offset=job.region_offset,
                         **dict(job.pattern_params))
 
 

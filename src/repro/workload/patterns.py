@@ -37,14 +37,13 @@ from repro.host.io import IOKind
 class AccessPattern(abc.ABC):
     """Produces the offsets (and kinds) of a workload's requests."""
 
-    def __init__(self, region_bytes: int, io_size: int, region_offset: int = 0):
+    def __init__(self, region_bytes: int, io_size: int):
         if io_size <= 0:
             raise ValueError("io_size must be positive")
         if region_bytes < io_size:
             raise ValueError("region must be at least one I/O in size")
         self.region_bytes = region_bytes
         self.io_size = io_size
-        self.region_offset = region_offset
         self.slots = region_bytes // io_size
 
     @abc.abstractmethod
@@ -72,14 +71,13 @@ class AccessPattern(abc.ABC):
 class SequentialPattern(AccessPattern):
     """Strictly increasing offsets, wrapping at the end of the region."""
 
-    def __init__(self, region_bytes: int, io_size: int, kind: IOKind = IOKind.READ,
-                 region_offset: int = 0, start_slot: int = 0):
-        super().__init__(region_bytes, io_size, region_offset)
+    def __init__(self, region_bytes: int, io_size: int, kind: IOKind = IOKind.READ):
+        super().__init__(region_bytes, io_size)
         self.kind = kind
-        self._cursor = start_slot % self.slots
+        self._cursor = 0
 
     def next_offset(self) -> int:
-        offset = self.region_offset + self._cursor * self.io_size
+        offset = self._cursor * self.io_size
         self._cursor = (self._cursor + 1) % self.slots
         return offset
 
@@ -88,7 +86,7 @@ class SequentialPattern(AccessPattern):
 
     def next(self) -> tuple[IOKind, int]:
         # Hot-path inline of next_kind()/next_offset() (identical results).
-        offset = self.region_offset + self._cursor * self.io_size
+        offset = self._cursor * self.io_size
         self._cursor = (self._cursor + 1) % self.slots
         return self.kind, offset
 
@@ -97,13 +95,13 @@ class RandomPattern(AccessPattern):
     """Uniformly random aligned offsets."""
 
     def __init__(self, region_bytes: int, io_size: int, kind: IOKind = IOKind.READ,
-                 region_offset: int = 0, seed: int = 0):
-        super().__init__(region_bytes, io_size, region_offset)
+                 seed: int = 0):
+        super().__init__(region_bytes, io_size)
         self.kind = kind
         self._rng = random.Random(seed)
 
     def next_offset(self) -> int:
-        return self.region_offset + self._rng.randrange(self.slots) * self.io_size
+        return self._rng.randrange(self.slots) * self.io_size
 
     def next_kind(self) -> IOKind:
         return self.kind
@@ -111,16 +109,15 @@ class RandomPattern(AccessPattern):
     def next(self) -> tuple[IOKind, int]:
         # Hot-path inline of next_kind()/next_offset(): one RNG draw in the
         # same order, two fewer method dispatches per I/O.
-        return (self.kind,
-                self.region_offset + self._rng.randrange(self.slots) * self.io_size)
+        return self.kind, self._rng.randrange(self.slots) * self.io_size
 
 
 class ZipfianPattern(AccessPattern):
     """Zipf-skewed offsets (hot spots), as produced by many real applications."""
 
     def __init__(self, region_bytes: int, io_size: int, kind: IOKind = IOKind.READ,
-                 region_offset: int = 0, seed: int = 0, theta: float = 1.1):
-        super().__init__(region_bytes, io_size, region_offset)
+                 seed: int = 0, theta: float = 1.1):
+        super().__init__(region_bytes, io_size)
         if theta <= 1.0:
             raise ValueError("theta must be > 1 for a proper Zipf distribution")
         self.kind = kind
@@ -132,7 +129,7 @@ class ZipfianPattern(AccessPattern):
     def next_offset(self) -> int:
         rank = int(self._rng.zipf(self.theta))
         slot = self._permutation[(rank - 1) % self.slots]
-        return self.region_offset + int(slot) * self.io_size
+        return int(slot) * self.io_size
 
     def next_kind(self) -> IOKind:
         return self.kind
@@ -148,9 +145,9 @@ class HotColdPattern(AccessPattern):
     """
 
     def __init__(self, region_bytes: int, io_size: int, kind: IOKind = IOKind.READ,
-                 region_offset: int = 0, seed: int = 0,
+                 seed: int = 0,
                  hot_fraction: float = 0.1, hot_access_fraction: float = 0.9):
-        super().__init__(region_bytes, io_size, region_offset)
+        super().__init__(region_bytes, io_size)
         if not 0.0 < hot_fraction < 1.0:
             raise ValueError("hot_fraction must be in (0, 1)")
         if not 0.0 <= hot_access_fraction <= 1.0:
@@ -173,7 +170,7 @@ class HotColdPattern(AccessPattern):
                 slot_rank = self._rng.randrange(self._hot_slots)
             else:
                 slot_rank = self._hot_slots + self._rng.randrange(cold_slots)
-        return self.region_offset + int(self._permutation[slot_rank]) * self.io_size
+        return int(self._permutation[slot_rank]) * self.io_size
 
     def next_kind(self) -> IOKind:
         return self.kind
@@ -199,7 +196,7 @@ class BurstyPattern(AccessPattern):
                  idle_us: Optional[float] = None,
                  duty_cycle: Optional[float] = None,
                  service_estimate_us: float = 100.0):
-        super().__init__(base.region_bytes, base.io_size, base.region_offset)
+        super().__init__(base.region_bytes, base.io_size)
         if burst_ios < 1:
             raise ValueError("burst_ios must be >= 1")
         if idle_us is None:
@@ -235,7 +232,7 @@ class MixedPattern(AccessPattern):
     def __init__(self, base: AccessPattern, write_ratio: float, seed: int = 0):
         if not 0.0 <= write_ratio <= 1.0:
             raise ValueError("write_ratio must be in [0, 1]")
-        super().__init__(base.region_bytes, base.io_size, base.region_offset)
+        super().__init__(base.region_bytes, base.io_size)
         self.base = base
         self.write_ratio = write_ratio
         self._rng = random.Random(seed)
@@ -274,9 +271,16 @@ def known_pattern(name: str) -> bool:
     return name.lower().removeprefix("bursty-") in PATTERN_NAMES
 
 
+def mixed_pattern(name: str) -> bool:
+    """Whether ``name`` is a mixed pattern, one that needs a ``write_ratio``
+    in [0, 1] (``randrw``, ``bursty-zipfrw``, ...)."""
+    return name.lower().removeprefix("bursty-") in {
+        mixed for _, _, mixed in _FAMILIES.values()}
+
+
 def make_pattern(name: str, region_bytes: int, io_size: int,
                  write_ratio: Optional[float] = None, seed: int = 0,
-                 region_offset: int = 0, **params) -> AccessPattern:
+                 **params) -> AccessPattern:
     """Build a pattern from a FIO-style name.
 
     Supported names: ``read``, ``write``, ``randread``, ``randwrite``,
@@ -293,8 +297,7 @@ def make_pattern(name: str, region_bytes: int, io_size: int,
         burst_keys = ("burst_ios", "idle_us", "duty_cycle", "service_estimate_us")
         burst_params = {key: params.pop(key) for key in burst_keys if key in params}
         base = make_pattern(name[len("bursty-"):], region_bytes, io_size,
-                            write_ratio=write_ratio, seed=seed,
-                            region_offset=region_offset, **params)
+                            write_ratio=write_ratio, seed=seed, **params)
         return BurstyPattern(base, **burst_params)
 
     family = next((cls for cls, names in _FAMILIES.items() if name in names),
@@ -304,11 +307,10 @@ def make_pattern(name: str, region_bytes: int, io_size: int,
 
     def build(kind: IOKind) -> AccessPattern:
         if family is SequentialPattern:  # unseeded
-            return SequentialPattern(region_bytes, io_size, kind, region_offset,
-                                     **params)
+            return SequentialPattern(region_bytes, io_size, kind, **params)
         if family is RandomPattern:  # takes no knobs
-            return RandomPattern(region_bytes, io_size, kind, region_offset, seed)
-        return family(region_bytes, io_size, kind, region_offset, seed, **params)
+            return RandomPattern(region_bytes, io_size, kind, seed)
+        return family(region_bytes, io_size, kind, seed, **params)
 
     _, write_name, mixed_name = _FAMILIES[family]
     if name == mixed_name:

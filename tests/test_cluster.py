@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     FaultPolicy,
+    FleetCoordinator,
     FleetRunConfig,
     FleetTopology,
     ShardWorker,
@@ -400,19 +401,28 @@ def test_cli_fleet_verb_honors_sweep_cache_env(tmp_path, capsys, monkeypatch):
     assert "cached result" not in capsys.readouterr().out
 
 
-def test_sweep_runner_passes_shards_down_to_fleet_cells(tmp_path):
+def test_sweep_runner_passes_shards_down_to_fleet_cells(monkeypatch):
     """A fleet cell sharded through the sweep pool (nested parallelism)
     must match the serial single-shard result bit for bit."""
     spec = _register_mini_scenario()
     cells = spec.cells()[:1]
     serial = SweepRunner().run_cells(spec.name, cells)
+    configs = []
+
+    class SpyCoordinator(FleetCoordinator):
+        def run(self, topology):
+            configs.append(self.config)
+            return super().run(topology)
+
+    # One cell runs in-process, where the spy sees the coordinator.
+    monkeypatch.setattr("repro.cluster.FleetCoordinator", SpyCoordinator)
     sharded = SweepRunner(parallel=True, fleet_config=FleetRunConfig(shards=2),
                           cache_dir=None).run_cells(spec.name, cells)
     assert serial.outcomes[0].metrics == sharded.outcomes[0].metrics
     # The shard count is an execution detail: same cache key either way.
     assert cells[0].cache_key() == \
         sharded.outcomes[0].cell.cache_key()
-    assert dict(sharded.outcomes[0].cell.fleet_run)["shards"] == 2
+    assert [config.shards for config in configs] == [2]
 
 
 def test_coordinator_run_ahead_values_are_bit_identical():

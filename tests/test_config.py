@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster import (
     FaultPolicy,
+    FleetRunConfig,
     FleetTopology,
     edge,
     fault,
@@ -204,6 +205,15 @@ class TestTopologyDocuments:
         ({"trace": "bursty", "duration_us": 1e3, "io_size": "big"},
          "io_size"),
         ({"trace": "bursty", "duration_us": float("nan")}, "duration_us"),
+        ({"pattern": "randread", "io_count": 5, "region_offset": 4096},
+         "region_offset"),
+        # Only a cell's own pattern replays a trace; a trace tenant sets
+        # trace: <family>.
+        ({"pattern": "trace-bursty", "io_count": 5}, "pattern"),
+        # A mixed pattern needs a write ratio in [0, 1].
+        ({"pattern": "randrw", "io_count": 5}, "write_ratio"),
+        ({"pattern": "bursty-randrw", "io_count": 5, "write_ratio": 1.5},
+         "write_ratio"),
     ])
     def test_tenant_workload_keys_are_checked(self, workload, key):
         doc = {"name": "f",
@@ -450,9 +460,81 @@ class TestScenarioDocuments:
                                          "bursty-zipfread", "RandRead",
                                          "trace-bursty", "trace-diurnal"])
     def test_every_pattern_that_runs_is_accepted(self, pattern):
+        # A mixed pattern runs only with a write ratio; the others ignore it.
         cell = cell_from_document({"device": "LOOP", "io_count": 5,
-                                   "pattern": pattern})
+                                   "pattern": pattern, "write_ratio": 0.5})
         assert cell.pattern == pattern
+
+    @pytest.mark.parametrize("changes, path", [
+        ({"streams": {"a": {"pattern": "trace-bursty"}}},
+         "cell.streams.a.pattern"),
+        ({"pattern": "trace-uniform", "streams": {"a": {}}}, "cell.streams"),
+    ])
+    def test_only_a_cells_own_pattern_replays_a_trace(self, changes, path):
+        with pytest.raises(ConfigError) as excinfo:
+            cell_from_document({"device": "LOOP", "io_count": 5, **changes})
+        assert excinfo.value.path == path
+
+    def test_a_trace_pattern_is_a_grid_value_but_not_a_stream_axis(self):
+        document = {"kind": "scenario", "name": "s", "devices": ["LOOP"],
+                    "base": {"io_count": 5}, "grid": {"pattern": [
+                        "randread", "trace-uniform"]}}
+        cells = scenario_from_document(document).cells()
+        assert [cell.pattern for cell in cells] == ["randread",
+                                                    "trace-uniform"]
+        document["streams"] = {"a": {}}
+        document["grid"] = {"a.pattern": ["trace-uniform"]}
+        with pytest.raises(ConfigError) as excinfo:
+            scenario_from_document(document).cells()
+        assert excinfo.value.path == "streams.a.pattern"
+
+    @pytest.mark.parametrize("changes, path", [
+        ({"pattern": "randrw"}, "cell.write_ratio"),
+        ({"pattern": "RandRW", "write_ratio": 1.5}, "cell.write_ratio"),
+        ({"pattern": "bursty-hotcoldrw"}, "cell.write_ratio"),
+        ({"streams": {"a": {"pattern": "seqrw"}}},
+         "cell.streams.a.write_ratio"),
+        ({"pattern": "zipfrw", "write_ratio": 0.5,
+          "streams": {"a": {"write_ratio": 2.0}}},
+         "cell.streams.a.write_ratio"),
+    ])
+    def test_a_mixed_job_needs_a_write_ratio_in_0_1(self, changes, path):
+        with pytest.raises(ConfigError) as excinfo:
+            cell_from_document({"device": "LOOP", "io_count": 5, **changes})
+        assert excinfo.value.path == path
+        assert "expected a number in [0, 1] for the mixed pattern" \
+            in excinfo.value.message
+
+    @pytest.mark.parametrize("changes", [
+        # A stream inherits the cell's write ratio.
+        {"pattern": "randrw", "write_ratio": 0.25, "streams": {"a": {}}},
+        # A cell with streams runs only the streams, not its own job.
+        {"pattern": "randrw", "streams": {"a": {"pattern": "randread"}}},
+        # Non-mixed patterns ignore the ratio; a trace reads > 1 as writes.
+        {"pattern": "randwrite", "write_ratio": 1.5},
+        {"pattern": "trace-uniform", "write_ratio": 1.5},
+    ])
+    def test_write_ratios_that_run_are_accepted(self, changes):
+        cell_from_document({"device": "LOOP", "io_count": 5, **changes})
+
+    @pytest.mark.parametrize("workload", [
+        {"pattern": "randrw", "io_count": 5, "write_ratio": 0.5},
+        # A trace tenant reads a ratio above 1 as all writes.
+        {"trace": "uniform", "duration_us": 1000.0, "write_ratio": 1.5},
+    ])
+    def test_tenant_write_ratios_that_run_are_accepted(self, workload):
+        document = topology_to_document(demo_topology())
+        document["tenants"][0]["workload"] = workload
+        topology_from_document(document)
+
+    def test_fleet_run_is_not_a_cell_key(self):
+        with pytest.raises(ConfigError) as excinfo:
+            cell_from_document({
+                "device": "fleet",
+                "fleet": topology_to_document(demo_topology()),
+                "fleet_run": {"shards": 2}})
+        assert excinfo.value.path == "cell.fleet_run"
+        assert "unknown key" in excinfo.value.message
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +550,20 @@ class TestRunBlock:
             run_config_from_document({"shards": 2, key: value})
         assert excinfo.value.path == f"run.{key}"
         assert "unknown key" in excinfo.value.message
+
+    def test_the_block_stays_on_the_scenario(self):
+        """The ``run:`` block reads into ``ScenarioSpec.run`` and never
+        reaches a cell, so a cell (and its cache key) is the same with or
+        without it."""
+        document = topology_to_document(demo_topology())
+        plain = scenario_for_document(document)
+        document["run"] = {"shards": 2, "transport": "local"}
+        spec = scenario_for_document(document)
+        assert spec.run == FleetRunConfig(shards=2, transport="local")
+        assert plain.run == FleetRunConfig()
+        assert spec.cells() == plain.cells()
+        assert spec.to_document()["run"] == document["run"]
+        assert "run" not in plain.to_document()
 
 
 # ---------------------------------------------------------------------------

@@ -195,10 +195,19 @@ def job_scenario(name, base=None, **keys):
             **keys}
 
 
+def job_fleet(name, workload):
+    return {"kind": "fleet", "name": name,
+            "groups": [{"name": "g", "device": "LOOP", "count": 1,
+                        "capacity_bytes": MINI_CAPACITY}],
+            "tenants": [{"name": "t", "group": "g", "workload": workload}]}
+
+
 #: ``(document, the error's field path and message, whether the scenario
 #: reads and only its cells fail)``.  Each passed ``validate`` and died in
 #: ``run`` with a traceback (or, for the NaN think time, ran as if it
-#: were 0) before job fields were typed everywhere.
+#: were 0, and for the trace cell with streams, dropped the streams)
+#: before job fields were typed everywhere and every job was checked to
+#: run.
 BAD_JOB_DOCUMENTS = {
     "base-io-size": (job_scenario("base-io-size", {"io_size": "big"}),
                      "base.io_size: expected positive int", False),
@@ -214,15 +223,9 @@ BAD_JOB_DOCUMENTS = {
     "stream-device": (job_scenario("stream-device",
                                    streams={"a": {"device": "SDD"}}),
                       "streams.a.device: unknown device 'SDD'", True),
-    "tenant-io-size": ({"kind": "fleet", "name": "tenant-io-size",
-                        "groups": [{"name": "g", "device": "LOOP",
-                                    "count": 1,
-                                    "capacity_bytes": MINI_CAPACITY}],
-                        "tenants": [{"name": "t", "group": "g", "workload": {
-                            "pattern": "randread", "io_count": 5,
-                            "io_size": "big"}}]},
-                       "tenants[0].workload.io_size: expected positive int",
-                       False),
+    "tenant-io-size": (job_fleet("tenant-io-size", {
+        "pattern": "randread", "io_count": 5, "io_size": "big"}),
+        "tenants[0].workload.io_size: expected positive int", False),
     "ssd-device-params": (job_scenario("ssd-device-params",
                                        {"device_params": {"bogus": 1}},
                                        devices=["SSD"]),
@@ -232,6 +235,39 @@ BAD_JOB_DOCUMENTS = {
                      "base.pattern: unknown pattern 'randwirte'", False),
     "trace-typo": (job_scenario("trace-typo", {"pattern": "trace-nope"}),
                    "base.pattern: unknown pattern 'trace-nope'", False),
+    # Only a cell's own pattern replays a trace, and then runs no streams.
+    "stream-trace": (job_scenario(
+        "stream-trace", streams={"a": {"pattern": "trace-bursty"}}),
+        "streams.a.pattern: unknown pattern 'trace-bursty': only a cell's "
+        "own pattern replays a trace", False),
+    "tenant-trace": (job_fleet("tenant-trace", {"pattern": "trace-bursty",
+                                                "io_count": 5}),
+                     "tenants[0].workload.pattern: unknown pattern "
+                     "'trace-bursty'", False),
+    "trace-with-streams": (job_scenario(
+        "trace-with-streams",
+        {"pattern": "trace-uniform", "io_size": 4096,
+         "pattern_params": {"duration_us": 2000.0, "load_gbps": 0.1}},
+        streams={"a": {"pattern": "randwrite", "io_count": 5}}),
+        "streams: pattern 'trace-uniform' replays a trace, which runs no "
+        "streams", True),
+    # A mixed pattern needs a write ratio in [0, 1].
+    "mixed-no-ratio": (job_scenario("mixed-no-ratio", {"pattern": "randrw"}),
+                       "write_ratio: expected a number in [0, 1] for the "
+                       "mixed pattern 'randrw'", True),
+    "mixed-high-ratio": (job_scenario("mixed-high-ratio",
+                                      {"pattern": "randrw",
+                                       "write_ratio": 1.5}),
+                         "write_ratio: expected a number in [0, 1] for the "
+                         "mixed pattern 'randrw', got 1.5", True),
+    "stream-mixed": (job_scenario("stream-mixed",
+                                  streams={"a": {"pattern": "bursty-zipfrw"}}),
+                     "streams.a.write_ratio: expected a number in [0, 1] for "
+                     "the mixed pattern 'bursty-zipfrw'", True),
+    "tenant-mixed": (job_fleet("tenant-mixed", {"pattern": "randrw",
+                                                "io_count": 5}),
+                     "tenants[0].workload.write_ratio: expected a number in "
+                     "[0, 1] for the mixed pattern 'randrw'", False),
 }
 
 

@@ -25,7 +25,14 @@ import threading
 
 import pytest
 
-from repro.cluster import FleetTopology, fleet, group, tenant
+from repro.cluster import (
+    FleetCoordinator,
+    FleetRunConfig,
+    FleetTopology,
+    fleet,
+    group,
+    tenant,
+)
 from repro.config import scenario_for_document, topology_to_document
 from repro.experiments.scenarios import register, scenario
 from repro.experiments.sweep import (
@@ -139,6 +146,19 @@ def loop_scenario(name: str, **keys) -> dict:
      "document.base.pattern: unknown pattern 'randwirte'"),
     (loop_scenario("s", base={"io_count": 5, "pattern": "trace-nope"}),
      "document.base.pattern: unknown pattern 'trace-nope'"),
+    (loop_scenario("s", streams={"a": {"pattern": "trace-bursty"}}),
+     "document.streams.a.pattern: unknown pattern 'trace-bursty'"),
+    (loop_scenario("s", base={"pattern": "trace-uniform", "io_size": 4096},
+                   streams={"a": {"pattern": "randwrite", "io_count": 5}}),
+     "streams: pattern 'trace-uniform' replays a trace, which runs no "
+     "streams"),
+    (loop_scenario("s", base={"pattern": "randrw", "io_count": 5}),
+     "write_ratio: expected a number in [0, 1] for the mixed pattern "
+     "'randrw'"),
+    (loop_scenario("s", base={"pattern": "randrw", "io_count": 5,
+                              "write_ratio": 1.5}),
+     "write_ratio: expected a number in [0, 1] for the mixed pattern "
+     "'randrw', got 1.5"),
 ])
 def test_mistyped_job_field_rejected_with_path(server, document, reason):
     with client_for(server) as client:
@@ -155,6 +175,47 @@ def test_mistyped_tenant_workload_rejected_with_path(server):
     assert response["event"] == "rejected"
     assert "document.tenants[0].workload.io_size: expected positive int" \
         in response["reason"]
+
+
+@pytest.mark.parametrize("pattern, reason", [
+    ("trace-bursty",
+     "document.tenants[0].workload.pattern: unknown pattern 'trace-bursty'"),
+    ("randrw",
+     "document.tenants[0].workload.write_ratio: expected a number in [0, 1] "
+     "for the mixed pattern 'randrw'"),
+])
+def test_tenant_workload_that_cannot_run_rejected_with_path(server, pattern,
+                                                            reason):
+    document = fleet_document("unrunnable-tenant")
+    document["tenants"][0]["workload"]["pattern"] = pattern
+    with client_for(server) as client:
+        response = client.submit(document=document)
+    assert response["event"] == "rejected"
+    assert reason in response["reason"]
+
+
+def test_run_block_overrides_the_server_config_field_by_field(tmp_path,
+                                                              monkeypatch):
+    """A submitted document's ``run:`` block sets the fields it names; the
+    server's ``fleet_config`` keeps the others."""
+    configs = []
+
+    class SpyCoordinator(FleetCoordinator):
+        def run(self, topology):
+            configs.append(self.config)
+            return super().run(topology)
+
+    monkeypatch.setattr("repro.cluster.FleetCoordinator", SpyCoordinator)
+    document = {**fleet_document("precedence-fleet", io_count=60),
+                "run": {"shards": 2}}
+    with ExperimentServer(
+            socket_path=tmp_path / "serve.sock", cache_dir=tmp_path / "cache",
+            fleet_config=FleetRunConfig(run_ahead=4, transport="local")) \
+            as server, client_for(server) as client:
+        terminal, _ = client.run(document=document)
+    assert terminal["event"] == "done"
+    assert configs == [FleetRunConfig(shards=2, run_ahead=4,
+                                      transport="local")]
 
 
 def test_tcp_transport(tmp_path):

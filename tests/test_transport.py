@@ -150,15 +150,6 @@ def test_run_config_transport_resolution(monkeypatch):
         .resolve_transport() == "executor"
 
 
-def test_run_config_pairs_roundtrip():
-    config = FleetRunConfig(shards=3, transport="executor", run_ahead=4)
-    pairs = config.to_pairs()
-    assert dict(pairs) == {"shards": 3, "transport": "executor",
-                           "run_ahead": 4}
-    assert FleetRunConfig.from_pairs(pairs) == config
-    assert FleetRunConfig().to_pairs() == ()
-
-
 # ---------------------------------------------------------------------------
 # Coupling components
 # ---------------------------------------------------------------------------
