@@ -3,13 +3,14 @@
 Runs a closed-loop FIO job against one of the bundled device models and
 prints the top-N functions by the chosen sort key -- the tool for finding
 per-request call counts worth cutting.  ``--sample`` replaces cProfile with
-a statistical profile: a thread reads the main thread's top frame every
-millisecond, and the tool prints each function's and each package's share
-of the samples.  Either way, it then prints what the cyclic garbage
-collector did during the run (collections per generation, objects found,
-seconds collecting): a per-I/O reference cycle shows up there, not as any
-function's self time.  Confirm a cut end to end with the e2ebench
-``contract`` workload (see ``examples/PROFILING.md``).
+a statistical profile: a ``SIGPROF`` handler counts the main thread's top
+frame after every millisecond of CPU time, and the tool prints each
+function's and each package's share of the samples.  Either way, it then
+prints what the cyclic garbage collector did during the run (collections
+per generation, objects found, seconds collecting): a per-I/O reference
+cycle shows up there, not as any function's self time.  Confirm a cut end
+to end with the e2ebench ``contract`` workload (see
+``examples/PROFILING.md``).
 
 Usage::
 
@@ -26,61 +27,62 @@ import cProfile
 import gc
 import os
 import pstats
+import signal
 import sys
-import threading
 import time
 from collections import Counter
 from typing import Optional
 
-#: Seconds between two samples of ``--sample``.
+#: Seconds of CPU time between two samples of ``--sample``.
 SAMPLE_INTERVAL_S = 0.001
 
 
 class FrameSampler:
-    """Counts the top frame of the thread that creates it, read every
-    ``interval_s`` from a background thread, by function.
+    """Counts the main thread's top frame, by function, after every
+    ``interval_s`` of the process's CPU time.
 
-    The cost per sample does not depend on how many Python calls the
-    profiled code makes, so unlike cProfile the shares are not inflated for
-    call-heavy frames.  Time in a C call counts for the Python function that
-    made it.  The switch interval is lowered to ``interval_s`` while
-    sampling, or the sampler could take the GIL only every 5 ms.
+    An ``ITIMER_PROF`` timer raises ``SIGPROF``, and Python runs the handler
+    in the main thread between two bytecodes, so a sample lands wherever the
+    CPU time went; time in a C call counts for the Python frame that runs
+    when the call returns.  The cost per sample does not depend on how many
+    Python calls the profiled code makes, so unlike cProfile the shares are
+    not inflated for call-heavy frames.  (A sampler thread is biased
+    instead: it can read the frames only while it holds the GIL, and it
+    gets the GIL when a C call releases it.  On a loop with about 3% of its
+    time in ``np.cumsum``, such a thread charged 90-95% of its samples to
+    numpy.)  Use it from the main thread.  The kernel may round the
+    interval up to its timer tick, so the report gives the CPU time per
+    sample it got.
     """
 
     def __init__(self, interval_s: float = SAMPLE_INTERVAL_S):
         self.interval_s = interval_s
         #: (file, first line, function) -> samples
         self.counts: Counter = Counter()
-        self._target = threading.get_ident()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._loop, name="frame-sampler",
-                                        daemon=True)
+        self.cpu_s = 0.0
 
     def __enter__(self) -> "FrameSampler":
-        self._switch_interval = sys.getswitchinterval()
-        sys.setswitchinterval(self.interval_s)
-        self._thread.start()
+        self._previous = signal.signal(signal.SIGPROF, self._sample)
+        self.cpu_s = -time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, self.interval_s, self.interval_s)
         return self
 
     def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join()
-        sys.setswitchinterval(self._switch_interval)
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        self.cpu_s += time.process_time()
+        signal.signal(signal.SIGPROF, self._previous)
 
-    def _loop(self) -> None:
-        counts = self.counts
-        target = self._target
-        while not self._stop.wait(self.interval_s):
-            frame = sys._current_frames().get(target)
-            if frame is not None:
-                code = frame.f_code
-                counts[(code.co_filename, code.co_firstlineno, code.co_name)] += 1
+    def _sample(self, _signum, frame) -> None:
+        if frame is not None:
+            code = frame.f_code
+            self.counts[(code.co_filename, code.co_firstlineno, code.co_name)] += 1
 
     def report(self, top: int, stream=sys.stdout) -> None:
         """Print the per-package and the top-``top`` per-function shares."""
         total = sum(self.counts.values())
+        every_s = self.cpu_s / total if total else self.interval_s
         print(f"# {total} samples of the main thread's top frame, every "
-              f"{self.interval_s * 1e3:g} ms", file=stream)
+              f"{every_s * 1e3:.2g} ms", file=stream)
         if not total:
             return
         packages: Counter = Counter()
@@ -190,9 +192,9 @@ def main(argv=None) -> int:
                         help="pstats sort key (default: tottime)")
     parser.add_argument("--sample", action="store_true",
                         help="sample the top frame every "
-                             f"{SAMPLE_INTERVAL_S * 1e3:g} ms instead of "
-                             "running cProfile; prints per-function and "
-                             "per-package shares")
+                             f"{SAMPLE_INTERVAL_S * 1e3:g} ms of CPU time "
+                             "instead of running cProfile; prints "
+                             "per-function and per-package shares")
     args = parser.parse_args(argv)
 
     from repro.sim import Simulator

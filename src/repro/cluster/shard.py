@@ -177,6 +177,9 @@ class ShardWorker:
 
         fault_spans = [topology.fault_span(event) for event in topology.faults]
         wrap_all = topology.fault_policy.max_inflight is not None
+        #: recipe -> the first device this shard built by it; the later
+        #: ones copy its preload where that is exact.
+        first_built: dict[tuple, Any] = {}
 
         for group, first, stop in self._owned_pieces():
             if group.mode == "macro":
@@ -190,7 +193,9 @@ class ShardWorker:
             offset = topology.group_indices(group.name).start
             for local_index in range(first, stop):
                 index = offset + local_index
-                device = group.build(self.sim, f"{group.name}[{local_index}]")
+                device = group.build(self.sim, f"{group.name}[{local_index}]",
+                                     like=first_built.get(group.recipe))
+                first_built.setdefault(group.recipe, device)
                 if topology.faults and (wrap_all or any(
                         index in span for span in fault_spans)):
                     device = FaultInjector(self.sim, device,

@@ -97,17 +97,30 @@ class DeviceGroup:
         return DEFAULT_FLEET_SSD_CAPACITY if self.device == "SSD" \
             else DEFAULT_FLEET_ESSD_CAPACITY
 
-    def build(self, sim, name: str):
+    @property
+    def recipe(self) -> tuple:
+        """What :meth:`build` makes a device from: groups with equal recipes
+        build equal devices."""
+        return (self.device, self.device_capacity, self.device_params,
+                self.preload)
+
+    def build(self, sim, name: str, like=None):
         """One device of this group on ``sim``, preloaded when the group
         says so -- the recipe every discrete device and every macro
-        calibration probe shares."""
+        calibration probe shares.  ``like`` is a device built earlier by
+        the same recipe: an SSD copies its preload from it when that is
+        exact (:meth:`~repro.ssd.SsdDevice.preload`)."""
         from repro.devices import create_device
+        from repro.ssd import SsdDevice
 
         device = create_device(sim, self.device,
                                capacity_bytes=self.device_capacity,
                                name=name, **dict(self.device_params))
         if self.preload:
-            device.preload()
+            if isinstance(device, SsdDevice):
+                device.preload(like=like)
+            else:
+                device.preload()
         return device
 
 

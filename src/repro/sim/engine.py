@@ -292,6 +292,17 @@ class Simulator:
         event._value = value
         self._dispatch_checked(event)
 
+    def _start_now(self, generator: Generator[Event, Any, Any]) -> Process:
+        """Start ``generator`` as a process and run its first step on the
+        spot: :meth:`_succeed_now` on the process's bootstrap, under the
+        same contract, where ``E``'s block holds process bootstraps (as
+        ``process`` schedules them) instead of wakeups."""
+        process = Process(self, generator, scheduled=False)
+        bootstrap = self._fresh_event()
+        bootstrap.callbacks.append(process._resume_bound)
+        self._succeed_now(bootstrap)
+        return process
+
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 

@@ -179,7 +179,8 @@ class Process(Event):
 
     __slots__ = ("generator", "_waiting_on", "_resume_bound")
 
-    def __init__(self, sim: "Simulator", generator: Generator[Event, Any, Any]):
+    def __init__(self, sim: "Simulator", generator: Generator[Event, Any, Any],
+                 scheduled: bool = True):
         # Inline of Event.__init__ (one process is created per device
         # submission; the super() call is measurable on the hot path).
         self.sim = sim
@@ -199,6 +200,8 @@ class Process(Event):
         # One bound method reused for every wait this process ever registers
         # (a fresh ``self._resume`` would allocate per yield).
         self._resume_bound = self._resume
+        if not scheduled:
+            return  # Simulator._start_now runs the first step itself
         # Kick off the process at the current simulation time.  The
         # bootstrap is scheduled inline (pooled event + direct deque append)
         # -- process creation is the first step of every device submission,

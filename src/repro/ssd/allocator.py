@@ -281,6 +281,16 @@ class BlockAllocator:
                 self._state[block_id] = BlockState.OPEN
             self._open[key] = OpenBlock(block_id=block_id, next_slot=next_slot + 1)
 
+    def copy_from(self, other: "BlockAllocator") -> None:
+        """Take ``other``'s free lists, block states, open frontiers, write
+        cursor and erase counts (same geometry)."""
+        self._free = [deque(queue) for queue in other._free]
+        self._state = list(other._state)
+        self._open = {key: OpenBlock(block.block_id, block.next_slot)
+                      for key, block in other._open.items()}
+        self._write_cursor = other._write_cursor
+        self.erase_count = list(other.erase_count)
+
     # -- GC support ------------------------------------------------------------------
     def gc_candidates(self, die: int) -> list[int]:
         """Blocks on ``die`` that are FULL (eligible GC victims)."""

@@ -91,6 +91,11 @@ class SsdConfig:
             raise ValueError(
                 f"raw flash capacity ({self.geometry.physical_capacity}) must exceed "
                 f"the logical capacity ({self.capacity_bytes}) to leave over-provisioned space")
+        if self.geometry.physical_capacity // self.logical_block_size >= 2**31:
+            # The FTL's tables hold slot numbers as int32.
+            raise ValueError(
+                f"raw flash capacity ({self.geometry.physical_capacity}) holds 2**31 or "
+                f"more {self.logical_block_size}-byte slots")
         if self.gc_host_reserve_blocks >= self.gc_low_watermark_blocks:
             raise ValueError("gc_host_reserve_blocks must be below gc_low_watermark_blocks")
         if self.gc_low_watermark_blocks > self.gc_high_watermark_blocks:

@@ -13,7 +13,7 @@ and its background workers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.flash.chip import FlashArray
 from repro.sim.events import spawn_process
@@ -89,15 +89,15 @@ class Ftl:
 
     # -- write path ------------------------------------------------------------------
     def write_slots(self, lbns: Sequence[int], stream: WriteStream,
-                    validate: Optional[Callable[[int], bool]] = None,
+                    source: Optional[range] = None,
                     preferred_die: Optional[int] = None):
         """Generator: persist ``lbns`` to flash through the given write stream.
 
         ``preferred_die`` biases placement (GC relocates onto the die it is
         cleaning so that it never depends on another die's spare space).
-        Returns the number of slots actually written (entries rejected by
-        ``validate`` -- used by GC to skip blocks the host overwrote during
-        relocation -- are not written).
+        Returns the number of slots actually written: with ``source`` (GC
+        relocation: the victim's slots), a block whose current slot has left
+        it -- the host overwrote it meanwhile -- is not written.
         """
         allocator = self.allocator
         map_run = self.mapping.map_run
@@ -126,7 +126,7 @@ class Ftl:
             slots = allocator.allocate_slots(die, min(unit, len(pending) - index),
                                              stream, reserve)
             end = index + len(slots)
-            placed = map_run(pending[index:end], slots[0], validate)
+            placed = map_run(pending[index:end], slots[0], source)
             if allocator.free_blocks(die) < self.gc_low_watermark:
                 self.gc.kick(die)
             # The program transfers the full multi-plane unit regardless of
@@ -206,6 +206,14 @@ class Ftl:
         for psns in self.allocator.allocate_run(count, WriteStream.HOST, self.gc_host_reserve):
             self.mapping.map_range(lbn, psns)
             lbn += len(psns)
+
+    def copy_preload(self, source: "Ftl") -> None:
+        """Take ``source``'s mapping and allocation state: what
+        :meth:`preload_range` would compute here when ``source`` has the same
+        configuration and its one change since it was built was that same
+        preload."""
+        self.mapping.copy_from(source.mapping)
+        self.allocator.copy_from(source.allocator)
 
     # -- introspection ------------------------------------------------------------------
     def occupancy(self) -> float:

@@ -7,6 +7,19 @@ frontier, erases the block, and returns it to the free list.  Workers on
 different dies run in parallel (as real controllers do), but every worker
 competes with host I/O for its die and channel -- which is exactly what
 produces the local SSD's throughput collapse in Figure 3 of the paper.
+
+Workers start on first need
+---------------------------
+A worker started while its die is at or above the low watermark would only
+park on a wakeup event, so the collector does not start one per die when
+it is built.  It schedules one boot event instead, which walks the dies in
+order and starts on the spot (``Simulator._start_now``) only the workers
+whose die is already below the low watermark: the per-die bootstraps it
+stands for would have run back to back, and each one it leaves out would
+have parked and done nothing else.  After that, :meth:`kick` starts a die's
+worker where it would have woken the parked one, and the new worker's
+first step is the woken one's next.  So every event keeps its place, and
+the build schedules one event instead of one per die.
 """
 
 from __future__ import annotations
@@ -39,18 +52,38 @@ class GarbageCollector:
         self.config = ftl.config
         self.stats = GcStats()
         self._dies = ftl.allocator.total_dies
-        self._wakeups: list = [None] * self._dies
-        for die in range(self._dies):
-            self.sim.process(self._run(die))
+        self._boot = self.sim.event()
+        self._boot.callbacks.append(self._start_low_dies)
+        self._boot.succeed()
+        #: Per die, the event its worker waits on: pending while the worker
+        #: is parked; triggered (a wakeup given, or the boot event) while
+        #: it runs or is about to, and before the boot; ``None`` while the
+        #: die has no worker.
+        self._wakeups: list = [self._boot] * self._dies
 
     # -- control -----------------------------------------------------------------
     def kick(self, die: Optional[int] = None) -> None:
-        """Wake the collector for ``die`` (or all dies if ``None``)."""
+        """Wake the collector for ``die`` (or all dies if ``None``),
+        starting a worker that has not started."""
         dies = range(self._dies) if die is None else (die,)
         for index in dies:
             wakeup = self._wakeups[index]
-            if wakeup is not None and not wakeup.triggered:
+            if wakeup is None:
+                self._wakeups[index] = self._boot
+                self.sim.process(self._run(index))
+            elif not wakeup.triggered:
                 wakeup.succeed(None)
+
+    def _start_low_dies(self, _boot) -> None:
+        """The boot: start, in die order and on the spot, the workers whose
+        die is below the low watermark."""
+        free_blocks = self.ftl.allocator.free_blocks
+        low = self.ftl.gc_low_watermark
+        for die in range(self._dies):
+            if free_blocks(die) < low:
+                self.sim._start_now(self._run(die))
+            else:
+                self._wakeups[die] = None
 
     # -- per-die worker -----------------------------------------------------------
     def _run(self, die: int):
@@ -114,14 +147,10 @@ class GarbageCollector:
                 yield from ftl.flash.read_page(die, ftl.config.geometry.page_size)
                 self.stats.pages_read += 1
             # Relocate through the GC frontier.  Blocks overwritten by the
-            # host in the meantime are skipped by the validity filter.
-
-            def still_in_victim(lbn: int) -> bool:
-                slot = mapping.lookup(lbn)
-                return slot_lo <= slot < slot_hi
-
+            # host in the meantime have left the victim and are skipped.
             relocated = yield from ftl.write_slots(
-                valid_lbns, WriteStream.GC, validate=still_in_victim, preferred_die=die)
+                valid_lbns, WriteStream.GC, source=range(slot_lo, slot_hi),
+                preferred_die=die)
             self.stats.slots_relocated += relocated
 
         if mapping.valid_slots_in_block(block_id) != 0:

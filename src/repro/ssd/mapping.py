@@ -4,11 +4,14 @@ A *slot* is one logical-block-sized (4 KiB) piece of a flash page.  The FTL
 maps each logical block number (LBN) to a physical slot number (PSN); the
 reverse map is kept so garbage collection can find the owner of every valid
 slot in a victim block.
+
+The tables are int32: every entry is a slot, an LBN or a count, and
+:class:`~repro.ssd.config.SsdConfig` keeps the slot count below 2**31.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,9 +33,9 @@ class PageMapping:
         self.total_slots = total_slots
         self.slots_per_block = slots_per_block
         self.num_blocks = total_slots // slots_per_block
-        self._l2p = np.full(logical_blocks, UNMAPPED, dtype=np.int64)
-        self._p2l = np.full(total_slots, UNMAPPED, dtype=np.int64)
-        self._valid_per_block = np.zeros(self.num_blocks, dtype=np.int64)
+        self._l2p = np.full(logical_blocks, UNMAPPED, dtype=np.int32)
+        self._p2l = np.full(total_slots, UNMAPPED, dtype=np.int32)
+        self._valid_per_block = np.zeros(self.num_blocks, dtype=np.int32)
         # The per-block methods read and write the same memory through
         # memoryviews: an element costs ~50 ns that way against ~270 ns for
         # ``int(array[i])``.  The bulk paths keep numpy.
@@ -85,14 +88,14 @@ class PageMapping:
         return previous
 
     def map_run(self, lbns: Sequence[int], first_psn: int,
-                validate: Optional[Callable[[int], bool]] = None) -> int:
+                source: Optional[range] = None) -> int:
         """Point ``lbns[i]`` at slot ``first_psn + i``: :meth:`map` over a
         program unit in one call.  Returns the number of blocks mapped.
 
-        A block that ``validate`` rejects is skipped and leaves its slot
-        unused.  Each block is checked as it comes -- LBN in range, slot in
-        range, slot free -- so a bad block raises ``ValueError`` with the
-        blocks before it already mapped.
+        With ``source``, a block whose current slot is not in it is skipped
+        and leaves its slot unused.  Each block is checked as it comes --
+        LBN in range, slot in range, slot free -- so a bad block raises
+        ``ValueError`` with the blocks before it already mapped.
         """
         logical = self.logical_blocks
         total = self.total_slots
@@ -104,7 +107,7 @@ class PageMapping:
         psn = first_psn - 1
         for lbn in lbns:
             psn += 1
-            if validate is not None and not validate(lbn):
+            if source is not None and l2p[lbn] not in source:
                 continue
             if not 0 <= lbn < logical:
                 raise ValueError(f"lbn {lbn} out of range")
@@ -148,7 +151,7 @@ class PageMapping:
         self._valid_per_block -= np.bincount(previous // spb, minlength=self.num_blocks)
         self.mapped_blocks += count - len(previous)
         window[:] = psns
-        self._p2l[psns] = np.arange(start_lbn, end, dtype=np.int64)
+        self._p2l[psns] = np.arange(start_lbn, end, dtype=np.int32)
         self._valid_per_block += np.bincount(psns // spb, minlength=self.num_blocks)
 
     def _check_free_targets(self, psns: np.ndarray) -> None:
@@ -164,6 +167,13 @@ class PageMapping:
         ordered = np.sort(psns)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("a slot appears more than once in the run")
+
+    def copy_from(self, other: "PageMapping") -> None:
+        """Take ``other``'s tables and counters (same sizes)."""
+        np.copyto(self._l2p, other._l2p)
+        np.copyto(self._p2l, other._p2l)
+        np.copyto(self._valid_per_block, other._valid_per_block)
+        self.mapped_blocks = other.mapped_blocks
 
     def unmap(self, lbn: int) -> int:
         """Remove the mapping of ``lbn`` (TRIM); returns the freed slot."""

@@ -48,9 +48,13 @@ class ReadCache:
             self._entries.popitem(last=False)
         self._entries[lbn] = None
 
-    def invalidate(self, lbn: int) -> None:
-        """Drop ``lbn`` (called when the host overwrites it)."""
-        self._entries.pop(lbn, None)
+    def invalidate(self, lbns: range) -> None:
+        """Drop every block of ``lbns`` (called when the host overwrites
+        them)."""
+        entries = self._entries
+        if entries:
+            for lbn in lbns:
+                entries.pop(lbn, None)
 
     @property
     def hit_ratio(self) -> float:

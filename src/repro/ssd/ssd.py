@@ -58,9 +58,8 @@ class SsdDevice(BlockDevice):
         block = config.logical_block_size
         if config.write_buffer_bytes > 0:
             self.write_buffer: Optional[WriteBuffer] = WriteBuffer(
-                sim, max(config.program_unit_slots, config.write_buffer_bytes // block))
-            for _ in range(config.flush_workers):
-                sim.process(self._flush_worker())
+                sim, max(config.program_unit_slots, config.write_buffer_bytes // block),
+                flusher=self._flush_worker, flushers=config.flush_workers)
         else:
             self.write_buffer = None
 
@@ -74,6 +73,9 @@ class SsdDevice(BlockDevice):
         else:
             self.read_cache = None
             self.prefetcher = None
+        #: ``(offset, size)`` of every preload so far, or ``None`` once the
+        #: device has served a request (see :meth:`preload`).
+        self._preloads: Optional[tuple] = ()
 
     # -- convenience --------------------------------------------------------------
     @property
@@ -81,17 +83,31 @@ class SsdDevice(BlockDevice):
         """Current cumulative write amplification factor."""
         return self.ftl.stats.write_amplification
 
-    def preload(self, offset: int = 0, size: Optional[int] = None) -> None:
+    def preload(self, offset: int = 0, size: Optional[int] = None,
+                like: Optional["SsdDevice"] = None) -> None:
         """Precondition the device: mark ``[offset, offset+size)`` as written.
 
         Takes no simulated time.  Use before read-latency experiments so that
         reads hit mapped flash instead of returning zeroes.
+
+        ``like`` names an SSD to copy the result from.  The copy is taken
+        only when it is exact: both devices have the same configuration,
+        neither has served a request, this one has had no preload, and
+        ``like``'s only preload was this same range.  Otherwise the preload
+        is computed.
         """
         size = self.capacity_bytes - offset if size is None else size
         block = self.logical_block_size
         if offset % block or size % block:
             raise ValueError("preload range must be block aligned")
-        self.ftl.preload_range(offset // block, size // block)
+        span = (offset, size)
+        if (like is not None and self._preloads == () and like._preloads == (span,)
+                and like.config == self.config):
+            self.ftl.copy_preload(like.ftl)
+        else:
+            self.ftl.preload_range(offset // block, size // block)
+        if self._preloads is not None:
+            self._preloads += (span,)
 
     # -- request service ------------------------------------------------------------
     def _serve(self, request: IORequest):
@@ -101,6 +117,7 @@ class SsdDevice(BlockDevice):
         sim = self.sim
         rng = self._rng
         tracer = self.tracer
+        self._preloads = None
         if tracer is not None:
             tracer.enter(request, "queue")  # waiting for a controller context
         yield self._controller.request()
@@ -142,10 +159,8 @@ class SsdDevice(BlockDevice):
         elif kind is IOKind.WRITE:
             lbns = range(request.offset // block,
                          (request.offset + request.size) // block)
-            read_cache = self.read_cache
-            if read_cache is not None:
-                for lbn in lbns:
-                    read_cache.invalidate(lbn)
+            if self.read_cache is not None:
+                self.read_cache.invalidate(lbns)
             write_buffer = self.write_buffer
             if write_buffer is None:
                 yield from self.ftl.write_slots(list(lbns), WriteStream.HOST)

@@ -1,11 +1,10 @@
 """DRAM write buffer.
 
 Host writes land in the buffer at DRAM speed and are acknowledged
-immediately; background flusher workers (owned by the FTL) drain dirty
-logical blocks to flash.  This is the mechanism behind the paper's
-Observation 1 asymmetry: buffered writes are an order of magnitude faster
-than random reads on the local SSD, so the relative ESSD penalty is much
-larger for writes.
+immediately; background flusher workers drain dirty logical blocks to
+flash.  This is the mechanism behind the paper's Observation 1 asymmetry:
+buffered writes are an order of magnitude faster than random reads on the
+local SSD, so the relative ESSD penalty is much larger for writes.
 
 Space handoff
 -------------
@@ -49,22 +48,40 @@ one ``extend``, in order.
 A write inserts its blocks with one :meth:`WriteBuffer.insert_run` call up
 to the first block with no room, and parks there.  Nothing yields between
 inserts that fit, so this is the per-block loop's event order exactly.
+
+Flushers start on first need
+----------------------------
+A flusher started with the buffer would find it empty and park on
+:meth:`WriteBuffer.wait_for_data`, so all of them would sit at the head of
+the data waiters, in start order, until woken: a flusher that parks again
+queues behind them.  The buffer therefore starts none.  It keeps one
+placeholder per flusher at the head of the data waiters instead, and where
+it would wake a placeholder's flusher it starts one.  The new flusher's
+first step is the woken one's next (``take_batch``), and its bootstrap
+takes the wakeup's place in the schedule, so every event keeps its place.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from itertools import islice
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Event, Simulator
 
 
 class WriteBuffer:
-    """Tracks dirty logical blocks awaiting flush, with bounded capacity."""
+    """Tracks dirty logical blocks awaiting flush, with bounded capacity.
 
-    def __init__(self, sim: "Simulator", capacity_slots: int):
+    ``flusher`` makes the generator of one flusher process, and the buffer
+    starts up to ``flushers`` of them as data arrives (see the module
+    docstring).
+    """
+
+    def __init__(self, sim: "Simulator", capacity_slots: int,
+                 flusher: Optional[Callable[[], Generator]] = None,
+                 flushers: int = 0):
         if capacity_slots <= 0:
             raise ValueError("capacity_slots must be positive")
         self.sim = sim
@@ -79,7 +96,10 @@ class WriteBuffer:
         #: Parked writers in FIFO order, each with the block it needs
         #: (``None``: until the buffer is empty).
         self._space_waiters: list[tuple["Event", Optional[int]]] = []
-        self._data_waiters: deque["Event"] = deque()
+        #: Flushers parked for data, FIFO; ``None`` holds the place of a
+        #: flusher not started yet.
+        self._data_waiters: deque[Optional["Event"]] = deque([None] * flushers)
+        self._flusher = flusher
         self.overwrite_hits = 0
 
     # -- state -------------------------------------------------------------------
@@ -202,9 +222,12 @@ class WriteBuffer:
                 start = index + 1
         self._space_waiters.extend(waiters[start:])
 
-    def _notify_one(self, waiters: deque["Event"]) -> None:
+    def _notify_one(self, waiters: deque[Optional["Event"]]) -> None:
         while waiters:
             event = waiters.popleft()
+            if event is None:
+                self.sim.process(self._flusher())
+                return
             if not event.triggered:
                 event.succeed(None)
                 return

@@ -170,6 +170,30 @@ def test_every_tenant_device_pair_gets_a_distinct_seed():
     assert len(seeds) == len(set(seeds)) == 7  # 4 web + 3 db devices
 
 
+def test_a_shard_computes_one_preload_per_ssd_recipe(monkeypatch):
+    """Every SSD after the first of its recipe on a shard copies that one's
+    preload, across groups; another recipe computes its own."""
+    from repro.ssd.ftl import Ftl
+
+    computed = []
+    preload_range = Ftl.preload_range
+
+    def counted(ftl, *args):
+        computed.append(ftl)
+        preload_range(ftl, *args)
+
+    monkeypatch.setattr(Ftl, "preload_range", counted)
+    topology = fleet("recipes", groups=[
+        group("a", "SSD", 3, capacity_bytes=4 << 20),
+        group("b", "SSD", 2, capacity_bytes=4 << 20),
+        group("c", "SSD", 2, capacity_bytes=4 << 20, device_params={"op_ratio": 0.2}),
+        group("d", "SSD", 1, capacity_bytes=4 << 20, preload=False),
+    ])
+    worker = ShardWorker(topology, partition_topology(topology, 1)[0])
+    assert computed == [worker.devices[0].ftl, worker.devices[5].ftl]
+    assert not worker.devices[7].ftl.mapping.mapped_blocks
+
+
 # ---------------------------------------------------------------------------
 # Replication edges
 # ---------------------------------------------------------------------------

@@ -174,6 +174,62 @@ def test_immediate_resource_grants_preserve_fifo():
 
 
 # ---------------------------------------------------------------------------
+# On-the-spot dispatch: a block of wakeups or bootstraps folded into one event
+# ---------------------------------------------------------------------------
+
+def _fold_trace(schedule_block):
+    """The log of same-instant processes around a block that
+    ``schedule_block(sim, worker)`` schedules between them: ``before``
+    is scheduled ahead of the block and ``after`` behind it, and every
+    worker logs each step and yields zero-delay timeouts."""
+    sim = Simulator()
+    log = []
+
+    def worker(name):
+        for step in range(2):
+            log.append((name, step, sim.now))
+            yield sim.timeout(0 if step == 0 else 1)
+
+    sim.process(worker("before"))
+    schedule_block(sim, worker)
+    sim.process(worker("after"))
+    sim.run()
+    return log, sim.scheduled_events
+
+
+def _bootstraps(sim, worker):
+    """The reference block: bootstraps back to back, one of which (``idle``)
+    only parks."""
+    def idle():
+        yield sim.event()
+
+    for name in ("a", "b"):
+        sim.process(worker(name))
+    sim.process(idle())
+    sim.process(worker("c"))
+
+
+def _started_now(sim, worker):
+    """One event in the block's place starts the block's workers on the
+    spot, leaving out the one that would only park."""
+    boot = sim.event()
+    boot.callbacks.append(
+        lambda _boot: [sim._start_now(worker(name)) for name in ("a", "b", "c")])
+    boot.succeed()
+
+
+def test_start_now_keeps_the_order_of_the_bootstraps_it_stands_for():
+    """``Simulator._start_now`` run from one event gives every same-instant
+    event the order the block of bootstraps gave; only the three dropped
+    bootstraps are missing from the event count."""
+    reference, reference_events = _fold_trace(_bootstraps)
+    folded, events = _fold_trace(_started_now)
+    assert folded == reference
+    assert [entry[0] for entry in folded[:5]] == ["before", "a", "b", "c", "after"]
+    assert reference_events - events == 3
+
+
+# ---------------------------------------------------------------------------
 # Interrupt during a resource wait
 # ---------------------------------------------------------------------------
 

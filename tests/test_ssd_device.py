@@ -1,6 +1,8 @@
 """End-to-end tests of the local SSD device model."""
 
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +34,18 @@ def test_config_validation_rejects_nonsense():
                   geometry=good.geometry)
     with pytest.raises(ValueError):
         SsdConfig(capacity_bytes=-1)
+
+
+def test_config_rejects_2_31_or_more_physical_slots():
+    """The FTL's tables hold slots as int32, so 8 TiB of raw flash at 4 KiB
+    blocks is one slot too many.  (A config allocates nothing.)"""
+    good = samsung_970pro_profile(128 * MiB)
+    at_limit = replace(good.geometry, pages_per_block=128, blocks_per_plane=1 << 16)
+    assert at_limit.physical_capacity // good.logical_block_size == 2**31
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        replace(good, geometry=at_limit)
+    below = replace(at_limit, blocks_per_plane=(1 << 16) - 1)
+    assert replace(good, geometry=below).geometry == below
 
 
 def test_buffered_write_latency_is_order_of_magnitude_below_read():
@@ -140,6 +154,47 @@ def test_gc_throughput_cliff_appears_before_writing_full_capacity_twice():
     trough = min(s.gigabytes_per_second for s in samples[2:])
     assert peak > 1.0          # starts near flash bandwidth
     assert trough < 0.7 * peak  # and collapses once GC kicks in
+
+
+def gc_at_boot_device():
+    """The 32 MiB profile with one spare superblock per die, preloaded twice
+    over its first half: every die ends below the low watermark with four
+    fully invalid blocks, so GC has work at the first dispatch."""
+    config = samsung_970pro_profile(32 * MiB)
+    config = replace(config, geometry=replace(config.geometry, blocks_per_plane=9))
+    sim = Simulator()
+    device = SsdDevice(sim, config)
+    for _ in range(2):
+        device.preload(0, config.capacity_bytes // 2)
+    return sim, device
+
+
+def test_gc_due_at_boot_runs_at_the_first_dispatch():
+    sim, device = gc_at_boot_device()
+    allocator = device.ftl.allocator
+    assert all(allocator.free_blocks(die) < device.ftl.gc_low_watermark
+               for die in range(allocator.total_dies))
+    # Every die's collector has picked its first victim before an event
+    # scheduled after the build runs.
+    seen = []
+
+    def observer():
+        seen.append(device.ftl.gc.stats.invocations)
+        yield sim.timeout(0)
+
+    sim.process(observer())
+    sim.run(until=0.0)
+    assert seen == [allocator.total_dies]
+    # Recorded while every GC worker and flusher still started when the
+    # SSD was built: GC, latencies and the end time of a mixed job.
+    sim, device = gc_at_boot_device()
+    result = run_job(sim, device, FioJob(name="gc-boot", pattern="randrw", io_size=16 * KiB,
+                                         queue_depth=8, write_ratio=0.5, io_count=3000))
+    stats = device.ftl.gc.stats
+    assert (stats.invocations, stats.blocks_erased, stats.slots_relocated) == (490, 458, 7860)
+    assert result.finished_us == 103049.32891136601
+    assert hashlib.sha256(result.latency.samples.tobytes()).hexdigest()[:16] == \
+        "55724b6008bf7f49"
 
 
 def test_write_amplification_definition():

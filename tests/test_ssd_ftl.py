@@ -1,16 +1,17 @@
 """Tests for the SSD's FTL building blocks: mapping, allocator, buffer, prefetcher."""
 
 import random
+from dataclasses import replace
 from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.flash.geometry import FlashGeometry
-from repro.host.io import MiB
+from repro.host.io import IOKind, IORequest, MiB
 from repro.sim import Event, Simulator
 from repro.ssd import allocator as allocator_module
 from repro.ssd.allocator import BlockAllocator, BlockState, WriteStream
@@ -176,34 +177,42 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
+def still_in_victim(mapping, victim):
+    """GC's relocation filter before ``map_run`` took the victim's slot
+    range, kept verbatim."""
+    slot_lo, slot_hi = victim.start, victim.stop
+
+    def validate(lbn: int) -> bool:
+        slot = mapping.lookup(lbn)
+        return slot_lo <= slot < slot_hi
+    return validate
+
+
 @settings(max_examples=300, deadline=None)
 @given(prior=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 31)), max_size=24),
        lbns=st.lists(st.integers(-2, 17), unique=True, min_size=1, max_size=10),
        first_psn=st.integers(-4, 31),
-       rejected=st.sets(st.integers(-2, 17)),
-       checked=st.booleans())
-def test_map_run_matches_the_per_block_loop(prior, lbns, first_psn, rejected, checked):
+       source=st.none() | st.builds(range, st.integers(-1, 32), st.integers(-1, 33)))
+# A victim block's edges: lbns 1 and 2 sit on its first and last slot, lbns
+# 0 and 3 just outside it.
+@example(prior=[(0, 7), (1, 8), (2, 15), (3, 16)], lbns=[0, 1, 2, 3], first_psn=24,
+         source=range(8, 16))
+def test_map_run_matches_the_per_block_loop(prior, lbns, first_psn, source):
     """Property: over random prior mappings, ``map_run`` leaves the tables,
     counters and return value the per-block loop leaves, including blocks
-    ``validate`` rejects, and raises the same error after the same partial
-    update for an out-of-range LBN or slot or an occupied slot.  The tables
-    are small, so runs often cross both ends and hit occupied slots."""
+    skipped because their current slot lies outside ``source`` (the loop's
+    ``still_in_victim`` filter), and raises the same error after the same
+    partial update for an out-of-range LBN or slot or an occupied slot.
+    The tables are small, so runs often cross both ends and hit occupied
+    slots."""
     reference, bulk = (make_mapping(logical=16, slots=32, per_block=8) for _ in range(2))
     for lbn, psn in prior:
         assert outcome(bulk.map, lbn, psn) == outcome(reference_map, reference, lbn, psn)
     assert_mapping_state(bulk, mapping_state(reference))
-    seen = {"reference": [], "bulk": []}
-
-    def validator(name):
-        def validate(lbn):
-            seen[name].append(lbn)
-            return lbn not in rejected
-        return validate if checked else None
-
+    validate = None if source is None else still_in_victim(reference, source)
     slots = range(first_psn, first_psn + len(lbns))
-    expected = outcome(reference_map_run, reference, lbns, slots, validator("reference"))
-    assert outcome(bulk.map_run, lbns, first_psn, validator("bulk")) == expected
-    assert seen["bulk"] == seen["reference"]
+    expected = outcome(reference_map_run, reference, lbns, slots, validate)
+    assert outcome(bulk.map_run, lbns, first_psn, source) == expected
     assert_mapping_state(bulk, mapping_state(reference))
 
 
@@ -519,6 +528,65 @@ def test_preload_out_of_space_raises_before_changing_anything():
 
 
 # ---------------------------------------------------------------------------
+# SsdDevice.preload(like=...): a copied preload against a computed one
+# ---------------------------------------------------------------------------
+
+def preload_span(config, start_frac, length_frac):
+    """A block-aligned ``(offset, size)`` from fractions of the logical space."""
+    logical = config.logical_blocks
+    start = int(start_frac * (logical - 1))
+    count = int(length_frac * (logical - start))
+    return start * config.logical_block_size, count * config.logical_block_size
+
+
+@settings(max_examples=40, deadline=None)
+@given(capacity_mib=st.integers(4, 48), op_ratio=st.floats(0.0, 0.3), span=_RANGE)
+def test_a_copied_preload_equals_a_computed_one(capacity_mib, op_ratio, span):
+    """Property: an SSD that copies its preload from one of the same recipe
+    holds, field by field, the FTL state an SSD preloaded on its own
+    computes, and owns it: writes to the copy leave the source alone."""
+    config = samsung_970pro_profile(capacity_bytes=capacity_mib * MiB, op_ratio=op_ratio)
+    offset, size = preload_span(config, *span)
+    sim = Simulator()
+    source, copy = SsdDevice(sim, config), SsdDevice(sim, config)
+    computed = SsdDevice(Simulator(), config)
+    source.preload(offset, size)
+    computed.preload(offset, size)
+    with mock.patch.object(copy.ftl, "preload_range", side_effect=AssertionError):
+        copy.preload(offset, size, like=source)
+    assert_ftl_state(copy.ftl, ftl_state(computed.ftl))
+    churn(copy.ftl, [("host", 9, 0), ("gc", 9, 1)])
+    assert_ftl_state(source.ftl, ftl_state(computed.ftl))
+
+
+@pytest.mark.parametrize("history", [
+    "read", "write", "preloaded twice", "other range", "target preloaded", "other config"])
+def test_a_preload_is_copied_only_from_a_device_with_that_history_alone(history):
+    """A source that served a request, had another preload or another
+    configuration, or a target that was preloaded already, makes the target
+    compute its preload."""
+    config = samsung_970pro_profile(capacity_bytes=8 * MiB)
+    half = config.capacity_bytes // 2
+    sim = Simulator()
+    source = SsdDevice(sim, config, name="source")
+    target = SsdDevice(sim, config if history != "other config"
+                       else replace(config, seed=config.seed + 1))
+    computed = SsdDevice(Simulator(), config)
+    source.preload(0, half if history != "other range" else 2 * half)
+    if history == "preloaded twice":
+        source.preload(0, half)
+    elif history in ("read", "write"):
+        sim.run(until=source.submit(IORequest(IOKind[history.upper()], 0, 16384)))
+    elif history == "target preloaded":
+        target.preload(half, half)
+        computed.preload(half, half)
+    computed.preload(0, half)
+    with mock.patch.object(target.ftl, "copy_preload", side_effect=AssertionError):
+        target.preload(0, half, like=source)
+    assert_ftl_state(target.ftl, ftl_state(computed.ftl))
+
+
+# ---------------------------------------------------------------------------
 # WriteBuffer
 # ---------------------------------------------------------------------------
 
@@ -576,7 +644,17 @@ def test_write_buffer_counts_a_double_flight_block_once():
     assert not buffer.contains(7)  # B's program is still pending
 
 
-class WakeAllWriteBuffer(WriteBuffer):
+class EagerWriteBuffer(WriteBuffer):
+    """Reference: the buffer with its flushers started when it is built, as
+    ``SsdDevice`` started them before they started on first need."""
+
+    def __init__(self, sim, capacity_slots, flusher=None, flushers=0):
+        super().__init__(sim, capacity_slots)
+        for _ in range(flushers):
+            sim.process(flusher())
+
+
+class WakeAllWriteBuffer(EagerWriteBuffer):
     """Reference: the wake-all, per-block buffer that the FIFO handoff and
     the run inserts replaced, verbatim.
 
@@ -584,8 +662,8 @@ class WakeAllWriteBuffer(WriteBuffer):
     room in the caller's loop and re-parks if there is none.
     """
 
-    def __init__(self, sim, capacity_slots):
-        super().__init__(sim, capacity_slots)
+    def __init__(self, sim, capacity_slots, flusher=None, flushers=0):
+        super().__init__(sim, capacity_slots, flusher, flushers)
         self._data_waiters = []
 
     def insert(self, lbn: int) -> None:
@@ -707,10 +785,9 @@ def drive_write_buffer(buffer_cls, capacity, writers, flushers, cut_us) -> Buffe
     ``insert_run`` loop.  ``writers`` holds one request list per writer:
     ``(delay, lbns)`` with ``lbns=None`` for a FLUSH.  ``flushers`` holds
     ``(unit, delays)``: the batch size and the program times it cycles
-    through.
+    through.  The buffer starts the flushers, in index order.
     """
     sim = Simulator()
-    buffer = buffer_cls(sim, capacity)
     log = []
     owner = {}  # wait event -> writer index
     reparks = 0
@@ -772,8 +849,13 @@ def drive_write_buffer(buffer_cls, capacity, writers, flushers, cut_us) -> Buffe
         return (list(log), list(buffer._dirty), set(buffer._in_flight),
                 buffer.overwrite_hits, [owner[event] for event in parked])
 
-    for index, (unit, delays) in enumerate(flushers):
-        sim.process(flusher(index, unit, delays))
+    numbered = enumerate(flushers)
+
+    def next_flusher():
+        index, (unit, delays) = next(numbered)
+        return flusher(index, unit, delays)
+
+    buffer = buffer_cls(sim, capacity, flusher=next_flusher, flushers=len(flushers))
     for index, requests in enumerate(writers):
         sim.process(writer(index, requests))
     sim.run(until=cut_us)
@@ -797,7 +879,7 @@ _flushers = st.lists(st.tuples(st.integers(1, 4),
        flushers=_flushers, cut_us=st.integers(0, 12))
 def test_write_buffer_handoff_matches_the_wake_all(capacity, writers, flushers, cut_us):
     reference = drive_write_buffer(WakeAllWriteBuffer, capacity, writers, flushers, cut_us)
-    handoff = drive_write_buffer(WriteBuffer, capacity, writers, flushers, cut_us)
+    handoff = drive_write_buffer(EagerWriteBuffer, capacity, writers, flushers, cut_us)
     # Same inserts, batches, completion times, dirty order, in-flight set
     # and parked order -- at the cut and at the end.
     assert handoff.at_cut == reference.at_cut
@@ -814,6 +896,22 @@ def test_write_buffer_handoff_matches_the_wake_all(capacity, writers, flushers, 
     assert handoff.events <= reference.events
     if max(parked, default=0) > 1:
         assert handoff.events < reference.events
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 16), writers=st.lists(_requests, min_size=1, max_size=8),
+       flushers=_flushers, cut_us=st.integers(0, 12))
+def test_flushers_started_on_first_need_match_the_eager_ones(capacity, writers, flushers,
+                                                             cut_us):
+    eager = drive_write_buffer(EagerWriteBuffer, capacity, writers, flushers, cut_us)
+    lazy = drive_write_buffer(WriteBuffer, capacity, writers, flushers, cut_us)
+    # The same flusher takes each batch, at the same time, in the same
+    # order as every insert and completion -- at the cut and at the end ...
+    assert lazy.at_cut == eager.at_cut
+    assert lazy.at_end == eager.at_end
+    # ... and a flusher's bootstrap moves to where it was first woken, so
+    # only the bootstraps at build time are gone.
+    assert eager.events - lazy.events == len(flushers)
 
 
 def park_writers(sim, buffer, lbns, resumed):
@@ -873,9 +971,21 @@ def test_read_cache_lru_eviction_and_hit_ratio():
     cache.insert(3)  # evicts 2 (LRU)
     assert not cache.lookup(2)
     assert cache.lookup(3)
-    cache.invalidate(3)
+    cache.invalidate(range(3, 4))
     assert not cache.lookup(3)
     assert 0.0 < cache.hit_ratio < 1.0
+
+
+def test_read_cache_invalidates_a_run_of_blocks_in_one_call():
+    cache = ReadCache(capacity_slots=8)
+    for lbn in (9, 4, 7, 5, 2):
+        cache.insert(lbn)
+    cache.invalidate(range(3, 8))  # 4, 5 and 7; 3 and 6 were never cached
+    assert list(cache._entries) == [9, 2]
+    cache.invalidate(range(0, 100))
+    assert len(cache) == 0
+    cache.invalidate(range(5, 6))  # an empty cache stays empty
+    assert len(cache) == 0
 
 
 def test_prefetcher_triggers_after_sequential_run():
