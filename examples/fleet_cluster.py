@@ -153,11 +153,12 @@ executor``) and ``max_epochs``.  None of them may change simulation
 results -- bit-identity across every combination is gated by the
 determinism tests -- so none of them enters the sweep cache key, and no
 sweep cell carries them.  A scenario keeps its document's ``run:`` block
-as ``ScenarioSpec.run``; the runner holds the config its fleet cells run
-under (``SweepRunner(fleet_config=...)``).  ``run`` and ``fleet`` build
-that config from the block with their flags on top (a flag contradicting
-the block is an error), and ``serve`` from its own flags with each
-submission's block on top.  The synchronization window is physics and
+as ``ScenarioSpec.run``: the fields the block sets, as written, so a
+field set to its default stays set.  The runner holds the config its
+fleet cells run under (``SweepRunner(fleet_config=...)``).  ``run`` and
+``fleet`` build that config from the block with their flags on top (a
+flag contradicting a field the block sets is an error), and ``serve``
+from its own flags with each submission's block on top.  The synchronization window is physics and
 belongs to the topology (``epoch_us``; ``fleet --epoch-us`` on the CLI).
 
 Run-ahead windows and coupling components
@@ -193,8 +194,12 @@ Registered fleet scenarios (see ``python -m repro.experiments list``, tag
     python -m repro.experiments fleet fleet-smoke --shards 4      # sharded
     python -m repro.experiments fleet fleet-smoke --shards 4 --transport local
     python -m repro.experiments fleet datacenter-diurnal --quick
-    python -m repro.experiments fleet fleet-smoke --shards 4 --out report.json
+    python -m repro.experiments fleet fleet-smoke --shards 4 --out fleet.json
     python -m repro.experiments fleet fleet-smoke --run-ahead 1   # per-epoch
+    # fleet runs its cells through run's pipeline (same runner, cache and
+    # result file), so --out writes a sweep result that diff reads:
+    python -m repro.experiments run fleet-smoke --out run.json
+    python -m repro.experiments diff fleet.json run.json --fail-on-change
 
 The fault-scenario family exercises the schedule machinery end to end::
 
@@ -214,7 +219,8 @@ The fault-scenario family exercises the schedule machinery end to end::
 ``--shards 1`` *is* the serial path; any ``--shards N``, ``--transport``
 and ``--run-ahead`` combination produces the same fleet metrics (only the
 ``runtime`` section -- wall clock, events/sec, coordination, partition --
-differs).  One rule holds on ``run`` and ``fleet`` when a scenario
+differs; a saved sweep keeps it beside each fresh fleet cell's metrics,
+never in them).  One rule holds on ``run`` and ``fleet`` when a scenario
 document carries its own ``run:`` block: a ``--shards``, ``--run-ahead``
 or ``--transport`` flag that differs from the same field there is an
 error (path-addressed, exit 2) rather than silently losing or winning --
@@ -245,8 +251,8 @@ produce bit-identical metrics and share sweep-cache entries::
     REPRO_SCENARIO_PATH=examples python -m repro.experiments list
 
 ``kind: fleet`` documents accept a ``run:`` block mirroring
-:class:`~repro.cluster.FleetRunConfig` -- only the non-default fields,
-so the empty block is the default config::
+:class:`~repro.cluster.FleetRunConfig`.  It sets exactly the fields it
+names (a default value too), so the empty block is the default config::
 
     run:
       shards: 4

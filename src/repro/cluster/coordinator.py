@@ -361,5 +361,4 @@ def run_fleet(topology: FleetTopology,
 
 def run_fleet_serial(topology: FleetTopology) -> dict[str, Any]:
     """The serial reference path: the whole fleet in one in-process shard."""
-    return FleetCoordinator(
-        config=FleetRunConfig(transport="local")).run(topology)
+    return run_fleet(topology, transport="local")

@@ -114,20 +114,6 @@ class FleetRunConfig:
             return self.transport
         return "local" if self.shards == 1 else "executor"
 
-    # -- document form: the ``run:`` block of ``kind: fleet`` documents ---
-
-    def to_document(self) -> dict[str, Any]:
-        """The ``run:`` block for config documents (non-default fields
-        only, so the document round-trips losslessly)."""
-        from repro.config import run_config_to_document
-        return run_config_to_document(self)
-
-    @classmethod
-    def from_document(cls, document: Any, path: str = "run",
-                      ) -> "FleetRunConfig":
-        from repro.config import run_config_from_document
-        return run_config_from_document(document, path=path)
-
 
 # ---------------------------------------------------------------------------
 # The ShardTransport contract

@@ -41,8 +41,8 @@ from repro.config.schema import (
     document_kind,
     fault_spec_from_document,
     fault_spec_to_document,
+    fold_faults,
     run_config_from_document,
-    run_config_to_document,
     scenario_for_document,
     scenario_from_document,
     scenario_to_document,
@@ -58,10 +58,10 @@ __all__ = [
     "document_kind",
     "fault_spec_from_document",
     "fault_spec_to_document",
+    "fold_faults",
     "load_document",
     "parse_document_text",
     "run_config_from_document",
-    "run_config_to_document",
     "scan_scenario_dirs",
     "scenario_for_document",
     "scenario_from_document",

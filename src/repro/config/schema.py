@@ -47,8 +47,8 @@ __all__ = [
     "document_kind",
     "fault_spec_from_document",
     "fault_spec_to_document",
+    "fold_faults",
     "run_config_from_document",
-    "run_config_to_document",
     "scenario_for_document",
     "scenario_from_document",
     "scenario_to_document",
@@ -603,19 +603,17 @@ _RUN_CONFIG_READERS = {"shards": _as_positive_int,
                        "max_epochs": _as_positive_int}
 
 
-def run_config_to_document(config) -> dict:
-    """The document form of a :class:`~repro.cluster.FleetRunConfig`:
-    non-default fields only, so the round trip is exact."""
-    return _non_default_fields(config)
-
-
-def run_config_from_document(document: Any, *, path: str = "run"):
-    """Build a validated :class:`~repro.cluster.FleetRunConfig` from the
-    ``run:`` block of a fleet/scenario/cell document."""
+def run_config_from_document(document: Any, *, path: str = "run"
+                             ) -> dict[str, Any]:
+    """The ``run:`` block of a fleet or scenario document as read: the
+    :class:`~repro.cluster.FleetRunConfig` fields it sets, checked as one
+    config.  A field set to its default stays set, so whoever applies the
+    block (``ScenarioSpec.run``) applies exactly the fields it names."""
     from repro.cluster.transport import FleetRunConfig
 
-    return _construct(FleetRunConfig,
-                      _read_fields(document, path, _RUN_CONFIG_READERS), path)
+    fields = _read_fields(document, path, _RUN_CONFIG_READERS)
+    _construct(FleetRunConfig, fields, path)
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +642,24 @@ def _read_faults(value: Any, path: str) -> str:
     from repro.cluster.faults import canonical_fault_spec
 
     return canonical_fault_spec(*fault_spec_from_document(value, path=path))
+
+
+def fold_faults(fleet: str, faults: str) -> str:
+    """The topology ``fleet`` with the fault spec ``faults`` as its schedule
+    and policy, replacing any it declares; both are the canonical JSON a
+    :class:`~repro.experiments.sweep.CellSpec` stores, and so is the result.
+
+    This is how a fleet cell's faults get their one home, the topology: a
+    cell document with both keys reads through it, and so does ``fleet
+    --faults``.  Raises ``ValueError`` when the topology rejects the
+    schedule (an unknown group, a device index out of range).
+    """
+    from repro.cluster import FleetTopology
+    from repro.cluster.faults import parse_fault_spec
+
+    events, policy = parse_fault_spec(faults)
+    return FleetTopology.from_json(fleet).scaled(
+        faults=events, fault_policy=policy).canonical()
 
 
 #: A stream override: any job field its cell carries (every FioJob field
@@ -728,7 +744,8 @@ def _check_cell(cell, path: str) -> None:
 def cell_from_document(document: Any, *, path: str = "cell"):
     """Build a validated :class:`~repro.experiments.sweep.CellSpec`.
 
-    Every key reads with its :data:`_CELL_READERS` entry, then what the
+    Every key reads with its :data:`_CELL_READERS` entry, a fleet cell's
+    ``faults`` fold into its ``fleet`` (:func:`fold_faults`), then what the
     cell runs is checked (:func:`_check_cell`).  ``ScenarioSpec.cells``
     reads its cells at the empty root path, so their errors name keys bare
     (``queue_depth: expected positive int``,
@@ -741,6 +758,12 @@ def cell_from_document(document: Any, *, path: str = "cell"):
     fields.pop("kind", None)
     if "fleet" in fields:
         fields.setdefault("device", "fleet")
+        if "faults" in fields:
+            try:
+                fields["fleet"] = fold_faults(fields["fleet"],
+                                              fields.pop("faults"))
+            except ValueError as error:
+                raise ConfigError(_join(path, "faults"), str(error)) from None
     elif "device" not in fields:
         raise ConfigError(path, "missing required key 'device'")
     cell = CellSpec(**fields)
@@ -814,9 +837,8 @@ def scenario_to_document(spec) -> dict:
         document["streams"] = _field_to_document("streams", spec.streams)
     if spec.fleet is not None:
         document["fleet"] = json.loads(spec.fleet)
-    run = run_config_to_document(spec.run)
-    if run:
-        document["run"] = run
+    if spec.run:
+        document["run"] = dict(spec.run)
     if spec.seed != 17:
         document["seed"] = spec.seed
     if spec.seed_mode != "fixed":

@@ -14,16 +14,22 @@ Usage (module entry point)::
 under ``--cache-dir`` (default ``$REPRO_SWEEP_CACHE`` or ``.sweep-cache``),
 prints a metrics table, and optionally saves the whole sweep to ``--out``;
 ``--shards N`` additionally shards any fleet cells inside the pool.
-``fleet`` runs a fleet scenario through the sharded cluster layer
-(:mod:`repro.cluster`) with the same result caching: every
-``--shards`` / ``--transport`` / ``--run-ahead`` combination produces
-bit-identical fleet metrics (so none of them enters the cache key).
+``fleet`` is a view of the same pipeline for a scenario's fleet cells: the
+same front half (scenario, cells, ``--quick``, run config), the same
+runner and cache (in-process, one cell at a time, so each cell's tenant,
+group and fault tables print as it finishes, with the coordinator's
+``runtime:`` line of a fresh cell), and the same ``--out`` sweep-result
+file, which ``diff`` reads.  Its own options -- ``--faults``, ``--macro``
+and ``--epoch-us`` -- rewrite each cell's topology (different physics,
+so the cache key sees them).  Every ``--shards`` / ``--transport`` /
+``--run-ahead`` combination produces bit-identical fleet metrics (so none
+of them enters the cache key).
 On ``run`` and ``fleet``, the execution flags apply on top of the
 scenario's ``run:`` block, once per scenario, giving the one
 :class:`repro.cluster.FleetRunConfig` its fleet cells run under; a flag
-that differs from a field the block sets is an error (path-addressed,
-exit 2), and on ``fleet``, ``--serial`` counts as ``--transport local``.
-``diff`` compares two saved sweeps cell-by-cell.
+that differs from a field the block sets (even to its default) is an
+error (path-addressed, exit 2), and on ``fleet``, ``--serial`` counts as
+``--transport local``.  ``diff`` compares two saved sweeps cell-by-cell.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from repro.experiments.scenarios import (
     load_user_scenarios,
 )
 from repro.experiments.sweep import (
-    SweepCache,
     SweepResult,
     SweepRunner,
     default_cache_dir,
@@ -139,8 +144,9 @@ def _cli_fleet_flags(args, serial_is_local: bool = False) -> dict:
     field -> ``(flag as typed, value)``.
 
     ``serial_is_local`` is the ``fleet`` verb's reading of ``--serial``:
-    it counts as ``--transport local`` (keep shards in-process).
-    ``run`` uses ``--serial`` for the sweep pool instead.
+    it counts as ``--transport local`` (keep shards in-process), so it
+    contradicts any other explicit transport (``ValueError``).  ``run``
+    uses ``--serial`` for the sweep pool instead.
     """
     flags = {}
     for field in ("shards", "run_ahead", "transport"):
@@ -148,6 +154,9 @@ def _cli_fleet_flags(args, serial_is_local: bool = False) -> dict:
         if value is not None:
             flags[field] = (f"--{field.replace('_', '-')} {value}", value)
     if serial_is_local and args.serial:
+        if args.transport not in (None, "auto", "local"):
+            raise ValueError(f"--serial contradicts --transport "
+                             f"{args.transport} (drop one)")
         flags["transport"] = ("--serial", "local")
     return flags
 
@@ -157,52 +166,61 @@ def _run_config(spec, flags: dict):
     one :class:`repro.cluster.FleetRunConfig` its fleet cells run under.
 
     Raises ``ValueError`` with the one-line CLI error when a flag differs
-    from a field the block sets (the run is ambiguous, so the CLI refuses
-    it instead of silently picking a side) or a flag value is invalid.
+    from a field the block sets, even to its default (the run is
+    ambiguous, so the CLI refuses it instead of silently picking a side),
+    or a flag value is invalid.
     """
-    block = spec.run.to_document()
+    from repro.cluster import FleetRunConfig
+
+    block = dict(spec.run)
     for field, (flag, value) in flags.items():
         if field in block and block[field] != value:
             raise ValueError(f"run.{field}: {flag} contradicts the scenario "
                              f"document's run.{field} = {block[field]} (drop "
                              f"the flag or edit the document)")
-    return spec.run.merged(**{field: value
-                              for field, (_, value) in flags.items()})
+    return FleetRunConfig(**block).merged(
+        **{field: value for field, (_, value) in flags.items()})
+
+
+def _sweep_setup(args, serial_is_local: bool = False, parallel: bool = False,
+                 max_workers: Optional[int] = None):
+    """The front half of ``run`` and ``fleet``: the scenario, its cells
+    (shrunk by ``--quick``) and the runner -- the cache flags, and the run
+    config its fleet cells run under (:func:`_run_config`).
+
+    Raises ``ValueError`` with the one-line CLI error (exit 2).
+    """
+    spec = _resolve_scenario(args.scenario)
+    try:
+        cells = spec.cells()
+    except ValueError as error:
+        raise ValueError(f"cannot expand scenario {spec.name!r}: "
+                         f"{error}") from None
+    if args.quick:
+        cells = quick_cells(cells)
+    runner = SweepRunner(
+        parallel=parallel, max_workers=max_workers,
+        cache_dir=None if args.no_cache
+        else (args.cache_dir or default_cache_dir()),
+        force=args.force,
+        fleet_config=_run_config(spec, _cli_fleet_flags(args,
+                                                        serial_is_local)))
+    return spec, cells, runner
 
 
 def _cmd_run(args) -> int:
     try:
-        spec = _resolve_scenario(args.scenario)
+        spec, cells, runner = _sweep_setup(args, parallel=not args.serial,
+                                           max_workers=args.workers)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if spec.name == "table1":
         print(table1.render_table1(table1.run_table1()))
         return 0
-    try:
-        cells = spec.cells()
-    except ValueError as error:
-        print(f"error: cannot expand scenario {spec.name!r}: {error}",
-              file=sys.stderr)
-        return 2
-    if args.quick:
-        cells = quick_cells(cells)
     if not cells:
         print(f"scenario {spec.name!r} has no cells")
         return 1
-    try:
-        fleet_config = _run_config(spec, _cli_fleet_flags(args))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    runner = SweepRunner(
-        parallel=not args.serial,
-        max_workers=args.workers,
-        cache_dir=None if args.no_cache
-        else (args.cache_dir or default_cache_dir()),
-        force=args.force,
-        fleet_config=fleet_config,
-    )
     started = time.monotonic()
     result = runner.run_cells(spec.name, cells)
     elapsed = time.monotonic() - started
@@ -229,161 +247,136 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_fleet(args) -> int:
-    """Run a fleet scenario's topologies through the sharded cluster layer.
+def _fleet_rewrite(args):
+    """``fleet``'s own options as one cell transform: ``--faults`` (folded
+    into the topology exactly as a cell document's ``faults`` is),
+    ``--epoch-us`` and ``--macro`` rewrite ``cell.fleet``, so the cache key
+    sees them (a different fault schedule, synchronization window or group
+    simulation mode is different physics).  With none given, it keeps
+    the cell as it is.
 
-    Deterministic fleet metrics cache exactly like ``run`` cells (same
-    ``SweepCache``, same ``$REPRO_SWEEP_CACHE`` handling); shard count and
-    run-ahead are execution details excluded from the cache key, wall-clock
-    ``runtime`` data is never cached.
+    Raises ``ValueError`` with the one-line CLI error, here for a bad
+    ``--faults`` spec and in the transform for an override the topology
+    rejects.
     """
     from dataclasses import replace
 
-    from repro.cluster import FleetCoordinator, FleetTopology
-    from repro.experiments.sweep import fleet_cell_metrics
+    from repro.cluster import FleetTopology
+    from repro.cluster.faults import canonical_fault_spec, parse_fault_spec
+    from repro.config import fold_faults
 
-    try:
-        spec = _resolve_scenario(args.scenario)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        cells = spec.cells()
-    except ValueError as error:
-        print(f"error: cannot expand scenario {spec.name!r}: {error}",
-              file=sys.stderr)
-        return 2
-    if args.quick:
-        cells = quick_cells(cells)
-    fleet_cells = [cell for cell in cells if cell.fleet is not None]
-    if not fleet_cells:
-        print(f"error: scenario {spec.name!r} has no fleet cells "
-              f"(fleet scenarios: see 'list', tag 'fleet')", file=sys.stderr)
-        return 2
-    cache = None if args.no_cache \
-        else SweepCache(args.cache_dir or default_cache_dir())
-    if args.serial and args.transport not in (None, "auto", "local"):
-        print(f"error: --serial contradicts --transport {args.transport} "
-              f"(drop one)", file=sys.stderr)
-        return 2
-    try:
-        coordinator = FleetCoordinator(config=_run_config(
-            spec, _cli_fleet_flags(args, serial_is_local=True)))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    reports = []
-    fault_changes = {}
+    faults = None
     if args.faults is not None:
-        from repro.cluster.faults import parse_fault_spec
-
         text = args.faults
         if text.startswith("@"):
             try:
                 text = Path(text[1:]).read_text()
             except OSError as error:
-                print(f"error: cannot read --faults file: {error}",
-                      file=sys.stderr)
-                return 2
+                raise ValueError(
+                    f"cannot read --faults file: {error}") from None
         try:
-            events, policy = parse_fault_spec(text)
+            faults = canonical_fault_spec(*parse_fault_spec(text))
         except ValueError as error:
-            print(f"error: bad --faults spec: {error}", file=sys.stderr)
-            return 2
-        fault_changes = {"faults": events, "fault_policy": policy}
-    macro_modes: dict[str, str] = {}
+            raise ValueError(f"bad --faults spec: {error}") from None
+    modes: dict[str, str] = {}
     for token in args.macro or ():
         for entry in token.split(","):
             entry = entry.strip()
-            if not entry:
-                continue
-            name, _, mode = entry.partition("=")
-            macro_modes[name] = mode or "macro"
-    for cell in fleet_cells:
-        if args.epoch_us is not None or fault_changes or macro_modes:
-            # Fold the overrides into the cell so the cache key sees them (a
-            # different synchronization window, fault schedule, or group
-            # simulation mode is different physics).
-            changes = dict(fault_changes)
-            if args.epoch_us is not None:
-                changes["epoch_us"] = args.epoch_us
-            try:
-                scaled = FleetTopology.from_json(cell.fleet).scaled(**changes)
-                if macro_modes:
-                    scaled = scaled.with_modes(macro_modes)
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            cell = replace(cell, fleet=scaled.canonical())
-        topology = FleetTopology.from_json(cell.fleet)
-        metrics = None if (cache is None or args.force) \
-            else cache.load(spec.name, cell)
-        runtime = None
-        if metrics is None:
-            full = coordinator.run(topology)
-            runtime = full.get("runtime")
-            metrics = fleet_cell_metrics(full)
-            if cache is not None:
-                cache.store(spec.name, cell, metrics)
-        payload = dict(metrics["fleet"])
-        if runtime is not None:
-            payload["runtime"] = runtime
-        reports.append({"labels": dict(cell.labels),
-                        "cached": runtime is None, "result": payload})
-        labels = json.dumps(dict(cell.labels), sort_keys=True)
-        fleet_metrics = payload["fleet"]
-        print(f"\n# {topology.name} {labels}")
-        print(f"{fleet_metrics['devices']} devices, "
-              f"{payload['topology']['tenants']} tenants, "
-              f"{payload['topology']['edges']} replication edges")
-        rows = [[name,
-                 tenant["group"],
-                 str(tenant["devices"]),
-                 str(tenant["ios_completed"]),
-                 f"{tenant['mean_us']:.1f}",
-                 f"{tenant['p99_us']:.1f}",
-                 f"{tenant['p999_us']:.1f}",
-                 f"{tenant['throughput_gbps']:.3f}",
-                 f"{tenant['iops']:.0f}"]
-                for name, tenant in sorted(payload["tenants"].items())]
-        print(format_table(["tenant", "group", "devs", "ios", "mean_us",
-                            "p99_us", "p999_us", "GB/s", "IOPS"], rows))
-        rows = [[name, group["device_type"], str(group["devices"]),
-                 str(group["ios_completed"]), str(group["replica_writes"]),
-                 f"{group['mean_us']:.1f}" if group["ios_completed"] else "-"]
-                for name, group in sorted(payload["groups"].items())]
-        print(format_table(["group", "device", "devs", "tenant ios",
-                            "replica writes", "mean_us"], rows))
-        print(f"fleet: {fleet_metrics['ios_completed']} ios, "
-              f"mean {fleet_metrics['mean_us']:.1f}us, "
-              f"p99.9 {fleet_metrics['p999_us']:.1f}us, "
-              f"{fleet_metrics['throughput_gbps']:.3f} GB/s aggregate")
-        faults = payload.get("faults")
-        if faults:
-            during, steady = faults["during_rebuild"], faults["steady"]
-            print(f"faults: {len(faults['events'])} event(s), "
-                  f"{faults['degraded_us']:.0f}us degraded, rebuild "
-                  f"{faults['rebuild_writes']} chunks / "
-                  f"{faults['rebuild_bytes']} bytes "
-                  f"({faults['rebuild_gbps']:.3f} GB/s), "
-                  f"shed {faults['shed_ios']} ios")
-            print(f"  p99 during rebuild {during['p99_us']:.1f}us "
-                  f"({during['ios']} ios) vs steady "
-                  f"{steady['p99_us']:.1f}us ({steady['ios']} ios)")
-        if runtime is None:
-            print("runtime: cached result (use --force to re-run)")
-        else:
-            print(f"runtime: {runtime['shards']} shard(s) "
-                  f"({runtime['mode']}, {runtime['transport']} transport), "
-                  f"{runtime['epochs']} epochs, "
-                  f"{runtime['coordinator_rounds']} coordinator round(s), "
-                  f"{runtime['wall_s']:.2f}s wall, "
-                  f"{runtime['events_per_sec']:.0f} events/s")
+            if entry:
+                name, _, mode = entry.partition("=")
+                modes[name] = mode or "macro"
+    if faults is None and args.epoch_us is None and not modes:
+        return lambda cell: cell
+
+    def rewrite(cell):
+        fleet = cell.fleet if faults is None else fold_faults(cell.fleet,
+                                                              faults)
+        topology = FleetTopology.from_json(fleet)
+        if args.epoch_us is not None:
+            topology = topology.scaled(epoch_us=args.epoch_us)
+        return replace(cell, fleet=topology.with_modes(modes).canonical())
+
+    return rewrite
+
+
+def _print_fleet_outcome(outcome) -> None:
+    """One fleet cell's tenant, group and fault tables, then its
+    ``runtime:`` line (fresh cells) or the cache note."""
+    payload = outcome.metrics["fleet"]
+    fleet_metrics = payload["fleet"]
+    labels = json.dumps(outcome.params, sort_keys=True)
+    print(f"\n# {payload['topology']['name']} {labels}")
+    print(f"{fleet_metrics['devices']} devices, "
+          f"{payload['topology']['tenants']} tenants, "
+          f"{payload['topology']['edges']} replication edges")
+    rows = [[name,
+             tenant["group"],
+             str(tenant["devices"]),
+             str(tenant["ios_completed"]),
+             f"{tenant['mean_us']:.1f}",
+             f"{tenant['p99_us']:.1f}",
+             f"{tenant['p999_us']:.1f}",
+             f"{tenant['throughput_gbps']:.3f}",
+             f"{tenant['iops']:.0f}"]
+            for name, tenant in sorted(payload["tenants"].items())]
+    print(format_table(["tenant", "group", "devs", "ios", "mean_us",
+                        "p99_us", "p999_us", "GB/s", "IOPS"], rows))
+    rows = [[name, group["device_type"], str(group["devices"]),
+             str(group["ios_completed"]), str(group["replica_writes"]),
+             f"{group['mean_us']:.1f}" if group["ios_completed"] else "-"]
+            for name, group in sorted(payload["groups"].items())]
+    print(format_table(["group", "device", "devs", "tenant ios",
+                        "replica writes", "mean_us"], rows))
+    print(f"fleet: {fleet_metrics['ios_completed']} ios, "
+          f"mean {fleet_metrics['mean_us']:.1f}us, "
+          f"p99.9 {fleet_metrics['p999_us']:.1f}us, "
+          f"{fleet_metrics['throughput_gbps']:.3f} GB/s aggregate")
+    faults = payload.get("faults")
+    if faults:
+        during, steady = faults["during_rebuild"], faults["steady"]
+        print(f"faults: {len(faults['events'])} event(s), "
+              f"{faults['degraded_us']:.0f}us degraded, rebuild "
+              f"{faults['rebuild_writes']} chunks / "
+              f"{faults['rebuild_bytes']} bytes "
+              f"({faults['rebuild_gbps']:.3f} GB/s), "
+              f"shed {faults['shed_ios']} ios")
+        print(f"  p99 during rebuild {during['p99_us']:.1f}us "
+              f"({during['ios']} ios) vs steady "
+              f"{steady['p99_us']:.1f}us ({steady['ios']} ios)")
+    runtime = outcome.runtime
+    if runtime is None:
+        print("runtime: cached result (use --force to re-run)")
+    else:
+        print(f"runtime: {runtime['shards']} shard(s) "
+              f"({runtime['mode']}, {runtime['transport']} transport), "
+              f"{runtime['epochs']} epochs, "
+              f"{runtime['coordinator_rounds']} coordinator round(s), "
+              f"{runtime['wall_s']:.2f}s wall, "
+              f"{runtime['events_per_sec']:.0f} events/s")
+
+
+def _cmd_fleet(args) -> int:
+    """Run a scenario's fleet cells through ``run``'s pipeline, in-process
+    and one cell at a time, printing each cell's tables as it finishes."""
+    try:
+        spec, cells, runner = _sweep_setup(args, serial_is_local=True)
+        rewrite = _fleet_rewrite(args)
+        cells = [rewrite(cell) for cell in cells if cell.fleet is not None]
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if not cells:
+        print(f"error: scenario {spec.name!r} has no fleet cells "
+              f"(fleet scenarios: see 'list', tag 'fleet')", file=sys.stderr)
+        return 2
+    result = SweepResult(scenario=spec.name)
+    for cell in cells:
+        [outcome] = runner.run_cells(spec.name, [cell]).outcomes
+        result.outcomes.append(outcome)
+        _print_fleet_outcome(outcome)
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(reports, indent=2, sort_keys=True))
-        print(f"\nfleet report saved to {path}")
+        path = result.save(args.out)
+        print(f"\nsweep saved to {path}")
     return 0
 
 
@@ -394,9 +387,9 @@ def _cmd_diff(args) -> int:
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except (KeyError, json.JSONDecodeError, TypeError) as error:
-        print(f"error: not a sweep-result file (save one with 'run --out'): "
-              f"{error!r}", file=sys.stderr)
+    except (KeyError, TypeError, ValueError) as error:
+        print(f"error: not a sweep-result file (save one with 'run --out' "
+              f"or 'fleet --out'): {error!r}", file=sys.stderr)
         return 2
     rows = diff_results(a, b, metric=args.metric)
     table = []
@@ -682,7 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument("--quick", action="store_true",
                               help="shrink tenant workloads for a fast pass")
     fleet_parser.add_argument("--out", default=None,
-                              help="save the fleet reports JSON to this path")
+                              help="save the sweep result JSON to this path "
+                                   "(the file 'run --out' writes, which "
+                                   "'diff' reads)")
     fleet_parser.set_defaults(func=_cmd_fleet)
 
     diff_parser = sub.add_parser("diff", help="compare two saved sweep results")

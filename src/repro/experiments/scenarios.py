@@ -85,12 +85,14 @@ class ScenarioSpec:
     #: ``fleet.<group-or-tenant>.<key>`` a group key / tenant workload
     #: knob -- that is how a sweep explores fleet *shape* axes.
     fleet: Optional[str] = None
-    #: How the fleet cells execute (the document ``run:`` block).  It stays
-    #: on the scenario, never on a cell: the entry point that runs the
-    #: scenario folds it into the runner's config once
-    #: (``SweepRunner(fleet_config=...)``), and no execution knob changes a
-    #: result or a cache key.
-    run: FleetRunConfig = FleetRunConfig()
+    #: How the fleet cells execute: the document ``run:`` block as read, the
+    #: :class:`~repro.cluster.FleetRunConfig` fields it sets as sorted
+    #: ``(field, value)`` pairs.  A field set to its default stays set, so
+    #: the entry point that runs the scenario applies exactly these fields
+    #: when it builds the runner's config, once
+    #: (``SweepRunner(fleet_config=...)``).  It stays on the scenario, never
+    #: on a cell: no execution knob changes a result or a cache key.
+    run: tuple[tuple[str, Any], ...] = ()
     seed: int = 17
     #: "fixed" uses ``seed`` for every cell (paper-figure behaviour);
     #: "derived" derives a per-cell seed from the grid point, so no two cells
@@ -236,14 +238,19 @@ def scenario(name: str, description: str, devices: Sequence[str],
              grid: Optional[Mapping[str, Sequence[Any]]] = None,
              streams: Optional[Mapping[str, Mapping[str, Any]]] = None,
              fleet: Optional["FleetTopology"] = None,
-             run: Optional[FleetRunConfig] = None,
+             run: Optional[Mapping[str, Any]] = None,
              seed: int = 17, seed_mode: str = "fixed",
              tags: Sequence[str] = (),
              cell_builder: Optional[Callable[[], list[CellSpec]]] = None,
              ) -> ScenarioSpec:
-    """Build a :class:`ScenarioSpec` from plain dicts (normalised to tuples)."""
+    """Build a :class:`ScenarioSpec` from plain dicts (normalised to tuples).
+
+    ``run`` is the fields of a ``run:`` block (checked as one
+    :class:`~repro.cluster.FleetRunConfig`).
+    """
     if seed_mode not in ("fixed", "derived"):
         raise ValueError(f"unknown seed_mode {seed_mode!r}")
+    FleetRunConfig(**(run or {}))
     return ScenarioSpec(
         name=name,
         description=description,
@@ -254,7 +261,7 @@ def scenario(name: str, description: str, devices: Sequence[str],
             (stream_name, tuple(sorted(overrides.items())))
             for stream_name, overrides in (streams or {}).items())),
         fleet=None if fleet is None else fleet.canonical(),
-        run=FleetRunConfig() if run is None else run,
+        run=tuple(sorted((run or {}).items())),
         seed=seed,
         seed_mode=seed_mode,
         tags=tuple(tags),

@@ -12,8 +12,10 @@ into measurements:
    cell has ``faults``), runs its workload -- one FIO-style job, concurrent
    streams, or an open-loop trace replay -- and returns a plain-``dict``
    metrics payload (latency summary, throughput, plus each workload kind's
-   own metrics).  Fleet cells run through the cluster layer instead.
-   Cells are fully independent, so they can run in worker processes.
+   own metrics).  Fleet cells run through the cluster layer instead, and
+   also hand back the coordinator's wall-clock ``runtime`` section, which
+   stays out of the metrics and the cache.  Cells are fully independent, so
+   they can run in worker processes.
 3. **Caching** -- results are cached as one JSON file per cell under
    ``<cache_dir>/<scenario>/<hash>.json``.  The hash is a SHA-256 over the
    canonical JSON of the cell spec plus :data:`CACHE_VERSION`; bump the
@@ -161,18 +163,26 @@ class CellSpec:
     #: executed through the cluster layer and the fleet/device/job fields
     #: above are ignored except for bookkeeping.
     fleet: Optional[str] = None
-    #: Fault schedule for this cell: canonical JSON of a fault-spec
+    #: Fault schedule of a device cell: canonical JSON of a fault-spec
     #: document (``{"events": [...]}`` plus a non-default ``"policy"``, see
-    #: :func:`repro.cluster.faults.canonical_fault_spec`).  Fleet cells merge it
-    #: into the topology (overriding any schedule the fleet JSON carries);
-    #: device cells wrap each device in a
-    #: :class:`~repro.cluster.faults.FaultInjector` proxy with exact-time
-    #: flips and report their workload kind's metrics plus ``shed_ios`` and
-    #: ``shed_bytes``.  Part of the cache key -- a different fault schedule
-    #: is a different experiment.
+    #: :func:`repro.cluster.faults.canonical_fault_spec`).  Each device is
+    #: wrapped in a :class:`~repro.cluster.faults.FaultInjector` proxy with
+    #: exact-time flips, and the cell reports its workload kind's metrics
+    #: plus ``shed_ios`` and ``shed_bytes``.  Part of the cache key -- a
+    #: different fault schedule is a different experiment.  A fleet cell
+    #: keeps its schedule in its topology, the one home of a fleet's faults:
+    #: a cell document with both keys folds ``faults`` into ``fleet``
+    #: (:func:`repro.config.fold_faults`), and a cell built with both is
+    #: refused.
     faults: Optional[str] = None
     #: Free-form labels carried through to the result (not part of the job).
     labels: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.fleet is not None and self.faults is not None:
+            raise ValueError("a fleet cell keeps its fault schedule in its "
+                             "topology: fold 'faults' into 'fleet' "
+                             "(repro.config.fold_faults)")
 
     def to_payload(self) -> dict[str, Any]:
         payload = asdict(self)
@@ -266,28 +276,11 @@ def _headline(ios: int, bytes_read: int, bytes_written: int,
     }
 
 
-def fleet_cell_metrics(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """The cacheable metrics dict for a fleet cell: headline numbers plus
-    the full coordinator payload under ``"fleet"``, minus the
-    nondeterministic ``runtime`` section.
-
-    This is the shared cache contract between ``run`` (via
-    :func:`_run_fleet_cell`) and the ``fleet`` CLI verb -- both read and
-    write the same :class:`SweepCache` entries, so the shape must be built
-    in exactly one place.
-    """
-    from repro.cluster import fleet_headline
-
-    # Wall-clock data is nondeterministic; the cached metrics must not be.
-    payload = {key: value for key, value in payload.items()
-               if key != "runtime"}
-    metrics = fleet_headline(payload)
-    metrics["fleet"] = payload
-    return metrics
-
-
-def _run_fleet_cell(cell: CellSpec, config=None) -> dict[str, Any]:
-    """Execute a fleet cell through the cluster layer.
+def _run_fleet_cell(cell: CellSpec, config=None
+                    ) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Execute a fleet cell through the cluster layer: its metrics (the
+    headline numbers plus the coordinator payload under ``"fleet"``) and,
+    apart, the payload's nondeterministic ``runtime`` section.
 
     ``config``, the runner's :class:`repro.cluster.FleetRunConfig`, picks
     the shard count, transport, and run-ahead window.  The default (None)
@@ -297,24 +290,26 @@ def _run_fleet_cell(cell: CellSpec, config=None) -> dict[str, Any]:
     non-daemonic, so both levels of parallelism nest); results are
     bit-identical for every layout and transport.
     """
-    from repro.cluster import FleetCoordinator, FleetTopology
+    from repro.cluster import FleetCoordinator, FleetTopology, fleet_headline
 
-    topology = FleetTopology.from_json(cell.fleet)
-    if cell.faults is not None:
-        from repro.cluster.faults import parse_fault_spec
+    payload = FleetCoordinator(config=config).run(
+        FleetTopology.from_json(cell.fleet))
+    # Wall-clock data is nondeterministic; the cached metrics must not be.
+    runtime = payload.pop("runtime")
+    metrics = fleet_headline(payload)
+    metrics["fleet"] = payload
+    return metrics, runtime
 
-        events, policy = parse_fault_spec(cell.faults)
-        topology = topology.scaled(faults=events, fault_policy=policy)
-    payload = FleetCoordinator(config=config).run(topology)
-    return fleet_cell_metrics(payload)
 
-
-def run_cell(cell: CellSpec, fleet_config=None) -> dict[str, Any]:
-    """Execute one cell on a fresh simulator and return its metrics dict.
+def run_cell(cell: CellSpec, fleet_config=None
+             ) -> tuple[dict[str, Any], Optional[dict[str, Any]]]:
+    """Execute one cell on a fresh simulator: ``(metrics, runtime)``.
 
     Fleet cells run through the cluster layer under ``fleet_config``
-    (:func:`_run_fleet_cell`).  Every other cell is a
-    device cell: each device it names is built once (at the cell's scale,
+    (:func:`_run_fleet_cell`), and ``runtime`` is the coordinator's
+    wall-clock section, which no metrics payload or cache entry carries.
+    Every other cell is a device cell, whose ``runtime`` is ``None``: each
+    device it names is built once (at the cell's scale,
     preloaded, traced, and wrapped in a
     :class:`~repro.cluster.faults.FaultInjector` when the cell has
     ``faults``), then one workload runs on them -- an open-loop replay for
@@ -451,7 +446,7 @@ def run_cell(cell: CellSpec, fleet_config=None) -> dict[str, Any]:
                                     for proxy in devices.values())
     if tracer is not None:
         metrics["trace"] = tracer.to_payload()
-    return metrics
+    return metrics, None
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +492,17 @@ class SweepCache:
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """A cell spec together with its measured (or cached) metrics."""
+    """A cell spec together with its measured (or cached) metrics.
+
+    ``runtime`` is a freshly run fleet cell's coordinator section (shards,
+    epochs, coordinator rounds, wall clock): ``None`` on a cache hit and
+    for device cells.  It never enters ``metrics`` or a cache entry.
+    """
 
     cell: CellSpec
     metrics: dict[str, Any]
     cached: bool = False
+    runtime: Optional[dict[str, Any]] = None
 
     @property
     def params(self) -> dict[str, Any]:
@@ -522,9 +523,6 @@ class SweepResult:
     def cache_hits(self) -> int:
         return sum(1 for outcome in self.outcomes if outcome.cached)
 
-    def metric(self, metric: str) -> list[float]:
-        return [outcome.metrics.get(metric) for outcome in self.outcomes]
-
     def find(self, **labels) -> CellOutcome:
         """The unique outcome whose cell labels/fields match ``labels``."""
         matches = []
@@ -540,15 +538,15 @@ class SweepResult:
         return matches[0]
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "version": CACHE_VERSION,
-            "scenario": self.scenario,
-            "cells": [
-                {"cell": outcome.cell.to_payload(), "metrics": outcome.metrics,
-                 "cached": outcome.cached}
-                for outcome in self.outcomes
-            ],
-        }
+        cells = []
+        for outcome in self.outcomes:
+            entry = {"cell": outcome.cell.to_payload(),
+                     "metrics": outcome.metrics, "cached": outcome.cached}
+            if outcome.runtime is not None:
+                entry["runtime"] = outcome.runtime
+            cells.append(entry)
+        return {"version": CACHE_VERSION, "scenario": self.scenario,
+                "cells": cells}
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -565,6 +563,7 @@ class SweepResult:
                 cell=CellSpec.from_payload(entry["cell"]),
                 metrics=entry["metrics"],
                 cached=entry.get("cached", False),
+                runtime=entry.get("runtime"),
             ))
         return result
 
@@ -694,20 +693,17 @@ class SweepRunner:
 
         if pending:
             fresh = self._execute([cell for _, cell in pending])
-            for (index, cell), metrics in zip(pending, fresh):
+            for (index, cell), (metrics, runtime) in zip(pending, fresh):
                 if self.cache is not None:
                     self.cache.store(scenario, cell, metrics)
-                outcomes[index] = CellOutcome(cell=cell, metrics=metrics, cached=False)
+                outcomes[index] = CellOutcome(cell=cell, metrics=metrics,
+                                              runtime=runtime)
 
         result.outcomes = [outcome for outcome in outcomes if outcome is not None]
         return result
 
-    def run(self, spec) -> SweepResult:
-        """Expand a :class:`ScenarioSpec` and run its cells."""
-        return self.run_cells(spec.name, spec.cells())
-
     # -- internals ---------------------------------------------------------
-    def _execute(self, cells: Sequence[CellSpec]) -> list[dict[str, Any]]:
+    def _execute(self, cells: Sequence[CellSpec]) -> list[tuple]:
         if not self.parallel or len(cells) <= 1:
             return [run_cell(cell, self.fleet_config) for cell in cells]
         workers = self.max_workers or os.cpu_count() or 2

@@ -63,11 +63,6 @@ class FlashArray:
             raise ValueError(f"die {die} out of range")
         return self._die_pairs[die]
 
-    def die_queue_length(self, die: int) -> int:
-        """Commands waiting for the given die (used by the GC scheduler)."""
-        die_res = self._pair(die)[0]
-        return die_res.queue_length + die_res.users
-
     # -- operations ---------------------------------------------------------
     def read_page(self, die: int, num_bytes: int):
         """Generator: read ``num_bytes`` from one page of ``die``.
@@ -132,15 +127,3 @@ class FlashArray:
         finally:
             die_res.release()
         self.stats.erases += 1
-
-    # -- theoretical limits (used by tests and calibration) -----------------
-    def peak_read_bandwidth(self) -> float:
-        """Upper bound on read bandwidth in bytes/us (channel-limited)."""
-        per_channel = self.timing.channel_bytes_per_us
-        return per_channel * self.geometry.channels
-
-    def peak_program_bandwidth(self) -> float:
-        """Upper bound on program bandwidth in bytes/us (die-limited)."""
-        page = self.geometry.page_size * self.geometry.planes_per_die
-        per_die = page / self.timing.program_latency_us(page)
-        return per_die * self.geometry.total_dies

@@ -22,14 +22,6 @@ class IOKind(enum.Enum):
     FLUSH = "flush"
     TRIM = "trim"
 
-    @property
-    def is_read(self) -> bool:
-        return self is IOKind.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self is IOKind.WRITE
-
 
 class IORequest:
     """A single block I/O request.
@@ -90,10 +82,6 @@ class IORequest:
         if self.submit_time is None or self.complete_time is None:
             raise ValueError("request has not completed yet")
         return self.complete_time - self.submit_time
-
-    @property
-    def is_completed(self) -> bool:
-        return self.complete_time is not None
 
     def overlaps(self, other: "IORequest") -> bool:
         """Whether the byte ranges of two requests intersect."""

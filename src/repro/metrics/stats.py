@@ -49,42 +49,3 @@ def coefficient_of_variation(values: Iterable[float]) -> float:
     if mean == 0:
         return 0.0
     return float(arr.std() / mean)
-
-
-def relative_range(values: Iterable[float]) -> float:
-    """(max - min) / mean -- an alternative determinism metric."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    mean = arr.mean()
-    if mean == 0:
-        return 0.0
-    return float((arr.max() - arr.min()) / mean)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean, ignoring non-positive entries; 0.0 when none remain."""
-    arr = np.asarray([v for v in values if v > 0], dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return float(np.exp(np.mean(np.log(arr))))
-
-
-def crossover_point(xs: Sequence[float], series_a: Sequence[float],
-                    series_b: Sequence[float]) -> float | None:
-    """First x at which ``series_a`` falls below ``series_b`` (linear interp).
-
-    Used by benchmark reports to locate where one device's throughput curve
-    crosses another's.  Returns ``None`` if no crossover occurs.
-    """
-    if not (len(xs) == len(series_a) == len(series_b)):
-        raise ValueError("all series must have the same length")
-    for index in range(1, len(xs)):
-        prev_diff = series_a[index - 1] - series_b[index - 1]
-        diff = series_a[index] - series_b[index]
-        if prev_diff >= 0 and diff < 0:
-            if prev_diff == diff:
-                return float(xs[index])
-            fraction = prev_diff / (prev_diff - diff)
-            return float(xs[index - 1] + fraction * (xs[index] - xs[index - 1]))
-    return None

@@ -136,19 +136,3 @@ class ThroughputTimeline:
                 bytes_completed=only.bytes_completed,
             )
         return samples
-
-    def gbps_series(self, bin_us: float) -> tuple[np.ndarray, np.ndarray]:
-        """(bin centre times in seconds, GB/s values) for plotting/reporting."""
-        samples = self.binned(bin_us)
-        centres = np.asarray([(s.start_us + s.end_us) / 2 / 1e6 for s in samples])
-        values = np.asarray([s.gigabytes_per_second for s in samples])
-        return centres, values
-
-    def cumulative_bytes_at(self, time_us: float) -> int:
-        """Total bytes completed up to ``time_us`` (inclusive)."""
-        total = 0
-        for t, b in zip(self._times, self._bytes):
-            if t > time_us:
-                break
-            total += b
-        return total

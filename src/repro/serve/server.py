@@ -39,9 +39,9 @@ _POLL_S = 0.2
 
 
 class ServeJob:
-    """One accepted submission: cells, the scenario's ``run:`` block (a
-    :class:`~repro.cluster.FleetRunConfig`), state, and the buffered event
-    log."""
+    """One accepted submission: cells, the scenario's ``run:`` block
+    (``ScenarioSpec.run``, the fields it sets), state, and the buffered
+    event log."""
 
     def __init__(self, job_id: str, scenario: str, cells: list, run):
         self.id = job_id
@@ -82,7 +82,8 @@ class ExperimentServer:
     (``cache_dir``, ``fleet_config``) mirror the batch CLI's flags.  Each
     job gets its own runner, whose fleet config is ``fleet_config`` with
     every field the submitted scenario's ``run:`` block sets applied on
-    top, so the block wins field by field.  Cells run one at a time in the
+    top (a field set to its default too), so the block wins field by
+    field.  Cells run one at a time in the
     job thread, so serve never starts the sweep pool.
     ``cache_dir=None`` resolves ``$REPRO_SWEEP_CACHE`` exactly like
     ``run``/``fleet`` do.
@@ -197,7 +198,7 @@ class ExperimentServer:
         if kwargs["cache_dir"] is None and not no_cache:
             kwargs["cache_dir"] = default_cache_dir()
         config = kwargs["fleet_config"] or FleetRunConfig()
-        kwargs["fleet_config"] = config.merged(**job.run.to_document())
+        kwargs["fleet_config"] = config.merged(**dict(job.run))
         return SweepRunner(**kwargs)
 
     # -- internals: network ------------------------------------------------

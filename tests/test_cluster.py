@@ -24,7 +24,7 @@ from repro.cluster import (
 from repro.cluster.shard import ShardPlan
 from repro.experiments.cli import main as cli_main
 from repro.experiments.scenarios import get_scenario, register, scenario
-from repro.experiments.sweep import SweepRunner, run_cell
+from repro.experiments.sweep import SweepResult, SweepRunner, run_cell
 
 #: A small mixed fleet with a replication edge, on the fast loopback device.
 MINI_CAPACITY = 1 << 24
@@ -374,7 +374,7 @@ def test_fleet_cell_runs_through_sweep_runner_with_cache(tmp_path):
     assert metrics == second.outcomes[0].metrics
     assert metrics["ios_completed"] > 0
     assert "runtime" not in metrics["fleet"]  # wall-clock never cached
-    assert run_cell(cells[0]) == run_cell(cells[0])
+    assert run_cell(cells[0])[0] == run_cell(cells[0])[0]
 
 
 def test_cli_fleet_verb_runs_and_saves_report(tmp_path, capsys):
@@ -384,12 +384,84 @@ def test_cli_fleet_verb_runs_and_saves_report(tmp_path, capsys):
                      "--shards", "2", "--no-cache", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "frontend" in printed and "2 shard(s)" in printed
-    reports = json.loads(out.read_text())
-    assert len(reports) == 2
-    assert reports[0]["result"]["fleet"]["ios_completed"] > 0
+    result = SweepResult.load(out)
+    assert len(result) == 2
+    assert result.outcomes[0].metrics["fleet"]["fleet"]["ios_completed"] > 0
     # Unknown scenario and non-fleet scenario fail cleanly.
     assert cli_main(["fleet", "no-such-scenario"]) == 2
     assert cli_main(["fleet", "latency-grid"]) == 2
+
+
+def test_fleet_and_run_save_the_same_sweep_result(tmp_path, capsys):
+    """``fleet --out`` writes the file ``run --out`` does: the same cells
+    in the same order with equal metrics, so ``diff`` compares them."""
+    _register_mini_scenario()
+    fleet_out, run_out = tmp_path / "fleet.json", tmp_path / "run.json"
+    assert cli_main(["fleet", "mini-fleet-under-test", "--serial",
+                     "--no-cache", "--out", str(fleet_out)]) == 0
+    assert cli_main(["run", "mini-fleet-under-test", "--serial",
+                     "--no-cache", "--out", str(run_out)]) == 0
+    by_fleet, by_run = SweepResult.load(fleet_out), SweepResult.load(run_out)
+    assert by_fleet.scenario == by_run.scenario == "mini-fleet-under-test"
+    assert len(by_fleet) == 2
+    assert [outcome.cell for outcome in by_fleet.outcomes] \
+        == [outcome.cell for outcome in by_run.outcomes]
+    assert [outcome.metrics for outcome in by_fleet.outcomes] \
+        == [outcome.metrics for outcome in by_run.outcomes]
+    capsys.readouterr()
+    assert cli_main(["diff", str(fleet_out), str(run_out),
+                     "--fail-on-change"]) == 0
+    assert "0 cells changed" in capsys.readouterr().out
+
+
+def test_a_fresh_fleet_cell_reports_its_runtime_outside_its_metrics(
+        tmp_path):
+    """The coordinator's wall-clock ``runtime`` section rides a fresh fleet
+    cell's outcome (and a saved sweep, next to the metrics), never its
+    metrics or its cache entry; a cache hit has none."""
+    spec = _register_mini_scenario()
+    cells = spec.cells()[:1]
+    runner = SweepRunner(cache_dir=tmp_path / "cache",
+                         fleet_config=FleetRunConfig(shards=2,
+                                                     transport="local"))
+    [fresh] = runner.run_cells(spec.name, cells).outcomes
+    assert not fresh.cached
+    assert fresh.runtime["shards"] == 2
+    assert fresh.runtime["epochs"] > 0
+    assert fresh.runtime["coordinator_rounds"] > 0
+    assert "runtime" not in fresh.metrics
+    assert "runtime" not in fresh.metrics["fleet"]
+    [entry] = (tmp_path / "cache").rglob("*.json")
+    assert '"runtime"' not in entry.read_text()
+    [hit] = runner.run_cells(spec.name, cells).outcomes
+    assert hit.cached and hit.runtime is None
+    assert hit.metrics == fresh.metrics
+    # run --out keeps the runtime beside the metrics, not in them.
+    out = tmp_path / "run.json"
+    assert cli_main(["run", "mini-fleet-under-test", "--serial",
+                     "--no-cache", "--out", str(out)]) == 0
+    saved = json.loads(out.read_text())["cells"]
+    assert all('"runtime"' not in json.dumps(entry["metrics"])
+               for entry in saved)
+    assert [entry["runtime"]["shards"] for entry in saved] == [1, 1]
+    assert [outcome.runtime["shards"]
+            for outcome in SweepResult.load(out).outcomes] == [1, 1]
+
+
+@pytest.mark.parametrize("first, second", [("fleet", "run"),
+                                           ("run", "fleet")])
+def test_run_and_fleet_hit_each_others_cache_entries(first, second,
+                                                     tmp_path, capsys):
+    _register_mini_scenario()
+    cache = ["--serial", "--quick", "--cache-dir", str(tmp_path / "cache")]
+    assert cli_main([first, "mini-fleet-under-test", *cache]) == 0
+    out = tmp_path / "second.json"
+    assert cli_main([second, "mini-fleet-under-test", *cache,
+                     "--out", str(out)]) == 0
+    outcomes = SweepResult.load(out).outcomes
+    assert len(outcomes) == 2
+    assert all(outcome.cached and outcome.runtime is None
+               for outcome in outcomes)
 
 
 def test_cli_fleet_verb_honors_sweep_cache_env(tmp_path, capsys, monkeypatch):

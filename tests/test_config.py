@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster import (
     FaultPolicy,
-    FleetRunConfig,
     FleetTopology,
     edge,
     fault,
@@ -559,11 +558,21 @@ class TestRunBlock:
         plain = scenario_for_document(document)
         document["run"] = {"shards": 2, "transport": "local"}
         spec = scenario_for_document(document)
-        assert spec.run == FleetRunConfig(shards=2, transport="local")
-        assert plain.run == FleetRunConfig()
+        assert dict(spec.run) == {"shards": 2, "transport": "local"}
+        assert plain.run == ()
         assert spec.cells() == plain.cells()
         assert spec.to_document()["run"] == document["run"]
         assert "run" not in plain.to_document()
+
+    def test_a_field_set_to_its_default_stays_set(self):
+        """The block keeps the fields it sets, defaults included, so a
+        flag can contradict ``shards: 1`` as it does ``shards: 2``."""
+        document = topology_to_document(demo_topology())
+        document["run"] = {"shards": 1, "transport": "auto"}
+        spec = scenario_for_document(document)
+        assert dict(spec.run) == {"shards": 1, "transport": "auto"}
+        assert spec.to_document()["run"] == {"shards": 1, "transport": "auto"}
+        assert run_config_from_document({"run_ahead": 16}) == {"run_ahead": 16}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ JSON dump/load in the middle guarantees the round trip survives an actual
 file, not just in-memory Python objects.
 """
 
-import dataclasses
 import json
 
 from hypothesis import given, settings
@@ -29,7 +28,6 @@ from repro.config import (
     cell_from_document,
     cell_to_document,
     run_config_from_document,
-    run_config_to_document,
     scenario_from_document,
     scenario_to_document,
     topology_from_document,
@@ -127,33 +125,38 @@ def test_topology_document_round_trip(topology):
 
 
 @st.composite
-def run_configs(draw) -> FleetRunConfig:
-    fields = {}
+def run_blocks(draw) -> dict:
+    """A ``run:`` block: any subset of the config fields, a drawn value
+    possibly equal to the field's default."""
+    block = {}
     if draw(st.booleans()):
-        fields["shards"] = draw(st.integers(min_value=1, max_value=8))
+        block["shards"] = draw(st.integers(min_value=1, max_value=8))
     if draw(st.booleans()):
-        fields["run_ahead"] = draw(st.integers(min_value=1, max_value=64))
+        block["run_ahead"] = draw(st.integers(min_value=1, max_value=64))
     if draw(st.booleans()):
-        fields["transport"] = draw(st.sampled_from(
+        block["transport"] = draw(st.sampled_from(
             ["auto", "local", "executor"]))
     if draw(st.booleans()):
-        fields["max_epochs"] = draw(st.integers(min_value=1_000,
-                                                max_value=10**6))
-    return FleetRunConfig(**fields)
+        block["max_epochs"] = draw(st.integers(min_value=1_000,
+                                               max_value=10**6))
+    return block
 
 
 @settings(max_examples=60, deadline=None)
-@given(config=run_configs())
-def test_run_config_document_round_trip(config):
-    doc = json.loads(json.dumps(run_config_to_document(config)))
-    assert run_config_from_document(doc) == config
-    assert FleetRunConfig.from_document(doc) == config
-    # The document carries exactly the non-default fields, so the default
-    # config is the empty block and documents never pin incidental
-    # defaults.
-    assert sorted(doc) == sorted(
-        field.name for field in dataclasses.fields(config)
-        if getattr(config, field.name) != field.default)
+@given(block=run_blocks())
+def test_run_config_document_round_trip(block):
+    doc = json.loads(json.dumps(block))
+    assert run_config_from_document(doc) == block
+    FleetRunConfig(**block)  # every block read is one valid config
+    # The block carries exactly the fields it set, a default value too, so
+    # whoever applies it applies exactly those fields.
+    spec = scenario("run-block", "d", devices=("fleet",),
+                    fleet=fleet("f", groups=[group("g", "LOOP", 1)]),
+                    run=block)
+    assert dict(spec.run) == block
+    document = json.loads(json.dumps(scenario_to_document(spec)))
+    assert document.get("run", {}) == block
+    assert scenario_from_document(document).run == spec.run
 
 
 @st.composite
@@ -172,7 +175,7 @@ def scenarios(draw):
                             "queue_depth": draw(st.integers(min_value=1,
                                                             max_value=4))}
     topology = draw(st.one_of(st.none(), topologies()))
-    run = draw(st.one_of(st.none(), run_configs())) \
+    run = draw(st.one_of(st.none(), run_blocks())) \
         if topology is not None else None
     return scenario(
         draw(names), "property scenario",

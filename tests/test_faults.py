@@ -350,25 +350,50 @@ def test_fault_free_topology_reports_no_fault_sections():
 
 
 def test_faulted_fleet_cache_key_and_sweep_merge():
+    """A fleet cell's fault schedule has one home, its topology: a cell
+    document (or a scenario ``base:``) with both ``fleet`` and ``faults``
+    folds the schedule into the topology, so it is the very cell that
+    declares the faults inline, cache key included."""
+    from repro.config import cell_from_document
+    from repro.experiments.scenarios import scenario
     from repro.experiments.sweep import CellSpec, run_cell
 
     topology = faulty_fleet([])
     spec = canonical_fault_spec(
         [fault("fail", "db", at_us=50.0, device=0, spare="spare")],
         FaultPolicy(rebuild_chunk_bytes=16 * 4096))
-    base = CellSpec(device="fleet", fleet=topology.canonical())
-    faulted = CellSpec(device="fleet", fleet=topology.canonical(),
-                       faults=spec)
-    # A fault schedule is different physics: it must enter the cache key.
-    assert base.cache_key() != faulted.cache_key()
-    metrics = run_cell(faulted)
-    assert metrics["fleet"]["faults"]["shed_ios"] > 0
-    # The merged topology matches declaring the faults inline.
     events, policy = parse_fault_spec(spec)
-    inline = run_cell(CellSpec(
-        device="fleet",
-        fleet=topology.scaled(faults=events, fault_policy=policy).canonical()))
-    assert metrics == inline
+    inline = CellSpec(device="fleet", fleet=topology.scaled(
+        faults=events, fault_policy=policy).canonical())
+    folded = cell_from_document({"device": "fleet",
+                                 "fleet": topology.to_document(kind=None),
+                                 "faults": json.loads(spec)})
+    base = CellSpec(device="fleet", fleet=topology.canonical())
+    # A fault schedule is different physics: it must enter the cache key.
+    assert base.cache_key() != folded.cache_key()
+    assert folded == inline and folded.faults is None
+    assert folded.cache_key() == inline.cache_key()
+    [from_base] = scenario("fold-under-test", "d", devices=("fleet",),
+                           fleet=topology,
+                           base={"faults": spec}).cells()
+    assert from_base.fleet == inline.fleet and from_base.faults is None
+    metrics, _ = run_cell(folded)
+    assert metrics["fleet"]["faults"]["shed_ios"] > 0
+    # Built directly, a fleet cell refuses a second home for its faults.
+    with pytest.raises(ValueError, match="fold 'faults' into 'fleet'"):
+        CellSpec(device="fleet", fleet=topology.canonical(), faults=spec)
+
+
+def test_a_cell_documents_faults_must_fit_its_fleet():
+    from repro.config import ConfigError, cell_from_document
+
+    with pytest.raises(ConfigError) as excinfo:
+        cell_from_document({
+            "device": "fleet",
+            "fleet": faulty_fleet([]).to_document(kind=None),
+            "faults": [{"kind": "fail", "group": "nosuch", "at_us": 1.0}]})
+    assert excinfo.value.path == "cell.faults"
+    assert "unknown group 'nosuch'" in excinfo.value.message
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +456,7 @@ def test_ssd_op_ratio_override_changes_spare_geometry():
 def test_cli_fleet_faults_flag(tmp_path, capsys):
     from repro.experiments.cli import main as cli_main
     from repro.experiments.scenarios import register, scenario
+    from repro.experiments.sweep import SweepResult
 
     register(scenario("cli-faults-under-test", "d", devices=("fleet",),
                       fleet=faulty_fleet([])), replace=True)
@@ -444,8 +470,12 @@ def test_cli_fleet_faults_flag(tmp_path, capsys):
                      "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "faults:" in printed and "p99 during rebuild" in printed
-    [report] = json.loads(out.read_text())
-    assert report["result"]["faults"]["shed_ios"] > 0
+    [outcome] = SweepResult.load(out).outcomes
+    assert outcome.metrics["fleet"]["faults"]["shed_ios"] > 0
+    # --faults folds into the topology, as a cell document's faults do.
+    assert outcome.cell.faults is None
+    assert FleetTopology.from_json(outcome.cell.fleet).faults == (
+        fault("fail", "db", at_us=50.0, device=0, spare="spare"),)
     # Malformed schedules fail cleanly with exit code 2.
     assert cli_main(["fleet", "cli-faults-under-test", "--serial",
                      "--no-cache", "--faults", "{not json"]) == 2

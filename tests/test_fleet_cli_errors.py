@@ -373,6 +373,27 @@ def test_shards_flag_contradicting_document_is_an_error(verb, tmp_path,
                               "run.shards: --shards 3")
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_run_block_field_at_its_default_still_contradicts_a_flag(
+        shards, tmp_path, capsys):
+    """``run: {shards: 1}`` sets ``shards`` as much as ``shards: 2`` does,
+    so ``--shards 3`` contradicts both with the same line."""
+    path = tmp_path / "two-loops.json"
+    path.write_text(json.dumps({
+        "kind": "fleet", "name": "two-loops",
+        "groups": [{"name": "web", "device": "LOOP", "count": 2,
+                    "capacity_bytes": MINI_CAPACITY}],
+        "tenants": [{"name": "t", "group": "web",
+                     "workload": {"pattern": "randread", "io_count": 5}}],
+        "run": {"shards": shards}}))
+    assert cli_main(["fleet", str(path), "--shards", "3", "--serial",
+                     "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: run.shards: --shards 3 contradicts the scenario document's "
+        f"run.shards = {shards} (drop the flag or edit the document)\n")
+
+
 # ---------------------------------------------------------------------------
 # serve/submit endpoint validation
 # ---------------------------------------------------------------------------
@@ -440,3 +461,19 @@ def test_cached_macro_rerun_is_a_cache_hit_with_flag_intact(tmp_path):
     assert second.cache_hits == len(second.outcomes)
     assert second.outcomes[0].metrics["approximate"] is True
     assert second.outcomes[0].metrics == first.outcomes[0].metrics
+
+
+def test_diff_refuses_a_fleet_cell_with_a_second_fault_home(tmp_path, capsys):
+    """A saved fleet cell that carries ``faults`` beside its topology is not
+    a cell this program writes: ``diff`` says so in one line, exit 2."""
+    result = _macro_sweep(tmp_path, "diff-faults-under-test", macro=False)
+    path = tmp_path / "sweep.json"
+    result.save(path)
+    document = json.loads(path.read_text())
+    document["cells"][0]["cell"]["faults"] = json.dumps({"events": []})
+    path.write_text(json.dumps(document))
+    assert cli_main(["diff", str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: not a sweep-result file")
+    assert "fold 'faults' into 'fleet'" in captured.err
+    assert "Traceback" not in captured.err

@@ -60,7 +60,7 @@ def scenario_digests(name: str) -> list[str]:
     from repro.experiments.scenarios import get_scenario
     from repro.experiments.sweep import quick_cells, run_cell
 
-    return [spec_hash(run_cell(cell))
+    return [spec_hash(run_cell(cell)[0])
             for cell in quick_cells(get_scenario(name).cells())]
 
 

@@ -31,6 +31,7 @@ from repro.cluster import (
 from repro.cluster.macro import clear_calibration_memo
 from repro.experiments.cli import main as cli_main
 from repro.experiments.scenarios import register, scenario
+from repro.experiments.sweep import SweepResult
 
 MINI_CAPACITY = 1 << 24
 
@@ -352,8 +353,7 @@ def test_cli_macro_override_flags_results_approximate(tmp_path, capsys):
                      "--no-cache", "--macro", "src,back=macro",
                      "--out", str(out)]) == 0
     capsys.readouterr()
-    reports = json.loads(out.read_text())
-    result = reports[0]["result"]
+    result = SweepResult.load(out).outcomes[0].metrics["fleet"]
     assert result["groups"]["src"]["approximate"] is True
     assert result["groups"]["back"]["approximate"] is True
     assert "approximate" not in result["groups"]["dst"]
@@ -367,8 +367,7 @@ def test_cli_macro_override_matches_library_run(tmp_path, capsys):
                      "--no-cache", "--macro", "src,back",
                      "--out", str(out)]) == 0
     capsys.readouterr()
-    reports = json.loads(out.read_text())
-    via_cli = reports[0]["result"]
+    via_cli = SweepResult.load(out).outcomes[0].metrics["fleet"]
     spec = _register_macro_scenario()
     topology = FleetTopology.from_json(spec.cells()[0].fleet) \
         .with_macro("src", "back")

@@ -99,7 +99,7 @@ def test_quick_cells_shrinks_stream_budgets():
 # ---------------------------------------------------------------------------
 
 def test_noisy_neighbor_cell_reports_streams_and_trace():
-    metrics = run_cell(quick_cells(NOISY.cells(), io_count=12)[0])
+    metrics, _ = run_cell(quick_cells(NOISY.cells(), io_count=12)[0])
     assert set(metrics["streams"]) == {"victim", "neighbor"}
     victim = metrics["streams"]["victim"]
     assert victim["device"] == "SSD"
@@ -112,7 +112,7 @@ def test_noisy_neighbor_cell_reports_streams_and_trace():
 
 
 def test_mixed_fleet_cell_traces_both_device_families():
-    metrics = run_cell(FLEET.cells()[0])
+    metrics, _ = run_cell(FLEET.cells()[0])
     assert {"on-ssd", "on-essd2"} == set(metrics["streams"])
     assert metrics["streams"]["on-ssd"]["device"] == "SSD"
     assert metrics["streams"]["on-essd2"]["device"] == "ESSD-2"
@@ -124,7 +124,7 @@ def test_mixed_fleet_cell_traces_both_device_families():
 
 def test_multi_stream_cells_are_deterministic():
     cell = quick_cells(NOISY.cells(), io_count=10)[0]
-    assert run_cell(cell) == run_cell(cell)
+    assert run_cell(cell)[0] == run_cell(cell)[0]
 
 
 def test_traced_single_job_cell_keeps_classic_metrics():
@@ -134,8 +134,8 @@ def test_traced_single_job_cell_keeps_classic_metrics():
     base = dict(device="SSD", pattern="randwrite", io_count=10,
                 preload=False, series_bin_us="auto",
                 ssd_capacity_bytes=64 * MiB)
-    plain = run_cell(CellSpec(**base))
-    traced = run_cell(CellSpec(**base, trace=True))
+    plain, _ = run_cell(CellSpec(**base))
+    traced, _ = run_cell(CellSpec(**base, trace=True))
     assert "trace" not in plain
     trace = traced.pop("trace")
     assert traced == plain  # identical physics and schema otherwise

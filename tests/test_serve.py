@@ -218,6 +218,29 @@ def test_run_block_overrides_the_server_config_field_by_field(tmp_path,
                                       transport="local")]
 
 
+def test_run_block_default_wins_over_the_server_config(tmp_path,
+                                                      monkeypatch):
+    """A block field set to its default is set: ``serve --shards 2`` runs a
+    submission whose block says ``shards: 1`` at one shard."""
+    configs = []
+
+    class SpyCoordinator(FleetCoordinator):
+        def run(self, topology):
+            configs.append(self.config)
+            return super().run(topology)
+
+    monkeypatch.setattr("repro.cluster.FleetCoordinator", SpyCoordinator)
+    document = {**fleet_document("default-block-fleet", io_count=60),
+                "run": {"shards": 1}}
+    with ExperimentServer(
+            socket_path=tmp_path / "serve.sock", cache_dir=tmp_path / "cache",
+            fleet_config=FleetRunConfig(shards=2, transport="local")) \
+            as server, client_for(server) as client:
+        terminal, _ = client.run(document=document)
+    assert terminal["event"] == "done"
+    assert configs == [FleetRunConfig(shards=1, transport="local")]
+
+
 def test_tcp_transport(tmp_path):
     with ExperimentServer(port=0, cache_dir=tmp_path / "cache",
                           job_workers=1) as server:
@@ -256,7 +279,8 @@ def test_served_document_is_bit_identical_to_batch_run(server, tmp_path):
 
     # Independent batch run of the same document, in a *separate* cache.
     spec = scenario_for_document(doc)
-    batch = SweepRunner(cache_dir=tmp_path / "batch-cache").run(spec)
+    batch = SweepRunner(cache_dir=tmp_path / "batch-cache").run_cells(
+        spec.name, spec.cells())
     [outcome] = batch.outcomes
 
     # Bit-identical metrics and the same cache key on both sides.
@@ -265,7 +289,8 @@ def test_served_document_is_bit_identical_to_batch_run(server, tmp_path):
 
     # The server populated its cache under that key: the batch CLI pointed
     # at the server's cache directory gets a pure cache hit.
-    rerun = SweepRunner(cache_dir=server._runner_kwargs["cache_dir"]).run(spec)
+    rerun = SweepRunner(cache_dir=server._runner_kwargs["cache_dir"]).run_cells(
+        spec.name, spec.cells())
     assert rerun.outcomes[0].cached
     assert rerun.outcomes[0].metrics == outcome.metrics
 

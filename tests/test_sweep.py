@@ -232,11 +232,11 @@ def test_trace_family_cell_replays_open_loop(trace):
                     pattern_params=(("duration_us", 5_000.0),
                                     ("load_gbps", 0.5)),
                     preload=False, seed=3, trace=trace)
-    metrics = run_cell(cell)
+    metrics, _ = run_cell(cell)
     assert metrics["ios_completed"] > 0
     assert metrics["unfinished"] == 0
     assert metrics["offered_mean_gbps"] == pytest.approx(0.5, rel=0.15)
-    assert run_cell(cell) == metrics  # deterministic
+    assert run_cell(cell)[0] == metrics  # deterministic
     quick = quick_cells([cell])[0]
     assert dict(quick.pattern_params)["duration_us"] == 5_000.0
     if trace:
@@ -244,7 +244,7 @@ def test_trace_family_cell_replays_open_loop(trace):
         # changes nothing else.
         breakdown = metrics.pop("trace")
         assert breakdown["completed_requests"] == metrics["ios_completed"]
-        assert metrics == run_cell(replace(cell, trace=False))
+        assert metrics == run_cell(replace(cell, trace=False))[0]
     else:
         assert "trace" not in metrics
 
@@ -254,7 +254,7 @@ def test_single_job_cell_runs_on_any_registered_device(trace):
     """A single-job cell builds its device by registered name, as stream
     cells and documents do; it used to convert the name to the enum of the
     paper's three devices and reject ``LOOP``."""
-    metrics = run_cell(CellSpec(device="LOOP", io_count=10, trace=trace))
+    metrics, _ = run_cell(CellSpec(device="LOOP", io_count=10, trace=trace))
     assert metrics["ios_completed"] == 10
     assert metrics["mean_us"] == pytest.approx(10.0)
     assert ("trace" in metrics) == trace
@@ -296,11 +296,11 @@ def test_faulted_device_cell_reports_its_kinds_metrics_plus_shed_counts(kind):
     faulted single job keeps its series, per-direction throughputs, device
     statistics and seed); once it fires the cell sheds I/Os."""
     cell = DEVICE_CELL_KINDS[kind]
-    metrics = run_cell(cell)
-    never = run_cell(replace(cell, faults=_drain_spec(1e12)))
+    metrics, _ = run_cell(cell)
+    never, _ = run_cell(replace(cell, faults=_drain_spec(1e12)))
     assert never.pop("shed_ios") == 0 and never.pop("shed_bytes") == 0
     assert never == metrics
-    outage = run_cell(replace(cell, faults=_drain_spec(
+    outage, _ = run_cell(replace(cell, faults=_drain_spec(
         0.0, repair_after_us=200.0)))
     assert outage["shed_ios"] > 0
 
@@ -355,7 +355,7 @@ def test_serial_and_parallel_execution_are_identical():
 
 def test_same_seed_reruns_are_deterministic():
     cell = TINY_SWEEP.cells()[0]
-    assert run_cell(cell) == run_cell(cell)
+    assert run_cell(cell)[0] == run_cell(cell)[0]
 
 
 def test_cache_hits_and_force(tmp_path):
