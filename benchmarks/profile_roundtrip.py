@@ -2,7 +2,10 @@
 
 Runs a closed-loop FIO job against one of the bundled device models and
 prints the top-N functions by the chosen sort key -- the tool for finding
-per-request call counts worth cutting.  ``--sample`` replaces cProfile with
+per-request call counts worth cutting.  ``--fleet SCENARIO`` profiles a
+fleet scenario's quick cells on one in-process shard instead: the work one
+device never shows, such as replica delivery between device groups and the
+garbage a fleet leaves for the collector.  ``--sample`` replaces cProfile with
 a statistical profile: a ``SIGPROF`` handler counts the main thread's top
 frame after every millisecond of CPU time, and the tool prints each
 function's and each package's share of the samples.  Either way, it then
@@ -18,6 +21,7 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_roundtrip.py --device ssd --ios 20000
     PYTHONPATH=src python benchmarks/profile_roundtrip.py --sort cumtime
     PYTHONPATH=src python benchmarks/profile_roundtrip.py --device ssd --sample
+    PYTHONPATH=src python benchmarks/profile_roundtrip.py --fleet failover-storm
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ class FrameSampler:
             code = frame.f_code
             self.counts[(code.co_filename, code.co_firstlineno, code.co_name)] += 1
 
-    def report(self, top: int, stream=sys.stdout) -> None:
+    def report(self, top: int, stream=None) -> None:
         """Print the per-package and the top-``top`` per-function shares."""
         total = sum(self.counts.values())
         every_s = self.cpu_s / total if total else self.interval_s
@@ -123,7 +127,7 @@ class CollectorStats:
         self.collections[info["generation"]] += 1
         self.found += info["collected"] + info["uncollectable"]
 
-    def report(self, stream=sys.stdout) -> None:
+    def report(self, stream=None) -> None:
         print(f"# cyclic GC during the run: "
               f"{'/'.join(map(str, self.collections))} collections "
               f"(generation 0/1/2) found {self.found} unreachable objects "
@@ -171,6 +175,21 @@ def build_device(name: str, sim):
     raise ValueError(f"unknown device {name!r}")
 
 
+def fleet_topologies(name: str) -> list:
+    """The topologies of fleet scenario ``name``'s quick cells, in cell
+    order; ``ValueError`` if it has none."""
+    from repro.cluster import FleetTopology
+    from repro.experiments.scenarios import get_scenario
+    from repro.experiments.sweep import quick_cells
+
+    topologies = [FleetTopology.from_json(cell.fleet)
+                  for cell in quick_cells(get_scenario(name).cells())
+                  if cell.fleet is not None]
+    if not topologies:
+        raise ValueError(f"scenario {name!r} has no fleet cells")
+    return topologies
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--device", choices=("loopback", "ssd", "essd"),
@@ -195,30 +214,56 @@ def main(argv=None) -> int:
                              f"{SAMPLE_INTERVAL_S * 1e3:g} ms of CPU time "
                              "instead of running cProfile; prints "
                              "per-function and per-package shares")
+    parser.add_argument("--fleet", metavar="SCENARIO",
+                        help="profile this fleet scenario's quick cells on "
+                             "one in-process shard instead of a FIO job "
+                             "(the job options are then ignored)")
     args = parser.parse_args(argv)
 
-    from repro.sim import Simulator
-    from repro.workload.fio import FioJob, run_job
+    if args.fleet:
+        from repro.cluster import FleetCoordinator, FleetRunConfig
 
-    sim = Simulator()
-    device = build_device(args.device, sim)
-    job = FioJob(pattern=args.pattern, io_size=args.io_size,
-                 queue_depth=args.queue_depth, io_count=args.ios)
+        try:
+            topologies = fleet_topologies(args.fleet)
+        except (KeyError, ValueError) as exc:
+            parser.error(exc.args[0])
+        config = FleetRunConfig(shards=1, transport="local")
+
+        def work():
+            return [FleetCoordinator(config=config).run(topology)
+                    for topology in topologies]
+    else:
+        from repro.sim import Simulator
+        from repro.workload.fio import FioJob, run_job
+
+        sim = Simulator()
+        device = build_device(args.device, sim)
+        job = FioJob(pattern=args.pattern, io_size=args.io_size,
+                     queue_depth=args.queue_depth, io_count=args.ios)
+
+        def work():
+            return run_job(sim, device, job)
 
     if args.sample:
         with CollectorStats() as collector, FrameSampler() as sampler:
-            result = run_job(sim, device, job)
+            result = work()
     else:
         profiler = cProfile.Profile()
         with CollectorStats() as collector:
             profiler.enable()
-            result = run_job(sim, device, job)
+            result = work()
             profiler.disable()
 
-    duration_s = result.duration_us / 1e6 if result.duration_us > 0 else 0.0
-    print(f"# {args.device}: {result.ios_completed} I/Os "
-          f"({args.pattern}, {args.io_size}B, qd={args.queue_depth}); "
-          f"simulated {duration_s:.3f}s")
+    if args.fleet:
+        ios = sum(payload["fleet"]["ios_completed"] for payload in result)
+        events = sum(payload["runtime"]["scheduled_events"] for payload in result)
+        print(f"# fleet {args.fleet}: {len(result)} quick cells on one shard; "
+              f"{ios} I/Os, {events} events")
+    else:
+        duration_s = result.duration_us / 1e6 if result.duration_us > 0 else 0.0
+        print(f"# {args.device}: {result.ios_completed} I/Os "
+              f"({args.pattern}, {args.io_size}B, qd={args.queue_depth}); "
+              f"simulated {duration_s:.3f}s")
     if args.sample:
         sampler.report(args.top)
     else:

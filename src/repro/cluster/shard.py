@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from repro.cluster.faults import (
@@ -319,32 +320,45 @@ class ShardWorker:
 
     # -- epoch stepping ----------------------------------------------------
     def deliver(self, messages: list[ReplicaMessage]) -> None:
-        """Schedule replica writes due at the barrier the clock sits on,
-        in the order given (:meth:`advance` sorts them by
-        :func:`inbox_order`).
+        """Submit the replica writes due at the barrier the clock sits on
+        to their devices, in the order given (:meth:`advance` sorts them
+        by :func:`inbox_order`); each completion records its write in the
+        inflow ledger.
+
+        A shard delivers only right after running its simulator to the
+        barrier, so nothing else is due there and the submissions run
+        ahead of all later work.  With events still due, the submissions
+        would overtake them, so delivery raises instead.
 
         Messages targeting a macro-group index never touch the simulator:
         the aggregate absorbs them into the window after their delivery
         barrier, which is exactly when a discrete device would start
         serving a write applied *at* the barrier.
         """
+        sim = self.sim
+        if sim.peek() <= sim.now:
+            raise RuntimeError(
+                f"shard {self.plan.shard_id} delivers at t={sim.now} with "
+                "simulator events still due there")
         for message in messages:
-            if message.target_index in self.devices:
-                self.sim.process(self._apply(message))
-            else:
+            device = self.devices.get(message.target_index)
+            if device is None:
                 self._macro_at(message.target_index).absorb(message)
+                continue
+            block = device.logical_block_size
+            offset = message.offset % max(block,
+                                          device.capacity_bytes - message.size)
+            offset -= offset % block
+            kind = IOKind.READ if message.kind == "rebuild-read" else IOKind.WRITE
+            done = device.submit(IORequest(kind, offset, message.size))
+            done.callbacks.append(partial(self._record_inflow, message.kind,
+                                          str(message.target_index)))
 
-    def _apply(self, message: ReplicaMessage):
-        delay = message.delivery_epoch * self.topology.epoch_us - self.sim.now
-        yield self.sim.timeout(delay)
-        device = self.devices[message.target_index]
-        offset = message.offset % max(device.logical_block_size,
-                                      device.capacity_bytes - message.size)
-        offset -= offset % device.logical_block_size
-        kind = IOKind.READ if message.kind == "rebuild-read" else IOKind.WRITE
-        request = yield device.submit(IORequest(kind, offset, message.size))
-        stats = self._inflow.setdefault(message.kind, {}).setdefault(
-            str(message.target_index), {"count": 0, "bytes": 0, "latency": []})
+    def _record_inflow(self, kind: str, target: str, done) -> None:
+        """Ledger one delivered message from its completion event."""
+        request = done.value
+        stats = self._inflow.setdefault(kind, {}).setdefault(
+            target, {"count": 0, "bytes": 0, "latency": []})
         stats["count"] += 1
         stats["bytes"] += request.size
         stats["latency"].append(float(request.latency))
@@ -390,7 +404,7 @@ class ShardWorker:
                 due.sort(key=inbox_order)
                 self.deliver(due)
             # Delivered messages need no target of their own: the peek and
-            # the macro windows below cover their processes and backlogs.
+            # the macro windows below cover their submissions and backlogs.
             targets = []
             if self._held:
                 targets.append(min(message.delivery_epoch

@@ -24,15 +24,24 @@ sequence order, and becomes current only once the deque is empty, so the
 events run in exactly the order one heap keyed ``(time, sequence)`` would
 give.
 
+Dispatching an event resumes the process parked in its waiter slot (the
+first process that yielded it while its callback list was empty), then
+runs its callback list in order.  A process that yields an event someone
+already waits on joins the list instead, so every consumer runs in the
+order it registered.
+
 The kernel pools :class:`Timeout` and kernel-created grant :class:`Event`
 objects, and :class:`Process` objects made by ``spawn_process``, recycling
-them (callback list included) once their callbacks have run, provided
-there was at least one and every one was a plain process resumption or a
-:class:`Join` count-down -- events nobody waited on, or that user callbacks
-saw, are never recycled (see the pooling discipline note in
-:mod:`repro.sim.events`).  :meth:`Simulator.run` is one inlined loop; only
-its one-callback dispatch is inlined, and every other dispatch goes
-through :meth:`Simulator._dispatch_checked`.
+them (callback list included) once dispatched, provided they had at least
+one consumer and every one was a process resumption or a :class:`Join`
+count-down -- events nobody waited on, or that user callbacks saw, are
+never recycled (see the pooling discipline note in
+:mod:`repro.sim.events`).  The pools have no cap: an object is created
+only when its pool is empty, so a pool plus the objects in use never
+holds more than the most that were in use at once.
+:meth:`Simulator.run` is one inlined loop; it inlines the dispatch of an
+event with only a waiter and of one with a single listed callback, and
+every other dispatch goes through :meth:`Simulator._dispatch_checked`.
 
 The kernel relies on one invariant user code must keep (it always has):
 callbacks are never appended to an event that is already being processed.
@@ -54,10 +63,6 @@ from repro.sim.events import (
 )
 
 __all__ = ["EmptySchedule", "Simulator"]
-
-#: Upper bound on each object pool (events / timeouts) so a burst of traffic
-#: cannot pin an unbounded amount of memory.
-_POOL_LIMIT = 512
 
 _PROCESS_RESUME = Process._resume
 _JOIN_COUNT_DOWN = Join._count_down
@@ -236,14 +241,19 @@ class Simulator:
         self._dispatch_checked(self._next_event())
 
     def _dispatch_checked(self, event: Event) -> None:
-        """Run ``event``'s callbacks, re-raise an unhandled failure, and pool
-        the event if its only consumers were process resumptions or join
-        count-downs.  An event with no callbacks is never pooled: nobody
-        waited on it, so user code may still hold it.  :meth:`_run_loop`
-        inlines the one-callback case of this rule."""
+        """Resume ``event``'s waiter, run its callbacks, re-raise an
+        unhandled failure, and pool the event if its only consumers were
+        process resumptions or join count-downs.  An event with no
+        consumer is never pooled: nobody waited on it, so user code may
+        still hold it.  :meth:`_run_loop` inlines the waiter-only and the
+        one-callback cases of this rule."""
         event._processed = True
+        waiter = event._waiter
         callbacks = event.callbacks
-        recyclable = bool(callbacks)
+        recyclable = waiter is not None or bool(callbacks)
+        if waiter is not None:
+            event._waiter = None
+            waiter._resume(event)
         for callback in callbacks:
             if type(callback) is not MethodType or (
                     callback.__func__ is not _PROCESS_RESUME
@@ -257,17 +267,14 @@ class Simulator:
             return
         cls = event.__class__
         if cls is Timeout:
-            if len(self._timeout_pool) < _POOL_LIMIT:
-                self._timeout_pool.append(event)
+            self._timeout_pool.append(event)
         elif event._pool_ok:
             if cls is Event:
-                if len(self._event_pool) < _POOL_LIMIT:
-                    self._event_pool.append(event)
+                self._event_pool.append(event)
             elif cls is Process:
-                if len(self._process_pool) < _POOL_LIMIT:
-                    event.generator = None
-                    event._waiting_on = None
-                    self._process_pool.append(event)
+                # A finished process's _waiting_on is already None.
+                event.generator = None
+                self._process_pool.append(event)
 
     def _succeed_now(self, event: Event, value: Any = None) -> None:
         """Succeed ``event`` and dispatch it on the spot, unscheduled.
@@ -299,7 +306,7 @@ class Simulator:
         ``process`` schedules them) instead of wakeups."""
         process = Process(self, generator, scheduled=False)
         bootstrap = self._fresh_event()
-        bootstrap.callbacks.append(process._resume_bound)
+        bootstrap._waiter = process
         self._succeed_now(bootstrap)
         return process
 
@@ -330,7 +337,7 @@ class Simulator:
 
     def _run_loop(self, stop_event: Optional[Event],
                   stop_time: Optional[float]) -> Any:
-        """Inlined run loop: deque-first pop, in-place callback run, object
+        """Inlined run loop: deque-first pop, in-place dispatch, object
         recycling -- the same event order as repeated :meth:`step` calls.
 
         Per-event overhead is kept minimal: the stop-event test runs *after*
@@ -375,30 +382,49 @@ class Simulator:
                     event = immediate.popleft()
             else:
                 break
+            waiter = event._waiter
             callbacks = event.callbacks
-            if len(callbacks) == 1:
-                # The overwhelmingly common case: one process resumption
-                # (or one join count-down).  Inline of _dispatch_checked.
+            if waiter is not None:
+                if callbacks:
+                    dispatch_checked(event)
+                else:
+                    # The overwhelmingly common case: one process parked in
+                    # the waiter slot.  Inline of _dispatch_checked.
+                    event._processed = True
+                    event._waiter = None
+                    resume(waiter, event)
+                    if event._ok:
+                        cls = event.__class__
+                        if cls is timeout_cls:
+                            timeout_pool.append(event)
+                        elif event._pool_ok:
+                            if cls is event_cls:
+                                event_pool.append(event)
+                            elif cls is process_cls:
+                                event.generator = None
+                                process_pool.append(event)
+                    elif not event._defused:
+                        raise event._value
+            elif len(callbacks) == 1:
+                # One listed callback, mostly a join count-down.  Inline of
+                # _dispatch_checked.
                 event._processed = True
                 callback = callbacks[0]
                 callback(event)
                 callbacks.clear()
                 if not event._ok and not event._defused:
                     raise event._value
-                if type(callback) is method_type and (
-                        callback.__func__ is resume
-                        or callback.__func__ is count_down):
+                if event._ok and type(callback) is method_type and (
+                        callback.__func__ is count_down
+                        or callback.__func__ is resume):
                     cls = event.__class__
                     if cls is timeout_cls:
-                        if event._ok and len(timeout_pool) < _POOL_LIMIT:
-                            timeout_pool.append(event)
-                    elif cls is event_cls and event._pool_ok and event._ok:
-                        if len(event_pool) < _POOL_LIMIT:
+                        timeout_pool.append(event)
+                    elif event._pool_ok:
+                        if cls is event_cls:
                             event_pool.append(event)
-                    elif cls is process_cls and event._pool_ok and event._ok:
-                        if len(process_pool) < _POOL_LIMIT:
+                        elif cls is process_cls:
                             event.generator = None
-                            event._waiting_on = None
                             process_pool.append(event)
             else:
                 dispatch_checked(event)

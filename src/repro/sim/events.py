@@ -9,6 +9,19 @@ registered callbacks run.  A :class:`Process` wraps a Python generator: the
 generator yields events, and the process resumes each time the yielded
 event is processed.
 
+The waiter slot
+---------------
+Almost every event has exactly one consumer: the process that yielded it.
+The first process to yield an event while its callback list is empty
+parks in the event's ``_waiter`` slot instead of the list, and the kernel
+resumes it before any listed callback; a process that yields an event
+someone already waits on joins the list.  Consumers therefore run in the
+order they registered, and the common dispatch touches no list.  A
+process holds no reference to itself, and a waiting process and the event
+it waits on drop their references to each other when the event is
+dispatched, so a finished process that nothing else holds is freed by
+reference counting, without the cyclic collector.
+
 Object pooling
 --------------
 The kernel recycles kernel-created :class:`Timeout` and grant
@@ -21,7 +34,9 @@ after the join it was given to has counted it.  Yielding inline -- by far
 the common pattern -- is always safe.  An event nobody waited on is never
 recycled, so one held without being yielded keeps its value, whether
 ``run`` or ``step`` drives the simulator.  A failed event is never
-recycled.
+recycled.  The pools have no cap: the kernel creates an object only when
+its pool is empty, so a pool never holds more objects than were in use at
+once.
 
 :class:`Process` objects themselves are pooled too, but only the ones
 created through :func:`spawn_process` (every ``device.submit`` and every
@@ -74,12 +89,15 @@ class Event:
         The owning :class:`~repro.sim.engine.Simulator`.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_processed",
-                 "_defused", "_pool_ok", "_seq")
+    __slots__ = ("sim", "callbacks", "_waiter", "_value", "_ok", "_triggered",
+                 "_processed", "_defused", "_pool_ok", "_seq")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: list[Callable[[Event], None]] = []
+        #: The process that yielded this event while its callback list was
+        #: empty; the kernel resumes it before any listed callback.
+        self._waiter: Optional[Process] = None
         self._value: Any = None
         self._ok: bool = True
         self._triggered: bool = False
@@ -177,7 +195,7 @@ class Process(Event):
     exception).  Other processes can therefore ``yield`` a process to join it.
     """
 
-    __slots__ = ("generator", "_waiting_on", "_resume_bound")
+    __slots__ = ("generator", "_waiting_on")
 
     def __init__(self, sim: "Simulator", generator: Generator[Event, Any, Any],
                  scheduled: bool = True):
@@ -185,6 +203,7 @@ class Process(Event):
         # submission; the super() call is measurable on the hot path).
         self.sim = sim
         self.callbacks = []
+        self._waiter = None
         self._value = None
         self._ok = True
         self._triggered = False
@@ -197,9 +216,6 @@ class Process(Event):
             raise TypeError(f"process() requires a generator, got {generator!r}")
         self.generator = generator
         self._waiting_on: Optional[Event] = None
-        # One bound method reused for every wait this process ever registers
-        # (a fresh ``self._resume`` would allocate per yield).
-        self._resume_bound = self._resume
         if not scheduled:
             return  # Simulator._start_now runs the first step itself
         # Kick off the process at the current simulation time.  The
@@ -219,7 +235,7 @@ class Process(Event):
             bootstrap = Event(sim)
             bootstrap._pool_ok = True
             bootstrap._triggered = True
-        bootstrap.callbacks.append(self._resume_bound)
+        bootstrap._waiter = self
         sim._sequence = seq = sim._sequence + 1
         bootstrap._seq = seq
         sim._immediate.append(bootstrap)
@@ -239,10 +255,11 @@ class Process(Event):
             raise SimulationError("cannot interrupt a finished process")
         waiting_on = self._waiting_on
         if waiting_on is not None:
-            try:
-                waiting_on.callbacks.remove(self._resume_bound)
-            except ValueError:  # pragma: no cover - defensive
-                pass
+            if waiting_on._waiter is self:
+                waiting_on._waiter = None
+            else:
+                # Bound methods compare equal by receiver and function.
+                waiting_on.callbacks.remove(self._resume)
             self._waiting_on = None
         interrupt_event = Event(self.sim)
         interrupt_event.callbacks.append(self._resume_with_interrupt(cause))
@@ -258,7 +275,6 @@ class Process(Event):
         # The kernel's hottest callback: an inline of _step(send/throw) minus
         # two frames.  Keep the inline in sync with _step, which interrupts
         # and non-event yields still go through.
-        sim = self.sim
         self._waiting_on = None
         if self._triggered:
             return
@@ -273,6 +289,7 @@ class Process(Event):
             # completion of every device submission passes through here.
             self._triggered = True
             self._value = stop.value
+            sim = self.sim
             sim._sequence = seq = sim._sequence + 1
             self._seq = seq
             sim._immediate.append(self)
@@ -283,7 +300,10 @@ class Process(Event):
         # Inline of _wait_on's hot branch (pending event): one frame less.
         if isinstance(target, Event) and not target._processed:
             self._waiting_on = target
-            target.callbacks.append(self._resume_bound)
+            if target._waiter is None and not target.callbacks:
+                target._waiter = self
+            else:
+                target.callbacks.append(self._resume)
             return
         self._wait_on(target)
 
@@ -304,10 +324,15 @@ class Process(Event):
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
-        """Register the process on the event its generator just yielded."""
+        """Register the process on the event its generator just yielded: in
+        the event's waiter slot while nothing else waits on it, else at the
+        end of its callback list, so waiters run in the order they came."""
         if isinstance(target, Event) and not target._processed:
             self._waiting_on = target
-            target.callbacks.append(self._resume_bound)
+            if target._waiter is None and not target.callbacks:
+                target._waiter = self
+            else:
+                target.callbacks.append(self._resume)
             return
         if not isinstance(target, Event):
             self._step(throw=SimulationError(
@@ -316,7 +341,7 @@ class Process(Event):
         # The event already ran its callbacks; resume immediately with
         # its value on the next simulator step.
         relay = self.sim._fresh_event()
-        relay.callbacks.append(self._resume_bound)
+        relay._waiter = self
         if target.ok:
             relay.succeed(target.value)
         else:
@@ -343,7 +368,7 @@ def spawn_process(sim: "Simulator", generator: Generator[Event, Any, Any]) -> Pr
         process._defused = False
         process.generator = generator
         # _ok stays True, _waiting_on is None, _pool_ok stays True, and the
-        # callback list was cleared when the kernel pooled it.
+        # waiter slot and callback list were empty when the kernel pooled it.
         epool = sim._event_pool
         if epool:
             bootstrap = epool.pop()
@@ -355,7 +380,7 @@ def spawn_process(sim: "Simulator", generator: Generator[Event, Any, Any]) -> Pr
             bootstrap = Event(sim)
             bootstrap._pool_ok = True
             bootstrap._triggered = True
-        bootstrap.callbacks.append(process._resume_bound)
+        bootstrap._waiter = process
         sim._sequence = seq = sim._sequence + 1
         bootstrap._seq = seq
         sim._immediate.append(bootstrap)

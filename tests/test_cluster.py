@@ -21,7 +21,7 @@ from repro.cluster import (
     run_fleet_serial,
     tenant,
 )
-from repro.cluster.shard import ShardPlan
+from repro.cluster.shard import ReplicaMessage, ShardPlan
 from repro.experiments.cli import main as cli_main
 from repro.experiments.scenarios import get_scenario, register, scenario
 from repro.experiments.sweep import SweepResult, SweepRunner, run_cell
@@ -209,6 +209,25 @@ def test_replication_edge_delivers_quantized_replica_writes():
     assert result["fleet"]["replica_writes"] == mirror["replica_writes"]
     # The unreplicated read group absorbed nothing.
     assert result["groups"]["web"]["replica_writes"] == 0
+
+
+def test_delivery_refuses_a_barrier_with_events_still_due():
+    """A shard submits delivered messages straight to their devices, which
+    keeps the event order only when nothing else is due at the barrier.
+    Before its first run a shard's tenant workers are still due at time 0,
+    so a delivery there raises instead of reordering them."""
+    topology = mini_fleet()
+    worker = ShardWorker(topology, partition_topology(topology, 1)[0])
+    web = topology.group_indices("web")[0]  # no edge replicates into web
+    message = ReplicaMessage(target_index=web, offset=0, size=4096,
+                             origin_index=4, origin_seq=0, delivery_epoch=0)
+    with pytest.raises(RuntimeError, match="still due"):
+        worker.deliver([message])
+    _outbound, earliest, _epochs = worker.advance(10**9)
+    assert earliest is None
+    worker.deliver([message])  # nothing is due at the last barrier
+    worker.sim.run()
+    assert worker.collect()["replicas"][str(web)]["count"] == 1
 
 
 def test_replication_spanning_many_epochs_delivers_every_write():

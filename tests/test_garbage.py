@@ -1,11 +1,15 @@
 """Per-I/O work leaves no garbage, and the checker frees each simulation.
 
-A fan-out child made with ``sim.process`` is a reference cycle (a process
-holds its own bound ``_resume``), so before pooled children behind
-``sim.join`` every ESSD write and SSD read left 12-33 objects per I/O for
-the cyclic collector.  These tests pin that the per-I/O request paths
-leave a count of unreachable objects that does not grow with the I/O
-count, and that the contract checker holds one device at a time.
+A process the kernel does not pool is freed by reference counting once it
+has finished: it parks in the waiter slot of the event it yields, so it
+holds no reference to itself.  Before that, a process held its own bound
+``_resume``, and every process the pools did not take -- fan-out children
+before they came from the pool behind ``sim.join`` (12-33 objects per
+ESSD write or SSD read), one process per delivered replica message --
+waited for the cyclic collector.  These tests pin that the per-I/O
+request paths and fleet replica delivery leave a count of unreachable
+objects that does not grow with the I/O count, and that the contract
+checker holds one device at a time.
 """
 
 import gc
@@ -13,6 +17,7 @@ import weakref
 
 import pytest
 
+from repro.cluster import ShardWorker, edge, fleet, group, partition_topology, tenant
 from repro.ebs import EssdDevice, aws_io2_profile
 from repro.host.io import KiB, MiB
 from repro.sim import Simulator
@@ -56,6 +61,44 @@ def test_request_path_garbage_does_not_grow_with_io_count(factory, preload, job)
     many = _garbage_after_job(factory, 4_000, preload, **job)
     # What remains is per job (the FIO workers) and the SSD's occasional
     # fire-and-forget prefetch process: well under one object per 10 I/Os.
+    assert many - few < 300, (few, many)
+
+
+def _garbage_after_fleet(ios):
+    """Unreachable objects a LOOP fleet with one replication edge leaves
+    after running to completion on one shard, found while the shard is
+    still alive; also returns the replica messages it delivered."""
+    topology = fleet(
+        "garbage",
+        groups=[group("db", "LOOP", 2, capacity_bytes=16 * MiB),
+                group("mirror", "LOOP", 2, capacity_bytes=16 * MiB)],
+        tenants=[tenant("oltp", "db", pattern="randwrite", io_size=4096,
+                        queue_depth=2, io_count=ios)],
+        edges=[edge("db", "mirror")],
+        epoch_us=50.0,
+        seed=3,
+    )
+    (plan,) = partition_topology(topology, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        worker = ShardWorker(topology, plan)
+        _outbound, earliest, _epochs = worker.advance(10**9)
+        assert earliest is None  # ran to completion
+        delivered = sum(stats["count"]
+                        for stats in worker.collect()["replicas"].values())
+        return gc.collect(), delivered
+    finally:
+        gc.enable()
+
+
+def test_replica_delivery_garbage_does_not_grow_with_message_count():
+    """A delivered replica message is a device submission whose completion
+    fills the inflow ledger: no process, generator or bound method per
+    message is left for the collector."""
+    few, few_messages = _garbage_after_fleet(500)
+    many, many_messages = _garbage_after_fleet(2_000)
+    assert (few_messages, many_messages) == (2 * 500, 2 * 2_000)
     assert many - few < 300, (few, many)
 
 

@@ -15,7 +15,7 @@ compares both from its one module-scoped checker run.
 
 Under ``FLEET_EVENTS_KEY`` it records ``runtime.scheduled_events`` of each
 quick ``failover-storm`` cell run at two in-process shards: the fleet path
-through lockstep rounds, fault barriers and fire-and-forget processes.
+through lockstep rounds, fault barriers and replica deliveries.
 
 The recorded sets are keyed by interpreter (``py3.11``, ...).  From 3.12 on,
 ``sum()`` over floats is compensated (``sum([0.1] * 10)`` is ``1.0`` on 3.12
@@ -155,7 +155,7 @@ def test_scenario_quick_cells_match_golden_digests(name, monkeypatch):
 
 def test_failover_storm_schedules_the_golden_event_counts():
     """The fleet twin of the checker's event count: lockstep rounds, fault
-    barriers and fire-and-forget processes schedule what they did."""
+    barriers and replica deliveries schedule what they did."""
     recorded = _GOLDEN.get(INTERPRETER)
     if recorded is None:
         pytest.skip(f"no golden digests recorded for {INTERPRETER}: float "

@@ -12,6 +12,7 @@ event order the single remaining kernel must keep.
 
 import gc
 import hashlib
+import weakref
 from typing import Iterable
 
 import pytest
@@ -275,6 +276,86 @@ def test_interrupt_during_resource_wait_detaches_from_grant():
     # waiter, so the third requester never acquires it.
     assert not any(entry[0] == "third" for entry in log)
     assert resource.users == 1
+
+
+# ---------------------------------------------------------------------------
+# The waiter slot: the first process to yield an event with no callbacks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("before", [False, True])
+def test_event_consumers_run_in_the_order_they_registered(before):
+    """A process parked in the waiter slot runs before the callbacks
+    registered after it; a callback registered before the process yields
+    puts the process in the list behind it."""
+    sim = Simulator()
+    event = sim.event()
+    log = []
+    if before:
+        event.callbacks.append(lambda _event: log.append("before"))
+
+    def waiter():
+        log.append(("resumed", (yield event)))
+
+    sim.process(waiter())
+    sim.run()  # the process parks on the event
+    assert (event._waiter is None) == before
+    event.callbacks.append(lambda _event: log.append("after"))
+    event.succeed("v")
+    sim.run()
+    expected = [("resumed", "v"), "after"]
+    assert log == (["before"] + expected if before else expected)
+
+
+def test_interrupt_detaches_a_process_from_the_slot_and_from_the_list():
+    """Interrupting the process in the waiter slot and the one behind it in
+    the callback list leaves the event with no consumer: neither resumes
+    when it fires, and each gets its Interrupt instead."""
+    sim = Simulator()
+    event = sim.event()
+    log = []
+
+    def waiter(name):
+        try:
+            yield event
+            log.append((name, "resumed"))
+        except Interrupt as interrupt:
+            log.append((name, interrupt.cause, sim.now))
+
+    first = sim.process(waiter("slot"))
+    second = sim.process(waiter("list"))
+    sim.run()
+    assert event._waiter is first
+    assert event.callbacks == [second._resume]
+    first.interrupt("a")
+    second.interrupt("b")
+    assert event._waiter is None and event.callbacks == []
+    sim.run()
+    event.succeed()
+    sim.run()
+    assert log == [("slot", "a", 0.0), ("list", "b", 0.0)]
+
+
+def test_a_finished_process_nobody_yields_is_freed_without_the_collector():
+    """No process is a reference cycle: once a ``sim.process`` that nobody
+    yields has finished, reference counting frees it.  The process holds
+    the only reference to its generator, so the generator's weak
+    reference dies exactly when the process is freed."""
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(1)
+
+    generator = worker()
+    alive = weakref.ref(generator)
+    gc.collect()
+    gc.disable()
+    try:
+        sim.process(generator)
+        del generator
+        sim.run()
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
