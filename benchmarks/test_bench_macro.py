@@ -102,7 +102,7 @@ def _validation_section() -> dict:
     for name, spec in FAMILIES.items():
         topology = _family_fleet(spec)
         discrete = run_fleet_serial(topology)["tenants"]["t"]
-        macro = run_fleet_serial(topology.with_macro("grp"))["tenants"]["t"]
+        macro = run_fleet_serial(topology.with_modes({"grp": "macro"}))["tenants"]["t"]
         assert macro["ios_completed"] == discrete["ios_completed"], name
         errors = {
             f"{quantile}_err": round(_rel_err(macro[f"{quantile}_us"],
@@ -130,7 +130,7 @@ def _validation_section() -> dict:
 def _speedup_section() -> dict:
     spec = FAMILIES["randwrite"]
     topology = _family_fleet(spec, count=64)
-    macro_topology = topology.with_macro("grp")
+    macro_topology = topology.with_modes({"grp": "macro"})
 
     started = time.perf_counter()
     discrete = run_fleet_serial(topology)

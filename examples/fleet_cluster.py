@@ -358,7 +358,7 @@ def main() -> None:
     # The same topology with the web tier as a mean-field aggregate: one
     # calibrated process instead of 8 simulators, metrics flagged
     # approximate, replica traffic to the discrete groups unchanged.
-    macro = run_fleet_serial(topology.with_macro("web"))
+    macro = run_fleet_serial(topology.with_modes({"web": "macro"}))
     frontend = macro["tenants"]["frontend"]
     print(f"\n[macro web] frontend {frontend['ios_completed']} ios  "
           f"mean {frontend['mean_us']:.1f}us  "

@@ -112,15 +112,6 @@ class ShardPlan:
                     "or not separated from the span before it")
             previous_stop = stop
 
-    def to_payload(self) -> dict[str, Any]:
-        return {"shard_id": self.shard_id,
-                "spans": [list(span) for span in self.spans]}
-
-    @classmethod
-    def from_payload(cls, payload) -> "ShardPlan":
-        return cls(shard_id=payload["shard_id"],
-                   spans=tuple(tuple(span) for span in payload["spans"]))
-
 
 class _FaultFlip(NamedTuple):
     """One scheduled device-state flip, pinned to an epoch barrier."""
@@ -637,11 +628,11 @@ def _result_payload(result, faulted: bool) -> dict[str, Any]:
 _WORKER: Optional[ShardWorker] = None
 
 
-def _worker_init(topology_json: str, plan_payload: dict) -> int:
-    """Build the resident ShardWorker inside the dedicated worker process."""
+def _worker_init(topology_json: str, plan: ShardPlan) -> int:
+    """Build the resident ShardWorker inside the dedicated worker process
+    (the pool pickles ``plan`` on its way there)."""
     global _WORKER
-    _WORKER = ShardWorker(FleetTopology.from_json(topology_json),
-                          ShardPlan.from_payload(plan_payload))
+    _WORKER = ShardWorker(FleetTopology.from_json(topology_json), plan)
     return _WORKER.plan.shard_id
 
 

@@ -295,10 +295,6 @@ class FleetTopology:
     def edges_from(self, group_name: str) -> list[ReplicationEdge]:
         return [edge for edge in self.edges if edge.source == group_name]
 
-    def macro_groups(self) -> list[DeviceGroup]:
-        """The groups simulated as mean-field aggregates (may be empty)."""
-        return [group for group in self.groups if group.mode == "macro"]
-
     @property
     def has_macro(self) -> bool:
         return any(group.mode == "macro" for group in self.groups)
@@ -320,10 +316,6 @@ class FleetTopology:
         groups = tuple(replace(group, mode=modes.get(group.name, group.mode))
                        for group in self.groups)
         return replace(self, groups=groups)
-
-    def with_macro(self, *group_names: str) -> "FleetTopology":
-        """Copy with the named groups switched to ``mode="macro"``."""
-        return self.with_modes({name: "macro" for name in group_names})
 
     # -- serialization -----------------------------------------------------
     def canonical(self) -> str:

@@ -197,7 +197,7 @@ class ExecutorTransport(ShardTransport):
         self.pools = [ProcessPoolExecutor(max_workers=1) for _ in plans]
         self._futures: dict[int, Any] = {}
         payload = topology.canonical()
-        init = [pool.submit(_worker_init, payload, plan.to_payload())
+        init = [pool.submit(_worker_init, payload, plan)
                 for pool, plan in zip(self.pools, plans)]
         try:
             for shard_id, future in enumerate(init):

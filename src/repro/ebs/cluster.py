@@ -38,7 +38,7 @@ class StorageCluster:
     def __init__(self, sim: "Simulator", profile: EssdProfile):
         self.sim = sim
         self.profile = profile
-        self.network = DatacenterNetwork(sim, profile.network, seed=profile.seed ^ 0x7E7)
+        self.network = DatacenterNetwork(profile.network, seed=profile.seed ^ 0x7E7)
         self.nodes = [StorageNode(sim, node_id, profile.node)
                       for node_id in range(profile.storage_nodes)]
         self.chunk_map = ChunkMap(

@@ -12,12 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.ebs.config import NetworkProfile
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim import Simulator
 
 
 @dataclass
@@ -36,8 +32,7 @@ class NetworkStats:
 class DatacenterNetwork:
     """Latency model for messages between the VM and storage nodes."""
 
-    def __init__(self, sim: "Simulator", profile: NetworkProfile, seed: int = 0xD0C):
-        self.sim = sim
+    def __init__(self, profile: NetworkProfile, seed: int = 0xD0C):
         self.profile = profile
         self.stats = NetworkStats()
         self._rng = random.Random(seed)
@@ -47,20 +42,10 @@ class DatacenterNetwork:
         self._jitter_rate = (1.0 / profile.jitter_mean_us
                              if profile.jitter_mean_us > 0 else None)
 
-    def one_way_delay(self, payload_bytes: int) -> float:
-        """Sampled latency for a single one-way message carrying a payload."""
-        delay = self._latency_us + payload_bytes / self._flow_bytes_per_us
-        if self._jitter_rate is not None:
-            delay += self._rng.expovariate(self._jitter_rate)
-        return delay
-
     def transfer_delay(self, payload_bytes: int) -> float:
-        """Sampled, stats-accounted delay for one one-way message.
-
-        The flattened form of :meth:`transfer`: hot callers yield a single
-        ``sim.timeout(network.transfer_delay(n))`` instead of trampolining
-        through a sub-generator.  Draws and counters are identical.  It
-        inlines :meth:`one_way_delay` (one frame less per message).
+        """Sampled delay of one one-way message carrying ``payload_bytes``,
+        counted in :attr:`stats`: callers yield
+        ``sim.timeout(network.transfer_delay(n))``.
         """
         delay = self._latency_us + payload_bytes / self._flow_bytes_per_us
         if self._jitter_rate is not None:
@@ -70,12 +55,3 @@ class DatacenterNetwork:
         stats.bytes_carried += payload_bytes
         stats.total_latency_us += delay
         return delay
-
-    def transfer(self, payload_bytes: int):
-        """Generator: occupy simulated time for one one-way message."""
-        yield self.sim.timeout(self.transfer_delay(payload_bytes))
-
-    def round_trip(self, request_bytes: int, response_bytes: int):
-        """Generator: a request message followed by its response."""
-        yield from self.transfer(request_bytes)
-        yield from self.transfer(response_bytes)

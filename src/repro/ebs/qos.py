@@ -86,17 +86,15 @@ class QosManager:
         self._write_limit_bucket = None
 
     # -- admission -------------------------------------------------------------------
-    def iops_tokens_for(self, size: int) -> int:
-        """IOPS tokens charged for a request of ``size`` bytes."""
-        return max(1, math.ceil(size / self._iops_acc))
-
     def admit(self, kind: IOKind, size: int):
         """Generator: block until the request fits within the budgets.
 
-        Hot path of every ESSD request: the token formula is inlined and the
-        stats counters are updated in one batch at the end.  Uncontended
-        requests ride the :class:`TokenBucket` fast paths (single pooled
-        grant, no waiter queue).
+        Hot path of every ESSD request.  The request is charged
+        ``max(1, ceil(size / iops_accounting_bytes))`` IOPS tokens (counted
+        in ``stats.iops_tokens_charged``), and the stats counters are
+        updated in one batch at the end.  Uncontended requests ride the
+        :class:`TokenBucket` fast paths (single pooled grant, no waiter
+        queue).
         """
         tokens = max(1, math.ceil(size / self._iops_acc))
         yield self._iops_bucket.consume(tokens)

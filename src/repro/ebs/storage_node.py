@@ -53,7 +53,7 @@ class StorageNode:
         # reciprocal rounding).
         self._min_charge = profile.min_charge_bytes
         self._write_latency_us = profile.write_processing_us + profile.media_write_us
-        self._read_latency_us = profile.read_processing_us + profile.media_read_us
+        self._random_read_us = profile.read_processing_us + profile.media_read_us
         self._seq_read_us = profile.seq_read_processing_us
         self._media_read_bw = profile.media_read_bytes_per_us
 
@@ -97,7 +97,7 @@ class StorageNode:
             # memory, so only the (cheaper) sequential software path is paid.
             processing = self._seq_read_us
         else:
-            processing = self._read_latency_us
+            processing = self._random_read_us
         streaming = num_bytes / self._media_read_bw
         bandwidth = self._bandwidth
         yield self._slots.request()

@@ -7,14 +7,12 @@ the unit of erase.  Channel bandwidth is modelled as a shared bus per
 channel that data transfers must reserve.
 """
 
-from repro.flash.geometry import FlashAddress, FlashGeometry
+from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
-from repro.flash.chip import FlashArray, FlashOp
+from repro.flash.chip import FlashArray
 
 __all__ = [
-    "FlashAddress",
     "FlashGeometry",
     "FlashTiming",
     "FlashArray",
-    "FlashOp",
 ]

@@ -10,7 +10,6 @@ all dies on that channel.  The FTL (:mod:`repro.ssd.ftl`) calls the
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,14 +19,6 @@ from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
-
-
-class FlashOp(enum.Enum):
-    """Kinds of flash array operations (for statistics)."""
-
-    READ = "read"
-    PROGRAM = "program"
-    ERASE = "erase"
 
 
 @dataclass

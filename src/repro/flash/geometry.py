@@ -40,10 +40,6 @@ class FlashGeometry:
         return self.planes_per_die * self.blocks_per_plane
 
     @property
-    def total_blocks(self) -> int:
-        return self.total_dies * self.blocks_per_die
-
-    @property
     def block_size(self) -> int:
         """Bytes per flash block."""
         return self.pages_per_block * self.page_size
@@ -59,19 +55,11 @@ class FlashGeometry:
         return self.total_dies * self.die_size
 
     # -- address helpers ----------------------------------------------------
-    def die_index(self, channel: int, die: int) -> int:
-        """Flat die index from (channel, die-within-channel)."""
-        if not 0 <= channel < self.channels:
-            raise ValueError(f"channel {channel} out of range")
-        if not 0 <= die < self.dies_per_channel:
+    def channel_of_die(self, die: int) -> int:
+        """Channel that flat die index ``die`` belongs to."""
+        if not 0 <= die < self.total_dies:
             raise ValueError(f"die {die} out of range")
-        return channel * self.dies_per_channel + die
-
-    def channel_of_die(self, die_index: int) -> int:
-        """Channel that a flat die index belongs to."""
-        if not 0 <= die_index < self.total_dies:
-            raise ValueError(f"die index {die_index} out of range")
-        return die_index // self.dies_per_channel
+        return die // self.dies_per_channel
 
     def describe(self) -> str:
         """One-line human readable summary."""
@@ -79,16 +67,3 @@ class FlashGeometry:
                 f"{self.planes_per_die}pl x {self.blocks_per_plane}blk x "
                 f"{self.pages_per_block}pg x {self.page_size // KiB}KiB "
                 f"= {self.physical_capacity / (1 << 30):.1f}GiB raw")
-
-
-@dataclass(frozen=True, order=True)
-class FlashAddress:
-    """Physical address of one flash page."""
-
-    die: int
-    block: int
-    page: int
-
-    def __post_init__(self) -> None:
-        if self.die < 0 or self.block < 0 or self.page < 0:
-            raise ValueError(f"negative component in {self}")

@@ -41,17 +41,3 @@ class FlashTiming:
                 raise ValueError(f"{name} must be non-negative")
         if self.channel_bytes_per_us <= 0:
             raise ValueError("channel_bytes_per_us must be positive")
-
-    def transfer_us(self, num_bytes: int) -> float:
-        """Time to move ``num_bytes`` over the channel bus."""
-        if num_bytes < 0:
-            raise ValueError(f"negative transfer size: {num_bytes}")
-        return num_bytes / self.channel_bytes_per_us
-
-    def read_latency_us(self, num_bytes: int) -> float:
-        """End-to-end latency of a page read transferring ``num_bytes``."""
-        return self.command_overhead_us + self.read_us + self.transfer_us(num_bytes)
-
-    def program_latency_us(self, num_bytes: int) -> float:
-        """End-to-end latency of a page program transferring ``num_bytes``."""
-        return self.command_overhead_us + self.transfer_us(num_bytes) + self.program_us

@@ -83,10 +83,6 @@ class IORequest:
             raise ValueError("request has not completed yet")
         return self.complete_time - self.submit_time
 
-    def overlaps(self, other: "IORequest") -> bool:
-        """Whether the byte ranges of two requests intersect."""
-        return self.offset < other.end_offset and other.offset < self.end_offset
-
     @classmethod
     def read(cls, offset: int, size: int, **kwargs: Any) -> "IORequest":
         """Convenience constructor for a read request."""

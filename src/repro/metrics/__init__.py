@@ -5,7 +5,6 @@ from repro.metrics.throughput import ThroughputTimeline, ThroughputSample
 from repro.metrics.stats import (
     coefficient_of_variation,
     latency_gap,
-    percentile,
     throughput_gain,
 )
 
@@ -17,5 +16,4 @@ __all__ = [
     "latency_gap",
     "throughput_gain",
     "coefficient_of_variation",
-    "percentile",
 ]

@@ -1,8 +1,8 @@
 """Per-request latency recording and summaries.
 
 The paper reports average and P99.9 latency (Figure 2); the recorder keeps
-every sample so arbitrary percentiles, histograms, and distribution
-comparisons are available to tests and advisors as well.
+every sample so arbitrary percentiles and distribution comparisons are
+available to tests and advisors as well.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ class LatencyRecorder:
             max_us=maximum,
             stddev_us=float(arr.std()),
         )
-
-    def histogram(self, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-        """Histogram of the samples (counts, bin edges)."""
-        arr = np.asarray(self._samples, dtype=np.float64)
-        return np.histogram(arr, bins=bins)
 
     def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
         """Return a new recorder containing both populations."""

@@ -10,16 +10,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) of ``samples``; 0.0 when empty."""
-    if len(samples) == 0:
-        return 0.0
-    return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
 
 
 def latency_gap(essd_latency_us: float, ssd_latency_us: float) -> float:

@@ -62,14 +62,10 @@ from repro.sim.events import (
     Timeout,
 )
 
-__all__ = ["EmptySchedule", "Simulator"]
+__all__ = ["Simulator"]
 
 _PROCESS_RESUME = Process._resume
 _JOIN_COUNT_DOWN = Join._count_down
-
-
-class EmptySchedule(Exception):
-    """Raised by :meth:`Simulator.step` when no events remain."""
 
 
 class Simulator:
@@ -119,12 +115,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in microseconds."""
         return self._now
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still sitting in the schedule."""
-        return len(self._immediate) + \
-            sum(len(bucket) for bucket in self._wheel_buckets.values())
 
     @property
     def scheduled_events(self) -> int:
@@ -219,27 +209,6 @@ class Simulator:
             return self._wheel_times[0]
         return float("inf")
 
-    def _next_event(self) -> Event:
-        """Pop the next event in (time, sequence) order."""
-        immediate = self._immediate
-        if not immediate:
-            if not self._wheel_times:
-                raise EmptySchedule()
-            time = heapq.heappop(self._wheel_times)
-            immediate.extend(self._wheel_buckets.pop(time))
-            self._now = time
-        return immediate.popleft()
-
-    def step(self) -> None:
-        """Process the single next event.
-
-        Raises
-        ------
-        EmptySchedule
-            If no events remain.
-        """
-        self._dispatch_checked(self._next_event())
-
     def _dispatch_checked(self, event: Event) -> None:
         """Resume ``event``'s waiter, run its callbacks, re-raise an
         unhandled failure, and pool the event if its only consumers were
@@ -311,13 +280,16 @@ class Simulator:
         return process
 
     def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run the simulation.
+        """Run the simulation: the one way to advance the kernel.
 
         Parameters
         ----------
         until:
             * ``None`` -- run until the schedule is exhausted.
-            * a float -- run until simulation time reaches that value.
+            * a float -- run until simulation time reaches that value: every
+              event due at or before it runs, and the clock stops there.
+              ``run(until=sim.peek())`` runs the current instant, or the
+              next wheel slot, and nothing after it.
             * an :class:`Event` -- run until that event has been processed and
               return its value.
         """
@@ -338,7 +310,7 @@ class Simulator:
     def _run_loop(self, stop_event: Optional[Event],
                   stop_time: Optional[float]) -> Any:
         """Inlined run loop: deque-first pop, in-place dispatch, object
-        recycling -- the same event order as repeated :meth:`step` calls.
+        recycling, in ``(time, sequence)`` order.
 
         Per-event overhead is kept minimal: the stop-event test runs *after*
         each dispatch (equivalent to a top-of-loop test, since the event
@@ -443,16 +415,3 @@ class Simulator:
         if stop_time is not None:
             self._now = max(self._now, stop_time)
         return None
-
-    def run_all(self, max_events: Optional[int] = None) -> int:
-        """Run until the schedule is empty; return the number of events processed.
-
-        ``max_events`` acts as a safety valve against runaway simulations.
-        """
-        processed = 0
-        while self._immediate or self._wheel_times:
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            self.step()
-            processed += 1
-        return processed

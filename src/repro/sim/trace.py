@@ -150,31 +150,6 @@ class Tracer:
             }
         return result
 
-    def render(self, device: Optional[str] = None) -> str:
-        """Plain-text latency-breakdown table (one row per stage)."""
-        breakdown = self.breakdown(device)
-        if not breakdown:
-            return "(no traced requests)"
-        headers = ["stage", "count", "mean_us", "p50_us", "p99_us", "max_us", "share"]
-        rows = []
-        for stage, stats in breakdown.items():
-            rows.append([
-                stage,
-                str(stats["count"]),
-                f"{stats['mean_us']:.1f}",
-                f"{stats['p50_us']:.1f}",
-                f"{stats['p99_us']:.1f}",
-                f"{stats['max_us']:.1f}",
-                f"{stats['share']:.1%}",
-            ])
-        widths = [max(len(header), *(len(row[i]) for row in rows))
-                  for i, header in enumerate(headers)]
-        lines = ["  ".join(header.ljust(widths[i]) for i, header in enumerate(headers))]
-        lines.append("  ".join("-" * width for width in widths))
-        lines.extend("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-                     for row in rows)
-        return "\n".join(lines)
-
     def to_payload(self, per_device: bool = True) -> dict[str, Any]:
         """JSON-serialisable breakdown (overall plus per device)."""
         payload: dict[str, Any] = {

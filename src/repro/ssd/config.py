@@ -15,7 +15,7 @@ Figures 2-5):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
@@ -125,20 +125,6 @@ class SsdConfig:
     @property
     def program_unit_bytes(self) -> int:
         return self.program_unit_slots * self.logical_block_size
-
-    def with_capacity(self, capacity_bytes: int) -> "SsdConfig":
-        """Return a copy scaled to a different logical capacity.
-
-        The flash geometry is re-derived so that the over-provisioning ratio
-        is preserved, which keeps GC behaviour comparable across scales.
-        """
-        ratio = self.overprovisioning_ratio
-        raw_target = capacity_bytes / (1.0 - ratio)
-        per_block_raw = (self.geometry.total_dies * self.geometry.planes_per_die *
-                         self.geometry.pages_per_block * self.geometry.page_size)
-        blocks_per_plane = max(4, math.ceil(raw_target / per_block_raw))
-        geometry = replace(self.geometry, blocks_per_plane=blocks_per_plane)
-        return replace(self, capacity_bytes=capacity_bytes, geometry=geometry)
 
 
 def samsung_970pro_profile(capacity_bytes: int = 2 * GiB,

@@ -214,8 +214,3 @@ class Ftl:
         preload."""
         self.mapping.copy_from(source.mapping)
         self.allocator.copy_from(source.allocator)
-
-    # -- introspection ------------------------------------------------------------------
-    def occupancy(self) -> float:
-        """Fraction of the logical space that is mapped."""
-        return self.mapping.utilization

@@ -12,11 +12,11 @@ simulation -- the building block for noisy-neighbor and mixed-fleet cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.host.io import IOKind, IORequest, KiB
-from repro.metrics.latency import LatencyRecorder, LatencySummary
+from repro.metrics.latency import LatencyRecorder
 from repro.metrics.throughput import ThroughputTimeline
 from repro.workload.patterns import AccessPattern, make_pattern
 
@@ -80,10 +80,6 @@ class FioJob:
             object.__setattr__(self, "pattern_params",
                                tuple(sorted(self.pattern_params.items())))
 
-    def scaled(self, **changes) -> "FioJob":
-        """Copy of the job with some fields changed."""
-        return replace(self, **changes)
-
 
 @dataclass
 class JobResult:
@@ -134,9 +130,6 @@ class JobResult:
         if self.duration_us <= 0:
             return 0.0
         return self.ios_completed / self.duration_us * 1e6
-
-    def latency_summary(self) -> LatencySummary:
-        return self.latency.summary()
 
 
 def _build_pattern(job: FioJob, device: "Device") -> AccessPattern:

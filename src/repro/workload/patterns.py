@@ -35,7 +35,8 @@ from repro.host.io import IOKind
 
 
 class AccessPattern(abc.ABC):
-    """Produces the offsets (and kinds) of a workload's requests."""
+    """Produces the ``(kind, offset)`` of a workload's requests, one
+    :meth:`next` call per request."""
 
     def __init__(self, region_bytes: int, io_size: int):
         if io_size <= 0:
@@ -47,12 +48,8 @@ class AccessPattern(abc.ABC):
         self.slots = region_bytes // io_size
 
     @abc.abstractmethod
-    def next_offset(self) -> int:
-        """The byte offset of the next request."""
-
-    def next_kind(self) -> IOKind:
-        """The kind of the next request (patterns are single-kind by default)."""
-        return IOKind.READ
+    def next(self) -> tuple[IOKind, int]:
+        """The kind and byte offset of the next request."""
 
     def next_think_time_us(self) -> float:
         """Extra delay the workload inserts *before* the next request.
@@ -63,10 +60,6 @@ class AccessPattern(abc.ABC):
         """
         return 0.0
 
-    def next(self) -> tuple[IOKind, int]:
-        """Convenience: (kind, offset) of the next request."""
-        return self.next_kind(), self.next_offset()
-
 
 class SequentialPattern(AccessPattern):
     """Strictly increasing offsets, wrapping at the end of the region."""
@@ -76,16 +69,7 @@ class SequentialPattern(AccessPattern):
         self.kind = kind
         self._cursor = 0
 
-    def next_offset(self) -> int:
-        offset = self._cursor * self.io_size
-        self._cursor = (self._cursor + 1) % self.slots
-        return offset
-
-    def next_kind(self) -> IOKind:
-        return self.kind
-
     def next(self) -> tuple[IOKind, int]:
-        # Hot-path inline of next_kind()/next_offset() (identical results).
         offset = self._cursor * self.io_size
         self._cursor = (self._cursor + 1) % self.slots
         return self.kind, offset
@@ -100,15 +84,7 @@ class RandomPattern(AccessPattern):
         self.kind = kind
         self._rng = random.Random(seed)
 
-    def next_offset(self) -> int:
-        return self._rng.randrange(self.slots) * self.io_size
-
-    def next_kind(self) -> IOKind:
-        return self.kind
-
     def next(self) -> tuple[IOKind, int]:
-        # Hot-path inline of next_kind()/next_offset(): one RNG draw in the
-        # same order, two fewer method dispatches per I/O.
         return self.kind, self._rng.randrange(self.slots) * self.io_size
 
 
@@ -126,13 +102,10 @@ class ZipfianPattern(AccessPattern):
         # A fixed permutation decorrelates rank from address.
         self._permutation = np.random.default_rng(seed + 7).permutation(self.slots)
 
-    def next_offset(self) -> int:
+    def next(self) -> tuple[IOKind, int]:
         rank = int(self._rng.zipf(self.theta))
         slot = self._permutation[(rank - 1) % self.slots]
-        return int(slot) * self.io_size
-
-    def next_kind(self) -> IOKind:
-        return self.kind
+        return self.kind, int(slot) * self.io_size
 
 
 class HotColdPattern(AccessPattern):
@@ -161,7 +134,7 @@ class HotColdPattern(AccessPattern):
         # with a physically contiguous range.
         self._permutation = np.random.default_rng(seed + 13).permutation(self.slots)
 
-    def next_offset(self) -> int:
+    def next(self) -> tuple[IOKind, int]:
         if self._rng.random() < self.hot_access_fraction:
             slot_rank = self._rng.randrange(self._hot_slots)
         else:
@@ -170,10 +143,7 @@ class HotColdPattern(AccessPattern):
                 slot_rank = self._rng.randrange(self._hot_slots)
             else:
                 slot_rank = self._hot_slots + self._rng.randrange(cold_slots)
-        return int(self._permutation[slot_rank]) * self.io_size
-
-    def next_kind(self) -> IOKind:
-        return self.kind
+        return self.kind, int(self._permutation[slot_rank]) * self.io_size
 
 
 class BurstyPattern(AccessPattern):
@@ -218,12 +188,9 @@ class BurstyPattern(AccessPattern):
             return self.idle_us
         return 0.0
 
-    def next_offset(self) -> int:
+    def next(self) -> tuple[IOKind, int]:
         self._issued_in_burst += 1
-        return self.base.next_offset()
-
-    def next_kind(self) -> IOKind:
-        return self.base.next_kind()
+        return self.base.next()
 
 
 class MixedPattern(AccessPattern):
@@ -237,19 +204,14 @@ class MixedPattern(AccessPattern):
         self.write_ratio = write_ratio
         self._rng = random.Random(seed)
 
-    def next_offset(self) -> int:
-        return self.base.next_offset()
-
-    def next_kind(self) -> IOKind:
-        return IOKind.WRITE if self._rng.random() < self.write_ratio else IOKind.READ
-
     def next_think_time_us(self) -> float:
         return self.base.next_think_time_us()
 
     def next(self) -> tuple[IOKind, int]:
-        # Hot-path inline preserving the kind-then-offset RNG draw order.
+        # The kind comes from this pattern's generator, the offset from the
+        # base pattern's.
         kind = IOKind.WRITE if self._rng.random() < self.write_ratio else IOKind.READ
-        return kind, self.base.next_offset()
+        return kind, self.base.next()[1]
 
 
 #: Base pattern class -> its (read, write, mixed) names: the one table of

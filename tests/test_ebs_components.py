@@ -101,10 +101,18 @@ def test_qos_iops_accounting_charges_per_256k():
     sim = Simulator()
     qos = QosManager(sim, QosProfile(max_throughput_bytes_per_us=1000,
                                      max_iops=10_000, iops_accounting_bytes=256 * KiB))
-    assert qos.iops_tokens_for(4 * KiB) == 1
-    assert qos.iops_tokens_for(256 * KiB) == 1
-    assert qos.iops_tokens_for(257 * KiB) == 2
-    assert qos.iops_tokens_for(1 * MiB) == 4
+    charged = []
+
+    def admit_each():
+        for size in (4 * KiB, 256 * KiB, 257 * KiB, 1 * MiB):
+            before = qos.stats.iops_tokens_charged
+            yield from qos.admit(IOKind.READ, size)
+            charged.append(qos.stats.iops_tokens_charged - before)
+
+    sim.process(admit_each())
+    sim.run()
+    assert charged == [1, 1, 2, 4]
+    assert qos.stats.requests_admitted == 4
 
 
 def test_qos_byte_bucket_limits_throughput():
@@ -211,22 +219,26 @@ def test_full_quorum_write_waits_for_every_replica():
 
 def test_network_latency_scales_with_payload():
     sim = Simulator()
-    network = DatacenterNetwork(sim, NetworkProfile(one_way_latency_us=50,
-                                                    flow_bytes_per_us=100,
-                                                    jitter_mean_us=0.0))
-    small = network.one_way_delay(1 * KiB)
-    large = network.one_way_delay(100 * KiB)
+    network = DatacenterNetwork(NetworkProfile(one_way_latency_us=50,
+                                               flow_bytes_per_us=100,
+                                               jitter_mean_us=0.0))
+    small = network.transfer_delay(1 * KiB)
+    large = network.transfer_delay(100 * KiB)
     assert large > small
     assert small == pytest.approx(50 + 1024 / 100)
-    assert network.stats.messages == 0  # one_way_delay alone doesn't transfer
-
-    def proc():
-        yield from network.round_trip(4 * KiB, 256)
-
-    sim.process(proc())
-    sim.run()
     assert network.stats.messages == 2
-    assert network.stats.bytes_carried == 4 * KiB + 256
+    assert network.stats.bytes_carried == 101 * KiB
+    assert network.stats.mean_latency_us == pytest.approx((small + large) / 2)
+
+    def request_and_response():
+        yield sim.timeout(network.transfer_delay(4 * KiB))
+        yield sim.timeout(network.transfer_delay(256))
+
+    sim.process(request_and_response())
+    sim.run()
+    assert sim.now == pytest.approx(50 + 4 * KiB / 100 + 50 + 256 / 100)
+    assert network.stats.messages == 4
+    assert network.stats.bytes_carried == 105 * KiB + 256
 
 
 def test_storage_node_bandwidth_bucket_limits_sustained_rate():

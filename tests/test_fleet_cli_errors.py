@@ -419,7 +419,7 @@ def test_endpoint_must_be_exactly_one_transport(verb, endpoint, capsys):
 def _macro_sweep(tmp_path, name, macro):
     topology = error_fleet()
     if macro:
-        topology = topology.with_macro("web")
+        topology = topology.with_modes({"web": "macro"})
     spec = scenario(name, "test-only diff fleet", devices=("fleet",),
                     fleet=topology)
     register(spec, replace=True)

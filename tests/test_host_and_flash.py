@@ -43,14 +43,6 @@ def test_iorequest_latency_requires_completion():
     assert request.latency == 50.0
 
 
-def test_iorequest_overlap_detection():
-    a = IORequest.write(0, 8192)
-    b = IORequest.write(4096, 8192)
-    c = IORequest.write(8192, 4096)
-    assert a.overlaps(b) and b.overlaps(a)
-    assert not a.overlaps(c)
-
-
 # ---------------------------------------------------------------------------
 # BlockDevice validation (via the SSD implementation)
 # ---------------------------------------------------------------------------
@@ -95,7 +87,6 @@ def test_geometry_derived_quantities():
     assert geometry.blocks_per_die == 8
     assert geometry.block_size == 8 * 16 * KiB
     assert geometry.physical_capacity == 4 * 2 * 4 * 8 * 16 * KiB
-    assert geometry.die_index(1, 1) == 3
     assert geometry.channel_of_die(3) == 1
     assert "2ch" in geometry.describe()
 
@@ -105,19 +96,25 @@ def test_geometry_validation():
         FlashGeometry(channels=0)
     geometry = FlashGeometry()
     with pytest.raises(ValueError):
-        geometry.die_index(99, 0)
-    with pytest.raises(ValueError):
         geometry.channel_of_die(10_000)
 
 
 def test_timing_latency_components():
+    """An uncontended page read pays command overhead, tR and the channel
+    transfer; a page program pays command overhead, the transfer and
+    tPROG."""
     timing = FlashTiming(read_us=50, program_us=300, erase_us=2000,
                          channel_bytes_per_us=500, command_overhead_us=2)
-    assert timing.transfer_us(1000) == pytest.approx(2.0)
-    assert timing.read_latency_us(1000) == pytest.approx(54.0)
-    assert timing.program_latency_us(1000) == pytest.approx(304.0)
-    with pytest.raises(ValueError):
-        timing.transfer_us(-1)
+    geometry = FlashGeometry(channels=1, dies_per_channel=1)
+    latencies = {}
+    for op in ("read_page", "program_page"):
+        sim = Simulator()
+        array = FlashArray(sim, geometry, timing)
+        sim.process(getattr(array, op)(0, 1000))
+        sim.run()
+        latencies[op] = sim.now
+    assert latencies == {"read_page": pytest.approx(54.0),
+                         "program_page": pytest.approx(304.0)}
     with pytest.raises(ValueError):
         FlashTiming(channel_bytes_per_us=0)
 
@@ -181,7 +178,6 @@ def test_flash_array_counters_and_bounds():
 @given(offset_blocks=st.integers(min_value=0, max_value=1000),
        size_blocks=st.integers(min_value=1, max_value=64))
 def test_request_roundtrip_properties(offset_blocks, size_blocks):
-    """Property: end_offset - offset == size and overlap is reflexive."""
+    """Property: end_offset - offset == size."""
     request = IORequest.write(offset_blocks * 4096, size_blocks * 4096)
     assert request.end_offset - request.offset == request.size
-    assert request.overlaps(request)

@@ -103,7 +103,7 @@ def test_macro_matches_discrete_within_declared_bands(family):
     spec = FAMILIES[family]
     topology = one_group_fleet(spec["workload"], device=spec["device"])
     discrete = run_fleet_serial(topology)
-    macro = run_fleet_serial(topology.with_macro("grp"))
+    macro = run_fleet_serial(topology.with_modes({"grp": "macro"}))
 
     ref = discrete["tenants"]["t"]
     got = macro["tenants"]["t"]
@@ -137,7 +137,7 @@ def test_macro_matches_discrete_within_declared_bands(family):
 
 def test_macro_metrics_carry_approximate_flag_through_every_level():
     topology = one_group_fleet(FAMILIES["randwrite"]["workload"])
-    payload = run_fleet_serial(topology.with_macro("grp"))
+    payload = run_fleet_serial(topology.with_modes({"grp": "macro"}))
     assert payload["fleet"]["approximate"] is True
     assert payload["groups"]["grp"]["approximate"] is True
     assert payload["tenants"]["t"]["approximate"] is True
@@ -150,8 +150,8 @@ def test_macro_metrics_carry_approximate_flag_through_every_level():
 def test_macro_calibration_is_memoized_within_a_process():
     clear_calibration_memo()
     topology = one_group_fleet(FAMILIES["randwrite"]["workload"])
-    first = run_fleet_serial(topology.with_macro("grp"))
-    second = run_fleet_serial(topology.with_macro("grp"))
+    first = run_fleet_serial(topology.with_modes({"grp": "macro"}))
+    second = run_fleet_serial(topology.with_modes({"grp": "macro"}))
     assert canonical(first) == canonical(second)
 
 
@@ -284,7 +284,7 @@ def test_inflow_counts_do_not_depend_on_a_sink_groups_mode():
             for sink in topology.groups:
                 if topology.edges_from(sink.name) or sink.name in faulted:
                     continue
-                payload = run_fleet_serial(topology.with_macro(sink.name))
+                payload = run_fleet_serial(topology.with_modes({sink.name: "macro"}))
                 assert inflow_counts(payload) == reference, \
                     (spec.name, index, sink.name)
                 flips += 1
@@ -322,7 +322,7 @@ def test_fault_windows_do_not_depend_on_a_faulted_groups_mode():
                 continue
             reference = fault_windows(run_fleet_serial(topology))
             for name in sorted({event.group for event in topology.faults}):
-                payload = run_fleet_serial(topology.with_macro(name))
+                payload = run_fleet_serial(topology.with_modes({name: "macro"}))
                 assert fault_windows(payload) == reference, \
                     (spec.name, index, name)
                 flips += 1
@@ -370,6 +370,6 @@ def test_cli_macro_override_matches_library_run(tmp_path, capsys):
     via_cli = SweepResult.load(out).outcomes[0].metrics["fleet"]
     spec = _register_macro_scenario()
     topology = FleetTopology.from_json(spec.cells()[0].fleet) \
-        .with_macro("src", "back")
+        .with_modes({"src": "macro", "back": "macro"})
     via_library = run_fleet_serial(topology)
     assert canonical(via_cli) == canonical(via_library)

@@ -70,7 +70,9 @@ def reference_partition_topology(topology: FleetTopology,
     # one indivisible aggregate: splits shift to the nearest atom boundary,
     # and a slice that is one single macro atom simply cannot donate.
     macro_atom: dict[int, int] = {}
-    for macro_group in topology.macro_groups():
+    for macro_group in topology.groups:
+        if macro_group.mode != "macro":
+            continue
         indices = topology.group_indices(macro_group.name)
         for index in indices:
             macro_atom[index] = indices[0]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.sim import Event, Interrupt, Resource, Simulator
 from repro.sim.events import SimulationError, spawn_process
+from test_sim_wheel import run_slot_by_slot
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +528,15 @@ def _pooled(sim, process):
     return any(pooled is process for pooled in sim._process_pool)
 
 
-@pytest.mark.parametrize("drive", ["run", "run_all"])
+_DRIVES = {"run": Simulator.run, "slot_by_slot": run_slot_by_slot}
+
+
+@pytest.mark.parametrize("drive", sorted(_DRIVES))
 def test_join_recycles_only_pooled_children_it_alone_observed(drive):
-    """A joined ``spawn_process`` child returns to the pool (through the
-    inlined run loop and through ``step``); a ``sim.process`` child, an
-    ``AllOf``-held child and a failed child never do."""
+    """A joined ``spawn_process`` child returns to the pool (in one run,
+    and in a run stopped and resumed between wheel slots); a
+    ``sim.process`` child, an ``AllOf``-held child and a failed child never
+    do."""
     sim = Simulator()
     pooled = spawn_process(sim, _child(sim, 1))
     plain = sim.process(_child(sim, 1))
@@ -548,7 +553,7 @@ def test_join_recycles_only_pooled_children_it_alone_observed(drive):
             caught.append(str(exc))
 
     sim.process(parent())
-    getattr(sim, drive)()
+    _DRIVES[drive](sim)
     assert caught == ["child failed"]
     assert _pooled(sim, pooled)
     assert not _pooled(sim, plain)
@@ -556,15 +561,15 @@ def test_join_recycles_only_pooled_children_it_alone_observed(drive):
     assert not _pooled(sim, failed)
 
 
-@pytest.mark.parametrize("drive", ["run", "run_all"])
+@pytest.mark.parametrize("drive", sorted(_DRIVES))
 def test_unyielded_timeout_keeps_its_value_however_the_sim_is_driven(drive):
     """A timeout nobody waited on is never pooled, so a reference held
-    without yielding it keeps its value.  ``step`` (which ``run_all``
-    drives) used to pool it, and the next timeout then reused the
-    object."""
+    without yielding it keeps its value, and the next timeout is a new
+    object, in one run and in a run stopped and resumed between wheel
+    slots."""
     sim = Simulator()
     held = sim.timeout(5, value="a")
-    getattr(sim, drive)()
+    _DRIVES[drive](sim)
     later = sim.timeout(1, value="b")
     assert later is not held
     assert (held.value, held.processed) == ("a", True)

@@ -1,16 +1,17 @@
 """Tests for the discrete-event simulation kernel (events, processes, run loop)."""
 
+import math
+
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.engine import EmptySchedule
 from repro.sim.events import Interrupt, SimulationError
 
 
 def test_clock_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
-    assert sim.pending_events == 0
+    assert sim.peek() == math.inf
 
 
 def test_timeout_advances_clock():
@@ -46,7 +47,7 @@ def test_nan_delays_rejected():
         sim.timeout(nan)
     with pytest.raises(SimulationError):
         sim.event().succeed(delay=nan)
-    assert sim.pending_events == 0
+    assert sim.peek() == math.inf
     sim.run()
     assert sim.now == 1.0
 
@@ -329,28 +330,6 @@ def test_run_until_past_time_rejected():
 
 def iter_timeout(sim, delay):
     yield sim.timeout(delay)
-
-
-def test_step_on_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
-
-
-def test_run_all_counts_events_and_respects_cap():
-    sim = Simulator()
-    for _ in range(5):
-        sim.process(iter_timeout(sim, 1))
-    processed = sim.run_all()
-    assert processed >= 5
-
-    sim2 = Simulator()
-    def forever():
-        while True:
-            yield sim2.timeout(1)
-    sim2.process(forever())
-    with pytest.raises(SimulationError):
-        sim2.run_all(max_events=50)
 
 
 def test_interrupt_wakes_waiting_process():

@@ -5,21 +5,29 @@ timer wheel that buckets every later deadline in an exact-deadline slot,
 moving a whole slot onto the deque when the clock reaches it.  These tests
 pin the corners of that design: timeouts cancelled (interrupted) while
 they sit on the wheel, deadlines reached from delays scheduled at
-different times, interleaving with zero-delay FIFO events, the
-schedule-introspection helpers, and -- as a property -- the event order of
-one heap keyed ``(time, sequence)``.  Expected traces were recorded when
-the heap-only and pre-wheel kernels still existed and agreed with the
-wheel on every one of them.
+different times, interleaving with zero-delay FIFO events, ``peek`` and
+``run(until=...)``, and -- as a property -- the event order of one heap
+keyed ``(time, sequence)``, whether one ``run`` call drains the schedule or
+``run(until=sim.peek())`` takes it one wheel slot at a time.  Expected
+traces were recorded when the heap-only and pre-wheel kernels still
+existed and agreed with the wheel on every one of them.
 """
 
 import heapq
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Interrupt, Simulator
-from repro.sim.engine import EmptySchedule
+
+
+def run_slot_by_slot(sim):
+    """Drain the schedule one instant (the deque, then each wheel slot) per
+    ``run`` call, stopping and resuming the kernel between slots."""
+    while sim.peek() != math.inf:
+        sim.run(until=sim.peek())
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +80,9 @@ def test_cancelled_slot_timeout_does_not_block_run_completion():
         sim.run()
     # The orphaned timeout still sits in its slot; a follow-up run drains
     # it as a harmless no-op instead of wedging the schedule.
-    assert sim.pending_events == 1
+    assert sim.peek() == 5.0
     sim.run()
-    assert sim.pending_events == 0 and sim.now == 5.0
+    assert sim.peek() == math.inf and sim.now == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +212,7 @@ def test_run_until_event_sitting_on_the_wheel():
 
 
 def test_step_through_wheel_slots_matches_run():
-    def workload(sim, step):
+    def workload(sim, by_slot):
         log = []
 
         def ticker(label, delay):
@@ -214,18 +222,14 @@ def test_step_through_wheel_slots_matches_run():
 
         for label, delay in (("a", 2.0), ("b", 2.0), ("c", 3.0)):
             sim.process(ticker(label, delay))
-        if step:
-            while True:
-                try:
-                    sim.step()
-                except EmptySchedule:
-                    break
+        if by_slot:
+            run_slot_by_slot(sim)
         else:
             sim.run()
         return log
 
-    assert workload(Simulator(), step=True) == \
-        workload(Simulator(), step=False)
+    assert workload(Simulator(), by_slot=True) == \
+        workload(Simulator(), by_slot=False)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,7 @@ def _kernel_log(start_time, plans, drive):
 
     for pid, delays in enumerate(plans):
         sim.process(proc(pid, delays))
-    getattr(sim, drive)()
+    drive(sim)
     return log, sim.scheduled_events
 
 
@@ -289,8 +293,8 @@ _PROPERTY_DELAYS = st.sampled_from(
 def test_schedule_order_matches_a_single_heap(plans, start_time):
     """Zero, sub-resolution, near, far and colliding deadlines, at a small
     and a large clock: the kernel resumes every process at the same time
-    and in the same order as one heap holding every event, whether
-    ``run`` or ``step`` (through ``run_all``) drives it."""
+    and in the same order as one heap holding every event, whether one
+    ``run`` call or ``run(until=sim.peek())`` slot by slot drives it."""
     expected = _heap_reference(start_time, plans)
-    assert _kernel_log(start_time, plans, "run") == expected
-    assert _kernel_log(start_time, plans, "run_all") == expected
+    assert _kernel_log(start_time, plans, Simulator.run) == expected
+    assert _kernel_log(start_time, plans, run_slot_by_slot) == expected

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.devices import LoopbackDevice, create_device
+from repro.experiments.cli import _render_stage_breakdown
 from repro.host.io import MiB
 from repro.sim import Simulator, Tracer
 from repro.workload.fio import FioJob, run_job
@@ -92,9 +93,12 @@ def test_render_produces_one_row_per_stage():
     tracer = Tracer(sim)
     device.set_tracer(tracer)
     run_job(sim, device, FioJob(pattern="randread", io_count=3, region_bytes=MiB))
-    text = tracer.render()
+    stages = tracer.to_payload()["stages"]
+    text = _render_stage_breakdown(stages)
     assert "service" in text and "share" in text
-    assert Tracer(sim).render() == "(no traced requests)"
+    # A header, a rule, then one row per stage.
+    assert len(text.splitlines()) == 2 + len(stages)
+    assert Tracer(sim).to_payload() == {"completed_requests": 0, "stages": {}}
 
 
 def test_keep_spans_retains_recent_request_lifecycles():

@@ -12,7 +12,6 @@ from repro.metrics import (
     ThroughputTimeline,
     coefficient_of_variation,
     latency_gap,
-    percentile,
     throughput_gain,
 )
 from repro.sim import Simulator
@@ -41,16 +40,17 @@ from repro.workload.fio import run_streams
 
 def test_sequential_pattern_wraps_and_stays_aligned():
     pattern = SequentialPattern(64 * KiB, 16 * KiB, IOKind.WRITE)
-    offsets = [pattern.next_offset() for _ in range(6)]
-    assert offsets == [0, 16 * KiB, 32 * KiB, 48 * KiB, 0, 16 * KiB]
-    assert pattern.next_kind() is IOKind.WRITE
+    draws = [pattern.next() for _ in range(6)]
+    assert [offset for _kind, offset in draws] == \
+        [0, 16 * KiB, 32 * KiB, 48 * KiB, 0, 16 * KiB]
+    assert all(kind is IOKind.WRITE for kind, _offset in draws)
 
 
 def test_random_pattern_is_aligned_in_range_and_deterministic():
     a = RandomPattern(1 * MiB, 4 * KiB, seed=9)
     b = RandomPattern(1 * MiB, 4 * KiB, seed=9)
-    offsets = [a.next_offset() for _ in range(200)]
-    assert offsets == [b.next_offset() for _ in range(200)]
+    offsets = [a.next()[1] for _ in range(200)]
+    assert offsets == [b.next()[1] for _ in range(200)]
     assert all(offset % (4 * KiB) == 0 for offset in offsets)
     assert all(0 <= offset < 1 * MiB for offset in offsets)
     assert len(set(offsets)) > 50
@@ -60,7 +60,7 @@ def test_zipfian_pattern_is_skewed():
     pattern = ZipfianPattern(4 * MiB, 4 * KiB, seed=3)
     counts = {}
     for _ in range(2000):
-        offset = pattern.next_offset()
+        _kind, offset = pattern.next()
         counts[offset] = counts.get(offset, 0) + 1
     top = max(counts.values())
     assert top > 2000 / len(counts) * 5  # clearly hotter than uniform
@@ -69,7 +69,7 @@ def test_zipfian_pattern_is_skewed():
 def test_mixed_pattern_write_ratio_roughly_respected():
     base = RandomPattern(1 * MiB, 4 * KiB, seed=1)
     mixed = MixedPattern(base, write_ratio=0.7, seed=2)
-    kinds = [mixed.next_kind() for _ in range(2000)]
+    kinds = [mixed.next()[0] for _ in range(2000)]
     writes = sum(1 for kind in kinds if kind is IOKind.WRITE)
     assert 0.6 < writes / 2000 < 0.8
 
@@ -95,7 +95,7 @@ def test_pattern_offsets_always_fit_the_region(io_size_kib, region_mib, seed):
     for name in ("randread", "write", "zipfwrite"):
         pattern = make_pattern(name, region, io_size, seed=seed)
         for _ in range(50):
-            offset = pattern.next_offset()
+            _kind, offset = pattern.next()
             assert 0 <= offset
             assert offset + io_size <= region
             assert offset % io_size == 0
@@ -112,8 +112,6 @@ def test_fiojob_validation():
         FioJob(io_count=0)
     with pytest.raises(ValueError):
         FioJob(io_count=10, queue_depth=0)
-    job = FioJob(io_count=10)
-    assert job.scaled(queue_depth=8).queue_depth == 8
 
 
 def test_run_job_io_count_and_latency_accounting():
@@ -127,7 +125,7 @@ def test_run_job_io_count_and_latency_accounting():
     assert result.bytes_written == 90 * 4 * KiB
     assert result.throughput_gbps > 0
     assert result.iops > 0
-    assert result.latency_summary().count == 90
+    assert result.latency.summary().count == 90
 
 
 def test_run_job_runtime_stop_condition():
@@ -230,8 +228,9 @@ def test_latency_recorder_summary_and_percentiles():
     assert summary.p50_us == pytest.approx(500.5, rel=0.01)
     assert recorder.p999() == pytest.approx(999, rel=0.01)
     assert summary.min_us == 1 and summary.max_us == 1000
-    counts, _ = recorder.histogram(bins=10)
-    assert counts.sum() == 1000
+    quartet = LatencyRecorder()
+    quartet.extend([1.0, 2.0, 3.0, 4.0])
+    assert quartet.percentile(50) == pytest.approx(2.5)
     with pytest.raises(ValueError):
         recorder.record(-1.0)
 
@@ -294,7 +293,6 @@ def test_stats_helpers():
     assert throughput_gain(2.0, 1.0) == 2.0
     assert coefficient_of_variation([1.0, 1.0, 1.0]) == 0.0
     assert coefficient_of_variation([]) == 0.0
-    assert percentile([1, 2, 3, 4], 50) == pytest.approx(2.5)
     with pytest.raises(ValueError):
         latency_gap(-1, 1)
     with pytest.raises(ValueError):
