@@ -24,11 +24,12 @@ The converters are lossless: ``topology -> document -> topology`` (and the
 scenario / cell equivalents) is an identity, which is what lets a fleet
 defined only in YAML produce metrics bit-identical to its Python-built
 twin -- both sides collapse to the same canonical JSON and therefore the
-same sweep-cache key.  The document is the only serial form of a fleet and
-of a fault schedule: :meth:`FleetTopology.canonical
+same sweep-cache key.  The document is the only serial form of a fleet, of
+a fault schedule and of a sweep cell: :meth:`FleetTopology.canonical
 <repro.cluster.FleetTopology.canonical>` and
 :func:`~repro.cluster.faults.canonical_fault_spec` write the canonical JSON
-of a document, and their readers go through the validating converters here.
+of a document, a cell's cache key, cache entry and result-file entry hold
+its document, and every reader goes through the validating converters here.
 """
 
 from __future__ import annotations

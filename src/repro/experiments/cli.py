@@ -393,22 +393,24 @@ def _cmd_diff(args) -> int:
         return 2
     rows = diff_results(a, b, metric=args.metric)
     table = []
-    regressions = 0
+    changed = one_sided = 0
     for row in rows:
         change = row["relative_change"]
-        if change is not None and abs(change) > args.tolerance:
-            regressions += 1
-        labels = row["labels"] or row["cell"]
+        one_sided += row["one_sided"]
+        if row["one_sided"] or (change is not None
+                                and abs(change) > args.tolerance):
+            changed += 1
         table.append([
-            json.dumps(labels, sort_keys=True),
+            json.dumps(row["cell"].get("labels") or row["cell"], sort_keys=True),
             "-" if row[f"{args.metric}_a"] is None else f"{row[f'{args.metric}_a']:.3f}",
             "-" if row[f"{args.metric}_b"] is None else f"{row[f'{args.metric}_b']:.3f}",
             "-" if change is None else f"{change:+.1%}",
         ])
     print(format_table(["Cell", f"{args.metric} (A)", f"{args.metric} (B)",
                         "Change"], table))
-    print(f"{regressions} cells changed beyond +-{args.tolerance:.0%}")
-    return 1 if regressions and args.fail_on_change else 0
+    print(f"{changed} cells changed beyond +-{args.tolerance:.0%} "
+          f"({one_sided} with {args.metric} on one side only)")
+    return 1 if changed and args.fail_on_change else 0
 
 
 def _cmd_report(args) -> int:
@@ -479,11 +481,15 @@ def _cmd_serve(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    server = ExperimentServer(
-        socket_path=args.socket, host=args.host, port=args.port,
-        max_pending=args.max_pending, job_workers=args.job_workers,
-        cache_dir=args.cache_dir, no_cache=args.no_cache,
-        fleet_config=fleet_config)
+    try:
+        server = ExperimentServer(
+            socket_path=args.socket, host=args.host, port=args.port,
+            max_pending=args.max_pending, job_workers=args.job_workers,
+            cache_dir=args.cache_dir, no_cache=args.no_cache,
+            fleet_config=fleet_config)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         server.start()
     except OSError as error:

@@ -23,15 +23,15 @@ Grid axes whose names match :class:`CellSpec` fields (``io_size``,
 ``queue_depth``, ``write_ratio``, ...) set those fields; any other axis name
 (``theta``, ``duty_cycle``, ``hot_fraction``, ...) is forwarded to the
 pattern through ``pattern_params``.  Every expanded cell carries its grid
-point in ``labels`` so results can be looked up by parameters.
+point in ``labels``, which tables, reports and ``diff`` print.
 
 The paper's figures are registered too (``figure2`` ... ``figure5``,
 ``table1``): their modules define the cells, this registry makes them
 runnable from the CLI (``python -m repro.experiments run figure4``).
 
 Cache layout: see :mod:`repro.experiments.sweep` -- one JSON file per cell
-under ``<cache-dir>/<scenario>/<sha256(cell)>.json``, keyed by the canonical
-JSON of the cell spec and the cache version.
+under ``<cache-dir>/<scenario>/<sha256>.json``, keyed by the cell's document
+(labels left out) and a fingerprint of the ``repro`` source.
 """
 
 from __future__ import annotations

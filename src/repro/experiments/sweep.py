@@ -18,9 +18,9 @@ into measurements:
    they can run in worker processes.
 3. **Caching** -- results are cached as one JSON file per cell under
    ``<cache_dir>/<scenario>/<hash>.json``.  The hash is a SHA-256 over the
-   canonical JSON of the cell spec plus :data:`CACHE_VERSION`; bump the
-   version when the device models change materially so stale caches
-   invalidate themselves.
+   cell's document (:meth:`CellSpec.to_document`, labels left out) and
+   :func:`model_fingerprint`, a digest of every source file of the
+   ``repro`` package, so any code edit invalidates every entry.
 4. **Execution** -- :class:`SweepRunner` runs the missing cells serially or
    across worker processes (``concurrent.futures.ProcessPoolExecutor``).
    Because each cell seeds its own simulator from the spec, serial and
@@ -39,20 +39,14 @@ import itertools
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.determinism import canonical_json, derive_seed, spec_hash, write_atomic
-
-#: Manual override for cache invalidation.  Rarely needed now: cache keys
-#: also include a fingerprint of the device-model source files (see
-#: :func:`model_fingerprint`), so model changes auto-invalidate.
-#: Version 3: per-stream seeds are hash-derived (no additive collisions),
-#: which changes multi-stream cell results.
-CACHE_VERSION = 3
 
 
 def default_cache_dir() -> str:
@@ -61,32 +55,29 @@ def default_cache_dir() -> str:
     ``.sweep-cache``."""
     return os.environ.get("REPRO_SWEEP_CACHE", ".sweep-cache")
 
-#: Sub-packages of ``repro`` whose source defines simulation physics; their
-#: contents make up the cache fingerprint.  Experiment/CLI modules are
-#: deliberately excluded -- they orchestrate, they do not change results.
-_MODEL_PACKAGES = ("sim", "host", "flash", "ssd", "ebs", "devices", "workload",
-                   "metrics", "cluster")
-
 
 @lru_cache(maxsize=1)
 def model_fingerprint() -> str:
-    """Digest of every device-model source file (auto cache invalidation).
+    """Digest of everything that computes a cell's metrics: every ``*.py``
+    file of the ``repro`` package, the interpreter's bytecode tag and the
+    numpy version.
 
-    Any edit to the kernel, a device model, or the workload generators
-    yields a new fingerprint, so previously cached sweep results stop
-    matching without anyone remembering to bump :data:`CACHE_VERSION`.
+    Metrics come from the device models and also from this module, the
+    config readers and :func:`~repro.determinism.derive_seed`, so any edit
+    to any module turns every cache key over.  The interpreter and numpy
+    are part of it because they move float results (CPython 3.12 sums
+    floats with compensation).
     """
+    import numpy
+
     import repro
 
     root = Path(repro.__file__).resolve().parent
-    digest = hashlib.sha256()
-    for package in _MODEL_PACKAGES:
-        package_dir = root / package
-        if not package_dir.is_dir():
-            continue
-        for path in sorted(package_dir.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
+    digest = hashlib.sha256(
+        f"{sys.implementation.cache_tag} numpy-{numpy.__version__}".encode())
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
 
 
@@ -184,38 +175,17 @@ class CellSpec:
                              "topology: fold 'faults' into 'fleet' "
                              "(repro.config.fold_faults)")
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = asdict(self)
-        payload["pattern_params"] = list(list(pair) for pair in self.pattern_params)
-        payload["device_params"] = list(list(pair) for pair in self.device_params)
-        payload["labels"] = list(list(pair) for pair in self.labels)
-        payload["streams"] = [
-            [name, [list(pair) for pair in overrides]]
-            for name, overrides in self.streams
-        ]
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "CellSpec":
-        data = dict(payload)
-        data["pattern_params"] = tuple(tuple(pair) for pair in data.get("pattern_params", ()))
-        data["device_params"] = tuple(tuple(pair) for pair in data.get("device_params", ()))
-        data["labels"] = tuple(tuple(pair) for pair in data.get("labels", ()))
-        data["streams"] = tuple(
-            (name, tuple(tuple(pair) for pair in overrides))
-            for name, overrides in data.get("streams", ()))
-        return cls(**data)
-
     def stream_specs(self) -> list[tuple[str, dict[str, Any]]]:
         """The streams as ``(name, overrides-dict)`` pairs (run order)."""
         return [(name, dict(overrides)) for name, overrides in self.streams]
 
     def to_document(self) -> dict[str, Any]:
-        """The human-editable document form (defaults omitted, mappings
-        instead of sorted pairs); see :mod:`repro.config`."""
+        """The cell's one serial form: its document without a ``kind`` key
+        (defaults omitted, mappings instead of sorted pairs), which
+        :meth:`from_document` reads back; see :mod:`repro.config`."""
         from repro.config import cell_to_document
 
-        return cell_to_document(self)
+        return cell_to_document(self, kind=None)
 
     @classmethod
     def from_document(cls, document: Mapping[str, Any],
@@ -226,14 +196,12 @@ class CellSpec:
         return cell_from_document(document, path=path)
 
     def cache_key(self) -> str:
-        # Labels are cosmetic (display/lookup only); excluding them keeps the
+        # Labels are cosmetic (display only); leaving them out keeps the
         # cache warm across label renames and lets diff_results align cells
         # with identical physics.
-        payload = self.to_payload()
-        payload.pop("labels")
-        return spec_hash({"version": CACHE_VERSION,
-                          "models": model_fingerprint(),
-                          "cell": payload})
+        document = self.to_document()
+        document.pop("labels", None)
+        return spec_hash({"models": model_fingerprint(), "cell": document})
 
 
 #: FioJob fields a cell (and a stream override) may set.
@@ -463,23 +431,18 @@ class SweepCache:
         return self.root / scenario / f"{cell.cache_key()}.json"
 
     def load(self, scenario: str, cell: CellSpec) -> Optional[dict[str, Any]]:
-        path = self.path_for(scenario, cell)
-        if not path.exists():
-            return None
+        """The cell's cached metrics; ``None`` when there is no readable
+        entry (a missing, torn or foreign file)."""
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            return json.loads(self.path_for(scenario, cell).read_text())["metrics"]
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        if payload.get("version") != CACHE_VERSION:
-            return None
-        return payload.get("metrics")
 
     def store(self, scenario: str, cell: CellSpec, metrics: Mapping[str, Any]) -> Path:
         path = self.path_for(scenario, cell)
         payload = {
-            "version": CACHE_VERSION,
             "scenario": scenario,
-            "cell": cell.to_payload(),
+            "cell": cell.to_document(),
             "metrics": dict(metrics),
         }
         write_atomic(path, canonical_json(payload))
@@ -523,57 +486,52 @@ class SweepResult:
     def cache_hits(self) -> int:
         return sum(1 for outcome in self.outcomes if outcome.cached)
 
-    def find(self, **labels) -> CellOutcome:
-        """The unique outcome whose cell labels/fields match ``labels``."""
-        matches = []
-        for outcome in self.outcomes:
-            cell_fields = outcome.cell.to_payload()
-            cell_fields.update(outcome.params)
-            if all(cell_fields.get(key) == value for key, value in labels.items()):
-                matches.append(outcome)
-        if not matches:
-            raise KeyError(labels)
-        if len(matches) > 1:
-            raise KeyError(f"labels {labels} match {len(matches)} cells")
-        return matches[0]
-
-    def to_payload(self) -> dict[str, Any]:
+    def save(self, path: str | Path) -> Path:
+        """Write the outcomes as JSON, each cell as its document."""
         cells = []
         for outcome in self.outcomes:
-            entry = {"cell": outcome.cell.to_payload(),
+            entry = {"cell": outcome.cell.to_document(),
                      "metrics": outcome.metrics, "cached": outcome.cached}
             if outcome.runtime is not None:
                 entry["runtime"] = outcome.runtime
             cells.append(entry)
-        return {"version": CACHE_VERSION, "scenario": self.scenario,
-                "cells": cells}
-
-    def save(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_payload(), indent=2, sort_keys=True))
+        path.write_text(json.dumps({"scenario": self.scenario, "cells": cells},
+                                   indent=2, sort_keys=True))
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "SweepResult":
+        """Read a saved result back, each cell through its document reader
+        (a malformed cell raises :class:`repro.config.ConfigError`)."""
         payload = json.loads(Path(path).read_text())
-        result = cls(scenario=payload["scenario"])
-        for entry in payload["cells"]:
-            result.outcomes.append(CellOutcome(
-                cell=CellSpec.from_payload(entry["cell"]),
+        return cls(payload["scenario"], [
+            CellOutcome(
+                cell=CellSpec.from_document(entry["cell"],
+                                            path=f"cells[{index}].cell"),
                 metrics=entry["metrics"],
                 cached=entry.get("cached", False),
-                runtime=entry.get("runtime"),
-            ))
-        return result
+                runtime=entry.get("runtime"))
+            for index, entry in enumerate(payload["cells"])])
+
+
+def _comparable(value) -> bool:
+    """A measured number: present (a missing cell or metric is ``None``)
+    and not NaN (NaN != NaN would otherwise always read as a change)."""
+    return value is not None and not (isinstance(value, float)
+                                      and math.isnan(value))
 
 
 def diff_results(a: SweepResult, b: SweepResult,
                  metric: str = "throughput_gbps") -> list[dict[str, Any]]:
     """Per-cell metric comparison between two sweeps keyed by cell hash.
 
-    Returns one row per cell present in either sweep with the metric values
-    and the relative change (``None`` when a side is missing).
+    Returns one row per cell present in either sweep: its document, the
+    metric on each side, the relative change (``None`` unless both sides
+    hold a comparable number) and ``one_sided``, true when exactly one
+    side does -- a cell or metric missing (or NaN) on the other side is a
+    change too.
     """
     def index(result: SweepResult) -> dict[str, CellOutcome]:
         return {outcome.cell.cache_key(): outcome for outcome in result.outcomes}
@@ -585,14 +543,7 @@ def diff_results(a: SweepResult, b: SweepResult,
         value_a = left[key].metrics.get(metric) if key in left else None
         value_b = right[key].metrics.get(metric) if key in right else None
         change = None
-
-        def _unusable(value) -> bool:
-            # A missing side and a NaN measurement both mean "no comparable
-            # number": report the raw values, leave the change undefined
-            # (NaN != NaN would otherwise always trip --fail-on-change).
-            return value is None or (isinstance(value, float) and math.isnan(value))
-
-        if not _unusable(value_a) and not _unusable(value_b):
+        if _comparable(value_a) and _comparable(value_b):
             if value_a == 0:
                 # A zero baseline going nonzero is an infinite relative
                 # change -- it must still trip --fail-on-change.
@@ -600,11 +551,11 @@ def diff_results(a: SweepResult, b: SweepResult,
             else:
                 change = (value_b - value_a) / abs(value_a)
         rows.append({
-            "cell": outcome.cell.to_payload(),
-            "labels": dict(outcome.cell.labels),
+            "cell": outcome.cell.to_document(),
             f"{metric}_a": value_a,
             f"{metric}_b": value_b,
             "relative_change": change,
+            "one_sided": _comparable(value_a) != _comparable(value_b),
         })
     return rows
 

@@ -98,6 +98,9 @@ class ExperimentServer:
             raise ValueError("pass exactly one of socket_path / port")
         if max_pending < 0:
             raise ValueError("max_pending must be >= 0")
+        if job_workers < 1:
+            raise ValueError("job_workers must be >= 1: no thread would "
+                             "run an accepted job")
         self.socket_path = None if socket_path is None else Path(socket_path)
         self.host = host
         self.port = port

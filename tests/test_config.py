@@ -258,9 +258,9 @@ class TestScenarioDocuments:
         for spec in specs:
             rebuilt = scenario_from_document(scenario_to_document(spec))
             assert rebuilt == spec, spec.name
-            assert [canonical_json(cell.to_payload())
+            assert [canonical_json(cell.to_document())
                     for cell in rebuilt.cells()] == \
-                [canonical_json(cell.to_payload()) for cell in spec.cells()], \
+                [canonical_json(cell.to_document()) for cell in spec.cells()], \
                 spec.name
 
     def test_mixed_fleet_cells_read_back_from_their_documents(self):

@@ -463,17 +463,28 @@ def test_cached_macro_rerun_is_a_cache_hit_with_flag_intact(tmp_path):
     assert second.outcomes[0].metrics == first.outcomes[0].metrics
 
 
-def test_diff_refuses_a_fleet_cell_with_a_second_fault_home(tmp_path, capsys):
-    """A saved fleet cell that carries ``faults`` beside its topology is not
-    a cell this program writes: ``diff`` says so in one line, exit 2."""
+def test_diff_folds_a_saved_fleet_cells_faults_or_refuses_them_in_one_line(
+        tmp_path, capsys):
+    """A result file stores each cell as its document, so a saved fleet
+    cell with ``faults`` beside its topology reads as any cell document
+    does: the schedule folds into the topology, and one that does not fit
+    the fleet makes ``diff`` say so in one line, exit 2."""
     result = _macro_sweep(tmp_path, "diff-faults-under-test", macro=False)
     path = tmp_path / "sweep.json"
     result.save(path)
     document = json.loads(path.read_text())
-    document["cells"][0]["cell"]["faults"] = json.dumps({"events": []})
+    schedule = [{"kind": "fail", "group": "web", "at_us": 1.0}]
+    document["cells"][0]["cell"]["faults"] = schedule
+    path.write_text(json.dumps(document))
+    [outcome] = SweepResult.load(path).outcomes
+    assert outcome.cell.faults is None
+    assert json.loads(outcome.cell.fleet)["faults"] == schedule
+    assert cli_main(["diff", str(path), str(path), "--fail-on-change"]) == 0
+    capsys.readouterr()
+    schedule[0]["group"] = "nosuch"
     path.write_text(json.dumps(document))
     assert cli_main(["diff", str(path), str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: not a sweep-result file")
-    assert "fold 'faults' into 'fleet'" in captured.err
-    assert "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: not a sweep-result file")
+    assert "cells[0].cell.faults" in line and "unknown group 'nosuch'" in line

@@ -3,6 +3,10 @@ cache fingerprinting, and the persistent worker pool."""
 
 import ast
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,7 +77,7 @@ def test_unknown_stream_axis_raises():
 
 def test_stream_cells_roundtrip_through_json_payload():
     cell = NOISY.cells()[0]
-    clone = CellSpec.from_payload(json.loads(json.dumps(cell.to_payload())))
+    clone = CellSpec.from_document(json.loads(json.dumps(cell.to_document())))
     assert clone == cell
     assert clone.cache_key() == cell.cache_key()
 
@@ -174,11 +178,7 @@ def test_cache_key_tracks_model_fingerprint(monkeypatch):
     cell = CellSpec(device="SSD", io_count=5)
     before = cell.cache_key()
     monkeypatch.setattr(sweep_module, "model_fingerprint", lambda: "deadbeefdeadbeef")
-    after = cell.cache_key()
-    assert before != after
-    # CACHE_VERSION still works as a manual override on top.
-    monkeypatch.setattr(sweep_module, "CACHE_VERSION", -1)
-    assert cell.cache_key() not in (before, after)
+    assert cell.cache_key() != before
 
 
 def test_model_edit_invalidates_cache_entries(tmp_path, monkeypatch):
@@ -190,6 +190,57 @@ def test_model_edit_invalidates_cache_entries(tmp_path, monkeypatch):
     # A model-source change moves the key -> the old entry is unreachable.
     monkeypatch.setattr(sweep_module, "model_fingerprint", lambda: "0" * 16)
     assert cache.load("s", cell) is None
+
+
+def test_fingerprint_tracks_the_interpreter_and_numpy(monkeypatch):
+    """A cache directory is shared by every interpreter of one checkout,
+    and CPython 3.12's compensated float ``sum`` moves fleet metrics, so
+    the bytecode tag and the numpy version are part of the fingerprint."""
+    import numpy
+
+    compute = model_fingerprint.__wrapped__  # past the per-process memo
+    base = compute()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.implementation, "cache_tag", "other-interpreter")
+        other_interpreter = compute()
+    with monkeypatch.context() as patch:
+        patch.setattr(numpy, "__version__", "0.0.0")
+        other_numpy = compute()
+    assert compute() == base
+    assert len({base, other_interpreter, other_numpy}) == 3
+
+
+def test_editing_any_repro_module_turns_the_fingerprint_over(tmp_path):
+    """Metrics are computed outside the device models too: ``run_cell``
+    and ``_headline`` live in ``experiments/sweep.py`` and ``derive_seed``
+    in ``determinism.py``.  A fresh interpreter computes the fingerprint of
+    a copy of the package before and after a comment is appended to each
+    of those modules."""
+    import repro
+
+    copy = tmp_path / "repro"
+    shutil.copytree(Path(repro.__file__).resolve().parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = ("import repro\n"
+              "from repro.experiments.sweep import model_fingerprint\n"
+              "print(repro.__file__)\n"
+              "print(model_fingerprint())\n")
+
+    def fingerprint() -> str:
+        completed = subprocess.run(
+            [sys.executable, "-B", "-c", script], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True, text=True, timeout=60, check=True)
+        module, digest = completed.stdout.split()
+        assert Path(module).resolve().parent == copy.resolve()
+        return digest
+
+    fingerprints = [fingerprint()]
+    for module in ("experiments/sweep.py", "determinism.py"):
+        with open(copy / module, "a") as source:
+            source.write("# edited\n")
+        fingerprints.append(fingerprint())
+    assert len(set(fingerprints)) == 3, fingerprints
 
 
 def _imported_names(node: ast.AST, package: str) -> list[str]:
@@ -208,17 +259,24 @@ def _imported_names(node: ast.AST, package: str) -> list[str]:
     return [base] + [f"{base}.{alias.name}" for alias in node.names]
 
 
+#: The packages that model devices, workloads and fleets: the layers below
+#: the experiment and serve layers.
+MODEL_PACKAGES = ("sim", "host", "flash", "ssd", "ebs", "devices", "workload",
+                  "metrics", "cluster")
+
+
 def test_model_packages_never_import_the_orchestration_layers():
-    """The fingerprint hashes only ``_MODEL_PACKAGES``, so no result may
-    depend on code outside them: no module there imports the experiment
-    or serve layers.  ``repro.config`` stays allowed -- it only converts
-    documents."""
+    """A layering rule: each layer talks only to the ones below it, so no
+    model module imports the experiment or serve layers, which run the
+    models and would otherwise become part of every model's import graph
+    (and its import cycles).  ``repro.config`` stays allowed -- it only
+    converts documents."""
     import repro
 
     root = Path(repro.__file__).resolve().parent
     forbidden = ("repro.experiments", "repro.serve")
     offenders = []
-    for package in sweep_module._MODEL_PACKAGES:
+    for package in MODEL_PACKAGES:
         for source in sorted((root / package).rglob("*.py")):
             relative = source.relative_to(root)
             dotted = ".".join(("repro", *relative.parent.parts))

@@ -409,23 +409,59 @@ def test_concurrent_submissions_interleave(server):
     assert min(seq_a) < max(seq_b) and min(seq_b) < max(seq_a)
 
 
-def test_admission_control_rejects_beyond_max_pending(tmp_path):
-    # job_workers=0: nothing drains the queue, so pending builds up
-    # deterministically until admission control trips.
+def test_admission_control_rejects_beyond_max_pending(tmp_path, monkeypatch):
+    # The one job worker parks in its first job until the test releases
+    # it, so the queue behind it builds up deterministically until
+    # admission control trips.
+    running, release = threading.Event(), threading.Event()
+
+    def park(_server, _job):
+        running.set()
+        release.wait(timeout=60.0)
+
+    monkeypatch.setattr(ExperimentServer, "_run_job", park)
     with ExperimentServer(socket_path=tmp_path / "s.sock",
                           cache_dir=tmp_path / "cache",
-                          job_workers=0, max_pending=2) as server:
+                          job_workers=1, max_pending=2) as server:
         doc = fleet_document("shed-fleet", io_count=10)
-        with ServeClient(socket_path=server.socket_path,
-                         timeout=60.0) as client:
-            first = client.submit(document=doc, watch=False)
-            second = client.submit(document=doc, watch=False)
-            third = client.submit(document=doc, watch=False)
-    assert first["ok"] and second["ok"]
+        try:
+            with ServeClient(socket_path=server.socket_path,
+                             timeout=60.0) as client:
+                parked = client.submit(document=doc, watch=False)
+                assert running.wait(timeout=60.0)
+                first = client.submit(document=doc, watch=False)
+                second = client.submit(document=doc, watch=False)
+                third = client.submit(document=doc, watch=False)
+        finally:
+            release.set()
+    assert parked["ok"] and first["ok"] and second["ok"]
     assert not third["ok"]
     assert third["event"] == "rejected"
     assert "queue full" in third["reason"]
     assert "max-pending 2" in third["reason"]
+
+
+def test_server_refuses_fewer_than_one_job_worker(tmp_path):
+    """With no job worker, accepted jobs would wait forever."""
+    with pytest.raises(ValueError, match="job_workers must be >= 1"):
+        ExperimentServer(socket_path=tmp_path / "s.sock", job_workers=0)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-pending", "-1", "max_pending must be >= 0"),
+    ("--job-workers", "0", "job_workers must be >= 1"),
+])
+def test_serve_cli_refuses_a_bad_count_with_one_error_line(
+        tmp_path, capsys, flag, value, message):
+    from repro.experiments.cli import main
+
+    socket_path = tmp_path / "s.sock"
+    code = main(["serve", "--socket", str(socket_path), flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+    assert not socket_path.exists()
 
 
 def test_empty_submission_rejected(server):

@@ -75,7 +75,7 @@ def test_spec_hash_stable_and_sensitive():
 def test_cell_spec_payload_roundtrip():
     cell = CellSpec(device="ESSD-1", pattern="zipfrw", write_ratio=0.3,
                     pattern_params=(("theta", 1.2),), labels=(("device", "ESSD-1"),))
-    clone = CellSpec.from_payload(json.loads(json.dumps(cell.to_payload())))
+    clone = CellSpec.from_document(json.loads(json.dumps(cell.to_document())))
     assert clone == cell
     assert clone.cache_key() == cell.cache_key()
 
@@ -152,22 +152,8 @@ def test_registry_contains_paper_and_characterization_scenarios():
 
 
 # ---------------------------------------------------------------------------
-# find / diff edge cases
+# diff edge cases
 # ---------------------------------------------------------------------------
-
-def test_find_missing_and_ambiguous_labels_raise():
-    cell_a = CellSpec(device="SSD", io_size=4096, labels=(("qd", 1),))
-    cell_b = CellSpec(device="SSD", io_size=8192, labels=(("qd", 1),))
-    result = SweepResult("s", [CellOutcome(cell_a, {}), CellOutcome(cell_b, {})])
-    with pytest.raises(KeyError):
-        result.find(device="ESSD-1")  # no match
-    with pytest.raises(KeyError, match="2 cells"):
-        result.find(qd=1)  # ambiguous
-    assert result.find(io_size=8192).cell == cell_b
-    empty = SweepResult("empty")
-    with pytest.raises(KeyError):
-        empty.find(device="SSD")
-
 
 def test_diff_handles_mismatched_grids():
     cell_a = CellSpec(device="SSD", io_size=4096)
@@ -176,13 +162,15 @@ def test_diff_handles_mismatched_grids():
     b = SweepResult("s", [CellOutcome(cell_b, {"throughput_gbps": 2.0})])
     rows = diff_results(a, b)
     assert len(rows) == 2
-    # A cell missing on one side reports the present value, no change.
-    by_size = {row["cell"]["io_size"]: row for row in rows}
+    # A cell missing on one side reports the present value, no change,
+    # and counts as one-sided.
+    by_size = {CellSpec.from_document(row["cell"]).io_size: row for row in rows}
     assert by_size[4096]["throughput_gbps_a"] == 1.0
     assert by_size[4096]["throughput_gbps_b"] is None
     assert by_size[4096]["relative_change"] is None
     assert by_size[8192]["throughput_gbps_a"] is None
     assert by_size[8192]["relative_change"] is None
+    assert all(row["one_sided"] for row in rows)
 
 
 def test_diff_treats_nan_metrics_as_incomparable():
@@ -193,9 +181,13 @@ def test_diff_treats_nan_metrics_as_incomparable():
     for a, b in ((nan, ok), (ok, nan), (nan, nan)):
         rows = diff_results(a, b)
         assert rows[0]["relative_change"] is None
+        # A number on exactly one side is a change; NaN on both is not.
+        assert rows[0]["one_sided"] is (a is not b)
     # A metric key absent from the metrics dict behaves the same way.
     missing = SweepResult("s", [CellOutcome(cell, {})])
     assert diff_results(missing, ok)[0]["relative_change"] is None
+    assert diff_results(missing, ok)[0]["one_sided"]
+    assert not diff_results(missing, nan)[0]["one_sided"]
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +369,9 @@ def test_cache_ignores_corrupt_and_mismatched_entries(tmp_path):
     assert cache.load("tiny", cell) == {"throughput_gbps": 1.0}
     path.write_text("{not json")
     assert cache.load("tiny", cell) is None
-    payload = {"version": -1, "metrics": {"throughput_gbps": 2.0}}
-    path.write_text(json.dumps(payload))
-    assert cache.load("tiny", cell) is None
+    for entry in ({"scenario": "tiny"}, [1.0]):  # no metrics; no mapping
+        path.write_text(json.dumps(entry))
+        assert cache.load("tiny", cell) is None
 
 
 def test_cache_store_survives_crash_mid_write(tmp_path, monkeypatch):
@@ -480,21 +472,70 @@ def test_cache_store_survives_a_second_writer_inside_its_rename(
         == [path.name]
 
 
-def test_sweep_result_save_load_find_and_diff(tmp_path):
+def test_sweep_result_save_load_and_diff(tmp_path):
     cells = TINY_SWEEP.cells()[:3]
     result = SweepRunner().run_cells("tiny", cells)
     path = result.save(tmp_path / "sweep.json")
     loaded = SweepResult.load(path)
     assert _metrics_of(loaded) == _metrics_of(result)
-    first = cells[0]
-    found = loaded.find(device=first.device,
-                        io_size=first.io_size, queue_depth=first.queue_depth)
-    assert found.cell == first
-    with pytest.raises(KeyError):
-        loaded.find(device="nope")
+    assert [outcome.cell for outcome in loaded.outcomes] == cells
     rows = diff_results(result, loaded)
     assert len(rows) == len(cells)
     assert all(row["relative_change"] == pytest.approx(0.0) for row in rows)
+
+
+def test_result_files_round_trip_every_registered_scenarios_cells(tmp_path):
+    """A result file stores each cell as its document and reads it back
+    through the document reader: the quick cells of every registered
+    scenario, plus a faulted device cell replaying a diurnal trace, come
+    back equal and with equal cache keys."""
+    cells = [cell for spec in all_scenarios() for cell in quick_cells(spec.cells())]
+    cells.append(CellSpec.from_document({
+        "device": "SSD", "pattern": "trace-diurnal", "trace": True,
+        "faults": [{"kind": "fail", "group": "SSD", "at_us": 100.0}]}))
+    covered = {
+        "fleet faults": any(cell.fleet and '"faults"' in cell.fleet for cell in cells),
+        "device faults": any(cell.faults for cell in cells),
+        "streams": any(cell.streams for cell in cells),
+        "trace": any(cell.trace for cell in cells),
+        "trace families": {cell.pattern for cell in cells
+                           if cell.pattern.startswith("trace-")},
+        "device_params": any(cell.device_params for cell in cells),
+        "pattern_params": any(cell.pattern_params for cell in cells),
+        "series_bin_us auto": any(cell.series_bin_us == "auto" for cell in cells),
+    }
+    assert all(covered.values()), covered
+    assert len(covered["trace families"]) >= 2
+    result = SweepResult("all", [CellOutcome(cell, {"iops": float(index)})
+                                 for index, cell in enumerate(cells)])
+    loaded = SweepResult.load(result.save(tmp_path / "all.json"))
+    assert [outcome.cell for outcome in loaded.outcomes] == cells
+    assert [outcome.cell.cache_key() for outcome in loaded.outcomes] \
+        == [cell.cache_key() for cell in cells]
+    assert _metrics_of(loaded) == _metrics_of(result)
+
+
+def test_cli_diff_fails_on_a_cell_missing_on_one_side(tmp_path, capsys):
+    """``diff --fail-on-change`` counts a cell whose metric is on one side
+    only as changed; a NaN on both sides stays incomparable."""
+    cells = [CellSpec(device="SSD", io_size=size) for size in (4096, 8192)]
+    both = SweepResult("s", [CellOutcome(cell, {"throughput_gbps": 1.0})
+                             for cell in cells])
+    one = SweepResult("s", both.outcomes[:1])
+    nan = SweepResult("s", [CellOutcome(cell, {"throughput_gbps": float("nan")})
+                            for cell in cells])
+    paths = {name: str(result.save(tmp_path / f"{name}.json"))
+             for name, result in (("both", both), ("one", one), ("nan", nan))}
+    assert cli_main(["diff", paths["both"], paths["one"],
+                     "--fail-on-change"]) == 1
+    assert "1 cells changed beyond +-5% (1 with throughput_gbps on one " \
+           "side only)" in capsys.readouterr().out
+    assert cli_main(["diff", paths["both"], paths["one"]]) == 0
+    capsys.readouterr()
+    assert cli_main(["diff", paths["nan"], paths["nan"],
+                     "--fail-on-change"]) == 0
+    assert "0 cells changed beyond +-5% (0 with throughput_gbps on one " \
+           "side only)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
