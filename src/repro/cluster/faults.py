@@ -297,7 +297,7 @@ class FaultInjector:
         self.shed_ios += 1
         self.shed_bytes += request.size
         request.submit_time = self.sim.now
-        yield self.sim.timeout(self.policy.shed_penalty_us)
+        yield self.policy.shed_penalty_us
         request.complete_time = self.sim.now
         return request
 
@@ -353,10 +353,10 @@ def schedule_cell_faults(sim: "Simulator", device: Any,
 
     def flip(event: FaultEvent):
         if event.at_us > 0:
-            yield sim.timeout(event.at_us)
+            yield event.at_us
         proxy.offline = True
         if event.repair_after_us is not None:
-            yield sim.timeout(event.repair_after_us)
+            yield event.repair_after_us
             proxy.offline = False
 
     for event in events:

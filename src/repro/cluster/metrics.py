@@ -21,6 +21,7 @@ comparable).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.cluster.topology import FleetTopology
@@ -38,7 +39,7 @@ def _summary_dict(recorder: LatencyRecorder) -> dict[str, float]:
     return {
         "mean_us": summary.mean_us,
         "p50_us": summary.p50_us,
-        "p95_us": recorder.percentile(95) if len(recorder) else 0.0,
+        "p95_us": summary.p95_us,
         "p99_us": summary.p99_us,
         "p999_us": summary.p999_us,
         "max_us": summary.max_us,
@@ -133,9 +134,14 @@ class _WindowClassifier:
             else:
                 merged.append([start, end])
         self.intervals = [(start, end) for start, end in merged]
+        self._starts = [start for start, _ in merged]
+        self._ends = [end for _, end in merged]
 
     def degraded(self, time_us: float) -> bool:
-        return any(start <= time_us < end for start, end in self.intervals)
+        # The merged intervals are sorted and disjoint, so only the last
+        # one starting at or before ``time_us`` can hold it.
+        index = bisect_right(self._starts, time_us) - 1
+        return index >= 0 and time_us < self._ends[index]
 
     def degraded_us(self, start_us: float, finish_us: float) -> float:
         """Total degraded time clipped to the observation span."""
@@ -159,13 +165,16 @@ class _SplitAggregate:
         self.steady_bytes = 0
 
     def add(self, payload: Mapping[str, Any]) -> None:
+        degraded = self.classifier.degraded
         times = payload.get("completion_times", ())
+        during: list[float] = []
+        steady: list[float] = []
         for time_us, latency in zip(times, payload["latency"]):
-            recorder = self.during if self.classifier.degraded(time_us) \
-                else self.steady
-            recorder.record(latency)
+            (during if degraded(time_us) else steady).append(latency)
+        self.during.extend(during)
+        self.steady.extend(steady)
         for time_us, num_bytes in payload["timeline"]:
-            if self.classifier.degraded(time_us):
+            if degraded(time_us):
                 self.during_bytes += num_bytes
             else:
                 self.steady_bytes += num_bytes

@@ -44,7 +44,7 @@ class LoopbackDevice(BlockDevice):
         try:
             if tracer is not None:
                 tracer.enter(request, "service")
-            yield self.sim.timeout(self.service_time_us)
+            yield self.service_time_us
         finally:
             if slots is not None:
                 slots.release()

@@ -68,7 +68,7 @@ class StorageCluster:
         size = sub.size
         group = self.chunk_map.placement_group(sub.chunk_index)
         # Request message to the storage cluster carries the payload.
-        yield sim.timeout(self.network.transfer_delay(size))
+        yield self.network.transfer_delay(size)
         self.stats.replica_writes += len(group)
         # Wait until the quorum count of replicas has acknowledged; the
         # rest finish in the background.
@@ -76,16 +76,15 @@ class StorageCluster:
                         for node_id in group],
                        self.replication.acknowledgements_needed())
         # Acknowledgement back to the VM (metadata-sized).
-        yield sim.timeout(self.network.transfer_delay(256))
+        yield self.network.transfer_delay(256)
         self.stats.subrequest_writes += 1
 
     def read_subrequest(self, sub: SubRequest, sequential: bool = False):
         """Generator: read one chunk-level piece from a single replica."""
-        sim = self.sim
         network = self.network
         node_id = self.chunk_map.read_replica(sub.chunk_index, next(self._read_salt))
         # Request message (metadata-sized), response carries the payload.
-        yield sim.timeout(network.transfer_delay(256))
+        yield network.transfer_delay(256)
         yield from self.nodes[node_id].read(sub.size, sequential)
-        yield sim.timeout(network.transfer_delay(sub.size))
+        yield network.transfer_delay(sub.size)
         self.stats.subrequest_reads += 1

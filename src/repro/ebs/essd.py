@@ -77,7 +77,7 @@ class EssdDevice(BlockDevice):
         overhead = self._client_base_us
         if self._hiccup_p > 0 and self._rng.random() < self._hiccup_p:
             overhead += self._rng.expovariate(self._hiccup_lambda)
-        yield sim.timeout(overhead)
+        yield overhead
         kind = request.kind
         if kind is IOKind.FLUSH or kind is IOKind.TRIM:
             # Replicated writes are durable on completion; flush (and trim)
@@ -94,7 +94,7 @@ class EssdDevice(BlockDevice):
         subrequests = self.cluster.split(request.offset, size)
         if len(subrequests) == 1:
             # _dispatch, inlined for the hot single-chunk case.
-            yield sim.timeout(self._per_sub_us)
+            yield self._per_sub_us
             if kind is IOKind.WRITE:
                 yield from self.cluster.write_subrequest(subrequests[0])
             else:
@@ -110,7 +110,7 @@ class EssdDevice(BlockDevice):
         return request
 
     def _dispatch(self, sub, kind: IOKind, sequential: bool):
-        yield self.sim.timeout(self._per_sub_us)
+        yield self._per_sub_us
         if kind is IOKind.WRITE:
             yield from self.cluster.write_subrequest(sub)
         else:

@@ -44,8 +44,8 @@ class DatacenterNetwork:
 
     def transfer_delay(self, payload_bytes: int) -> float:
         """Sampled delay of one one-way message carrying ``payload_bytes``,
-        counted in :attr:`stats`: callers yield
-        ``sim.timeout(network.transfer_delay(n))``.
+        counted in :attr:`stats`: callers sleep for it,
+        ``yield network.transfer_delay(n)``.
         """
         delay = self._latency_us + payload_bytes / self._flow_bytes_per_us
         if self._jitter_rate is not None:

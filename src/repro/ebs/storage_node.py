@@ -68,7 +68,6 @@ class StorageNode:
         Small writes are charged at least ``min_charge_bytes`` against the
         node's bandwidth budget (append-log record granularity).
         """
-        sim = self.sim
         charge = max(num_bytes, self._min_charge)
         bandwidth = self._bandwidth
         yield self._slots.request()
@@ -78,7 +77,7 @@ class StorageNode:
                 yield bandwidth.consume(charge)
             else:
                 yield from bandwidth.consume_sliced(charge)
-            yield sim.timeout(self._write_latency_us)
+            yield self._write_latency_us
         finally:
             self._slots.release()
         stats = self.stats
@@ -91,7 +90,6 @@ class StorageNode:
         ``sequential`` selects the cheaper software path used when the node
         recognises a sequential stream (server-side readahead).
         """
-        sim = self.sim
         if sequential:
             # Server-side readahead: the data is already staged in the node's
             # memory, so only the (cheaper) sequential software path is paid.
@@ -106,7 +104,7 @@ class StorageNode:
                 yield bandwidth.consume(num_bytes)
             else:
                 yield from bandwidth.consume_sliced(num_bytes)
-            yield sim.timeout(processing + streaming)
+            yield processing + streaming
         finally:
             self._slots.release()
         stats = self.stats

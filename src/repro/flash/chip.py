@@ -64,14 +64,13 @@ class FlashArray:
         if not 0 <= die < self._num_dies:
             raise ValueError(f"die {die} out of range")
         die_res, chan_res = self._die_pairs[die]
-        sim = self.sim
         timing = self.timing
         yield die_res.request()
         try:
-            yield sim.timeout(timing.command_overhead_us + timing.read_us)
+            yield timing.command_overhead_us + timing.read_us
             yield chan_res.request()
             try:
-                yield sim.timeout(num_bytes / timing.channel_bytes_per_us)
+                yield num_bytes / timing.channel_bytes_per_us
             finally:
                 chan_res.release()
         finally:
@@ -92,17 +91,16 @@ class FlashArray:
         if not 0 <= die < self._num_dies:
             raise ValueError(f"die {die} out of range")
         die_res, chan_res = self._die_pairs[die]
-        sim = self.sim
         timing = self.timing
         yield die_res.request()
         try:
             yield chan_res.request()
             try:
-                yield sim.timeout(
+                yield (
                     timing.command_overhead_us + num_bytes / timing.channel_bytes_per_us)
             finally:
                 chan_res.release()
-            yield sim.timeout(timing.program_us)
+            yield timing.program_us
         finally:
             die_res.release()
         stats = self.stats
@@ -114,7 +112,7 @@ class FlashArray:
         die_res = self._pair(die)[0]
         yield die_res.request()
         try:
-            yield self.sim.timeout(self.timing.command_overhead_us + self.timing.erase_us)
+            yield self.timing.command_overhead_us + self.timing.erase_us
         finally:
             die_res.release()
         self.stats.erases += 1

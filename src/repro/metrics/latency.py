@@ -21,6 +21,7 @@ class LatencySummary:
     mean_us: float
     p50_us: float
     p90_us: float
+    p95_us: float
     p99_us: float
     p999_us: float
     min_us: float
@@ -29,7 +30,12 @@ class LatencySummary:
 
     @staticmethod
     def empty() -> "LatencySummary":
-        return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+#: The percentiles a summary reports, computed in one ``np.percentile``
+#: call (equal, bit for bit, to one call per percentile).
+_SUMMARY_PERCENTILES = (50, 90, 95, 99, 99.9)
 
 
 class LatencyRecorder:
@@ -49,9 +55,19 @@ class LatencyRecorder:
         self._samples.append(latency_us)
 
     def extend(self, latencies: Iterable[float]) -> None:
-        """Add many samples."""
-        for value in latencies:
-            self.record(value)
+        """Add many samples: all of them, or none when one is negative, as
+        :meth:`record` would reject it."""
+        batch = list(latencies)
+        if not batch:
+            return
+        # ``min`` skips a NaN after its first element, but a NaN first
+        # element would stay the minimum and hide a negative value.
+        lowest = min(batch)
+        if lowest < 0 or lowest != lowest:
+            for value in batch:
+                if value < 0:
+                    raise ValueError(f"negative latency: {value}")
+        self._samples.extend(batch)
 
     @property
     def samples(self) -> np.ndarray:
@@ -82,13 +98,16 @@ class LatencyRecorder:
         # range for near-constant populations; clamp to keep the invariant
         # min <= mean <= max exact.
         mean = min(max(float(arr.mean()), minimum), maximum)
+        p50, p90, p95, p99, p999 = \
+            np.percentile(arr, _SUMMARY_PERCENTILES).tolist()
         return LatencySummary(
             count=len(arr),
             mean_us=mean,
-            p50_us=float(np.percentile(arr, 50)),
-            p90_us=float(np.percentile(arr, 90)),
-            p99_us=float(np.percentile(arr, 99)),
-            p999_us=float(np.percentile(arr, 99.9)),
+            p50_us=p50,
+            p90_us=p90,
+            p95_us=p95,
+            p99_us=p99,
+            p999_us=p999,
             min_us=minimum,
             max_us=maximum,
             stddev_us=float(arr.std()),

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import errno
 import socket
+import stat
 import threading
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -36,6 +38,28 @@ __all__ = ["ExperimentServer", "ServeJob"]
 
 #: Poll interval for every stoppable wait (accept, recv, condition).
 _POLL_S = 0.2
+
+
+def _free_socket_path(path: Path) -> None:
+    """Make ``path`` free for a new server's unix socket: remove a stale
+    socket, one that no server answers on.  Raise an :class:`OSError` when
+    a server answers on it, or when it is not a socket, and leave it."""
+    try:
+        mode = path.lstat().st_mode
+    except FileNotFoundError:
+        return
+    if not stat.S_ISSOCK(mode):
+        raise FileExistsError(errno.EEXIST, "exists and is not a socket",
+                              str(path))
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        try:
+            probe.connect(str(path))
+        except (ConnectionRefusedError, FileNotFoundError):
+            with contextlib.suppress(FileNotFoundError):
+                path.unlink()
+            return
+    raise OSError(errno.EADDRINUSE, "a server is already listening on it",
+                  str(path))
 
 
 class ServeJob:
@@ -126,8 +150,7 @@ class ExperimentServer:
 
     def start(self) -> "ExperimentServer":
         if self.socket_path is not None:
-            if self.socket_path.exists():
-                self.socket_path.unlink()
+            _free_socket_path(self.socket_path)
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             listener.bind(str(self.socket_path))
         else:
@@ -161,9 +184,10 @@ class ExperimentServer:
         for thread in [*self._threads, *self._conn_threads]:
             if thread is not current:
                 thread.join(timeout=10.0)
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        if self._listener is None:
+            return  # never bound, or already stopped: the path is not ours
+        self._listener.close()
+        self._listener = None
         if self.socket_path is not None:
             with contextlib.suppress(OSError):
                 self.socket_path.unlink()

@@ -12,10 +12,11 @@ The schedule has two levels:
    already-processed events, and process bootstraps.  A positive delay
    below the clock's float resolution lands here too: it is already due;
 2. every later deadline -- a **timer wheel** with one slot per *distinct*
-   deadline.  Same-deadline events append to their slot in O(1) (device
-   fleets synchronize on shared service times and epoch grids, so slots
-   run fat); only the first event at a new deadline pays a push onto the
-   small heap of distinct slot times.
+   deadline.  A slot holds its one event itself, and a list only once a
+   second event shares its deadline; later ones append in O(1) (device
+   fleets synchronize on shared service times and epoch grids, so some
+   slots run fat).  Only the first event at a new deadline pays a push
+   onto the small heap of distinct slot times.
 
 The run loop pops from the deque while it holds anything, and otherwise
 advances the clock to the earliest slot and moves that whole slot onto the
@@ -25,20 +26,23 @@ events run in exactly the order one heap keyed ``(time, sequence)`` would
 give.
 
 Dispatching an event resumes the process parked in its waiter slot (the
-first process that yielded it while its callback list was empty), then
-runs its callback list in order.  A process that yields an event someone
-already waits on joins the list instead, so every consumer runs in the
-order it registered.
+first process that yielded it while it had no listed callback), then
+runs its callback list in order and drops the list.  A process that
+yields an event someone already waits on joins the list instead, so
+every consumer runs in the order it registered.  A process that yields a
+number of microseconds sleeps: it schedules its own wake event at that
+delay, placed as :meth:`Simulator._schedule` places any event (see
+:mod:`repro.sim.events`).
 
-The kernel pools :class:`Timeout` and kernel-created grant :class:`Event`
-objects, and :class:`Process` objects made by ``spawn_process``, recycling
-them (callback list included) once dispatched, provided they had at least
-one consumer and every one was a process resumption or a :class:`Join`
-count-down -- events nobody waited on, or that user callbacks saw, are
-never recycled (see the pooling discipline note in
-:mod:`repro.sim.events`).  The pools have no cap: an object is created
-only when its pool is empty, so a pool plus the objects in use never
-holds more than the most that were in use at once.
+The kernel pools the :class:`Event` objects it makes for itself
+(contended grants, process bootstraps, relays) and the :class:`Process`
+objects made by ``spawn_process``, recycling them once dispatched,
+provided they had at least one consumer and every one was a process
+resumption or a :class:`Join` count-down -- events nobody waited on, or
+that user callbacks saw, are never recycled (see the pooling discipline
+note in :mod:`repro.sim.events`).  The pools have no cap: an
+object is created only when its pool is empty, so a pool plus the
+objects in use never holds more than the most that were in use at once.
 :meth:`Simulator.run` is one inlined loop; it inlines the dispatch of an
 event with only a waiter and of one with a single listed callback, and
 every other dispatch goes through :meth:`Simulator._dispatch_checked`.
@@ -54,13 +58,7 @@ from collections import deque
 from types import MethodType
 from typing import Any, Deque, Generator, Iterable, Optional
 
-from repro.sim.events import (
-    Event,
-    Join,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.events import Event, Join, Process, SimulationError
 
 __all__ = ["Simulator"]
 
@@ -81,7 +79,7 @@ class Simulator:
     >>> sim = Simulator()
     >>> results = []
     >>> def producer():
-    ...     yield sim.timeout(5)
+    ...     yield 5
     ...     results.append(sim.now)
     >>> _ = sim.process(producer())
     >>> sim.run()
@@ -91,22 +89,22 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        #: Events due at the *current* time, FIFO by sequence number (stored
-        #: on the event as ``_seq`` to avoid a tuple per entry).  Invariant:
-        #: every entry is due at ``self._now`` (time never regresses and the
-        #: run loop drains this deque before advancing the clock).
+        #: Events due at the *current* time, FIFO by sequence number (the
+        #: order they were appended in).  Invariant: every entry is due at
+        #: ``self._now`` (time never regresses and the run loop drains this
+        #: deque before advancing the clock).
         self._immediate: Deque[Event] = deque()
         self._sequence = 0
-        #: Wheel slots: exact deadline -> events at that deadline, appended
-        #: in sequence order (so a slot is already internally sorted).  Every
-        #: slot time is strictly in the future: the moment the clock reaches
-        #: the minimum slot, the run loop moves the whole slot onto the
-        #: deque -- the slot *is* a batch of "events at the current time,
-        #: FIFO by sequence", so the deque invariant carries over.
-        self._wheel_buckets: dict[float, list[Event]] = {}
+        #: Wheel slots: exact deadline -> the one event at that deadline,
+        #: or a list of the events at it, appended in sequence order (so a
+        #: slot is already internally sorted).  Every slot time is strictly
+        #: in the future: the moment the clock reaches the minimum slot, the
+        #: run loop moves the whole slot onto the deque -- the slot *is* a
+        #: batch of "events at the current time, FIFO by sequence", so the
+        #: deque invariant carries over.
+        self._wheel_buckets: dict[float, Event | list[Event]] = {}
         #: Min-heap of the distinct slot times (one entry per live slot).
         self._wheel_times: list[float] = []
-        self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
         self._process_pool: list[Process] = []
 
@@ -126,33 +124,6 @@ class Simulator:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` microseconds from now."""
-        pool = self._timeout_pool
-        if pool and delay >= 0:
-            timeout = pool.pop()
-            timeout.delay = delay
-            timeout._value = value
-            timeout._processed = False
-            timeout._defused = False
-            # _triggered/_ok stay True; the callback list was cleared when
-            # the object was pooled.  The placement below is _schedule's.
-            self._sequence = seq = self._sequence + 1
-            timeout._seq = seq
-            now = self._now
-            time = now + delay
-            if time <= now:
-                self._immediate.append(timeout)
-            else:
-                bucket = self._wheel_buckets.get(time)
-                if bucket is None:
-                    self._wheel_buckets[time] = [timeout]
-                    heapq.heappush(self._wheel_times, time)
-                else:
-                    bucket.append(timeout)
-            return timeout
-        return Timeout(self, delay, value)
-
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start ``generator`` as a simulation process."""
         return Process(self, generator)
@@ -165,7 +136,8 @@ class Simulator:
         return Join(self, events, count)
 
     def _fresh_event(self) -> Event:
-        """A kernel-owned (recyclable) event for grants/bootstraps/relays."""
+        """A kernel-owned (recyclable) event for contended grants,
+        bootstraps and relays."""
         pool = self._event_pool
         if pool:
             event = pool.pop()
@@ -181,10 +153,11 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        """Schedule ``event`` ``delay`` microseconds from now.  A process's
+        sleep (``Process._resume``) inlines this placement."""
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule an event at delay={delay}")
-        self._sequence = seq = self._sequence + 1
-        event._seq = seq
+        self._sequence += 1
         now = self._now
         time = now + delay
         if time <= now:
@@ -194,12 +167,15 @@ class Simulator:
             # overtaken by later zero-delay events).
             self._immediate.append(event)
             return
-        bucket = self._wheel_buckets.get(time)
-        if bucket is None:
-            self._wheel_buckets[time] = [event]
+        buckets = self._wheel_buckets
+        slot = buckets.get(time)
+        if slot is None:
+            buckets[time] = event
             heapq.heappush(self._wheel_times, time)
+        elif slot.__class__ is list:
+            slot.append(event)
         else:
-            bucket.append(event)
+            buckets[time] = [slot, event]
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
@@ -210,34 +186,33 @@ class Simulator:
         return float("inf")
 
     def _dispatch_checked(self, event: Event) -> None:
-        """Resume ``event``'s waiter, run its callbacks, re-raise an
-        unhandled failure, and pool the event if its only consumers were
-        process resumptions or join count-downs.  An event with no
-        consumer is never pooled: nobody waited on it, so user code may
-        still hold it.  :meth:`_run_loop` inlines the waiter-only and the
-        one-callback cases of this rule."""
+        """Resume ``event``'s waiter, run its callbacks, drop its callback
+        list, re-raise an unhandled failure, and pool the event if its only
+        consumers were process resumptions or join count-downs.  An event
+        with no consumer is never pooled: nobody waited on it, so user code
+        may still hold it.  :meth:`_run_loop` inlines the waiter-only and
+        the one-callback cases of this rule."""
         event._processed = True
         waiter = event._waiter
-        callbacks = event.callbacks
+        callbacks = event._callbacks
         recyclable = waiter is not None or bool(callbacks)
         if waiter is not None:
             event._waiter = None
             waiter._resume(event)
-        for callback in callbacks:
-            if type(callback) is not MethodType or (
-                    callback.__func__ is not _PROCESS_RESUME
-                    and callback.__func__ is not _JOIN_COUNT_DOWN):
-                recyclable = False
-            callback(event)
-        callbacks.clear()
+        if callbacks is not None:
+            event._callbacks = None
+            for callback in callbacks:
+                if type(callback) is not MethodType or (
+                        callback.__func__ is not _PROCESS_RESUME
+                        and callback.__func__ is not _JOIN_COUNT_DOWN):
+                    recyclable = False
+                callback(event)
         if not event._ok and not event._defused:
             raise event._value
         if not recyclable or not event._ok:  # failed events are never pooled
             return
-        cls = event.__class__
-        if cls is Timeout:
-            self._timeout_pool.append(event)
-        elif event._pool_ok:
+        if event._pool_ok:
+            cls = event.__class__
             if cls is Event:
                 self._event_pool.append(event)
             elif cls is Process:
@@ -322,13 +297,12 @@ class Simulator:
         wheel_times = self._wheel_times
         wheel_buckets = self._wheel_buckets
         heappop = heapq.heappop
-        timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         process_pool = self._process_pool
         dispatch_checked = self._dispatch_checked
         event_cls = Event
-        timeout_cls = Timeout
         process_cls = Process
+        list_cls = list
         method_type = MethodType
         resume = _PROCESS_RESUME
         count_down = _JOIN_COUNT_DOWN
@@ -345,31 +319,25 @@ class Simulator:
                     self._now = stop_time
                     return None
                 heappop(wheel_times)
-                bucket = wheel_buckets.pop(wheel_time)
+                event = wheel_buckets.pop(wheel_time)
                 self._now = wheel_time
-                if len(bucket) == 1:
-                    event = bucket[0]
-                else:
-                    immediate.extend(bucket)
+                if event.__class__ is list_cls:
+                    immediate.extend(event)
                     event = immediate.popleft()
             else:
                 break
             waiter = event._waiter
-            callbacks = event.callbacks
-            if waiter is not None:
-                if callbacks:
-                    dispatch_checked(event)
-                else:
+            callbacks = event._callbacks
+            if callbacks is None:
+                if waiter is not None:
                     # The overwhelmingly common case: one process parked in
                     # the waiter slot.  Inline of _dispatch_checked.
                     event._processed = True
                     event._waiter = None
                     resume(waiter, event)
                     if event._ok:
-                        cls = event.__class__
-                        if cls is timeout_cls:
-                            timeout_pool.append(event)
-                        elif event._pool_ok:
+                        if event._pool_ok:
+                            cls = event.__class__
                             if cls is event_cls:
                                 event_pool.append(event)
                             elif cls is process_cls:
@@ -377,27 +345,27 @@ class Simulator:
                                 process_pool.append(event)
                     elif not event._defused:
                         raise event._value
-            elif len(callbacks) == 1:
+                else:
+                    dispatch_checked(event)
+            elif waiter is None and len(callbacks) == 1:
                 # One listed callback, mostly a join count-down.  Inline of
                 # _dispatch_checked.
                 event._processed = True
+                event._callbacks = None
                 callback = callbacks[0]
                 callback(event)
-                callbacks.clear()
                 if not event._ok and not event._defused:
                     raise event._value
-                if event._ok and type(callback) is method_type and (
-                        callback.__func__ is count_down
-                        or callback.__func__ is resume):
+                if event._ok and event._pool_ok \
+                        and type(callback) is method_type and (
+                            callback.__func__ is count_down
+                            or callback.__func__ is resume):
                     cls = event.__class__
-                    if cls is timeout_cls:
-                        timeout_pool.append(event)
-                    elif event._pool_ok:
-                        if cls is event_cls:
-                            event_pool.append(event)
-                        elif cls is process_cls:
-                            event.generator = None
-                            process_pool.append(event)
+                    if cls is event_cls:
+                        event_pool.append(event)
+                    elif cls is process_cls:
+                        event.generator = None
+                        process_pool.append(event)
             else:
                 dispatch_checked(event)
             if stop_event is not None and stop_event._processed:

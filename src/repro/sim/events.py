@@ -5,49 +5,64 @@ event starts *untriggered*; calling :meth:`Event.succeed` (or
 :meth:`Event.fail`) schedules it with the simulator (see
 :mod:`repro.sim.engine` for the two-level deque / timer-wheel schedule),
 and once the simulator pops it the event becomes *processed* and all
-registered callbacks run.  A :class:`Process` wraps a Python generator: the
-generator yields events, and the process resumes each time the yielded
-event is processed.
+registered callbacks run.  A :class:`Process` wraps a Python generator,
+and the process resumes each time what the generator yielded comes due.
+
+What a process may yield
+------------------------
+* a non-negative number of microseconds (``int`` or ``float``, not
+  ``bool``) -- a sleep.  The kernel schedules the process's own wake event
+  at once, at that delay, as it schedules any event, and resumes the
+  process with ``None``.
+  ``Resource.request()`` and ``TokenBucket.consume()`` return ``0.0``
+  when they grant at once, so a free grant is a zero sleep;
+* an :class:`Event` -- the process resumes with its value once it is
+  processed (at once, on the next turn of the current instant, if it
+  already is).
+
+Anything else -- a negative or NaN delay, a ``bool``, any other object --
+raises :class:`SimulationError` inside the process, on the next turn of
+the current instant.  A free grant takes its sequence number at the
+``yield``, not at the ``request()``: that is exact only because nothing
+is scheduled between the call and the ``yield``, so a free grant must be
+yielded inline.  A process that sleeps again while its last wake
+event is still scheduled (it was interrupted during the sleep) gets a
+fresh wake event; the old one fires later as a no-op.
 
 The waiter slot
 ---------------
 Almost every event has exactly one consumer: the process that yielded it.
-The first process to yield an event while its callback list is empty
-parks in the event's ``_waiter`` slot instead of the list, and the kernel
-resumes it before any listed callback; a process that yields an event
-someone already waits on joins the list.  Consumers therefore run in the
-order they registered, and the common dispatch touches no list.  A
-process holds no reference to itself, and a waiting process and the event
-it waits on drop their references to each other when the event is
-dispatched, so a finished process that nothing else holds is freed by
-reference counting, without the cyclic collector.
+The first process to yield an event while it has no listed callback
+parks in the event's ``_waiter`` slot instead, and the kernel resumes it
+before any listed callback; a process that yields an event someone
+already waits on joins the callback list.  Consumers therefore run in the
+order they registered.  The list is allocated on the first append and
+dropped after dispatch, so an event nobody lists a callback on never
+allocates one.  A process holds no reference to itself, and a waiting
+process and the event it waits on drop their references to each other
+when the event is dispatched, so a finished process that nothing else
+holds is freed by reference counting, without the cyclic collector.
 
 Object pooling
 --------------
-The kernel recycles kernel-created :class:`Timeout` and grant
-:class:`Event` objects whose only consumers were the processes that yielded
-them or a :class:`Join` that counted them.  The discipline this imposes on
-user code: an event obtained from ``sim.timeout(...)`` or
-``resource.request()`` must not be inspected (``.value``, ``.processed``)
-after the process that yielded it has resumed past a *different* event, or
-after the join it was given to has counted it.  Yielding inline -- by far
-the common pattern -- is always safe.  An event nobody waited on is never
-recycled, so one held without being yielded keeps its value, whether
-``run`` or ``step`` drives the simulator.  A failed event is never
-recycled.  The pools have no cap: the kernel creates an object only when
-its pool is empty, so a pool never holds more objects than were in use at
-once.
-
-:class:`Process` objects themselves are pooled too, but only the ones
-created through :func:`spawn_process` (every ``device.submit`` and every
-per-I/O fan-out child): those are marked pool-eligible at birth and
-recycled once their completion has been consumed, either by the one
-process that yielded them or by a :class:`Join`.  Processes created with
-``sim.process(...)`` are never recycled -- user code may hold them, join
-them, or interrupt them long after completion.  The same
-inspect-after-resume rule applies to submission events: read the request
-object (which the completion event returns), not the event, once the
-worker has moved on.
+The kernel recycles the events it makes for itself (the grant of a
+*contended* ``Resource.request()`` or ``TokenBucket.consume()``, process
+bootstraps, relays) and the :class:`Process` objects created through
+:func:`spawn_process` (every ``device.submit`` and every per-I/O fan-out
+child) once dispatched, provided their only consumers were the processes
+that yielded them or a :class:`Join` that counted them.  The discipline
+this imposes on user code: such an event must not be inspected (``.value``,
+``.processed``) after the process that yielded it has resumed past a
+*different* event, or after the join it was given to has counted it.
+Yielding inline -- by far the common pattern -- is always safe.  The same
+rule applies to submission events: read the request object (which the
+completion event returns), not the event, once the worker has moved on.
+An event nobody waited on is never recycled, so one held without being
+yielded keeps its value.  A failed event is never recycled.  Processes
+created with ``sim.process(...)`` are never recycled -- user code may
+hold them, join them, or interrupt them long after completion.  The
+pools have no cap: the kernel creates an object only when its pool is
+empty, so a pool never holds more objects than were in use at once.
 
 A :class:`Join` (``sim.join(events, count=None)``) is the kernel's one
 fan-in: it counts its events down without keeping a reference to any of
@@ -58,6 +73,8 @@ it from the objects the child worked on, not from the event.
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
+from numbers import Real as _REAL
 from types import GeneratorType as _GENERATOR_TYPE
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
@@ -89,14 +106,16 @@ class Event:
         The owning :class:`~repro.sim.engine.Simulator`.
     """
 
-    __slots__ = ("sim", "callbacks", "_waiter", "_value", "_ok", "_triggered",
-                 "_processed", "_defused", "_pool_ok", "_seq")
+    __slots__ = ("sim", "_callbacks", "_waiter", "_value", "_ok", "_triggered",
+                 "_processed", "_defused", "_pool_ok")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.callbacks: list[Callable[[Event], None]] = []
-        #: The process that yielded this event while its callback list was
-        #: empty; the kernel resumes it before any listed callback.
+        #: Listed callbacks; ``None`` until the first append, and again
+        #: once the event has been dispatched.
+        self._callbacks: Optional[list[Callable[[Event], None]]] = None
+        #: The process that yielded this event while it had no listed
+        #: callback; the kernel resumes it before any listed callback.
         self._waiter: Optional[Process] = None
         self._value: Any = None
         self._ok: bool = True
@@ -104,12 +123,20 @@ class Event:
         self._processed: bool = False
         self._defused: bool = False
         #: Set only by the kernel for events it created itself (bootstrap,
-        #: resource grants); such events may be recycled after processing.
+        #: contended grants); such events may be recycled after processing.
         self._pool_ok: bool = False
-        #: Scheduling sequence number (set when queued on the immediate deque).
-        self._seq: int = 0
 
     # -- state inspection -------------------------------------------------
+    @property
+    def callbacks(self) -> list[Callable[["Event"], None]]:
+        """The callbacks run, in order, after the waiter slot's process
+        when the event is dispatched.  Append to this list to subscribe;
+        reading it allocates the list if the event has none yet."""
+        callbacks = self._callbacks
+        if callbacks is None:
+            callbacks = self._callbacks = []
+        return callbacks
+
     @property
     def triggered(self) -> bool:
         """Whether the event has been scheduled (succeeded or failed)."""
@@ -135,13 +162,12 @@ class Event:
         """Trigger the event successfully with ``value`` after ``delay``."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
-        # Zero-delay success is the kernel's hottest operation (resource
+        # Zero-delay success is the kernel's hottest operation (contended
         # grants, token grants, relays); schedule it inline.  Scheduling
         # comes first so a rejected delay leaves the event untouched.
         sim = self.sim
         if delay == 0.0:
-            sim._sequence = seq = sim._sequence + 1
-            self._seq = seq
+            sim._sequence += 1
             sim._immediate.append(self)
         else:
             sim._schedule(self, delay)
@@ -171,22 +197,6 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class Timeout(Event):
-    """An event that fires automatically after a fixed delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._triggered = True
-        self._ok = True
-        self._value = value
-        sim._schedule(self, delay)
-
-
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -195,14 +205,14 @@ class Process(Event):
     exception).  Other processes can therefore ``yield`` a process to join it.
     """
 
-    __slots__ = ("generator", "_waiting_on")
+    __slots__ = ("generator", "_waiting_on", "_wake")
 
-    def __init__(self, sim: "Simulator", generator: Generator[Event, Any, Any],
+    def __init__(self, sim: "Simulator", generator: Generator[Any, Any, Any],
                  scheduled: bool = True):
         # Inline of Event.__init__ (one process is created per device
         # submission; the super() call is measurable on the hot path).
         self.sim = sim
-        self.callbacks = []
+        self._callbacks = None
         self._waiter = None
         self._value = None
         self._ok = True
@@ -210,12 +220,14 @@ class Process(Event):
         self._processed = False
         self._defused = False
         self._pool_ok = False
-        self._seq = 0
         if type(generator) is not _GENERATOR_TYPE and \
                 not hasattr(generator, "send"):
             raise TypeError(f"process() requires a generator, got {generator!r}")
         self.generator = generator
         self._waiting_on: Optional[Event] = None
+        #: The event a sleep schedules; made on the first sleep and reused
+        #: by every later one once it has been dispatched.
+        self._wake: Optional[Event] = None
         if not scheduled:
             return  # Simulator._start_now runs the first step itself
         # Kick off the process at the current simulation time.  The
@@ -236,8 +248,7 @@ class Process(Event):
             bootstrap._pool_ok = True
             bootstrap._triggered = True
         bootstrap._waiter = self
-        sim._sequence = seq = sim._sequence + 1
-        bootstrap._seq = seq
+        sim._sequence += 1
         sim._immediate.append(bootstrap)
 
     @property
@@ -249,7 +260,8 @@ class Process(Event):
         """Throw an :class:`Interrupt` into the process at the current time.
 
         Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
+        that is waiting on an event (or sleeping) detaches it from that
+        event, which still fires, as a no-op for this process.
         """
         if self._triggered:
             raise SimulationError("cannot interrupt a finished process")
@@ -259,22 +271,27 @@ class Process(Event):
                 waiting_on._waiter = None
             else:
                 # Bound methods compare equal by receiver and function.
-                waiting_on.callbacks.remove(self._resume)
+                waiting_on._callbacks.remove(self._resume)
             self._waiting_on = None
-        interrupt_event = Event(self.sim)
-        interrupt_event.callbacks.append(self._resume_with_interrupt(cause))
-        interrupt_event.succeed()
+        self._relay(False, Interrupt(cause))
 
-    def _resume_with_interrupt(self, cause: Any) -> Callable[[Event], None]:
-        def callback(_event: Event) -> None:
-            self._step(throw=Interrupt(cause))
-
-        return callback
+    def _relay(self, ok: bool, value: Any) -> None:
+        """Resume the process on the next turn of the current instant,
+        sending ``value`` into it, or throwing it when not ``ok``."""
+        relay = self.sim._fresh_event()
+        relay._waiter = self
+        if ok:
+            relay.succeed(value)
+        else:
+            relay.fail(value)
+            relay._defused = True
 
     def _resume(self, event: Event) -> None:
-        # The kernel's hottest callback: an inline of _step(send/throw) minus
-        # two frames.  Keep the inline in sync with _step, which interrupts
-        # and non-event yields still go through.
+        """The kernel's one step of a process: send ``event``'s value into
+        the generator (or throw its exception), then register what the
+        generator yields -- a sleep, an event, or an error thrown back.
+        Every resumption comes here: from an event's waiter slot or
+        callback list, a bootstrap, a relay or an interrupt."""
         self._waiting_on = None
         if self._triggered:
             return
@@ -290,72 +307,76 @@ class Process(Event):
             self._triggered = True
             self._value = stop.value
             sim = self.sim
-            sim._sequence = seq = sim._sequence + 1
-            self._seq = seq
+            sim._sequence += 1
             sim._immediate.append(self)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate through the event
             self.fail(exc)
             return
-        # Inline of _wait_on's hot branch (pending event): one frame less.
-        if isinstance(target, Event) and not target._processed:
-            self._waiting_on = target
-            if target._waiter is None and not target.callbacks:
-                target._waiter = self
-            else:
-                target.callbacks.append(self._resume)
+        cls = type(target)
+        if cls is not float and cls is not int:
+            if isinstance(target, Event):
+                if target._processed:
+                    # It already ran its callbacks: resume with its
+                    # outcome on the next turn of the current instant.
+                    if not target._ok:
+                        target._defused = True
+                    self._relay(target._ok, target._value)
+                    return
+                self._waiting_on = target
+                callbacks = target._callbacks
+                if target._waiter is None and not callbacks:
+                    target._waiter = self
+                elif callbacks is None:
+                    target._callbacks = [self._resume]
+                else:
+                    callbacks.append(self._resume)
+                return
+            if cls is bool or not isinstance(target, _REAL):
+                self._relay(False, SimulationError(
+                    f"process yielded {target!r}: expected an event or a "
+                    "delay in microseconds"))
+                return
+            target = float(target)  # a numpy scalar, say
+        if not target >= 0:  # also rejects NaN
+            self._relay(False, SimulationError(
+                f"process yielded a negative or NaN delay: {target!r}"))
             return
-        self._wait_on(target)
-
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
-        if self._triggered:
-            return
-        try:
-            if throw is not None:
-                target = self.generator.throw(throw)
-            else:
-                target = self.generator.send(send)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate through the event
-            self.fail(exc)
-            return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
-        """Register the process on the event its generator just yielded: in
-        the event's waiter slot while nothing else waits on it, else at the
-        end of its callback list, so waiters run in the order they came."""
-        if isinstance(target, Event) and not target._processed:
-            self._waiting_on = target
-            if target._waiter is None and not target.callbacks:
-                target._waiter = self
-            else:
-                target.callbacks.append(self._resume)
-            return
-        if not isinstance(target, Event):
-            self._step(throw=SimulationError(
-                f"process yielded a non-event value: {target!r}"))
-            return
-        # The event already ran its callbacks; resume immediately with
-        # its value on the next simulator step.
-        relay = self.sim._fresh_event()
-        relay._waiter = self
-        if target.ok:
-            relay.succeed(target.value)
+        # A sleep: schedule the wake event, as Simulator._schedule does.
+        sim = self.sim
+        wake = self._wake
+        if wake is None or not wake._processed:
+            # The first sleep, or the last wake is still scheduled: the
+            # process was interrupted while it slept.
+            wake = self._wake = Event(sim)
+            wake._triggered = True
         else:
-            target.defuse()
-            relay.fail(target.value)
-            relay.defuse()
+            wake._processed = False
+        wake._waiter = self
+        self._waiting_on = wake
+        sim._sequence += 1
+        now = sim._now
+        time = now + target
+        if time <= now:
+            sim._immediate.append(wake)
+            return
+        buckets = sim._wheel_buckets
+        slot = buckets.get(time)
+        if slot is None:
+            buckets[time] = wake
+            _heappush(sim._wheel_times, time)
+        elif slot.__class__ is list:
+            slot.append(wake)
+        else:
+            buckets[time] = [slot, wake]
 
 
-def spawn_process(sim: "Simulator", generator: Generator[Event, Any, Any]) -> Process:
+def spawn_process(sim: "Simulator", generator: Generator[Any, Any, Any]) -> Process:
     """Pooled :class:`Process` factory for the submission hot path.
 
     The kernel recycles completed submission processes whose only waiter
     was an inline ``yield`` or a :class:`Join` (the same discipline as
-    pooled grant/timeout events -- see the module docstring); this factory
+    contended grant events -- see the module docstring); this factory
     reuses them, skipping the per-submission object allocation.  It
     schedules the bootstrap exactly as ``Process(sim, generator)`` does.
     """
@@ -367,8 +388,9 @@ def spawn_process(sim: "Simulator", generator: Generator[Event, Any, Any]) -> Pr
         process._processed = False
         process._defused = False
         process.generator = generator
-        # _ok stays True, _waiting_on is None, _pool_ok stays True, and the
-        # waiter slot and callback list were empty when the kernel pooled it.
+        # _ok stays True, _waiting_on is None, _pool_ok stays True, the
+        # waiter slot and callback list were empty when the kernel pooled
+        # it, and its wake event stays its own.
         epool = sim._event_pool
         if epool:
             bootstrap = epool.pop()
@@ -381,8 +403,7 @@ def spawn_process(sim: "Simulator", generator: Generator[Event, Any, Any]) -> Pr
             bootstrap._pool_ok = True
             bootstrap._triggered = True
         bootstrap._waiter = process
-        sim._sequence = seq = sim._sequence + 1
-        bootstrap._seq = seq
+        sim._sequence += 1
         sim._immediate.append(bootstrap)
         return process
     process = Process(sim, generator)
@@ -425,7 +446,11 @@ class Join(Event):
         for event in events:
             if not event._processed:
                 pending += 1
-                event.callbacks.append(count_down)
+                callbacks = event._callbacks
+                if callbacks is None:
+                    event._callbacks = [count_down]
+                else:
+                    callbacks.append(count_down)
         if count is not None and count < pending:
             pending = count
         self._pending = pending

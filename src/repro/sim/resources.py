@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional, Union
 
 from repro.sim.events import Event
 
@@ -51,36 +51,21 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiters)
 
-    def request(self) -> Event:
-        """Return an event that succeeds once a slot is acquired.
+    def request(self) -> Union[float, Event]:
+        """Acquire a slot: yield the result inline; the process resumes
+        with ``None`` once it holds the slot.
 
-        The event is kernel-owned (recyclable): yield it inline and do not
-        inspect it after resuming -- see the pooling note in
-        :mod:`repro.sim.events`.
+        A free slot is granted at once, and the call returns ``0.0``: the
+        yielding process sleeps for no time (see :mod:`repro.sim.events`).
+        Otherwise it returns a kernel-owned (recyclable) event that
+        succeeds once a release hands the slot over; do not inspect it
+        after resuming -- see the pooling note in :mod:`repro.sim.events`.
         """
-        # Pooled event + inline zero-delay grant (this pair of operations
-        # dominates device hot loops).
-        sim = self.sim
-        pool = sim._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = None
-            event._triggered = False
-            event._processed = False
-            event._defused = False
-            # _ok is still True: only successful events are pooled.
-        else:
-            event = Event(sim)
-            event._pool_ok = True
         if self._users < self.capacity:
             self._users += 1
-            event._triggered = True
-            event._value = self
-            sim._sequence = seq = sim._sequence + 1
-            event._seq = seq
-            sim._immediate.append(event)
-        else:
-            self._waiters.append(event)
+            return 0.0
+        event = self.sim._fresh_event()
+        self._waiters.append(event)
         return event
 
     def release(self) -> None:
@@ -93,9 +78,7 @@ class Resource:
             waiter = self._waiters.popleft()
             sim = self.sim
             waiter._triggered = True
-            waiter._value = self
-            sim._sequence = seq = sim._sequence + 1
-            waiter._seq = seq
+            sim._sequence += 1
             sim._immediate.append(waiter)
         else:
             self._users -= 1
@@ -105,9 +88,10 @@ class TokenBucket:
     """Token-bucket rate limiter.
 
     Tokens accumulate at ``rate`` tokens per microsecond up to ``capacity``.
-    :meth:`consume` returns an event that succeeds once the requested amount
-    of tokens has been granted; grants are strictly FIFO so a large request
-    cannot be starved by a stream of small ones.
+    :meth:`consume` grants the requested amount of tokens: ``0.0`` (a zero
+    sleep, like a free ``Resource`` slot) when it can at once, else an
+    event that succeeds once they are granted.  Grants are strictly FIFO
+    so a large request cannot be starved by a stream of small ones.
 
     A ``rate`` of ``math.inf`` disables limiting entirely, which the ESSD
     model uses for the "unlimited" baseline in ablation benchmarks.
@@ -115,7 +99,7 @@ class TokenBucket:
     The **uncontended fast path** (no waiter queue, tokens available) grants
     inline with a single refill computation -- no wait-queue traffic and no
     wakeup scheduling -- and :meth:`consume_sliced` collapses a fully-covered
-    multi-slice transfer into one grant event.  Both produce the same grant
+    multi-slice transfer into one grant.  Both produce the same grant
     times as the generic path.
     """
 
@@ -168,51 +152,46 @@ class TokenBucket:
         **Batched grants**: when the bucket already holds enough tokens for
         the *whole* transfer (and nothing is queued), every slice would be
         granted at the same instant anyway -- the slices collapse into a
-        single grant event, one refill computation instead of per-slice
-        bucket arithmetic.  An unlimited bucket (``rate=inf``) likewise
-        grants in one event.  Transfers the bucket cannot cover right now
-        keep the per-slice pacing loop unchanged.
+        single free grant (one zero sleep), one refill computation instead
+        of per-slice bucket arithmetic.  An unlimited bucket (``rate=inf``)
+        likewise grants at once.  Transfers the bucket cannot cover right
+        now keep the per-slice pacing loop unchanged.
         """
         remaining = amount
         burst = self.capacity
         if remaining > burst and not self._waiters:
             if math.isinf(self.rate):
-                event = self.sim._fresh_event()
-                event.succeed(None)
-                yield event
+                yield 0.0
                 return
             self._refill()
             if self._tokens + 1e-9 * remaining + 1e-12 >= remaining:
                 self._tokens -= remaining
-                event = self.sim._fresh_event()
-                event.succeed(None)
-                yield event
+                yield 0.0
                 return
         while remaining > 0:
             take = min(remaining, burst)
             yield self.consume(take)
             remaining -= take
 
-    def consume(self, amount: float) -> Event:
-        """Return an event that succeeds once ``amount`` tokens are granted."""
+    def consume(self, amount: float) -> Union[float, Event]:
+        """Take ``amount`` tokens: yield the result inline.  Returns ``0.0``
+        when they are granted at once (see :meth:`Resource.request`), else
+        an event that succeeds once they are granted."""
         if amount < 0:
             raise ValueError(f"amount must be non-negative, got {amount}")
-        sim = self.sim
-        event = sim._fresh_event()
         if amount == 0:
-            event.succeed(None)
-            return event
+            return 0.0
         rate = self.rate
         if math.isinf(rate):
-            event.succeed(None)
-            return event
+            return 0.0
         if amount > self.capacity:
             raise ValueError(
                 f"cannot consume {amount} tokens from a bucket of capacity {self.capacity}")
+        sim = self.sim
         if not self._waiters:
             # Uncontended fast path: one inline refill + grant.  Identical
-            # arithmetic and event scheduling to the generic path below --
-            # just without the wait-queue round trip through _service().
+            # arithmetic and grant order to the generic path below -- just
+            # without the wait-queue round trip through _service().
             now = sim._now
             elapsed = now - self._last_update
             tokens = self._tokens
@@ -225,8 +204,8 @@ class TokenBucket:
                 self._last_update = now
             if tokens + 1e-9 * amount + 1e-12 >= amount:
                 self._tokens = tokens - amount
-                event.succeed(None)
-                return event
+                return 0.0
+        event = sim._fresh_event()
         self._waiters.append((amount, event))
         self._service()
         return event

@@ -114,7 +114,6 @@ class SsdDevice(BlockDevice):
         """One generator frame per request: controller context, host
         overhead (decode + DMA, jitter, hiccups), then the per-kind media
         path through the write buffer, read cache and FTL."""
-        sim = self.sim
         rng = self._rng
         tracer = self.tracer
         self._preloads = None
@@ -132,7 +131,7 @@ class SsdDevice(BlockDevice):
                 overhead += rng.expovariate(self._jitter_lambda)
             if self._hiccup_p > 0 and rng.random() < self._hiccup_p:
                 overhead += self._hiccup_us
-            yield sim.timeout(overhead)
+            yield overhead
         finally:
             self._controller.release()
         if tracer is not None:

@@ -199,7 +199,6 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
         think-time hook call for patterns that never pause."""
         pattern_next = pattern.next
         submit = device.submit
-        timeout = sim.timeout
         record_latency = result.latency.record
         record_read = result.read_latency.record
         record_write = result.write_latency.record
@@ -212,7 +211,7 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
             if pattern_thinks:
                 pause = pattern.next_think_time_us()
                 if pause > 0:
-                    yield timeout(pause)
+                    yield pause
                     if should_stop():
                         break
             state.issued += 1
@@ -234,14 +233,14 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
                     record_write(latency)
                 record_timeline(sim.now, request.size)
             if think_time > 0:
-                yield timeout(think_time)
+                yield think_time
         result.finished_us = sim.now
 
     workers = [sim.process(worker()) for _ in range(job.queue_depth)]
 
     if job.runtime_us is not None:
         def watchdog():
-            yield sim.timeout(job.runtime_us)
+            yield job.runtime_us
             state.stop = True
         sim.process(watchdog())
 

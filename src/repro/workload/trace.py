@@ -316,7 +316,7 @@ def replay_trace(sim: "Simulator", device: BlockDevice, trace: Trace,
         for event in trace.events:
             target = start + event.timestamp_us
             if target > sim.now:
-                yield sim.timeout(target - sim.now)
+                yield target - sim.now
             sim.process(issue(event))
 
     sim.process(driver())

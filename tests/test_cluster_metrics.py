@@ -9,6 +9,10 @@ bug.
 """
 
 import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import FaultPolicy, fault, fleet, group, tenant
 from repro.cluster.metrics import (
@@ -96,6 +100,26 @@ def test_classifier_without_windows_never_degrades():
     classifier = _WindowClassifier([])
     assert not classifier.degraded(0.0)
     assert classifier.degraded_us(0.0, 1000.0) == 0.0
+
+
+_TIMES = st.sampled_from([0.0, 50.0, 99.5, 100.0, 150.0, 200.0, 250.0,
+                          300.0, 1e12, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans=st.lists(st.tuples(_TIMES.filter(lambda t: t == t),
+                                st.one_of(st.none(), _TIMES)), max_size=6),
+       times=st.lists(_TIMES, max_size=12))
+def test_classifier_bisect_agrees_with_a_scan_of_every_interval(spans, times):
+    """``degraded`` bisects the merged intervals; it answers as a scan of
+    every interval would, at boundaries, in gaps, for zero-length and open
+    windows, and for NaN."""
+    classifier = _WindowClassifier(
+        [window(start, end if end is None else max(start, end))
+         for start, end in spans])
+    for time_us in times:
+        assert classifier.degraded(time_us) == any(
+            start <= time_us < end for start, end in classifier.intervals)
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def _quorum_write_us(service_us, quorum=2):
     group = cluster.chunk_map.placement_group(sub.chunk_index)
     for node_id, service in zip(group, service_us, strict=True):
         def write(num_bytes, service=service):
-            yield sim.timeout(service)
+            yield service
         cluster.nodes[node_id].write = write
     acknowledged = []
 
@@ -231,8 +231,8 @@ def test_network_latency_scales_with_payload():
     assert network.stats.mean_latency_us == pytest.approx((small + large) / 2)
 
     def request_and_response():
-        yield sim.timeout(network.transfer_delay(4 * KiB))
-        yield sim.timeout(network.transfer_delay(256))
+        yield network.transfer_delay(4 * KiB)
+        yield network.transfer_delay(256)
 
     sim.process(request_and_response())
     sim.run()

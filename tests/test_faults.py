@@ -252,9 +252,9 @@ def test_schedule_cell_faults_flips_at_exact_times():
 
     def probe():
         results.append((yield proxy.submit(IORequest(IOKind.READ, 0, 4096))))
-        yield sim.timeout(60.0 - sim.now)
+        yield 60.0 - sim.now
         results.append((yield proxy.submit(IORequest(IOKind.READ, 0, 4096))))
-        yield sim.timeout(200.0 - sim.now)
+        yield 200.0 - sim.now
         results.append((yield proxy.submit(IORequest(IOKind.READ, 0, 4096))))
 
     sim.process(probe())

@@ -464,6 +464,46 @@ def test_serve_cli_refuses_a_bad_count_with_one_error_line(
     assert not socket_path.exists()
 
 
+def test_serve_refuses_the_path_of_a_live_server(server, capsys, monkeypatch):
+    """A second ``serve`` on a live server's socket exits 2 with one error
+    line and leaves the path to the first server, which still answers."""
+    from repro.experiments.cli import main
+
+    # A second server that did bind would serve until stopped: stop it at
+    # once, so that a regression fails here instead of hanging.
+    monkeypatch.setattr(ExperimentServer, "wait", ExperimentServer.stop)
+    code = main(["serve", "--socket", str(server.socket_path)])
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert line.startswith(f"error: cannot bind {server.socket_path}: ")
+    assert "already listening" in line
+    with client_for(server) as client:
+        assert client.ping()["ok"]
+
+
+def test_serve_refuses_a_path_that_is_not_a_socket(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("keep me")
+    with pytest.raises(FileExistsError, match="not a socket"):
+        ExperimentServer(socket_path=path).start()
+    assert path.read_text() == "keep me"
+
+
+def test_serve_replaces_a_stale_socket(tmp_path):
+    """A socket file no server answers on (its server died without
+    removing it) is removed, and the new server binds the path."""
+    import socket
+
+    path = tmp_path / "s.sock"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as dead:
+        dead.bind(str(path))
+    assert path.is_socket()
+    with ExperimentServer(socket_path=path, cache_dir=tmp_path / "cache"):
+        with ServeClient(socket_path=path, timeout=60.0) as client:
+            assert client.ping()["ok"]
+    assert not path.exists()
+
+
 def test_empty_submission_rejected(server):
     with client_for(server) as client:
         response = client.request({"op": "submit"})

@@ -112,11 +112,11 @@ def test_zero_delay_events_interleave_with_heap_events_in_seq_order():
     order = []
 
     def early(label):
-        yield sim.timeout(5)
+        yield 5
         order.append(label)
 
     def trigger():
-        yield sim.timeout(5)
+        yield 5
         order.append("trigger")
         gate.succeed()
 
@@ -144,11 +144,11 @@ def test_process_resumed_by_processed_event_keeps_fifo_position():
     done.succeed("early")
 
     def sibling():
-        yield sim.timeout(0)
+        yield 0
         order.append("sibling")
 
     def late_yielder():
-        yield sim.timeout(0)
+        yield 0
         value = yield done  # already processed by now
         order.append(("late", value))
 
@@ -166,7 +166,7 @@ def test_immediate_resource_grants_preserve_fifo():
     def user(label, hold):
         yield resource.request()
         order.append(("got", label, sim.now))
-        yield sim.timeout(hold)
+        yield hold
         resource.release()
 
     for label, hold in (("a", 3), ("b", 2), ("c", 1)):
@@ -190,7 +190,7 @@ def _fold_trace(schedule_block):
     def worker(name):
         for step in range(2):
             log.append((name, step, sim.now))
-            yield sim.timeout(0 if step == 0 else 1)
+            yield 0 if step == 0 else 1
 
     sim.process(worker("before"))
     schedule_block(sim, worker)
@@ -246,7 +246,7 @@ def test_interrupt_during_resource_wait_detaches_from_grant():
 
     def holder():
         yield resource.request()
-        yield sim.timeout(50)
+        yield 50
         resource.release()
 
     def waiter():
@@ -257,11 +257,11 @@ def test_interrupt_during_resource_wait_detaches_from_grant():
             log.append(("interrupted", sim.now, interrupt.cause))
 
     def interrupter(target):
-        yield sim.timeout(10)
+        yield 10
         target.interrupt("cancelled")
 
     def third():
-        yield sim.timeout(20)
+        yield 20
         yield resource.request()
         log.append(("third", sim.now))
         resource.release()
@@ -307,6 +307,40 @@ def test_event_consumers_run_in_the_order_they_registered(before):
     assert log == (["before"] + expected if before else expected)
 
 
+def test_an_event_nobody_lists_a_callback_on_never_allocates_a_list():
+    """The callback list is made on the first append and dropped after
+    dispatch: an event a process waits on in the waiter slot, a sleep's
+    wake event, a process and a contended grant never hold a list."""
+    sim = Simulator()
+    gate = sim.event()
+    resource = Resource(sim, capacity=1)
+    seen = []
+
+    def waiter():
+        seen.append((yield gate))
+        yield 1.0
+        yield resource.request()
+        seen.append((yield resource.request()))
+
+    process = sim.process(waiter())
+    sim.run()
+    assert gate._waiter is process
+    gate.succeed("v")
+    sim.run()  # sleeps, takes the free slot and parks on the contended one
+    grant = process._waiting_on
+    assert grant._waiter is process
+    resource.release()
+    sim.run()
+    assert seen == ["v", None]
+    for event in (gate, process, process._wake, grant):
+        assert event._callbacks is None
+    listed = sim.event()
+    listed.callbacks.append(lambda _event: seen.append("listed"))
+    listed.succeed()
+    sim.run()
+    assert seen[-1] == "listed" and listed._callbacks is None
+
+
 def test_interrupt_detaches_a_process_from_the_slot_and_from_the_list():
     """Interrupting the process in the waiter slot and the one behind it in
     the callback list leaves the event with no consumer: neither resumes
@@ -344,7 +378,7 @@ def test_a_finished_process_nobody_yields_is_freed_without_the_collector():
     sim = Simulator()
 
     def worker():
-        yield sim.timeout(1)
+        yield 1
 
     generator = worker()
     alive = weakref.ref(generator)
@@ -367,8 +401,8 @@ def test_all_of_with_already_processed_children_triggers_immediately():
     """A join over children that are all processed already succeeds at
     once, whatever its count."""
     sim = Simulator()
-    first = sim.timeout(1, value="a")
-    second = sim.timeout(2, value="b")
+    first = sim.event().succeed("a", delay=1)
+    second = sim.event().succeed("b", delay=2)
     sim.run()
     assert first.processed and second.processed
 
@@ -389,7 +423,7 @@ def test_join_count_ignores_already_processed_children():
     ``join(count=1)`` over it and a pending event waits for the pending
     one."""
     sim = Simulator()
-    done = sim.timeout(1, value="ready")
+    done = sim.event().succeed("ready", delay=1)
     sim.run()
     pending = sim.event()
 
@@ -400,7 +434,7 @@ def test_join_count_ignores_already_processed_children():
         seen.append((sim.now, value))
 
     def trigger():
-        yield sim.timeout(4)
+        yield 4
         pending.succeed("late")
 
     sim.process(proc())
@@ -413,13 +447,13 @@ def test_all_of_mixed_processed_and_pending_children():
     """A join over a processed child and a pending one waits for the
     pending one only."""
     sim = Simulator()
-    done = sim.timeout(1, value="first")
+    done = sim.event().succeed("first", delay=1)
     sim.run()
 
     seen = []
 
     def proc():
-        late = sim.timeout(10, value="second")
+        late = sim.event().succeed("second", delay=10)
         value = yield sim.join([done, late])
         seen.append((sim.now, value))
 
@@ -437,7 +471,7 @@ def test_run_until_failed_event_raises_when_unhandled():
     event = sim.event()
 
     def failer():
-        yield sim.timeout(3)
+        yield 3
         event.fail(RuntimeError("exploded"))
 
     sim.process(failer())
@@ -450,7 +484,7 @@ def test_run_until_failed_event_returns_exception_when_defused():
     event = sim.event()
 
     def failer():
-        yield sim.timeout(3)
+        yield 3
         event.defuse()
         event.fail(RuntimeError("handled"))
 
@@ -493,7 +527,7 @@ def test_rejected_delay_leaves_the_event_untouched(outcome, bad_delay):
 def test_run_until_event_never_triggered_raises():
     sim = Simulator()
     event = sim.event()
-    sim.process(iter_timeout(sim, 5))
+    sim.process(sleep_for(5))
     with pytest.raises(SimulationError, match="ran out of events"):
         sim.run(until=event)
 
@@ -502,7 +536,7 @@ def test_run_until_failed_process_propagates_exception():
     sim = Simulator()
 
     def bad():
-        yield sim.timeout(1)
+        yield 1
         raise ValueError("process died")
 
     process = sim.process(bad())
@@ -510,8 +544,8 @@ def test_run_until_failed_process_propagates_exception():
         sim.run(until=process)
 
 
-def iter_timeout(sim, delay):
-    yield sim.timeout(delay)
+def sleep_for(delay):
+    yield delay
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +553,7 @@ def iter_timeout(sim, delay):
 # ---------------------------------------------------------------------------
 
 def _child(sim, delay, fail=False):
-    yield sim.timeout(delay)
+    yield delay
     if fail:
         raise ValueError("child failed")
 
@@ -563,16 +597,21 @@ def test_join_recycles_only_pooled_children_it_alone_observed(drive):
 
 @pytest.mark.parametrize("drive", sorted(_DRIVES))
 def test_unyielded_timeout_keeps_its_value_however_the_sim_is_driven(drive):
-    """A timeout nobody waited on is never pooled, so a reference held
-    without yielding it keeps its value, and the next timeout is a new
-    object, in one run and in a run stopped and resumed between wheel
-    slots."""
+    """A pool-eligible object nobody waited on is never pooled: a
+    ``spawn_process`` child held without yielding it keeps its value once
+    it finishes at t=5, and the next spawned process is a new object, in
+    one run and in a run stopped and resumed between wheel slots."""
     sim = Simulator()
-    held = sim.timeout(5, value="a")
+
+    def child():
+        yield 5
+        return "a"
+
+    held = spawn_process(sim, child())
     _DRIVES[drive](sim)
-    later = sim.timeout(1, value="b")
+    later = spawn_process(sim, child())
     assert later is not held
-    assert (held.value, held.processed) == ("a", True)
+    assert (held.value, held.processed, sim.now) == ("a", True, 5.0)
 
 
 def test_join_keeps_no_reference_to_its_events():
@@ -595,9 +634,9 @@ def test_mixed_workload_trace_matches_golden():
         for i in range(5):
             yield resource.request()
             trace.append((sim.now, label, i))
-            yield sim.timeout(delay)
+            yield delay
             resource.release()
-            yield sim.timeout(0)
+            yield 0
 
     for label, delay in (("a", 3.0), ("b", 2.0), ("c", 0.0), ("d", 1.5)):
         sim.process(worker(label, delay))
@@ -626,7 +665,7 @@ def test_horizon_and_time_tie_trace_matches_golden():
         for i in range(40):
             delay = rng.choice(
                 [0.0, 0.5, 1.0, 1.0, 7.25, 49.9, 50.0, 50.1, 200.0])
-            yield sim.timeout(delay)
+            yield delay
             out.append((sim.now, wid, i))
 
     for wid in range(16):
@@ -657,17 +696,17 @@ def test_resource_grants_trace_identically_contended_and_uncontended():
             yield resource.request()
             trace.append(("solo", sim.now, i, resource.users,
                           resource.queue_length))
-            yield sim.timeout(1.0)
+            yield 1.0
             resource.release()
-            yield sim.timeout(9.0)  # drain: next acquire is uncontended
+            yield 9.0  # drain: next acquire is uncontended
 
     def crowd(label):
-        yield sim.timeout(20.0)  # overlap the middle solo phases
+        yield 20.0  # overlap the middle solo phases
         for i in range(4):
             yield resource.request()
             trace.append((label, sim.now, i, resource.users,
                           resource.queue_length))
-            yield sim.timeout(2.5)
+            yield 2.5
             resource.release()
 
     sim.process(solo())
@@ -701,7 +740,7 @@ def test_token_bucket_batched_grants_trace_identically():
     trace = []
 
     def consumer(label, amounts, start):
-        yield sim.timeout(start)
+        yield start
         for i, amount in enumerate(amounts):
             if amount > 16.0:
                 yield from bucket.consume_sliced(amount)
@@ -732,20 +771,20 @@ def test_interrupted_resource_waiter_traces_identically():
     def holder():
         yield resource.request()
         trace.append(("holder", sim.now))
-        yield sim.timeout(30.0)
+        yield 30.0
         resource.release()
 
     def waiter(label):
         try:
             yield resource.request()
             trace.append((label, sim.now))
-            yield sim.timeout(5.0)
+            yield 5.0
             resource.release()
         except Interrupt as interrupt:
             trace.append((label, "interrupted", sim.now, interrupt.cause))
 
     def interrupter(target):
-        yield sim.timeout(10.0)
+        yield 10.0
         target.interrupt("cancelled")
 
     sim.process(holder())
@@ -770,14 +809,14 @@ def test_pooled_device_submissions_trace_identically_with_zero_delay_churn():
 
     def churn():
         for _ in range(64):
-            yield sim.timeout(0)
+            yield 0
 
     def issuer(label, offset):
         for i in range(8):
             request = yield device.read(offset + i * 4096, 4096)
             trace.append((label, sim.now, i,
                           request.complete_time - request.submit_time))
-            yield sim.timeout(0)
+            yield 0
 
     sim.process(churn())
     sim.process(issuer("x", 0))
@@ -826,18 +865,18 @@ def _fan_out_trace(fan_out, parents, slots):
     def child(tag, delay):
         yield shared.request()
         try:
-            yield sim.timeout(delay)
+            yield delay
         finally:
             shared.release()
         trace.append(("child", tag, sim.now))
         return tag
 
     def parent(index, start, delays):
-        yield sim.timeout(start)
+        yield start
         yield from fan_out(sim, [child((index, k), delay)
                                  for k, delay in enumerate(delays)])
         trace.append(("parent", index, sim.now))
-        yield sim.timeout(0)
+        yield 0
         trace.append(("after", index, sim.now))
 
     for index, (start, delays) in enumerate(parents):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator, TokenBucket
 from repro.sim.events import Interrupt, SimulationError
 
 
@@ -19,7 +19,7 @@ def test_timeout_advances_clock():
     seen = []
 
     def proc():
-        yield sim.timeout(12.5)
+        yield 12.5
         seen.append(sim.now)
 
     sim.process(proc())
@@ -28,36 +28,51 @@ def test_timeout_advances_clock():
 
 
 def test_negative_timeout_rejected():
+    """A negative sleep raises inside the process that yielded it."""
     sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.timeout(-1.0)
+
+    def proc():
+        yield -1.0
+
+    sim.process(proc())
+    with pytest.raises(SimulationError, match="negative or NaN delay"):
+        sim.run()
+    assert sim.now == 0.0
 
 
 def test_nan_delays_rejected():
     """``delay < 0`` is false for NaN, so a NaN delay needs its own check:
-    accepted, it would set the clock to NaN."""
+    accepted, it would set the clock to NaN.  The first sleep makes the
+    process's wake event and the second reuses it; both reject NaN."""
     sim = Simulator()
     nan = float("nan")
-    with pytest.raises(ValueError):
-        sim.timeout(nan)
-    sim.process(iter_timeout(sim, 1))
+    caught = []
+
+    def proc():
+        for _ in range(2):
+            try:
+                yield nan
+            except SimulationError:
+                caught.append(sim.now)
+            yield 1
+
+    sim.process(proc())
     sim.run()
-    assert sim._timeout_pool  # the next timeout would be a pooled one
-    with pytest.raises(ValueError):
-        sim.timeout(nan)
+    assert caught == [0.0, 1.0]
     with pytest.raises(SimulationError):
         sim.event().succeed(delay=nan)
     assert sim.peek() == math.inf
     sim.run()
-    assert sim.now == 1.0
+    assert sim.now == 2.0
 
 
 def test_timeout_carries_value():
+    """A delayed event carries its value to the process that yields it."""
     sim = Simulator()
     results = []
 
     def proc():
-        value = yield sim.timeout(1.0, value="payload")
+        value = yield sim.event().succeed("payload", delay=1.0)
         results.append(value)
 
     sim.process(proc())
@@ -70,7 +85,7 @@ def test_events_process_in_time_order():
     order = []
 
     def proc(delay, label):
-        yield sim.timeout(delay)
+        yield delay
         order.append(label)
 
     sim.process(proc(30, "c"))
@@ -85,7 +100,7 @@ def test_simultaneous_events_fifo_order():
     order = []
 
     def proc(label):
-        yield sim.timeout(5)
+        yield 5
         order.append(label)
 
     for label in "abcd":
@@ -98,7 +113,7 @@ def test_process_return_value_propagates():
     sim = Simulator()
 
     def child():
-        yield sim.timeout(3)
+        yield 3
         return 42
 
     def parent(results):
@@ -121,7 +136,7 @@ def test_event_succeed_delivers_value():
         results.append((sim.now, value))
 
     def trigger():
-        yield sim.timeout(7)
+        yield 7
         gate.succeed("go")
 
     sim.process(waiter())
@@ -159,7 +174,7 @@ def test_unhandled_process_exception_surfaces():
     sim = Simulator()
 
     def bad():
-        yield sim.timeout(1)
+        yield 1
         raise ValueError("broken")
 
     sim.process(bad())
@@ -171,11 +186,114 @@ def test_yielding_non_event_is_an_error():
     sim = Simulator()
 
     def bad():
-        yield 5
+        yield "5"
 
     sim.process(bad())
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="expected an event or a delay"):
         sim.run()
+
+
+def test_yielding_a_number_sleeps_that_many_microseconds():
+    sim = Simulator()
+    seen = []
+
+    def sleeper():
+        value = yield 5
+        seen.append((sim.now, value))
+
+    sim.process(sleeper())
+    sim.run()
+    assert seen == [(5.0, None)]
+
+
+@pytest.mark.parametrize("bad", [-1, -0.5, float("nan"), True, False, None,
+                                 "5", object()])
+def test_a_bad_yield_raises_inside_the_process(bad):
+    """A negative, NaN or bool delay, or anything that is neither an event
+    nor a number, raises SimulationError where the process yielded it, at
+    the current time; the process may catch it and go on."""
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield 2
+        try:
+            yield bad
+        except SimulationError as error:
+            log.append((sim.now, type(error)))
+        yield 3
+        log.append(sim.now)
+
+    sim.process(proc())
+    sim.run()
+    assert log == [(2.0, SimulationError), 5.0]
+
+
+def _yield_forms(sim):
+    """Each yield form, the time it resumes the process after (from t=10)
+    and the value it sends."""
+    resource = Resource(sim, capacity=1)
+    bucket = TokenBucket(sim, rate=1.0, capacity=4.0)
+    done = sim.event()
+    done.succeed("early")
+
+    def contended_grant():
+        assert (yield resource.request()) is None  # free: a zero sleep
+        grant = resource.request()
+        release = sim.event().succeed(delay=2)
+        release.callbacks.append(lambda _event: resource.release())
+        return grant
+
+    def contended_tokens():
+        assert (yield bucket.consume(4.0)) is None  # the bucket is full
+        return bucket.consume(4.0)  # and now empty: 4 us at 1 token/us
+
+    return {
+        "int": (lambda: 3, 13.0, None),
+        "float": (lambda: 2.5, 12.5, None),
+        "zero": (lambda: 0, 10.0, None),
+        "free-grant": (resource.request, 10.0, None),
+        "free-tokens": (lambda: bucket.consume(0), 10.0, None),
+        "contended-tokens": (contended_tokens, 14.0, None),
+        "delayed-event": (lambda: sim.event().succeed("v", delay=1), 11.0, "v"),
+        "processed-event": (lambda: done, 10.0, "early"),
+        "process": (lambda: sim.process(sleep_for(1.5)), 11.5, None),
+        "contended-grant": (contended_grant, 12.0, None),
+    }
+
+
+@pytest.mark.parametrize("path", ["waiter-slot", "callback-list"])
+@pytest.mark.parametrize("form", ["int", "float", "zero", "free-grant",
+                                  "free-tokens", "contended-tokens",
+                                  "delayed-event", "processed-event",
+                                  "process", "contended-grant"])
+def test_every_yield_form_works_after_either_resume_path(form, path):
+    """The process yields each form after a resume from the event's
+    waiter slot, and after one from its callback list (a callback was
+    listed first, so the process joined the list behind it)."""
+    sim = Simulator()
+    gate = sim.event()
+    if path == "callback-list":
+        gate.callbacks.append(lambda _event: None)
+    seen = []
+
+    def proc():
+        yield gate
+        make, _at, _value = forms[form]
+        target = make()
+        if hasattr(target, "__next__"):  # a contended form's set-up
+            target = yield from target
+        value = yield target
+        seen.append((sim.now, value))
+
+    forms = _yield_forms(sim)
+    sim.process(proc())
+    sim.run()  # the process parks on the gate
+    assert (gate._waiter is None) == (path == "callback-list")
+    gate.succeed(delay=10)
+    sim.run()
+    _make, at, value = forms[form]
+    assert seen == [(at, value)]
 
 
 def test_all_of_waits_for_every_event():
@@ -184,7 +302,8 @@ def test_all_of_waits_for_every_event():
     seen = []
 
     def proc():
-        value = yield sim.join([sim.timeout(5), sim.timeout(9)])
+        value = yield sim.join([sim.event().succeed(delay=5),
+                                sim.event().succeed(delay=9)])
         seen.append((sim.now, value))
 
     sim.process(proc())
@@ -198,7 +317,8 @@ def test_any_of_fires_on_first_event():
     times = []
 
     def proc():
-        yield sim.join([sim.timeout(5), sim.timeout(9)], count=1)
+        yield sim.join([sim.event().succeed(delay=5),
+                        sim.event().succeed(delay=9)], count=1)
         times.append(sim.now)
 
     sim.process(proc())
@@ -242,9 +362,9 @@ def test_join_counts_only_unprocessed_events():
     done = []
 
     def proc():
-        yield sim.timeout(1)
-        # ``early`` is processed by now: only the timeout is waited for.
-        value = yield sim.join([early, sim.timeout(4)])
+        yield 1
+        # ``early`` is processed by now: only the delayed event is waited for.
+        value = yield sim.join([early, sim.event().succeed(delay=4)])
         done.append((sim.now, value))
         value = yield sim.join([early])
         done.append((sim.now, value))
@@ -259,11 +379,11 @@ def test_join_fails_with_a_failing_child_and_ignores_later_ones():
     caught = []
 
     def bad():
-        yield sim.timeout(2)
+        yield 2
         raise ValueError("boom")
 
     def good():
-        yield sim.timeout(5)
+        yield 5
         return "late"
 
     def proc():
@@ -285,13 +405,13 @@ def test_join_fails_with_a_failing_child_and_ignores_later_ones():
 def test_join_rejects_non_events():
     sim = Simulator()
     with pytest.raises(TypeError):
-        sim.join([sim.timeout(1), 5])
+        sim.join([sim.event(), 5])
 
 
 def test_join_rejects_a_negative_count():
     sim = Simulator()
     with pytest.raises(ValueError):
-        sim.join([sim.timeout(1)], count=-1)
+        sim.join([sim.event()], count=-1)
 
 
 def test_run_until_time_stops_early():
@@ -300,7 +420,7 @@ def test_run_until_time_stops_early():
 
     def proc():
         for _ in range(10):
-            yield sim.timeout(10)
+            yield 10
             seen.append(sim.now)
 
     sim.process(proc())
@@ -313,7 +433,7 @@ def test_run_until_event_returns_its_value():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(4)
+        yield 4
         return "done"
 
     process = sim.process(proc())
@@ -322,14 +442,14 @@ def test_run_until_event_returns_its_value():
 
 def test_run_until_past_time_rejected():
     sim = Simulator()
-    sim.process(iter_timeout(sim, 10))
+    sim.process(sleep_for(10))
     sim.run()
     with pytest.raises(SimulationError):
         sim.run(until=5)
 
 
-def iter_timeout(sim, delay):
-    yield sim.timeout(delay)
+def sleep_for(delay):
+    yield delay
 
 
 def test_interrupt_wakes_waiting_process():
@@ -338,12 +458,12 @@ def test_interrupt_wakes_waiting_process():
 
     def sleeper():
         try:
-            yield sim.timeout(1000)
+            yield 1000
         except Interrupt as interrupt:
             log.append((sim.now, interrupt.cause))
 
     def interrupter(target):
-        yield sim.timeout(10)
+        yield 10
         target.interrupt("wake up")
 
     target = sim.process(sleeper())
@@ -354,7 +474,7 @@ def test_interrupt_wakes_waiting_process():
 
 def test_interrupting_finished_process_is_an_error():
     sim = Simulator()
-    process = sim.process(iter_timeout(sim, 1))
+    process = sim.process(sleep_for(1))
     sim.run()
     with pytest.raises(SimulationError):
         process.interrupt()
@@ -363,6 +483,6 @@ def test_interrupting_finished_process_is_an_error():
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert sim.peek() == float("inf")
-    sim.process(iter_timeout(sim, 42))
+    sim.process(sleep_for(42))
     # The process bootstrap event is at time 0.
     assert sim.peek() == 0.0

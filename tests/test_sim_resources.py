@@ -23,7 +23,7 @@ def test_resource_limits_concurrency():
         yield resource.request()
         active.append(1)
         peak.append(len(active))
-        yield sim.timeout(hold)
+        yield hold
         active.pop()
         resource.release()
 
@@ -42,7 +42,7 @@ def test_resource_fifo_ordering():
     def user(label):
         yield resource.request()
         order.append(label)
-        yield sim.timeout(1)
+        yield 1
         resource.release()
 
     for label in "abcde":
@@ -79,7 +79,7 @@ def test_resource_queue_length_tracking():
 
     def holder():
         yield resource.request()
-        yield sim.timeout(10)
+        yield 10
         lengths.append(resource.queue_length)
         resource.release()
 
@@ -237,7 +237,7 @@ def test_resource_never_exceeds_capacity(capacity, holds):
         yield resource.request()
         active["count"] += 1
         active["peak"] = max(active["peak"], active["count"])
-        yield sim.timeout(hold)
+        yield hold
         active["count"] -= 1
         resource.release()
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt, Resource, Simulator
 
 
 def run_slot_by_slot(sim):
@@ -43,17 +43,17 @@ def test_timeout_cancelled_while_on_the_wheel_fires_harmlessly():
 
         def sleeper(label):
             try:
-                yield sim.timeout(10.0)
+                yield 10.0
                 log.append((sim.now, label, "woke"))
             except Interrupt as interrupt:
                 log.append((sim.now, label, f"interrupted:{interrupt.cause}"))
-                yield sim.timeout(10.0)
+                yield 10.0
                 log.append((sim.now, label, "woke-late"))
 
         victims = [sim.process(sleeper(label)) for label in "abc"]
 
         def canceller():
-            yield sim.timeout(4.0)
+            yield 4.0
             victims[1].interrupt("cancel")
 
         sim.process(canceller())
@@ -71,7 +71,7 @@ def test_cancelled_slot_timeout_does_not_block_run_completion():
     sim = Simulator()
 
     def sleeper():
-        yield sim.timeout(5.0)
+        yield 5.0
 
     process = sim.process(sleeper())
     sim.run(until=1.0)
@@ -83,6 +83,40 @@ def test_cancelled_slot_timeout_does_not_block_run_completion():
     assert sim.peek() == 5.0
     sim.run()
     assert sim.peek() == math.inf and sim.now == 5.0
+
+
+def test_an_interrupted_sleeper_is_not_woken_by_its_old_wake():
+    """An interrupt leaves the sleep's wake event on the wheel.  A process
+    that sleeps again before that deadline gets a fresh wake event (so the
+    old one does not resume it early), and one that sleeps past it is not
+    resumed by it either."""
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        for delay in (10.0, 10.0):
+            try:
+                yield delay
+                log.append((sim.now, "woke"))
+            except Interrupt:
+                log.append((sim.now, "interrupted"))
+                yield 3.0  # before the old deadline: a fresh wake event
+                log.append((sim.now, "short"))
+                yield 20.0  # past the old deadline: the same event again
+                log.append((sim.now, "long"))
+
+    target = sim.process(sleeper())
+
+    def interrupter():
+        yield 4.0  # the first sleep was due at 10
+        target.interrupt()
+        yield 26.0  # the second sleep, from 27, was due at 37
+        target.interrupt()
+
+    sim.process(interrupter())
+    sim.run()
+    assert log == [(4.0, "interrupted"), (7.0, "short"), (27.0, "long"),
+                   (30.0, "interrupted"), (33.0, "short"), (53.0, "long")]
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +132,10 @@ def test_wheel_and_heap_entries_at_the_same_deadline_merge_by_sequence():
         log = []
 
         def waiter(label, start, delay):
-            yield sim.timeout(start)
-            yield sim.timeout(delay)
+            yield start
+            yield delay
             log.append((sim.now, label))
-            yield sim.timeout(0)
+            yield 0
             log.append((sim.now, label + "-relay"))
 
         # Both reach t=200: "far" schedules 200 out at t=0, "near"
@@ -122,8 +156,8 @@ def test_far_delay_rounded_onto_an_earlier_slot_deadline_runs_after_it():
     sequence number, so it runs first."""
     sim = Simulator(start_time=float(2 ** 40))
     log = []
-    near = sim.timeout(65536.0, value="near")
-    far = sim.timeout(65536.0 + 1e-4, value="far")
+    near = sim.event().succeed("near", delay=65536.0)
+    far = sim.event().succeed("far", delay=65536.0 + 1e-4)
     assert sim._wheel_times == [2 ** 40 + 65536.0]  # one shared deadline
     for event in (near, far):
         event.callbacks.append(lambda ev: log.append(ev.value))
@@ -143,9 +177,9 @@ def test_slot_batch_preserves_fifo_against_zero_delay_events():
         log = []
 
         def ticker(label, delay):
-            yield sim.timeout(delay)
+            yield delay
             log.append((sim.now, label))
-            yield sim.timeout(0)
+            yield 0
             log.append((sim.now, label + "-echo"))
 
         for index in range(4):
@@ -170,12 +204,12 @@ def test_sub_resolution_delay_at_large_clock_keeps_sequence_order():
         order = []
 
         def proc():
-            tiny = sim.timeout(1e-9, value="tiny")   # 2**40 + 1e-9 == 2**40
-            zero = sim.timeout(0.0, value="zero")
+            tiny = sim.event().succeed("tiny", delay=1e-9)  # 2**40 + 1e-9 == 2**40
+            zero = sim.event().succeed("zero", delay=0.0)
             for event in (tiny, zero):
                 event.callbacks.append(
                     lambda ev: order.append(ev.value))
-            yield sim.timeout(1.0)
+            yield 1.0
 
         sim.process(proc())
         sim.run()
@@ -190,7 +224,7 @@ def test_run_until_time_stops_between_wheel_slots():
 
     def ticker():
         for _ in range(5):
-            yield sim.timeout(3.0)
+            yield 3.0
             hits.append(sim.now)
 
     sim.process(ticker())
@@ -204,9 +238,9 @@ def test_run_until_time_stops_between_wheel_slots():
 
 def test_run_until_event_sitting_on_the_wheel():
     sim = Simulator()
-    marker = sim.timeout(5.0, value="ding")
-    sim.timeout(5.0)
-    sim.timeout(9.0)
+    marker = sim.event().succeed("ding", delay=5.0)
+    sim.event().succeed(delay=5.0)
+    sim.event().succeed(delay=9.0)
     assert sim.run(until=marker) == "ding"
     assert sim.now == 5.0
 
@@ -217,7 +251,7 @@ def test_step_through_wheel_slots_matches_run():
 
         def ticker(label, delay):
             for i in range(3):
-                yield sim.timeout(delay)
+                yield delay
                 log.append((sim.now, label, i))
 
         for label, delay in (("a", 2.0), ("b", 2.0), ("c", 3.0)):
@@ -239,9 +273,9 @@ def test_step_through_wheel_slots_matches_run():
 def _heap_reference(start_time, plans):
     """Resumption log of ``plans`` (one list of delays per process) under
     one heap keyed ``(now + delay, sequence)``, taking sequence numbers
-    where the kernel does: one per process bootstrap, one per yielded
-    timeout, one per process completion.  Returns the log and the count of
-    sequence numbers taken."""
+    where the kernel does: one per process bootstrap, one per step that
+    waits ``delay``, one per process completion.  Returns the log and the
+    count of sequence numbers taken."""
     heap = []
     sequence = 0
 
@@ -268,33 +302,61 @@ def _heap_reference(start_time, plans):
 
 
 def _kernel_log(start_time, plans, drive):
+    """Run ``plans`` -- one list of ``(form, delay)`` steps per process --
+    on the kernel.  A step sleeps (``int`` or ``float``), takes a free or a
+    contended grant of the process's own one-slot resource (delay 0), or
+    waits on a delayed event; the step's resume value is checked too."""
     sim = Simulator(start_time=start_time)
     log = []
 
-    def proc(pid, delays):
-        for index, delay in enumerate(delays):
-            yield sim.timeout(delay)
+    def proc(pid, steps):
+        resource = Resource(sim, capacity=1)
+        for index, (form, delay) in enumerate(steps):
+            if form == "int":
+                value, expected = (yield int(delay)), None
+            elif form == "float":
+                value, expected = (yield float(delay)), None
+            elif form == "delayed":
+                value = yield sim.event().succeed(index, delay=delay)
+                expected = index
+            elif form == "free" or not resource.users:
+                if resource.users:
+                    resource.release()
+                value, expected = (yield resource.request()), None
+            else:  # contended: the process holds the slot and hands it on
+                grant = resource.request()
+                resource.release()
+                value, expected = (yield grant), None
+            assert value is expected
             log.append((sim.now, pid, index))
 
-    for pid, delays in enumerate(plans):
-        sim.process(proc(pid, delays))
+    for pid, steps in enumerate(plans):
+        sim.process(proc(pid, steps))
     drive(sim)
     return log, sim.scheduled_events
 
 
-_PROPERTY_DELAYS = st.sampled_from(
-    [0.0, 1e-9, 0.5, 1.0, 7.25, 49.9, 50.0, 65536.0, 65536.0001, 1e5, 1e6])
+_PROPERTY_DELAYS = [0.0, 1e-9, 0.5, 1.0, 7.25, 49.9, 50.0, 65536.0,
+                    65536.0001, 1e5, 1e6]
+_PROPERTY_STEPS = st.one_of(
+    st.tuples(st.just("int"), st.sampled_from([0, 1, 50, 65536, 100000])),
+    st.tuples(st.sampled_from(["float", "delayed"]),
+              st.sampled_from(_PROPERTY_DELAYS)),
+    st.tuples(st.sampled_from(["free", "contended"]), st.just(0.0)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(plans=st.lists(st.lists(_PROPERTY_DELAYS, max_size=12),
+@given(plans=st.lists(st.lists(_PROPERTY_STEPS, max_size=12),
                       min_size=1, max_size=8),
        start_time=st.sampled_from([0.0, float(2 ** 40)]))
 def test_schedule_order_matches_a_single_heap(plans, start_time):
     """Zero, sub-resolution, near, far and colliding deadlines, at a small
-    and a large clock: the kernel resumes every process at the same time
-    and in the same order as one heap holding every event, whether one
-    ``run`` call or ``run(until=sim.peek())`` slot by slot drives it."""
-    expected = _heap_reference(start_time, plans)
+    and a large clock, reached by every yield form (int and float sleeps,
+    free and contended grants, delayed events): the kernel resumes every
+    process at the same time and in the same order as one heap holding
+    every event, whether one ``run`` call or ``run(until=sim.peek())``
+    slot by slot drives it."""
+    expected = _heap_reference(
+        start_time, [[delay for _form, delay in steps] for steps in plans])
     assert _kernel_log(start_time, plans, Simulator.run) == expected
     assert _kernel_log(start_time, plans, run_slot_by_slot) == expected

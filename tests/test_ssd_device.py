@@ -180,7 +180,7 @@ def test_gc_due_at_boot_runs_at_the_first_dispatch():
 
     def observer():
         seen.append(device.ftl.gc.stats.invocations)
-        yield sim.timeout(0)
+        yield 0
 
     sim.process(observer())
     sim.run(until=0.0)

@@ -800,7 +800,7 @@ def drive_write_buffer(buffer_cls, capacity, writers, flushers, cut_us) -> Buffe
     def writer(index, requests):
         nonlocal reparks
         for delay, lbns in requests:
-            yield sim.timeout(delay)
+            yield delay
             if lbns is None:
                 while not buffer.is_empty():
                     yield park(index, None)
@@ -836,7 +836,7 @@ def drive_write_buffer(buffer_cls, capacity, writers, flushers, cut_us) -> Buffe
                 continue
             log.append(("batch", index, batch, sim.now))
             try:
-                yield sim.timeout(delays[programs % len(delays)])
+                yield delays[programs % len(delays)]
                 programs += 1
             finally:
                 log.append(("complete", index, len(buffer._space_waiters)))

@@ -235,6 +235,37 @@ def test_latency_recorder_summary_and_percentiles():
         recorder.record(-1.0)
 
 
+def test_latency_extend_rejects_what_record_rejects_in_one_batch():
+    """A batch with a negative value is rejected whole, even behind a NaN
+    in first place (which would stay ``min``'s answer); a NaN alone is
+    accepted, as ``record`` accepts it."""
+    recorder = LatencyRecorder()
+    for batch in ([math.nan, -1.0, 5.0], [5.0, math.nan, -2.0], [-0.5]):
+        with pytest.raises(ValueError, match="negative latency"):
+            recorder.extend(batch)
+        assert len(recorder) == 0
+    recorder.extend([math.nan, 3.0])
+    recorder.record(math.nan)
+    recorder.extend(iter([1.0, 2.0]))
+    samples = recorder.samples.tolist()
+    assert len(samples) == 5
+    assert [value for value in samples if value == value] == [3.0, 1.0, 2.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+                min_size=1, max_size=400))
+def test_latency_summary_percentiles_equal_one_call_per_percentile(samples):
+    """The summary takes its percentiles from one ``np.percentile`` call;
+    each equals, bit for bit, a call for that percentile alone."""
+    recorder = LatencyRecorder()
+    recorder.extend(samples)
+    summary = recorder.summary()
+    assert (summary.p50_us, summary.p90_us, summary.p95_us, summary.p99_us,
+            summary.p999_us) == tuple(
+        recorder.percentile(q) for q in (50, 90, 95, 99, 99.9))
+
+
 def test_latency_recorder_empty_and_merge():
     empty = LatencyRecorder("a")
     assert empty.summary().count == 0
