@@ -924,8 +924,9 @@ def scenario_for_document(document: Any, *, path: str = "document"):
     topology = topology_from_document(document, path=path)
     tags = list(wrapper.get("tags", ()))
     tags += [tag for tag in ("fleet", "config") if tag not in tags]
-    return scenario(name=topology.name,
-                    description=wrapper.get("description")
-                    or f"user fleet {topology.name!r} (config document)",
-                    devices=("fleet",), fleet=topology,
-                    run=wrapper.get("run"), tags=tags)
+    return _construct(scenario, {
+        "name": topology.name,
+        "description": wrapper.get("description")
+        or f"user fleet {topology.name!r} (config document)",
+        "devices": ("fleet",), "fleet": topology,
+        "run": wrapper.get("run"), "tags": tags}, path)

@@ -10,6 +10,7 @@ harness in :mod:`repro.experiments` reuses the same machinery at paper scale.
 from __future__ import annotations
 
 import gc
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -100,15 +101,21 @@ class ContractChecker:
         workers stay parked on events the device holds), so only the cyclic
         collector frees it.  Collecting here keeps one device alive per
         checker at a time instead of however many the collector lets pile
-        up.
+        up.  The job's sim, device and parked workers are still in the
+        young generations, so a young collection frees them; a full one,
+        which walks everything the process holds, runs only if the device
+        survived.
         """
         sim = Simulator()
         device = device_factory(sim)
         if preload:
             device.preload()
         result = run_job(sim, device, job)
+        survivor = weakref.ref(device)
         del sim, device
-        gc.collect()
+        gc.collect(1)
+        if survivor() is not None:
+            gc.collect()
         return result
 
     def _measure_latency(self, device_factory: Callable[[Simulator], object],

@@ -15,6 +15,8 @@ from typing import NamedTuple, Optional
 #: Knuth's multiplicative hash constant, used for deterministic placement.
 _HASH_MULTIPLIER = 2654435761
 
+_tuple_new = tuple.__new__
+
 
 class SubRequest(NamedTuple):
     """A chunk-aligned piece of a host request."""
@@ -97,14 +99,16 @@ class ChunkMap:
             raise ValueError("size must be positive")
         if offset < 0 or offset + size > self.capacity_bytes:
             raise ValueError("request outside the volume")
+        chunk_size = self.chunk_size
         subrequests = []
         position = offset
         remaining = size
         while remaining > 0:
-            chunk_index = position // self.chunk_size
-            offset_in_chunk = position - chunk_index * self.chunk_size
-            take = min(remaining, self.chunk_size - offset_in_chunk)
-            subrequests.append(SubRequest(chunk_index, offset_in_chunk, take))
+            chunk_index = position // chunk_size
+            offset_in_chunk = position - chunk_index * chunk_size
+            take = min(remaining, chunk_size - offset_in_chunk)
+            # ``SubRequest(...)`` without its Python-level ``__new__``.
+            subrequests.append(_tuple_new(SubRequest, (chunk_index, offset_in_chunk, take)))
             position += take
             remaining -= take
         return subrequests

@@ -54,11 +54,7 @@ class StorageCluster:
         )
         self.stats = ClusterStats()
         self._read_salt = itertools.count()
-
-    # -- helpers -----------------------------------------------------------------
-    def split(self, offset: int, size: int) -> list[SubRequest]:
-        """Chunk-align a host request."""
-        return self.chunk_map.split(offset, size)
+        self._write_quorum = self.replication.acknowledgements_needed()
 
     # -- chunk-level service -------------------------------------------------------
     def write_subrequest(self, sub: SubRequest):
@@ -74,7 +70,7 @@ class StorageCluster:
         # rest finish in the background.
         yield sim.join([spawn_process(sim, nodes[node_id].write(size))
                         for node_id in group],
-                       self.replication.acknowledgements_needed())
+                       self._write_quorum)
         # Acknowledgement back to the VM (metadata-sized).
         yield self.network.transfer_delay(256)
         self.stats.subrequest_writes += 1

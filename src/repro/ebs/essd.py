@@ -15,6 +15,7 @@ limiting (Observation 2).
 from __future__ import annotations
 
 import random
+from math import log
 from typing import TYPE_CHECKING, Optional
 
 from repro.ebs.backend import ElasticBackend
@@ -75,8 +76,10 @@ class EssdDevice(BlockDevice):
         if tracer is not None:
             tracer.enter(request, "service")  # virtual-block-service overhead
         overhead = self._client_base_us
-        if self._hiccup_p > 0 and self._rng.random() < self._hiccup_p:
-            overhead += self._rng.expovariate(self._hiccup_lambda)
+        rng = self._rng
+        if self._hiccup_p > 0 and rng.random() < self._hiccup_p:
+            # ``expovariate(lambda)``, inlined: the same expression.
+            overhead += -log(1.0 - rng.random()) / self._hiccup_lambda
         yield overhead
         kind = request.kind
         if kind is IOKind.FLUSH or kind is IOKind.TRIM:
@@ -91,7 +94,7 @@ class EssdDevice(BlockDevice):
         if tracer is not None:
             tracer.enter(request, "network")  # cluster fan-out + media
         sequential = self._note_access(request)
-        subrequests = self.cluster.split(request.offset, size)
+        subrequests = self.cluster.chunk_map.split(request.offset, size)
         if len(subrequests) == 1:
             # _dispatch, inlined for the hot single-chunk case.
             yield self._per_sub_us

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.cluster.transport import FleetRunConfig
 from repro.determinism import derive_seed
-from repro.experiments.sweep import CellSpec, expand_grid
+from repro.experiments.sweep import CellSpec, check_scenario_name, expand_grid
 from repro.host.io import KiB, MiB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -246,8 +246,10 @@ def scenario(name: str, description: str, devices: Sequence[str],
     """Build a :class:`ScenarioSpec` from plain dicts (normalised to tuples).
 
     ``run`` is the fields of a ``run:`` block (checked as one
-    :class:`~repro.cluster.FleetRunConfig`).
+    :class:`~repro.cluster.FleetRunConfig`).  ``name`` must be one path
+    component (:func:`~repro.experiments.sweep.check_scenario_name`).
     """
+    check_scenario_name(name)
     if seed_mode not in ("fixed", "derived"):
         raise ValueError(f"unknown seed_mode {seed_mode!r}")
     FleetRunConfig(**(run or {}))

@@ -17,10 +17,12 @@ into measurements:
    stays out of the metrics and the cache.  Cells are fully independent, so
    they can run in worker processes.
 3. **Caching** -- results are cached as one JSON file per cell under
-   ``<cache_dir>/<scenario>/<hash>.json``.  The hash is a SHA-256 over the
-   cell's document (:meth:`CellSpec.to_document`, labels left out) and
-   :func:`model_fingerprint`, a digest of every source file of the
-   ``repro`` package, so any code edit invalidates every entry.
+   ``<cache_dir>/<scenario>/<fingerprint>/<hash>.json``.  The fingerprint
+   is :func:`model_fingerprint`, a digest of every source file of the
+   ``repro`` package, so any code edit invalidates every entry; the hash
+   is a SHA-256 over the cell's document (:meth:`CellSpec.to_document`,
+   labels left out) and the fingerprint.  The first store into a
+   scenario removes its entries of every other fingerprint.
 4. **Execution** -- :class:`SweepRunner` runs the missing cells serially or
    across worker processes (``concurrent.futures.ProcessPoolExecutor``).
    Because each cell seeds its own simulator from the spec, serial and
@@ -39,6 +41,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -79,6 +82,17 @@ def model_fingerprint() -> str:
         digest.update(str(path.relative_to(root)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
+
+
+def check_scenario_name(name: str) -> str:
+    """``name``, if it can name a scenario: one path component, since the
+    sweep cache keeps a scenario's entries in the directory of that name.
+    Raises ``ValueError`` for an empty name, ``.``, ``..`` or a name with
+    a path separator (an absolute path has one)."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"scenario name {name!r} is not one path component "
+                         f"(non-empty, no '/' or '\\', not '.' or '..')")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -422,23 +436,40 @@ def run_cell(cell: CellSpec, fleet_config=None
 # ---------------------------------------------------------------------------
 
 class SweepCache:
-    """One JSON file per cell under ``<root>/<scenario>/<cell-hash>.json``."""
+    """One JSON file per cell under
+    ``<root>/<scenario>/<fingerprint>/<cell-hash>.json``, where
+    ``<fingerprint>`` is :func:`model_fingerprint`.
+
+    The first :meth:`store` into a scenario removes the scenario's entries
+    of every other fingerprint (:meth:`prune`): no key this code computes
+    can reach them again.  Two checkouts of different code that share a
+    cache directory therefore remove each other's entries.  A scenario
+    name that is not one path component (:func:`check_scenario_name`)
+    raises ``ValueError``, so no entry lies outside ``<root>``.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        #: Scenarios this cache has pruned.
+        self._pruned: set[str] = set()
 
     def path_for(self, scenario: str, cell: CellSpec) -> Path:
-        return self.root / scenario / f"{cell.cache_key()}.json"
+        return (self.root / check_scenario_name(scenario) / model_fingerprint()
+                / f"{cell.cache_key()}.json")
 
     def load(self, scenario: str, cell: CellSpec) -> Optional[dict[str, Any]]:
         """The cell's cached metrics; ``None`` when there is no readable
         entry (a missing, torn or foreign file)."""
+        path = self.path_for(scenario, cell)
         try:
-            return json.loads(self.path_for(scenario, cell).read_text())["metrics"]
+            return json.loads(path.read_text())["metrics"]
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
     def store(self, scenario: str, cell: CellSpec, metrics: Mapping[str, Any]) -> Path:
+        if scenario not in self._pruned:
+            self._pruned.add(scenario)
+            self.prune(scenario)
         path = self.path_for(scenario, cell)
         payload = {
             "scenario": scenario,
@@ -447,6 +478,27 @@ class SweepCache:
         }
         write_atomic(path, canonical_json(payload))
         return path
+
+    def prune(self, scenario: str) -> None:
+        """Remove ``scenario``'s entries of other fingerprints: their
+        directories, and the ``<cell-hash>.json`` files an unversioned
+        layout kept directly under the scenario.  A scenario directory
+        that resolves outside the root (a symbolic link) is left alone."""
+        current = model_fingerprint()
+        directory = self.root / check_scenario_name(scenario)
+        try:
+            if directory.resolve().parent != self.root.resolve():
+                return
+            entries = list(directory.iterdir())
+        except OSError:
+            return
+        for entry in entries:
+            if entry.name == current or entry.is_symlink():
+                continue
+            if entry.is_dir():
+                shutil.rmtree(entry, ignore_errors=True)
+            elif entry.suffix == ".json":
+                entry.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

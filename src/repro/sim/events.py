@@ -261,10 +261,23 @@ class Process(Event):
 
         Interrupting a finished process is an error; interrupting a process
         that is waiting on an event (or sleeping) detaches it from that
-        event, which still fires, as a no-op for this process.
+        event, which still fires, as a no-op for this process.  The
+        interrupt is delivered on the next turn of the current instant, and
+        delivery detaches the process again: a second interrupt sent before
+        the first was delivered finds it waiting on what it yielded after
+        the first one.
         """
         if self._triggered:
             raise SimulationError("cannot interrupt a finished process")
+        self._detach()
+        relay = Event(self.sim)
+        relay._callbacks = [self._deliver_interrupt]
+        relay.fail(Interrupt(cause))
+        relay._defused = True
+
+    def _detach(self) -> None:
+        """Stop waiting on the event the process waits on, if any; that
+        event still fires, as a no-op for this process."""
         waiting_on = self._waiting_on
         if waiting_on is not None:
             if waiting_on._waiter is self:
@@ -273,11 +286,17 @@ class Process(Event):
                 # Bound methods compare equal by receiver and function.
                 waiting_on._callbacks.remove(self._resume)
             self._waiting_on = None
-        self._relay(False, Interrupt(cause))
 
-    def _relay(self, ok: bool, value: Any) -> None:
+    def _deliver_interrupt(self, relay: Event) -> None:
+        """Throw an interrupt's :class:`Interrupt` into the process,
+        detached from whatever it waits on by now."""
+        self._detach()
+        self._resume(relay)
+
+    def _relay(self, ok: bool, value: Any) -> Event:
         """Resume the process on the next turn of the current instant,
-        sending ``value`` into it, or throwing it when not ``ok``."""
+        sending ``value`` into it, or throwing it when not ``ok``; returns
+        the relay event."""
         relay = self.sim._fresh_event()
         relay._waiter = self
         if ok:
@@ -285,6 +304,7 @@ class Process(Event):
         else:
             relay.fail(value)
             relay._defused = True
+        return relay
 
     def _resume(self, event: Event) -> None:
         """The kernel's one step of a process: send ``event``'s value into
@@ -319,9 +339,11 @@ class Process(Event):
                 if target._processed:
                     # It already ran its callbacks: resume with its
                     # outcome on the next turn of the current instant.
+                    # The process waits on the relay, so an interrupt
+                    # detaches it from the relay as from any event.
                     if not target._ok:
                         target._defused = True
-                    self._relay(target._ok, target._value)
+                    self._waiting_on = self._relay(target._ok, target._value)
                     return
                 self._waiting_on = target
                 callbacks = target._callbacks

@@ -182,7 +182,7 @@ class TokenBucket:
         if amount == 0:
             return 0.0
         rate = self.rate
-        if math.isinf(rate):
+        if rate == math.inf:  # unlimited (rates are positive)
             return 0.0
         if amount > self.capacity:
             raise ValueError(
@@ -212,7 +212,7 @@ class TokenBucket:
 
     # -- internals --------------------------------------------------------
     def _refill(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         elapsed = now - self._last_update
         if elapsed > 0:
             if not math.isinf(self.rate):
@@ -247,7 +247,7 @@ class TokenBucket:
         delay = deficit / self.rate if not math.isinf(self.rate) else 0.0
         self._wakeup_scheduled = True
         wakeup = Event(self.sim)
-        wakeup.callbacks.append(self._on_wakeup)
+        wakeup._callbacks = [self._on_wakeup]
         wakeup.succeed(None, delay=delay)
 
     def _on_wakeup(self, _event: Event) -> None:

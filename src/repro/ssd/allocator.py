@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -63,6 +63,10 @@ class BlockAllocator:
         self.slots_per_block = (geometry.planes_per_die * geometry.pages_per_block
                                 * slots_per_page)
         self.program_unit_slots = geometry.planes_per_die * slots_per_page
+        #: Pages are numbered die-major like blocks: page ``p`` (slot
+        #: ``s`` lies in page ``s // slots_per_page``) is on die
+        #: ``p // pages_per_die``.
+        self.pages_per_die = self.blocks_per_die * self.slots_per_block // slots_per_page
 
         bpd = self.blocks_per_die
         self._free: list[deque[int]] = [deque(range(die * bpd, (die + 1) * bpd))
@@ -110,29 +114,31 @@ class BlockAllocator:
         """Round-robin die selection among dies that can accept a program
         (:meth:`can_allocate`), starting at the write cursor."""
         dies = self.total_dies
-        cursor = self._write_cursor
         spb = self.slots_per_block
         minimum = 0 if stream is WriteStream.GC else reserve
         open_blocks = self._open
         free = self._free
-        for die in chain(range(cursor, dies), range(cursor)):
+        die = self._write_cursor
+        for _ in range(dies):
             if len(free[die]) > minimum:
                 break
             open_block = open_blocks.get((die, stream))
             if open_block is not None and open_block.next_slot < spb:
                 break
+            die = die + 1 if die + 1 < dies else 0
         else:
             return None
         self._write_cursor = die + 1 if die + 1 < dies else 0
         return die
 
     def allocate_slots(self, die: int, count: int, stream: WriteStream,
-                       reserve: int) -> list[int]:
+                       reserve: int) -> tuple[int, int]:
         """Allocate up to ``count`` consecutive slots on ``die``.
 
-        Returns the physical slot numbers (possibly fewer than ``count`` if
-        the open block runs out; the caller simply issues another program for
-        the remainder).  Raises ``RuntimeError`` if the die has no usable
+        Returns ``(base, granted)``: the slots ``base, base + 1, ...,
+        base + granted - 1``, possibly fewer than ``count`` if the open
+        block runs out (the caller simply issues another program for the
+        remainder).  Raises ``RuntimeError`` if the die has no usable
         block -- callers must check :meth:`can_allocate` first.
         """
         if count <= 0:
@@ -151,7 +157,7 @@ class BlockAllocator:
         open_block.next_slot = next_slot = next_slot + granted
         if next_slot >= spb:
             self._state[open_block.block_id] = BlockState.FULL
-        return list(range(base, base + granted))
+        return base, granted
 
     def _open_new_block(self, die: int, stream: WriteStream, reserve: int) -> OpenBlock:
         minimum = 0 if stream is WriteStream.GC else reserve

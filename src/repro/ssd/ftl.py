@@ -79,7 +79,7 @@ class Ftl:
         """Wake processes stalled on an out-of-space condition (called by GC)."""
         waiters, self._space_waiters = self._space_waiters, []
         for event in waiters:
-            if not event.triggered:
+            if not event._triggered:
                 event.succeed(None)
 
     def _wait_for_space(self):
@@ -105,16 +105,18 @@ class Ftl:
         program_bytes = self._program_bytes
         planes = self._program_planes
         reserve = self.gc_host_reserve
+        low = self.gc_low_watermark
+        free_blocks = allocator.free_blocks
         unit = allocator.program_unit_slots
         written = 0
         index = 0
         pending = list(lbns)
-        while index < len(pending):
-            die = None
+        total = len(pending)
+        while index < total:
             if preferred_die is not None and allocator.can_allocate(
                     preferred_die, stream, reserve):
                 die = preferred_die
-            if die is None:
+            else:
                 die = allocator.pick_die(stream, reserve)
             while die is None:
                 # Out of space: make sure GC is running, then wait for it to
@@ -123,15 +125,15 @@ class Ftl:
                 self.gc.kick()
                 yield self._wait_for_space()
                 die = allocator.pick_die(stream, reserve)
-            slots = allocator.allocate_slots(die, min(unit, len(pending) - index),
-                                             stream, reserve)
-            end = index + len(slots)
-            placed = map_run(pending[index:end], slots[0], source)
-            if allocator.free_blocks(die) < self.gc_low_watermark:
+            base, granted = allocator.allocate_slots(
+                die, min(unit, total - index), stream, reserve)
+            end = index + granted
+            placed = map_run(pending[index:end], base, source)
+            if free_blocks(die) < low:
                 self.gc.kick(die)
             # The program transfers the full multi-plane unit regardless of
             # how many slots were actually placed (padding).
-            yield from program_page(die, program_bytes, planes=planes)
+            yield from program_page(die, program_bytes, planes)
             written += placed
             index = end
         if stream is WriteStream.HOST:
@@ -148,28 +150,28 @@ class Ftl:
         die/channel contention).  Unmapped blocks cost nothing (the device
         returns zeroes).  Returns the number of flash page reads issued.
         """
-        lookup = self.mapping.lookup
-        die_of_block = self.allocator.die_of_block
-        slots_per_block = self.allocator.slots_per_block
         slots_per_page = self.slots_per_page
-        groups: dict[tuple[int, int], int] = {}
+        # Blocks per flash page, by page number in first-seen order; page
+        # ``p`` is on die ``p // allocator.pages_per_die``.
+        groups: dict[int, int] = {}
         unmapped = 0
-        for lbn in lbns:
-            psn = lookup(lbn)
+        for psn in self.mapping.lookup_many(lbns):
             if psn == UNMAPPED:
                 unmapped += 1
-                continue
-            key = (die_of_block(psn // slots_per_block), psn // slots_per_page)
-            groups[key] = groups.get(key, 0) + 1
+            else:
+                page = psn // slots_per_page
+                groups[page] = groups.get(page, 0) + 1
         self.stats.unmapped_reads += unmapped
         if not groups:
             return 0
         sim = self.sim
         read_page = self.flash.read_page
+        pages_per_die = self.allocator.pages_per_die
         page_size = self.config.geometry.page_size
         block_size = self.config.logical_block_size
-        yield sim.join([spawn_process(sim, read_page(die, min(page_size, count * block_size)))
-                        for (die, _page), count in groups.items()])
+        yield sim.join([spawn_process(sim, read_page(page // pages_per_die,
+                                                     min(page_size, count * block_size)))
+                        for page, count in groups.items()])
         if for_prefetch:
             self.stats.prefetch_flash_reads += len(groups)
         else:

@@ -71,7 +71,7 @@ class GarbageCollector:
             if wakeup is None:
                 self._wakeups[index] = self._boot
                 self.sim.process(self._run(index))
-            elif not wakeup.triggered:
+            elif not wakeup._triggered:
                 wakeup.succeed(None)
 
     def _start_low_dies(self, _boot) -> None:
@@ -141,7 +141,7 @@ class GarbageCollector:
             slot_hi = slot_lo + allocator.slots_per_block
             slots_per_page = ftl.slots_per_page
             pages = sorted({(slot - slot_lo) // slots_per_page
-                            for slot in map(mapping.lookup, valid_lbns)
+                            for slot in mapping.lookup_many(valid_lbns)
                             if slot_lo <= slot < slot_hi})
             for _page in pages:
                 yield from ftl.flash.read_page(die, ftl.config.geometry.page_size)

@@ -11,7 +11,7 @@ The tables are int32: every entry is a slot, an LBN or a count, and
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +45,11 @@ class PageMapping:
         self.mapped_blocks = 0
 
     # -- queries --------------------------------------------------------------
-    def lookup(self, lbn: int) -> int:
-        """Physical slot of ``lbn``, or :data:`UNMAPPED`."""
-        return self._l2p_view[lbn]
+    def lookup_many(self, lbns: Iterable[int]) -> list[int]:
+        """Physical slot of each block of ``lbns``, in order, with
+        :data:`UNMAPPED` for a block that has none."""
+        l2p = self._l2p_view
+        return [l2p[lbn] for lbn in lbns]
 
     def reverse_lookup(self, psn: int) -> int:
         """Logical block stored in slot ``psn``, or :data:`UNMAPPED`."""
@@ -96,6 +98,11 @@ class PageMapping:
         and leaves its slot unused.  Each block is checked as it comes --
         LBN in range, slot in range, slot free -- so a bad block raises
         ``ValueError`` with the blocks before it already mapped.
+
+        A newly mapped block adds to ``mapped_blocks`` once per run, and a
+        slot adds to its flash block's valid counter once per block the run
+        fills, as the run leaves it; a bad block still finds every counter
+        up to date.
         """
         logical = self.logical_blocks
         total = self.total_slots
@@ -104,29 +111,46 @@ class PageMapping:
         p2l = self._p2l_view
         valid = self._valid_view
         placed = 0
+        fresh = 0
+        # The flash block being filled, the slot that ends it, and the
+        # slots placed in it that its valid counter does not count yet.
+        block = -1
+        block_end = 0
+        filled = 0
         psn = first_psn - 1
-        for lbn in lbns:
-            psn += 1
-            if source is not None and l2p[lbn] not in source:
-                continue
-            if not 0 <= lbn < logical:
-                raise ValueError(f"lbn {lbn} out of range")
-            if not 0 <= psn < total:
-                raise ValueError(f"psn {psn} out of range")
-            owner = p2l[psn]
-            if owner != UNMAPPED:
-                raise ValueError(f"slot {psn} is already occupied by lbn {owner}")
-            previous = l2p[lbn]
-            if previous != UNMAPPED:
-                # _invalidate_slot, inlined: this loop is the write path.
-                p2l[previous] = UNMAPPED
-                valid[previous // spb] -= 1
-            else:
-                self.mapped_blocks += 1
-            l2p[lbn] = psn
-            p2l[psn] = lbn
-            valid[psn // spb] += 1
-            placed += 1
+        try:
+            for lbn in lbns:
+                psn += 1
+                if source is not None and l2p[lbn] not in source:
+                    continue
+                if not 0 <= lbn < logical:
+                    raise ValueError(f"lbn {lbn} out of range")
+                if not 0 <= psn < total:
+                    raise ValueError(f"psn {psn} out of range")
+                owner = p2l[psn]
+                if owner != UNMAPPED:
+                    raise ValueError(f"slot {psn} is already occupied by lbn {owner}")
+                previous = l2p[lbn]
+                if previous != UNMAPPED:
+                    # _invalidate_slot, inlined: this loop is the write path.
+                    p2l[previous] = UNMAPPED
+                    valid[previous // spb] -= 1
+                else:
+                    fresh += 1
+                l2p[lbn] = psn
+                p2l[psn] = lbn
+                if psn >= block_end:
+                    if filled:
+                        valid[block] += filled
+                    block = psn // spb
+                    block_end = block * spb + spb
+                    filled = 0
+                filled += 1
+                placed += 1
+        finally:
+            if filled:
+                valid[block] += filled
+            self.mapped_blocks += fresh
         return placed
 
     def map_range(self, start_lbn: int, psns: np.ndarray) -> None:

@@ -8,6 +8,7 @@ buffer, and the sequential prefetcher behind the common
 from __future__ import annotations
 
 import random
+from math import log
 from typing import TYPE_CHECKING, Optional
 
 from repro.flash.chip import FlashArray
@@ -128,7 +129,8 @@ class SsdDevice(BlockDevice):
                         + size / self._transfer_bw
                         + max(1, size // self._block) * self._per_block_us)
             if self._jitter_lambda > 0.0:
-                overhead += rng.expovariate(self._jitter_lambda)
+                # ``rng.expovariate(lambda)``, inlined: the same expression.
+                overhead += -log(1.0 - rng.random()) / self._jitter_lambda
             if self._hiccup_p > 0 and rng.random() < self._hiccup_p:
                 overhead += self._hiccup_us
             yield overhead
@@ -145,13 +147,10 @@ class SsdDevice(BlockDevice):
                          (request.offset + request.size) // block)
             write_buffer = self.write_buffer
             read_cache = self.read_cache
-            misses: list[int] = []
-            for lbn in lbns:
-                if write_buffer is not None and write_buffer.contains(lbn):
-                    continue
-                if read_cache is not None and read_cache.lookup(lbn):
-                    continue
-                misses.append(lbn)
+            misses = lbns if write_buffer is None else write_buffer.misses(lbns)
+            if read_cache is not None and misses:
+                lookup = read_cache.lookup
+                misses = [lbn for lbn in misses if not lookup(lbn)]
             self._maybe_prefetch(lbns)
             if misses:
                 yield from self.ftl.read_slots(misses)

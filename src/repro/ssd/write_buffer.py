@@ -67,8 +67,10 @@ from collections import OrderedDict, deque
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
+from repro.sim.events import Event
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim import Event, Simulator
+    from repro.sim import Simulator
 
 
 class WriteBuffer:
@@ -111,9 +113,12 @@ class WriteBuffer:
     def free_slots(self) -> int:
         return self.capacity_slots - self.used_slots
 
-    def contains(self, lbn: int) -> bool:
-        """Whether a read of ``lbn`` can be served from the buffer."""
-        return lbn in self._dirty or lbn in self._in_flight
+    def misses(self, lbns: range) -> list[int]:
+        """The blocks of ``lbns``, in order, that a read cannot serve from
+        the buffer: neither dirty nor in flight."""
+        dirty = self._dirty
+        in_flight = self._in_flight
+        return [lbn for lbn in lbns if lbn not in dirty and lbn not in in_flight]
 
     def is_empty(self) -> bool:
         return not self._dirty and not self._in_flight
@@ -138,21 +143,22 @@ class WriteBuffer:
         counts a hit.  Each new block wakes one flusher waiting for data.
         """
         dirty = self._dirty
-        in_flight = self._in_flight
-        capacity = self.capacity_slots
+        # Waking a flusher only schedules it, so nothing else changes the
+        # buffer during the loop: count the room down locally.
+        room = self.capacity_slots - len(dirty) - len(self._in_flight)
         data_waiters = self._data_waiters
-        while lbn < end:
+        for lbn in range(lbn, end):
             if lbn in dirty:
                 self.overwrite_hits += 1
                 dirty.move_to_end(lbn)
-            elif len(dirty) + len(in_flight) < capacity:
+            elif room > 0:
                 dirty[lbn] = None
+                room -= 1
                 if data_waiters:
                     self._notify_one(data_waiters)
             else:
-                break
-            lbn += 1
-        return lbn
+                return lbn
+        return end
 
     def wait_for_space(self, lbn: Optional[int]) -> "Event":
         """Park until a flush completion's handoff finds that inserting
@@ -188,8 +194,8 @@ class WriteBuffer:
         parked = self._space_waiters
         if parked:
             self._space_waiters = []
-            handoff = self.sim.event()
-            handoff.callbacks.append(self._hand_off)
+            handoff = Event(self.sim)
+            handoff._callbacks = [self._hand_off]
             handoff.succeed(parked)
 
     # -- internals -----------------------------------------------------------------
@@ -228,6 +234,6 @@ class WriteBuffer:
             if event is None:
                 self.sim.process(self._flusher())
                 return
-            if not event.triggered:
+            if not event._triggered:
                 event.succeed(None)
                 return

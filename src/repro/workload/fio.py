@@ -207,7 +207,7 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
         # Inline of should_stop() (one closure call per I/O otherwise).
         while not (state.stop
                    or (issue_limit is not None and state.issued >= issue_limit)
-                   or (deadline is not None and sim.now >= deadline)):
+                   or (deadline is not None and sim._now >= deadline)):
             if pattern_thinks:
                 pause = pattern.next_think_time_us()
                 if pause > 0:
@@ -218,7 +218,7 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
             kind, offset = pattern_next()
             request = yield submit(IORequest(kind, offset, io_size))
             if on_complete is not None:
-                on_complete(request, sim.now)
+                on_complete(request, sim._now)
             if state.ramp_remaining > 0:
                 state.ramp_remaining -= 1
             else:
@@ -231,7 +231,7 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
                 else:
                     result.bytes_written += request.size
                     record_write(latency)
-                record_timeline(sim.now, request.size)
+                record_timeline(sim._now, request.size)
             if think_time > 0:
                 yield think_time
         result.finished_us = sim.now

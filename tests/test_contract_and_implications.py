@@ -1,5 +1,8 @@
 """Tests for the unwritten contract, its checker, and the implication advisors."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import UNWRITTEN_CONTRACT, ContractChecker
@@ -132,6 +135,107 @@ def test_checker_report_aggregation(quick_checker):
         report.evidence_for(4)
     with pytest.raises(ValueError):
         quick_checker.run(observations=[7])
+
+
+#: ``gc.collect`` itself, for the tests that replace it.
+_collect = gc.collect
+
+
+def recording(factory, devices):
+    """``factory``, keeping a weakref to each device it builds in ``devices``."""
+    def build(sim):
+        device = factory(sim)
+        devices.append(weakref.ref(device))
+        return device
+    return build
+
+
+def test_each_job_frees_its_device_before_the_next_one(monkeypatch):
+    """The Observation-2 floods (SSD, then ESSD) and an ESSD throughput job
+    leave no device behind once ``_run`` returns."""
+    checker = ContractChecker(config=quick_checker_config())
+    devices, freed = [], []
+    for name in ("_fresh_ssd", "_fresh_essd"):
+        monkeypatch.setattr(checker, name, recording(getattr(checker, name), devices))
+    run = checker._run
+
+    def checked_run(*args, **kwargs):
+        result = run(*args, **kwargs)
+        freed.append(devices[-1]() is None)
+        return result
+    monkeypatch.setattr(checker, "_run", checked_run)
+    checker.check_observation_2()
+    assert freed == [True, True]
+    checker._measure_throughput(checker._fresh_essd, "randwrite", 16 * KiB, 32)
+    assert freed == [True, True, True]
+
+
+@pytest.fixture
+def automatic_collections_off():
+    """Only explicit collections move objects between generations."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.fixture
+def collections(monkeypatch, automatic_collections_off):
+    """The arguments of every ``gc.collect`` call."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _collect(*args)
+    monkeypatch.setattr(gc, "collect", spy)
+    return calls
+
+
+def small_ssd_job():
+    from repro.workload.fio import FioJob
+
+    return FioJob(name="lat", pattern="randwrite", io_size=128 * KiB, queue_depth=8,
+                  io_count=200)
+
+
+def test_a_young_collection_frees_a_finished_job(collections):
+    """A job's simulation is a reference cycle, still young when the job
+    ends: one young collection frees it, and no full one runs."""
+    checker = ContractChecker(config=quick_checker_config())
+    devices = []
+    checker._run(recording(checker._fresh_ssd, devices), small_ssd_job())
+    assert collections == [(1,)]
+    assert devices[0]() is None
+
+
+def test_a_full_collection_runs_only_for_a_device_the_young_one_left(collections):
+    """A device that reached the oldest generation (here: a full collection
+    right after it was built) survives the young collection, and only then
+    does ``_run`` collect fully."""
+    checker = ContractChecker(config=quick_checker_config())
+    devices = []
+
+    def promoted(sim):
+        device = checker._fresh_ssd(sim)
+        _collect()  # unspied: moves the device into the oldest generation
+        return device
+    checker._run(recording(promoted, devices), small_ssd_job())
+    assert collections == [(1,), ()]
+    assert devices[0]() is None
+
+
+def test_without_a_collection_the_job_device_would_survive(monkeypatch,
+                                                           automatic_collections_off):
+    """The collections are what free a job: with ``gc.collect`` a no-op,
+    the device outlives ``_run`` until something collects."""
+    monkeypatch.setattr(gc, "collect", lambda *args: 0)
+    checker = ContractChecker(config=quick_checker_config())
+    devices = []
+    checker._run(recording(checker._fresh_ssd, devices), small_ssd_job())
+    assert devices[0]() is not None
+    _collect()
+    assert devices[0]() is None
 
 
 # ---------------------------------------------------------------------------

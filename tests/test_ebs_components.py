@@ -1,5 +1,6 @@
 """Tests for the EBS building blocks: chunk map, QoS, replication, backend, network."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -182,7 +183,7 @@ def _quorum_write_us(service_us, quorum=2):
     profile = replace(aws_io2_profile(64 * MiB), write_quorum=quorum)
     cluster = StorageCluster(sim, profile)
     cluster.network.transfer_delay = lambda payload_bytes: 0.0
-    sub = cluster.split(0, 4 * KiB)[0]
+    sub = cluster.chunk_map.split(0, 4 * KiB)[0]
     group = cluster.chunk_map.placement_group(sub.chunk_index)
     for node_id, service in zip(group, service_us, strict=True):
         def write(num_bytes, service=service):
@@ -215,6 +216,21 @@ def test_quorum_write_counts_replicas_that_finish_in_the_same_instant(
 
 def test_full_quorum_write_waits_for_every_replica():
     assert _quorum_write_us((10.0, 10.0, 50.0), quorum=3) == 50.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), jitter_mean_us=st.floats(1e-3, 1e3))
+def test_network_jitter_is_the_expovariate_stream(seed, jitter_mean_us):
+    """The inlined exponential draw gives bit for bit the delays that
+    ``Random.expovariate`` gave."""
+    profile = NetworkProfile(jitter_mean_us=jitter_mean_us)
+    network = DatacenterNetwork(profile, seed=seed)
+    reference = random.Random(seed)
+    rate = 1.0 / jitter_mean_us
+    for payload in (256, 4 * KiB, 1 * MiB) * 20:
+        expected = profile.one_way_latency_us + payload / profile.flow_bytes_per_us
+        expected += reference.expovariate(rate)
+        assert network.transfer_delay(payload) == expected
 
 
 def test_network_latency_scales_with_payload():

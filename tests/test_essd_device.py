@@ -1,6 +1,9 @@
 """End-to-end tests of the ESSD device model (the contract's mechanisms)."""
 
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.ebs import EssdDevice, alibaba_pl3_profile, aws_io2_profile
@@ -161,3 +164,29 @@ def test_unaligned_or_oversized_requests_rejected():
         device.read(3, 4096)
     with pytest.raises(ValueError):
         device.write(0, device.capacity_bytes + 4096)
+
+
+def test_client_hiccups_are_the_expovariate_stream():
+    """Every request hits a hiccup here: a flush sleeps for the client
+    overhead plus the hiccup, and the inlined exponential draw gives bit
+    for bit the sleeps that ``Random.expovariate`` gave."""
+    from test_ssd_device import record_sleeps
+
+    profile = replace(aws_io2_profile(64 * MiB), hiccup_probability=1.0)
+    sim = Simulator()
+    device = EssdDevice(sim, profile)
+    sleeps = record_sleeps(device)
+
+    def flusher():
+        for _ in range(200):
+            yield device.flush()
+    sim.process(flusher())
+    sim.run()
+    reference = random.Random(profile.seed)
+    expected = []
+    for _ in range(200):
+        overhead = profile.client_overhead_us
+        assert reference.random() < 1.0
+        overhead += reference.expovariate(1.0 / profile.hiccup_mean_us)
+        expected.append(overhead)
+    assert sleeps == expected

@@ -110,6 +110,28 @@ def test_invalid_document_rejected_with_path(server):
     assert "groups[0].count: expected positive int" in response["reason"]
 
 
+@pytest.mark.parametrize("kind", ["scenario", "fleet"])
+@pytest.mark.parametrize("name", ["..", "absolute"])
+def test_document_named_outside_the_cache_is_rejected(server, tmp_path,
+                                                      kind, name):
+    """A scenario's name is its sweep-cache directory, so a submitted
+    document whose name would leave the cache is rejected before it
+    queues, and nothing outside the cache is touched."""
+    victim = tmp_path / "victim"
+    (victim / "src").mkdir(parents=True)
+    name = str(victim) if name == "absolute" else name
+    document = (loop_scenario(name) if kind == "scenario"
+                else fleet_document(name))
+    with client_for(server) as client:
+        response = client.submit(document=document)
+        assert response["event"] == "rejected"
+        assert "is not one path component" in response["reason"]
+        assert client.ping()["ok"]
+    assert [entry.name for entry in victim.iterdir()] == ["src"]
+    assert not (tmp_path / "serve-cache").exists() \
+        or list((tmp_path / "serve-cache").iterdir()) == []
+
+
 def test_misspelled_fleet_axis_rejected_with_path(server):
     # The axis edits the topology document, so the one topology reader
     # rejects it; the connection thread stays alive to answer.

@@ -370,6 +370,101 @@ def test_interrupt_detaches_a_process_from_the_slot_and_from_the_list():
     assert log == [("slot", "a", 0.0), ("list", "b", 0.0)]
 
 
+def test_a_second_interrupt_before_the_first_is_delivered_cuts_the_new_sleep():
+    """Two interrupts at one instant: the first is delivered, and the
+    process sleeps again; delivering the second detaches it from that new
+    sleep, whose wake event then fires as a no-op.  Each interrupt makes
+    the process sleep 10 us longer: it wakes at 1 + 30, not at 1 + 20."""
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        delay = 10
+        while True:
+            try:
+                yield delay
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, sim.now))
+                delay += 10
+            else:
+                log.append(("woke", sim.now))
+                return
+
+    target = sim.process(sleeper())
+
+    def interrupter():
+        yield 1
+        target.interrupt("first")
+        target.interrupt("second")
+
+    sim.process(interrupter())
+    sim.run()
+    assert log == [("first", 1.0), ("second", 1.0), ("woke", 31.0)]
+
+
+def test_a_second_interrupt_before_the_first_is_delivered_cuts_the_new_wait():
+    """The same for event waits: after the first interrupt the process waits
+    on a second event, and the second interrupt detaches it from that one,
+    so neither earlier event resumes it."""
+    sim = Simulator()
+    events = [sim.event().succeed(name, delay=at)
+              for name, at in (("a", 10), ("b", 20), ("c", 30))]
+    log = []
+
+    def waiter():
+        for event in events:
+            try:
+                value = yield event
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, sim.now))
+            else:
+                log.append((value, sim.now))
+                return
+
+    target = sim.process(waiter())
+
+    def interrupter():
+        yield 1
+        target.interrupt("first")
+        target.interrupt("second")
+
+    sim.process(interrupter())
+    sim.run()
+    assert log == [("first", 1.0), ("second", 1.0), ("c", 30.0)]
+    assert all(event._waiter is None and event._callbacks is None for event in events)
+
+
+def test_a_second_interrupt_detaches_the_relay_of_a_processed_event():
+    """After the first interrupt the process yields an event that was
+    already processed, so a relay is to resume it; the second interrupt
+    detaches it from that relay, and the sleep it starts then runs its
+    full 20 us."""
+    sim = Simulator()
+    done = sim.event().succeed("done")
+    log = []
+
+    def waiter():
+        try:
+            yield 10
+        except Interrupt:
+            try:
+                yield done
+            except Interrupt:
+                value = yield 20
+                log.append((value, sim.now))
+
+    target = sim.process(waiter())
+
+    def interrupter():
+        yield 1
+        target.interrupt()
+        target.interrupt()
+
+    sim.process(interrupter())
+    sim.run()
+    assert log == [(None, 21.0)]
+
+
 def test_a_finished_process_nobody_yields_is_freed_without_the_collector():
     """No process is a reference cycle: once a ``sim.process`` that nobody
     yields has finished, reference counting frees it.  The process holds

@@ -230,3 +230,48 @@ def test_preload_rejects_unaligned_ranges():
     _, device = make_device()
     with pytest.raises(ValueError):
         device.preload(offset=100, size=4096)
+
+
+def test_request_jitter_is_the_expovariate_stream():
+    """With hiccups off, a flush of an empty write buffer sleeps for a free
+    controller grant and then for the host overhead with its jitter draw,
+    and the inlined exponential draw gives bit for bit the overheads that
+    ``Random.expovariate`` gave."""
+    config = replace(samsung_970pro_profile(capacity_bytes=16 * MiB),
+                     hiccup_probability=0.0)
+    sim = Simulator()
+    device = SsdDevice(sim, config)
+    sleeps = record_sleeps(device)
+
+    def flusher():
+        for _ in range(200):
+            yield device.flush()
+    sim.process(flusher())
+    sim.run()
+    reference = random.Random(config.seed)
+    expected = []
+    for _ in range(200):
+        overhead = (config.host_overhead_us + 0 / config.host_transfer_bytes_per_us
+                    + 1 * config.per_block_overhead_us)
+        overhead += reference.expovariate(1.0 / config.jitter_mean_us)
+        expected += [0.0, overhead]
+    assert sleeps == expected
+
+
+def record_sleeps(device):
+    """Record every sleep (a yielded number) of ``device._serve``."""
+    sleeps = []
+    serve = device._serve
+
+    def recording_serve(request):
+        generator = serve(request)
+        target = next(generator)
+        while True:
+            if isinstance(target, (int, float)):
+                sleeps.append(target)
+            try:
+                target = generator.send((yield target))
+            except StopIteration as stop:
+                return stop.value
+    device._serve = recording_serve
+    return sleeps

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from itertools import chain
 from typing import NamedTuple
 from unittest import mock
 
@@ -14,7 +15,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.host.io import IOKind, IORequest, MiB
 from repro.sim import Event, Simulator
 from repro.ssd import allocator as allocator_module
-from repro.ssd.allocator import BlockAllocator, BlockState, WriteStream
+from repro.ssd.allocator import BlockAllocator, BlockState, OpenBlock, WriteStream
 from repro.ssd.config import samsung_970pro_profile
 from repro.ssd.mapping import UNMAPPED, PageMapping
 from repro.ssd.prefetcher import ReadCache, SequentialPrefetcher
@@ -32,10 +33,10 @@ def make_mapping(logical=64, slots=128, per_block=16):
 
 def test_mapping_basic_map_and_lookup():
     mapping = make_mapping()
-    assert mapping.lookup(0) == UNMAPPED
+    assert mapping.lookup_many([0]) == [UNMAPPED]
     assert not mapping.is_mapped(0)
     mapping.map(0, 5)
-    assert mapping.lookup(0) == 5
+    assert mapping.lookup_many([0]) == [5]
     assert mapping.reverse_lookup(5) == 0
     assert mapping.valid_slots_in_block(0) == 1
     assert mapping.mapped_blocks == 1
@@ -45,7 +46,7 @@ def test_mapping_overwrite_invalidates_old_slot():
     mapping = make_mapping()
     mapping.map(3, 2)
     mapping.map(3, 20)
-    assert mapping.lookup(3) == 20
+    assert mapping.lookup_many([3]) == [20]
     assert mapping.reverse_lookup(2) == UNMAPPED
     assert mapping.valid_slots_in_block(0) == 0
     assert mapping.valid_slots_in_block(1) == 1
@@ -179,11 +180,11 @@ def outcome(call, *args):
 
 def still_in_victim(mapping, victim):
     """GC's relocation filter before ``map_run`` took the victim's slot
-    range, kept verbatim."""
+    range, kept verbatim but for reading the slot through ``lookup_many``."""
     slot_lo, slot_hi = victim.start, victim.stop
 
     def validate(lbn: int) -> bool:
-        slot = mapping.lookup(lbn)
+        [slot] = mapping.lookup_many([lbn])
         return slot_lo <= slot < slot_hi
     return validate
 
@@ -238,8 +239,8 @@ def test_mapping_invariants_under_random_updates(operations):
         occupied[lbn] = psn
     assert mapping.mapped_blocks == len(occupied)
     assert int(mapping.valid_block_counts().sum()) == len(occupied)
+    assert mapping.lookup_many(occupied) == list(occupied.values())
     for lbn, psn in occupied.items():
-        assert mapping.lookup(lbn) == psn
         assert mapping.reverse_lookup(psn) == lbn
     assert 0.0 <= mapping.utilization <= 1.0
 
@@ -268,8 +269,8 @@ def test_allocator_allocates_consecutive_slots_and_marks_full():
     allocator = make_allocator()
     first = allocator.allocate_slots(0, 8, WriteStream.HOST, reserve=1)
     second = allocator.allocate_slots(0, 8, WriteStream.HOST, reserve=1)
-    assert first == list(range(0, 8))
-    assert second == list(range(8, 16))
+    assert first == (0, 8)  # slots 0-7
+    assert second == (8, 8)  # slots 8-15
     assert allocator.free_blocks(0) == 3
     # Block 0 holds 32 slots; after 32 slots it becomes FULL.
     allocator.allocate_slots(0, 16, WriteStream.HOST, reserve=1)
@@ -339,6 +340,58 @@ def test_allocator_die_of_block_and_bounds():
         allocator.allocate_run(-1, WriteStream.HOST, reserve=0)
 
 
+def reference_pick_die(allocator, stream, reserve):
+    """``BlockAllocator.pick_die`` as a ``chain`` scan, before it became
+    one wrap-around loop from the cursor, kept verbatim."""
+    dies = allocator.total_dies
+    cursor = allocator._write_cursor
+    spb = allocator.slots_per_block
+    minimum = 0 if stream is WriteStream.GC else reserve
+    open_blocks = allocator._open
+    free = allocator._free
+    for die in chain(range(cursor, dies), range(cursor)):
+        if len(free[die]) > minimum:
+            break
+        open_block = open_blocks.get((die, stream))
+        if open_block is not None and open_block.next_slot < spb:
+            break
+    else:
+        return None
+    allocator._write_cursor = die + 1 if die + 1 < dies else 0
+    return die
+
+
+_FRONTIER = st.none() | st.integers(0, 32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(free=st.lists(st.integers(0, 4), min_size=4, max_size=4),
+       frontiers=st.lists(st.tuples(_FRONTIER, _FRONTIER), min_size=4, max_size=4),
+       cursor=st.integers(0, 3), reserve=st.integers(0, 4),
+       streams=st.lists(st.sampled_from(WriteStream), min_size=1, max_size=6))
+def test_pick_die_matches_the_chain_scan(free, frontiers, cursor, reserve, streams):
+    """Property: over free-block counts, open frontiers of either stream
+    (``None``: no frontier; 32 slots: full) and write cursors, a sequence of
+    picks gives the dies and cursors of the scan that starts at the cursor
+    die."""
+    geometry = FlashGeometry(channels=2, dies_per_channel=2, planes_per_die=2,
+                             blocks_per_plane=4, pages_per_block=4, page_size=16 * 1024)
+    fast, reference = (BlockAllocator(geometry, slots_per_page=4) for _ in range(2))
+    assert fast.slots_per_block == 32
+    for allocator in (fast, reference):
+        for die, (count, frontier) in enumerate(zip(free, frontiers)):
+            queue = allocator._free[die]
+            for stream, next_slot in zip((WriteStream.HOST, WriteStream.GC), frontier):
+                if next_slot is not None:
+                    allocator._open[(die, stream)] = OpenBlock(queue.popleft(), next_slot)
+            while len(queue) > count:
+                queue.pop()
+        allocator._write_cursor = cursor
+    for stream in streams:
+        assert fast.pick_die(stream, reserve) == reference_pick_die(reference, stream, reserve)
+        assert fast._write_cursor == reference._write_cursor
+
+
 # ---------------------------------------------------------------------------
 # Ftl.preload_range against the per-block loop it replaced
 # ---------------------------------------------------------------------------
@@ -355,10 +408,10 @@ def reference_preload_range(ftl, start_lbn, count):
         die = allocator.pick_die(WriteStream.HOST, reserve)
         if die is None:
             raise RuntimeError("preload ran out of flash space")
-        slots = allocator.allocate_slots(
+        base, granted = allocator.allocate_slots(
             die, min(remaining, allocator.program_unit_slots),
             WriteStream.HOST, reserve)
-        for psn in slots:
+        for psn in range(base, base + granted):
             ftl.mapping.map(lbn, psn)
             lbn += 1
             remaining -= 1
@@ -372,8 +425,9 @@ def reference_allocate(allocator, count, stream, reserve):
         die = allocator.pick_die(stream, reserve)
         if die is None:
             return None
-        slots += allocator.allocate_slots(
+        base, granted = allocator.allocate_slots(
             die, min(count - len(slots), allocator.program_unit_slots), stream, reserve)
+        slots += range(base, base + granted)
     return slots
 
 
@@ -602,9 +656,9 @@ def test_write_buffer_insert_flush_cycle():
     assert buffer.overwrite_hits == 1
     batch = buffer.take_batch(3)
     assert batch == [0, 1, 3]  # lbn 2 moved to the back on overwrite
-    assert buffer.contains(0)  # still readable while in flight
+    assert buffer.misses(range(4)) == []  # 0 is still readable in flight
     buffer.complete_flush(batch)
-    assert not buffer.contains(0)
+    assert buffer.misses(range(4)) == [0, 1, 3]
     assert buffer.free_slots == 3
 
 
@@ -641,7 +695,7 @@ def test_write_buffer_counts_a_double_flight_block_once():
     assert batch_a == batch_b == [7]
     assert buffer.used_slots == 1
     buffer.complete_flush(batch_a)
-    assert not buffer.contains(7)  # B's program is still pending
+    assert buffer.misses(range(7, 8)) == [7]  # B's program is still pending
 
 
 class EagerWriteBuffer(WriteBuffer):
@@ -1014,3 +1068,102 @@ def test_prefetcher_clamps_to_device_end():
     assert decision.start_lbn + decision.num_slots <= 20
     prefetcher.reset()
     assert prefetcher.observe(14, 4) is not None or True  # reset clears streams
+
+
+# ---------------------------------------------------------------------------
+# The read path against the per-block loops it replaced
+# ---------------------------------------------------------------------------
+
+def reference_read(device, lbns):
+    """``SsdDevice._serve``'s read filter and ``Ftl.read_slots``'s page
+    grouping before either went per request, kept verbatim but for the
+    buffer's membership test and the slot lookup, inlined: the blocks read
+    from flash, ``(die, bytes)`` of each page read in issue order, and the
+    unmapped blocks."""
+    write_buffer, read_cache, ftl = device.write_buffer, device.read_cache, device.ftl
+    misses = []
+    for lbn in lbns:
+        if write_buffer is not None and (lbn in write_buffer._dirty
+                                         or lbn in write_buffer._in_flight):
+            continue
+        if read_cache is not None and read_cache.lookup(lbn):
+            continue
+        misses.append(lbn)
+    lookup = ftl.mapping._l2p_view.__getitem__
+    die_of_block = ftl.allocator.die_of_block
+    slots_per_block = ftl.allocator.slots_per_block
+    groups = {}
+    unmapped = 0
+    for lbn in misses:
+        psn = lookup(lbn)
+        if psn == UNMAPPED:
+            unmapped += 1
+            continue
+        key = (die_of_block(psn // slots_per_block), psn // ftl.slots_per_page)
+        groups[key] = groups.get(key, 0) + 1
+    page_size = ftl.config.geometry.page_size
+    block = ftl.config.logical_block_size
+    reads = [(die, min(page_size, count * block)) for (die, _page), count in groups.items()]
+    return misses, reads, unmapped
+
+
+def observed_read(device, lbns):
+    """Submit a read of ``lbns`` and run it: the blocks ``Ftl.read_slots``
+    got, ``(die, bytes)`` of each page read in issue order, and the
+    unmapped blocks it counted."""
+    ftl = device.ftl
+    misses, reads = [], []
+    read_slots, read_page = ftl.read_slots, ftl.flash.read_page
+
+    def recording_read_slots(blocks, for_prefetch=False):
+        misses.extend(blocks)
+        return (yield from read_slots(blocks, for_prefetch))
+
+    def recording_read_page(die, num_bytes):
+        reads.append((die, num_bytes))
+        return read_page(die, num_bytes)
+    ftl.read_slots, ftl.flash.read_page = recording_read_slots, recording_read_page
+    block = device.logical_block_size
+    device.submit(IORequest(IOKind.READ, lbns.start * block, len(lbns) * block))
+    device.sim.run()
+    return misses, reads, ftl.stats.unmapped_reads
+
+
+_NEAR = st.sets(st.integers(0, 95), max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(placements=st.lists(st.lists(st.integers(0, 95), unique=True, min_size=1,
+                                    max_size=20), max_size=4),
+       trimmed=_NEAR, dirty=_NEAR, in_flight=_NEAR,
+       cached=st.lists(st.integers(0, 95), unique=True, max_size=40),
+       start=st.integers(0, 63), count=st.integers(1, 32))
+def test_read_path_matches_the_per_block_loops(placements, trimmed, dirty, in_flight,
+                                               cached, start, count):
+    """Property: over mapped, moved and trimmed blocks, blocks dirty or in
+    flight in the write buffer and blocks in the read cache, a host read
+    reads the same blocks and the same pages from flash, counts the same
+    unmapped blocks, and leaves the read cache's order and counters as the
+    per-block loops did."""
+    devices = []
+    for _ in range(2):
+        device = SsdDevice(Simulator(), samsung_970pro_profile(capacity_bytes=16 * MiB))
+        device.prefetcher = None  # a prefetch reads flash too
+        device.preload()
+        for lbns in placements:
+            assert place(device.ftl, WriteStream.HOST, lbns)
+        device.ftl.trim(sorted(trimmed))
+        # Filled directly, so no flusher starts and drains them.
+        device.write_buffer._dirty.update(dict.fromkeys(sorted(dirty)))
+        device.write_buffer._in_flight.update(in_flight)
+        for lbn in cached:
+            device.read_cache.insert(lbn)
+        devices.append(device)
+    reference, device = devices
+    lbns = range(start, start + count)
+    assert observed_read(device, lbns) == reference_read(reference, lbns)
+    assert cache_state(device.read_cache) == cache_state(reference.read_cache)
+
+
+def cache_state(cache):
+    return list(cache._entries), cache.hits, cache.misses

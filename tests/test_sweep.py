@@ -362,6 +362,114 @@ def test_cache_hits_and_force(tmp_path):
     assert _metrics_of(forced) == _metrics_of(first)
 
 
+def test_a_runner_storing_into_a_scenario_prunes_its_stale_entries(tmp_path,
+                                                                     monkeypatch):
+    """Entries live per fingerprint.  After a source edit (a new
+    fingerprint), the first runner that stores into a scenario removes the
+    scenario's entries of every other fingerprint, and the unversioned
+    entries of the old flat layout, which no key can reach again; other
+    scenarios and a runner that only loads keep theirs."""
+    import repro.experiments.sweep as sweep_module
+
+    cells = TINY_SWEEP.cells()[:2]
+    monkeypatch.setattr(sweep_module, "model_fingerprint", lambda: "a" * 16)
+    SweepRunner(cache_dir=tmp_path).run_cells("tiny", cells)
+    SweepRunner(cache_dir=tmp_path).run_cells("other", cells[:1])
+    flat = tmp_path / "tiny" / f"{'0' * 16}.json"
+    flat.write_text("{}")
+    assert sorted(entry.name for entry in (tmp_path / "tiny").iterdir()) == \
+        [flat.name, "a" * 16]
+    assert len(list((tmp_path / "tiny" / ("a" * 16)).iterdir())) == 2
+
+    monkeypatch.setattr(sweep_module, "model_fingerprint", lambda: "b" * 16)
+    cache = SweepCache(tmp_path)
+    assert cache.load("tiny", cells[0]) is None  # a load removes nothing
+    assert (tmp_path / "tiny" / ("a" * 16)).is_dir()
+    fresh = SweepRunner(cache_dir=tmp_path).run_cells("tiny", cells)
+    assert fresh.cache_hits == 0
+    assert [entry.name for entry in (tmp_path / "tiny").iterdir()] == ["b" * 16]
+    assert len(list((tmp_path / "tiny" / ("b" * 16)).iterdir())) == 2
+    assert [entry.name for entry in (tmp_path / "other").iterdir()] == ["a" * 16]
+    assert SweepRunner(cache_dir=tmp_path).run_cells("tiny", cells).cache_hits == 2
+
+
+UNSAFE_SCENARIO_NAMES = ["..", ".", "", "/absolute", "nested/name", "back\\slash"]
+
+
+@pytest.mark.parametrize("name", UNSAFE_SCENARIO_NAMES)
+def test_cache_refuses_a_scenario_name_that_is_not_one_path_component(
+        tmp_path, name):
+    """A scenario's entries live in ``<root>/<scenario>``, and a store
+    prunes that directory, so a name that would leave the root raises
+    before anything is read, written or removed."""
+    root = tmp_path / "cache"
+    root.mkdir()
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    (tmp_path / "keep.json").write_text("{}")
+    cache = SweepCache(root)
+    cell = TINY_SWEEP.cells()[0]
+    for call in (lambda: cache.path_for(name, cell),
+                 lambda: cache.load(name, cell),
+                 lambda: cache.store(name, cell, {"x": 1}),
+                 lambda: cache.prune(name)):
+        with pytest.raises(ValueError, match="one path component"):
+            call()
+    with pytest.raises(ValueError, match="one path component"):
+        scenario(name, "unsafe", devices=("LOOP",))
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == \
+        ["cache", "keep", "keep.json"]
+    assert list(root.iterdir()) == []
+
+
+def test_prune_leaves_a_scenario_directory_linked_outside_the_root(tmp_path):
+    outside = tmp_path / "outside"
+    (outside / "old-fingerprint").mkdir(parents=True)
+    (outside / "entry.json").write_text("{}")
+    root = tmp_path / "cache"
+    root.mkdir()
+    (root / "linked").symlink_to(outside, target_is_directory=True)
+    SweepCache(root).prune("linked")
+    assert sorted(entry.name for entry in outside.iterdir()) == \
+        ["entry.json", "old-fingerprint"]
+
+
+@pytest.mark.parametrize("kind", ["scenario", "fleet"])
+@pytest.mark.parametrize("name", ["..", "absolute"])
+def test_cli_run_rejects_a_document_whose_name_leaves_the_cache(
+        tmp_path, monkeypatch, capsys, kind, name):
+    """``run doc.json`` exits 2 naming the problem, before any cell runs
+    or any cache entry is written, and removes nothing."""
+    from repro.cluster import fleet, group, tenant
+    from repro.config import topology_to_document
+
+    monkeypatch.chdir(tmp_path)
+    victim = tmp_path / "victim"
+    (victim / "src").mkdir(parents=True)
+    (victim / "data.json").write_text("{}")
+    name = str(victim) if name == "absolute" else name
+    if kind == "scenario":
+        document = {"kind": "scenario", "name": name, "devices": ["LOOP"],
+                    "base": {"pattern": "randread", "io_count": 5}}
+    else:
+        document = topology_to_document(fleet(
+            name, groups=[group("grp", "LOOP", 1, capacity_bytes=1 << 24)],
+            tenants=[tenant("t", "grp", pattern="randread", io_size=4096,
+                            queue_depth=1, io_count=5)]))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    cache = tmp_path / "cache"
+    assert cli_main(["run", str(path), "--serial",
+                     "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "is not one path component" in err
+    assert "Traceback" not in err
+    assert sorted(entry.name for entry in victim.iterdir()) == \
+        ["data.json", "src"]
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == \
+        ["doc.json", "victim"]
+
+
 def test_cache_ignores_corrupt_and_mismatched_entries(tmp_path):
     cache = SweepCache(tmp_path)
     cell = TINY_SWEEP.cells()[0]
